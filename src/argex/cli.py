@@ -55,14 +55,12 @@ from .evaluation import (
     TASK_BICKNELL_ACC1,
     TASK_BICKNELL_ACC2,
     TASK_CHOW,
-    k_sweep,
+    evaluate_grid,
     per_item_csv,
     per_k_csv,
     report_to_json,
-    run_bicknell,
-    run_chow,
 )
-from .expectation import Composition, ModelVariant, VariantKind
+from .expectation import Composition, VariantKind
 from .space import WeightedSpace, build_space, load_space, save_space, top_k_fillers
 from .tensor import CooccurrenceTensor, merge_tensors, read_sidecar, sidecar_path
 from .tokens import WINDOW, compile_pos_map, parse_canonical
@@ -125,15 +123,7 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         overrides[key.strip()] = value.strip()
     if args.out_dir:
         overrides["out_dir"] = args.out_dir
-    config = load_config(args.config, overrides)
-    jobs = os.environ.get("ARGEX_JOBS")
-    if jobs is not None:
-        try:
-            if int(jobs) < 1:
-                raise ValueError
-        except ValueError:
-            raise ConfigError(f"ARGEX_JOBS must be a positive integer, got {jobs!r}") from None
-    return config
+    return load_config(args.config, overrides)
 
 
 def _require_artifact(path: str, producer: str) -> None:
@@ -348,22 +338,23 @@ class _SpaceCache:
         return self.get("deps"), None
 
 
-def _run_task(
+def _evaluate(
     config: PipelineConfig,
     spaces: _SpaceCache,
     task: str,
-    variant: ModelVariant,
+    kind: VariantKind,
+    compositions,
+    k_values,
     items,
-) -> EvalReport:
-    space, index = spaces.for_variant(variant.kind)
+) -> dict[tuple[Composition, int], EvalReport]:
+    space, index = spaces.for_variant(kind)
     if task == TASK_CHOW:
         slots = ChowSlots(agent=config.chow_agent_slot, patient=config.chow_patient_slot)
-        if variant.kind is not VariantKind.DEPS:
-            _note(f"note: {variant.kind.value} on role reversal is provably tied")
-        return run_chow(space, variant, items, slots, index=index)
-    mode = BicknellMode.ACC1 if task == TASK_BICKNELL_ACC1 else BicknellMode.ACC2
-    slots = BicknellSlots(agent=config.bicknell_agent_slot, verb=config.bicknell_verb_slot)
-    return run_bicknell(space, variant, items, mode, slots, index=index)
+        if kind is not VariantKind.DEPS:
+            _note(f"note: {kind.value} on role reversal is provably tied")
+    else:
+        slots = BicknellSlots(agent=config.bicknell_agent_slot, verb=config.bicknell_verb_slot)
+    return evaluate_grid(space, kind, items, task, compositions, k_values, slots, index=index)
 
 
 def _load_items(task: str, path: str):
@@ -403,22 +394,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     items = _load_items(task, dataset)
     _note(f"{len(items)} items from {dataset}")
     spaces = _SpaceCache(config)
-    mode = None
-    if task != TASK_CHOW:
-        mode = BicknellMode.ACC1 if task == TASK_BICKNELL_ACC1 else BicknellMode.ACC2
-    variant = ModelVariant(kind, k_values[0], composition)
-    if len(k_values) == 1:
-        reports = [_run_task(config, spaces, task, variant, items)]
-    else:
-        space, index = spaces.for_variant(kind)
-        slots = (
-            ChowSlots(agent=config.chow_agent_slot, patient=config.chow_patient_slot)
-            if task == TASK_CHOW
-            else BicknellSlots(agent=config.bicknell_agent_slot, verb=config.bicknell_verb_slot)
-        )
-        if task == TASK_CHOW and kind is not VariantKind.DEPS:
-            _note(f"note: {kind.value} on role reversal is provably tied")
-        reports = k_sweep(space, variant, items, k_values, task, mode, slots, index=index)
+    grid = _evaluate(config, spaces, task, kind, [composition], k_values, items)
+    reports = [grid[(composition, k)] for k in k_values]
     provenance = _provenance(config, spaces, kind, dataset)
     reports_dir = artifact_paths(config.out_dir)["reports"]
     with _locked(config.out_dir):
@@ -457,6 +434,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ]
         if not tasks:
             raise ConfigError("no dataset paths configured; nothing to sweep")
+    compositions = [Composition.from_string(name) for name in config.compositions]
     spaces = _SpaceCache(config)
     reports_dir = artifact_paths(config.out_dir)["reports"]
     with _locked(config.out_dir):
@@ -469,22 +447,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for kind_name in config.variant_kinds:
                 kind = VariantKind.from_string(kind_name)
                 provenance = _provenance(config, spaces, kind, dataset)
-                for comp_name in config.compositions:
-                    composition = Composition.from_string(comp_name)
-                    reports = [
-                        _run_task(
-                            config,
-                            spaces,
-                            task,
-                            ModelVariant(kind, k, composition),
-                            items,
-                        )
-                        for k in config.k_values
-                    ]
-                    for report in reports:
+                grid = _evaluate(
+                    config, spaces, task, kind, compositions, config.k_values, items
+                )
+                for composition in compositions:
+                    for k in config.k_values:
+                        report = grid[(composition, k)]
                         _write_report(reports_dir, report, provenance)
                         print(report.summary_line())
-                    all_reports.extend(reports)
+                        all_reports.append(report)
             _write_text(
                 os.path.join(reports_dir, f"{task}.sweep.csv"), per_k_csv(all_reports)
             )
@@ -506,21 +477,24 @@ def cmd_report(args: argparse.Namespace) -> int:
     reports_dir = artifact_paths(config.out_dir)["reports"]
     rows = []
     for path in sorted(glob.glob(os.path.join(reports_dir, "*.json"))):
-        with io.open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        variant = data["variant"]
-        rows.append(
-            (
-                data["task"],
-                variant["kind"],
-                variant["composition"],
-                variant["k"],
-                data["accuracy"],
-                data["coverage"],
-                data["counts"]["n_ties"],
-                data["all_ties"],
+        try:
+            with io.open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+            variant = data["variant"]
+            rows.append(
+                (
+                    data["task"],
+                    variant["kind"],
+                    variant["composition"],
+                    variant["k"],
+                    data["accuracy"],
+                    data["coverage"],
+                    data["counts"]["n_ties"],
+                    data["all_ties"],
+                )
             )
-        )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConsistencyError(f"report {path} is damaged: {exc!r}") from None
     if not rows:
         print(f"no reports under {reports_dir}")
         return 0

@@ -10,7 +10,6 @@ coverage is reported alongside accuracy.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import io
 import json
@@ -19,8 +18,16 @@ from typing import Sequence
 
 from .datasets import BicknellItem, BicknellMode, ChowItem
 from .errors import EmptyPrototypeError
-from .expectation import ModelVariant, SlotQuery, expectation_update, map_slot
-from .space import WeightedSpace
+from .expectation import (
+    Composition,
+    ModelVariant,
+    SlotQuery,
+    VariantKind,
+    compose_vectors,
+    map_slot,
+    prefix_prototypes,
+)
+from .space import WeightedSpace, cosine, vector_of
 from .stats import ChiSquareTest, RankSumTest, chi_square_vs_chance, wilcoxon_rank_sum
 from .tokens import Token, VERB_LINK, inverse
 from .weighting import format_score
@@ -115,50 +122,52 @@ def _missing_tokens(space: WeightedSpace, tokens: Sequence[Token]) -> list[str]:
     return missing
 
 
-def _score_items(
-    space: WeightedSpace,
-    variant: ModelVariant,
-    task: str,
-    conditions,
-    index=None,
-) -> EvalReport:
-    """Shared scoring loop over (item_id, required, inputs_a/b, cand_a/b).
+def _bicknell_task(mode: BicknellMode) -> str:
+    return TASK_BICKNELL_ACC1 if mode is BicknellMode.ACC1 else TASK_BICKNELL_ACC2
 
-    ``conditions`` yields one tuple per item: the tokens the item needs
-    in-vocabulary, then the two (input queries, candidate) conditions.
-    """
-    pairs: list[EvalPair] = []
-    skipped: list[tuple[str, str]] = []
-    n_items = n_failed = 0
-    for item_id, required, (inputs_a, cand_a), (inputs_b, cand_b) in conditions:
-        n_items += 1
-        missing = _missing_tokens(space, required)
-        if missing:
-            skipped.append((item_id, "oov: " + " ".join(missing)))
-            continue
-        try:
-            result_a = expectation_update(space, variant, inputs_a, cand_a, index=index)
-            result_b = expectation_update(space, variant, inputs_b, cand_b, index=index)
-        except EmptyPrototypeError as exc:
-            skipped.append((item_id, f"empty prototype: {exc.query}"))
-            n_failed += 1
-            continue
-        if result_a.score > result_b.score:
-            correct = Outcome.WIN
-        elif result_a.score == result_b.score:
-            correct = Outcome.TIE
-        else:
-            correct = Outcome.LOSS
-        pairs.append(
-            EvalPair(
-                item_id,
-                result_a.score,
-                result_b.score,
-                result_a.degenerate,
-                result_b.degenerate,
-                correct,
-            )
+
+def _bicknell_conditions(items: Sequence[BicknellItem], kind: VariantKind, slots: BicknellSlots):
+    """Per item: (item_id, tokens that must be in vocabulary, (inputs,
+    candidate) of condition a, the same of condition b)."""
+    slot_agent = map_slot(kind, slots.agent)
+    slot_verb = map_slot(kind, slots.verb)
+    for item in items:
+        required = [
+            item.agent_congruent,
+            item.agent_incongruent,
+            item.verb,
+            item.patient_congruent,
+            item.patient_incongruent,
+        ]
+        verb = SlotQuery(item.verb, slot_verb)
+        inputs_a = (SlotQuery(item.agent_congruent, slot_agent), verb)
+        inputs_b = (SlotQuery(item.agent_incongruent, slot_agent), verb)
+        yield (
+            item.item_id,
+            required,
+            (inputs_a, item.patient_congruent),
+            (inputs_b, item.patient_incongruent),
         )
+
+
+def _chow_conditions(items: Sequence[ChowItem], kind: VariantKind, slots: ChowSlots):
+    slot_agent = map_slot(kind, slots.agent)
+    slot_patient = map_slot(kind, slots.patient)
+    for item in items:
+        required = [item.verb, item.noun1, item.noun2]
+        normal = (SlotQuery(item.noun1, slot_agent), SlotQuery(item.noun2, slot_patient))
+        rev = (SlotQuery(item.noun1, slot_patient), SlotQuery(item.noun2, slot_agent))
+        yield (item.item_id, required, (normal, item.verb), (rev, item.verb))
+
+
+def _make_report(
+    task: str,
+    variant: ModelVariant,
+    n_items: int,
+    n_failed: int,
+    pairs: list[EvalPair],
+    skipped: list[tuple[str, str]],
+) -> EvalReport:
     n_scored = len(pairs)
     n_oov_skipped = n_items - n_scored - n_failed
     n_wins = sum(1 for p in pairs if p.correct is Outcome.WIN)
@@ -192,6 +201,94 @@ def _score_items(
     )
 
 
+def evaluate_grid(
+    space: WeightedSpace,
+    kind: VariantKind,
+    items,
+    task: str,
+    compositions: Sequence[Composition],
+    k_values: Sequence[int],
+    slots=None,
+    index=None,
+) -> dict[tuple[Composition, int], EvalReport]:
+    """Score one task for one variant kind at every (composition, k).
+
+    The loop is item-major. Per item, each distinct leaf query is looked
+    up once for both conditions, and its ranking is walked once over the
+    sorted k values (``prefix_prototypes``). Per (composition, k), each
+    distinct input list is composed once and each distinct (inputs,
+    candidate) condition scored once. Only scores outlive the item. The
+    results equal ``expectation_update`` run from scratch for every
+    cell, bit for bit.
+
+    ``index`` overrides the ranking source; vectors always come from
+    ``space``.
+    """
+    if not k_values:
+        raise ValueError("k_values must be non-empty")
+    if task == TASK_CHOW:
+        conditions = _chow_conditions(items, kind, slots or ChowSlots())
+    elif task in (TASK_BICKNELL_ACC1, TASK_BICKNELL_ACC2):
+        conditions = _bicknell_conditions(items, kind, slots or BicknellSlots())
+    else:
+        raise ValueError(f"unknown task {task!r}")
+    cells = {
+        (comp, k): ModelVariant(kind, k, comp) for comp in compositions for k in k_values
+    }
+    pairs: dict[tuple[Composition, int], list[EvalPair]] = {cell: [] for cell in cells}
+    skipped: list[tuple[str, str]] = []
+    n_items = n_failed = 0
+    for item_id, required, cond_a, cond_b in conditions:
+        n_items += 1
+        missing = _missing_tokens(space, required)
+        if missing:
+            skipped.append((item_id, "oov: " + " ".join(missing)))
+            continue
+        leaves = {}
+        try:
+            for query in cond_a[0] + cond_b[0]:
+                if query not in leaves:
+                    leaves[query] = prefix_prototypes(space, kind, query, k_values, index=index)
+        except EmptyPrototypeError as exc:
+            skipped.append((item_id, f"empty prototype: {exc.query}"))
+            n_failed += 1
+            continue
+        for (comp, k), cell_pairs in pairs.items():
+            composed = {}
+            scored = {}
+            for condition in (cond_a, cond_b):
+                if condition not in scored:
+                    inputs, candidate = condition
+                    vector = composed.get(inputs)
+                    if vector is None:
+                        vector = leaves[inputs[0]][k]
+                        for query in inputs[1:]:
+                            vector = compose_vectors(vector, leaves[query][k], comp)
+                        composed[inputs] = vector
+                    scored[condition] = cosine(vector_of(space, candidate), vector)
+            result_a, result_b = scored[cond_a], scored[cond_b]
+            if result_a.value > result_b.value:
+                correct = Outcome.WIN
+            elif result_a.value == result_b.value:
+                correct = Outcome.TIE
+            else:
+                correct = Outcome.LOSS
+            cell_pairs.append(
+                EvalPair(
+                    item_id,
+                    result_a.value,
+                    result_b.value,
+                    result_a.degenerate,
+                    result_b.degenerate,
+                    correct,
+                )
+            )
+    return {
+        cell: _make_report(task, variant, n_items, n_failed, pairs[cell], list(skipped))
+        for cell, variant in cells.items()
+    }
+
+
 def run_bicknell(
     space: WeightedSpace,
     variant: ModelVariant,
@@ -202,35 +299,10 @@ def run_bicknell(
 ) -> EvalReport:
     """Score triple pairs: the patient is the candidate, agent and verb
     are the expectation inputs. Condition a is the congruent one."""
-    slot_agent = map_slot(variant.kind, slots.agent)
-    slot_verb = map_slot(variant.kind, slots.verb)
-    task = TASK_BICKNELL_ACC1 if mode is BicknellMode.ACC1 else TASK_BICKNELL_ACC2
-
-    def conditions():
-        for item in items:
-            required = [
-                item.agent_congruent,
-                item.agent_incongruent,
-                item.verb,
-                item.patient_congruent,
-                item.patient_incongruent,
-            ]
-            inputs_a = [
-                SlotQuery(item.agent_congruent, slot_agent),
-                SlotQuery(item.verb, slot_verb),
-            ]
-            inputs_b = [
-                SlotQuery(item.agent_incongruent, slot_agent),
-                SlotQuery(item.verb, slot_verb),
-            ]
-            yield (
-                item.item_id,
-                required,
-                (inputs_a, item.patient_congruent),
-                (inputs_b, item.patient_incongruent),
-            )
-
-    return _score_items(space, variant, task, conditions(), index=index)
+    cell = (variant.composition, variant.k)
+    return evaluate_grid(
+        space, variant.kind, items, _bicknell_task(mode), [cell[0]], [cell[1]], slots, index
+    )[cell]
 
 
 def run_chow(
@@ -243,17 +315,10 @@ def run_chow(
     """Score role reversal: the verb is the candidate; the normal
     condition reads noun1 as agent and noun2 as patient, the reversed
     condition swaps the slot assignment while keeping column order."""
-    slot_agent = map_slot(variant.kind, slots.agent)
-    slot_patient = map_slot(variant.kind, slots.patient)
-
-    def conditions():
-        for item in items:
-            required = [item.verb, item.noun1, item.noun2]
-            normal = [SlotQuery(item.noun1, slot_agent), SlotQuery(item.noun2, slot_patient)]
-            rev = [SlotQuery(item.noun1, slot_patient), SlotQuery(item.noun2, slot_agent)]
-            yield (item.item_id, required, (normal, item.verb), (rev, item.verb))
-
-    return _score_items(space, variant, TASK_CHOW, conditions(), index=index)
+    cell = (variant.composition, variant.k)
+    return evaluate_grid(
+        space, variant.kind, items, TASK_CHOW, [cell[0]], [cell[1]], slots, index
+    )[cell]
 
 
 def k_sweep(
@@ -267,23 +332,13 @@ def k_sweep(
     index=None,
 ) -> list[EvalReport]:
     """Rerun one task across filler counts; one report per k."""
-    if not k_values:
-        raise ValueError("k_values must be non-empty")
-    reports = []
-    for k in k_values:
-        variant_k = dataclasses.replace(variant, k=k)
-        if task == TASK_CHOW:
-            reports.append(
-                run_chow(space, variant_k, items, slots or ChowSlots(), index=index)
-            )
-        elif task in (TASK_BICKNELL_ACC1, TASK_BICKNELL_ACC2):
-            assert mode is not None
-            reports.append(
-                run_bicknell(space, variant_k, items, mode, slots or BicknellSlots(), index=index)
-            )
-        else:
-            raise ValueError(f"unknown task {task!r}")
-    return reports
+    if task in (TASK_BICKNELL_ACC1, TASK_BICKNELL_ACC2):
+        assert mode is not None
+        task = _bicknell_task(mode)
+    grid = evaluate_grid(
+        space, variant.kind, items, task, [variant.composition], k_values, slots, index
+    )
+    return [grid[(variant.composition, k)] for k in k_values]
 
 
 # -- serialization -------------------------------------------------------

@@ -17,7 +17,9 @@ from .errors import ConfigError, EmptyPrototypeError, OutOfVocabularyError, Spac
 from .space import (
     CosineResult,
     SparseVector,
+    VectorSum,
     WeightedSpace,
+    add_vectors,
     cosine,
     multiply_vectors,
     sum_vectors,
@@ -148,22 +150,60 @@ def build_prototype(
     )
 
 
+def prefix_prototypes(
+    space: WeightedSpace,
+    kind: VariantKind,
+    query: SlotQuery,
+    k_values: Sequence[int],
+    index=None,
+) -> dict[int, SparseVector]:
+    """The prototype vector of ``query`` at every k, from one walk of its ranking.
+
+    Top-k is prefix-stable, so the fillers are added to one running sum
+    in ranking order and a snapshot is taken at each k (in increasing
+    order). Each snapshot equals ``build_prototype(...).vector`` at that
+    k bit for bit; the checks and errors are the same too.
+    """
+    if any(k < 1 for k in k_values):
+        raise ValueError("k must be >= 1")
+    _check_slot(kind, query.slot)
+    if query.input.canonical not in space.vocabulary:
+        raise OutOfVocabularyError(query.input)
+    source = index if index is not None else space.index
+    ranking = source.ranking(query.input.canonical, query.slot)
+    if not ranking:
+        raise EmptyPrototypeError(str(query))
+    total = VectorSum()
+    added = 0
+    snapshot = None
+    out: dict[int, SparseVector] = {}
+    for k in sorted(set(k_values)):
+        stop = min(k, len(ranking))
+        if snapshot is None or stop > added:
+            for filler, _ in ranking[added:stop]:
+                total.add(vector_of(space, filler))
+            added = stop
+            snapshot = total.snapshot()
+        out[k] = snapshot
+    return out
+
+
+def compose_vectors(a: SparseVector, b: SparseVector, op: Composition) -> SparseVector:
+    if op is Composition.SUM:
+        return add_vectors(a, b)
+    return multiply_vectors(a, b)
+
+
 def compose(p1: Prototype, p2: Prototype, op: Composition) -> Prototype:
     if p1.space_id != p2.space_id:
         raise SpaceMismatchError(
             f"cannot compose prototypes from different spaces "
             f"({p1.space_id[:12]}.. vs {p2.space_id[:12]}..)"
         )
-    if op is Composition.SUM:
-        vector = sum_vectors([p1.vector, p2.vector])
-        joiner = "+"
-    else:
-        vector = multiply_vectors(p1.vector, p2.vector)
-        joiner = "*"
     return Prototype(
-        vector=vector,
+        vector=compose_vectors(p1.vector, p2.vector, op),
         space_id=p1.space_id,
-        label=f"({p1.label} {joiner} {p2.label})",
+        label=f"({p1.label} {'+' if op is Composition.SUM else '*'} {p2.label})",
         parents=(p1, p2),
         op=op,
     )

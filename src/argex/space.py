@@ -9,9 +9,11 @@ sorted TSV files with a hash-verified manifest).
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import io
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
@@ -34,7 +36,7 @@ class SparseVector:
     norm: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "norm", math.sqrt(sum(s * s for s in self.scores)))
+        object.__setattr__(self, "norm", math.sqrt(sum(map(operator.mul, self.scores, self.scores))))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "SparseVector":
@@ -58,18 +60,24 @@ class SparseVector:
         return zip(self.ids, self.scores)
 
     def dot(self, other: "SparseVector") -> float:
-        i = j = 0
+        """Inner product, accumulated in increasing dimension order.
+
+        Each dimension of the shorter operand is looked up in the longer
+        one by binary search; products commute bit-exactly, so the
+        result does not depend on which operand is which.
+        """
+        short, long_ = (self, other) if len(self.ids) <= len(other.ids) else (other, self)
+        ids, scores = long_.ids, long_.scores
+        n = len(ids)
         acc = 0.0
-        while i < len(self.ids) and j < len(other.ids):
-            a, b = self.ids[i], other.ids[j]
-            if a == b:
-                acc += self.scores[i] * other.scores[j]
-                i += 1
-                j += 1
-            elif a < b:
-                i += 1
-            else:
-                j += 1
+        lo = 0
+        for dim, score in zip(short.ids, short.scores):
+            lo = bisect.bisect_left(ids, dim, lo)
+            if lo == n:
+                break
+            if ids[lo] == dim:
+                acc += score * scores[lo]
+                lo += 1
         return acc
 
 
@@ -89,30 +97,92 @@ def cosine(a: SparseVector, b: SparseVector) -> CosineResult:
     return CosineResult(min(1.0, max(0.0, value)), False)
 
 
-def sum_vectors(vectors: Sequence[SparseVector]) -> SparseVector:
+class VectorSum:
+    """Running coordinate-wise sum of sparse vectors.
+
+    Every coordinate is a left fold over the vectors in the order they
+    were added, so a snapshot taken after the first k additions equals
+    ``sum_vectors`` of those k vectors bit for bit.
+    """
+
+    __slots__ = ("_acc",)
+
+    def __init__(self):
+        self._acc: dict[int, float] = {}
+
+    def add(self, vector: SparseVector) -> None:
+        acc = self._acc
+        get = acc.get
+        for dim, score in zip(vector.ids, vector.scores):
+            acc[dim] = get(dim, 0.0) + score
+
+    def snapshot(self) -> SparseVector:
+        acc = self._acc
+        ids = tuple(sorted(acc))
+        return SparseVector(ids, tuple(map(acc.__getitem__, ids)))
+
+
+def sum_vectors(vectors: Iterable[SparseVector]) -> SparseVector:
     """Coordinate-wise sum; support is the union of the operand supports."""
-    acc: dict[int, float] = {}
+    total = VectorSum()
     for vector in vectors:
-        for dim, score in vector.items():
-            acc[dim] = acc.get(dim, 0.0) + score
-    return SparseVector.from_pairs(acc.items())
+        total.add(vector)
+    return total.snapshot()
+
+
+def add_vectors(a: SparseVector, b: SparseVector) -> SparseVector:
+    """``sum_vectors([a, b])`` by a merge of the two sorted supports."""
+    a_ids, a_scores, b_ids, b_scores = a.ids, a.scores, b.ids, b.scores
+    n_a, n_b = len(a_ids), len(b_ids)
+    ids: list[int] = []
+    scores: list[float] = []
+    i = j = 0
+    while i < n_a and j < n_b:
+        x, y = a_ids[i], b_ids[j]
+        if x == y:
+            ids.append(x)
+            scores.append(a_scores[i] + b_scores[j])
+            i += 1
+            j += 1
+        elif x < y:
+            ids.append(x)
+            scores.append(a_scores[i])
+            i += 1
+        else:
+            ids.append(y)
+            scores.append(b_scores[j])
+            j += 1
+    ids.extend(a_ids[i:])
+    scores.extend(a_scores[i:])
+    ids.extend(b_ids[j:])
+    scores.extend(b_scores[j:])
+    return SparseVector(tuple(ids), tuple(scores))
 
 
 def multiply_vectors(a: SparseVector, b: SparseVector) -> SparseVector:
-    """Coordinate-wise product; dimensions not shared by both are zeroed."""
-    out = []
+    """Coordinate-wise product; dimensions not shared by both are zeroed.
+
+    Products that underflow to zero are dropped as absent.
+    """
+    a_ids, a_scores, b_ids, b_scores = a.ids, a.scores, b.ids, b.scores
+    n_a, n_b = len(a_ids), len(b_ids)
+    ids: list[int] = []
+    scores: list[float] = []
     i = j = 0
-    while i < len(a.ids) and j < len(b.ids):
-        x, y = a.ids[i], b.ids[j]
+    while i < n_a and j < n_b:
+        x, y = a_ids[i], b_ids[j]
         if x == y:
-            out.append((x, a.scores[i] * b.scores[j]))
+            product = a_scores[i] * b_scores[j]
+            if product > 0:
+                ids.append(x)
+                scores.append(product)
             i += 1
             j += 1
         elif x < y:
             i += 1
         else:
             j += 1
-    return SparseVector.from_pairs(out)
+    return SparseVector(tuple(ids), tuple(scores))
 
 
 class DimensionCatalog:

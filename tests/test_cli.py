@@ -1,5 +1,6 @@
 """End-to-end CLI runs: stages, guards, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 
@@ -215,6 +216,18 @@ class TestStages:
         assert code == 0
         assert out.startswith("no reports under")
 
+    def test_report_on_damaged_json_exits_4_naming_the_file(self, tmp_path, capsys):
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        damaged = reports / "chow.deps-sum-k10.json"
+        damaged.write_text('{"task": "chow", "variant": {', encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "report", "-c", CHOW_CONF, "--out-dir", str(tmp_path)
+        )
+        assert code == 4
+        assert str(damaged) in err
+        assert "Traceback" not in err
+
     def test_sweep_covers_the_configured_grid(self, chow_out, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -377,22 +390,6 @@ class TestEnvironment:
         )
         assert flag_dir in out
 
-    @pytest.mark.parametrize("value", ["0", "-2", "three"])
-    def test_bad_argex_jobs(self, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv("ARGEX_JOBS", value)
-        code, _, err = run_cli(
-            capsys, "report", "-c", BICKNELL_CONF, "--out-dir", str(tmp_path)
-        )
-        assert code == 2
-        assert "ARGEX_JOBS" in err
-
-    def test_valid_argex_jobs(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ARGEX_JOBS", "4")
-        code, _, _ = run_cli(
-            capsys, "report", "-c", BICKNELL_CONF, "--out-dir", str(tmp_path)
-        )
-        assert code == 0
-
 
 class TestDeterminism:
     def test_independent_runs_are_byte_identical(self, tmp_path, capsys):
@@ -415,3 +412,26 @@ class TestDeterminism:
         assert manifests[0].keys() == manifests[1].keys()
         for rel in manifests[0]:
             assert manifests[0][rel] == manifests[1][rel], rel
+
+
+class TestGoldenReports:
+    """Every report byte a full fixture sweep writes, pinned by sha256."""
+
+    def test_fixture_sweeps_match_pinned_digests(self, tmp_path, capsys):
+        pinned = {}
+        with open(os.path.join(REPO_ROOT, "tests", "golden", "fixture_reports.sha256"),
+                  encoding="utf-8") as fh:
+            for line in fh:
+                digest, name = line.split()
+                pinned[name] = digest
+        actual = {}
+        for name, conf in (("bicknell", BICKNELL_CONF), ("chow", CHOW_CONF)):
+            out = str(tmp_path / name)
+            build_out_dir(conf, out)
+            assert run_cli(capsys, "sweep", "-c", conf, "--out-dir", out)[0] == 0
+            reports = os.path.join(out, "reports")
+            for filename in os.listdir(reports):
+                with open(os.path.join(reports, filename), "rb") as fh:
+                    actual[f"{name}/{filename}"] = hashlib.sha256(fh.read()).hexdigest()
+        assert sorted(actual) == sorted(pinned)
+        assert {n: d for n, d in actual.items() if pinned[n] != d} == {}

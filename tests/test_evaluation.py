@@ -4,12 +4,19 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from argex.datasets import BicknellItem, BicknellMode, ChowItem, load_bicknell, load_chow
+from argex.errors import EmptyPrototypeError
 from argex.evaluation import (
+    BicknellSlots,
+    ChowSlots,
     Outcome,
+    TASK_BICKNELL_ACC1,
     TASK_BICKNELL_ACC2,
     TASK_CHOW,
+    evaluate_grid,
     k_sweep,
     per_item_csv,
     per_k_csv,
@@ -26,9 +33,9 @@ from argex.expectation import (
     expectation_update,
     map_slot,
 )
-from argex.tokens import Token, VERB_LINK, inverse
+from argex.tokens import Token, VERB_LINK, inverse, parse_canonical
 
-from conftest import spaces_from_text
+from conftest import random_corpus_text, spaces_from_text
 
 
 @pytest.fixture(scope="module")
@@ -279,3 +286,125 @@ class TestChowItemWithEqualNouns:
         pair = report.pairs[0]
         assert pair.correct is Outcome.TIE
         assert pair.score_a == pair.score_b
+
+
+def _from_scratch(space, variant, task, items, index):
+    """One grid cell the slow way: ``expectation_update`` per condition.
+
+    Returns the pairs, the skip list and (n_items, n_failed), in the
+    report's own terms.
+    """
+    if task == TASK_CHOW:
+        slots = ChowSlots()
+        agent = map_slot(variant.kind, slots.agent)
+        patient = map_slot(variant.kind, slots.patient)
+        conditions = [
+            (it.item_id, [it.verb, it.noun1, it.noun2],
+             ([SlotQuery(it.noun1, agent), SlotQuery(it.noun2, patient)], it.verb),
+             ([SlotQuery(it.noun1, patient), SlotQuery(it.noun2, agent)], it.verb))
+            for it in items
+        ]
+    else:
+        slots = BicknellSlots()
+        agent = map_slot(variant.kind, slots.agent)
+        verb = map_slot(variant.kind, slots.verb)
+        conditions = [
+            (it.item_id,
+             [it.agent_congruent, it.agent_incongruent, it.verb,
+              it.patient_congruent, it.patient_incongruent],
+             ([SlotQuery(it.agent_congruent, agent), SlotQuery(it.verb, verb)], it.patient_congruent),
+             ([SlotQuery(it.agent_incongruent, agent), SlotQuery(it.verb, verb)], it.patient_incongruent))
+            for it in items
+        ]
+    pairs, skipped, n_failed = [], [], 0
+    for item_id, required, (inputs_a, cand_a), (inputs_b, cand_b) in conditions:
+        missing = sorted({t.canonical for t in required if t not in space})
+        if missing:
+            skipped.append((item_id, "oov: " + " ".join(missing)))
+            continue
+        try:
+            a = expectation_update(space, variant, inputs_a, cand_a, index=index)
+            b = expectation_update(space, variant, inputs_b, cand_b, index=index)
+        except EmptyPrototypeError as exc:
+            skipped.append((item_id, f"empty prototype: {exc.query}"))
+            n_failed += 1
+            continue
+        outcome = (Outcome.WIN if a.score > b.score
+                   else Outcome.TIE if a.score == b.score else Outcome.LOSS)
+        pairs.append((item_id, a.score, b.score, a.degenerate, b.degenerate, outcome))
+    return pairs, skipped, (len(items), n_failed)
+
+
+@pytest.fixture(scope="module")
+def grid_worlds(bicknell_setup, chow_setup):
+    """Per world: the (kind, space, index override) models and token pools.
+
+    The fixture spaces have engineered items and empty slots but
+    rankings of at most 8 fillers; the random corpus adds rankings of
+    many lengths, so k lands on both sides of what is available.
+    """
+    worlds = {}
+    for name, (deps_space, window_space, *_) in (
+        ("bicknell", bicknell_setup),
+        ("chow", chow_setup),
+        ("random", spaces_from_text(random_corpus_text(7, 150))),
+    ):
+        models = [
+            (VariantKind.DEPS, deps_space, None),
+            (VariantKind.BOA, deps_space, None),
+            (VariantKind.BOA, window_space, deps_space.index),  # boa_space=window
+            (VariantKind.BOW, window_space, None),
+        ]
+        tokens = sorted(parse_canonical(t) for t in deps_space.vocabulary)
+        nouns = [t for t in tokens if t.pos == "n"] + [Token("zzz", "n")]
+        verbs = [t for t in tokens if t.pos == "v"] + [Token("zzz", "v")]
+        worlds[name] = (models, nouns, verbs)
+    return worlds
+
+
+@st.composite
+def grid_cases(draw):
+    task = draw(st.sampled_from([TASK_BICKNELL_ACC1, TASK_BICKNELL_ACC2, TASK_CHOW]))
+    world = draw(st.sampled_from(["fixture", "random"]))
+    if world == "fixture":
+        world = "chow" if task == TASK_CHOW else "bicknell"
+    model = draw(st.integers(min_value=0, max_value=3))
+    n_items = draw(st.integers(min_value=1, max_value=4))
+    picks = draw(st.lists(st.integers(min_value=0, max_value=10**6),
+                          min_size=5 * n_items, max_size=5 * n_items))
+    k_values = draw(st.lists(st.one_of(st.integers(min_value=1, max_value=12),
+                                       st.integers(min_value=13, max_value=60)),
+                             min_size=1, max_size=6))
+    compositions = draw(st.permutations([Composition.SUM, Composition.MULT]))
+    return task, world, model, picks, k_values, compositions
+
+
+class TestEvaluateGrid:
+    @given(case=grid_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_grid_equals_per_cell_expectation_update(self, grid_worlds, case):
+        task, world, model, picks, k_values, compositions = case
+        models, nouns, verbs = grid_worlds[world]
+        kind, space, index = models[model]
+        items = []
+        for i in range(0, len(picks), 5):
+            n = [nouns[p % len(nouns)] for p in picks[i:i + 4]]
+            v = verbs[picks[i + 4] % len(verbs)]
+            item_id = f"i{i // 5}"
+            if task == TASK_CHOW:
+                items.append(ChowItem(item_id, v, n[0], n[1]))
+            elif task == TASK_BICKNELL_ACC1:  # shared agent
+                items.append(BicknellItem(item_id, n[0], n[0], v, n[1], n[2]))
+            else:  # shared patient
+                items.append(BicknellItem(item_id, n[0], n[1], v, n[2], n[2]))
+        grid = evaluate_grid(space, kind, items, task, compositions, k_values, index=index)
+        assert set(grid) == {(c, k) for c in compositions for k in k_values}
+        for (comp, k), report in grid.items():
+            variant = ModelVariant(kind, k, comp)
+            assert report.variant == variant and report.task == task
+            pairs, skipped, (n, n_failed) = _from_scratch(space, variant, task, items, index)
+            got = [(p.item_id, p.score_a, p.score_b, p.degenerate_a, p.degenerate_b, p.correct)
+                   for p in report.pairs]
+            assert got == pairs
+            assert report.skipped == skipped
+            assert (report.n_items, report.n_failed) == (n, n_failed)

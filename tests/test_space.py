@@ -13,7 +13,9 @@ from argex.space import (
     EMPTY_VECTOR,
     FillerIndex,
     SparseVector,
+    VectorSum,
     WeightedSpace,
+    add_vectors,
     build_space,
     cosine,
     load_space,
@@ -156,6 +158,40 @@ class TestComposition:
         da, db = dict(a.items()), dict(b.items())
         for i, score in s.items():
             assert score == da.get(i, 0.0) + db.get(i, 0.0)
+
+    def test_mult_drops_products_that_underflow(self):
+        assert multiply_vectors(vec((0, 1e-200), (1, 2.0)), vec((0, 1e-200), (1, 3.0))) == vec(
+            (1, 6.0)
+        )
+
+    @given(st.lists(sparse_vectors(), max_size=6), sparse_vectors())
+    @settings(max_examples=300, deadline=None)
+    def test_fast_paths_equal_the_loop_references(self, vectors, other):
+        """Running sums, merges and the lookup dot product reproduce the
+        plain loops bit for bit: same operands, same order of additions."""
+
+        def loop_sum(vs):
+            acc = {}
+            for v in vs:
+                for dim, score in v.items():
+                    acc[dim] = acc.get(dim, 0.0) + score
+            return SparseVector.from_pairs(acc.items())
+
+        total = VectorSum()
+        for i, v in enumerate(vectors):
+            total.add(v)
+            assert total.snapshot() == loop_sum(vectors[: i + 1])
+        assert sum_vectors(vectors) == loop_sum(vectors)
+        for a in vectors:
+            assert add_vectors(a, other) == loop_sum([a, other])
+            db = dict(other.items())
+            product = [(dim, score * db[dim]) for dim, score in a.items() if dim in db]
+            assert multiply_vectors(a, other) == SparseVector.from_pairs(product)
+            dot = 0.0
+            for dim, score in a.items():  # increasing dimension order
+                if dim in db:
+                    dot += score * db[dim]
+            assert a.dot(other) == dot
 
     def test_bulk_random_laws(self):
         # The volume check: >1000 random vectors through every law.
