@@ -237,7 +237,7 @@ def cmd_weight(args: argparse.Namespace) -> int:
         if arg_counts.total > 0:
             arg_weighted = weight_tensor(arg_counts)
         else:
-            arg_weighted = WeightedTensor(source_hash=dep.content_hash())
+            arg_weighted = WeightedTensor(source_hash=dep.source_hash)
     else:
         arg_weighted = max_over_relations(dep_weighted, arg_filter)
     deps_space = build_space(

@@ -8,15 +8,12 @@ matrix under the single WINDOW pseudo-relation.
 
 from __future__ import annotations
 
-import hashlib
-import io
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .conll import SentenceRecord
-from .errors import ConsistencyError, CorpusError
-from .tensor import CooccurrenceTensor, read_sidecar, sidecar_path, write_sidecar
+from .tensor import CooccurrenceTensor, parse_tsv, read_artifact, write_artifact
 from .tokens import Token, VERB_LINK, VERB_POS, WINDOW, inverse, parse_canonical
 
 DEFAULT_SUBJECT_LABELS = frozenset({"sbj"})
@@ -141,54 +138,28 @@ def extract_window_counts(
     return tensor
 
 
-@dataclass
-class IngestResult:
-    vocabulary: Vocabulary
-    dependency: CooccurrenceTensor
-    window: CooccurrenceTensor
-
-
 def save_vocabulary(vocab: Vocabulary, path: str, sidecar: dict[str, str] | None = None) -> str:
     """Write the full frequency table as sorted TSV; returns content hash."""
     rows = sorted(vocab.frequency.items(), key=lambda item: item[0].canonical)
     body = "".join(f"{token.canonical}\t{count}\n" for token, count in rows)
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    with io.open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(body)
     meta = {
         "threshold": str(vocab.threshold),
         "inclusive": "true" if vocab.inclusive else "false",
         "entries": str(len(vocab)),
-        "content_hash": digest,
+        **(sidecar or {}),
     }
-    if sidecar:
-        meta.update(sidecar)
-    write_sidecar(sidecar_path(path), meta)
-    return digest
+    return write_artifact(path, body, meta)
 
 
 def load_vocabulary(path: str, threshold: int, inclusive: bool = True) -> Vocabulary:
     """Read a frequency table back and reapply the threshold."""
+    text, _ = read_artifact(path)
     frequency: dict[Token, int] = {}
-    try:
-        with io.open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise CorpusError(f"{path}:{lineno}: expected 2 tab-separated fields")
-                frequency[parse_canonical(parts[0])] = int(parts[1])
-    except OSError as exc:
-        raise CorpusError(f"cannot read vocabulary {path}: {exc}") from exc
-    meta = read_sidecar(sidecar_path(path), missing_ok=True)
-    recorded = meta.get("content_hash")
-    if recorded:
-        rows = sorted(frequency.items(), key=lambda item: item[0].canonical)
-        body = "".join(f"{token.canonical}\t{count}\n" for token, count in rows)
-        if hashlib.sha256(body.encode("utf-8")).hexdigest() != recorded:
-            raise ConsistencyError(f"vocabulary {path} does not match its recorded hash")
+
+    def row(token: str, count: str) -> None:
+        frequency[parse_canonical(token)] = int(count)
+
+    parse_tsv(path, text, 2, row)
     return Vocabulary(frequency, threshold, inclusive)
 
 

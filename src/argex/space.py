@@ -20,6 +20,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import Vocabulary
 from .errors import ConsistencyError, CorpusError, OutOfVocabularyError
+from .tensor import decode_utf8, parse_tsv, read_bytes, read_sidecar, write_bytes_atomic, write_sidecar
 from .tokens import Token, parse_canonical
 from .weighting import WeightedTensor, format_score
 
@@ -327,7 +328,7 @@ def build_space(
     if manifest:
         info.update(manifest)
     space = WeightedSpace(catalog, rows, index, vocab, info)
-    space.manifest["space_id"] = _content_hash(space)
+    space.manifest["space_id"] = _space_id(_archive_bodies(space))
     return space
 
 
@@ -362,90 +363,75 @@ def _index_tsv(space: WeightedSpace) -> str:
     return out.getvalue()
 
 
-def _content_hash(space: WeightedSpace) -> str:
+def _archive_bodies(space: WeightedSpace) -> list[bytes]:
+    """The data files' bytes, in ``_DATA_FILES`` order."""
+    bodies = (_catalog_tsv(space), _vocab_tsv(space), _rows_tsv(space), _index_tsv(space))
+    return [body.encode("utf-8") for body in bodies]
+
+
+def _space_id(bodies: Iterable[bytes]) -> str:
     digest = hashlib.sha256()
-    for body in (_catalog_tsv(space), _vocab_tsv(space), _rows_tsv(space), _index_tsv(space)):
-        digest.update(body.encode("utf-8"))
+    for data in bodies:
+        digest.update(data)
     return digest.hexdigest()
 
 
 def save_space(space: WeightedSpace, directory: str) -> str:
-    """Write the archive; returns the space id recorded in the manifest."""
+    """Write the archive; returns the space id recorded in the manifest.
+
+    Each file is replaced atomically and the manifest goes last, so an
+    interrupted save leaves an archive that fails verification, never a
+    half-written file.
+    """
     os.makedirs(directory, exist_ok=True)
-    bodies = dict(
-        zip(_DATA_FILES, (_catalog_tsv(space), _vocab_tsv(space), _rows_tsv(space), _index_tsv(space)))
-    )
-    for name, body in bodies.items():
-        with io.open(os.path.join(directory, name), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(body)
-    manifest = dict(space.manifest)
-    manifest["space_id"] = _content_hash(space)
-    with io.open(os.path.join(directory, "manifest.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        for key in sorted(manifest):
-            fh.write(f"{key}={manifest[key]}\n")
+    bodies = _archive_bodies(space)
+    for name, data in zip(_DATA_FILES, bodies):
+        write_bytes_atomic(os.path.join(directory, name), data)
+    manifest = {**space.manifest, "space_id": _space_id(bodies)}
+    write_sidecar(os.path.join(directory, "manifest.txt"), manifest)
     return manifest["space_id"]
 
 
 def load_space(directory: str) -> WeightedSpace:
-    """Read an archive back, verifying the manifest hash."""
-    manifest = {}
-    try:
-        with io.open(os.path.join(directory, "manifest.txt"), "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if line:
-                    key, _, value = line.partition("=")
-                    manifest[key] = value
-        dims = []
-        with io.open(os.path.join(directory, "catalog.tsv"), "r", encoding="utf-8") as fh:
-            for line in fh:
-                dim_id, relation, filler = line.rstrip("\n").split("\t")
-                if int(dim_id) != len(dims):
-                    raise ConsistencyError(f"non-contiguous dimension ids in {directory}")
-                dims.append((relation, filler))
-        catalog = DimensionCatalog(dims)
-        vocab = set()
-        with io.open(os.path.join(directory, "vocab.tsv"), "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if line:
-                    vocab.add(line)
-        per_target: dict[str, list[tuple[int, float]]] = {}
-        with io.open(os.path.join(directory, "rows.tsv"), "r", encoding="utf-8") as fh:
-            for line in fh:
-                target, dim, score = line.rstrip("\n").split("\t")
-                per_target.setdefault(target, []).append((int(dim), float(score)))
-        rows = {t: SparseVector.from_pairs(pairs) for t, pairs in per_target.items()}
-        rankings: dict[tuple[str, str], list[tuple[Token, float]]] = {}
-        with io.open(os.path.join(directory, "index.tsv"), "r", encoding="utf-8") as fh:
-            for line in fh:
-                target, relation, filler, score = line.rstrip("\n").split("\t")
-                rankings.setdefault((target, relation), []).append(
-                    (parse_canonical(filler), float(score))
-                )
-    except OSError as exc:
-        raise CorpusError(f"cannot read space archive {directory}: {exc}") from exc
-    index = FillerIndex({key: tuple(fillers) for key, fillers in rankings.items()})
-    space = WeightedSpace(catalog, rows, index, frozenset(vocab), manifest)
+    """Read an archive back; its bytes are checked against the manifest first."""
+    manifest = read_sidecar(os.path.join(directory, "manifest.txt"))
+    paths = [os.path.join(directory, name) for name in _DATA_FILES]
+    bodies = [read_bytes(path) for path in paths]
     recorded = manifest.get("space_id", "")
-    actual = _content_hash(space)
+    actual = _space_id(bodies)
     if recorded != actual:
         raise ConsistencyError(
             f"space archive {directory} failed verification: "
             f"manifest records {recorded[:12]}.., content is {actual[:12]}.."
         )
-    return space
+    catalog_path, vocab_path, rows_path, index_path = paths
+    catalog_text, vocab_text, rows_text, index_text = map(decode_utf8, paths, bodies)
 
+    dims: list[tuple[str, str]] = []
 
-def dump_top_dimensions(space: WeightedSpace, k: int = 10) -> str:
-    """Diagnostic TSV: per target, its k heaviest (relation, filler) dims."""
-    out = io.StringIO()
-    for target in sorted(space.rows):
-        vector = space.rows[target]
-        heaviest = sorted(
-            vector.items(), key=lambda pair: (-pair[1], space.catalog.pair_of(pair[0]))
-        )[:k]
-        for dim, score in heaviest:
-            relation, filler = space.catalog.pair_of(dim)
-            out.write(f"{target}\t{relation}:{filler}\t{format_score(score)}\n")
-    return out.getvalue()
+    def catalog_row(dim_id: str, relation: str, filler: str) -> None:
+        if int(dim_id) != len(dims):
+            raise ValueError(f"dimension id {dim_id} out of sequence")
+        dims.append((relation, filler))
+
+    vocab: set[str] = set()
+    per_target: dict[str, list[tuple[int, float]]] = {}
+
+    def rows_row(target: str, dim: str, score: str) -> None:
+        per_target.setdefault(target, []).append((int(dim), float(score)))
+
+    rankings: dict[tuple[str, str], list[tuple[Token, float]]] = {}
+
+    def index_row(target: str, relation: str, filler: str, score: str) -> None:
+        rankings.setdefault((target, relation), []).append((parse_canonical(filler), float(score)))
+
+    parse_tsv(catalog_path, catalog_text, 3, catalog_row)
+    parse_tsv(vocab_path, vocab_text, 1, vocab.add)
+    parse_tsv(rows_path, rows_text, 3, rows_row)
+    parse_tsv(index_path, index_text, 4, index_row)
+    try:
+        rows = {t: SparseVector.from_pairs(pairs) for t, pairs in per_target.items()}
+    except ValueError as exc:
+        raise CorpusError(f"{rows_path}: {exc}") from None
+    index = FillerIndex({key: tuple(fillers) for key, fillers in rankings.items()})
+    return WeightedSpace(DimensionCatalog(dims), rows, index, frozenset(vocab), manifest)

@@ -8,14 +8,13 @@ no more frequent than chance therefore vanish from the weighted space.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import ConsistencyError, CorpusError, UndefinedModelError
-from .tensor import CooccurrenceTensor, Triple, read_sidecar, sidecar_path, write_sidecar
+from .errors import ConsistencyError, UndefinedModelError
+from .tensor import CooccurrenceTensor, Triple, parse_tsv, read_artifact, write_artifact
 from .tokens import ARG, Token, VERB_LINK, is_inverse, parse_canonical
 
 LOG_BASE_LABEL = "e"  # natural log; base choice rescales scores, never rankings
@@ -73,53 +72,36 @@ class WeightedTensor:
             out.write(f"{t.canonical}\t{r}\t{f.canonical}\t{format_score(score)}\n")
         return out.getvalue()
 
-    def content_hash(self) -> str:
-        return hashlib.sha256(self.to_tsv().encode("utf-8")).hexdigest()
-
     def save(self, path: str, sidecar: dict[str, str] | None = None) -> str:
-        body = self.to_tsv()
-        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-        with io.open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(body)
         meta = {
             "entries": str(len(self.scores)),
             "log_base": self.log_base,
             "source_hash": self.source_hash,
-            "content_hash": digest,
+            **(sidecar or {}),
         }
-        if sidecar:
-            meta.update(sidecar)
-        write_sidecar(sidecar_path(path), meta)
-        return digest
+        return write_artifact(path, self.to_tsv(), meta)
 
     @classmethod
     def load(cls, path: str) -> "WeightedTensor":
-        meta = read_sidecar(sidecar_path(path), missing_ok=True)
+        text, meta = read_artifact(path)
         weighted = cls(source_hash=meta.get("source_hash", ""), log_base=meta.get("log_base", LOG_BASE_LABEL))
-        try:
-            with io.open(path, "r", encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, 1):
-                    line = line.rstrip("\n")
-                    if not line:
-                        continue
-                    parts = line.split("\t")
-                    if len(parts) != 4:
-                        raise CorpusError(f"{path}:{lineno}: expected 4 tab-separated fields")
-                    t, r, f, score = parts
-                    weighted.scores[(parse_canonical(t), r, parse_canonical(f))] = float(score)
-        except OSError as exc:
-            raise CorpusError(f"cannot read weighted tensor {path}: {exc}") from exc
-        recorded = meta.get("content_hash")
-        if recorded and recorded != weighted.content_hash():
-            raise ConsistencyError(f"weighted tensor {path} does not match its recorded hash")
+
+        def row(t: str, r: str, f: str, score: str) -> None:
+            weighted.scores[(parse_canonical(t), r, parse_canonical(f))] = float(score)
+
+        parse_tsv(path, text, 4, row)
         return weighted
 
 
 def weight_tensor(tensor: CooccurrenceTensor) -> WeightedTensor:
-    """Score every triple; keep only strictly positive weights."""
+    """Score every triple; keep only strictly positive weights.
+
+    ``source_hash`` is the one the counts were loaded with, or, for counts
+    built in memory, their content hash.
+    """
     if tensor.total <= 0:
         raise UndefinedModelError("cannot weight an empty tensor")
-    weighted = WeightedTensor(source_hash=tensor.content_hash())
+    weighted = WeightedTensor(source_hash=tensor.source_hash or tensor.content_hash())
     n = tensor.total
     for (t, r, f), observed in tensor.counts.items():
         expected = n * (tensor.target_marginals[t] / n) * (
@@ -145,11 +127,11 @@ def collapse_relations(
 
     The default filter keeps direct dependency relations only, so each arc
     contributes exactly once per (target, filler) pair. Marginals are those
-    of the collapsed tensor itself.
+    of the collapsed tensor itself; ``source_hash`` is the input's.
     """
     if relation_filter is None:
         relation_filter = default_collapse_relations(tensor)
-    collapsed = CooccurrenceTensor()
+    collapsed = CooccurrenceTensor(source_hash=tensor.source_hash)
     for (t, r, f), count in tensor.counts.items():
         if r in relation_filter:
             collapsed.add(t, ARG, f, count)
@@ -169,7 +151,7 @@ def max_over_relations(
         relation_filter = frozenset(
             r for (_, r, _) in weighted.scores if not is_inverse(r) and r != VERB_LINK
         )
-    out = WeightedTensor(source_hash=weighted.content_hash(), log_base=weighted.log_base)
+    out = WeightedTensor(source_hash=weighted.source_hash, log_base=weighted.log_base)
     for (t, r, f), score in weighted.scores.items():
         if r not in relation_filter:
             continue

@@ -3,10 +3,15 @@
 import hashlib
 import json
 import os
+import shutil
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from argex.cli import main
+from argex.tensor import read_sidecar
 
 from conftest import REPO_ROOT
 
@@ -33,6 +38,30 @@ def run_cli(capsys, *argv):
 def build_out_dir(conf: str, out_dir: str) -> None:
     assert main(["ingest", "-c", conf, "--out-dir", out_dir]) == 0
     assert main(["weight", "-c", conf, "--out-dir", out_dir]) == 0
+
+
+def copy_artifacts(src: str, dst: str) -> str:
+    shutil.copytree(src, dst, ignore=shutil.ignore_patterns("reports"))
+    return dst
+
+
+# the stage that reads each artifact, run against the bicknell fixture
+WEIGHT = ("weight",)
+FILLERS_DEPS = ("fillers", "--target", "arrest-v", "--slot", "obj")
+FILLERS_WINDOW = ("fillers", "--target", "spelling-n", "--slot", "WINDOW")
+READER_OF = {
+    **{name: WEIGHT for name in (
+        "vocab.tsv", "vocab.tsv.meta",
+        "deps.tensor.tsv", "deps.tensor.tsv.meta",
+        "window.tensor.tsv", "window.tensor.tsv.meta",
+    )},
+    **{f"deps.space/{name}": FILLERS_DEPS for name in (
+        "catalog.tsv", "vocab.tsv", "rows.tsv", "index.tsv", "manifest.txt",
+    )},
+    **{f"window.space/{name}": FILLERS_WINDOW for name in (
+        "catalog.tsv", "vocab.tsv", "rows.tsv", "index.tsv", "manifest.txt",
+    )},
+}
 
 
 @pytest.fixture(scope="module")
@@ -289,6 +318,35 @@ class TestGuards:
         assert code == 4
         assert "internal consistency" in err
 
+    @pytest.mark.parametrize(
+        "name, damage, code, named",
+        [
+            ("deps.space/catalog.tsv", lambda b: b + b"junk\n", 4, "deps.space"),
+            ("deps.tensor.tsv", lambda b: b.replace(b"\n", b"x\n", 1), 4, "deps.tensor.tsv"),
+            ("deps.tensor.tsv.meta", lambda b: b + b"\xff", 2, "deps.tensor.tsv.meta"),
+            ("deps.space/manifest.txt", lambda b: b + b"\xff", 2, "deps.space/manifest.txt"),
+        ],
+        ids=[
+            "junk-catalog-line",
+            "non-integer-count",
+            "non-utf8-sidecar",
+            "non-utf8-manifest",
+        ],
+    )
+    def test_damaged_artifact_is_a_typed_error_naming_the_path(
+        self, bicknell_out, tmp_path, capsys, name, damage, code, named
+    ):
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        path = os.path.join(out, name)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(damage(raw))
+        result, _, err = run_cli(capsys, *READER_OF[name], "-c", BICKNELL_CONF, "--out-dir", out)
+        assert result == code
+        assert os.path.join(out, named) in err
+        assert "Traceback" not in err
+
     def test_locked_directory_refused_and_lock_kept(self, tmp_path, capsys):
         out = str(tmp_path)
         lock = os.path.join(out, ".lock")
@@ -412,6 +470,63 @@ class TestDeterminism:
         assert manifests[0].keys() == manifests[1].keys()
         for rel in manifests[0]:
             assert manifests[0][rel] == manifests[1][rel], rel
+
+
+class TestDamagedArtifacts:
+    """Any flipped byte or truncation ends in a documented exit code, never an exception."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(READER_OF)),
+        truncate=st.booleans(),
+        data=st.data(),
+    )
+    def test_damage_never_escapes_main(self, bicknell_out, name, truncate, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = copy_artifacts(bicknell_out, os.path.join(tmp, "out"))
+            path = os.path.join(out, name)
+            with open(path, "rb") as fh:
+                raw = bytearray(fh.read())
+            offset = data.draw(st.integers(0, len(raw) - 1), label="offset")
+            if truncate:
+                del raw[offset:]
+            else:
+                raw[offset] ^= data.draw(st.integers(1, 255), label="xor")
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            code = main([*READER_OF[name], "-c", BICKNELL_CONF, "--out-dir", out])
+        # informational sidecar and manifest fields (kind, n_dims, ...) are not checked
+        is_metadata = name.endswith((".meta", "manifest.txt"))
+        assert code in ({0, 2, 4} if is_metadata else {2, 4})
+
+
+class TestGoldenArtifacts:
+    """Every file ingest and weight write for the fixtures, pinned by sha256."""
+
+    def test_fixture_artifacts_match_pinned_digests(self, tmp_path):
+        pinned = {}
+        with open(os.path.join(REPO_ROOT, "tests", "golden", "fixture_artifacts.sha256"),
+                  encoding="utf-8") as fh:
+            for line in fh:
+                digest, name = line.split()
+                pinned[name] = digest
+        actual = {}
+        for name, conf in (("bicknell", BICKNELL_CONF), ("chow", CHOW_CONF)):
+            out = str(tmp_path / name)
+            build_out_dir(conf, out)
+            for root, _, files in os.walk(out):
+                for filename in files:
+                    path = os.path.join(root, filename)
+                    rel = os.path.relpath(path, tmp_path).replace(os.sep, "/")
+                    with open(path, "rb") as fh:
+                        actual[rel] = hashlib.sha256(fh.read()).hexdigest()
+            # source_hash names the count tensor the rankings were weighted from
+            arg_meta = read_sidecar(os.path.join(out, "arg.weighted.tsv.meta"))
+            deps_meta = read_sidecar(os.path.join(out, "deps.tensor.tsv.meta"))
+            assert arg_meta["source_hash"] == deps_meta["content_hash"]
+            del actual[f"{name}/arg.weighted.tsv.meta"]
+        assert sorted(actual) == sorted(pinned)
+        assert {n: d for n, d in actual.items() if pinned[n] != d} == {}
 
 
 class TestGoldenReports:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from argex.errors import ConsistencyError, OutOfVocabularyError
+from argex.errors import ConsistencyError, CorpusError, OutOfVocabularyError
 from argex.space import (
     DimensionCatalog,
     EMPTY_VECTOR,
@@ -369,6 +369,56 @@ class TestSpace:
         rows_path.write_text("".join(body))
         with pytest.raises(ConsistencyError):
             load_space(directory)
+
+    def test_verified_but_malformed_catalog_names_path_and_line(self, tmp_path):
+        import hashlib
+        import os
+
+        from argex.tensor import read_sidecar, write_sidecar
+
+        space = toy_space()
+        directory = str(tmp_path / "space")
+        save_space(space, directory)
+        catalog = os.path.join(directory, "catalog.tsv")
+        with open(catalog, "a", encoding="utf-8") as fh:
+            fh.write("junk\n")
+        digest = hashlib.sha256()
+        for name in ("catalog.tsv", "vocab.tsv", "rows.tsv", "index.tsv"):
+            digest.update(open(os.path.join(directory, name), "rb").read())
+        manifest = os.path.join(directory, "manifest.txt")
+        write_sidecar(manifest, {**read_sidecar(manifest), "space_id": digest.hexdigest()})
+        n_dims = len(space.catalog)
+        with pytest.raises(CorpusError, match=f"catalog.tsv:{n_dims + 1}:"):
+            load_space(directory)
+
+    @pytest.mark.parametrize("failing", ["catalog.tsv", "manifest.txt"])
+    def test_interrupted_save_never_leaves_a_half_written_archive(
+        self, tmp_path, monkeypatch, failing
+    ):
+        import os
+
+        old = toy_space()
+        directory = str(tmp_path / "space")
+        save_space(old, directory)
+        new = build_space(toy_weighted(), [Token("see", "v"), Token("eat", "v")])
+        real_replace = os.replace
+
+        def crash_at(src, dst):
+            if os.path.basename(dst) == failing:
+                raise OSError("simulated crash")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", crash_at)
+        with pytest.raises(OSError):
+            save_space(new, directory)
+        monkeypatch.undo()
+        assert not [name for name in os.listdir(directory) if name.endswith(".tmp")]
+        if failing == "catalog.tsv":
+            assert load_space(directory).space_id == old.space_id
+        else:
+            # data files are new, the manifest is old: the mix is refused
+            with pytest.raises(ConsistencyError):
+                load_space(directory)
 
     def test_manifest_records_provenance(self):
         space = toy_space()

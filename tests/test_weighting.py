@@ -271,3 +271,14 @@ class TestArgCollapse:
         key = (see.canonical, ARG)
         assert key in pooled_index.keys()
         assert key in best_index.keys()
+
+    def test_both_rankings_name_the_count_tensor_on_disk(self, tmp_path):
+        tensor, *_ = self.build()
+        path = str(tmp_path / "deps.tensor.tsv")
+        digest = tensor.save(path)
+        loaded = CooccurrenceTensor.load(path)
+        assert weight_tensor(loaded).source_hash == digest
+        assert weight_tensor(collapse_relations(loaded)).source_hash == digest
+        assert max_over_relations(weight_tensor(loaded)).source_hash == digest
+        # counts built in memory fall back to their own content hash
+        assert weight_tensor(tensor).source_hash == tensor.content_hash()
