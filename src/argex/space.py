@@ -411,7 +411,7 @@ def load_space(directory: str) -> WeightedSpace:
 
     def catalog_row(dim_id: str, relation: str, filler: str) -> None:
         if int(dim_id) != len(dims):
-            raise ValueError(f"dimension id {dim_id} out of sequence")
+            raise ConsistencyError(f"dimension id {dim_id} out of sequence")
         dims.append((relation, filler))
 
     vocab: set[str] = set()

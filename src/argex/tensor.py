@@ -213,7 +213,8 @@ def parse_tsv(path: str, text: str, n_fields: int, row: Callable[..., None]) -> 
     """Call ``row`` with the ``n_fields`` fields of each non-empty line of ``text``.
 
     A wrong field count, or a ``ValueError`` from ``row``, becomes a
-    ``CorpusError`` naming ``path:line``.
+    ``CorpusError`` naming ``path:line``; a ``ConsistencyError`` from
+    ``row`` (a broken invariant) gets the same prefix.
     """
     for lineno, line in enumerate(text.split("\n"), 1):
         if not line:
@@ -225,3 +226,5 @@ def parse_tsv(path: str, text: str, n_fields: int, row: Callable[..., None]) -> 
             row(*fields)
         except ValueError as exc:
             raise CorpusError(f"{path}:{lineno}: {exc}") from None
+        except ConsistencyError as exc:
+            raise ConsistencyError(f"{path}:{lineno}: {exc}") from None

@@ -96,12 +96,12 @@ class WeightedTensor:
 def weight_tensor(tensor: CooccurrenceTensor) -> WeightedTensor:
     """Score every triple; keep only strictly positive weights.
 
-    ``source_hash`` is the one the counts were loaded with, or, for counts
-    built in memory, their content hash.
+    ``source_hash`` is the one the counts were loaded with (empty for
+    counts built in memory).
     """
     if tensor.total <= 0:
         raise UndefinedModelError("cannot weight an empty tensor")
-    weighted = WeightedTensor(source_hash=tensor.source_hash or tensor.content_hash())
+    weighted = WeightedTensor(source_hash=tensor.source_hash)
     n = tensor.total
     for (t, r, f), observed in tensor.counts.items():
         expected = n * (tensor.target_marginals[t] / n) * (

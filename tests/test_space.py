@@ -370,7 +370,12 @@ class TestSpace:
         with pytest.raises(ConsistencyError):
             load_space(directory)
 
-    def test_verified_but_malformed_catalog_names_path_and_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line, error",
+        [("junk\n", CorpusError), ("0\tnsubj\tdog/n\n", ConsistencyError)],
+        ids=["junk-row", "dimension-id-out-of-sequence"],
+    )
+    def test_verified_but_malformed_catalog_names_path_and_line(self, tmp_path, line, error):
         import hashlib
         import os
 
@@ -381,14 +386,14 @@ class TestSpace:
         save_space(space, directory)
         catalog = os.path.join(directory, "catalog.tsv")
         with open(catalog, "a", encoding="utf-8") as fh:
-            fh.write("junk\n")
+            fh.write(line)
         digest = hashlib.sha256()
         for name in ("catalog.tsv", "vocab.tsv", "rows.tsv", "index.tsv"):
             digest.update(open(os.path.join(directory, name), "rb").read())
         manifest = os.path.join(directory, "manifest.txt")
         write_sidecar(manifest, {**read_sidecar(manifest), "space_id": digest.hexdigest()})
         n_dims = len(space.catalog)
-        with pytest.raises(CorpusError, match=f"catalog.tsv:{n_dims + 1}:"):
+        with pytest.raises(error, match=f"catalog.tsv:{n_dims + 1}:"):
             load_space(directory)
 
     @pytest.mark.parametrize("failing", ["catalog.tsv", "manifest.txt"])
