@@ -57,7 +57,7 @@ from .space import (
     vector_of,
 )
 from .stats import chi_square_vs_chance, wilcoxon_rank_sum
-from .tensor import CooccurrenceTensor, merge_tensors
+from .tensor import CooccurrenceTensor
 from .tokens import Token, parse_canonical
 from .weighting import WeightedTensor, collapse_relations, lmi, weight_tensor
 

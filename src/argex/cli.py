@@ -35,7 +35,6 @@ from .corpus import (
     extract_window_counts,
     load_vocabulary,
     save_vocabulary,
-    shard_sentences,
 )
 from .datasets import BicknellMode, load_bicknell, load_chow
 from .errors import (
@@ -62,7 +61,7 @@ from .evaluation import (
 )
 from .expectation import Composition, VariantKind
 from .space import WeightedSpace, build_space, load_space, save_space, top_k_fillers
-from .tensor import CooccurrenceTensor, merge_tensors, read_sidecar, sidecar_path
+from .tensor import CooccurrenceTensor, read_sidecar, sidecar_path, write_bytes_atomic
 from .tokens import WINDOW, compile_pos_map, parse_canonical
 from .weighting import (
     WeightedTensor,
@@ -140,11 +139,6 @@ def _require_stamp(meta_source: str, recorded: str | None, expected: str, produc
         )
 
 
-def _write_text(path: str, body: str) -> None:
-    with io.open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(body)
-
-
 # -- ingest ----------------------------------------------------------------
 
 
@@ -171,21 +165,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     deny = frozenset(config.relation_denylist)
     subjects = frozenset(config.subject_labels)
     objects = frozenset(config.object_labels)
-    if config.shards > 1:
-        chunks = shard_sentences(sentences, config.shards)
-        _note(f"counting in {len(chunks)} shards")
-        dep = merge_tensors(
-            extract_dependency_counts(c, vocab, subjects, objects, allow, deny) for c in chunks
-        )
-        win = merge_tensors(
-            extract_window_counts(c, vocab, config.window_width, config.window_filtered_positions)
-            for c in chunks
-        )
-    else:
-        dep = extract_dependency_counts(sentences, vocab, subjects, objects, allow, deny)
-        win = extract_window_counts(
-            sentences, vocab, config.window_width, config.window_filtered_positions
-        )
+    dep = extract_dependency_counts(sentences, vocab, subjects, objects, allow, deny)
+    win = extract_window_counts(
+        sentences, vocab, config.window_width, config.window_filtered_positions
+    )
     dep.validate()
     win.validate()
     stamp = ingest_hash(config)
@@ -379,8 +362,8 @@ def _provenance(config: PipelineConfig, spaces: _SpaceCache, kind: VariantKind, 
 
 def _write_report(reports_dir: str, report: EvalReport, provenance: dict[str, str]) -> str:
     base = os.path.join(reports_dir, f"{report.task}.{report.variant.label}")
-    _write_text(base + ".json", report_to_json(report, provenance))
-    _write_text(base + ".items.csv", per_item_csv(report))
+    write_bytes_atomic(base + ".json", report_to_json(report, provenance).encode("utf-8"))
+    write_bytes_atomic(base + ".items.csv", per_item_csv(report).encode("utf-8"))
     return base
 
 
@@ -406,7 +389,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             sweep_path = os.path.join(
                 reports_dir, f"{task}.{kind.value}-{composition.value}.k_sweep.csv"
             )
-            _write_text(sweep_path, per_k_csv(reports))
+            write_bytes_atomic(sweep_path, per_k_csv(reports).encode("utf-8"))
     for report in reports:
         print(report.summary_line())
     return 0
@@ -456,8 +439,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                         _write_report(reports_dir, report, provenance)
                         print(report.summary_line())
                         all_reports.append(report)
-            _write_text(
-                os.path.join(reports_dir, f"{task}.sweep.csv"), per_k_csv(all_reports)
+            write_bytes_atomic(
+                os.path.join(reports_dir, f"{task}.sweep.csv"),
+                per_k_csv(all_reports).encode("utf-8"),
             )
     return 0
 

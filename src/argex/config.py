@@ -37,9 +37,7 @@ class PipelineConfig:
     relation_denylist: tuple[str, ...] = ()
     window_width: int = 2
     window_filtered_positions: bool = False
-    shards: int = 1
     # weighting and spaces
-    log_base: str = "e"
     arg_relations: tuple[str, ...] = ()  # empty = all direct dependency relations
     boa_rank_mode: str = "collapsed"  # or "max": max per-relation score
     boa_space: str = "deps"  # vectors for BOA fillers/candidates; or "window"
@@ -63,18 +61,11 @@ class PipelineConfig:
             raise ConfigError("vocab_threshold must be >= 1")
         if self.window_width < 1:
             raise ConfigError("window_width must be >= 1")
-        if self.shards < 1:
-            raise ConfigError("shards must be >= 1")
         columns = (self.col_form, self.col_lemma, self.col_pos, self.col_head, self.col_relation)
         if any(c < 0 for c in columns):
             raise ConfigError("column indices must be >= 0")
         if len(set(columns)) != len(columns):
             raise ConfigError("column indices must be distinct")
-        if self.log_base != "e":
-            raise ConfigError(
-                f"unsupported log_base {self.log_base!r}; only the natural log is "
-                "implemented (the base rescales scores without changing rankings)"
-            )
         if self.boa_rank_mode not in ("collapsed", "max"):
             raise ConfigError(f"boa_rank_mode must be collapsed or max, got {self.boa_rank_mode!r}")
         if self.boa_space not in ("deps", "window"):
@@ -120,7 +111,7 @@ def _parse_int_list(key: str, value: str) -> tuple[int, ...]:
 
 _INT_FIELDS = frozenset(
     {"col_form", "col_lemma", "col_pos", "col_head", "col_relation",
-     "vocab_threshold", "window_width", "shards"}
+     "vocab_threshold", "window_width"}
 )
 _BOOL_FIELDS = frozenset({"vocab_threshold_inclusive", "window_filtered_positions"})
 _STR_LIST_FIELDS = frozenset(
@@ -201,7 +192,7 @@ INGEST_FIELDS = (
 )
 
 # Additionally determine the weighted spaces' content.
-SPACE_FIELDS = INGEST_FIELDS + ("log_base", "arg_relations", "boa_rank_mode")
+SPACE_FIELDS = INGEST_FIELDS + ("arg_relations", "boa_rank_mode")
 
 
 def ingest_hash(config: PipelineConfig) -> str:

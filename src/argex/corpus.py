@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .conll import SentenceRecord
 from .tensor import CooccurrenceTensor, parse_tsv, read_artifact, write_artifact
@@ -162,17 +162,3 @@ def load_vocabulary(path: str, threshold: int, inclusive: bool = True) -> Vocabu
     parse_tsv(path, text, 2, row)
     return Vocabulary(frequency, threshold, inclusive)
 
-
-def shard_sentences(corpus: Sequence[SentenceRecord], shards: int) -> list[list[SentenceRecord]]:
-    """Split a sentence list into contiguous shards for parallel counting."""
-    if shards < 1:
-        raise ValueError("shard count must be >= 1")
-    shards = min(shards, max(1, len(corpus)))
-    size, extra = divmod(len(corpus), shards)
-    chunks = []
-    start = 0
-    for i in range(shards):
-        end = start + size + (1 if i < extra else 0)
-        chunks.append(list(corpus[start:end]))
-        start = end
-    return chunks

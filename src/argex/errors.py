@@ -32,7 +32,7 @@ class ConsistencyError(ArgexError):
 
 
 class StaleArtifactError(ArgexError):
-    """An artifact on disk was produced under a different configuration."""
+    """An artifact on disk was produced under a different configuration or format version."""
 
 
 class OutOfVocabularyError(ArgexError):

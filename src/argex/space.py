@@ -4,7 +4,9 @@ A space holds one row per target over (relation, filler) dimensions with
 positive association scores, plus, for each (target, relation), the
 fillers ranked by descending score. Spaces are immutable once built and
 round-trip bit-exactly through their on-disk archive (a directory of
-sorted TSV files with a hash-verified manifest).
+sorted TSV files with a hash-verified manifest). The archive stores
+scores only: every ranking is rebuilt at load, from the rows for the
+dependency slots and from ``arg.tsv`` for the ARG slot.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import io
+import itertools
 import math
 import operator
 import os
@@ -19,13 +22,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import Vocabulary
-from .errors import ConsistencyError, CorpusError, OutOfVocabularyError
+from .errors import ConsistencyError, CorpusError, OutOfVocabularyError, StaleArtifactError
 from .tensor import decode_utf8, parse_tsv, read_bytes, read_sidecar, write_bytes_atomic, write_sidecar
-from .tokens import Token, parse_canonical
+from .tokens import ARG, Token, parse_canonical
 from .weighting import WeightedTensor, format_score
 
-FORMAT_VERSION = "1"
-_DATA_FILES = ("catalog.tsv", "vocab.tsv", "rows.tsv", "index.tsv")
+FORMAT_VERSION = "2"
+_DATA_FILES = ("catalog.tsv", "vocab.tsv", "rows.tsv", "arg.tsv")
 
 
 @dataclass(frozen=True)
@@ -233,26 +236,20 @@ class RankedFillers:
 
 
 class FillerIndex:
-    """Per (target, relation) filler rankings: score desc, then lexicographic."""
+    """Per (target, relation) filler rankings: score desc, then canonical filler.
 
-    def __init__(self, rankings: dict[tuple[str, str], tuple[tuple[Token, float], ...]]):
-        self._rankings = rankings
+    Built from scored ``(target, relation, filler, score)`` entries, in
+    any order; ``target`` is canonical.
+    """
 
-    @classmethod
-    def from_weighted(
-        cls, weighted: WeightedTensor, extra: WeightedTensor | None = None
-    ) -> "FillerIndex":
+    def __init__(self, entries: Iterable[tuple[str, str, Token, float]]):
         groups: dict[tuple[str, str], list[tuple[Token, float]]] = {}
-        for source in (weighted, extra):
-            if source is None:
-                continue
-            for (t, r, f), score in source.scores.items():
-                groups.setdefault((t.canonical, r), []).append((f, score))
-        rankings = {}
-        for key, fillers in groups.items():
-            fillers.sort(key=lambda pair: (-pair[1], pair[0].canonical))
-            rankings[key] = tuple(fillers)
-        return cls(rankings)
+        for target, relation, filler, score in entries:
+            groups.setdefault((target, relation), []).append((filler, score))
+        self._rankings = {
+            key: tuple(sorted(fillers, key=lambda pair: (-pair[1], pair[0].canonical)))
+            for key, fillers in groups.items()
+        }
 
     def __len__(self) -> int:
         return len(self._rankings)
@@ -282,7 +279,10 @@ class WeightedSpace:
 
     @property
     def space_id(self) -> str:
-        return self.manifest.get("space_id", "")
+        """sha256 of the archive's data files; rendered on first use unless loaded or saved."""
+        if "space_id" not in self.manifest:
+            self.manifest["space_id"] = _space_id(_archive_bodies(self))
+        return self.manifest["space_id"]
 
     def __contains__(self, token: Token) -> bool:
         return token.canonical in self.vocabulary
@@ -303,9 +303,11 @@ def build_space(
 ) -> WeightedSpace:
     """Assemble rows, catalog, and filler index from weighted counts.
 
-    ``extra_index`` contributes rankings only (e.g. relation-collapsed
+    ``extra_index`` contributes ARG rankings only (relation-collapsed
     typicality scores); its entries never become vector dimensions.
     """
+    if extra_index is not None and any(r != ARG for (_, r, _) in extra_index.scores):
+        raise ValueError(f"extra_index may only hold {ARG} rankings")
     catalog = DimensionCatalog.from_pairs(
         (r, f.canonical) for (_, r, f) in weighted.scores
     )
@@ -314,22 +316,24 @@ def build_space(
         dim = catalog.id_of(r, f.canonical)
         per_target.setdefault(t.canonical, []).append((dim, score))
     rows = {target: SparseVector.from_pairs(pairs) for target, pairs in per_target.items()}
-    index = FillerIndex.from_weighted(weighted, extra_index)
+    index = FillerIndex(
+        (t.canonical, r, f, score)
+        for source in (weighted, extra_index)
+        if source is not None
+        for (t, r, f), score in source.scores.items()
+    )
     tokens = vocabulary.sorted_tokens() if isinstance(vocabulary, Vocabulary) else vocabulary
     vocab = frozenset(t.canonical for t in tokens)
     info = {
         "format_version": FORMAT_VERSION,
         "source_hash": weighted.source_hash,
-        "log_base": weighted.log_base,
         "n_targets": str(len(rows)),
         "n_dims": str(len(catalog)),
         "n_vocab": str(len(vocab)),
     }
     if manifest:
         info.update(manifest)
-    space = WeightedSpace(catalog, rows, index, vocab, info)
-    space.manifest["space_id"] = _space_id(_archive_bodies(space))
-    return space
+    return WeightedSpace(catalog, rows, index, vocab, info)
 
 
 # -- archive -------------------------------------------------------------
@@ -355,17 +359,19 @@ def _rows_tsv(space: WeightedSpace) -> str:
     return out.getvalue()
 
 
-def _index_tsv(space: WeightedSpace) -> str:
+def _arg_tsv(space: WeightedSpace) -> str:
+    """The ARG rankings' scores, by target then filler: the one ranking rows do not hold."""
     out = io.StringIO()
-    for target, relation in sorted(space.index.keys()):
-        for filler, score in space.index.ranking(target, relation):
-            out.write(f"{target}\t{relation}\t{filler.canonical}\t{format_score(score)}\n")
+    for target in sorted(t for t, relation in space.index.keys() if relation == ARG):
+        ranking = sorted(space.index.ranking(target, ARG), key=lambda pair: pair[0].canonical)
+        for filler, score in ranking:
+            out.write(f"{target}\t{filler.canonical}\t{format_score(score)}\n")
     return out.getvalue()
 
 
 def _archive_bodies(space: WeightedSpace) -> list[bytes]:
     """The data files' bytes, in ``_DATA_FILES`` order."""
-    bodies = (_catalog_tsv(space), _vocab_tsv(space), _rows_tsv(space), _index_tsv(space))
+    bodies = (_catalog_tsv(space), _vocab_tsv(space), _rows_tsv(space), _arg_tsv(space))
     return [body.encode("utf-8") for body in bodies]
 
 
@@ -379,22 +385,33 @@ def _space_id(bodies: Iterable[bytes]) -> str:
 def save_space(space: WeightedSpace, directory: str) -> str:
     """Write the archive; returns the space id recorded in the manifest.
 
-    Each file is replaced atomically and the manifest goes last, so an
-    interrupted save leaves an archive that fails verification, never a
-    half-written file.
+    The space id is the hash of the bytes written here, and is set on
+    ``space`` too. Each file is replaced atomically and the manifest goes
+    last, so an interrupted save leaves an archive that fails
+    verification, never a half-written file.
     """
     os.makedirs(directory, exist_ok=True)
     bodies = _archive_bodies(space)
     for name, data in zip(_DATA_FILES, bodies):
         write_bytes_atomic(os.path.join(directory, name), data)
-    manifest = {**space.manifest, "space_id": _space_id(bodies)}
-    write_sidecar(os.path.join(directory, "manifest.txt"), manifest)
-    return manifest["space_id"]
+    space.manifest["space_id"] = _space_id(bodies)
+    write_sidecar(os.path.join(directory, "manifest.txt"), space.manifest)
+    return space.manifest["space_id"]
 
 
 def load_space(directory: str) -> WeightedSpace:
-    """Read an archive back; its bytes are checked against the manifest first."""
+    """Read an archive back and rebuild its rankings.
+
+    The format version is checked first, then the bytes against the
+    manifest, and only then is anything parsed.
+    """
     manifest = read_sidecar(os.path.join(directory, "manifest.txt"))
+    version = manifest.get("format_version")
+    if version != FORMAT_VERSION:
+        raise StaleArtifactError(
+            f"space archive {directory} has format version {version}, this argex reads "
+            f"version {FORMAT_VERSION}; re-run `argex weight`"
+        )
     paths = [os.path.join(directory, name) for name in _DATA_FILES]
     bodies = [read_bytes(path) for path in paths]
     recorded = manifest.get("space_id", "")
@@ -404,34 +421,46 @@ def load_space(directory: str) -> WeightedSpace:
             f"space archive {directory} failed verification: "
             f"manifest records {recorded[:12]}.., content is {actual[:12]}.."
         )
-    catalog_path, vocab_path, rows_path, index_path = paths
-    catalog_text, vocab_text, rows_text, index_text = map(decode_utf8, paths, bodies)
+    catalog_path, vocab_path, rows_path, arg_path = paths
+    catalog_text, vocab_text, rows_text, arg_text = map(decode_utf8, paths, bodies)
 
     dims: list[tuple[str, str]] = []
+    slots: list[tuple[str, Token]] = []
 
     def catalog_row(dim_id: str, relation: str, filler: str) -> None:
         if int(dim_id) != len(dims):
             raise ConsistencyError(f"dimension id {dim_id} out of sequence")
+        slots.append((relation, parse_canonical(filler)))
         dims.append((relation, filler))
 
     vocab: set[str] = set()
     per_target: dict[str, list[tuple[int, float]]] = {}
 
     def rows_row(target: str, dim: str, score: str) -> None:
-        per_target.setdefault(target, []).append((int(dim), float(score)))
+        dim_id = int(dim)
+        if not 0 <= dim_id < len(dims):
+            raise ConsistencyError(f"dimension id {dim} is not in the catalog")
+        per_target.setdefault(target, []).append((dim_id, float(score)))
 
-    rankings: dict[tuple[str, str], list[tuple[Token, float]]] = {}
+    arg: list[tuple[str, str, Token, float]] = []
 
-    def index_row(target: str, relation: str, filler: str, score: str) -> None:
-        rankings.setdefault((target, relation), []).append((parse_canonical(filler), float(score)))
+    def arg_row(target: str, filler: str, score: str) -> None:
+        arg.append((target, ARG, parse_canonical(filler), float(score)))
 
     parse_tsv(catalog_path, catalog_text, 3, catalog_row)
     parse_tsv(vocab_path, vocab_text, 1, vocab.add)
     parse_tsv(rows_path, rows_text, 3, rows_row)
-    parse_tsv(index_path, index_text, 4, index_row)
+    parse_tsv(arg_path, arg_text, 3, arg_row)
     try:
         rows = {t: SparseVector.from_pairs(pairs) for t, pairs in per_target.items()}
     except ValueError as exc:
         raise CorpusError(f"{rows_path}: {exc}") from None
-    index = FillerIndex({key: tuple(fillers) for key, fillers in rankings.items()})
+    # ARG rankings are stored whole in arg.tsv; every other slot's is read off the rows
+    from_rows = (
+        (target, *slots[dim_id], score)
+        for target, pairs in per_target.items()
+        for dim_id, score in pairs
+        if slots[dim_id][0] != ARG
+    )
+    index = FillerIndex(itertools.chain(from_rows, arg))
     return WeightedSpace(DimensionCatalog(dims), rows, index, frozenset(vocab), manifest)

@@ -60,15 +60,6 @@ class CooccurrenceTensor:
     def relations(self) -> list[str]:
         return sorted(self.relation_marginals)
 
-    def merge(self, other: "CooccurrenceTensor") -> None:
-        """Fold another shard into this tensor (integer addition per key)."""
-        for key, count in other.counts.items():
-            self.counts[key] += count
-        self.total += other.total
-        self.target_marginals.update(other.target_marginals)
-        self.relation_marginals.update(other.relation_marginals)
-        self.filler_marginals.update(other.filler_marginals)
-
     def validate(self) -> None:
         """Recompute marginals by full summation and compare. O(entries)."""
         targets: Counter = Counter()
@@ -128,13 +119,6 @@ class CooccurrenceTensor:
 def _triple_key(key: Triple):
     t, r, f = key
     return (t.canonical, r, f.canonical)
-
-
-def merge_tensors(shards: Iterable[CooccurrenceTensor]) -> CooccurrenceTensor:
-    merged = CooccurrenceTensor()
-    for shard in shards:
-        merged.merge(shard)
-    return merged
 
 
 def sidecar_path(path: str) -> str:

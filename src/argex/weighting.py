@@ -2,7 +2,8 @@
 
 An observed triple count is compared against the count expected if
 target, relation, and filler were independent; the weight is
-``ln(observed/expected) * observed``, clipped at zero. Triples that are
+``ln(observed/expected) * observed`` (natural log; another base would
+rescale scores without changing rankings), clipped at zero. Triples that are
 no more frequent than chance therefore vanish from the weighted space.
 """
 
@@ -16,8 +17,6 @@ from typing import Iterator
 from .errors import ConsistencyError, UndefinedModelError
 from .tensor import CooccurrenceTensor, Triple, parse_tsv, read_artifact, write_artifact
 from .tokens import ARG, Token, VERB_LINK, is_inverse, parse_canonical
-
-LOG_BASE_LABEL = "e"  # natural log; base choice rescales scores, never rankings
 
 
 def format_score(value: float) -> str:
@@ -54,7 +53,6 @@ class WeightedTensor:
 
     scores: dict[Triple, float] = field(default_factory=dict)
     source_hash: str = ""
-    log_base: str = LOG_BASE_LABEL
 
     def score(self, t: Token, r: str, f: Token) -> float:
         return self.scores.get((t, r, f), 0.0)
@@ -75,7 +73,6 @@ class WeightedTensor:
     def save(self, path: str, sidecar: dict[str, str] | None = None) -> str:
         meta = {
             "entries": str(len(self.scores)),
-            "log_base": self.log_base,
             "source_hash": self.source_hash,
             **(sidecar or {}),
         }
@@ -84,7 +81,7 @@ class WeightedTensor:
     @classmethod
     def load(cls, path: str) -> "WeightedTensor":
         text, meta = read_artifact(path)
-        weighted = cls(source_hash=meta.get("source_hash", ""), log_base=meta.get("log_base", LOG_BASE_LABEL))
+        weighted = cls(source_hash=meta.get("source_hash", ""))
 
         def row(t: str, r: str, f: str, score: str) -> None:
             weighted.scores[(parse_canonical(t), r, parse_canonical(f))] = float(score)
@@ -151,7 +148,7 @@ def max_over_relations(
         relation_filter = frozenset(
             r for (_, r, _) in weighted.scores if not is_inverse(r) and r != VERB_LINK
         )
-    out = WeightedTensor(source_hash=weighted.source_hash, log_base=weighted.log_base)
+    out = WeightedTensor(source_hash=weighted.source_hash)
     for (t, r, f), score in weighted.scores.items():
         if r not in relation_filter:
             continue

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from argex.cli import main
-from argex.tensor import read_sidecar
+from argex.tensor import read_sidecar, write_sidecar
 
 from conftest import REPO_ROOT
 
@@ -56,10 +56,11 @@ READER_OF = {
         "window.tensor.tsv", "window.tensor.tsv.meta",
     )},
     **{f"deps.space/{name}": FILLERS_DEPS for name in (
-        "catalog.tsv", "vocab.tsv", "rows.tsv", "index.tsv", "manifest.txt",
+        "catalog.tsv", "vocab.tsv", "rows.tsv", "arg.tsv", "manifest.txt",
     )},
+    # window.space/arg.tsv is empty: it has no byte to damage
     **{f"window.space/{name}": FILLERS_WINDOW for name in (
-        "catalog.tsv", "vocab.tsv", "rows.tsv", "index.tsv", "manifest.txt",
+        "catalog.tsv", "vocab.tsv", "rows.tsv", "manifest.txt",
     )},
 }
 
@@ -238,6 +239,33 @@ class TestStages:
         bow_row = next(l for l in out.split("\n") if " bow " in l)
         assert "(all ties)" in bow_row
 
+    def test_failed_report_write_keeps_the_previous_report(
+        self, bicknell_out, tmp_path, capsys, monkeypatch
+    ):
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        argv = ["eval", "-c", BICKNELL_CONF, "--out-dir", out,
+                "--task", "bicknell-acc2", "--kind", "deps", "--k", "20"]
+        assert run_cli(capsys, *argv)[0] == 0
+        path = os.path.join(out, "reports", "bicknell-acc2.deps-sum-k20.json")
+        previous = open(path, "rb").read()
+        # a dataset at another path changes the report's provenance
+        dataset = shutil.copy("data/synthetic/bicknell_acc2.tsv", str(tmp_path / "acc2.tsv"))
+        real_replace = os.replace
+
+        def crash_at_report(src, dst):
+            if dst == path:
+                raise OSError("simulated crash")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", crash_at_report)
+        with pytest.raises(OSError):
+            main([*argv, "--dataset", dataset])
+        monkeypatch.undo()
+        assert open(path, "rb").read() == previous
+        assert not [n for n in os.listdir(os.path.dirname(path)) if n.endswith(".tmp")]
+        assert run_cli(capsys, *argv, "--dataset", dataset)[0] == 0
+        assert open(path, "rb").read() != previous
+
     def test_report_on_empty_directory(self, tmp_path, capsys):
         code, out, _ = run_cli(
             capsys, "report", "-c", BICKNELL_CONF, "--out-dir", str(tmp_path)
@@ -346,6 +374,16 @@ class TestGuards:
         assert result == code
         assert os.path.join(out, named) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("version", ["1", "7"])
+    def test_other_archive_format_version_refused(self, bicknell_out, tmp_path, capsys, version):
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        manifest = os.path.join(out, "deps.space", "manifest.txt")
+        write_sidecar(manifest, {**read_sidecar(manifest), "format_version": version})
+        code, _, err = run_cli(capsys, *FILLERS_DEPS, "-c", BICKNELL_CONF, "--out-dir", out)
+        assert code == 2
+        assert os.path.join(out, "deps.space") in err
+        assert "re-run `argex weight`" in err
 
     def test_locked_directory_refused_and_lock_kept(self, tmp_path, capsys):
         out = str(tmp_path)

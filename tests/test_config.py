@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from argex.cli import main
 from argex.config import (
     INGEST_FIELDS,
     SPACE_FIELDS,
@@ -29,10 +30,7 @@ class TestValidation:
         [
             {"vocab_threshold": 0},
             {"window_width": 0},
-            {"shards": 0},
             {"col_form": -1},
-            {"log_base": "2"},
-            {"log_base": "10"},
             {"boa_rank_mode": "median"},
             {"boa_space": "arg"},
             {"variant_kinds": ("deps", "bag")},
@@ -50,9 +48,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="distinct"):
             PipelineConfig(col_form=2, col_lemma=2)
 
-    def test_log_base_message_explains_the_restriction(self):
-        with pytest.raises(ConfigError, match="rankings"):
-            PipelineConfig(log_base="10")
+    def test_log_base_is_an_unknown_config_key(self, tmp_path, capsys):
+        # the log is natural; another base would rescale scores, never rankings
+        conf = tmp_path / "argex.conf"
+        conf.write_text("log_base=10\n", encoding="utf-8")
+        code = main(["ingest", "-c", str(conf), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "unknown config key 'log_base'" in capsys.readouterr().err
 
 
 class TestCoercion:
@@ -175,13 +177,6 @@ class TestHashing:
         assert ingest_hash(changed) == ingest_hash(base)
         assert space_hash(changed) == space_hash(base)
         assert config_hash(changed) == config_hash(base)
-
-    def test_shard_count_never_changes_tensor_hashes(self):
-        # sharding is an execution detail; merged counts are identical
-        base = PipelineConfig()
-        changed = dataclasses.replace(base, shards=4)
-        assert ingest_hash(changed) == ingest_hash(base)
-        assert space_hash(changed) == space_hash(base)
 
     def test_hashes_are_hex_sha256(self):
         digest = config_hash(PipelineConfig())

@@ -18,10 +18,8 @@ from argex.corpus import (
     extract_window_counts,
     load_vocabulary,
     save_vocabulary,
-    shard_sentences,
 )
 from argex.errors import ConsistencyError
-from argex.tensor import merge_tensors
 from argex.tokens import Token, VERB_LINK, inverse
 
 from conftest import conll_text, parse_text, random_corpus_text
@@ -316,25 +314,3 @@ class TestVocabulary:
         with pytest.raises(ConsistencyError):
             load_vocabulary(path, 1)
 
-
-class TestSharding:
-    def test_shards_cover_corpus_in_order(self):
-        corpus = parse_text(random_corpus_text(5, 23))
-        shards = shard_sentences(corpus, 4)
-        assert sum(len(s) for s in shards) == len(corpus)
-        flattened = [s for shard in shards for s in shard]
-        assert [s.sentence_id for s in flattened] == [s.sentence_id for s in corpus]
-
-    def test_more_shards_than_sentences(self):
-        corpus = parse_text(random_corpus_text(5, 3))
-        shards = shard_sentences(corpus, 10)
-        assert len(shards) == 3
-
-    def test_sharded_counting_equals_single_pass(self):
-        corpus = parse_text(random_corpus_text(44, 120))
-        vocab = build_vocabulary(corpus, 2)
-        whole = extract_dependency_counts(corpus, vocab)
-        parts = [extract_dependency_counts(s, vocab) for s in shard_sentences(corpus, 5)]
-        merged = merge_tensors(parts)
-        assert merged.counts == whole.counts
-        assert merged.content_hash() == whole.content_hash()

@@ -1,6 +1,8 @@
 """Sparse vector algebra, ranking, and space archive properties."""
 
+import hashlib
 import math
+import os
 import random
 
 import pytest
@@ -11,7 +13,6 @@ from argex.errors import ConsistencyError, CorpusError, OutOfVocabularyError
 from argex.space import (
     DimensionCatalog,
     EMPTY_VECTOR,
-    FillerIndex,
     SparseVector,
     VectorSum,
     WeightedSpace,
@@ -25,9 +26,11 @@ from argex.space import (
     top_k_fillers,
     vector_of,
 )
-from argex.tensor import CooccurrenceTensor
-from argex.tokens import Token
-from argex.weighting import weight_tensor
+from argex.tensor import CooccurrenceTensor, read_sidecar, write_sidecar
+from argex.tokens import ARG, Token
+from argex.weighting import WeightedTensor, weight_tensor
+
+from conftest import spaces_from_text
 
 
 def vec(*pairs) -> SparseVector:
@@ -248,6 +251,18 @@ def toy_weighted():
     return weight_tensor(tensor)
 
 
+def append_verified(directory: str, name: str, line: str) -> None:
+    """Append ``line`` to an archive file and re-record the space id, so only parsing can refuse it."""
+    with open(os.path.join(directory, name), "a", encoding="utf-8") as fh:
+        fh.write(line)
+    digest = hashlib.sha256()
+    for data_file in ("catalog.tsv", "vocab.tsv", "rows.tsv", "arg.tsv"):
+        with open(os.path.join(directory, data_file), "rb") as fh:
+            digest.update(fh.read())
+    manifest = os.path.join(directory, "manifest.txt")
+    write_sidecar(manifest, {**read_sidecar(manifest), "space_id": digest.hexdigest()})
+
+
 def toy_space() -> WeightedSpace:
     vocab = [
         Token("see", "v"),
@@ -263,7 +278,7 @@ def toy_space() -> WeightedSpace:
 class TestRanking:
     def test_order_is_score_then_canonical(self):
         weighted = toy_weighted()
-        index = FillerIndex.from_weighted(weighted)
+        index = build_space(weighted, []).index
         see = Token("see", "v")
         ranked = top_k_fillers(index, see, "sbj", 5)
         scores = [s for _, s in ranked.fillers]
@@ -278,24 +293,24 @@ class TestRanking:
         score = next(iter(weighted.scores.values()))
         weighted.scores[(t, "sbj", a)] = 1.25
         weighted.scores[(t, "sbj", b)] = 1.25
-        index = FillerIndex.from_weighted(weighted)
+        index = build_space(weighted, []).index
         ranked = top_k_fillers(index, t, "sbj", 2)
         assert [tok.canonical for tok in ranked.tokens()] == ["aaa-n", "bbb-n"]
         assert score  # silence the unused-variable hint
 
     def test_k_validation(self):
-        index = FillerIndex.from_weighted(toy_weighted())
+        index = build_space(toy_weighted(), []).index
         with pytest.raises(ValueError):
             top_k_fillers(index, Token("see", "v"), "sbj", 0)
 
     def test_missing_slot_is_empty(self):
-        index = FillerIndex.from_weighted(toy_weighted())
+        index = build_space(toy_weighted(), []).index
         ranked = top_k_fillers(index, Token("zebra", "n"), "sbj", 3)
         assert ranked.empty
         assert ranked.fillers == []
 
     def test_prefix_stability_over_k(self):
-        index = FillerIndex.from_weighted(toy_weighted())
+        index = build_space(toy_weighted(), []).index
         see = Token("see", "v")
         previous = []
         for k in (1, 2, 3, 4, 5):
@@ -352,8 +367,6 @@ class TestSpace:
         d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
         save_space(space, d1)
         save_space(load_space(d1), d2)
-        import os
-
         for name in sorted(os.listdir(d1)):
             b1 = open(os.path.join(d1, name), "rb").read()
             b2 = open(os.path.join(d2, name), "rb").read()
@@ -376,32 +389,58 @@ class TestSpace:
         ids=["junk-row", "dimension-id-out-of-sequence"],
     )
     def test_verified_but_malformed_catalog_names_path_and_line(self, tmp_path, line, error):
-        import hashlib
-        import os
-
-        from argex.tensor import read_sidecar, write_sidecar
-
         space = toy_space()
         directory = str(tmp_path / "space")
         save_space(space, directory)
-        catalog = os.path.join(directory, "catalog.tsv")
-        with open(catalog, "a", encoding="utf-8") as fh:
-            fh.write(line)
-        digest = hashlib.sha256()
-        for name in ("catalog.tsv", "vocab.tsv", "rows.tsv", "index.tsv"):
-            digest.update(open(os.path.join(directory, name), "rb").read())
-        manifest = os.path.join(directory, "manifest.txt")
-        write_sidecar(manifest, {**read_sidecar(manifest), "space_id": digest.hexdigest()})
+        append_verified(directory, "catalog.tsv", line)
         n_dims = len(space.catalog)
         with pytest.raises(error, match=f"catalog.tsv:{n_dims + 1}:"):
             load_space(directory)
+
+    def test_verified_row_outside_the_catalog_names_path_and_line(self, tmp_path):
+        space = toy_space()
+        directory = str(tmp_path / "space")
+        save_space(space, directory)
+        n_rows = sum(len(row) for row in space.rows.values())
+        append_verified(directory, "rows.tsv", f"see-v\t{len(space.catalog)}\t1\n")
+        with pytest.raises(ConsistencyError, match=f"rows.tsv:{n_rows + 1}: dimension id"):
+            load_space(directory)
+
+    def test_extra_index_holds_arg_rankings_only(self):
+        # arg.tsv stores the ARG slot alone; any other extra slot would not survive a save
+        weighted = toy_weighted()
+        with pytest.raises(ValueError, match="ARG"):
+            build_space(weighted, [], extra_index=weighted)
+
+    def test_corpus_relation_named_arg_round_trips(self, tmp_path):
+        # an ARG dimension joins the ARG ranking, which arg.tsv stores whole
+        see, dog, cat = Token("see", "v"), Token("dog", "n"), Token("cat", "n")
+        weighted = toy_weighted()
+        weighted.scores[(see, ARG, dog)] = 0.5
+        extra = WeightedTensor(scores={(see, ARG, cat): 0.75, (see, ARG, dog): 0.25})
+        space = build_space(weighted, [see, dog, cat], extra_index=extra)
+        assert space.index.ranking("see-v", ARG) == ((cat, 0.75), (dog, 0.5), (dog, 0.25))
+        save_space(space, str(tmp_path))
+        assert load_space(str(tmp_path)).index.ranking("see-v", ARG) == space.index.ranking("see-v", ARG)
+
+    @pytest.mark.parametrize("corpus", ["bicknell_corpus", "chow_corpus"])
+    def test_loaded_rankings_equal_built_rankings(self, tmp_path, fixture_paths, corpus):
+        # the archive stores scores only; load must rebuild every ranking exactly
+        with open(fixture_paths[corpus], encoding="utf-8") as fh:
+            deps_space, window_space = spaces_from_text(fh.read(), threshold=3)
+        assert any(relation == ARG for _, relation in deps_space.index.keys())
+        for name, space in (("deps", deps_space), ("window", window_space)):
+            directory = str(tmp_path / name)
+            save_space(space, directory)
+            loaded = load_space(directory)
+            assert loaded.index.keys() == space.index.keys()
+            for key in space.index.keys():
+                assert loaded.index.ranking(*key) == space.index.ranking(*key), key
 
     @pytest.mark.parametrize("failing", ["catalog.tsv", "manifest.txt"])
     def test_interrupted_save_never_leaves_a_half_written_archive(
         self, tmp_path, monkeypatch, failing
     ):
-        import os
-
         old = toy_space()
         directory = str(tmp_path / "space")
         save_space(old, directory)
@@ -427,7 +466,6 @@ class TestSpace:
 
     def test_manifest_records_provenance(self):
         space = toy_space()
-        assert space.manifest["format_version"] == "1"
+        assert space.manifest["format_version"] == "2"
         assert space.manifest["n_targets"] == str(len(space.rows))
         assert space.manifest["n_dims"] == str(len(space.catalog))
-        assert space.manifest["log_base"] == "e"

@@ -5,7 +5,6 @@ import os
 
 from argex.tensor import (
     CooccurrenceTensor,
-    merge_tensors,
     read_artifact,
     read_sidecar,
     sidecar_path,
@@ -60,30 +59,6 @@ class TestCounting:
 
 
 class TestMergeAndValidate:
-    def test_merge_equals_joint_count(self):
-        a = CooccurrenceTensor()
-        a.add(SEE, "sbj", DOG)
-        b = CooccurrenceTensor()
-        b.add(SEE, "sbj", DOG, 3)
-        b.add(SEE, "obj", CAT)
-        a.merge(b)
-        assert a.count(SEE, "sbj", DOG) == 4
-        assert a.total == 5
-        a.validate()
-
-    def test_merge_tensors_empty_list(self):
-        assert merge_tensors([]).total == 0
-
-    def test_merge_tensors_matches_sequential(self):
-        shards = []
-        for k in range(3):
-            t = CooccurrenceTensor()
-            t.add(SEE, "sbj", DOG, k + 1)
-            shards.append(t)
-        merged = merge_tensors(shards)
-        assert merged.count(SEE, "sbj", DOG) == 6
-        merged.validate()
-
     def test_validate_detects_corrupt_marginals(self):
         tensor = small_tensor()
         tensor.target_marginals[SEE] += 1

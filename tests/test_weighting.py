@@ -11,7 +11,7 @@ import mpmath
 import pytest
 
 from argex.errors import ConsistencyError, UndefinedModelError
-from argex.space import FillerIndex
+from argex.space import build_space
 from argex.tensor import CooccurrenceTensor
 from argex.tokens import ARG, Token
 from argex.weighting import (
@@ -202,7 +202,6 @@ class TestSerialization:
         loaded = WeightedTensor.load(path)
         assert loaded.scores == weighted.scores
         assert loaded.source_hash == weighted.source_hash
-        assert loaded.log_base == weighted.log_base
 
     def test_tamper_detection(self, tmp_path):
         weighted = weight_tensor(thirty_triple_tensor())
@@ -266,8 +265,8 @@ class TestArgCollapse:
         tensor, dog, cat, see = self.build()
         pooled = weight_tensor(collapse_relations(tensor))
         best = max_over_relations(weight_tensor(tensor))
-        pooled_index = FillerIndex.from_weighted(pooled)
-        best_index = FillerIndex.from_weighted(best)
+        pooled_index = build_space(pooled, []).index
+        best_index = build_space(best, []).index
         key = (see.canonical, ARG)
         assert key in pooled_index.keys()
         assert key in best_index.keys()
