@@ -30,7 +30,10 @@ class TestValidation:
         [
             {"vocab_threshold": 0},
             {"window_width": 0},
+            {"col_relation": -1},
             {"col_form": -1},
+            {"boa_rank_mode": ""},
+            {"k_values": (-10,)},
             {"boa_rank_mode": "median"},
             {"boa_space": "arg"},
             {"variant_kinds": ("deps", "bag")},
