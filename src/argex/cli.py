@@ -169,8 +169,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     win = extract_window_counts(
         sentences, vocab, config.window_width, config.window_filtered_positions
     )
-    dep.validate()
-    win.validate()
     stamp = ingest_hash(config)
     paths = artifact_paths(config.out_dir)
     counts = {
@@ -266,22 +264,23 @@ def _load_space_checked(config: PipelineConfig, which: str) -> WeightedSpace:
 def cmd_fillers(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     try:
-        target = parse_canonical(args.target)
+        target = parse_canonical(args.target).canonical
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
     slot = args.slot
     which = args.space or ("window" if slot == WINDOW else "deps")
     space = _load_space_checked(config, which)
-    if target.canonical not in space.vocabulary:
+    if target not in space.vocabulary:
         raise OutOfVocabularyError(target)
     ranked = top_k_fillers(space.index, target, slot, args.k)
     if ranked.empty:
-        print(f"{target.canonical}/{slot}: (no fillers)")
+        print(f"{target}/{slot}: (no fillers)")
         return 0
     if ranked.shortfall:
         _note(f"only {ranked.available} fillers available (requested {args.k})")
-    listing = ", ".join(token.canonical for token in ranked.tokens())
-    print(f"{target.canonical}/{slot}: {listing}")
+    print(f"{target}/{slot}: {', '.join(ranked.tokens())}")
     return 0
 
 

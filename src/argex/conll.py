@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import CorpusError
-from .tokens import DEFAULT_POS_PREFIXES, Token, normalize
+from .tokens import DEFAULT_POS_PREFIXES, normalize
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,11 @@ class ColumnConfig:
 
 @dataclass(frozen=True)
 class DependencyArc:
-    """One head -> dependent link between normalized tokens."""
+    """One head -> dependent link between normalized (canonical) tokens."""
 
-    head: Token
+    head: str
     relation: str
-    dependent: Token
+    dependent: str
     sentence_id: int
     head_pos: int  # surface position of the head, for per-instance grouping
     dep_pos: int
@@ -55,12 +55,13 @@ class DependencyArc:
 class SentenceRecord:
     """One parsed sentence: surface slots plus the arcs between them.
 
-    ``tokens[i]`` is None when position i holds a word outside the noun/verb
-    universe; the slot still counts for surface-window distances.
+    ``tokens[i]`` is the canonical ``lemma-pos`` string of position i, or
+    None when it holds a word outside the noun/verb universe; the slot
+    still counts for surface-window distances.
     """
 
     sentence_id: int
-    tokens: list[Token | None]
+    tokens: list[str | None]
     arcs: list[DependencyArc]
 
 
@@ -97,7 +98,7 @@ def parse_conll_stream(
         kept = [r for r in rows if r is not None]
         if not kept:
             return None
-        tokens: list[Token | None] = []
+        tokens: list[str | None] = []
         raw_heads: list[tuple[int, str] | None] = []
         for fields_ in kept:
             tokens.append(normalize(fields_[columns.lemma], fields_[columns.pos], pos_map))

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .conll import SentenceRecord
 from .tensor import CooccurrenceTensor, parse_tsv, read_artifact, write_artifact
-from .tokens import Token, VERB_LINK, VERB_POS, WINDOW, inverse, parse_canonical
+from .tokens import VERB_LINK, VERB_POS, WINDOW, canonical_checker, inverse
 
 DEFAULT_SUBJECT_LABELS = frozenset({"sbj"})
 DEFAULT_OBJECT_LABELS = frozenset({"obj"})
@@ -22,12 +22,12 @@ DEFAULT_OBJECT_LABELS = frozenset({"obj"})
 
 @dataclass
 class Vocabulary:
-    """Noun/verb tokens whose corpus frequency clears the threshold."""
+    """Noun/verb tokens (canonical strings) whose corpus frequency clears the threshold."""
 
-    frequency: dict[Token, int]
+    frequency: dict[str, int]
     threshold: int
     inclusive: bool = True
-    entries: frozenset[Token] = field(init=False)
+    entries: frozenset[str] = field(init=False)
 
     def __post_init__(self):
         if self.threshold < 1:
@@ -37,14 +37,14 @@ class Vocabulary:
         )
         self.entries = frozenset(t for t, n in self.frequency.items() if keep(n))
 
-    def __contains__(self, token: Token) -> bool:
+    def __contains__(self, token: str) -> bool:
         return token in self.entries
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def sorted_tokens(self) -> list[Token]:
-        return sorted(self.entries, key=lambda t: t.canonical)
 
 
 def build_vocabulary(
@@ -76,7 +76,7 @@ def extract_dependency_counts(
     """
     tensor = CooccurrenceTensor()
     for sentence in corpus:
-        co_args: dict[int, tuple[set[Token], set[Token]]] = {}
+        co_args: dict[int, tuple[set[str], set[str]]] = {}
         for arc in sentence.arcs:
             if allowlist is not None and arc.relation not in allowlist:
                 continue
@@ -87,7 +87,7 @@ def extract_dependency_counts(
             if head_ok and dep_ok:
                 tensor.add(arc.head, arc.relation, arc.dependent)
                 tensor.add(arc.dependent, inverse(arc.relation), arc.head)
-            if arc.head.pos == VERB_POS and dep_ok:
+            if arc.head.rpartition("-")[2] == VERB_POS and dep_ok:  # the tag after the last hyphen
                 slots = co_args.setdefault(arc.head_pos, (set(), set()))
                 if arc.relation in subject_labels:
                     slots[0].add(arc.dependent)
@@ -140,8 +140,7 @@ def extract_window_counts(
 
 def save_vocabulary(vocab: Vocabulary, path: str, sidecar: dict[str, str] | None = None) -> str:
     """Write the full frequency table as sorted TSV; returns content hash."""
-    rows = sorted(vocab.frequency.items(), key=lambda item: item[0].canonical)
-    body = "".join(f"{token.canonical}\t{count}\n" for token, count in rows)
+    body = "".join(f"{token}\t{count}\n" for token, count in sorted(vocab.frequency.items()))
     meta = {
         "threshold": str(vocab.threshold),
         "inclusive": "true" if vocab.inclusive else "false",
@@ -154,10 +153,11 @@ def save_vocabulary(vocab: Vocabulary, path: str, sidecar: dict[str, str] | None
 def load_vocabulary(path: str, threshold: int, inclusive: bool = True) -> Vocabulary:
     """Read a frequency table back and reapply the threshold."""
     text, _ = read_artifact(path)
-    frequency: dict[Token, int] = {}
+    frequency: dict[str, int] = {}
+    check = canonical_checker()
 
     def row(token: str, count: str) -> None:
-        frequency[parse_canonical(token)] = int(count)
+        frequency[check(token)] = int(count)
 
     parse_tsv(path, text, 2, row)
     return Vocabulary(frequency, threshold, inclusive)

@@ -265,7 +265,7 @@ def evaluate_grid(
                         for query in inputs[1:]:
                             vector = compose_vectors(vector, leaves[query][k], comp)
                         composed[inputs] = vector
-                    scored[condition] = cosine(vector_of(space, candidate), vector)
+                    scored[condition] = cosine(vector_of(space, candidate.canonical), vector)
             result_a, result_b = scored[cond_a], scored[cond_b]
             if result_a.value > result_b.value:
                 correct = Outcome.WIN

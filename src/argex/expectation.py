@@ -100,8 +100,8 @@ class Prototype:
     vector: SparseVector
     space_id: str
     label: str
-    # leaf prototypes: the ranked fillers actually summed, with scores
-    fillers: tuple[tuple[Token, float], ...] = ()
+    # leaf prototypes: the ranked (canonical) fillers actually summed, with scores
+    fillers: tuple[tuple[str, float], ...] = ()
     requested_k: int = 0
     available: int = 0
     # composed prototypes: the two parents and the operator
@@ -133,17 +133,18 @@ def build_prototype(
     ``space``. The default is the space's own index.
     """
     _check_slot(variant.kind, query.slot)
-    if query.input.canonical not in space.vocabulary:
+    target = query.input.canonical
+    if target not in space.vocabulary:
         raise OutOfVocabularyError(query.input)
     ranked = top_k_fillers(index if index is not None else space.index,
-                           query.input, query.slot, variant.k)
+                           target, query.slot, variant.k)
     if ranked.empty:
         raise EmptyPrototypeError(str(query))
     vector = sum_vectors([vector_of(space, filler) for filler in ranked.tokens()])
     return Prototype(
         vector=vector,
         space_id=space.space_id,
-        label=f"{query.input.canonical}/{query.slot}[k={variant.k}]",
+        label=f"{target}/{query.slot}[k={variant.k}]",
         fillers=tuple(ranked.fillers),
         requested_k=variant.k,
         available=ranked.available,
@@ -213,7 +214,7 @@ def score_filler(space: WeightedSpace, composed: Prototype, candidate: Token) ->
     """Cosine between the candidate's vector and the expectation vector."""
     if composed.space_id != space.space_id:
         raise SpaceMismatchError("prototype was built in a different space")
-    return cosine(vector_of(space, candidate), composed.vector)
+    return cosine(vector_of(space, candidate.canonical), composed.vector)
 
 
 class ExpectationResult(NamedTuple):

@@ -21,10 +21,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import Vocabulary
 from .errors import ConsistencyError, CorpusError, OutOfVocabularyError, StaleArtifactError
 from .tensor import decode_utf8, parse_tsv, read_bytes, read_sidecar, write_bytes_atomic, write_sidecar
-from .tokens import ARG, Token, parse_canonical
+from .tokens import ARG, canonical_checker
 from .weighting import WeightedTensor, format_score
 
 FORMAT_VERSION = "2"
@@ -217,9 +216,9 @@ class DimensionCatalog:
 
 @dataclass
 class RankedFillers:
-    """Query result for a (target, relation) slot."""
+    """Query result for a (target, relation) slot: canonical fillers with their scores."""
 
-    fillers: list[tuple[Token, float]]
+    fillers: list[tuple[str, float]]
     requested: int
     available: int
 
@@ -231,7 +230,7 @@ class RankedFillers:
     def empty(self) -> bool:
         return self.available == 0
 
-    def tokens(self) -> list[Token]:
+    def tokens(self) -> list[str]:
         return [t for t, _ in self.fillers]
 
 
@@ -239,15 +238,15 @@ class FillerIndex:
     """Per (target, relation) filler rankings: score desc, then canonical filler.
 
     Built from scored ``(target, relation, filler, score)`` entries, in
-    any order; ``target`` is canonical.
+    any order; target and filler are canonical.
     """
 
-    def __init__(self, entries: Iterable[tuple[str, str, Token, float]]):
-        groups: dict[tuple[str, str], list[tuple[Token, float]]] = {}
+    def __init__(self, entries: Iterable[tuple[str, str, str, float]]):
+        groups: dict[tuple[str, str], list[tuple[str, float]]] = {}
         for target, relation, filler, score in entries:
             groups.setdefault((target, relation), []).append((filler, score))
         self._rankings = {
-            key: tuple(sorted(fillers, key=lambda pair: (-pair[1], pair[0].canonical)))
+            key: tuple(sorted(fillers, key=lambda pair: (-pair[1], pair[0])))
             for key, fillers in groups.items()
         }
 
@@ -257,15 +256,15 @@ class FillerIndex:
     def keys(self):
         return self._rankings.keys()
 
-    def ranking(self, target: str, relation: str) -> tuple[tuple[Token, float], ...]:
+    def ranking(self, target: str, relation: str) -> tuple[tuple[str, float], ...]:
         return self._rankings.get((target, relation), ())
 
 
-def top_k_fillers(index: FillerIndex, target: Token, relation: str, k: int) -> RankedFillers:
+def top_k_fillers(index: FillerIndex, target: str, relation: str, k: int) -> RankedFillers:
     """The k best fillers of (target, relation); short lists are flagged."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ranking = index.ranking(target.canonical, relation)
+    ranking = index.ranking(target, relation)
     return RankedFillers(list(ranking[:k]), requested=k, available=len(ranking))
 
 
@@ -284,20 +283,20 @@ class WeightedSpace:
             self.manifest["space_id"] = _space_id(_archive_bodies(self))
         return self.manifest["space_id"]
 
-    def __contains__(self, token: Token) -> bool:
-        return token.canonical in self.vocabulary
+    def __contains__(self, token: str) -> bool:
+        return token in self.vocabulary
 
 
-def vector_of(space: WeightedSpace, token: Token) -> SparseVector:
-    """Full row of a vocabulary target; rows absent from the space are empty."""
-    if token.canonical not in space.vocabulary:
+def vector_of(space: WeightedSpace, token: str) -> SparseVector:
+    """Full row of a canonical vocabulary target; rows absent from the space are empty."""
+    if token not in space.vocabulary:
         raise OutOfVocabularyError(token)
-    return space.rows.get(token.canonical, EMPTY_VECTOR)
+    return space.rows.get(token, EMPTY_VECTOR)
 
 
 def build_space(
     weighted: WeightedTensor,
-    vocabulary: Vocabulary | Iterable[Token],
+    vocabulary: Iterable[str],
     extra_index: WeightedTensor | None = None,
     manifest: dict[str, str] | None = None,
 ) -> WeightedSpace:
@@ -308,22 +307,18 @@ def build_space(
     """
     if extra_index is not None and any(r != ARG for (_, r, _) in extra_index.scores):
         raise ValueError(f"extra_index may only hold {ARG} rankings")
-    catalog = DimensionCatalog.from_pairs(
-        (r, f.canonical) for (_, r, f) in weighted.scores
-    )
+    catalog = DimensionCatalog.from_pairs((r, f) for (_, r, f) in weighted.scores)
     per_target: dict[str, list[tuple[int, float]]] = {}
     for (t, r, f), score in weighted.scores.items():
-        dim = catalog.id_of(r, f.canonical)
-        per_target.setdefault(t.canonical, []).append((dim, score))
+        per_target.setdefault(t, []).append((catalog.id_of(r, f), score))
     rows = {target: SparseVector.from_pairs(pairs) for target, pairs in per_target.items()}
     index = FillerIndex(
-        (t.canonical, r, f, score)
+        (t, r, f, score)
         for source in (weighted, extra_index)
         if source is not None
         for (t, r, f), score in source.scores.items()
     )
-    tokens = vocabulary.sorted_tokens() if isinstance(vocabulary, Vocabulary) else vocabulary
-    vocab = frozenset(t.canonical for t in tokens)
+    vocab = frozenset(vocabulary)
     info = {
         "format_version": FORMAT_VERSION,
         "source_hash": weighted.source_hash,
@@ -363,9 +358,8 @@ def _arg_tsv(space: WeightedSpace) -> str:
     """The ARG rankings' scores, by target then filler: the one ranking rows do not hold."""
     out = io.StringIO()
     for target in sorted(t for t, relation in space.index.keys() if relation == ARG):
-        ranking = sorted(space.index.ranking(target, ARG), key=lambda pair: pair[0].canonical)
-        for filler, score in ranking:
-            out.write(f"{target}\t{filler.canonical}\t{format_score(score)}\n")
+        for filler, score in sorted(space.index.ranking(target, ARG), key=operator.itemgetter(0)):
+            out.write(f"{target}\t{filler}\t{format_score(score)}\n")
     return out.getvalue()
 
 
@@ -424,14 +418,13 @@ def load_space(directory: str) -> WeightedSpace:
     catalog_path, vocab_path, rows_path, arg_path = paths
     catalog_text, vocab_text, rows_text, arg_text = map(decode_utf8, paths, bodies)
 
+    check = canonical_checker()
     dims: list[tuple[str, str]] = []
-    slots: list[tuple[str, Token]] = []
 
     def catalog_row(dim_id: str, relation: str, filler: str) -> None:
         if int(dim_id) != len(dims):
             raise ConsistencyError(f"dimension id {dim_id} out of sequence")
-        slots.append((relation, parse_canonical(filler)))
-        dims.append((relation, filler))
+        dims.append((relation, check(filler)))
 
     vocab: set[str] = set()
     per_target: dict[str, list[tuple[int, float]]] = {}
@@ -442,10 +435,10 @@ def load_space(directory: str) -> WeightedSpace:
             raise ConsistencyError(f"dimension id {dim} is not in the catalog")
         per_target.setdefault(target, []).append((dim_id, float(score)))
 
-    arg: list[tuple[str, str, Token, float]] = []
+    arg: list[tuple[str, str, str, float]] = []
 
     def arg_row(target: str, filler: str, score: str) -> None:
-        arg.append((target, ARG, parse_canonical(filler), float(score)))
+        arg.append((target, ARG, check(filler), float(score)))
 
     parse_tsv(catalog_path, catalog_text, 3, catalog_row)
     parse_tsv(vocab_path, vocab_text, 1, vocab.add)
@@ -457,10 +450,10 @@ def load_space(directory: str) -> WeightedSpace:
         raise CorpusError(f"{rows_path}: {exc}") from None
     # ARG rankings are stored whole in arg.tsv; every other slot's is read off the rows
     from_rows = (
-        (target, *slots[dim_id], score)
+        (target, *dims[dim_id], score)
         for target, pairs in per_target.items()
         for dim_id, score in pairs
-        if slots[dim_id][0] != ARG
+        if dims[dim_id][0] != ARG
     )
     index = FillerIndex(itertools.chain(from_rows, arg))
     return WeightedSpace(DimensionCatalog(dims), rows, index, frozenset(vocab), manifest)

@@ -1,9 +1,10 @@
 """Sparse (target, relation, filler) count tensors.
 
-Counts are plain integers keyed by triples; per-coordinate marginals and
-the grand total are maintained incrementally so expected-count formulas
-never rescan the tensor. Zero entries are never stored. Serialization is
-a sorted TSV plus a small sidecar, byte-deterministic for a given input.
+Counts are plain integers keyed by triples of strings: the canonical
+``lemma-pos`` target and filler and the relation label. Zero entries are
+never stored. Marginals are not kept on each ``add``; weighting computes
+them in one pass over the counts. Serialization is a sorted TSV plus a
+small sidecar, byte-deterministic for a given input.
 
 ``write_artifact`` and ``read_artifact`` are the one writer and reader
 behind every body-plus-sidecar artifact: the sidecar's ``content_hash``
@@ -16,77 +17,51 @@ import contextlib
 import hashlib
 import io
 import os
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .errors import ConsistencyError, CorpusError
-from .tokens import Token, parse_canonical
+from .tokens import canonical_checker
 
-Triple = tuple[Token, str, Token]
+# (target, relation, filler); target and filler are canonical ``lemma-pos``
+# strings, so triples sort in canonical order as they are
+Triple = tuple[str, str, str]
 
 
 @dataclass
 class CooccurrenceTensor:
-    counts: Counter = field(default_factory=Counter)
-    total: int = 0
-    target_marginals: Counter = field(default_factory=Counter)
-    relation_marginals: Counter = field(default_factory=Counter)
-    filler_marginals: Counter = field(default_factory=Counter)
+    counts: dict[Triple, int] = field(default_factory=dict)
     # sha256 of the count artifact on disk these counts were loaded or
     # derived from; empty for counts built in memory
     source_hash: str = ""
 
-    def add(self, target: Token, relation: str, filler: Token, count: int = 1) -> None:
+    def add(self, target: str, relation: str, filler: str, count: int = 1) -> None:
         if count <= 0:
             raise ValueError("count increments must be positive")
-        self.counts[(target, relation, filler)] += count
-        self.total += count
-        self.target_marginals[target] += count
-        self.relation_marginals[relation] += count
-        self.filler_marginals[filler] += count
+        key = (target, relation, filler)
+        self.counts[key] = self.counts.get(key, 0) + count
 
-    def count(self, target: Token, relation: str, filler: Token) -> int:
+    def count(self, target: str, relation: str, filler: str) -> int:
         return self.counts.get((target, relation, filler), 0)
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
 
     def __len__(self) -> int:
         return len(self.counts)
 
     def entries(self) -> Iterator[tuple[Triple, int]]:
         """Iterate entries in canonical (target, relation, filler) order."""
-        for key in sorted(self.counts, key=_triple_key):
+        for key in sorted(self.counts):
             yield key, self.counts[key]
-
-    def relations(self) -> list[str]:
-        return sorted(self.relation_marginals)
-
-    def validate(self) -> None:
-        """Recompute marginals by full summation and compare. O(entries)."""
-        targets: Counter = Counter()
-        relations: Counter = Counter()
-        fillers: Counter = Counter()
-        total = 0
-        for (t, r, f), count in self.counts.items():
-            if count <= 0:
-                raise ConsistencyError(f"stored zero/negative count for {(t, r, f)}")
-            targets[t] += count
-            relations[r] += count
-            fillers[f] += count
-            total += count
-        if (
-            total != self.total
-            or targets != self.target_marginals
-            or relations != self.relation_marginals
-            or fillers != self.filler_marginals
-        ):
-            raise ConsistencyError("tensor marginals disagree with entry sums")
 
     # -- serialization ---------------------------------------------------
 
     def to_tsv(self) -> str:
         out = io.StringIO()
         for (t, r, f), count in self.entries():
-            out.write(f"{t.canonical}\t{r}\t{f.canonical}\t{count}\n")
+            out.write(f"{t}\t{r}\t{f}\t{count}\n")
         return out.getvalue()
 
     def content_hash(self) -> str:
@@ -101,24 +76,13 @@ class CooccurrenceTensor:
     def load(cls, path: str) -> "CooccurrenceTensor":
         text, meta = read_artifact(path)
         tensor = cls(source_hash=meta["content_hash"])
+        check = canonical_checker()
 
         def row(t: str, r: str, f: str, count: str) -> None:
-            tensor.add(parse_canonical(t), r, parse_canonical(f), int(count))
+            tensor.add(check(t), r, check(f), int(count))
 
         parse_tsv(path, text, 4, row)
         return tensor
-
-    @classmethod
-    def from_entries(cls, entries: Iterable[tuple[Triple, int]]) -> "CooccurrenceTensor":
-        tensor = cls()
-        for (t, r, f), count in entries:
-            tensor.add(t, r, f, count)
-        return tensor
-
-
-def _triple_key(key: Triple):
-    t, r, f = key
-    return (t.canonical, r, f.canonical)
 
 
 def sidecar_path(path: str) -> str:

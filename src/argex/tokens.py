@@ -4,11 +4,17 @@ The atomic unit everywhere downstream is a lowercased lemma paired with a
 coarse tag, rendered canonically as ``lemma-pos`` (``arrest-v``,
 ``policeman-n``). Only nouns and verbs are representable; everything else
 is outside the model vocabulary by construction.
+
+Below the edges (parsing, counting, weighting, spaces) a token is its
+canonical string: string tuples sort in canonical order, so no key is
+re-rendered to be sorted or written. ``Token`` is the parsed form that
+datasets, queries and the CLI hand in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ConfigError
 
@@ -36,10 +42,7 @@ class Token:
     pos: str
 
     def __post_init__(self):
-        if not self.lemma or any(c.isspace() for c in self.lemma):
-            raise ValueError(f"invalid lemma: {self.lemma!r}")
-        if self.pos not in COARSE_TAGS:
-            raise ValueError(f"invalid coarse tag: {self.pos!r}")
+        _check_lemma_pos(self.lemma, self.pos)
 
     @property
     def canonical(self) -> str:
@@ -49,15 +52,45 @@ class Token:
         return self.canonical
 
 
-def parse_canonical(text: str) -> Token:
-    """Parse a ``lemma-pos`` rendering back into a Token.
+def _check_lemma_pos(lemma: str, pos: str) -> None:
+    if not lemma or any(c.isspace() for c in lemma):
+        raise ValueError(f"invalid lemma: {lemma!r}")
+    if pos not in COARSE_TAGS:
+        raise ValueError(f"invalid coarse tag: {pos!r}")
 
-    The split is on the last hyphen, so hyphenated lemmas round-trip.
-    """
+
+def _split_canonical(text: str) -> tuple[str, str]:
+    """(lemma, pos) of a ``lemma-pos`` rendering, split on the last hyphen
+    so hyphenated lemmas round-trip."""
     lemma, sep, pos = text.rpartition("-")
     if not sep or not lemma:
         raise ValueError(f"not a lemma-pos rendering: {text!r}")
-    return Token(lemma, pos)
+    return lemma, pos
+
+
+def parse_canonical(text: str) -> Token:
+    """Parse a ``lemma-pos`` rendering back into a Token."""
+    return Token(*_split_canonical(text))
+
+
+def canonical_checker() -> Callable[[str], str]:
+    """A check for token strings read from an artifact.
+
+    The returned function raises ``ValueError`` unless its argument is a
+    ``lemma-pos`` rendering that ``parse_canonical`` accepts. Each
+    distinct string is checked once; later calls return the first copy
+    seen, so a loaded artifact holds one string per token.
+    """
+    seen: dict[str, str] = {}
+
+    def check(text: str) -> str:
+        known = seen.get(text)
+        if known is None:
+            _check_lemma_pos(*_split_canonical(text))
+            known = seen[text] = text
+        return known
+
+    return check
 
 
 def inverse(relation: str) -> str:
@@ -96,8 +129,8 @@ def coarse_pos(fine_tag: str, pos_map=DEFAULT_POS_PREFIXES) -> str | None:
     return None
 
 
-def normalize(lemma: str, fine_tag: str, pos_map=DEFAULT_POS_PREFIXES) -> Token | None:
-    """Turn a raw (lemma, fine tag) pair into a Token, or None.
+def normalize(lemma: str, fine_tag: str, pos_map=DEFAULT_POS_PREFIXES) -> str | None:
+    """Turn a raw (lemma, fine tag) pair into a canonical token, or None.
 
     None means the surface position still exists but can never enter the
     vocabulary: unmapped POS, empty lemma, or a lemma with whitespace.
@@ -108,4 +141,4 @@ def normalize(lemma: str, fine_tag: str, pos_map=DEFAULT_POS_PREFIXES) -> Token 
     lemma = lemma.lower()
     if not lemma or any(c.isspace() for c in lemma):
         return None
-    return Token(lemma, coarse)
+    return f"{lemma}-{coarse}"

@@ -12,26 +12,16 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import ConsistencyError, UndefinedModelError
 from .tensor import CooccurrenceTensor, Triple, parse_tsv, read_artifact, write_artifact
-from .tokens import ARG, Token, VERB_LINK, is_inverse, parse_canonical
+from .tokens import ARG, VERB_LINK, canonical_checker, is_inverse
 
 
 def format_score(value: float) -> str:
     """17 significant digits: enough for exact float64 round-trips."""
     return f"{value:.17g}"
-
-
-def expected_count(tensor: CooccurrenceTensor, t: Token, r: str, f: Token) -> float:
-    """Count expected under full independence of the three coordinates."""
-    n = tensor.total
-    if n <= 0:
-        raise UndefinedModelError("expected counts are undefined for an empty tensor")
-    return n * (tensor.target_marginals.get(t, 0) / n) * (
-        tensor.relation_marginals.get(r, 0) / n
-    ) * (tensor.filler_marginals.get(f, 0) / n)
 
 
 def lmi(observed: int, expected: float) -> float:
@@ -54,20 +44,17 @@ class WeightedTensor:
     scores: dict[Triple, float] = field(default_factory=dict)
     source_hash: str = ""
 
-    def score(self, t: Token, r: str, f: Token) -> float:
-        return self.scores.get((t, r, f), 0.0)
-
     def __len__(self) -> int:
         return len(self.scores)
 
     def entries(self) -> Iterator[tuple[Triple, float]]:
-        for key in sorted(self.scores, key=lambda k: (k[0].canonical, k[1], k[2].canonical)):
+        for key in sorted(self.scores):
             yield key, self.scores[key]
 
     def to_tsv(self) -> str:
         out = io.StringIO()
         for (t, r, f), score in self.entries():
-            out.write(f"{t.canonical}\t{r}\t{f.canonical}\t{format_score(score)}\n")
+            out.write(f"{t}\t{r}\t{f}\t{format_score(score)}\n")
         return out.getvalue()
 
     def save(self, path: str, sidecar: dict[str, str] | None = None) -> str:
@@ -82,9 +69,10 @@ class WeightedTensor:
     def load(cls, path: str) -> "WeightedTensor":
         text, meta = read_artifact(path)
         weighted = cls(source_hash=meta.get("source_hash", ""))
+        check = canonical_checker()
 
         def row(t: str, r: str, f: str, score: str) -> None:
-            weighted.scores[(parse_canonical(t), r, parse_canonical(f))] = float(score)
+            weighted.scores[(check(t), r, check(f))] = float(score)
 
         parse_tsv(path, text, 4, row)
         return weighted
@@ -93,28 +81,34 @@ class WeightedTensor:
 def weight_tensor(tensor: CooccurrenceTensor) -> WeightedTensor:
     """Score every triple; keep only strictly positive weights.
 
-    ``source_hash`` is the one the counts were loaded with (empty for
-    counts built in memory).
+    The expected count of a triple is the count under full independence
+    of its three coordinates, from the target, relation and filler
+    marginals, which are summed in one pass here. ``source_hash`` is the
+    one the counts were loaded with (empty for counts built in memory).
     """
-    if tensor.total <= 0:
+    counts = tensor.counts
+    targets: dict[str, int] = {}
+    relations: dict[str, int] = {}
+    fillers: dict[str, int] = {}
+    for (t, r, f), count in counts.items():
+        targets[t] = targets.get(t, 0) + count
+        relations[r] = relations.get(r, 0) + count
+        fillers[f] = fillers.get(f, 0) + count
+    n = sum(targets.values())
+    if n <= 0:
         raise UndefinedModelError("cannot weight an empty tensor")
     weighted = WeightedTensor(source_hash=tensor.source_hash)
-    n = tensor.total
-    for (t, r, f), observed in tensor.counts.items():
-        expected = n * (tensor.target_marginals[t] / n) * (
-            tensor.relation_marginals[r] / n
-        ) * (tensor.filler_marginals[f] / n)
+    for (t, r, f), observed in counts.items():
+        expected = n * (targets[t] / n) * (relations[r] / n) * (fillers[f] / n)
         value = lmi(observed, expected)
         if value > 0.0:
             weighted.scores[(t, r, f)] = value
     return weighted
 
 
-def default_collapse_relations(tensor: CooccurrenceTensor) -> frozenset[str]:
-    """All direct dependency relations: no inverses, no synthetic VERB link."""
-    return frozenset(
-        r for r in tensor.relation_marginals if not is_inverse(r) and r != VERB_LINK
-    )
+def default_collapse_relations(triples: Iterable[Triple]) -> frozenset[str]:
+    """All direct dependency relations of ``triples``: no inverses, no synthetic VERB link."""
+    return frozenset(r for (_, r, _) in triples if not is_inverse(r) and r != VERB_LINK)
 
 
 def collapse_relations(
@@ -127,7 +121,7 @@ def collapse_relations(
     of the collapsed tensor itself; ``source_hash`` is the input's.
     """
     if relation_filter is None:
-        relation_filter = default_collapse_relations(tensor)
+        relation_filter = default_collapse_relations(tensor.counts)
     collapsed = CooccurrenceTensor(source_hash=tensor.source_hash)
     for (t, r, f), count in tensor.counts.items():
         if r in relation_filter:
@@ -145,9 +139,7 @@ def max_over_relations(
     maximum score it reaches under any single kept relation.
     """
     if relation_filter is None:
-        relation_filter = frozenset(
-            r for (_, r, _) in weighted.scores if not is_inverse(r) and r != VERB_LINK
-        )
+        relation_filter = default_collapse_relations(weighted.scores)
     out = WeightedTensor(source_hash=weighted.source_hash)
     for (t, r, f), score in weighted.scores.items():
         if r not in relation_filter:

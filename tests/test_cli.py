@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from argex.cli import main
 from argex.tensor import read_sidecar, write_sidecar
+from argex.tokens import parse_canonical
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, conll_text
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -285,6 +286,41 @@ class TestStages:
         assert str(damaged) in err
         assert "Traceback" not in err
 
+    def test_hyphenated_lemmas_end_to_end(self, tmp_path, capsys):
+        # lemmas split on their last hyphen; read-v and read-out-n sort one way
+        # as Tokens and the other as canonical strings
+        sentences = [
+            [("doctor", "NN", 2, "sbj"), ("re-read", "VB", 0, "root"), ("x-ray", "NN", 2, "obj")],
+            [("nurse", "NN", 2, "sbj"), ("read", "VB", 0, "root"), ("read-out", "NN", 2, "obj")],
+            [("nurse", "NN", 2, "sbj"), ("read", "VB", 0, "root"), ("chart", "NN", 2, "obj")],
+        ] * 2
+        corpus = tmp_path / "hyphens.conll"
+        corpus.write_text(conll_text(sentences), encoding="utf-8")
+        conf = tmp_path / "hyphens.conf"
+        conf.write_text(f"corpus_paths={corpus}\nvocab_threshold=1\n", encoding="utf-8")
+        out = str(tmp_path / "out")
+        base = ("-c", str(conf), "--out-dir", out)
+        assert run_cli(capsys, "ingest", *base)[0] == 0
+        assert run_cli(capsys, "weight", *base)[0] == 0
+
+        tensor = open(os.path.join(out, "deps.tensor.tsv"), encoding="utf-8").read()
+        assert "doctor-n\tVERB\tx-ray-n\t2\n" in tensor
+        assert "x-ray-n\tVERB_inv\tdoctor-n\t2\n" in tensor
+        for probe, listing in (
+            (("--target", "re-read-v", "--slot", "obj"), "re-read-v/obj: x-ray-n\n"),
+            (("--target", "x-ray-n", "--slot", "obj_inv"), "x-ray-n/obj_inv: re-read-v\n"),
+            (("--target", "nurse-n", "--slot", "VERB"), "nurse-n/VERB: chart-n, read-out-n\n"),
+        ):
+            code, printed, _ = run_cli(capsys, "fillers", *base, *probe)
+            assert (code, printed) == (0, listing)
+
+        for name in ("deps.tensor.tsv", "vocab.tsv"):
+            lines = open(os.path.join(out, name), encoding="utf-8").read().splitlines()
+            keys = [line.split("\t")[:-1] for line in lines]
+            assert keys == sorted(keys), name
+            as_tokens = [[parse_canonical(key[0]), *key[1:]] for key in keys]
+            assert as_tokens != sorted(as_tokens), name
+
     def test_sweep_covers_the_configured_grid(self, chow_out, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -465,6 +501,18 @@ class TestGuards:
             "--target", "steal", "--slot", "obj",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_fillers_k_below_one_is_refused_before_loading(self, tmp_path, capsys, k):
+        # tmp_path holds no space archive: the flag is refused before any load
+        code, out, err = run_cli(
+            capsys,
+            "fillers", "-c", BICKNELL_CONF, "--out-dir", str(tmp_path),
+            "--target", "arrest-v", "--slot", "obj", "--k", k,
+        )
+        assert code == 2
+        assert "--k" in err and "argex weight" not in err and "Traceback" not in err
+        assert out == ""
 
 
 class TestEnvironment:

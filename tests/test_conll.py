@@ -2,7 +2,7 @@ import pytest
 
 from argex.conll import ColumnConfig, ParseStats, parse_conll_file, parse_conll_stream
 from argex.errors import CorpusError
-from argex.tokens import DEFAULT_POS_PREFIXES, Token
+from argex.tokens import DEFAULT_POS_PREFIXES
 
 from conftest import conll_text, parse_text
 
@@ -22,9 +22,9 @@ class TestBasicParsing:
         stats = ParseStats()
         records = parse(text, stats)
         assert [r.sentence_id for r in records] == [0, 1]
-        assert records[0].tokens == [Token("dog", "n"), Token("run", "v")]
+        assert records[0].tokens == ["dog-n", "run-v"]
         arc = records[0].arcs[0]
-        assert (arc.head, arc.relation, arc.dependent) == (Token("run", "v"), "sbj", Token("dog", "n"))
+        assert (arc.head, arc.relation, arc.dependent) == ("run-v", "sbj", "dog-n")
         assert (arc.head_pos, arc.dep_pos) == (1, 0)
         assert stats.sentences == 2
         assert stats.rows == 3
@@ -40,13 +40,13 @@ class TestBasicParsing:
         text = "# sent_id = 1\r\n1\tcat\tcat\tNN\tNN\t_\t0\troot\t_\t_\r\n\r\n"
         stats = ParseStats()
         records = parse(text, stats)
-        assert records[0].tokens == [Token("cat", "n")]
+        assert records[0].tokens == ["cat-n"]
         assert stats.rows == 1  # the comment line is not a row
 
     def test_unmapped_pos_keeps_position(self):
         text = conll_text([[("the", "DT", 2, "det"), ("dog", "NN", 0, "root")]])
         records = parse(text)
-        assert records[0].tokens == [None, Token("dog", "n")]
+        assert records[0].tokens == [None, "dog-n"]
 
     def test_first_sentence_id_offset(self):
         text = conll_text([[("cat", "NN", 0, "root")]])
@@ -71,16 +71,16 @@ class TestMalformedRows:
         stats = ParseStats()
         records = list(parse_conll_stream(lines, stats=stats))
         assert stats.malformed_rows == 1
-        assert records[0].tokens == [Token("dog", "n"), Token("see", "v")]
+        assert records[0].tokens == ["dog-n", "see-v"]
         arc = records[0].arcs[0]
-        assert arc.head == Token("dog", "n")
-        assert arc.dependent == Token("see", "v")
+        assert arc.head == "dog-n"
+        assert arc.dependent == "see-v"
 
     def test_token_kept_when_arc_fields_missing(self):
         lines = ["1\tdog\tdog\tNN\tNN\t_", ""]
         stats = ParseStats()
         records = list(parse_conll_stream(lines, stats=stats))
-        assert records[0].tokens == [Token("dog", "n")]
+        assert records[0].tokens == ["dog-n"]
         assert records[0].arcs == []
         assert stats.malformed_rows == 1
 
@@ -89,7 +89,7 @@ class TestMalformedRows:
         lines = [f"1\tdog\tdog\tNN\tNN\t_\t{head}\tsbj\t_\t_", ""]
         stats = ParseStats()
         records = list(parse_conll_stream(lines, stats=stats))
-        assert records[0].tokens == [Token("dog", "n")]
+        assert records[0].tokens == ["dog-n"]
         assert records[0].arcs == []
         assert stats.malformed_rows == 1
 
@@ -126,8 +126,8 @@ class TestCustomColumns:
         lines = ["dogs\tdog\tNN\t2\tsbj", "saw\tsee\tVB\t0\troot", ""]
         records = list(parse_conll_stream(lines, columns))
         arc = records[0].arcs[0]
-        assert arc.head == Token("see", "v")
-        assert arc.dependent == Token("dog", "n")
+        assert arc.head == "see-v"
+        assert arc.dependent == "dog-n"
 
 
 class TestFileParsing:

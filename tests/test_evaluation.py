@@ -318,7 +318,7 @@ def _from_scratch(space, variant, task, items, index):
         ]
     pairs, skipped, n_failed = [], [], 0
     for item_id, required, (inputs_a, cand_a), (inputs_b, cand_b) in conditions:
-        missing = sorted({t.canonical for t in required if t not in space})
+        missing = sorted({t.canonical for t in required if t.canonical not in space})
         if missing:
             skipped.append((item_id, "oov: " + " ".join(missing)))
             continue

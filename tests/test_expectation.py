@@ -95,7 +95,7 @@ class TestBuildPrototype:
         deps_space, _ = mini_spaces
         query = SlotQuery(Token("serve", "v"), "obj")
         proto = build_prototype(deps_space, DEPS, query)
-        ranked = top_k_fillers(deps_space.index, query.input, "obj", DEPS.k)
+        ranked = top_k_fillers(deps_space.index, query.input.canonical, "obj", DEPS.k)
         manual = sum_vectors([vector_of(deps_space, tok) for tok in ranked.tokens()])
         assert proto.vector == manual
         assert proto.space_id == deps_space.space_id
@@ -108,7 +108,7 @@ class TestBuildPrototype:
         variant = ModelVariant(VariantKind.DEPS, 1, Composition.SUM)
         query = SlotQuery(Token("waitress", "n"), "sbj_inv")
         proto = build_prototype(deps_space, variant, query)
-        top = top_k_fillers(deps_space.index, query.input, "sbj_inv", 1).tokens()[0]
+        top = top_k_fillers(deps_space.index, query.input.canonical, "sbj_inv", 1).tokens()[0]
         assert proto.vector == vector_of(deps_space, top)
 
     def test_oov_input_raises(self, mini_spaces):
@@ -142,7 +142,7 @@ class TestBuildPrototype:
     def test_boa_uses_arg_rankings_over_deps_vectors(self, mini_spaces):
         deps_space, _ = mini_spaces
         proto = build_prototype(deps_space, BOA, SlotQuery(Token("waitress", "n"), ARG))
-        ranked = top_k_fillers(deps_space.index, Token("waitress", "n"), ARG, BOA.k)
+        ranked = top_k_fillers(deps_space.index, "waitress-n", ARG, BOA.k)
         assert not ranked.empty
         manual = sum_vectors([vector_of(deps_space, tok) for tok in ranked.tokens()])
         assert proto.vector == manual
@@ -187,7 +187,7 @@ class TestExpectationUpdate:
         inputs = [SlotQuery(Token("waitress", "n"), "sbj_inv")]
         result = expectation_update(deps_space, DEPS, inputs, Token("serve", "v"))
         proto = build_prototype(deps_space, DEPS, inputs[0])
-        expected = cosine(vector_of(deps_space, Token("serve", "v")), proto.vector)
+        expected = cosine(vector_of(deps_space, "serve-v"), proto.vector)
         assert result.score == expected.value
         assert result.prototype_sizes == (len(proto),)
 
@@ -201,7 +201,7 @@ class TestExpectationUpdate:
         p1 = build_prototype(deps_space, DEPS, inputs[0])
         p2 = build_prototype(deps_space, DEPS, inputs[1])
         manual = compose(p1, p2, Composition.SUM)
-        assert result.score == cosine(vector_of(deps_space, Token("serve", "v")), manual.vector).value
+        assert result.score == cosine(vector_of(deps_space, "serve-v"), manual.vector).value
         assert result.expectation.vector == manual.vector
         assert result.prototype_sizes == (len(p1), len(p2))
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from argex.corpus import load_vocabulary
 from argex.errors import ConsistencyError, CorpusError, OutOfVocabularyError
 from argex.space import (
     DimensionCatalog,
@@ -26,8 +27,8 @@ from argex.space import (
     top_k_fillers,
     vector_of,
 )
-from argex.tensor import CooccurrenceTensor, read_sidecar, write_sidecar
-from argex.tokens import ARG, Token
+from argex.tensor import CooccurrenceTensor, read_sidecar, write_artifact, write_sidecar
+from argex.tokens import ARG
 from argex.weighting import WeightedTensor, weight_tensor
 
 from conftest import spaces_from_text
@@ -240,8 +241,8 @@ class TestCatalog:
 
 def toy_weighted():
     tensor = CooccurrenceTensor()
-    see, eat = Token("see", "v"), Token("eat", "v")
-    dog, cat, bird = Token("dog", "n"), Token("cat", "n"), Token("bird", "n")
+    see, eat = "see-v", "eat-v"
+    dog, cat, bird = "dog-n", "cat-n", "bird-n"
     tensor.add(see, "sbj", dog, 8)
     tensor.add(see, "sbj", cat, 4)
     tensor.add(see, "obj", bird, 6)
@@ -265,12 +266,12 @@ def append_verified(directory: str, name: str, line: str) -> None:
 
 def toy_space() -> WeightedSpace:
     vocab = [
-        Token("see", "v"),
-        Token("eat", "v"),
-        Token("dog", "n"),
-        Token("cat", "n"),
-        Token("bird", "n"),
-        Token("ant", "n"),
+        "see-v",
+        "eat-v",
+        "dog-n",
+        "cat-n",
+        "bird-n",
+        "ant-n",
     ]
     return build_space(toy_weighted(), vocab)
 
@@ -279,7 +280,7 @@ class TestRanking:
     def test_order_is_score_then_canonical(self):
         weighted = toy_weighted()
         index = build_space(weighted, []).index
-        see = Token("see", "v")
+        see = "see-v"
         ranked = top_k_fillers(index, see, "sbj", 5)
         scores = [s for _, s in ranked.fillers]
         assert scores == sorted(scores, reverse=True)
@@ -289,29 +290,29 @@ class TestRanking:
 
     def test_ties_break_on_canonical(self):
         weighted = toy_weighted()
-        a, b, t = Token("aaa", "n"), Token("bbb", "n"), Token("tie", "v")
+        a, b, t = "aaa-n", "bbb-n", "tie-v"
         score = next(iter(weighted.scores.values()))
         weighted.scores[(t, "sbj", a)] = 1.25
         weighted.scores[(t, "sbj", b)] = 1.25
         index = build_space(weighted, []).index
         ranked = top_k_fillers(index, t, "sbj", 2)
-        assert [tok.canonical for tok in ranked.tokens()] == ["aaa-n", "bbb-n"]
+        assert ranked.tokens() == ["aaa-n", "bbb-n"]
         assert score  # silence the unused-variable hint
 
     def test_k_validation(self):
         index = build_space(toy_weighted(), []).index
         with pytest.raises(ValueError):
-            top_k_fillers(index, Token("see", "v"), "sbj", 0)
+            top_k_fillers(index, "see-v", "sbj", 0)
 
     def test_missing_slot_is_empty(self):
         index = build_space(toy_weighted(), []).index
-        ranked = top_k_fillers(index, Token("zebra", "n"), "sbj", 3)
+        ranked = top_k_fillers(index, "zebra-n", "sbj", 3)
         assert ranked.empty
         assert ranked.fillers == []
 
     def test_prefix_stability_over_k(self):
         index = build_space(toy_weighted(), []).index
-        see = Token("see", "v")
+        see = "see-v"
         previous = []
         for k in (1, 2, 3, 4, 5):
             current = top_k_fillers(index, see, "sbj", k).fillers
@@ -322,31 +323,31 @@ class TestRanking:
 class TestSpace:
     def test_vector_of_in_vocab(self):
         space = toy_space()
-        v = vector_of(space, Token("see", "v"))
+        v = vector_of(space, "see-v")
         assert len(v) == 3
 
     def test_vector_of_vocab_token_without_row(self):
         space = toy_space()
-        assert vector_of(space, Token("ant", "n")) == EMPTY_VECTOR
+        assert vector_of(space, "ant-n") == EMPTY_VECTOR
 
     def test_vector_of_oov_raises(self):
         space = toy_space()
         with pytest.raises(OutOfVocabularyError):
-            vector_of(space, Token("zebra", "n"))
+            vector_of(space, "zebra-n")
 
     def test_contains(self):
         space = toy_space()
-        assert Token("ant", "n") in space
-        assert Token("zebra", "n") not in space
+        assert "ant-n" in space
+        assert "zebra-n" not in space
 
     def test_row_coordinates_match_weights(self):
         space = toy_space()
         weighted = toy_weighted()
-        see = Token("see", "v")
+        see = "see-v"
         v = vector_of(space, see)
         for dim_id, score in v.items():
             rel, filler = space.catalog.pair_of(dim_id)
-            assert score == weighted.scores[(see, rel, Token(*filler.rsplit("-", 1)))]
+            assert score == weighted.scores[(see, rel, filler)]
 
     def test_archive_round_trip(self, tmp_path):
         space = toy_space()
@@ -414,7 +415,7 @@ class TestSpace:
 
     def test_corpus_relation_named_arg_round_trips(self, tmp_path):
         # an ARG dimension joins the ARG ranking, which arg.tsv stores whole
-        see, dog, cat = Token("see", "v"), Token("dog", "n"), Token("cat", "n")
+        see, dog, cat = "see-v", "dog-n", "cat-n"
         weighted = toy_weighted()
         weighted.scores[(see, ARG, dog)] = 0.5
         extra = WeightedTensor(scores={(see, ARG, cat): 0.75, (see, ARG, dog): 0.25})
@@ -444,7 +445,7 @@ class TestSpace:
         old = toy_space()
         directory = str(tmp_path / "space")
         save_space(old, directory)
-        new = build_space(toy_weighted(), [Token("see", "v"), Token("eat", "v")])
+        new = build_space(toy_weighted(), ["see-v", "eat-v"])
         real_replace = os.replace
 
         def crash_at(src, dst):
@@ -469,3 +470,49 @@ class TestSpace:
         assert space.manifest["format_version"] == "2"
         assert space.manifest["n_targets"] == str(len(space.rows))
         assert space.manifest["n_dims"] == str(len(space.catalog))
+
+
+def bad_artifact(load, name: str, body: str):
+    """Set-up of a hash-verified artifact ``name`` holding ``body``: (path, its loader)."""
+
+    def setup(tmp_path):
+        path = str(tmp_path / name)
+        write_artifact(path, body, {})
+        return path, lambda: load(path)
+
+    return setup
+
+
+def bad_archive(name: str, line):
+    """Set-up of a verified toy archive with ``line(space)`` appended to ``name``."""
+
+    def setup(tmp_path):
+        space = toy_space()
+        directory = str(tmp_path / "space")
+        save_space(space, directory)
+        append_verified(directory, name, line(space))
+        return os.path.join(directory, name), lambda: load_space(directory)
+
+    return setup
+
+
+class TestTokenChecksAtLoad:
+    # each loader checks every distinct token string once; a bad one is an input error at its line
+    @pytest.mark.parametrize(
+        "setup",
+        [
+            bad_artifact(CooccurrenceTensor.load, "t.tsv", "see-v\tsbj\tdog-n\t2\nsee-v\tobj\tdog\t1\n"),
+            bad_artifact(WeightedTensor.load, "w.tsv", "see-v\tsbj\tdog-n\t0.5\nsee-q\tobj\tdog-n\t0.5\n"),
+            bad_artifact(WeightedTensor.load, "w.tsv", "see-v\tsbj\tdog-n\t0.5\nsee-v\tobj\tbig dog-n\t0.5\n"),
+            bad_artifact(lambda path: load_vocabulary(path, 1), "vocab.tsv", "dog-n\t3\n-n\t2\n"),
+            bad_archive("catalog.tsv", lambda space: f"{len(space.catalog)}\tobj\tdog-x\n"),
+            bad_archive("arg.tsv", lambda space: "see-v\tdog\t0.5\n"),
+        ],
+        ids=["tensor-filler", "weighted-target", "weighted-filler", "vocab", "catalog-filler", "arg-filler"],
+    )
+    def test_non_lemma_pos_token_in_a_verified_body_names_path_and_line(self, tmp_path, setup):
+        path, load = setup(tmp_path)
+        with open(path, encoding="utf-8") as fh:
+            last_line = fh.read().count("\n")
+        with pytest.raises(CorpusError, match=f"{os.path.basename(path)}:{last_line}:"):
+            load()

@@ -11,11 +11,10 @@ from argex.tensor import (
     write_artifact,
     write_sidecar,
 )
-from argex.tokens import Token
 
-DOG = Token("dog", "n")
-CAT = Token("cat", "n")
-SEE = Token("see", "v")
+DOG = "dog-n"
+CAT = "cat-n"
+SEE = "see-v"
 
 
 def small_tensor() -> CooccurrenceTensor:
@@ -32,9 +31,6 @@ class TestCounting:
         assert tensor.total == 5
         assert tensor.count(SEE, "sbj", DOG) == 2
         assert tensor.count(SEE, "sbj", CAT) == 0
-        assert tensor.target_marginals[SEE] == 3
-        assert tensor.relation_marginals["sbj"] == 2
-        assert tensor.filler_marginals[DOG] == 2
         assert len(tensor) == 3
 
     def test_add_merges_repeat_triples(self):
@@ -51,25 +47,8 @@ class TestCounting:
 
     def test_entries_sorted(self):
         tensor = small_tensor()
-        keys = [(t.canonical, r, f.canonical) for (t, r, f), _ in tensor.entries()]
+        keys = [key for key, _ in tensor.entries()]
         assert keys == sorted(keys)
-
-    def test_relations_sorted(self):
-        assert small_tensor().relations() == ["obj", "sbj", "sbj_inv"]
-
-
-class TestMergeAndValidate:
-    def test_validate_detects_corrupt_marginals(self):
-        tensor = small_tensor()
-        tensor.target_marginals[SEE] += 1
-        with pytest.raises(ConsistencyError):
-            tensor.validate()
-
-    def test_validate_detects_corrupt_total(self):
-        tensor = small_tensor()
-        tensor.total += 1
-        with pytest.raises(ConsistencyError):
-            tensor.validate()
 
 
 class TestSerialization:
@@ -81,7 +60,6 @@ class TestSerialization:
         assert loaded.counts == tensor.counts
         assert loaded.total == tensor.total
         assert loaded.content_hash() == digest
-        loaded.validate()
 
     def test_resave_is_byte_identical(self, tmp_path):
         tensor = small_tensor()
@@ -145,12 +123,6 @@ class TestSerialization:
     def test_missing_file_raises(self):
         with pytest.raises(CorpusError):
             CooccurrenceTensor.load("/nonexistent/t.tsv")
-
-    def test_from_entries_round_trip(self):
-        tensor = small_tensor()
-        rebuilt = CooccurrenceTensor.from_entries(tensor.entries())
-        assert rebuilt.counts == tensor.counts
-        assert rebuilt.content_hash() == tensor.content_hash()
 
     def test_content_hash_ignores_insertion_order(self):
         a = CooccurrenceTensor()

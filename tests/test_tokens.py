@@ -4,6 +4,7 @@ from argex.errors import ConfigError
 from argex.tokens import (
     DEFAULT_POS_PREFIXES,
     Token,
+    canonical_checker,
     coarse_pos,
     compile_pos_map,
     inverse,
@@ -40,6 +41,16 @@ class TestToken:
     def test_parse_canonical_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_canonical(text)
+        with pytest.raises(ValueError):
+            canonical_checker()(text)
+
+    def test_checker_returns_one_copy_per_string(self):
+        check = canonical_checker()
+        first = "".join(["mother-in-law", "-n"])
+        assert check(first) is first
+        again = "".join(["mother-in-law", "-n"])
+        assert again is not first and check(again) is first
+        assert parse_canonical(first).canonical == first
 
 
 class TestInverse:
@@ -70,7 +81,7 @@ class TestPosMap:
 
 class TestNormalize:
     def test_lowercases_lemma(self):
-        assert normalize("Waitress", "NN") == Token("waitress", "n")
+        assert normalize("Waitress", "NN") == "waitress-n"
 
     def test_unmapped_pos_is_none(self):
         assert normalize("the", "DT") is None
@@ -81,5 +92,5 @@ class TestNormalize:
 
     def test_custom_map(self):
         rules = compile_pos_map("NOUN:n,VERB:v")
-        assert normalize("Dog", "NOUN", rules) == Token("dog", "n")
+        assert normalize("Dog", "NOUN", rules) == "dog-n"
         assert normalize("dog", "NN", rules) is None
