@@ -9,34 +9,32 @@ Progress and diagnostics go to stderr; stdout carries the human-readable
 summary. Machine-readable results go to files under the output
 directory. Exit codes: 0 success, 2 input error, 3 query error,
 4 internal-consistency error.
+
+Each command imports the stage modules it uses, so a one-shot query
+loads no parsing, counting or scoring code.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import glob
-import io
-import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from .conll import ColumnConfig, ParseStats, SentenceRecord, parse_conll_file
 from .config import (
+    ALL_TASKS,
+    TASK_BICKNELL_ACC1,
+    TASK_BICKNELL_ACC2,
+    TASK_CHOW,
+    Composition,
     PipelineConfig,
+    VariantKind,
     config_hash,
     ingest_hash,
     load_config,
     space_hash,
 )
-from .corpus import (
-    build_vocabulary,
-    extract_dependency_counts,
-    extract_window_counts,
-    load_vocabulary,
-    save_vocabulary,
-)
-from .datasets import BicknellMode, load_bicknell, load_chow
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -47,30 +45,12 @@ from .errors import (
     StaleArtifactError,
     UndefinedModelError,
 )
-from .evaluation import (
-    BicknellSlots,
-    ChowSlots,
-    EvalReport,
-    TASK_BICKNELL_ACC1,
-    TASK_BICKNELL_ACC2,
-    TASK_CHOW,
-    evaluate_grid,
-    per_item_csv,
-    per_k_csv,
-    report_to_json,
-)
-from .expectation import Composition, VariantKind
-from .space import WeightedSpace, build_space, load_space, save_space, top_k_fillers
 from .tensor import CooccurrenceTensor, read_sidecar, sidecar_path, write_bytes_atomic
 from .tokens import WINDOW, compile_pos_map, parse_canonical
-from .weighting import (
-    WeightedTensor,
-    collapse_relations,
-    max_over_relations,
-    weight_tensor,
-)
 
-ALL_TASKS = (TASK_BICKNELL_ACC1, TASK_BICKNELL_ACC2, TASK_CHOW)
+if TYPE_CHECKING:
+    from .evaluation import EvalReport
+    from .space import WeightedSpace
 
 
 def _note(message: str) -> None:
@@ -89,18 +69,52 @@ def artifact_paths(out_dir: str) -> dict[str, str]:
     }
 
 
+def _dead_holder(lock: str) -> int | None:
+    """The pid recorded in ``lock`` if no such process exists, else None.
+
+    An empty or unreadable lock (its writer may not have written the pid
+    yet) and a live pid, even one this process may not signal, give None.
+    """
+    try:
+        with open(lock, encoding="ascii") as fh:
+            pid = int(fh.read())
+        if pid < 1:
+            return None
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return pid
+    except (OSError, ValueError):
+        return None
+    return None
+
+
 @contextlib.contextmanager
 def _locked(out_dir: str):
-    """Single-writer guard: stages refuse to write a locked directory."""
+    """Single-writer guard: stages refuse to write a locked directory.
+
+    A lock whose recorded process is gone (a killed run) is removed with
+    a note on stderr, and the stage goes ahead.
+    """
     os.makedirs(out_dir, exist_ok=True)
     lock = os.path.join(out_dir, ".lock")
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
+    busy = ConfigError(
+        f"output directory {out_dir} is locked by another stage "
+        f"(remove {lock} if that run is dead)"
+    )
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        fd = os.open(lock, flags)
     except FileExistsError:
-        raise ConfigError(
-            f"output directory {out_dir} is locked by another stage "
-            f"(remove {lock} if that run is dead)"
-        ) from None
+        pid = _dead_holder(lock)
+        if pid is None:
+            raise busy from None
+        _note(f"removing stale lock {lock}: process {pid} is not running")
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(lock)
+        try:
+            fd = os.open(lock, flags)
+        except FileExistsError:
+            raise busy from None
     try:
         os.write(fd, f"{os.getpid()}\n".encode("ascii"))
         os.close(fd)
@@ -143,6 +157,14 @@ def _require_stamp(meta_source: str, recorded: str | None, expected: str, produc
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    from .conll import ColumnConfig, ParseStats, SentenceRecord, parse_conll_file
+    from .corpus import (
+        build_vocabulary,
+        extract_dependency_counts,
+        extract_window_counts,
+        save_vocabulary,
+    )
+
     config = _config_from_args(args)
     if not config.corpus_paths:
         raise ConfigError("corpus_paths is empty; nothing to ingest")
@@ -197,6 +219,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_weight(args: argparse.Namespace) -> int:
+    from .corpus import load_vocabulary
+    from .space import build_space, save_space
+    from .weighting import WeightedTensor, collapse_relations, max_over_relations, weight_tensor
+
     config = _config_from_args(args)
     paths = artifact_paths(config.out_dir)
     stamp_in = ingest_hash(config)
@@ -253,6 +279,8 @@ def cmd_weight(args: argparse.Namespace) -> int:
 
 
 def _load_space_checked(config: PipelineConfig, which: str) -> WeightedSpace:
+    from .space import load_space
+
     paths = artifact_paths(config.out_dir)
     directory = paths[f"{which}_space"]
     _require_artifact(directory, "weight")
@@ -262,6 +290,8 @@ def _load_space_checked(config: PipelineConfig, which: str) -> WeightedSpace:
 
 
 def cmd_fillers(args: argparse.Namespace) -> int:
+    from .space import top_k_fillers
+
     config = _config_from_args(args)
     try:
         target = parse_canonical(args.target).canonical
@@ -329,6 +359,8 @@ def _evaluate(
     k_values,
     items,
 ) -> dict[tuple[Composition, int], EvalReport]:
+    from .evaluation import BicknellSlots, ChowSlots, evaluate_grid
+
     space, index = spaces.for_variant(kind)
     if task == TASK_CHOW:
         slots = ChowSlots(agent=config.chow_agent_slot, patient=config.chow_patient_slot)
@@ -340,6 +372,8 @@ def _evaluate(
 
 
 def _load_items(task: str, path: str):
+    from .datasets import BicknellMode, load_bicknell, load_chow
+
     if task == TASK_CHOW:
         return load_chow(path)
     mode = BicknellMode.ACC1 if task == TASK_BICKNELL_ACC1 else BicknellMode.ACC2
@@ -360,6 +394,8 @@ def _provenance(config: PipelineConfig, spaces: _SpaceCache, kind: VariantKind, 
 
 
 def _write_report(reports_dir: str, report: EvalReport, provenance: dict[str, str]) -> str:
+    from .evaluation import per_item_csv, report_to_json
+
     base = os.path.join(reports_dir, f"{report.task}.{report.variant.label}")
     write_bytes_atomic(base + ".json", report_to_json(report, provenance).encode("utf-8"))
     write_bytes_atomic(base + ".items.csv", per_item_csv(report).encode("utf-8"))
@@ -367,6 +403,8 @@ def _write_report(reports_dir: str, report: EvalReport, provenance: dict[str, st
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .evaluation import per_k_csv
+
     config = _config_from_args(args)
     task = args.task
     kind = VariantKind.from_string(args.kind)
@@ -405,6 +443,8 @@ def _parse_k_list(text: str) -> tuple[int, ...]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .evaluation import per_k_csv
+
     config = _config_from_args(args)
     if args.task:
         tasks = [args.task]
@@ -456,12 +496,15 @@ def _dataset_path_or_none(config: PipelineConfig, task: str) -> str | None:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    import glob
+    import json
+
     config = _config_from_args(args)
     reports_dir = artifact_paths(config.out_dir)["reports"]
     rows = []
     for path in sorted(glob.glob(os.path.join(reports_dir, "*.json"))):
         try:
-            with io.open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
             variant = data["variant"]
             rows.append(

@@ -5,18 +5,51 @@ comma-separated lists; `#` starts a comment. Artifacts are stamped with
 hashes of the config projection that determines their content, so a
 stage refuses to consume artifacts produced under different settings
 instead of silently mixing them.
+
+The task names, model variants and compositions a config selects are
+defined here, so reading a config loads no scoring code.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import enum
 import hashlib
 import io
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .expectation import Composition, VariantKind
 from .tokens import VERB_LINK, compile_pos_map, inverse
+
+TASK_BICKNELL_ACC1 = "bicknell-acc1"
+TASK_BICKNELL_ACC2 = "bicknell-acc2"
+TASK_CHOW = "chow"
+ALL_TASKS = (TASK_BICKNELL_ACC1, TASK_BICKNELL_ACC2, TASK_CHOW)
+
+
+class VariantKind(enum.Enum):
+    DEPS = "deps"
+    BOA = "boa"
+    BOW = "bow"
+
+    @classmethod
+    def from_string(cls, text: str) -> "VariantKind":
+        try:
+            return cls(text.strip().lower())
+        except ValueError:
+            raise ConfigError(f"unknown model variant {text!r}; expected deps, boa, or bow") from None
+
+
+class Composition(enum.Enum):
+    SUM = "sum"
+    MULT = "mult"
+
+    @classmethod
+    def from_string(cls, text: str) -> "Composition":
+        try:
+            return cls(text.strip().lower())
+        except ValueError:
+            raise ConfigError(f"unknown composition {text!r}; expected sum or mult") from None
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ but contributes no arc. Both cases increment the malformed counter.
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -92,6 +93,8 @@ def parse_conll_stream(
         stats = ParseStats()
     sentence_id = first_sentence_id
     rows: list[list[str] | None] = []  # None marks a row dropped as malformed
+    # a corpus repeats few distinct (lemma, fine tag) pairs: normalize each once
+    token_of = functools.cache(lambda lemma, fine_tag: normalize(lemma, fine_tag, pos_map))
 
     def finish() -> SentenceRecord | None:
         nonlocal sentence_id
@@ -101,7 +104,7 @@ def parse_conll_stream(
         tokens: list[str | None] = []
         raw_heads: list[tuple[int, str] | None] = []
         for fields_ in kept:
-            tokens.append(normalize(fields_[columns.lemma], fields_[columns.pos], pos_map))
+            tokens.append(token_of(fields_[columns.lemma], fields_[columns.pos]))
             if len(fields_) < columns.min_arc_fields:
                 stats.malformed_rows += 1
                 raw_heads.append(None)

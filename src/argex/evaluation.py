@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .config import TASK_BICKNELL_ACC1, TASK_BICKNELL_ACC2, TASK_CHOW
 from .datasets import BicknellItem, BicknellMode, ChowItem
 from .errors import EmptyPrototypeError
 from .expectation import (
@@ -29,12 +30,9 @@ from .expectation import (
 )
 from .space import WeightedSpace, cosine, vector_of
 from .stats import ChiSquareTest, RankSumTest, chi_square_vs_chance, wilcoxon_rank_sum
+from .tensor import format_score
 from .tokens import Token, VERB_LINK, inverse
-from .weighting import format_score
 
-TASK_BICKNELL_ACC1 = "bicknell-acc1"
-TASK_BICKNELL_ACC2 = "bicknell-acc2"
-TASK_CHOW = "chow"
 
 # Condition labels per task, in (a, b) order: a is the condition the
 # model should prefer.

@@ -9,10 +9,10 @@ scored by cosine against the combined expectation.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+from .config import Composition, VariantKind
 from .errors import ConfigError, EmptyPrototypeError, OutOfVocabularyError, SpaceMismatchError
 from .space import (
     CosineResult,
@@ -29,31 +29,6 @@ from .space import (
 from .tokens import ARG, Token, WINDOW
 
 PAPER_K_GRID = (10, 20, 30, 40, 50)
-
-
-class VariantKind(enum.Enum):
-    DEPS = "deps"
-    BOA = "boa"
-    BOW = "bow"
-
-    @classmethod
-    def from_string(cls, text: str) -> "VariantKind":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ConfigError(f"unknown model variant {text!r}; expected deps, boa, or bow") from None
-
-
-class Composition(enum.Enum):
-    SUM = "sum"
-    MULT = "mult"
-
-    @classmethod
-    def from_string(cls, text: str) -> "Composition":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ConfigError(f"unknown composition {text!r}; expected sum or mult") from None
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ positive association scores, plus, for each (target, relation), the
 fillers ranked by descending score. Spaces are immutable once built and
 round-trip bit-exactly through their on-disk archive (a directory of
 sorted TSV files with a hash-verified manifest). The archive stores
-scores only: every ranking is rebuilt at load, from the rows for the
-dependency slots and from ``arg.tsv`` for the ARG slot.
+scores only: every ranking is rebuilt from the rows for the dependency
+slots and from ``arg.tsv`` for the ARG slot. A loaded space verifies and
+checks the whole archive, but parses a target's row and rankings only
+when the target is first used.
 """
 
 from __future__ import annotations
@@ -14,17 +16,20 @@ from __future__ import annotations
 import bisect
 import hashlib
 import io
-import itertools
 import math
 import operator
 import os
+import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import ConsistencyError, CorpusError, OutOfVocabularyError, StaleArtifactError
-from .tensor import decode_utf8, parse_tsv, read_bytes, read_sidecar, write_bytes_atomic, write_sidecar
+from .tensor import decode_utf8, format_score, read_bytes, read_sidecar, write_bytes_atomic, write_sidecar
 from .tokens import ARG, canonical_checker
-from .weighting import WeightedTensor, format_score
+
+if TYPE_CHECKING:
+    from .weighting import WeightedTensor
 
 FORMAT_VERSION = "2"
 _DATA_FILES = ("catalog.tsv", "vocab.tsv", "rows.tsv", "arg.tsv")
@@ -193,7 +198,7 @@ class DimensionCatalog:
 
     def __init__(self, dimensions: Sequence[tuple[str, str]]):
         self._dims = tuple(dimensions)
-        self._by_pair = {pair: i for i, pair in enumerate(self._dims)}
+        self._by_pair = dict(zip(self._dims, range(len(self._dims))))
         if len(self._by_pair) != len(self._dims):
             raise ConsistencyError("duplicate dimensions in catalog")
 
@@ -234,6 +239,11 @@ class RankedFillers:
         return [t for t, _ in self.fillers]
 
 
+def _ranked(fillers: list[tuple[str, float]]) -> tuple[tuple[str, float], ...]:
+    """Score descending, then canonical filler."""
+    return tuple(sorted(fillers, key=lambda pair: (-pair[1], pair[0])))
+
+
 class FillerIndex:
     """Per (target, relation) filler rankings: score desc, then canonical filler.
 
@@ -245,10 +255,7 @@ class FillerIndex:
         groups: dict[tuple[str, str], list[tuple[str, float]]] = {}
         for target, relation, filler, score in entries:
             groups.setdefault((target, relation), []).append((filler, score))
-        self._rankings = {
-            key: tuple(sorted(fillers, key=lambda pair: (-pair[1], pair[0])))
-            for key, fillers in groups.items()
-        }
+        self._rankings = {key: _ranked(fillers) for key, fillers in groups.items()}
 
     def __len__(self) -> int:
         return len(self._rankings)
@@ -271,7 +278,7 @@ def top_k_fillers(index: FillerIndex, target: str, relation: str, k: int) -> Ran
 @dataclass
 class WeightedSpace:
     catalog: DimensionCatalog
-    rows: dict[str, SparseVector]
+    rows: Mapping[str, SparseVector]
     index: FillerIndex
     vocabulary: frozenset[str]
     manifest: dict[str, str] = field(default_factory=dict)
@@ -393,11 +400,198 @@ def save_space(space: WeightedSpace, directory: str) -> str:
     return space.manifest["space_id"]
 
 
+# A verified archive is read with a few whole-file regex passes, which
+# check the layout of every line and every token, and the dimension ids.
+# Then rows.tsv and arg.tsv are indexed by target block (a target's
+# consecutive lines), and a block is parsed the first time its target's
+# row or a ranking of it is read.
+_FIELD = r"[^\t\n]+"
+_SCORE = r"[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?"  # format_score of a non-negative finite float
+_CATALOG_LINES = re.compile(rf"(?:[0-9]+\t{_FIELD}\t{_FIELD}\n)*")
+_CATALOG_LINE = re.compile(rf"([0-9]+)\t({_FIELD})\t({_FIELD})\n")
+_ROWS_BLOCK = re.compile(rf"({_FIELD})\t[0-9]+\t{_SCORE}\n(?:\1\t[0-9]+\t{_SCORE}\n)*")
+_ARG_BLOCK = re.compile(rf"({_FIELD})\t{_FIELD}\t{_SCORE}\n(?:\1\t{_FIELD}\t{_SCORE}\n)*")
+_MIDDLE = re.compile(rf"\t({_FIELD})\t")  # of each line: the dimension id or the filler
+_PAIR = re.compile(rf"\t({_FIELD})\t({_FIELD})\n")  # of each line: (middle field, score)
+
+
+def _line_of(text: str, offset: int) -> int:
+    return text.count("\n", 0, offset) + 1
+
+
+def _malformed(path: str, text: str, offset: int, layout: str) -> CorpusError:
+    line = text[offset:].partition("\n")[0]
+    return CorpusError(f"{path}:{_line_of(text, offset)}: expected {layout}, got {line!r}")
+
+
+def _check_column(path: str, column: list[str], check, known: frozenset[str] = frozenset()) -> None:
+    """Check each distinct token of a one-per-line ``column`` not in ``known``; a bad one names its line."""
+    for token in dict.fromkeys(column):
+        if token not in known:
+            try:
+                check(token)
+            except ValueError as exc:
+                raise CorpusError(f"{path}:{column.index(token) + 1}: {exc}") from None
+
+
+def _read_catalog(path: str, text: str, check, known: frozenset[str]) -> list[tuple[str, str]]:
+    if _CATALOG_LINES.fullmatch(text) is None:
+        raise _malformed(path, text, _CATALOG_LINES.match(text).end(), "dimension id, relation, filler")
+    lines = _CATALOG_LINE.findall(text)
+    ids = list(map(operator.itemgetter(0), lines))
+    if ids != list(map(str, range(len(ids)))):
+        first = next(i for i, dim_id in enumerate(ids) if dim_id != str(i))
+        raise ConsistencyError(f"{path}:{first + 1}: dimension id {ids[first]} out of sequence")
+    _check_column(path, list(map(operator.itemgetter(2), lines)), check, known)
+    return list(map(operator.itemgetter(1, 2), lines))
+
+
+def _target_blocks(
+    path: str, text: str, block: re.Pattern, layout: str, check, known: frozenset[str]
+) -> dict[str, list[tuple[int, int]]]:
+    """Each target's block offsets; every line must fit ``block``'s layout and every target be a token.
+
+    A target whose lines are not consecutive has several blocks.
+    """
+    blocks: dict[str, list[tuple[int, int]]] = {}
+    end = 0
+    for match in block.finditer(text):
+        if match.start() != end:
+            break
+        target = match.group(1)
+        if target not in known:
+            try:
+                check(target)
+            except ValueError as exc:
+                raise CorpusError(f"{path}:{_line_of(text, end)}: {exc}") from None
+        blocks.setdefault(target, []).append(match.span())
+        end = match.end()
+    if end != len(text):
+        raise _malformed(path, text, end, layout)
+    return blocks
+
+
+def _check_dim_ids(path: str, text: str, n_dims: int) -> None:
+    dim_ids = _MIDDLE.findall(text)
+    if dim_ids and max(map(int, set(dim_ids))) >= n_dims:
+        first = next(i for i, dim_id in enumerate(dim_ids) if int(dim_id) >= n_dims)
+        raise ConsistencyError(f"{path}:{first + 1}: dimension id {dim_ids[first]} is not in the catalog")
+
+
+class _ArchiveRows(Mapping):
+    """The rows of a verified archive, each target parsed on first use.
+
+    Parsing a target's block builds its row and all of its rankings: the
+    dependency slots' from its ``rows.tsv`` lines through the catalog,
+    ``ARG`` from its ``arg.tsv`` lines. Iteration and ``len`` read only
+    the block index.
+    """
+
+    def __init__(self, dims, rows_path, rows_text, row_blocks, arg_text, arg_blocks):
+        self._dims = dims
+        self._rows_path, self._rows_text, self._row_blocks = rows_path, rows_text, row_blocks
+        self._arg_text, self._arg_blocks = arg_text, arg_blocks
+        self._unread = set(row_blocks) | set(arg_blocks)
+        self._rows: dict[str, SparseVector] = {}
+        self.rankings: dict[tuple[str, str], tuple[tuple[str, float], ...]] = {}
+
+    def read(self, target: str) -> None:
+        if target in self._unread:
+            self._parse(target)
+
+    def read_all(self) -> None:
+        for target in sorted(self._unread):
+            self._parse(target)
+
+    def _parse(self, target: str) -> None:
+        groups: dict[str, list[tuple[str, float]]] = {}
+        blocks = self._row_blocks.get(target)
+        if blocks is not None:
+            text = self._rows_text
+            pairs = [
+                (int(dim), float(score))
+                for start, end in blocks
+                for dim, score in _PAIR.findall(text, start, end)
+            ]
+            try:
+                self._rows[target] = SparseVector.from_pairs(pairs)
+            except ValueError as exc:  # the layout allows only one fault here: a repeated id
+                raise CorpusError(f"{self._rows_path}:{self._first_repeat(blocks)}: {exc}") from None
+            dims = self._dims
+            for dim_id, score in pairs:
+                relation, filler = dims[dim_id]
+                # the ARG ranking is stored whole in arg.tsv
+                if relation != ARG:
+                    groups.setdefault(relation, []).append((filler, score))
+        blocks = self._arg_blocks.get(target)
+        if blocks is not None:
+            text = self._arg_text
+            groups[ARG] = [
+                (filler, float(score))
+                for start, end in blocks
+                for filler, score in _PAIR.findall(text, start, end)
+            ]
+        for relation, fillers in groups.items():
+            self.rankings[(target, relation)] = _ranked(fillers)
+        self._unread.discard(target)
+
+    def _first_repeat(self, blocks) -> int:
+        """The line of the first dimension id that repeats one of the same target."""
+        seen = set()
+        for start, end in blocks:
+            for match in _PAIR.finditer(self._rows_text, start, end):
+                dim_id = int(match.group(1))
+                if dim_id in seen:
+                    return _line_of(self._rows_text, match.start())
+                seen.add(dim_id)
+        return _line_of(self._rows_text, blocks[0][0])
+
+    def __getitem__(self, target: str) -> SparseVector:
+        self.read(target)
+        return self._rows[target]
+
+    def get(self, target: str, default=None):
+        self.read(target)
+        return self._rows.get(target, default)
+
+    def __contains__(self, target) -> bool:
+        return target in self._row_blocks
+
+    def __iter__(self):
+        return iter(self._row_blocks)
+
+    def __len__(self) -> int:
+        return len(self._row_blocks)
+
+
+class _ArchiveIndex(FillerIndex):
+    """The rankings of an ``_ArchiveRows``: a target's are built when it is first looked up."""
+
+    def __init__(self, rows: _ArchiveRows):
+        self._archive = rows
+        self._rankings = rows.rankings
+
+    def __len__(self) -> int:
+        self._archive.read_all()
+        return len(self._rankings)
+
+    def keys(self):
+        self._archive.read_all()
+        return self._rankings.keys()
+
+    def ranking(self, target: str, relation: str) -> tuple[tuple[str, float], ...]:
+        self._archive.read(target)
+        return self._rankings.get((target, relation), ())
+
+
 def load_space(directory: str) -> WeightedSpace:
-    """Read an archive back and rebuild its rankings.
+    """Read an archive back; its rows and rankings are parsed per target on first use.
 
     The format version is checked first, then the bytes against the
-    manifest, and only then is anything parsed.
+    manifest, and only then is anything parsed. Every line's layout and
+    token, and every dimension id, is checked here; a target's block is
+    parsed on first use, which is where a duplicate dimension id in one
+    row is found. Any failure names ``path:line``.
     """
     manifest = read_sidecar(os.path.join(directory, "manifest.txt"))
     version = manifest.get("format_version")
@@ -417,43 +611,22 @@ def load_space(directory: str) -> WeightedSpace:
         )
     catalog_path, vocab_path, rows_path, arg_path = paths
     catalog_text, vocab_text, rows_text, arg_text = map(decode_utf8, paths, bodies)
+    del bodies
 
+    # every token is checked once, and most are vocabulary entries: checked first
     check = canonical_checker()
-    dims: list[tuple[str, str]] = []
-
-    def catalog_row(dim_id: str, relation: str, filler: str) -> None:
-        if int(dim_id) != len(dims):
-            raise ConsistencyError(f"dimension id {dim_id} out of sequence")
-        dims.append((relation, check(filler)))
-
-    vocab: set[str] = set()
-    per_target: dict[str, list[tuple[int, float]]] = {}
-
-    def rows_row(target: str, dim: str, score: str) -> None:
-        dim_id = int(dim)
-        if not 0 <= dim_id < len(dims):
-            raise ConsistencyError(f"dimension id {dim} is not in the catalog")
-        per_target.setdefault(target, []).append((dim_id, float(score)))
-
-    arg: list[tuple[str, str, str, float]] = []
-
-    def arg_row(target: str, filler: str, score: str) -> None:
-        arg.append((target, ARG, check(filler), float(score)))
-
-    parse_tsv(catalog_path, catalog_text, 3, catalog_row)
-    parse_tsv(vocab_path, vocab_text, 1, vocab.add)
-    parse_tsv(rows_path, rows_text, 3, rows_row)
-    parse_tsv(arg_path, arg_text, 3, arg_row)
-    try:
-        rows = {t: SparseVector.from_pairs(pairs) for t, pairs in per_target.items()}
-    except ValueError as exc:
-        raise CorpusError(f"{rows_path}: {exc}") from None
-    # ARG rankings are stored whole in arg.tsv; every other slot's is read off the rows
-    from_rows = (
-        (target, *dims[dim_id], score)
-        for target, pairs in per_target.items()
-        for dim_id, score in pairs
-        if dims[dim_id][0] != ARG
+    vocab = vocab_text.split("\n")
+    if not vocab[-1]:
+        vocab.pop()
+    _check_column(vocab_path, vocab, check)
+    known = frozenset(vocab)
+    dims = _read_catalog(catalog_path, catalog_text, check, known)
+    row_blocks = _target_blocks(
+        rows_path, rows_text, _ROWS_BLOCK, "target, dimension id, score", check, known
     )
-    index = FillerIndex(itertools.chain(from_rows, arg))
-    return WeightedSpace(DimensionCatalog(dims), rows, index, frozenset(vocab), manifest)
+    _check_dim_ids(rows_path, rows_text, len(dims))
+    arg_blocks = _target_blocks(arg_path, arg_text, _ARG_BLOCK, "target, filler, score", check, known)
+    _check_column(arg_path, _MIDDLE.findall(arg_text), check, known)
+    catalog = DimensionCatalog(dims)
+    rows = _ArchiveRows(catalog.pairs(), rows_path, rows_text, row_blocks, arg_text, arg_blocks)
+    return WeightedSpace(catalog, rows, _ArchiveIndex(rows), known, manifest)

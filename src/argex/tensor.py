@@ -85,6 +85,11 @@ class CooccurrenceTensor:
         return tensor
 
 
+def format_score(value: float) -> str:
+    """17 significant digits: enough for exact float64 round-trips."""
+    return f"{value:.17g}"
+
+
 def sidecar_path(path: str) -> str:
     return path + ".meta"
 

@@ -13,6 +13,7 @@ datasets, queries and the CLI hand in.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,6 +33,9 @@ ARG = "ARG"
 # Fine-grained tags are collapsed by prefix; tags that match nothing are
 # outside the vocabulary (determiners, adverbs, punctuation, ...).
 DEFAULT_POS_PREFIXES = (("N", NOUN), ("V", VERB_POS))
+
+# matches exactly the characters for which str.isspace() is true
+_WHITESPACE = re.compile(r"\s")
 
 
 @dataclass(frozen=True, order=True)
@@ -53,7 +57,7 @@ class Token:
 
 
 def _check_lemma_pos(lemma: str, pos: str) -> None:
-    if not lemma or any(c.isspace() for c in lemma):
+    if not lemma or _WHITESPACE.search(lemma):
         raise ValueError(f"invalid lemma: {lemma!r}")
     if pos not in COARSE_TAGS:
         raise ValueError(f"invalid coarse tag: {pos!r}")
@@ -139,6 +143,6 @@ def normalize(lemma: str, fine_tag: str, pos_map=DEFAULT_POS_PREFIXES) -> str | 
     if coarse is None:
         return None
     lemma = lemma.lower()
-    if not lemma or any(c.isspace() for c in lemma):
+    if not lemma or _WHITESPACE.search(lemma):
         return None
     return f"{lemma}-{coarse}"

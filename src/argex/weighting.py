@@ -15,13 +15,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import ConsistencyError, UndefinedModelError
-from .tensor import CooccurrenceTensor, Triple, parse_tsv, read_artifact, write_artifact
+from .tensor import CooccurrenceTensor, Triple, format_score, parse_tsv, read_artifact, write_artifact
 from .tokens import ARG, VERB_LINK, canonical_checker, is_inverse
-
-
-def format_score(value: float) -> str:
-    """17 significant digits: enough for exact float64 round-trips."""
-    return f"{value:.17g}"
 
 
 def lmi(observed: int, expected: float) -> float:

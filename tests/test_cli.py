@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -433,6 +435,31 @@ class TestGuards:
         assert run_cli(capsys, "ingest", "-c", BICKNELL_CONF, "--out-dir", out)[0] == 0
         assert not os.path.exists(lock)
 
+    def test_lock_of_a_dead_process_is_reclaimed(self, tmp_path, capsys):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        assert child.wait() == 0  # exited and reaped: its pid names no process
+        out = str(tmp_path)
+        lock = os.path.join(out, ".lock")
+        with open(lock, "w") as fh:
+            fh.write(f"{child.pid}\n")
+        code, _, err = run_cli(capsys, "ingest", "-c", BICKNELL_CONF, "--out-dir", out)
+        assert code == 0
+        assert f"removing stale lock {lock}: process {child.pid} is not running" in err
+        assert not os.path.exists(lock)
+        assert os.path.exists(os.path.join(out, "deps.tensor.tsv"))
+
+    def test_lock_of_a_live_process_is_kept(self, tmp_path, capsys):
+        out = str(tmp_path)
+        lock = os.path.join(out, ".lock")
+        with open(lock, "w") as fh:
+            fh.write(f"{os.getpid()}\n")
+        code, _, err = run_cli(capsys, "ingest", "-c", BICKNELL_CONF, "--out-dir", out)
+        assert code == 2
+        assert "locked" in err and "stale" not in err
+        with open(lock) as fh:
+            assert fh.read() == f"{os.getpid()}\n"
+        assert not os.path.exists(os.path.join(out, "deps.tensor.tsv"))
+
     def test_empty_corpus_paths(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys,
@@ -513,6 +540,28 @@ class TestGuards:
         assert code == 2
         assert "--k" in err and "argex weight" not in err and "Traceback" not in err
         assert out == ""
+
+
+class TestImportSet:
+    def test_fillers_imports_no_parsing_counting_or_scoring_module(self, bicknell_out):
+        argv = ["fillers", "-c", BICKNELL_CONF, "--out-dir", bicknell_out,
+                "--target", "arrest-v", "--slot", "obj", "--k", "3"]
+        script = (
+            "import sys\n"
+            "from argex.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, *sorted(name for name in sys.modules if name.startswith('argex.')))\n"
+        )
+        src = os.path.join(REPO_ROOT, "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run([sys.executable, "-c", script], cwd=REPO_ROOT, env=env,
+                                capture_output=True, text=True, check=True)
+        code, *modules = result.stdout.split("\n")[-2].split()
+        assert code == "0"
+        assert "argex.space" in modules
+        unused = {"argex.conll", "argex.corpus", "argex.datasets", "argex.evaluation",
+                  "argex.expectation", "argex.stats"}
+        assert unused.isdisjoint(modules), sorted(unused.intersection(modules))
 
 
 class TestEnvironment:

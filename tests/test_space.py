@@ -407,6 +407,56 @@ class TestSpace:
         with pytest.raises(ConsistencyError, match=f"rows.tsv:{n_rows + 1}: dimension id"):
             load_space(directory)
 
+    @pytest.mark.parametrize(
+        "name, line",
+        [
+            ("rows.tsv", "see-v\t0\n"),
+            ("rows.tsv", "see-v\t0\nzebra-n\t0\t1\n"),
+            ("rows.tsv", "see-v\tobj\t1\n"),
+            ("rows.tsv", "see-v\t0\t-1\n"),
+            ("rows.tsv", "see-v\t0\t1"),
+            ("arg.tsv", "see-v\tdog-n\tnan\n"),
+            ("arg.tsv", "see-v\tdog-n\t0.5\textra\n"),
+        ],
+        ids=["two-fields", "two-fields-then-a-good-line", "word-for-id", "negative-score", "no-final-newline", "nan-score", "four-fields"],
+    )
+    def test_verified_but_malformed_line_names_path_and_line(self, tmp_path, name, line):
+        space = toy_space()
+        directory = str(tmp_path / "space")
+        save_space(space, directory)
+        with open(os.path.join(directory, name), encoding="utf-8") as fh:
+            n_lines = fh.read().count("\n")
+        append_verified(directory, name, line)
+        with pytest.raises(CorpusError, match=f"{name}:{n_lines + 1}: expected"):
+            load_space(directory)
+
+    def test_repeated_dimension_id_is_found_when_its_target_is_first_read(self, tmp_path):
+        # the one check made per target block: the archive loads, the damaged target does not
+        space = toy_space()
+        directory = str(tmp_path / "space")
+        save_space(space, directory)
+        n_rows = sum(len(row) for row in space.rows.values())
+        assert max(space.rows) == "see-v"  # the last block, which the appended line extends
+        append_verified(directory, "rows.tsv", f"see-v\t{space.rows['see-v'].ids[0]}\t1\n")
+        loaded = load_space(directory)
+        assert loaded.rows["dog-n"] == space.rows["dog-n"]
+        for read in (lambda: loaded.rows["see-v"], lambda: loaded.index.ranking("see-v", "sbj")):
+            with pytest.raises(CorpusError, match=f"rows.tsv:{n_rows + 1}: duplicate dimension id"):
+                read()
+
+    def test_target_lines_apart_are_read_as_one_row(self, tmp_path):
+        space = toy_space()
+        directory = str(tmp_path / "space")
+        save_space(space, directory)
+        assert min(space.rows) == "dog-n"  # the first block: an appended line is a second one
+        extra = space.catalog.id_of("obj", "bird-n")
+        assert extra not in space.rows["dog-n"].ids
+        append_verified(directory, "rows.tsv", f"dog-n\t{extra}\t2.5\n")
+        loaded = load_space(directory)
+        assert dict(loaded.rows["dog-n"].items()) == {**dict(space.rows["dog-n"].items()), extra: 2.5}
+        assert loaded.index.ranking("dog-n", "obj") == (("bird-n", 2.5),)
+        assert loaded.index.ranking("dog-n", "sbj_inv") == space.index.ranking("dog-n", "sbj_inv")
+
     def test_extra_index_holds_arg_rankings_only(self):
         # arg.tsv stores the ARG slot alone; any other extra slot would not survive a save
         weighted = toy_weighted()
@@ -507,8 +557,14 @@ class TestTokenChecksAtLoad:
             bad_artifact(lambda path: load_vocabulary(path, 1), "vocab.tsv", "dog-n\t3\n-n\t2\n"),
             bad_archive("catalog.tsv", lambda space: f"{len(space.catalog)}\tobj\tdog-x\n"),
             bad_archive("arg.tsv", lambda space: "see-v\tdog\t0.5\n"),
+            bad_archive("rows.tsv", lambda space: "zebra\t0\t0.5\n"),
+            bad_archive("arg.tsv", lambda space: "zebra-q\tdog-n\t0.5\n"),
+            bad_archive("vocab.tsv", lambda space: "zebra\n"),
         ],
-        ids=["tensor-filler", "weighted-target", "weighted-filler", "vocab", "catalog-filler", "arg-filler"],
+        ids=[
+            "tensor-filler", "weighted-target", "weighted-filler", "vocab", "catalog-filler", "arg-filler",
+            "rows-target", "arg-target", "space-vocab",
+        ],
     )
     def test_non_lemma_pos_token_in_a_verified_body_names_path_and_line(self, tmp_path, setup):
         path, load = setup(tmp_path)
