@@ -92,55 +92,48 @@ def parse_conll_stream(
     if stats is None:
         stats = ParseStats()
     sentence_id = first_sentence_id
-    rows: list[list[str] | None] = []  # None marks a row dropped as malformed
+    rows: list[list[str]] = []  # rows long enough to yield a token
     # a corpus repeats few distinct (lemma, fine tag) pairs: normalize each once
     token_of = functools.cache(lambda lemma, fine_tag: normalize(lemma, fine_tag, pos_map))
+    col_lemma, col_pos, col_head, col_relation = (
+        columns.lemma, columns.pos, columns.head, columns.relation)
+    min_token_fields, min_arc_fields = columns.min_token_fields, columns.min_arc_fields
 
     def finish() -> SentenceRecord | None:
         nonlocal sentence_id
-        kept = [r for r in rows if r is not None]
-        if not kept:
+        if not rows:
             return None
+        n_rows = len(rows)
         tokens: list[str | None] = []
-        raw_heads: list[tuple[int, str] | None] = []
-        for fields_ in kept:
-            tokens.append(token_of(fields_[columns.lemma], fields_[columns.pos]))
-            if len(fields_) < columns.min_arc_fields:
+        links: list[tuple[int, int, str]] = []  # (dependent, head, relation) positions
+        for dep_pos, fields_ in enumerate(rows):
+            tokens.append(token_of(fields_[col_lemma], fields_[col_pos]))
+            if len(fields_) < min_arc_fields:
                 stats.malformed_rows += 1
-                raw_heads.append(None)
                 continue
-            head_field = fields_[columns.head].strip()
-            relation = fields_[columns.relation].strip()
+            head_field = fields_[col_head].strip()
+            relation = fields_[col_relation].strip()
             if head_field in ("", "_"):  # unattached row, not an error
-                raw_heads.append(None)
                 continue
             try:
                 head_idx = int(head_field)
             except ValueError:
                 stats.malformed_rows += 1
-                raw_heads.append(None)
                 continue
-            if head_idx < 0 or head_idx > len(kept) or not relation:
+            if head_idx < 0 or head_idx > n_rows or not relation:
                 stats.malformed_rows += 1
-                raw_heads.append(None)
                 continue
-            raw_heads.append((head_idx, relation))
+            if head_idx:  # 0 is the root: no governing arc
+                links.append((dep_pos, head_idx - 1, relation))
 
         arcs: list[DependencyArc] = []
-        for dep_pos, link in enumerate(raw_heads):
-            if link is None:
-                continue
-            head_idx, relation = link
-            if head_idx == 0:  # root
-                continue
-            head_token = tokens[head_idx - 1]
+        for dep_pos, head_pos, relation in links:
+            head_token = tokens[head_pos]
             dep_token = tokens[dep_pos]
             if head_token is None or dep_token is None:
                 stats.dropped_arcs += 1
                 continue
-            arcs.append(
-                DependencyArc(head_token, relation, dep_token, sentence_id, head_idx - 1, dep_pos)
-            )
+            arcs.append(DependencyArc(head_token, relation, dep_token, sentence_id, head_pos, dep_pos))
         record = SentenceRecord(sentence_id, tokens, arcs)
         sentence_id += 1
         stats.sentences += 1
@@ -160,9 +153,8 @@ def parse_conll_stream(
                 continue
             stats.rows += 1
             fields_ = line.split("\t")
-            if len(fields_) < columns.min_token_fields:
+            if len(fields_) < min_token_fields:
                 stats.malformed_rows += 1
-                rows.append(None)
                 continue
             rows.append(fields_)
         record = finish()

@@ -10,9 +10,12 @@ coverage is reported alongside accuracy.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import io
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -24,11 +27,10 @@ from .expectation import (
     ModelVariant,
     SlotQuery,
     VariantKind,
-    compose_vectors,
     map_slot,
     prefix_prototypes,
 )
-from .space import WeightedSpace, cosine, vector_of
+from .space import SparseVector, WeightedSpace, vector_of
 from .stats import ChiSquareTest, RankSumTest, chi_square_vs_chance, wilcoxon_rank_sum
 from .tensor import format_score
 from .tokens import Token, VERB_LINK, inverse
@@ -199,6 +201,122 @@ def _make_report(
     )
 
 
+# -- scoring kernels ----------------------------------------------------
+#
+# The grid never builds a composed vector. Its norms and its dot with a
+# candidate are folded straight from the two leaf prototypes, with the
+# same floating-point operations in the same order as ``add_vectors`` or
+# ``multiply_vectors``, then ``SparseVector.norm`` and ``cosine``: each
+# coordinate gets its single add or multiply, and every sum is a left
+# fold in increasing dimension order. The only extra terms are +0.0,
+# where ``multiply_vectors`` drops a product that underflows to zero;
+# adding +0.0 to a non-negative sum changes no bit.
+
+
+def _composed_norms(a: SparseVector, b: SparseVector) -> tuple[float, float]:
+    """|a+b| and |a*b| from one merge walk over the two sorted supports."""
+    a_ids, a_scores, b_ids, b_scores = a.ids, a.scores, b.ids, b.scores
+    n_a, n_b = len(a_ids), len(b_ids)
+    sq_sum = sq_prod = 0.0
+    i = j = 0
+    while i < n_a and j < n_b:
+        x, y = a_ids[i], b_ids[j]
+        if x == y:
+            s, t = a_scores[i], b_scores[j]
+            u = s + t
+            p = s * t
+            sq_sum += u * u
+            sq_prod += p * p
+            i += 1
+            j += 1
+        elif x < y:
+            s = a_scores[i]
+            sq_sum += s * s
+            i += 1
+        else:
+            t = b_scores[j]
+            sq_sum += t * t
+            j += 1
+    for s in a_scores[i:]:
+        sq_sum += s * s
+    for t in b_scores[j:]:
+        sq_sum += t * t
+    return math.sqrt(sq_sum), math.sqrt(sq_prod)
+
+
+def _candidate_dots(c: SparseVector, a: SparseVector, b: SparseVector) -> tuple[float, float]:
+    """c.(a+b) and c.(a*b) from one walk over c's dimensions.
+
+    Each dimension of ``c`` is looked up in ``a`` and ``b`` by binary
+    search, as ``SparseVector.dot`` does.
+    """
+    a_ids, a_scores, b_ids, b_scores = a.ids, a.scores, b.ids, b.scores
+    n_a, n_b = len(a_ids), len(b_ids)
+    search = bisect.bisect_left
+    dot_sum = dot_prod = 0.0
+    i = j = 0
+    for dim, score in zip(c.ids, c.scores):
+        i = search(a_ids, dim, i)
+        j = search(b_ids, dim, j)
+        if i < n_a and a_ids[i] == dim:
+            s = a_scores[i]
+            i += 1
+            if j < n_b and b_ids[j] == dim:
+                t = b_scores[j]
+                j += 1
+                dot_sum += score * (s + t)
+                dot_prod += score * (s * t)
+            else:
+                dot_sum += score * s
+        elif j < n_b and b_ids[j] == dim:
+            dot_sum += score * b_scores[j]
+            j += 1
+    return dot_sum, dot_prod
+
+
+def _cosine(dot: float, norm_c: float, norm_v: float) -> tuple[float, bool]:
+    """``cosine`` from its parts: (value, degenerate)."""
+    if norm_c == 0.0 or norm_v == 0.0:
+        return 0.0, True
+    return min(1.0, max(0.0, dot / (norm_c * norm_v))), False
+
+
+def _per_k(k_values, first: dict, second: dict, kernel, *head) -> dict:
+    """``kernel(*head, first[k], second[k])`` at every k, run once per
+    distinct pair of snapshots: past the length of a ranking,
+    ``prefix_prototypes`` hands out the same snapshot for every larger k."""
+    out = {}
+    a = b = result = None
+    for k in k_values:
+        if first[k] is not a or second[k] is not b:
+            a, b = first[k], second[k]
+            result = kernel(*head, a, b)
+        out[k] = result
+    return out
+
+
+def _condition_scores(space: WeightedSpace, memo: dict, condition, k_values) -> dict:
+    """Per k, the (SUM, MULT) cosines of one (inputs, candidate) condition.
+
+    ``memo`` holds the leaf snapshots by query, the composed norms by
+    input pair and the scores by condition.
+    """
+    scores = memo.get(condition)
+    if scores is None:
+        inputs, candidate = condition
+        first, second = memo[inputs[0]], memo[inputs[1]]
+        norms = memo.get(inputs)
+        if norms is None:
+            norms = memo[inputs] = _per_k(k_values, first, second, _composed_norms)
+        row = vector_of(space, candidate.canonical)
+        dots = _per_k(k_values, first, second, _candidate_dots, row)
+        scores = memo[condition] = {
+            k: (_cosine(dots[k][0], row.norm, norms[k][0]), _cosine(dots[k][1], row.norm, norms[k][1]))
+            for k in k_values
+        }
+    return scores
+
+
 def evaluate_grid(
     space: WeightedSpace,
     kind: VariantKind,
@@ -211,13 +329,17 @@ def evaluate_grid(
 ) -> dict[tuple[Composition, int], EvalReport]:
     """Score one task for one variant kind at every (composition, k).
 
-    The loop is item-major. Per item, each distinct leaf query is looked
-    up once for both conditions, and its ranking is walked once over the
-    sorted k values (``prefix_prototypes``). Per (composition, k), each
-    distinct input list is composed once and each distinct (inputs,
-    candidate) condition scored once. Only scores outlive the item. The
-    results equal ``expectation_update`` run from scratch for every
-    cell, bit for bit.
+    Leaf prototypes are shared across the items of the call: each
+    distinct leaf query is looked up once, and its ranking walked once
+    over the sorted k values (``prefix_prototypes``). Items are scored
+    grouped by their sorted leaf queries, so that items sharing leaves
+    run close together, and every leaf is dropped after the last item
+    that uses it; use counts are taken before scoring. For each distinct
+    input pair and k, one merge walk gives the norms of both the sum
+    and the product, and for each distinct condition one walk over the
+    candidate's row gives both dots. No composed vector is built. Pairs
+    and skip reasons come back in dataset order, and the results equal
+    ``expectation_update`` run from scratch for every cell, bit for bit.
 
     ``index`` overrides the ranking source; vectors always come from
     ``space``.
@@ -233,58 +355,73 @@ def evaluate_grid(
     cells = {
         (comp, k): ModelVariant(kind, k, comp) for comp in compositions for k in k_values
     }
-    pairs: dict[tuple[Composition, int], list[EvalPair]] = {cell: [] for cell in cells}
-    skipped: list[tuple[str, str]] = []
-    n_items = n_failed = 0
+    k_sorted = sorted(set(k_values))
+    # Per item in dataset order: (item_id, skip reason or None, scores of
+    # condition a, scores of condition b); scores are filled in below.
+    outcomes: list[tuple] = []
+    todo = []
+    uses: Counter = Counter()
     for item_id, required, cond_a, cond_b in conditions:
-        n_items += 1
         missing = _missing_tokens(space, required)
         if missing:
-            skipped.append((item_id, "oov: " + " ".join(missing)))
+            outcomes.append((item_id, "oov: " + " ".join(missing), None, None))
             continue
-        leaves = {}
-        try:
-            for query in cond_a[0] + cond_b[0]:
-                if query not in leaves:
-                    leaves[query] = prefix_prototypes(space, kind, query, k_values, index=index)
-        except EmptyPrototypeError as exc:
-            skipped.append((item_id, f"empty prototype: {exc.query}"))
+        queries = tuple(dict.fromkeys(cond_a[0] + cond_b[0]))
+        # the memo entries the item reads: leaves, input pairs, conditions
+        keys = queries + tuple(dict.fromkeys((cond_a[0], cond_b[0], cond_a, cond_b)))
+        uses.update(keys)
+        group = sorted((query.input.canonical, query.slot) for query in queries)
+        todo.append((group, len(outcomes), item_id, queries, keys, cond_a, cond_b))
+        outcomes.append(None)
+    todo.sort(key=lambda entry: (entry[0], entry[1]))
+
+    memo: dict = {}
+    n_failed = 0
+    for _, position, item_id, queries, keys, cond_a, cond_b in todo:
+        reason = None
+        for query in queries:
+            leaf = memo.get(query)
+            if leaf is None:
+                try:
+                    leaf = prefix_prototypes(space, kind, query, k_sorted, index=index)
+                except EmptyPrototypeError as exc:
+                    leaf = f"empty prototype: {exc.query}"
+                memo[query] = leaf
+            if isinstance(leaf, str):
+                reason = leaf
+                break
+        if reason is None:
+            outcomes[position] = (
+                item_id,
+                None,
+                _condition_scores(space, memo, cond_a, k_sorted),
+                _condition_scores(space, memo, cond_b, k_sorted),
+            )
+        else:
             n_failed += 1
-            continue
-        for (comp, k), cell_pairs in pairs.items():
-            composed = {}
-            scored = {}
-            for condition in (cond_a, cond_b):
-                if condition not in scored:
-                    inputs, candidate = condition
-                    vector = composed.get(inputs)
-                    if vector is None:
-                        vector = leaves[inputs[0]][k]
-                        for query in inputs[1:]:
-                            vector = compose_vectors(vector, leaves[query][k], comp)
-                        composed[inputs] = vector
-                    scored[condition] = cosine(vector_of(space, candidate.canonical), vector)
-            result_a, result_b = scored[cond_a], scored[cond_b]
-            if result_a.value > result_b.value:
+            outcomes[position] = (item_id, reason, None, None)
+        for key in keys:
+            uses[key] -= 1
+            if not uses[key]:
+                memo.pop(key, None)
+
+    skipped = [(item_id, reason) for item_id, reason, _, _ in outcomes if reason is not None]
+    scored = [(item_id, a, b) for item_id, reason, a, b in outcomes if reason is None]
+    reports = {}
+    for (comp, k), variant in cells.items():
+        which = 0 if comp is Composition.SUM else 1
+        pairs = []
+        for item_id, scores_a, scores_b in scored:
+            (value_a, degenerate_a), (value_b, degenerate_b) = scores_a[k][which], scores_b[k][which]
+            if value_a > value_b:
                 correct = Outcome.WIN
-            elif result_a.value == result_b.value:
+            elif value_a == value_b:
                 correct = Outcome.TIE
             else:
                 correct = Outcome.LOSS
-            cell_pairs.append(
-                EvalPair(
-                    item_id,
-                    result_a.value,
-                    result_b.value,
-                    result_a.degenerate,
-                    result_b.degenerate,
-                    correct,
-                )
-            )
-    return {
-        cell: _make_report(task, variant, n_items, n_failed, pairs[cell], list(skipped))
-        for cell, variant in cells.items()
-    }
+            pairs.append(EvalPair(item_id, value_a, value_b, degenerate_a, degenerate_b, correct))
+        reports[(comp, k)] = _make_report(task, variant, len(outcomes), n_failed, pairs, list(skipped))
+    return reports
 
 
 def run_bicknell(

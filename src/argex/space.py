@@ -14,6 +14,7 @@ when the target is first used.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import io
 import math
@@ -44,7 +45,10 @@ class SparseVector:
     norm: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "norm", math.sqrt(sum(map(operator.mul, self.scores, self.scores))))
+        # A plain left fold: builtin sum() of floats is compensated from
+        # Python 3.12 on, which would change the last bits of the scores.
+        squares = map(operator.mul, self.scores, self.scores)
+        object.__setattr__(self, "norm", math.sqrt(functools.reduce(operator.add, squares, 0.0)))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "SparseVector":

@@ -10,8 +10,10 @@ Run with: python3 -m pytest tests/test_acceptance.py -v
 """
 
 import contextlib
+import functools
 import json
 import math
+import operator
 import os
 import random
 import time
@@ -181,12 +183,18 @@ def _naive_prototype(weighted: dict, target: str, relation: str, k: int) -> dict
     return prototype
 
 
+def _fold(values) -> float:
+    """A plain left fold: builtin sum() of floats is compensated from
+    Python 3.12 on, so it would round differently per interpreter."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def _naive_cosine(a: dict, b: dict) -> float:
-    na = math.sqrt(sum(v * v for v in a.values()))
-    nb = math.sqrt(sum(v * v for v in b.values()))
+    na = math.sqrt(_fold(a[d] * a[d] for d in sorted(a)))
+    nb = math.sqrt(_fold(b[d] * b[d] for d in sorted(b)))
     if na == 0.0 or nb == 0.0:
         return 0.0
-    dot = sum(a[d] * b[d] for d in sorted(set(a) & set(b)))
+    dot = _fold(a[d] * b[d] for d in sorted(set(a) & set(b)))
     return min(1.0, max(0.0, dot / (na * nb)))
 
 

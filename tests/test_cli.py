@@ -1,6 +1,7 @@
 """End-to-end CLI runs: stages, guards, exit codes, determinism."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -562,6 +563,26 @@ class TestImportSet:
         unused = {"argex.conll", "argex.corpus", "argex.datasets", "argex.evaluation",
                   "argex.expectation", "argex.stats"}
         assert unused.isdisjoint(modules), sorted(unused.intersection(modules))
+
+
+class TestGoldenChecker:
+    """``scripts/check_golden.py`` is the byte check for interpreters without pytest."""
+
+    SCRIPT = os.path.join(REPO_ROOT, "scripts", "check_golden.py")
+
+    def test_fixtures_match_under_this_interpreter(self):
+        result = subprocess.run([sys.executable, self.SCRIPT], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.endswith(" 34 artifacts, 183 reports, 0 mismatches\n")
+
+    def test_each_mismatch_is_named(self):
+        spec = importlib.util.spec_from_file_location("check_golden", self.SCRIPT)
+        checker = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(checker)
+        pinned = {"a/gone": "1", "a/same": "2", "a/moved": "3"}
+        actual = {"a/same": "2", "a/moved": "4", "a/new": "5"}
+        assert checker.compare(pinned, actual) == [
+            "missing: a/gone", "not pinned: a/new", "differs: a/moved"]
 
 
 class TestEnvironment:

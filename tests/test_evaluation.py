@@ -1,12 +1,15 @@
 """Evaluation bookkeeping: tie policy, skipping, reports, sweeps."""
 
+import dataclasses
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from argex import evaluation
 from argex.datasets import BicknellItem, BicknellMode, ChowItem, load_bicknell, load_chow
 from argex.errors import EmptyPrototypeError
 from argex.evaluation import (
@@ -16,6 +19,9 @@ from argex.evaluation import (
     TASK_BICKNELL_ACC1,
     TASK_BICKNELL_ACC2,
     TASK_CHOW,
+    _candidate_dots,
+    _composed_norms,
+    _cosine,
     evaluate_grid,
     k_sweep,
     per_item_csv,
@@ -32,7 +38,9 @@ from argex.expectation import (
     VariantKind,
     expectation_update,
     map_slot,
+    prefix_prototypes,
 )
+from argex.space import SparseVector, add_vectors, cosine, multiply_vectors
 from argex.tokens import Token, VERB_LINK, inverse, parse_canonical
 
 from conftest import random_corpus_text, spaces_from_text
@@ -133,6 +141,25 @@ class TestRunBicknell:
         by_id_fwd = {p.item_id: (p.score_a, p.score_b) for p in report_fwd.pairs}
         by_id_shuf = {p.item_id: (p.score_a, p.score_b) for p in report_shuf.pairs}
         assert by_id_fwd == by_id_shuf
+        # items are scored grouped by leaf; the report keeps dataset order
+        items = list(acc2)
+        # copies that share leaves with the originals, scattered among them
+        items += [dataclasses.replace(it, item_id=f"{it.item_id}-copy") for it in acc2]
+        # one OOV item and one whose agent (a verb) has no VERB-link fillers
+        items.append(dataclasses.replace(acc2[3], item_id="ghost", patient_congruent=Token("zzz", "n")))
+        items.append(dataclasses.replace(acc2[5], item_id="verbal", agent_congruent=acc2[0].verb))
+        random.Random(11).shuffle(items)
+        report = run_bicknell(deps_space, DEPS_SUM, items, BicknellMode.ACC2)
+        reasons = dict(report.skipped)
+        assert reasons["ghost"].startswith("oov: ")
+        assert reasons["verbal"].startswith("empty prototype: ")
+        assert [p.item_id for p in report.pairs] == [
+            it.item_id for it in items if it.item_id not in reasons]
+        assert [item_id for item_id, _ in report.skipped] == [
+            it.item_id for it in items if it.item_id in reasons]
+        by_id = {p.item_id: (p.score_a, p.score_b) for p in report.pairs}
+        for it in acc2:
+            assert by_id[f"{it.item_id}-copy"] == by_id[it.item_id]
 
     def test_scores_match_direct_expectation_calls(self, bicknell_setup):
         deps_space, _, _, acc2 = bicknell_setup
@@ -408,3 +435,118 @@ class TestEvaluateGrid:
             assert got == pairs
             assert report.skipped == skipped
             assert (report.n_items, report.n_failed) == (n, n_failed)
+
+
+# -- the fused kernels of evaluate_grid --------------------------------
+
+# tiny scores make products (and squares) underflow to zero
+SCORES = st.one_of(
+    st.floats(min_value=1e-6, max_value=1e6),
+    st.sampled_from([1e-200, 3e-170, 5e-324, 1.0, 2.0]),
+)
+
+
+@st.composite
+def kernel_operands(draw):
+    """Leaves a and b with disjoint, nested, equal or overlapping
+    supports (either may be empty), and a candidate that may be absent
+    (empty) or have zero norm while non-empty."""
+    dims = st.lists(st.integers(0, 40), unique=True, max_size=25)
+    a_ids = draw(dims)
+    shape = draw(st.sampled_from(["overlap", "disjoint", "nested", "equal"]))
+    if shape == "disjoint":
+        b_ids = [d + 41 for d in draw(dims)]
+    elif shape == "nested":
+        b_ids = draw(st.lists(st.sampled_from(a_ids), unique=True)) if a_ids else []
+    elif shape == "equal":
+        b_ids = list(a_ids)
+    else:
+        b_ids = draw(dims)
+    c_shape = draw(st.sampled_from(["any", "absent", "zero-norm"]))
+    c_ids = [] if c_shape == "absent" else draw(st.lists(st.integers(0, 85), unique=True, max_size=30))
+
+    def vector(ids, scores):
+        return SparseVector.from_pairs(zip(ids, draw(st.lists(scores, min_size=len(ids), max_size=len(ids)))))
+
+    c_scores = st.sampled_from([1e-200, 5e-324]) if c_shape == "zero-norm" else SCORES
+    return vector(a_ids, SCORES), vector(b_ids, SCORES), vector(c_ids, c_scores)
+
+
+def _bits(result):
+    value, degenerate = result
+    return value.hex(), degenerate
+
+
+class TestScoringKernels:
+    @given(operands=kernel_operands())
+    @settings(max_examples=400, deadline=None)
+    def test_kernels_equal_built_vectors_and_cosine_bit_for_bit(self, operands):
+        a, b, c = operands
+        added, multiplied = add_vectors(a, b), multiply_vectors(a, b)
+        norm_sum, norm_prod = _composed_norms(a, b)
+        assert norm_sum.hex() == added.norm.hex()
+        assert norm_prod.hex() == multiplied.norm.hex()
+        dot_sum, dot_prod = _candidate_dots(c, a, b)
+        assert dot_sum.hex() == c.dot(added).hex()
+        assert dot_prod.hex() == c.dot(multiplied).hex()
+        assert _bits(_cosine(dot_sum, c.norm, norm_sum)) == _bits(cosine(c, added))
+        assert _bits(_cosine(dot_prod, c.norm, norm_prod)) == _bits(cosine(c, multiplied))
+
+    def test_zero_norm_candidate_and_underflowing_product_are_degenerate(self):
+        a = SparseVector((1, 2), (1e-200, 1.0))
+        b = SparseVector((1, 3), (1e-200, 1.0))
+        assert multiply_vectors(a, b) == SparseVector()  # 1e-400 underflows to 0
+        assert _composed_norms(a, b)[1] == 0.0
+        c = SparseVector((1,), (1e-200,))
+        assert c.norm == 0.0 and len(c) == 1
+        assert _cosine(0.0, c.norm, 1.0) == (0.0, True)
+
+
+class TestLeafSharing:
+    def test_each_leaf_is_walked_once_and_dropped_after_its_last_use(
+        self, bicknell_setup, monkeypatch
+    ):
+        """One call walks each distinct leaf query once, and at every
+        walk no leaf is alive that no later kernel call reads."""
+        deps_space, _, _, acc2 = bicknell_setup
+        items = list(acc2) + [dataclasses.replace(it, item_id=f"{it.item_id}-copy") for it in acc2]
+        items += [dataclasses.replace(acc2[i], item_id=f"mix{i}", verb=acc2[(i + 3) % len(acc2)].verb)
+                  for i in range(len(acc2))]
+        random.Random(3).shuffle(items)
+        walks = []  # per prefix_prototypes call: (query, leaves alive just before it)
+        alive = {}  # query -> weak references to its snapshots
+        reads = []  # per kernel call: the queries whose snapshots it read
+
+        def live():
+            return {q for q, refs in alive.items() if any(r() is not None for r in refs)}
+
+        def counting_prefix(space, kind, query, k_values, index=None):
+            walks.append((query, live(), len(reads)))
+            leaf = prefix_prototypes(space, kind, query, k_values, index=index)
+            alive[query] = [weakref.ref(v) for v in leaf.values()]
+            return leaf
+
+        def reading(kernel):
+            def wrapped(*vectors):
+                owners = {id(r()): q for q, refs in alive.items() for r in refs if r() is not None}
+                reads.append({owners[id(v)] for v in vectors[-2:]})
+                return kernel(*vectors)
+            return wrapped
+
+        monkeypatch.setattr(evaluation, "prefix_prototypes", counting_prefix)
+        monkeypatch.setattr(evaluation, "_composed_norms", reading(_composed_norms))
+        monkeypatch.setattr(evaluation, "_candidate_dots", reading(_candidate_dots))
+        grid = evaluate_grid(deps_space, VariantKind.DEPS, items, TASK_BICKNELL_ACC2,
+                             [Composition.SUM, Composition.MULT], [1, 2, 5, 20])
+        assert all(r.n_failed == 0 and r.n_scored == len(items) for r in grid.values())
+
+        walked = [query for query, _, _ in walks]
+        slots = BicknellSlots()
+        distinct = {SlotQuery(t, s) for it in items
+                    for t, s in ((it.agent_congruent, slots.agent),
+                                 (it.agent_incongruent, slots.agent), (it.verb, slots.verb))}
+        assert sorted(walked, key=str) == sorted(distinct, key=str)  # each exactly once
+        for query, held, position in walks:
+            later = set().union(*reads[position:])
+            assert held <= later, f"{sorted(map(str, held - later))} held after their last use"
+        assert not live()

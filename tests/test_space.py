@@ -1,7 +1,9 @@
 """Sparse vector algebra, ranking, and space archive properties."""
 
+import functools
 import hashlib
 import math
+import operator
 import os
 import random
 
@@ -74,13 +76,21 @@ class TestSparseVector:
         assert v.norm == 5.0
         assert EMPTY_VECTOR.norm == 0.0
 
+    def test_norm_is_a_plain_left_fold(self):
+        # 1.0 + 1e-16 rounds back to 1.0 at every step of a left fold; a
+        # compensated sum (builtin sum() from Python 3.12 on) would carry
+        # the ten small squares into the result
+        v = SparseVector(tuple(range(11)), (1.0,) + (1e-8,) * 10)
+        assert math.fsum(s * s for s in v.scores) > 1.0
+        assert v.norm == 1.0
+
     def test_dot_matches_naive(self):
         rng = random.Random(3)
         for _ in range(200):
             a = {rng.randrange(20): rng.uniform(0.1, 5) for _ in range(rng.randrange(8))}
             b = {rng.randrange(20): rng.uniform(0.1, 5) for _ in range(rng.randrange(8))}
             va, vb = vec(*a.items()), vec(*b.items())
-            naive = sum(a[i] * b[i] for i in a.keys() & b.keys())
+            naive = functools.reduce(operator.add, (a[i] * b[i] for i in sorted(a.keys() & b.keys())), 0.0)
             assert va.dot(vb) == pytest.approx(naive, rel=1e-15, abs=0.0)
 
 
