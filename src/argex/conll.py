@@ -12,13 +12,12 @@ but contributes no arc. Both cases increment the malformed counter.
 
 from __future__ import annotations
 
-import functools
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CorpusError
-from .tokens import DEFAULT_POS_PREFIXES, normalize
+from .tokens import DEFAULT_POS_PREFIXES, Memo, normalize
 
 
 @dataclass(frozen=True)
@@ -40,8 +39,7 @@ class ColumnConfig:
         return max(self.head, self.relation) + 1
 
 
-@dataclass(frozen=True)
-class DependencyArc:
+class DependencyArc(NamedTuple):
     """One head -> dependent link between normalized (canonical) tokens."""
 
     head: str
@@ -52,8 +50,7 @@ class DependencyArc:
     dep_pos: int
 
 
-@dataclass
-class SentenceRecord:
+class SentenceRecord(NamedTuple):
     """One parsed sentence: surface slots plus the arcs between them.
 
     ``tokens[i]`` is the canonical ``lemma-pos`` string of position i, or
@@ -76,6 +73,35 @@ class ParseStats:
     files: list[str] = field(default_factory=list)
 
 
+def _head_index(field_: str) -> int | None:
+    """The 1-based head row of a head field, negative if malformed, None if unattached."""
+    try:
+        return int(field_)  # int() ignores surrounding whitespace itself
+    except ValueError:
+        return None if field_.strip() in ("", "_") else -1
+
+
+def _sentence(
+    sentence_id: int, tokens: list[str | None], links: list[tuple[int, int, str]], stats: ParseStats
+) -> SentenceRecord:
+    """The record of one sentence's tokens and links; a head past its last row is malformed."""
+    n_rows = len(tokens)
+    arcs: list[DependencyArc] = []
+    for dep_pos, head_idx, relation in links:
+        if head_idx > n_rows:
+            stats.malformed_rows += 1
+            continue
+        head_token = tokens[head_idx - 1]
+        dep_token = tokens[dep_pos]
+        if head_token is None or dep_token is None:
+            stats.dropped_arcs += 1
+            continue
+        arcs.append(DependencyArc(head_token, relation, dep_token, sentence_id, head_idx - 1, dep_pos))
+    stats.sentences += 1
+    stats.arcs += len(arcs)
+    return SentenceRecord(sentence_id, tokens, arcs)
+
+
 def parse_conll_stream(
     lines: Iterable[str],
     columns: ColumnConfig = ColumnConfig(),
@@ -92,74 +118,54 @@ def parse_conll_stream(
     if stats is None:
         stats = ParseStats()
     sentence_id = first_sentence_id
-    rows: list[list[str]] = []  # rows long enough to yield a token
-    # a corpus repeats few distinct (lemma, fine tag) pairs: normalize each once
-    token_of = functools.cache(lambda lemma, fine_tag: normalize(lemma, fine_tag, pos_map))
+    tokens: list[str | None] = []  # one per row long enough to yield a token
+    links: list[tuple[int, int, str]] = []  # (dependent position, head index, relation)
+    # a corpus repeats few distinct (lemma, fine tag) pairs, head fields and
+    # relation fields: each is read once, and each relation label is one string
+    token_of = Memo(lambda lemma_tag: normalize(*lemma_tag, pos_map))
+    head_of = Memo(_head_index)
+    relation_of = Memo(str.strip)
     col_lemma, col_pos, col_head, col_relation = (
         columns.lemma, columns.pos, columns.head, columns.relation)
     min_token_fields, min_arc_fields = columns.min_token_fields, columns.min_arc_fields
 
-    def finish() -> SentenceRecord | None:
-        nonlocal sentence_id
-        if not rows:
-            return None
-        n_rows = len(rows)
-        tokens: list[str | None] = []
-        links: list[tuple[int, int, str]] = []  # (dependent, head, relation) positions
-        for dep_pos, fields_ in enumerate(rows):
-            tokens.append(token_of(fields_[col_lemma], fields_[col_pos]))
-            if len(fields_) < min_arc_fields:
-                stats.malformed_rows += 1
-                continue
-            head_field = fields_[col_head].strip()
-            relation = fields_[col_relation].strip()
-            if head_field in ("", "_"):  # unattached row, not an error
-                continue
-            try:
-                head_idx = int(head_field)
-            except ValueError:
-                stats.malformed_rows += 1
-                continue
-            if head_idx < 0 or head_idx > n_rows or not relation:
-                stats.malformed_rows += 1
-                continue
-            if head_idx:  # 0 is the root: no governing arc
-                links.append((dep_pos, head_idx - 1, relation))
-
-        arcs: list[DependencyArc] = []
-        for dep_pos, head_pos, relation in links:
-            head_token = tokens[head_pos]
-            dep_token = tokens[dep_pos]
-            if head_token is None or dep_token is None:
-                stats.dropped_arcs += 1
-                continue
-            arcs.append(DependencyArc(head_token, relation, dep_token, sentence_id, head_pos, dep_pos))
-        record = SentenceRecord(sentence_id, tokens, arcs)
-        sentence_id += 1
-        stats.sentences += 1
-        stats.arcs += len(arcs)
-        return record
-
+    rows = malformed = 0  # of the lines since the last sentence, added to stats as it is yielded
     try:
         for line in lines:
-            line = line.rstrip("\r\n")
-            if not line.strip():
-                record = finish()
-                rows = []
-                if record is not None:
-                    yield record
+            if not line or line.isspace():
+                if tokens:
+                    stats.rows += rows
+                    stats.malformed_rows += malformed
+                    rows = malformed = 0
+                    yield _sentence(sentence_id, tokens, links, stats)
+                    sentence_id += 1
+                    tokens, links = [], []
                 continue
-            if line.startswith("#"):
+            if line[0] == "#":
                 continue
-            stats.rows += 1
-            fields_ = line.split("\t")
-            if len(fields_) < min_token_fields:
-                stats.malformed_rows += 1
+            rows += 1
+            fields_ = line.rstrip("\r\n").split("\t")
+            n_fields = len(fields_)
+            if n_fields < min_token_fields:
+                malformed += 1
                 continue
-            rows.append(fields_)
-        record = finish()
-        if record is not None:
-            yield record
+            dep_pos = len(tokens)
+            tokens.append(token_of[fields_[col_lemma], fields_[col_pos]])
+            if n_fields < min_arc_fields:
+                malformed += 1
+                continue
+            head_idx = head_of[fields_[col_head]]
+            if head_idx is None:  # unattached row, not an error
+                continue
+            relation = relation_of[fields_[col_relation]]
+            if head_idx < 0 or not relation:
+                malformed += 1
+            elif head_idx:  # 0 is the root: no governing arc
+                links.append((dep_pos, head_idx, relation))
+        stats.rows += rows
+        stats.malformed_rows += malformed
+        if tokens:
+            yield _sentence(sentence_id, tokens, links, stats)
     except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"unreadable corpus stream: {exc}") from exc
 

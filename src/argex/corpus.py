@@ -8,13 +8,18 @@ matrix under the single WINDOW pseudo-relation.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .conll import SentenceRecord
-from .tensor import CooccurrenceTensor, parse_tsv, read_artifact, write_artifact
-from .tokens import VERB_LINK, VERB_POS, WINDOW, canonical_checker, inverse
+from .tensor import CooccurrenceTensor, Triple, parse_tsv, read_artifact, write_artifact
+from .tokens import VERB_LINK, VERB_POS, WINDOW, Memo, canonical_checker, inverse
+
+if TYPE_CHECKING:  # `argex weight` reads a vocabulary without the parser
+    from .conll import SentenceRecord
+
+VERB_LINK_INV = inverse(VERB_LINK)
 
 DEFAULT_SUBJECT_LABELS = frozenset({"sbj"})
 DEFAULT_OBJECT_LABELS = frozenset({"obj"})
@@ -51,11 +56,8 @@ def build_vocabulary(
     corpus: Iterable[SentenceRecord], threshold: int, inclusive: bool = True
 ) -> Vocabulary:
     """Count every noun/verb surface occurrence and apply the threshold."""
-    freq: Counter = Counter()
-    for sentence in corpus:
-        for token in sentence.tokens:
-            if token is not None:
-                freq[token] += 1
+    freq = Counter(itertools.chain.from_iterable(sentence.tokens for sentence in corpus))
+    freq.pop(None, None)  # positions outside the noun/verb universe
     return Vocabulary(dict(freq), threshold, inclusive)
 
 
@@ -74,33 +76,50 @@ def extract_dependency_counts(
     subject and object links each distinct (subject, object) pair once
     under VERB (and its inverse), regardless of the verb's identity.
     """
-    tensor = CooccurrenceTensor()
+    counts: dict[Triple, int] = {}
+    get = counts.get
+    entries = vocab.entries
+    # the inverse of each relation the lists keep; None for one they drop
+    inverse_of = Memo(
+        lambda relation: inverse(relation)
+        if (allowlist is None or relation in allowlist) and relation not in denylist
+        else None
+    )
+    verb_suffix = "-" + VERB_POS  # a canonical token's tag follows its last hyphen
     for sentence in corpus:
         co_args: dict[int, tuple[set[str], set[str]]] = {}
-        for arc in sentence.arcs:
-            if allowlist is not None and arc.relation not in allowlist:
+        for head, relation, dependent, _, head_pos, _ in sentence.arcs:
+            relation_inv = inverse_of[relation]
+            if relation_inv is None:
                 continue
-            if arc.relation in denylist:
+            if dependent not in entries:
                 continue
-            head_ok = arc.head in vocab
-            dep_ok = arc.dependent in vocab
-            if head_ok and dep_ok:
-                tensor.add(arc.head, arc.relation, arc.dependent)
-                tensor.add(arc.dependent, inverse(arc.relation), arc.head)
-            if arc.head.rpartition("-")[2] == VERB_POS and dep_ok:  # the tag after the last hyphen
-                slots = co_args.setdefault(arc.head_pos, (set(), set()))
-                if arc.relation in subject_labels:
-                    slots[0].add(arc.dependent)
-                elif arc.relation in object_labels:
-                    slots[1].add(arc.dependent)
+            if head in entries:
+                key = (head, relation, dependent)
+                counts[key] = get(key, 0) + 1
+                key = (dependent, relation_inv, head)
+                counts[key] = get(key, 0) + 1
+            if head.endswith(verb_suffix):
+                if relation in subject_labels:
+                    side = 0
+                elif relation in object_labels:
+                    side = 1
+                else:
+                    continue
+                slots = co_args.get(head_pos)
+                if slots is None:
+                    slots = co_args[head_pos] = (set(), set())
+                slots[side].add(dependent)
         for subjects, objects in co_args.values():
             if not subjects or not objects:
                 continue
-            for subj in sorted(subjects):
-                for obj in sorted(objects):
-                    tensor.add(subj, VERB_LINK, obj)
-                    tensor.add(obj, inverse(VERB_LINK), subj)
-    return tensor
+            for subj in subjects:
+                for obj in objects:
+                    key = (subj, VERB_LINK, obj)
+                    counts[key] = get(key, 0) + 1
+                    key = (obj, VERB_LINK_INV, subj)
+                    counts[key] = get(key, 0) + 1
+    return CooccurrenceTensor(counts)
 
 
 def extract_window_counts(
@@ -117,25 +136,24 @@ def extract_window_counts(
     """
     if width < 1:
         raise ValueError("window width must be >= 1")
-    tensor = CooccurrenceTensor()
+    counts: dict[Triple, int] = {}
+    get = counts.get
+    entries = vocab.entries
+    offsets = range(1, width + 1)
     for sentence in corpus:
         if filtered_positions:
-            positions = [t for t in sentence.tokens if t is not None and t in vocab]
+            positions = [t for t in sentence.tokens if t in entries]
         else:
-            positions = [t if (t is not None and t in vocab) else None for t in sentence.tokens]
-        for i, target in enumerate(positions):
-            if target is None:
-                continue
-            lo = max(0, i - width)
-            hi = min(len(positions), i + width + 1)
-            for j in range(lo, hi):
-                if j == i:
-                    continue
-                context = positions[j]
-                if context is None:
-                    continue
-                tensor.add(target, WINDOW, context)
-    return tensor
+            positions = [t if t in entries else None for t in sentence.tokens]
+        # each pair of positions at most ``width`` apart counts once each way
+        for offset in offsets:
+            for target, context in zip(positions, positions[offset:]):
+                if target is not None and context is not None:
+                    key = (target, WINDOW, context)
+                    counts[key] = get(key, 0) + 1
+                    key = (context, WINDOW, target)
+                    counts[key] = get(key, 0) + 1
+    return CooccurrenceTensor(counts)
 
 
 def save_vocabulary(vocab: Vocabulary, path: str, sidecar: dict[str, str] | None = None) -> str:
@@ -151,13 +169,22 @@ def save_vocabulary(vocab: Vocabulary, path: str, sidecar: dict[str, str] | None
 
 
 def load_vocabulary(path: str, threshold: int, inclusive: bool = True) -> Vocabulary:
-    """Read a frequency table back and reapply the threshold."""
+    """Read a frequency table back and reapply the threshold.
+
+    ``save_vocabulary`` writes each token once with a count of at least
+    1; a count below 1 or a repeated token names ``path:line``.
+    """
     text, _ = read_artifact(path)
     frequency: dict[str, int] = {}
     check = canonical_checker()
 
     def row(token: str, count: str) -> None:
-        frequency[check(token)] = int(count)
+        token, n = check(token), int(count)
+        if n < 1:
+            raise ValueError(f"count {n} of {token} is below 1")
+        if token in frequency:
+            raise ValueError(f"repeated token {token}")
+        frequency[token] = n
 
     parse_tsv(path, text, 2, row)
     return Vocabulary(frequency, threshold, inclusive)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import bisect
 import functools
 import hashlib
-import io
+import itertools
 import math
 import operator
 import os
@@ -26,7 +26,16 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import ConsistencyError, CorpusError, OutOfVocabularyError, StaleArtifactError
-from .tensor import decode_utf8, format_score, read_bytes, read_sidecar, write_bytes_atomic, write_sidecar
+from .tensor import (
+    SCORE_FORMAT,
+    Triple,
+    decode_utf8,
+    format_score,
+    read_bytes,
+    read_sidecar,
+    write_bytes_atomic,
+    write_sidecar,
+)
 from .tokens import ARG, canonical_checker
 
 if TYPE_CHECKING:
@@ -34,6 +43,9 @@ if TYPE_CHECKING:
 
 FORMAT_VERSION = "2"
 _DATA_FILES = ("catalog.tsv", "vocab.tsv", "rows.tsv", "arg.tsv")
+_TARGET_OF_KEY = operator.itemgetter(0)  # of a (target, relation, filler) triple
+_RELATION_OF_KEY = operator.itemgetter(1)
+_DIMENSION_OF_KEY = operator.itemgetter(1, 2)
 
 
 @dataclass(frozen=True)
@@ -251,24 +263,41 @@ def _ranked(fillers: list[tuple[str, float]]) -> tuple[tuple[str, float], ...]:
 class FillerIndex:
     """Per (target, relation) filler rankings: score desc, then canonical filler.
 
-    Built from scored ``(target, relation, filler, score)`` entries, in
-    any order; target and filler are canonical.
+    Built from scored ``(target, relation, filler) -> score`` maps, in
+    any order; target and filler are canonical. The rankings are sorted
+    on first use, so a space that is only saved never ranks a slot.
     """
 
-    def __init__(self, entries: Iterable[tuple[str, str, str, float]]):
-        groups: dict[tuple[str, str], list[tuple[str, float]]] = {}
-        for target, relation, filler, score in entries:
-            groups.setdefault((target, relation), []).append((filler, score))
-        self._rankings = {key: _ranked(fillers) for key, fillers in groups.items()}
+    def __init__(self, sources: Sequence[Mapping[Triple, float]]):
+        self._sources = sources
+        self._rankings: dict[tuple[str, str], tuple[tuple[str, float], ...]] | None = None
+
+    def _built(self) -> dict[tuple[str, str], tuple[tuple[str, float], ...]]:
+        if self._rankings is None:
+            groups: dict[tuple[str, str], list[tuple[str, float]]] = {}
+            for source in self._sources:
+                for (target, relation, filler), score in source.items():
+                    groups.setdefault((target, relation), []).append((filler, score))
+            self._rankings = {key: _ranked(fillers) for key, fillers in groups.items()}
+        return self._rankings
 
     def __len__(self) -> int:
-        return len(self._rankings)
+        return len(self._built())
 
     def keys(self):
-        return self._rankings.keys()
+        return self._built().keys()
 
     def ranking(self, target: str, relation: str) -> tuple[tuple[str, float], ...]:
-        return self._rankings.get((target, relation), ())
+        return self._built().get((target, relation), ())
+
+    def arg_entries(self) -> list[tuple[str, str, float]]:
+        """(target, filler, score) of each ARG ranking entry, in no set order."""
+        entries: list[tuple[str, str, float]] = []
+        for source in self._sources:
+            is_arg = map(ARG.__eq__, map(_RELATION_OF_KEY, source))
+            for (target, _, filler), score in itertools.compress(source.items(), is_arg):
+                entries.append((target, filler, score))
+        return entries
 
 
 def top_k_fillers(index: FillerIndex, target: str, relation: str, k: int) -> RankedFillers:
@@ -314,21 +343,34 @@ def build_space(
     """Assemble rows, catalog, and filler index from weighted counts.
 
     ``extra_index`` contributes ARG rankings only (relation-collapsed
-    typicality scores); its entries never become vector dimensions.
+    typicality scores); its entries never become vector dimensions. The
+    index ranks from both score maps on first use, so neither may change
+    once the space is built.
     """
     if extra_index is not None and any(r != ARG for (_, r, _) in extra_index.scores):
         raise ValueError(f"extra_index may only hold {ARG} rankings")
-    catalog = DimensionCatalog.from_pairs((r, f) for (_, r, f) in weighted.scores)
-    per_target: dict[str, list[tuple[int, float]]] = {}
-    for (t, r, f), score in weighted.scores.items():
-        per_target.setdefault(t, []).append((catalog.id_of(r, f), score))
-    rows = {target: SparseVector.from_pairs(pairs) for target, pairs in per_target.items()}
-    index = FillerIndex(
-        (t, r, f, score)
-        for source in (weighted, extra_index)
-        if source is not None
-        for (t, r, f), score in source.scores.items()
-    )
+    scores = weighted.scores
+    # by target, then (relation, filler): each target's entries are one run,
+    # in the order of their dimension ids
+    keys = sorted(scores)
+    dim_of_key = list(map(_DIMENSION_OF_KEY, keys))
+    dims = sorted(set(dim_of_key))
+    catalog = DimensionCatalog(dims)
+    dim_ids = list(map(dict(zip(dims, range(len(dims)))).__getitem__, dim_of_key))
+    values = list(map(scores.__getitem__, keys))
+    # a run's ids ascend without repeats: from_pairs is needed only to drop zeros or refuse negatives
+    positive = all(map(operator.lt, itertools.repeat(0.0), values))
+    rows: dict[str, SparseVector] = {}
+    start = 0
+    for target, run in itertools.groupby(map(_TARGET_OF_KEY, keys)):
+        end = start + len(list(run))
+        ids, row_scores = dim_ids[start:end], values[start:end]
+        if positive:
+            rows[target] = SparseVector(tuple(ids), tuple(row_scores))
+        else:
+            rows[target] = SparseVector.from_pairs(zip(ids, row_scores))
+        start = end
+    index = FillerIndex([scores] if extra_index is None else [scores, extra_index.scores])
     vocab = frozenset(vocabulary)
     info = {
         "format_version": FORMAT_VERSION,
@@ -346,32 +388,34 @@ def build_space(
 
 
 def _catalog_tsv(space: WeightedSpace) -> str:
-    out = io.StringIO()
-    for dim_id, (relation, filler) in enumerate(space.catalog.pairs()):
-        out.write(f"{dim_id}\t{relation}\t{filler}\n")
-    return out.getvalue()
+    pairs = enumerate(space.catalog.pairs())
+    return "".join([f"{dim_id}\t{relation}\t{filler}\n" for dim_id, (relation, filler) in pairs])
 
 
 def _vocab_tsv(space: WeightedSpace) -> str:
-    return "".join(f"{t}\n" for t in sorted(space.vocabulary))
+    return "".join([f"{t}\n" for t in sorted(space.vocabulary)])
 
 
 def _rows_tsv(space: WeightedSpace) -> str:
-    out = io.StringIO()
+    parts = []
     for target in sorted(space.rows):
-        vector = space.rows[target]
-        for dim, score in vector.items():
-            out.write(f"{target}\t{dim}\t{format_score(score)}\n")
-    return out.getvalue()
+        row = space.rows[target]
+        # (target, dim id, score) per line, each row rendered by one % operation
+        fields = [target, 0, 0.0] * len(row)
+        fields[1::3] = row.ids
+        fields[2::3] = row.scores
+        parts.append((f"%s\t%d\t{SCORE_FORMAT}\n" * len(row)) % tuple(fields))
+    return "".join(parts)
 
 
 def _arg_tsv(space: WeightedSpace) -> str:
-    """The ARG rankings' scores, by target then filler: the one ranking rows do not hold."""
-    out = io.StringIO()
-    for target in sorted(t for t, relation in space.index.keys() if relation == ARG):
-        for filler, score in sorted(space.index.ranking(target, ARG), key=operator.itemgetter(0)):
-            out.write(f"{target}\t{filler}\t{format_score(score)}\n")
-    return out.getvalue()
+    """The ARG rankings' scores, by target then filler: the one ranking rows do not hold.
+
+    A filler ranked twice for one target (a corpus relation named ARG
+    beside the collapsed scores) is written in ranking order, best first.
+    """
+    lines = sorted([(target, filler, -score) for target, filler, score in space.index.arg_entries()])
+    return "".join([f"{target}\t{filler}\t{format_score(-negated)}\n" for target, filler, negated in lines])
 
 
 def _archive_bodies(space: WeightedSpace) -> list[bytes]:
@@ -485,8 +529,9 @@ def _check_dim_ids(path: str, text: str, n_dims: int) -> None:
 class _ArchiveRows(Mapping):
     """The rows of a verified archive, each target parsed on first use.
 
-    Parsing a target's block builds its row and all of its rankings: the
-    dependency slots' from its ``rows.tsv`` lines through the catalog,
+    A target's row is parsed from its ``rows.tsv`` block when the row is
+    first read. Its rankings are built when one of them is first looked
+    up: the dependency slots' from the same block through the catalog,
     ``ARG`` from its ``arg.tsv`` lines. Iteration and ``len`` read only
     the block index.
     """
@@ -495,38 +540,33 @@ class _ArchiveRows(Mapping):
         self._dims = dims
         self._rows_path, self._rows_text, self._row_blocks = rows_path, rows_text, row_blocks
         self._arg_text, self._arg_blocks = arg_text, arg_blocks
-        self._unread = set(row_blocks) | set(arg_blocks)
+        self._unread = set(row_blocks)
+        self._unranked = set(row_blocks) | set(arg_blocks)
         self._rows: dict[str, SparseVector] = {}
         self.rankings: dict[tuple[str, str], tuple[tuple[str, float], ...]] = {}
 
     def read(self, target: str) -> None:
+        """Parse the row of ``target``, if not yet parsed: where a repeated dimension id is found."""
         if target in self._unread:
-            self._parse(target)
-
-    def read_all(self) -> None:
-        for target in sorted(self._unread):
-            self._parse(target)
-
-    def _parse(self, target: str) -> None:
-        groups: dict[str, list[tuple[str, float]]] = {}
-        blocks = self._row_blocks.get(target)
-        if blocks is not None:
-            text = self._rows_text
-            pairs = [
-                (int(dim), float(score))
-                for start, end in blocks
-                for dim, score in _PAIR.findall(text, start, end)
-            ]
+            blocks = self._row_blocks[target]
             try:
-                self._rows[target] = SparseVector.from_pairs(pairs)
+                self._rows[target] = SparseVector.from_pairs(self._pairs(blocks))
             except ValueError as exc:  # the layout allows only one fault here: a repeated id
                 raise CorpusError(f"{self._rows_path}:{self._first_repeat(blocks)}: {exc}") from None
-            dims = self._dims
-            for dim_id, score in pairs:
-                relation, filler = dims[dim_id]
-                # the ARG ranking is stored whole in arg.tsv
-                if relation != ARG:
-                    groups.setdefault(relation, []).append((filler, score))
+            self._unread.discard(target)
+
+    def rank(self, target: str) -> None:
+        """Build the rankings of ``target``, if not yet built."""
+        if target not in self._unranked:
+            return
+        self.read(target)
+        groups: dict[str, list[tuple[str, float]]] = {}
+        dims = self._dims
+        for dim_id, score in self._pairs(self._row_blocks.get(target, ())):
+            relation, filler = dims[dim_id]
+            # the ARG ranking is stored whole in arg.tsv
+            if relation != ARG:
+                groups.setdefault(relation, []).append((filler, score))
         blocks = self._arg_blocks.get(target)
         if blocks is not None:
             text = self._arg_text
@@ -537,7 +577,19 @@ class _ArchiveRows(Mapping):
             ]
         for relation, fillers in groups.items():
             self.rankings[(target, relation)] = _ranked(fillers)
-        self._unread.discard(target)
+        self._unranked.discard(target)
+
+    def rank_all(self) -> None:
+        for target in sorted(self._unranked):
+            self.rank(target)
+
+    def _pairs(self, blocks) -> list[tuple[int, float]]:
+        text = self._rows_text
+        return [
+            (int(dim), float(score))
+            for start, end in blocks
+            for dim, score in _PAIR.findall(text, start, end)
+        ]
 
     def _first_repeat(self, blocks) -> int:
         """The line of the first dimension id that repeats one of the same target."""
@@ -576,16 +628,25 @@ class _ArchiveIndex(FillerIndex):
         self._rankings = rows.rankings
 
     def __len__(self) -> int:
-        self._archive.read_all()
+        self._archive.rank_all()
         return len(self._rankings)
 
     def keys(self):
-        self._archive.read_all()
+        self._archive.rank_all()
         return self._rankings.keys()
 
     def ranking(self, target: str, relation: str) -> tuple[tuple[str, float], ...]:
-        self._archive.read(target)
+        self._archive.rank(target)
         return self._rankings.get((target, relation), ())
+
+    def arg_entries(self) -> list[tuple[str, str, float]]:
+        self._archive.rank_all()
+        return [
+            (target, filler, score)
+            for (target, relation), ranking in self._rankings.items()
+            if relation == ARG
+            for filler, score in ranking
+        ]
 
 
 def load_space(directory: str) -> WeightedSpace:

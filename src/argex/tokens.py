@@ -77,6 +77,26 @@ def parse_canonical(text: str) -> Token:
     return Token(*_split_canonical(text))
 
 
+class Memo(dict):
+    """``memo[key]`` is ``compute(key)``, computed once per distinct key.
+
+    A key already seen costs one dict lookup and no Python-level call.
+    """
+
+    def __init__(self, compute: Callable):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+def _checked(text: str) -> str:
+    _check_lemma_pos(*_split_canonical(text))
+    return text
+
+
 def canonical_checker() -> Callable[[str], str]:
     """A check for token strings read from an artifact.
 
@@ -85,16 +105,7 @@ def canonical_checker() -> Callable[[str], str]:
     distinct string is checked once; later calls return the first copy
     seen, so a loaded artifact holds one string per token.
     """
-    seen: dict[str, str] = {}
-
-    def check(text: str) -> str:
-        known = seen.get(text)
-        if known is None:
-            _check_lemma_pos(*_split_canonical(text))
-            known = seen[text] = text
-        return known
-
-    return check
+    return Memo(_checked).__getitem__
 
 
 def inverse(relation: str) -> str:

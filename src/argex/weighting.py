@@ -9,13 +9,21 @@ no more frequent than chance therefore vanish from the weighted space.
 
 from __future__ import annotations
 
-import io
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import ConsistencyError, UndefinedModelError
-from .tensor import CooccurrenceTensor, Triple, format_score, parse_tsv, read_artifact, write_artifact
+from .tensor import (
+    CooccurrenceTensor,
+    Triple,
+    format_score,
+    parse_tsv,
+    read_artifact,
+    sorted_triples,
+    write_artifact,
+)
 from .tokens import ARG, VERB_LINK, canonical_checker, is_inverse
 
 
@@ -43,14 +51,14 @@ class WeightedTensor:
         return len(self.scores)
 
     def entries(self) -> Iterator[tuple[Triple, float]]:
-        for key in sorted(self.scores):
+        for key in sorted_triples(self.scores):
             yield key, self.scores[key]
 
     def to_tsv(self) -> str:
-        out = io.StringIO()
-        for (t, r, f), score in self.entries():
-            out.write(f"{t}\t{r}\t{f}\t{format_score(score)}\n")
-        return out.getvalue()
+        scores = self.scores
+        return "".join([
+            f"{key[0]}\t{key[1]}\t{key[2]}\t{format_score(scores[key])}\n" for key in sorted_triples(scores)
+        ])
 
     def save(self, path: str, sidecar: dict[str, str] | None = None) -> str:
         meta = {
@@ -92,18 +100,25 @@ def weight_tensor(tensor: CooccurrenceTensor) -> WeightedTensor:
     n = sum(targets.values())
     if n <= 0:
         raise UndefinedModelError("cannot weight an empty tensor")
-    weighted = WeightedTensor(source_hash=tensor.source_hash)
-    for (t, r, f), observed in counts.items():
-        expected = n * (targets[t] / n) * (relations[r] / n) * (fillers[f] / n)
-        value = lmi(observed, expected)
-        if value > 0.0:
-            weighted.scores[(t, r, f)] = value
-    return weighted
+    # each coordinate's share of n, divided once per distinct value
+    p_target = {t: c / n for t, c in targets.items()}
+    p_relation = {r: c / n for r, c in relations.items()}
+    p_filler = {f: c / n for f, c in fillers.items()}
+    observed = list(counts.values())
+    expected = [n * p_target[t] * p_relation[r] * p_filler[f] for t, r, f in counts]
+    if min(observed) > 0 and min(expected) > 0:
+        # lmi() without its checks, which these minima have passed
+        values = map(operator.mul, map(math.log, map(operator.truediv, observed, expected)), observed)
+    else:
+        values = map(lmi, observed, expected)
+    scores = {key: value for key, value in zip(counts, values) if value > 0.0}
+    return WeightedTensor(scores, tensor.source_hash)
 
 
 def default_collapse_relations(triples: Iterable[Triple]) -> frozenset[str]:
     """All direct dependency relations of ``triples``: no inverses, no synthetic VERB link."""
-    return frozenset(r for (_, r, _) in triples if not is_inverse(r) and r != VERB_LINK)
+    relations = {r for (_, r, _) in triples}
+    return frozenset(r for r in relations if not is_inverse(r) and r != VERB_LINK)
 
 
 def collapse_relations(
@@ -117,11 +132,13 @@ def collapse_relations(
     """
     if relation_filter is None:
         relation_filter = default_collapse_relations(tensor.counts)
-    collapsed = CooccurrenceTensor(source_hash=tensor.source_hash)
+    counts: dict[Triple, int] = {}
+    get = counts.get
     for (t, r, f), count in tensor.counts.items():
         if r in relation_filter:
-            collapsed.add(t, ARG, f, count)
-    return collapsed
+            key = (t, ARG, f)
+            counts[key] = get(key, 0) + count
+    return CooccurrenceTensor(counts, tensor.source_hash)
 
 
 def max_over_relations(

@@ -1,6 +1,6 @@
 import pytest
 
-from argex.conll import ColumnConfig, ParseStats, parse_conll_file, parse_conll_stream
+from argex.conll import ColumnConfig, DependencyArc, ParseStats, parse_conll_file, parse_conll_stream
 from argex.errors import CorpusError
 from argex.tokens import DEFAULT_POS_PREFIXES
 
@@ -93,7 +93,7 @@ class TestMalformedRows:
         assert records[0].arcs == []
         assert stats.malformed_rows == 1
 
-    @pytest.mark.parametrize("head", ["_", ""])
+    @pytest.mark.parametrize("head", ["_", "", " _ ", "_ ", "  "])
     def test_unattached_head_is_not_malformed(self, head):
         lines = [f"1\tdog\tdog\tNN\tNN\t_\t{head}\tsbj\t_\t_", ""]
         stats = ParseStats()
@@ -118,6 +118,62 @@ class TestMalformedRows:
         records = parse(text, stats)
         assert records[0].arcs == []
         assert stats.dropped_arcs == 1
+
+
+class TestPaddedFields:
+    # int() and str.strip() read a padded head or relation field as its trimmed value
+
+    def test_padded_head_and_relation_make_the_same_arc(self):
+        lines = [
+            "1\tdog\tdog\tNN\tNN\t_\t 2 \t obj \t_\t_",
+            "2\tsee\tsee\tVB\tVB\t_\t0\troot\t_\t_",
+            "",
+        ]
+        stats = ParseStats()
+        records = list(parse_conll_stream(lines, stats=stats))
+        arc = records[0].arcs[0]
+        assert (arc.head, arc.relation, arc.dependent) == ("see-v", "obj", "dog-n")
+        assert (arc.head_pos, arc.dep_pos) == (1, 0)
+        assert stats.malformed_rows == 0
+
+    def test_signed_head_is_a_row_index(self):
+        lines = [
+            "1\tsee\tsee\tVB\tVB\t_\t0\troot\t_\t_",
+            "2\tdog\tdog\tNN\tNN\t_\t+1\tobj\t_\t_",
+            "",
+        ]
+        arc = list(parse_conll_stream(lines))[0].arcs[0]
+        assert (arc.head, arc.relation, arc.dependent, arc.head_pos) == ("see-v", "obj", "dog-n", 0)
+
+    def test_padded_relation_of_only_spaces_is_malformed(self):
+        lines = [
+            "1\tdog\tdog\tNN\tNN\t_\t2\t  \t_\t_",
+            "2\tsee\tsee\tVB\tVB\t_\t0\troot\t_\t_",
+            "",
+        ]
+        stats = ParseStats()
+        records = list(parse_conll_stream(lines, stats=stats))
+        assert records[0].arcs == []
+        assert stats.malformed_rows == 1
+
+    def test_arcs_share_one_string_per_relation_label(self):
+        rows = [("dog", "NN", 2, "obj"), ("see", "VB", 0, "root"), ("cat", "NN", 2, "obj")]
+        text = conll_text([rows])
+        first, second = parse(text)[0].arcs
+        assert first.relation == second.relation == "obj"
+        assert first.relation is second.relation
+
+
+class TestArcRecord:
+    def test_field_names(self):
+        fields = ("head", "relation", "dependent", "sentence_id", "head_pos", "dep_pos")
+        assert DependencyArc._fields == fields
+
+    def test_arcs_cannot_be_assigned_to(self):
+        arc = parse(conll_text([[("dog", "NN", 2, "sbj"), ("run", "VB", 0, "root")]]))[0].arcs[0]
+        for name in DependencyArc._fields:
+            with pytest.raises(AttributeError):
+                setattr(arc, name, None)
 
 
 class TestCustomColumns:

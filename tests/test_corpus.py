@@ -19,7 +19,8 @@ from argex.corpus import (
     load_vocabulary,
     save_vocabulary,
 )
-from argex.errors import ConsistencyError
+from argex.errors import ConsistencyError, CorpusError
+from argex.tensor import write_artifact
 from argex.tokens import VERB_LINK, inverse
 
 from conftest import conll_text, parse_text, random_corpus_text
@@ -305,6 +306,20 @@ class TestVocabulary:
         assert loaded.entries == vocab.entries
         # the full table is stored, so a different threshold can be reapplied
         assert "cat-n" in load_vocabulary(path, 1)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("cat-n\t1\ndog-n\t0\n", "count 0 of dog-n is below 1"),
+            ("cat-n\t1\ndog-n\t-2\n", "count -2 of dog-n is below 1"),
+            ("dog-n\t5\ndog-n\t7\n", "repeated token dog-n"),
+        ],
+    )
+    def test_bad_count_or_repeated_token_names_its_line(self, tmp_path, body, message):
+        path = str(tmp_path / "vocab.tsv")
+        write_artifact(path, body, {})
+        with pytest.raises(CorpusError, match=f"vocab.tsv:2: {message}"):
+            load_vocabulary(path, 1)
 
     def test_tamper_detection(self, tmp_path):
         vocab = Vocabulary({"dog-n": 5}, 1)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from argex import space as space_module
 from argex.corpus import load_vocabulary
 from argex.errors import ConsistencyError, CorpusError, OutOfVocabularyError
 from argex.space import (
@@ -482,7 +483,32 @@ class TestSpace:
         space = build_space(weighted, [see, dog, cat], extra_index=extra)
         assert space.index.ranking("see-v", ARG) == ((cat, 0.75), (dog, 0.5), (dog, 0.25))
         save_space(space, str(tmp_path))
+        with open(tmp_path / "arg.tsv", encoding="utf-8") as fh:
+            assert fh.read() == "see-v\tcat-n\t0.75\nsee-v\tdog-n\t0.5\nsee-v\tdog-n\t0.25\n"
         assert load_space(str(tmp_path)).index.ranking("see-v", ARG) == space.index.ranking("see-v", ARG)
+
+    def test_building_and_saving_a_space_ranks_no_slot(self, tmp_path, monkeypatch):
+        # arg.tsv is written from the ARG scores; the rankings are sorted only when looked up
+        def no_ranking(fillers):
+            raise AssertionError("a slot was ranked")
+
+        monkeypatch.setattr(space_module, "_ranked", no_ranking)
+        extra = WeightedTensor(scores={("see-v", ARG, "dog-n"): 0.75})
+        space = build_space(toy_weighted(), ["see-v", "dog-n"], extra_index=extra)
+        save_space(space, str(tmp_path / "saved"))
+        monkeypatch.undo()
+        assert load_space(str(tmp_path / "saved")).index.ranking("see-v", ARG) == (("dog-n", 0.75),)
+
+    def test_reading_a_loaded_row_ranks_none_of_its_slots(self, tmp_path, monkeypatch):
+        space = toy_space()
+        save_space(space, str(tmp_path))
+        loaded = load_space(str(tmp_path))
+        ranked = []
+        monkeypatch.setattr(space_module, "_ranked", lambda fillers: ranked.append(fillers) or tuple(fillers))
+        assert loaded.rows["see-v"] == space.rows["see-v"]
+        assert ranked == []
+        monkeypatch.undo()
+        assert loaded.index.ranking("see-v", "sbj") == space.index.ranking("see-v", "sbj")
 
     @pytest.mark.parametrize("corpus", ["bicknell_corpus", "chow_corpus"])
     def test_loaded_rankings_equal_built_rankings(self, tmp_path, fixture_paths, corpus):

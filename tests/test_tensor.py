@@ -107,6 +107,7 @@ class TestSerialization:
             ("see-v\tsbj\tdog-n\t2\nsee-v\tobj\tcat-n\tlots\n", 2),
             ("see-v\tsbj\tdog-n\t0\n", 1),
             ("see\tsbj\tdog-n\t1\n", 1),
+            ("dog-n\tsbj\tsee-v\t2\ndog-n\tsbj\tsee-v\t3\n", 2),  # a repeat is refused, not summed
         ],
     )
     def test_bad_field_in_a_verified_body_names_path_and_line(self, tmp_path, body, line):

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from argex.errors import ConsistencyError, UndefinedModelError
 from argex.space import build_space
@@ -191,6 +193,11 @@ class TestFormatScore:
 
     def test_zero(self):
         assert format_score(0.0) == "0"
+
+    @given(st.floats())
+    def test_printf_form_matches_the_format_spec(self, value):
+        # writers render whole rows through SCORE_FORMAT; the bytes must be those of ".17g"
+        assert format_score(value) == format(value, ".17g")
 
 
 class TestSerialization:
