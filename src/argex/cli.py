@@ -264,12 +264,12 @@ def cmd_weight(args: argparse.Namespace) -> int:
         deps_id = save_space(deps_space, paths["deps_space"])
         window_id = save_space(window_space, paths["window_space"])
     print(
-        f"dependency space: {len(deps_space.rows)} targets, "
-        f"{len(deps_space.catalog)} dims, id {deps_id[:12]} -> {paths['deps_space']}"
+        f"dependency space: {deps_space.manifest['n_targets']} targets, "
+        f"{deps_space.manifest['n_dims']} dims, id {deps_id[:12]} -> {paths['deps_space']}"
     )
     print(
-        f"window space: {len(window_space.rows)} targets, "
-        f"{len(window_space.catalog)} dims, id {window_id[:12]} -> {paths['window_space']}"
+        f"window space: {window_space.manifest['n_targets']} targets, "
+        f"{window_space.manifest['n_dims']} dims, id {window_id[:12]} -> {paths['window_space']}"
     )
     print(f"argument rankings ({config.boa_rank_mode}): {len(arg_weighted)} entries -> {paths['arg_weighted']}")
     return 0
@@ -495,6 +495,14 @@ def _dataset_path_or_none(config: PipelineConfig, task: str) -> str | None:
 # -- report ----------------------------------------------------------------
 
 
+# the type of each report field the table reads, in table order
+_NUMBER_OR_NULL = (int, float, type(None))
+_REPORT_FIELDS = (
+    ("task", str), ("kind", str), ("composition", str), ("k", int),
+    ("accuracy", _NUMBER_OR_NULL), ("coverage", _NUMBER_OR_NULL), ("n_ties", int), ("all_ties", bool),
+)
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     import glob
     import json
@@ -507,18 +515,21 @@ def cmd_report(args: argparse.Namespace) -> int:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
             variant = data["variant"]
-            rows.append(
-                (
-                    data["task"],
-                    variant["kind"],
-                    variant["composition"],
-                    variant["k"],
-                    data["accuracy"],
-                    data["coverage"],
-                    data["counts"]["n_ties"],
-                    data["all_ties"],
-                )
+            row = (
+                data["task"],
+                variant["kind"],
+                variant["composition"],
+                variant["k"],
+                data["accuracy"],
+                data["coverage"],
+                data["counts"]["n_ties"],
+                data["all_ties"],
             )
+            for (name, kind), value in zip(_REPORT_FIELDS, row):
+                # bool is an int: only all_ties may be one
+                if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+                    raise TypeError(f"{name} is {value!r}")
+            rows.append(row)
         except (ValueError, KeyError, TypeError) as exc:
             raise ConsistencyError(f"report {path} is damaged: {exc!r}") from None
     if not rows:

@@ -456,26 +456,6 @@ def run_chow(
     )[cell]
 
 
-def k_sweep(
-    space: WeightedSpace,
-    variant: ModelVariant,
-    items,
-    k_values: Sequence[int],
-    task: str,
-    mode: BicknellMode | None = None,
-    slots=None,
-    index=None,
-) -> list[EvalReport]:
-    """Rerun one task across filler counts; one report per k."""
-    if task in (TASK_BICKNELL_ACC1, TASK_BICKNELL_ACC2):
-        assert mode is not None
-        task = _bicknell_task(mode)
-    grid = evaluate_grid(
-        space, variant.kind, items, task, [variant.composition], k_values, slots, index
-    )
-    return [grid[(variant.composition, k)] for k in k_values]
-
-
 # -- serialization -------------------------------------------------------
 
 

@@ -28,8 +28,6 @@ from .space import (
 )
 from .tokens import ARG, Token, WINDOW
 
-PAPER_K_GRID = (10, 20, 30, 40, 50)
-
 
 @dataclass(frozen=True)
 class ModelVariant:

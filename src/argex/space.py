@@ -2,13 +2,16 @@
 
 A space holds one row per target over (relation, filler) dimensions with
 positive association scores, plus, for each (target, relation), the
-fillers ranked by descending score. Spaces are immutable once built and
-round-trip bit-exactly through their on-disk archive (a directory of
-sorted TSV files with a hash-verified manifest). The archive stores
-scores only: every ranking is rebuilt from the rows for the dependency
-slots and from ``arg.tsv`` for the ARG slot. A loaded space verifies and
-checks the whole archive, but parses a target's row and rankings only
-when the target is first used.
+fillers ranked by descending score. A space is its archive: the text of
+four sorted TSV data files, whose sha256 is the space id. ``build_space``
+renders them straight from the weighted scores, ``save_space`` writes
+them with a manifest, and ``load_space`` reads them back once their hash
+is verified. The archive stores scores only: every ranking is rebuilt
+from the rows for the dependency slots and from ``arg.tsv`` for the ARG
+slot. One reader gives the rows and rankings of built and loaded spaces
+alike. It checks the whole archive when it opens, which a load does at
+once and a built space on its first read, and parses a target's row and
+rankings only when the target is first used.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ if TYPE_CHECKING:
 
 FORMAT_VERSION = "2"
 _DATA_FILES = ("catalog.tsv", "vocab.tsv", "rows.tsv", "arg.tsv")
+_BUILT = "<built space>"  # names the data files of a built space in errors
 _TARGET_OF_KEY = operator.itemgetter(0)  # of a (target, relation, filler) triple
 _RELATION_OF_KEY = operator.itemgetter(1)
 _DIMENSION_OF_KEY = operator.itemgetter(1, 2)
@@ -209,32 +213,6 @@ def multiply_vectors(a: SparseVector, b: SparseVector) -> SparseVector:
     return SparseVector(tuple(ids), tuple(scores))
 
 
-class DimensionCatalog:
-    """Bijection between dimension ids and (relation, filler) pairs."""
-
-    def __init__(self, dimensions: Sequence[tuple[str, str]]):
-        self._dims = tuple(dimensions)
-        self._by_pair = dict(zip(self._dims, range(len(self._dims))))
-        if len(self._by_pair) != len(self._dims):
-            raise ConsistencyError("duplicate dimensions in catalog")
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "DimensionCatalog":
-        return cls(sorted(set(pairs)))
-
-    def __len__(self) -> int:
-        return len(self._dims)
-
-    def id_of(self, relation: str, filler: str) -> int | None:
-        return self._by_pair.get((relation, filler))
-
-    def pair_of(self, dim_id: int) -> tuple[str, str]:
-        return self._dims[dim_id]
-
-    def pairs(self) -> tuple[tuple[str, str], ...]:
-        return self._dims
-
-
 @dataclass
 class RankedFillers:
     """Query result for a (target, relation) slot: canonical fillers with their scores."""
@@ -263,41 +241,47 @@ def _ranked(fillers: list[tuple[str, float]]) -> tuple[tuple[str, float], ...]:
 class FillerIndex:
     """Per (target, relation) filler rankings: score desc, then canonical filler.
 
-    Built from scored ``(target, relation, filler) -> score`` maps, in
-    any order; target and filler are canonical. The rankings are sorted
-    on first use, so a space that is only saved never ranks a slot.
+    Read from an archive's rows: a target's rankings are built when one
+    of them is first looked up, the dependency slots' from its row
+    through the catalog (after the row itself is read), ``ARG`` from its
+    ``arg.tsv`` lines, which hold that ranking whole.
     """
 
-    def __init__(self, sources: Sequence[Mapping[Triple, float]]):
-        self._sources = sources
-        self._rankings: dict[tuple[str, str], tuple[tuple[str, float], ...]] | None = None
+    def __init__(self, rows: _ArchiveRows):
+        self._rows = rows
+        self._unranked = set(rows) | set(rows.arg_blocks)
+        self._rankings: dict[tuple[str, str], tuple[tuple[str, float], ...]] = {}
 
-    def _built(self) -> dict[tuple[str, str], tuple[tuple[str, float], ...]]:
-        if self._rankings is None:
-            groups: dict[tuple[str, str], list[tuple[str, float]]] = {}
-            for source in self._sources:
-                for (target, relation, filler), score in source.items():
-                    groups.setdefault((target, relation), []).append((filler, score))
-            self._rankings = {key: _ranked(fillers) for key, fillers in groups.items()}
-        return self._rankings
-
-    def __len__(self) -> int:
-        return len(self._built())
+    def _rank(self, target: str) -> None:
+        if target not in self._unranked:
+            return
+        rows = self._rows
+        groups: dict[str, list[tuple[str, float]]] = {}
+        dims = rows.catalog
+        for dim_id, score in rows.get(target, EMPTY_VECTOR).items():
+            relation, filler = dims[dim_id]
+            if relation != ARG:
+                groups.setdefault(relation, []).append((filler, score))
+        blocks = rows.arg_blocks.get(target)
+        if blocks is not None:
+            text = rows.arg_text
+            groups[ARG] = [
+                (filler, float(score))
+                for start, end in blocks
+                for filler, score in _PAIR.findall(text, start, end)
+            ]
+        for relation, fillers in groups.items():
+            self._rankings[(target, relation)] = _ranked(fillers)
+        self._unranked.discard(target)
 
     def keys(self):
-        return self._built().keys()
+        for target in sorted(self._unranked):
+            self._rank(target)
+        return self._rankings.keys()
 
     def ranking(self, target: str, relation: str) -> tuple[tuple[str, float], ...]:
-        return self._built().get((target, relation), ())
-
-    def arg_entries(self) -> list[tuple[str, str, float]]:
-        """(target, filler, score) of each ARG ranking entry, in no set order."""
-        entries: list[tuple[str, str, float]] = []
-        for source in self._sources:
-            is_arg = map(ARG.__eq__, map(_RELATION_OF_KEY, source))
-            for (target, _, filler), score in itertools.compress(source.items(), is_arg):
-                entries.append((target, filler, score))
-        return entries
+        self._rank(target)
+        return self._rankings.get((target, relation), ())
 
 
 def top_k_fillers(index: FillerIndex, target: str, relation: str, k: int) -> RankedFillers:
@@ -308,19 +292,45 @@ def top_k_fillers(index: FillerIndex, target: str, relation: str, k: int) -> Ran
     return RankedFillers(list(ranking[:k]), requested=k, available=len(ranking))
 
 
-@dataclass
 class WeightedSpace:
-    catalog: DimensionCatalog
-    rows: Mapping[str, SparseVector]
-    index: FillerIndex
-    vocabulary: frozenset[str]
-    manifest: dict[str, str] = field(default_factory=dict)
+    """A space: the text of its archive's data files, with its catalog, vocabulary and manifest.
+
+    ``texts`` holds the data files in ``_DATA_FILES`` order; the
+    manifest's ``space_id`` is the sha256 of their bytes. ``rows`` and
+    ``index`` are read from ``texts`` by the archive reader, which a
+    loaded space opens at load and a built one on first use.
+    """
+
+    def __init__(
+        self,
+        texts: Sequence[str],
+        catalog: tuple[tuple[str, str], ...],
+        vocabulary: frozenset[str],
+        manifest: dict[str, str],
+        rows: _ArchiveRows | None = None,
+    ):
+        self.texts = texts
+        self.catalog = catalog  # (relation, filler) of each dimension id
+        self.vocabulary = vocabulary
+        self.manifest = manifest
+        self._rows = rows
+        self._index: FillerIndex | None = None
+
+    @property
+    def rows(self) -> _ArchiveRows:
+        if self._rows is None:
+            self._rows = _ArchiveRows(_BUILT, self.texts)
+        return self._rows
+
+    @property
+    def index(self) -> FillerIndex:
+        if self._index is None:
+            self._index = FillerIndex(self.rows)
+        return self._index
 
     @property
     def space_id(self) -> str:
-        """sha256 of the archive's data files; rendered on first use unless loaded or saved."""
-        if "space_id" not in self.manifest:
-            self.manifest["space_id"] = _space_id(_archive_bodies(self))
+        """sha256 of the archive's data files."""
         return self.manifest["space_id"]
 
     def __contains__(self, token: str) -> bool:
@@ -334,94 +344,80 @@ def vector_of(space: WeightedSpace, token: str) -> SparseVector:
     return space.rows.get(token, EMPTY_VECTOR)
 
 
+def _stored(scores: Mapping[Triple, float]) -> tuple[list[Triple], list[float]]:
+    """The keys of ``scores`` in sorted order with their scores, zeros dropped.
+
+    A negative, nan or infinite score, which no archive line can hold,
+    raises ``ValueError``.
+    """
+    keys = sorted(scores)
+    values = list(map(scores.__getitem__, keys))
+    if not all(map(operator.lt, itertools.repeat(0.0), values)) or max(values, default=0.0) == math.inf:
+        for key, value in zip(keys, values):
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"score {value!r} of {key} cannot be stored")
+        keys = list(itertools.compress(keys, values))
+        values = list(filter(None, values))
+    return keys, values
+
+
 def build_space(
     weighted: WeightedTensor,
     vocabulary: Iterable[str],
     extra_index: WeightedTensor | None = None,
     manifest: dict[str, str] | None = None,
 ) -> WeightedSpace:
-    """Assemble rows, catalog, and filler index from weighted counts.
+    """Render the archive of a space from weighted counts.
 
+    The data files are rendered straight from the sorted score keys;
+    the space's rows and rankings are read back from them on first use.
     ``extra_index`` contributes ARG rankings only (relation-collapsed
-    typicality scores); its entries never become vector dimensions. The
-    index ranks from both score maps on first use, so neither may change
-    once the space is built.
+    typicality scores); its entries never become vector dimensions.
+    Zero scores are dropped as absent; a negative, nan or infinite one
+    raises ``ValueError``.
     """
-    if extra_index is not None and any(r != ARG for (_, r, _) in extra_index.scores):
+    if extra_index is not None and set(map(_RELATION_OF_KEY, extra_index.scores)) - {ARG}:
         raise ValueError(f"extra_index may only hold {ARG} rankings")
-    scores = weighted.scores
     # by target, then (relation, filler): each target's entries are one run,
     # in the order of their dimension ids
-    keys = sorted(scores)
+    keys, values = _stored(weighted.scores)
     dim_of_key = list(map(_DIMENSION_OF_KEY, keys))
-    dims = sorted(set(dim_of_key))
-    catalog = DimensionCatalog(dims)
-    dim_ids = list(map(dict(zip(dims, range(len(dims)))).__getitem__, dim_of_key))
-    values = list(map(scores.__getitem__, keys))
-    # a run's ids ascend without repeats: from_pairs is needed only to drop zeros or refuse negatives
-    positive = all(map(operator.lt, itertools.repeat(0.0), values))
-    rows: dict[str, SparseVector] = {}
-    start = 0
-    for target, run in itertools.groupby(map(_TARGET_OF_KEY, keys)):
-        end = start + len(list(run))
-        ids, row_scores = dim_ids[start:end], values[start:end]
-        if positive:
-            rows[target] = SparseVector(tuple(ids), tuple(row_scores))
-        else:
-            rows[target] = SparseVector.from_pairs(zip(ids, row_scores))
-        start = end
-    index = FillerIndex([scores] if extra_index is None else [scores, extra_index.scores])
+    catalog = tuple(sorted(set(dim_of_key)))
+    targets = list(map(_TARGET_OF_KEY, keys))
     vocab = frozenset(vocabulary)
+    # (target, dim id, score) per rows.tsv line, all rendered by one % operation
+    fields: list = [None] * (3 * len(keys))
+    fields[0::3] = targets
+    fields[1::3] = map(dict(zip(catalog, range(len(catalog)))).__getitem__, dim_of_key)
+    fields[2::3] = values
+    rows_tsv = (f"%s\t%d\t{SCORE_FORMAT}\n" * len(keys)) % tuple(fields)
+    # arg.tsv holds the ARG rankings' scores, by target then filler; a filler
+    # ranked twice (a corpus relation named ARG beside the collapsed scores)
+    # is written in ranking order, best first
+    arg_entries = itertools.compress(zip(keys, values), map(ARG.__eq__, map(_RELATION_OF_KEY, keys)))
+    if extra_index is not None:
+        arg_entries = itertools.chain(arg_entries, zip(*_stored(extra_index.scores)))
+    arg = sorted([(target, filler, -score) for (target, _, filler), score in arg_entries])
+    texts = (
+        "".join([f"{dim_id}\t{relation}\t{filler}\n" for dim_id, (relation, filler) in enumerate(catalog)]),
+        "".join([f"{token}\n" for token in sorted(vocab)]),
+        rows_tsv,
+        "".join([f"{target}\t{filler}\t{format_score(-negated)}\n" for target, filler, negated in arg]),
+    )
     info = {
         "format_version": FORMAT_VERSION,
         "source_hash": weighted.source_hash,
-        "n_targets": str(len(rows)),
+        "n_targets": str(len(set(targets))),
         "n_dims": str(len(catalog)),
         "n_vocab": str(len(vocab)),
     }
     if manifest:
         info.update(manifest)
-    return WeightedSpace(catalog, rows, index, vocab, info)
+    info["space_id"] = _space_id(text.encode("utf-8") for text in texts)
+    return WeightedSpace(texts, catalog, vocab, info)
 
 
 # -- archive -------------------------------------------------------------
-
-
-def _catalog_tsv(space: WeightedSpace) -> str:
-    pairs = enumerate(space.catalog.pairs())
-    return "".join([f"{dim_id}\t{relation}\t{filler}\n" for dim_id, (relation, filler) in pairs])
-
-
-def _vocab_tsv(space: WeightedSpace) -> str:
-    return "".join([f"{t}\n" for t in sorted(space.vocabulary)])
-
-
-def _rows_tsv(space: WeightedSpace) -> str:
-    parts = []
-    for target in sorted(space.rows):
-        row = space.rows[target]
-        # (target, dim id, score) per line, each row rendered by one % operation
-        fields = [target, 0, 0.0] * len(row)
-        fields[1::3] = row.ids
-        fields[2::3] = row.scores
-        parts.append((f"%s\t%d\t{SCORE_FORMAT}\n" * len(row)) % tuple(fields))
-    return "".join(parts)
-
-
-def _arg_tsv(space: WeightedSpace) -> str:
-    """The ARG rankings' scores, by target then filler: the one ranking rows do not hold.
-
-    A filler ranked twice for one target (a corpus relation named ARG
-    beside the collapsed scores) is written in ranking order, best first.
-    """
-    lines = sorted([(target, filler, -score) for target, filler, score in space.index.arg_entries()])
-    return "".join([f"{target}\t{filler}\t{format_score(-negated)}\n" for target, filler, negated in lines])
-
-
-def _archive_bodies(space: WeightedSpace) -> list[bytes]:
-    """The data files' bytes, in ``_DATA_FILES`` order."""
-    bodies = (_catalog_tsv(space), _vocab_tsv(space), _rows_tsv(space), _arg_tsv(space))
-    return [body.encode("utf-8") for body in bodies]
 
 
 def _space_id(bodies: Iterable[bytes]) -> str:
@@ -432,25 +428,22 @@ def _space_id(bodies: Iterable[bytes]) -> str:
 
 
 def save_space(space: WeightedSpace, directory: str) -> str:
-    """Write the archive; returns the space id recorded in the manifest.
+    """Write the archive; returns its space id.
 
-    The space id is the hash of the bytes written here, and is set on
-    ``space`` too. Each file is replaced atomically and the manifest goes
-    last, so an interrupted save leaves an archive that fails
-    verification, never a half-written file.
+    Each data file is replaced atomically and the manifest goes last,
+    so an interrupted save leaves an archive that fails verification,
+    never a half-written file.
     """
     os.makedirs(directory, exist_ok=True)
-    bodies = _archive_bodies(space)
-    for name, data in zip(_DATA_FILES, bodies):
-        write_bytes_atomic(os.path.join(directory, name), data)
-    space.manifest["space_id"] = _space_id(bodies)
+    for name, text in zip(_DATA_FILES, space.texts):
+        write_bytes_atomic(os.path.join(directory, name), text.encode("utf-8"))
     write_sidecar(os.path.join(directory, "manifest.txt"), space.manifest)
-    return space.manifest["space_id"]
+    return space.space_id
 
 
-# A verified archive is read with a few whole-file regex passes, which
-# check the layout of every line and every token, and the dimension ids.
-# Then rows.tsv and arg.tsv are indexed by target block (a target's
+# The reader checks the data files with a few whole-file regex passes,
+# which check the layout of every line and every token, and the dimension
+# ids. Then rows.tsv and arg.tsv are indexed by target block (a target's
 # consecutive lines), and a block is parsed the first time its target's
 # row or a ranking of it is read.
 _FIELD = r"[^\t\n]+"
@@ -482,7 +475,7 @@ def _check_column(path: str, column: list[str], check, known: frozenset[str] = f
                 raise CorpusError(f"{path}:{column.index(token) + 1}: {exc}") from None
 
 
-def _read_catalog(path: str, text: str, check, known: frozenset[str]) -> list[tuple[str, str]]:
+def _read_catalog(path: str, text: str, check, known: frozenset[str]) -> tuple[tuple[str, str], ...]:
     if _CATALOG_LINES.fullmatch(text) is None:
         raise _malformed(path, text, _CATALOG_LINES.match(text).end(), "dimension id, relation, filler")
     lines = _CATALOG_LINE.findall(text)
@@ -490,8 +483,15 @@ def _read_catalog(path: str, text: str, check, known: frozenset[str]) -> list[tu
     if ids != list(map(str, range(len(ids)))):
         first = next(i for i, dim_id in enumerate(ids) if dim_id != str(i))
         raise ConsistencyError(f"{path}:{first + 1}: dimension id {ids[first]} out of sequence")
-    _check_column(path, list(map(operator.itemgetter(2), lines)), check, known)
-    return list(map(operator.itemgetter(1, 2), lines))
+    dims = tuple(map(operator.itemgetter(1, 2), lines))
+    first_line = dict(zip(reversed(dims), range(len(dims), 0, -1)))
+    if len(first_line) != len(dims):
+        line, (relation, filler) = next((i, dim) for i, dim in enumerate(dims, 1) if first_line[dim] != i)
+        raise ConsistencyError(
+            f"{path}:{line}: dimension ({relation}, {filler}) repeats line {first_line[relation, filler]}"
+        )
+    _check_column(path, list(map(operator.itemgetter(1), dims)), check, known)
+    return dims
 
 
 def _target_blocks(
@@ -527,61 +527,49 @@ def _check_dim_ids(path: str, text: str, n_dims: int) -> None:
 
 
 class _ArchiveRows(Mapping):
-    """The rows of a verified archive, each target parsed on first use.
+    """The rows of an archive's data files, each target parsed on first use.
 
-    A target's row is parsed from its ``rows.tsv`` block when the row is
-    first read. Its rankings are built when one of them is first looked
-    up: the dependency slots' from the same block through the catalog,
-    ``ARG`` from its ``arg.tsv`` lines. Iteration and ``len`` read only
-    the block index.
+    Construction checks the files whole: every line's layout and token,
+    every dimension id, and the catalog, which it parses with the
+    vocabulary. A target's row is parsed from its ``rows.tsv`` block
+    when the row is first read, which is where a dimension id repeated
+    within one row is found. Iteration and ``len`` read only the block
+    index. ``directory`` only names the files in errors.
     """
 
-    def __init__(self, dims, rows_path, rows_text, row_blocks, arg_text, arg_blocks):
-        self._dims = dims
-        self._rows_path, self._rows_text, self._row_blocks = rows_path, rows_text, row_blocks
-        self._arg_text, self._arg_blocks = arg_text, arg_blocks
-        self._unread = set(row_blocks)
-        self._unranked = set(row_blocks) | set(arg_blocks)
+    def __init__(self, directory: str, texts: Sequence[str]):
+        paths = [os.path.join(directory, name) for name in _DATA_FILES]
+        catalog_path, vocab_path, rows_path, arg_path = paths
+        catalog_text, vocab_text, rows_text, arg_text = texts
+        # every token is checked once, and most are vocabulary entries: checked first
+        check = canonical_checker()
+        vocab = vocab_text.split("\n")
+        if not vocab[-1]:
+            vocab.pop()
+        _check_column(vocab_path, vocab, check)
+        self.vocabulary = known = frozenset(vocab)
+        self.catalog = _read_catalog(catalog_path, catalog_text, check, known)
+        layout = "target, dimension id, score"
+        self._row_blocks = _target_blocks(rows_path, rows_text, _ROWS_BLOCK, layout, check, known)
+        _check_dim_ids(rows_path, rows_text, len(self.catalog))
+        layout = "target, filler, score"
+        self.arg_blocks = _target_blocks(arg_path, arg_text, _ARG_BLOCK, layout, check, known)
+        _check_column(arg_path, _MIDDLE.findall(arg_text), check, known)
+        self._rows_path, self._rows_text, self.arg_text = rows_path, rows_text, arg_text
         self._rows: dict[str, SparseVector] = {}
-        self.rankings: dict[tuple[str, str], tuple[tuple[str, float], ...]] = {}
 
-    def read(self, target: str) -> None:
-        """Parse the row of ``target``, if not yet parsed: where a repeated dimension id is found."""
-        if target in self._unread:
-            blocks = self._row_blocks[target]
+    def get(self, target: str, default=None):
+        row = self._rows.get(target)
+        if row is None:
+            blocks = self._row_blocks.get(target)
+            if blocks is None:
+                return default
             try:
-                self._rows[target] = SparseVector.from_pairs(self._pairs(blocks))
+                row = SparseVector.from_pairs(self._pairs(blocks))
             except ValueError as exc:  # the layout allows only one fault here: a repeated id
                 raise CorpusError(f"{self._rows_path}:{self._first_repeat(blocks)}: {exc}") from None
-            self._unread.discard(target)
-
-    def rank(self, target: str) -> None:
-        """Build the rankings of ``target``, if not yet built."""
-        if target not in self._unranked:
-            return
-        self.read(target)
-        groups: dict[str, list[tuple[str, float]]] = {}
-        dims = self._dims
-        for dim_id, score in self._pairs(self._row_blocks.get(target, ())):
-            relation, filler = dims[dim_id]
-            # the ARG ranking is stored whole in arg.tsv
-            if relation != ARG:
-                groups.setdefault(relation, []).append((filler, score))
-        blocks = self._arg_blocks.get(target)
-        if blocks is not None:
-            text = self._arg_text
-            groups[ARG] = [
-                (filler, float(score))
-                for start, end in blocks
-                for filler, score in _PAIR.findall(text, start, end)
-            ]
-        for relation, fillers in groups.items():
-            self.rankings[(target, relation)] = _ranked(fillers)
-        self._unranked.discard(target)
-
-    def rank_all(self) -> None:
-        for target in sorted(self._unranked):
-            self.rank(target)
+            self._rows[target] = row
+        return row
 
     def _pairs(self, blocks) -> list[tuple[int, float]]:
         text = self._rows_text
@@ -603,12 +591,10 @@ class _ArchiveRows(Mapping):
         return _line_of(self._rows_text, blocks[0][0])
 
     def __getitem__(self, target: str) -> SparseVector:
-        self.read(target)
-        return self._rows[target]
-
-    def get(self, target: str, default=None):
-        self.read(target)
-        return self._rows.get(target, default)
+        row = self.get(target)
+        if row is None:
+            raise KeyError(target)
+        return row
 
     def __contains__(self, target) -> bool:
         return target in self._row_blocks
@@ -618,35 +604,6 @@ class _ArchiveRows(Mapping):
 
     def __len__(self) -> int:
         return len(self._row_blocks)
-
-
-class _ArchiveIndex(FillerIndex):
-    """The rankings of an ``_ArchiveRows``: a target's are built when it is first looked up."""
-
-    def __init__(self, rows: _ArchiveRows):
-        self._archive = rows
-        self._rankings = rows.rankings
-
-    def __len__(self) -> int:
-        self._archive.rank_all()
-        return len(self._rankings)
-
-    def keys(self):
-        self._archive.rank_all()
-        return self._rankings.keys()
-
-    def ranking(self, target: str, relation: str) -> tuple[tuple[str, float], ...]:
-        self._archive.rank(target)
-        return self._rankings.get((target, relation), ())
-
-    def arg_entries(self) -> list[tuple[str, str, float]]:
-        self._archive.rank_all()
-        return [
-            (target, filler, score)
-            for (target, relation), ranking in self._rankings.items()
-            if relation == ARG
-            for filler, score in ranking
-        ]
 
 
 def load_space(directory: str) -> WeightedSpace:
@@ -674,24 +631,7 @@ def load_space(directory: str) -> WeightedSpace:
             f"space archive {directory} failed verification: "
             f"manifest records {recorded[:12]}.., content is {actual[:12]}.."
         )
-    catalog_path, vocab_path, rows_path, arg_path = paths
-    catalog_text, vocab_text, rows_text, arg_text = map(decode_utf8, paths, bodies)
+    texts = tuple(map(decode_utf8, paths, bodies))
     del bodies
-
-    # every token is checked once, and most are vocabulary entries: checked first
-    check = canonical_checker()
-    vocab = vocab_text.split("\n")
-    if not vocab[-1]:
-        vocab.pop()
-    _check_column(vocab_path, vocab, check)
-    known = frozenset(vocab)
-    dims = _read_catalog(catalog_path, catalog_text, check, known)
-    row_blocks = _target_blocks(
-        rows_path, rows_text, _ROWS_BLOCK, "target, dimension id, score", check, known
-    )
-    _check_dim_ids(rows_path, rows_text, len(dims))
-    arg_blocks = _target_blocks(arg_path, arg_text, _ARG_BLOCK, "target, filler, score", check, known)
-    _check_column(arg_path, _MIDDLE.findall(arg_text), check, known)
-    catalog = DimensionCatalog(dims)
-    rows = _ArchiveRows(catalog.pairs(), rows_path, rows_text, row_blocks, arg_text, arg_blocks)
-    return WeightedSpace(catalog, rows, _ArchiveIndex(rows), known, manifest)
+    rows = _ArchiveRows(directory, texts)
+    return WeightedSpace(texts, rows.catalog, rows.vocabulary, manifest, rows)

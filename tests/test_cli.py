@@ -96,6 +96,25 @@ class TestStages:
             assert os.path.exists(os.path.join(bicknell_out, name)), name
         assert not os.path.exists(os.path.join(bicknell_out, ".lock"))
 
+    def test_weight_reads_no_row_back_and_prints_the_archive_counts(self, tmp_path, monkeypatch, capsys):
+        from argex import space as space_module
+        from argex.space import load_space
+
+        out = str(tmp_path)
+        assert run_cli(capsys, "ingest", "-c", BICKNELL_CONF, "--out-dir", out)[0] == 0
+
+        def no_reader(*args):
+            raise AssertionError("the archive reader was opened")
+
+        monkeypatch.setattr(space_module, "_ArchiveRows", no_reader)
+        code, stdout, _ = run_cli(capsys, "weight", "-c", BICKNELL_CONF, "--out-dir", out)
+        monkeypatch.undo()
+        assert code == 0
+        for name, directory in (("dependency", "deps.space"), ("window", "window.space")):
+            space = load_space(os.path.join(out, directory))
+            counts = f"{name} space: {len(space.rows)} targets, {len(space.catalog)} dims, id {space.space_id[:12]}"
+            assert counts in stdout
+
     def test_fillers_prints_ranked_listing(self, bicknell_out, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -277,11 +296,30 @@ class TestStages:
         assert code == 0
         assert out.startswith("no reports under")
 
-    def test_report_on_damaged_json_exits_4_naming_the_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda report: '{"task": "chow", "variant": {',
+            lambda report: report.replace('"accuracy": 1.0', '"accuracy": "high"'),
+            lambda report: report.replace('"k": 10', '"k": true'),
+            lambda report: report.replace('"all_ties": false', '"all_ties": "no"'),
+            lambda report: "[]",
+        ],
+        ids=["truncated", "accuracy-string", "k-bool", "all-ties-string", "not-an-object"],
+    )
+    def test_report_on_damaged_json_exits_4_naming_the_file(self, tmp_path, capsys, edit):
         reports = tmp_path / "reports"
         reports.mkdir()
         damaged = reports / "chow.deps-sum-k10.json"
-        damaged.write_text('{"task": "chow", "variant": {', encoding="utf-8")
+        report = json.dumps({
+            "task": "chow", "variant": {"kind": "deps", "k": 10, "composition": "sum"},
+            "accuracy": 1.0, "coverage": 1.0, "counts": {"n_ties": 0}, "all_ties": False,
+        })
+        damaged.write_text(report, encoding="utf-8")
+        assert run_cli(capsys, "report", "-c", CHOW_CONF, "--out-dir", str(tmp_path))[0] == 0
+        edited = edit(report)
+        assert edited != report
+        damaged.write_text(edited, encoding="utf-8")
         code, out, err = run_cli(
             capsys, "report", "-c", CHOW_CONF, "--out-dir", str(tmp_path)
         )

@@ -23,7 +23,6 @@ from argex.evaluation import (
     _composed_norms,
     _cosine,
     evaluate_grid,
-    k_sweep,
     per_item_csv,
     per_k_csv,
     report_to_dict,
@@ -236,29 +235,23 @@ class TestRunChow:
 class TestKSweep:
     def test_one_report_per_k(self, chow_setup):
         deps_space, _, items = chow_setup
-        reports = k_sweep(
-            deps_space, DEPS_SUM, items, [10, 20, 30, 40, 50], TASK_CHOW
-        )
-        assert [r.variant.k for r in reports] == [10, 20, 30, 40, 50]
+        k_values = [10, 20, 30, 40, 50]
+        grid = evaluate_grid(deps_space, VariantKind.DEPS, items, TASK_CHOW, [Composition.SUM], k_values)
+        assert list(grid) == [(Composition.SUM, k) for k in k_values]
+        reports = list(grid.values())
+        assert [r.variant for r in reports] == [ModelVariant(VariantKind.DEPS, k, Composition.SUM) for k in k_values]
         assert all(r.task == TASK_CHOW for r in reports)
         assert all(r.accuracy == 1.0 for r in reports)
 
-    def test_bicknell_sweep_requires_mode(self, bicknell_setup):
+    def test_bicknell_sweep_reports_its_mode(self, bicknell_setup):
         deps_space, _, _, acc2 = bicknell_setup
-        reports = k_sweep(
-            deps_space,
-            DEPS_SUM,
-            acc2,
-            [10, 20],
-            TASK_BICKNELL_ACC2,
-            mode=BicknellMode.ACC2,
-        )
-        assert len(reports) == 2
+        grid = evaluate_grid(deps_space, VariantKind.DEPS, acc2, TASK_BICKNELL_ACC2, [Composition.SUM], [10, 20])
+        assert [r.task for r in grid.values()] == [TASK_BICKNELL_ACC2] * 2
 
     def test_empty_k_values_rejected(self, chow_setup):
         deps_space, _, items = chow_setup
         with pytest.raises(ValueError):
-            k_sweep(deps_space, DEPS_SUM, items, [], TASK_CHOW)
+            evaluate_grid(deps_space, VariantKind.DEPS, items, TASK_CHOW, [Composition.SUM], [])
 
 
 class TestSerialization:
@@ -297,8 +290,8 @@ class TestSerialization:
 
     def test_per_k_csv_shape(self, chow_setup):
         deps_space, _, items = chow_setup
-        reports = k_sweep(deps_space, DEPS_SUM, items, [10, 20], TASK_CHOW)
-        lines = per_k_csv(reports).strip().split("\n")
+        grid = evaluate_grid(deps_space, VariantKind.DEPS, items, TASK_CHOW, [Composition.SUM], [10, 20])
+        lines = per_k_csv(list(grid.values())).strip().split("\n")
         assert lines[0] == "k,task,kind,composition,accuracy,n_ties,n_degenerate,coverage"
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "10"

@@ -11,7 +11,6 @@ from argex.errors import (
 from argex.expectation import (
     Composition,
     ModelVariant,
-    PAPER_K_GRID,
     SlotQuery,
     VariantKind,
     build_prototype,
@@ -80,9 +79,6 @@ class TestVariantBasics:
             VariantKind.from_string("bag")
         with pytest.raises(ConfigError):
             Composition.from_string("avg")
-
-    def test_paper_grid(self):
-        assert PAPER_K_GRID == (10, 20, 30, 40, 50)
 
     def test_map_slot(self):
         assert map_slot(VariantKind.DEPS, "sbj_inv") == "sbj_inv"

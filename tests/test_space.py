@@ -15,7 +15,6 @@ from argex import space as space_module
 from argex.corpus import load_vocabulary
 from argex.errors import ConsistencyError, CorpusError, OutOfVocabularyError
 from argex.space import (
-    DimensionCatalog,
     EMPTY_VECTOR,
     SparseVector,
     VectorSum,
@@ -231,25 +230,6 @@ class TestComposition:
             assert m == multiply_vectors(b, a)
 
 
-class TestCatalog:
-    def test_bijection(self):
-        catalog = DimensionCatalog.from_pairs([("sbj", "dog-n"), ("obj", "cat-n")])
-        assert len(catalog) == 2
-        for dim_id in range(len(catalog)):
-            rel, filler = catalog.pair_of(dim_id)
-            assert catalog.id_of(rel, filler) == dim_id
-
-    def test_from_pairs_sorted_and_deduplicated(self):
-        catalog = DimensionCatalog.from_pairs(
-            [("obj", "cat-n"), ("sbj", "dog-n"), ("obj", "cat-n")]
-        )
-        assert catalog.pairs() == (("obj", "cat-n"), ("sbj", "dog-n"))
-
-    def test_unknown_pair(self):
-        catalog = DimensionCatalog.from_pairs([("sbj", "dog-n")])
-        assert catalog.id_of("sbj", "zebra-n") is None
-
-
 def toy_weighted():
     tensor = CooccurrenceTensor()
     see, eat = "see-v", "eat-v"
@@ -357,7 +337,7 @@ class TestSpace:
         see = "see-v"
         v = vector_of(space, see)
         for dim_id, score in v.items():
-            rel, filler = space.catalog.pair_of(dim_id)
+            rel, filler = space.catalog[dim_id]
             assert score == weighted.scores[(see, rel, filler)]
 
     def test_archive_round_trip(self, tmp_path):
@@ -366,7 +346,7 @@ class TestSpace:
         save_space(space, directory)
         loaded = load_space(directory)
         assert loaded.space_id == space.space_id
-        assert loaded.catalog.pairs() == space.catalog.pairs()
+        assert loaded.catalog == space.catalog
         assert loaded.vocabulary == space.vocabulary
         assert set(loaded.rows) == set(space.rows)
         for target, row in space.rows.items():
@@ -397,15 +377,20 @@ class TestSpace:
 
     @pytest.mark.parametrize(
         "line, error",
-        [("junk\n", CorpusError), ("0\tnsubj\tdog/n\n", ConsistencyError)],
-        ids=["junk-row", "dimension-id-out-of-sequence"],
+        [
+            ("junk\n", CorpusError),
+            ("0\tnsubj\tdog/n\n", ConsistencyError),
+            ("{n_dims}\tobj\tbird-n\n", ConsistencyError),
+        ],
+        ids=["junk-row", "dimension-id-out-of-sequence", "repeated-dimension"],
     )
     def test_verified_but_malformed_catalog_names_path_and_line(self, tmp_path, line, error):
         space = toy_space()
         directory = str(tmp_path / "space")
         save_space(space, directory)
-        append_verified(directory, "catalog.tsv", line)
         n_dims = len(space.catalog)
+        assert space.catalog[0] == ("obj", "bird-n")  # the pair the third line repeats
+        append_verified(directory, "catalog.tsv", line.format(n_dims=n_dims))
         with pytest.raises(error, match=f"catalog.tsv:{n_dims + 1}:"):
             load_space(directory)
 
@@ -460,7 +445,7 @@ class TestSpace:
         directory = str(tmp_path / "space")
         save_space(space, directory)
         assert min(space.rows) == "dog-n"  # the first block: an appended line is a second one
-        extra = space.catalog.id_of("obj", "bird-n")
+        extra = space.catalog.index(("obj", "bird-n"))
         assert extra not in space.rows["dog-n"].ids
         append_verified(directory, "rows.tsv", f"dog-n\t{extra}\t2.5\n")
         loaded = load_space(directory)
@@ -488,11 +473,15 @@ class TestSpace:
         assert load_space(str(tmp_path)).index.ranking("see-v", ARG) == space.index.ranking("see-v", ARG)
 
     def test_building_and_saving_a_space_ranks_no_slot(self, tmp_path, monkeypatch):
-        # arg.tsv is written from the ARG scores; the rankings are sorted only when looked up
+        # the data files are rendered from the scores; the reader opens on the first row or ranking
         def no_ranking(fillers):
             raise AssertionError("a slot was ranked")
 
+        def no_reader(*args):
+            raise AssertionError("the archive reader was opened")
+
         monkeypatch.setattr(space_module, "_ranked", no_ranking)
+        monkeypatch.setattr(space_module, "_ArchiveRows", no_reader)
         extra = WeightedTensor(scores={("see-v", ARG, "dog-n"): 0.75})
         space = build_space(toy_weighted(), ["see-v", "dog-n"], extra_index=extra)
         save_space(space, str(tmp_path / "saved"))
@@ -509,6 +498,50 @@ class TestSpace:
         assert ranked == []
         monkeypatch.undo()
         assert loaded.index.ranking("see-v", "sbj") == space.index.ranking("see-v", "sbj")
+
+    def test_built_space_is_unchanged_by_later_changes_to_its_scores(self, tmp_path):
+        see, dog, cat = "see-v", "dog-n", "cat-n"
+        arg_scores = {(see, ARG, cat): 0.75, (see, ARG, dog): 0.25}
+        weighted, extra = toy_weighted(), WeightedTensor(scores=dict(arg_scores))
+        space = build_space(weighted, [see, dog, cat], extra_index=extra)
+        weighted.scores[(see, "sbj", "bird-n")] = 99.0
+        weighted.scores[(see, "sbj", dog)] = 0.001
+        extra.scores[(see, ARG, dog)] = 5.0
+        extra.scores[(see, ARG, "bird-n")] = 9.0
+        untouched = build_space(toy_weighted(), [see, dog, cat], extra_index=WeightedTensor(scores=arg_scores))
+        assert space.index.ranking(see, "sbj") == untouched.index.ranking(see, "sbj")
+        assert space.index.ranking(see, ARG) == ((cat, 0.75), (dog, 0.25))
+        save_space(space, str(tmp_path))
+        with open(tmp_path / "arg.tsv", encoding="utf-8") as fh:
+            assert fh.read() == "see-v\tcat-n\t0.75\nsee-v\tdog-n\t0.25\n"
+
+    def test_catalog_is_the_sorted_distinct_dimensions(self):
+        weighted = toy_weighted()
+        space = build_space(weighted, [])
+        assert space.catalog == tuple(sorted({(rel, filler) for _, rel, filler in weighted.scores}))
+        assert space.manifest["n_dims"] == str(len(space.catalog))
+
+    def test_zero_scores_are_dropped(self):
+        weighted = toy_weighted()
+        weighted.scores[("see-v", "obj", "ant-n")] = 0.0
+        weighted.scores[("ant-n", "sbj_inv", "see-v")] = -0.0
+        extra = WeightedTensor(scores={("see-v", ARG, "dog-n"): 0.0, ("see-v", ARG, "cat-n"): 0.5})
+        space = build_space(weighted, [], extra_index=extra)
+        without_zeros = WeightedTensor(scores={("see-v", ARG, "cat-n"): 0.5})
+        assert space.texts == build_space(toy_weighted(), [], extra_index=without_zeros).texts
+        assert ("obj", "ant-n") not in space.catalog
+        assert "ant-n" not in space.rows
+        assert space.index.ranking("see-v", ARG) == (("cat-n", 0.5),)
+
+    @pytest.mark.parametrize("score", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("where", ["weighted", "extra_index"])
+    def test_a_score_no_archive_line_can_hold_is_refused(self, score, where):
+        weighted = toy_weighted()
+        extra = WeightedTensor(scores={("see-v", ARG, "dog-n"): 0.5})
+        source = weighted if where == "weighted" else extra
+        source.scores[("see-v", ARG, "cat-n")] = score
+        with pytest.raises(ValueError, match="cannot be stored"):
+            build_space(weighted, [], extra_index=extra)
 
     @pytest.mark.parametrize("corpus", ["bicknell_corpus", "chow_corpus"])
     def test_loaded_rankings_equal_built_rankings(self, tmp_path, fixture_paths, corpus):
