@@ -87,13 +87,11 @@ def main() -> int:
             out = os.path.join(tmp, name)
             for rel, digest in build(name, conf, out).items():
                 (reports if rel.startswith(f"{name}/reports/") else artifacts)[rel] = digest
-            # source_hash names the count tensor the rankings were weighted
-            # from; the sidecar itself is not pinned
-            arg_meta = read_meta(os.path.join(out, "arg.weighted.tsv.meta"))
-            deps_meta = read_meta(os.path.join(out, "deps.tensor.tsv.meta"))
-            if arg_meta.get("source_hash") != deps_meta.get("content_hash"):
-                problems.append(f"{name}/arg.weighted.tsv.meta: source_hash is not the deps tensor's")
-            del artifacts[f"{name}/arg.weighted.tsv.meta"]
+            # the deps space's source_hash names the count tensor it was weighted from
+            space_meta = read_meta(os.path.join(out, "deps.space", "manifest.txt"))
+            tensor_meta = read_meta(os.path.join(out, "deps.tensor.tsv.meta"))
+            if space_meta.get("source_hash") != tensor_meta.get("content_hash"):
+                problems.append(f"{name}/deps.space/manifest.txt: source_hash is not the deps tensor's")
     reports = {rel.replace("/reports/", "/", 1): digest for rel, digest in reports.items()}
     problems += compare(read_pinned("fixture_artifacts.sha256"), artifacts)
     problems += compare(read_pinned("fixture_reports.sha256"), reports)

@@ -33,6 +33,7 @@ from .config import (
     config_hash,
     ingest_hash,
     load_config,
+    refuse_repeats,
     space_hash,
 )
 from .errors import (
@@ -62,6 +63,8 @@ def artifact_paths(out_dir: str) -> dict[str, str]:
         "vocab": os.path.join(out_dir, "vocab.tsv"),
         "deps_tensor": os.path.join(out_dir, "deps.tensor.tsv"),
         "window_tensor": os.path.join(out_dir, "window.tensor.tsv"),
+        # no stage writes or reads it: the ARG rankings live in deps.space/arg.tsv;
+        # perfbench/traced.py still writes it
         "arg_weighted": os.path.join(out_dir, "arg.weighted.tsv"),
         "deps_space": os.path.join(out_dir, "deps.space"),
         "window_space": os.path.join(out_dir, "window.space"),
@@ -241,10 +244,7 @@ def cmd_weight(args: argparse.Namespace) -> int:
     arg_filter = frozenset(config.arg_relations) if config.arg_relations else None
     if config.boa_rank_mode == "collapsed":
         arg_counts = collapse_relations(dep, arg_filter)
-        if arg_counts.total > 0:
-            arg_weighted = weight_tensor(arg_counts)
-        else:
-            arg_weighted = WeightedTensor(source_hash=dep.source_hash)
+        arg_weighted = weight_tensor(arg_counts) if arg_counts.total > 0 else WeightedTensor()
     else:
         arg_weighted = max_over_relations(dep_weighted, arg_filter)
     deps_space = build_space(
@@ -257,10 +257,6 @@ def cmd_weight(args: argparse.Namespace) -> int:
         win_weighted, vocab, manifest={"space_hash": stamp_space, "kind": "window"}
     )
     with _locked(config.out_dir):
-        arg_weighted.save(
-            paths["arg_weighted"],
-            {"space_hash": stamp_space, "rank_mode": config.boa_rank_mode},
-        )
         deps_id = save_space(deps_space, paths["deps_space"])
         window_id = save_space(window_space, paths["window_space"])
     print(
@@ -271,7 +267,7 @@ def cmd_weight(args: argparse.Namespace) -> int:
         f"window space: {window_space.manifest['n_targets']} targets, "
         f"{window_space.manifest['n_dims']} dims, id {window_id[:12]} -> {paths['window_space']}"
     )
-    print(f"argument rankings ({config.boa_rank_mode}): {len(arg_weighted)} entries -> {paths['arg_weighted']}")
+    print(f"argument rankings ({config.boa_rank_mode}): {len(arg_weighted)} entries -> {paths['deps_space']}")
     return 0
 
 
@@ -439,6 +435,7 @@ def _parse_k_list(text: str) -> tuple[int, ...]:
         raise ConfigError(f"--k expects an integer or comma list, got {text!r}") from None
     if not values:
         raise ConfigError("--k list is empty")
+    refuse_repeats("--k", values)
     return values
 
 

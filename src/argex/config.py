@@ -103,15 +103,23 @@ class PipelineConfig:
             raise ConfigError(f"boa_rank_mode must be collapsed or max, got {self.boa_rank_mode!r}")
         if self.boa_space not in ("deps", "window"):
             raise ConfigError(f"boa_space must be deps or window, got {self.boa_space!r}")
-        for kind in self.variant_kinds:
-            VariantKind.from_string(kind)
-        for comp in self.compositions:
-            Composition.from_string(comp)
+        refuse_repeats("variant_kinds", [VariantKind.from_string(kind).value for kind in self.variant_kinds])
+        refuse_repeats("compositions", [Composition.from_string(comp).value for comp in self.compositions])
         if not self.k_values:
             raise ConfigError("k_values must be non-empty")
         if any(k < 1 for k in self.k_values):
             raise ConfigError("k_values must all be >= 1")
+        refuse_repeats("k_values", self.k_values)
         compile_pos_map(self.pos_map)  # validates eagerly
+
+
+def refuse_repeats(name: str, values) -> None:
+    """Raise ``ConfigError`` naming the first repeated value: each grid cell runs once."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ConfigError(f"{name} repeats {value!r}")
+        seen.add(value)
 
 
 _BOOL_TRUE = frozenset({"true", "yes", "1"})

@@ -13,7 +13,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .tensor import CooccurrenceTensor, Triple, parse_tsv, read_artifact, write_artifact
+from .errors import CorpusError
+from .tensor import CooccurrenceTensor, Triple, read_artifact, write_artifact
 from .tokens import VERB_LINK, VERB_POS, WINDOW, Memo, canonical_checker, inverse
 
 if TYPE_CHECKING:  # `argex weight` reads a vocabulary without the parser
@@ -177,15 +178,20 @@ def load_vocabulary(path: str, threshold: int, inclusive: bool = True) -> Vocabu
     text, _ = read_artifact(path)
     frequency: dict[str, int] = {}
     check = canonical_checker()
-
-    def row(token: str, count: str) -> None:
-        token, n = check(token), int(count)
-        if n < 1:
-            raise ValueError(f"count {n} of {token} is below 1")
-        if token in frequency:
-            raise ValueError(f"repeated token {token}")
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        try:
+            if len(fields) != 2:
+                raise ValueError(f"expected 2 tab-separated fields, got {len(fields)}")
+            token, n = check(fields[0]), int(fields[1])
+            if n < 1:
+                raise ValueError(f"count {n} of {token} is below 1")
+            if token in frequency:
+                raise ValueError(f"repeated token {token}")
+        except ValueError as exc:
+            raise CorpusError(f"{path}:{lineno}: {exc}") from None
         frequency[token] = n
-
-    parse_tsv(path, text, 2, row)
     return Vocabulary(frequency, threshold, inclusive)
 

@@ -2,9 +2,9 @@
 
 Counts are plain integers keyed by triples of strings: the canonical
 ``lemma-pos`` target and filler and the relation label. Zero entries are
-never stored. Marginals are not kept on each ``add``; weighting computes
-them in one pass over the counts. Serialization is a sorted TSV plus a
-small sidecar, byte-deterministic for a given input.
+never stored. Counters and loaders fill ``counts`` directly; weighting
+computes the marginals in one pass over them. Serialization is a sorted
+TSV plus a small sidecar, byte-deterministic for a given input.
 
 ``write_artifact`` and ``read_artifact`` are the one writer and reader
 behind every body-plus-sidecar artifact: the sidecar's ``content_hash``
@@ -17,7 +17,7 @@ import contextlib
 import hashlib
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import ConsistencyError, CorpusError
 from .tokens import Memo, canonical_checker
@@ -47,12 +47,6 @@ class CooccurrenceTensor:
     # sha256 of the count artifact on disk these counts were loaded or
     # derived from; empty for counts built in memory
     source_hash: str = ""
-
-    def add(self, target: str, relation: str, filler: str, count: int = 1) -> None:
-        if count <= 0:
-            raise ValueError("count increments must be positive")
-        key = (target, relation, filler)
-        self.counts[key] = self.counts.get(key, 0) + count
 
     def count(self, target: str, relation: str, filler: str) -> int:
         return self.counts.get((target, relation, filler), 0)
@@ -195,23 +189,3 @@ def read_artifact(path: str) -> tuple[str, dict[str, str]]:
         raise ConsistencyError(f"{path} does not match the content_hash in its sidecar")
     return decode_utf8(path, data), meta
 
-
-def parse_tsv(path: str, text: str, n_fields: int, row: Callable[..., None]) -> None:
-    """Call ``row`` with the ``n_fields`` fields of each non-empty line of ``text``.
-
-    A wrong field count, or a ``ValueError`` from ``row``, becomes a
-    ``CorpusError`` naming ``path:line``; a ``ConsistencyError`` from
-    ``row`` (a broken invariant) gets the same prefix.
-    """
-    for lineno, line in enumerate(text.split("\n"), 1):
-        if not line:
-            continue
-        fields = line.split("\t")
-        try:
-            if len(fields) != n_fields:
-                raise ValueError(f"expected {n_fields} tab-separated fields, got {len(fields)}")
-            row(*fields)
-        except ValueError as exc:
-            raise CorpusError(f"{path}:{lineno}: {exc}") from None
-        except ConsistencyError as exc:
-            raise ConsistencyError(f"{path}:{lineno}: {exc}") from None

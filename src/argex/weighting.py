@@ -12,19 +12,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ConsistencyError, UndefinedModelError
-from .tensor import (
-    CooccurrenceTensor,
-    Triple,
-    format_score,
-    parse_tsv,
-    read_artifact,
-    sorted_triples,
-    write_artifact,
-)
-from .tokens import ARG, VERB_LINK, canonical_checker, is_inverse
+from .tensor import CooccurrenceTensor, Triple, format_score, sorted_triples, write_artifact
+from .tokens import ARG, VERB_LINK, is_inverse
 
 
 def lmi(observed: int, expected: float) -> float:
@@ -50,10 +42,6 @@ class WeightedTensor:
     def __len__(self) -> int:
         return len(self.scores)
 
-    def entries(self) -> Iterator[tuple[Triple, float]]:
-        for key in sorted_triples(self.scores):
-            yield key, self.scores[key]
-
     def to_tsv(self) -> str:
         scores = self.scores
         return "".join([
@@ -61,24 +49,14 @@ class WeightedTensor:
         ])
 
     def save(self, path: str, sidecar: dict[str, str] | None = None) -> str:
+        # no stage writes a weighted tensor (the ARG rankings go to the deps
+        # space's arg.tsv); perfbench/traced.py still does
         meta = {
             "entries": str(len(self.scores)),
             "source_hash": self.source_hash,
             **(sidecar or {}),
         }
         return write_artifact(path, self.to_tsv(), meta)
-
-    @classmethod
-    def load(cls, path: str) -> "WeightedTensor":
-        text, meta = read_artifact(path)
-        weighted = cls(source_hash=meta.get("source_hash", ""))
-        check = canonical_checker()
-
-        def row(t: str, r: str, f: str, score: str) -> None:
-            weighted.scores[(check(t), r, check(f))] = float(score)
-
-        parse_tsv(path, text, 4, row)
-        return weighted
 
 
 def weight_tensor(tensor: CooccurrenceTensor) -> WeightedTensor:

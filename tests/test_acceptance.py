@@ -95,19 +95,17 @@ def test_criterion_2_plmi_against_high_precision_recount():
             assert abs(score - expected) <= 1e-9 * abs(expected)
 
         # O = E exactly: rank-one counts leave nothing above expectation
-        rank_one = CooccurrenceTensor()
-        for i, t in enumerate(("dog-n", "cat-n"), start=1):
-            for j, r in enumerate(("sbj", "obj"), start=1):
-                for k, f in enumerate(("eat-v", "see-v", "pet-v"), start=1):
-                    rank_one.add(t, r, f, i * j * k)
+        rank_one = CooccurrenceTensor({
+            (t, r, f): i * j * k
+            for i, t in enumerate(("dog-n", "cat-n"), start=1)
+            for j, r in enumerate(("sbj", "obj"), start=1)
+            for k, f in enumerate(("eat-v", "see-v", "pet-v"), start=1)
+        })
         assert len(weight_tensor(rank_one)) == 0
 
         # O < E: the common triple is under-expected and must be dropped
-        under = CooccurrenceTensor()
         a, b, c = "dog-n", "cat-n", "fox-n"
-        under.add(a, "sbj", b, 1)
-        under.add(a, "obj", c, 9)
-        under.add(c, "sbj", b, 9)
+        under = CooccurrenceTensor({(a, "sbj", b): 1, (a, "obj", c): 9, (c, "sbj", b): 9})
         kept = weight_tensor(under)
         assert (a, "sbj", b) not in kept.scores
 

@@ -89,12 +89,13 @@ class TestStages:
             "vocab.tsv",
             "deps.tensor.tsv",
             "window.tensor.tsv",
-            "arg.weighted.tsv",
             "deps.space",
             "window.space",
         ):
             assert os.path.exists(os.path.join(bicknell_out, name)), name
         assert not os.path.exists(os.path.join(bicknell_out, ".lock"))
+        # the ARG rankings are stored once, in deps.space/arg.tsv
+        assert not os.path.exists(os.path.join(bicknell_out, "arg.weighted.tsv"))
 
     def test_weight_reads_no_row_back_and_prints_the_archive_counts(self, tmp_path, monkeypatch, capsys):
         from argex import space as space_module
@@ -114,6 +115,11 @@ class TestStages:
             space = load_space(os.path.join(out, directory))
             counts = f"{name} space: {len(space.rows)} targets, {len(space.catalog)} dims, id {space.space_id[:12]}"
             assert counts in stdout
+        with open(os.path.join(out, "deps.space", "arg.tsv"), encoding="utf-8") as fh:
+            n_arg = len(fh.readlines())
+        assert n_arg > 0
+        deps_dir = os.path.join(out, "deps.space")
+        assert stdout.splitlines()[2] == f"argument rankings (collapsed): {n_arg} entries -> {deps_dir}"
 
     def test_fillers_prints_ranked_listing(self, bicknell_out, capsys):
         code, out, _ = run_cli(
@@ -378,6 +384,24 @@ class TestStages:
 
 
 class TestGuards:
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("sweep", "--set", "k_values=10,10", "--set", "compositions=sum"), "k_values repeats 10"),
+            (("sweep", "--set", "variant_kinds=deps,DEPS", "--set", "k_values=10,10"), "variant_kinds repeats 'deps'"),
+            (("sweep", "--set", "compositions=sum,mult,sum"), "compositions repeats 'sum'"),
+            (("eval", "--task", "chow", "--kind", "deps", "--k", "10,10"), "--k repeats 10"),
+        ],
+        ids=["sweep-k", "sweep-kind", "sweep-composition", "eval-k"],
+    )
+    def test_repeated_grid_entry_exits_2_and_writes_no_report(self, chow_out, tmp_path, capsys, argv, named):
+        out = copy_artifacts(chow_out, str(tmp_path / "out"))
+        code, stdout, err = run_cli(capsys, argv[0], "-c", CHOW_CONF, "--out-dir", out, *argv[1:])
+        assert code == 2
+        assert named in err
+        assert stdout == ""
+        assert not os.path.exists(os.path.join(out, "reports"))
+
     def test_weight_before_ingest(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "weight", "-c", BICKNELL_CONF, "--out-dir", str(tmp_path)
@@ -611,7 +635,7 @@ class TestGoldenChecker:
     def test_fixtures_match_under_this_interpreter(self):
         result = subprocess.run([sys.executable, self.SCRIPT], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.endswith(" 34 artifacts, 183 reports, 0 mismatches\n")
+        assert result.stdout.endswith(" 32 artifacts, 183 reports, 0 mismatches\n")
 
     def test_each_mismatch_is_named(self):
         spec = importlib.util.spec_from_file_location("check_golden", self.SCRIPT)
@@ -714,11 +738,10 @@ class TestGoldenArtifacts:
                     rel = os.path.relpath(path, tmp_path).replace(os.sep, "/")
                     with open(path, "rb") as fh:
                         actual[rel] = hashlib.sha256(fh.read()).hexdigest()
-            # source_hash names the count tensor the rankings were weighted from
-            arg_meta = read_sidecar(os.path.join(out, "arg.weighted.tsv.meta"))
-            deps_meta = read_sidecar(os.path.join(out, "deps.tensor.tsv.meta"))
-            assert arg_meta["source_hash"] == deps_meta["content_hash"]
-            del actual[f"{name}/arg.weighted.tsv.meta"]
+            # the deps space's source_hash names the count tensor it was weighted from
+            space_meta = read_sidecar(os.path.join(out, "deps.space", "manifest.txt"))
+            tensor_meta = read_sidecar(os.path.join(out, "deps.tensor.tsv.meta"))
+            assert space_meta["source_hash"] == tensor_meta["content_hash"]
         assert sorted(actual) == sorted(pinned)
         assert {n: d for n, d in actual.items() if pinned[n] != d} == {}
 

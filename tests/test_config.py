@@ -47,6 +47,26 @@ class TestValidation:
         with pytest.raises(ConfigError):
             PipelineConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "items, named",
+        [
+            ({"k_values": "10,20,10"}, "k_values repeats 10"),
+            ({"variant_kinds": "deps,boa,DEPS"}, "variant_kinds repeats 'deps'"),
+            ({"compositions": "sum, Sum"}, "compositions repeats 'sum'"),
+        ],
+        ids=["k", "kind-after-lower-casing", "composition-after-lower-casing"],
+    )
+    def test_repeated_grid_entry_rejected_naming_it(self, items, named):
+        # a repeat would run and write the same grid cell twice
+        with pytest.raises(ConfigError) as caught:
+            config_from_items(items)
+        assert str(caught.value) == named
+
+    def test_distinct_grid_entries_are_kept_as_written(self):
+        config = config_from_items({"k_values": "30,10", "variant_kinds": "BOA,deps", "compositions": "mult,sum"})
+        assert (config.k_values, config.variant_kinds, config.compositions) == (
+            (30, 10), ("BOA", "deps"), ("mult", "sum"))
+
     def test_duplicate_column_indices_rejected(self):
         with pytest.raises(ConfigError, match="distinct"):
             PipelineConfig(col_form=2, col_lemma=2)

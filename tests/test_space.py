@@ -231,16 +231,16 @@ class TestComposition:
 
 
 def toy_weighted():
-    tensor = CooccurrenceTensor()
     see, eat = "see-v", "eat-v"
     dog, cat, bird = "dog-n", "cat-n", "bird-n"
-    tensor.add(see, "sbj", dog, 8)
-    tensor.add(see, "sbj", cat, 4)
-    tensor.add(see, "obj", bird, 6)
-    tensor.add(eat, "sbj", cat, 7)
-    tensor.add(eat, "obj", bird, 2)
-    tensor.add(dog, "sbj_inv", see, 8)
-    return weight_tensor(tensor)
+    return weight_tensor(CooccurrenceTensor({
+        (see, "sbj", dog): 8,
+        (see, "sbj", cat): 4,
+        (see, "obj", bird): 6,
+        (eat, "sbj", cat): 7,
+        (eat, "obj", bird): 2,
+        (dog, "sbj_inv", see): 8,
+    }))
 
 
 def append_verified(directory: str, name: str, line: str) -> None:
@@ -621,8 +621,6 @@ class TestTokenChecksAtLoad:
         "setup",
         [
             bad_artifact(CooccurrenceTensor.load, "t.tsv", "see-v\tsbj\tdog-n\t2\nsee-v\tobj\tdog\t1\n"),
-            bad_artifact(WeightedTensor.load, "w.tsv", "see-v\tsbj\tdog-n\t0.5\nsee-q\tobj\tdog-n\t0.5\n"),
-            bad_artifact(WeightedTensor.load, "w.tsv", "see-v\tsbj\tdog-n\t0.5\nsee-v\tobj\tbig dog-n\t0.5\n"),
             bad_artifact(lambda path: load_vocabulary(path, 1), "vocab.tsv", "dog-n\t3\n-n\t2\n"),
             bad_archive("catalog.tsv", lambda space: f"{len(space.catalog)}\tobj\tdog-x\n"),
             bad_archive("arg.tsv", lambda space: "see-v\tdog\t0.5\n"),
@@ -631,7 +629,7 @@ class TestTokenChecksAtLoad:
             bad_archive("vocab.tsv", lambda space: "zebra\n"),
         ],
         ids=[
-            "tensor-filler", "weighted-target", "weighted-filler", "vocab", "catalog-filler", "arg-filler",
+            "tensor-filler", "vocab", "catalog-filler", "arg-filler",
             "rows-target", "arg-target", "space-vocab",
         ],
     )
