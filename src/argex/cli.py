@@ -286,8 +286,6 @@ def _load_space_checked(config: PipelineConfig, which: str) -> WeightedSpace:
 
 
 def cmd_fillers(args: argparse.Namespace) -> int:
-    from .space import top_k_fillers
-
     config = _config_from_args(args)
     try:
         target = parse_canonical(args.target).canonical
@@ -300,13 +298,13 @@ def cmd_fillers(args: argparse.Namespace) -> int:
     space = _load_space_checked(config, which)
     if target not in space.vocabulary:
         raise OutOfVocabularyError(target)
-    ranked = top_k_fillers(space.index, target, slot, args.k)
-    if ranked.empty:
+    ranking = space.index.ranking(target, slot)
+    if not ranking:
         print(f"{target}/{slot}: (no fillers)")
         return 0
-    if ranked.shortfall:
-        _note(f"only {ranked.available} fillers available (requested {args.k})")
-    print(f"{target}/{slot}: {', '.join(ranked.tokens())}")
+    if len(ranking) < args.k:
+        _note(f"only {len(ranking)} fillers available (requested {args.k})")
+    print(f"{target}/{slot}: {', '.join(filler for filler, _ in ranking[:args.k])}")
     return 0
 
 
@@ -527,6 +525,8 @@ def cmd_report(args: argparse.Namespace) -> int:
                 if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
                     raise TypeError(f"{name} is {value!r}")
             rows.append(row)
+        except OSError as exc:
+            raise CorpusError(f"cannot read report {path}: {exc}") from None
         except (ValueError, KeyError, TypeError) as exc:
             raise ConsistencyError(f"report {path} is damaged: {exc!r}") from None
     if not rows:

@@ -103,10 +103,11 @@ class PipelineConfig:
             raise ConfigError(f"boa_rank_mode must be collapsed or max, got {self.boa_rank_mode!r}")
         if self.boa_space not in ("deps", "window"):
             raise ConfigError(f"boa_space must be deps or window, got {self.boa_space!r}")
+        for name in ("variant_kinds", "compositions", "k_values"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must be non-empty")
         refuse_repeats("variant_kinds", [VariantKind.from_string(kind).value for kind in self.variant_kinds])
         refuse_repeats("compositions", [Composition.from_string(comp).value for comp in self.compositions])
-        if not self.k_values:
-            raise ConfigError("k_values must be non-empty")
         if any(k < 1 for k in self.k_values):
             raise ConfigError("k_values must all be >= 1")
         refuse_repeats("k_values", self.k_values)
@@ -211,12 +212,6 @@ def _render_value(value) -> str:
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     return str(value)
-
-
-def config_to_text(config: PipelineConfig) -> str:
-    """Canonical rendering: every field, definition order, one per line."""
-    lines = [f"{name}={_render_value(getattr(config, name))}\n" for name in _FIELD_NAMES]
-    return "".join(lines)
 
 
 def _hash_fields(config: PipelineConfig, names: tuple[str, ...]) -> str:

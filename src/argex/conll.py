@@ -6,29 +6,31 @@ fields are 1-based row indices within the sentence (0 = root); the ID
 column, if present, is ignored and row order is authoritative.
 
 Malformed rows never abort a run: a row too short to yield a token is
-dropped, a row whose head or relation field is unusable keeps its token
-but contributes no arc. Both cases increment the malformed counter.
+dropped, and an arc headed at it is dropped with it; a row whose head or
+relation field is unusable keeps its token but contributes no arc. Both
+cases increment the malformed counter.
 """
 
 from __future__ import annotations
 
+import bisect
 import io
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CorpusError
-from .tokens import DEFAULT_POS_PREFIXES, Memo, normalize
+from .tokens import Memo, normalize
 
 
 @dataclass(frozen=True)
 class ColumnConfig:
-    """0-based field indices into a CoNLL row (defaults: CoNLL-X layout)."""
+    """0-based field indices into a CoNLL row."""
 
-    form: int = 1
-    lemma: int = 2
-    pos: int = 3
-    head: int = 6
-    relation: int = 7
+    form: int
+    lemma: int
+    pos: int
+    head: int
+    relation: int
 
     @property
     def min_token_fields(self) -> int:
@@ -45,9 +47,7 @@ class DependencyArc(NamedTuple):
     head: str
     relation: str
     dependent: str
-    sentence_id: int
     head_pos: int  # surface position of the head, for per-instance grouping
-    dep_pos: int
 
 
 class SentenceRecord(NamedTuple):
@@ -69,7 +69,7 @@ class ParseStats:
     rows: int = 0
     malformed_rows: int = 0
     arcs: int = 0
-    dropped_arcs: int = 0  # arcs whose endpoint is outside the noun/verb universe
+    dropped_arcs: int = 0  # arcs with an endpoint outside the noun/verb universe or on a short row
     files: list[str] = field(default_factory=list)
 
 
@@ -82,9 +82,27 @@ def _head_index(field_: str) -> int | None:
 
 
 def _sentence(
-    sentence_id: int, tokens: list[str | None], links: list[tuple[int, int, str]], stats: ParseStats
+    sentence_id: int,
+    tokens: list[str | None],
+    links: list[tuple[int, int, str]],
+    short_rows: list[int],
+    stats: ParseStats,
 ) -> SentenceRecord:
-    """The record of one sentence's tokens and links; a head past its last row is malformed."""
+    """The record of one sentence's tokens and links; a head past its last row is malformed.
+
+    Heads are file rows. ``short_rows`` are the rows too short to yield
+    a token, in order: a link headed at one is dropped, and the other
+    heads are renumbered among the rows that yielded a token.
+    """
+    if short_rows:
+        short = set(short_rows)
+        kept = []
+        for dep_pos, head_idx, relation in links:
+            if head_idx in short:
+                stats.dropped_arcs += 1
+            else:
+                kept.append((dep_pos, head_idx - bisect.bisect_left(short_rows, head_idx), relation))
+        links = kept
     n_rows = len(tokens)
     arcs: list[DependencyArc] = []
     for dep_pos, head_idx, relation in links:
@@ -96,7 +114,7 @@ def _sentence(
         if head_token is None or dep_token is None:
             stats.dropped_arcs += 1
             continue
-        arcs.append(DependencyArc(head_token, relation, dep_token, sentence_id, head_idx - 1, dep_pos))
+        arcs.append(DependencyArc(head_token, relation, dep_token, head_idx - 1))
     stats.sentences += 1
     stats.arcs += len(arcs)
     return SentenceRecord(sentence_id, tokens, arcs)
@@ -104,22 +122,24 @@ def _sentence(
 
 def parse_conll_stream(
     lines: Iterable[str],
-    columns: ColumnConfig = ColumnConfig(),
-    pos_map=DEFAULT_POS_PREFIXES,
+    columns: ColumnConfig,
+    pos_map,
     stats: ParseStats | None = None,
     first_sentence_id: int = 0,
 ) -> Iterator[SentenceRecord]:
     """Yield one SentenceRecord per blank-line-delimited sentence.
 
     Comment lines (leading ``#``) are skipped. Arcs are resolved against
-    row order; only arcs whose two endpoints both normalize to noun/verb
-    tokens survive (head index 0 means the row has no governing arc).
+    the sentence's rows, short ones included; only arcs whose two
+    endpoints both normalize to noun/verb tokens survive (head index 0
+    means the row has no governing arc).
     """
     if stats is None:
         stats = ParseStats()
     sentence_id = first_sentence_id
     tokens: list[str | None] = []  # one per row long enough to yield a token
-    links: list[tuple[int, int, str]] = []  # (dependent position, head index, relation)
+    links: list[tuple[int, int, str]] = []  # (dependent position, head row, relation)
+    short_rows: list[int] = []  # the 1-based rows too short to yield a token
     # a corpus repeats few distinct (lemma, fine tag) pairs, head fields and
     # relation fields: each is read once, and each relation label is one string
     token_of = Memo(lambda lemma_tag: normalize(*lemma_tag, pos_map))
@@ -137,9 +157,11 @@ def parse_conll_stream(
                     stats.rows += rows
                     stats.malformed_rows += malformed
                     rows = malformed = 0
-                    yield _sentence(sentence_id, tokens, links, stats)
+                    yield _sentence(sentence_id, tokens, links, short_rows, stats)
                     sentence_id += 1
                     tokens, links = [], []
+                if short_rows:
+                    short_rows = []
                 continue
             if line[0] == "#":
                 continue
@@ -148,6 +170,7 @@ def parse_conll_stream(
             n_fields = len(fields_)
             if n_fields < min_token_fields:
                 malformed += 1
+                short_rows.append(len(tokens) + len(short_rows) + 1)
                 continue
             dep_pos = len(tokens)
             tokens.append(token_of[fields_[col_lemma], fields_[col_pos]])
@@ -165,15 +188,15 @@ def parse_conll_stream(
         stats.rows += rows
         stats.malformed_rows += malformed
         if tokens:
-            yield _sentence(sentence_id, tokens, links, stats)
+            yield _sentence(sentence_id, tokens, links, short_rows, stats)
     except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"unreadable corpus stream: {exc}") from exc
 
 
 def parse_conll_file(
     path: str,
-    columns: ColumnConfig = ColumnConfig(),
-    pos_map=DEFAULT_POS_PREFIXES,
+    columns: ColumnConfig,
+    pos_map,
     stats: ParseStats | None = None,
     first_sentence_id: int = 0,
 ) -> Iterator[SentenceRecord]:

@@ -22,9 +22,6 @@ if TYPE_CHECKING:  # `argex weight` reads a vocabulary without the parser
 
 VERB_LINK_INV = inverse(VERB_LINK)
 
-DEFAULT_SUBJECT_LABELS = frozenset({"sbj"})
-DEFAULT_OBJECT_LABELS = frozenset({"obj"})
-
 
 @dataclass
 class Vocabulary:
@@ -32,7 +29,7 @@ class Vocabulary:
 
     frequency: dict[str, int]
     threshold: int
-    inclusive: bool = True
+    inclusive: bool
     entries: frozenset[str] = field(init=False)
 
     def __post_init__(self):
@@ -53,9 +50,7 @@ class Vocabulary:
         return len(self.entries)
 
 
-def build_vocabulary(
-    corpus: Iterable[SentenceRecord], threshold: int, inclusive: bool = True
-) -> Vocabulary:
+def build_vocabulary(corpus: Iterable[SentenceRecord], threshold: int, inclusive: bool) -> Vocabulary:
     """Count every noun/verb surface occurrence and apply the threshold."""
     freq = Counter(itertools.chain.from_iterable(sentence.tokens for sentence in corpus))
     freq.pop(None, None)  # positions outside the noun/verb universe
@@ -65,14 +60,15 @@ def build_vocabulary(
 def extract_dependency_counts(
     corpus: Iterable[SentenceRecord],
     vocab: Vocabulary,
-    subject_labels: frozenset[str] = DEFAULT_SUBJECT_LABELS,
-    object_labels: frozenset[str] = DEFAULT_OBJECT_LABELS,
-    allowlist: frozenset[str] | None = None,
-    denylist: frozenset[str] = frozenset(),
+    subject_labels: frozenset[str],
+    object_labels: frozenset[str],
+    allowlist: frozenset[str] | None,
+    denylist: frozenset[str],
 ) -> CooccurrenceTensor:
     """Count arcs, their inverses, and the VERB co-argument link.
 
-    Every in-vocabulary arc (h, r, d) contributes (h, r, d) and
+    ``allowlist`` None keeps every relation the ``denylist`` does not
+    drop. Every in-vocabulary arc (h, r, d) contributes (h, r, d) and
     (d, r_inv, h). Every verb instance with at least one in-vocabulary
     subject and object links each distinct (subject, object) pair once
     under VERB (and its inverse), regardless of the verb's identity.
@@ -89,7 +85,7 @@ def extract_dependency_counts(
     verb_suffix = "-" + VERB_POS  # a canonical token's tag follows its last hyphen
     for sentence in corpus:
         co_args: dict[int, tuple[set[str], set[str]]] = {}
-        for head, relation, dependent, _, head_pos, _ in sentence.arcs:
+        for head, relation, dependent, head_pos in sentence.arcs:
             relation_inv = inverse_of[relation]
             if relation_inv is None:
                 continue
@@ -126,14 +122,14 @@ def extract_dependency_counts(
 def extract_window_counts(
     corpus: Iterable[SentenceRecord],
     vocab: Vocabulary,
-    width: int = 2,
-    filtered_positions: bool = False,
+    width: int,
+    filtered_positions: bool,
 ) -> CooccurrenceTensor:
     """Count symmetric surface co-occurrence within ``width`` positions.
 
-    By default distance is measured over raw positions, so out-of-vocabulary
-    words widen gaps without contributing counts. With ``filtered_positions``
-    the sentence is first reduced to its in-vocabulary tokens.
+    Without ``filtered_positions`` distance is measured over raw positions,
+    so out-of-vocabulary words widen gaps without contributing counts. With
+    it the sentence is first reduced to its in-vocabulary tokens.
     """
     if width < 1:
         raise ValueError("window width must be >= 1")
@@ -169,7 +165,7 @@ def save_vocabulary(vocab: Vocabulary, path: str, sidecar: dict[str, str] | None
     return write_artifact(path, body, meta)
 
 
-def load_vocabulary(path: str, threshold: int, inclusive: bool = True) -> Vocabulary:
+def load_vocabulary(path: str, threshold: int, inclusive: bool) -> Vocabulary:
     """Read a frequency table back and reapply the threshold.
 
     ``save_vocabulary`` writes each token once with a count of at least

@@ -28,13 +28,6 @@ class BicknellMode(enum.Enum):
     ACC1 = "acc1"  # conditions differ by patient
     ACC2 = "acc2"  # conditions differ by agent
 
-    @classmethod
-    def from_string(cls, text: str) -> "BicknellMode":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise DatasetError(f"unknown pairing mode {text!r}; expected acc1 or acc2") from None
-
 
 @dataclass(frozen=True)
 class BicknellItem:

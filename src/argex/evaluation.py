@@ -33,7 +33,7 @@ from .expectation import (
 from .space import SparseVector, WeightedSpace, vector_of
 from .stats import ChiSquareTest, RankSumTest, chi_square_vs_chance, wilcoxon_rank_sum
 from .tensor import format_score
-from .tokens import Token, VERB_LINK, inverse
+from .tokens import Token
 
 
 # Condition labels per task, in (a, b) order: a is the condition the
@@ -49,26 +49,26 @@ CONDITION_LABELS = {
 class BicknellSlots:
     """Dependency relations the two pair-task inputs are queried through.
 
-    The agent noun is queried through the subject-object link (its
-    typical co-arguments), the verb through its object slot; both
-    prototype the patient position.
+    With the config's defaults, the agent noun is queried through the
+    subject-object link (its typical co-arguments), the verb through its
+    object slot; both prototype the patient position.
     """
 
-    agent: str = VERB_LINK
-    verb: str = "obj"
+    agent: str
+    verb: str
 
 
 @dataclass(frozen=True)
 class ChowSlots:
     """Inverse relations for the role-reversal inputs.
 
-    Nouns are queried for their typical predicates: the agent through
-    the inverted subject relation, the patient through the inverted
-    object relation.
+    Nouns are queried for their typical predicates: with the config's
+    defaults, the agent through the inverted subject relation, the
+    patient through the inverted object relation.
     """
 
-    agent: str = inverse("sbj")
-    patient: str = inverse("obj")
+    agent: str
+    patient: str
 
 
 class Outcome(enum.Enum):
@@ -324,7 +324,7 @@ def evaluate_grid(
     task: str,
     compositions: Sequence[Composition],
     k_values: Sequence[int],
-    slots=None,
+    slots: BicknellSlots | ChowSlots,
     index=None,
 ) -> dict[tuple[Composition, int], EvalReport]:
     """Score one task for one variant kind at every (composition, k).
@@ -347,9 +347,9 @@ def evaluate_grid(
     if not k_values:
         raise ValueError("k_values must be non-empty")
     if task == TASK_CHOW:
-        conditions = _chow_conditions(items, kind, slots or ChowSlots())
+        conditions = _chow_conditions(items, kind, slots)
     elif task in (TASK_BICKNELL_ACC1, TASK_BICKNELL_ACC2):
-        conditions = _bicknell_conditions(items, kind, slots or BicknellSlots())
+        conditions = _bicknell_conditions(items, kind, slots)
     else:
         raise ValueError(f"unknown task {task!r}")
     cells = {
@@ -429,7 +429,7 @@ def run_bicknell(
     variant: ModelVariant,
     items: Sequence[BicknellItem],
     mode: BicknellMode,
-    slots: BicknellSlots = BicknellSlots(),
+    slots: BicknellSlots,
     index=None,
 ) -> EvalReport:
     """Score triple pairs: the patient is the candidate, agent and verb
@@ -444,7 +444,7 @@ def run_chow(
     space: WeightedSpace,
     variant: ModelVariant,
     items: Sequence[ChowItem],
-    slots: ChowSlots = ChowSlots(),
+    slots: ChowSlots,
     index=None,
 ) -> EvalReport:
     """Score role reversal: the verb is the candidate; the normal

@@ -10,7 +10,7 @@ scored by cosine against the combined expectation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .config import Composition, VariantKind
 from .errors import ConfigError, EmptyPrototypeError, OutOfVocabularyError, SpaceMismatchError
@@ -23,7 +23,6 @@ from .space import (
     cosine,
     multiply_vectors,
     sum_vectors,
-    top_k_fillers,
     vector_of,
 )
 from .tokens import ARG, Token, WINDOW
@@ -68,21 +67,12 @@ class SlotQuery:
 
 @dataclass(frozen=True)
 class Prototype:
-    """A composed expectation vector with enough provenance to rebuild it."""
+    """An expectation vector and the space it was built in."""
 
     vector: SparseVector
     space_id: str
-    label: str
     # leaf prototypes: the ranked (canonical) fillers actually summed, with scores
     fillers: tuple[tuple[str, float], ...] = ()
-    requested_k: int = 0
-    available: int = 0
-    # composed prototypes: the two parents and the operator
-    parents: tuple["Prototype", ...] = ()
-    op: Composition | None = None
-
-    def __len__(self) -> int:
-        return len(self.vector)
 
 
 def _check_slot(kind: VariantKind, slot: str) -> None:
@@ -109,19 +99,12 @@ def build_prototype(
     target = query.input.canonical
     if target not in space.vocabulary:
         raise OutOfVocabularyError(query.input)
-    ranked = top_k_fillers(index if index is not None else space.index,
-                           target, query.slot, variant.k)
-    if ranked.empty:
+    ranking = (index if index is not None else space.index).ranking(target, query.slot)
+    if not ranking:
         raise EmptyPrototypeError(str(query))
-    vector = sum_vectors([vector_of(space, filler) for filler in ranked.tokens()])
-    return Prototype(
-        vector=vector,
-        space_id=space.space_id,
-        label=f"{target}/{query.slot}[k={variant.k}]",
-        fillers=tuple(ranked.fillers),
-        requested_k=variant.k,
-        available=ranked.available,
-    )
+    fillers = ranking[:variant.k]
+    vector = sum_vectors([vector_of(space, filler) for filler, _ in fillers])
+    return Prototype(vector=vector, space_id=space.space_id, fillers=fillers)
 
 
 def prefix_prototypes(
@@ -174,13 +157,7 @@ def compose(p1: Prototype, p2: Prototype, op: Composition) -> Prototype:
             f"cannot compose prototypes from different spaces "
             f"({p1.space_id[:12]}.. vs {p2.space_id[:12]}..)"
         )
-    return Prototype(
-        vector=compose_vectors(p1.vector, p2.vector, op),
-        space_id=p1.space_id,
-        label=f"({p1.label} {'+' if op is Composition.SUM else '*'} {p2.label})",
-        parents=(p1, p2),
-        op=op,
-    )
+    return Prototype(vector=compose_vectors(p1.vector, p2.vector, op), space_id=p1.space_id)
 
 
 def score_filler(space: WeightedSpace, composed: Prototype, candidate: Token) -> CosineResult:
@@ -190,31 +167,21 @@ def score_filler(space: WeightedSpace, composed: Prototype, candidate: Token) ->
     return cosine(vector_of(space, candidate.canonical), composed.vector)
 
 
-class ExpectationResult(NamedTuple):
-    score: float
-    degenerate: bool
-    prototype_sizes: tuple[int, ...]
-    expectation: Prototype
-
-
 def expectation_update(
     space: WeightedSpace,
     variant: ModelVariant,
     inputs: Sequence[SlotQuery],
     candidate: Token,
     index=None,
-) -> ExpectationResult:
-    """Build one prototype per input, left-fold compose, score the candidate."""
+) -> CosineResult:
+    """Build one prototype per input, left-fold compose, score the candidate.
+
+    The from-scratch reference that the grid's scores are checked against.
+    """
     if not inputs:
         raise ConfigError("expectation_update needs at least one input query")
     prototypes = [build_prototype(space, variant, q, index=index) for q in inputs]
     combined = prototypes[0]
     for nxt in prototypes[1:]:
         combined = compose(combined, nxt, variant.composition)
-    result = score_filler(space, combined, candidate)
-    return ExpectationResult(
-        score=result.value,
-        degenerate=result.degenerate,
-        prototype_sizes=tuple(len(p) for p in prototypes),
-        expectation=combined,
-    )
+    return score_filler(space, combined, candidate)

@@ -213,26 +213,6 @@ def multiply_vectors(a: SparseVector, b: SparseVector) -> SparseVector:
     return SparseVector(tuple(ids), tuple(scores))
 
 
-@dataclass
-class RankedFillers:
-    """Query result for a (target, relation) slot: canonical fillers with their scores."""
-
-    fillers: list[tuple[str, float]]
-    requested: int
-    available: int
-
-    @property
-    def shortfall(self) -> bool:
-        return self.available < self.requested
-
-    @property
-    def empty(self) -> bool:
-        return self.available == 0
-
-    def tokens(self) -> list[str]:
-        return [t for t, _ in self.fillers]
-
-
 def _ranked(fillers: list[tuple[str, float]]) -> tuple[tuple[str, float], ...]:
     """Score descending, then canonical filler."""
     return tuple(sorted(fillers, key=lambda pair: (-pair[1], pair[0])))
@@ -284,14 +264,6 @@ class FillerIndex:
         return self._rankings.get((target, relation), ())
 
 
-def top_k_fillers(index: FillerIndex, target: str, relation: str, k: int) -> RankedFillers:
-    """The k best fillers of (target, relation); short lists are flagged."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    ranking = index.ranking(target, relation)
-    return RankedFillers(list(ranking[:k]), requested=k, available=len(ranking))
-
-
 class WeightedSpace:
     """A space: the text of its archive's data files, with its catalog, vocabulary and manifest.
 
@@ -332,9 +304,6 @@ class WeightedSpace:
     def space_id(self) -> str:
         """sha256 of the archive's data files."""
         return self.manifest["space_id"]
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.vocabulary
 
 
 def vector_of(space: WeightedSpace, token: str) -> SparseVector:

@@ -17,7 +17,7 @@ import contextlib
 import hashlib
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ConsistencyError, CorpusError
 from .tokens import Memo, canonical_checker
@@ -48,20 +48,12 @@ class CooccurrenceTensor:
     # derived from; empty for counts built in memory
     source_hash: str = ""
 
-    def count(self, target: str, relation: str, filler: str) -> int:
-        return self.counts.get((target, relation, filler), 0)
-
     @property
     def total(self) -> int:
         return sum(self.counts.values())
 
     def __len__(self) -> int:
         return len(self.counts)
-
-    def entries(self) -> Iterator[tuple[Triple, int]]:
-        """Iterate entries in canonical (target, relation, filler) order."""
-        for key in sorted_triples(self.counts):
-            yield key, self.counts[key]
 
     # -- serialization ---------------------------------------------------
 

@@ -30,10 +30,6 @@ VERB_LINK = "VERB"
 WINDOW = "WINDOW"
 ARG = "ARG"
 
-# Fine-grained tags are collapsed by prefix; tags that match nothing are
-# outside the vocabulary (determiners, adverbs, punctuation, ...).
-DEFAULT_POS_PREFIXES = (("N", NOUN), ("V", VERB_POS))
-
 # matches exactly the characters for which str.isspace() is true
 _WHITESPACE = re.compile(r"\s")
 
@@ -135,8 +131,10 @@ def compile_pos_map(mapping: str) -> tuple[tuple[str, str], ...]:
     return tuple(rules)
 
 
-def coarse_pos(fine_tag: str, pos_map=DEFAULT_POS_PREFIXES) -> str | None:
-    """Collapse a fine-grained tag to ``n``/``v``, or None if unmapped."""
+def coarse_pos(fine_tag: str, pos_map) -> str | None:
+    """Collapse a fine-grained tag to ``n``/``v`` by the prefix rules of
+    ``compile_pos_map``, or None if no rule matches (determiners,
+    adverbs, punctuation, ...)."""
     tag = fine_tag.upper()
     for prefix, coarse in pos_map:
         if tag.startswith(prefix):
@@ -144,7 +142,7 @@ def coarse_pos(fine_tag: str, pos_map=DEFAULT_POS_PREFIXES) -> str | None:
     return None
 
 
-def normalize(lemma: str, fine_tag: str, pos_map=DEFAULT_POS_PREFIXES) -> str | None:
+def normalize(lemma: str, fine_tag: str, pos_map) -> str | None:
     """Turn a raw (lemma, fine tag) pair into a canonical token, or None.
 
     None means the surface position still exists but can never enter the

@@ -7,21 +7,37 @@ import random
 
 import pytest
 
+from argex.config import PipelineConfig
 from argex.conll import ColumnConfig, ParseStats, parse_conll_stream
 from argex.corpus import (
+    Vocabulary,
     build_vocabulary,
     extract_dependency_counts,
     extract_window_counts,
 )
+from argex.evaluation import BicknellSlots, ChowSlots
 from argex.space import WeightedSpace, build_space
-from argex.tokens import DEFAULT_POS_PREFIXES
+from argex.tokens import compile_pos_map
 from argex.weighting import collapse_relations, weight_tensor
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA_DIR = os.path.join(REPO_ROOT, "data", "synthetic")
 CONFIG_DIR = os.path.join(REPO_ROOT, "configs")
 
-COLUMNS = ColumnConfig()
+# the settings of a default config, which the program's functions take as arguments
+DEFAULTS = PipelineConfig()
+COLUMNS = ColumnConfig(
+    form=DEFAULTS.col_form,
+    lemma=DEFAULTS.col_lemma,
+    pos=DEFAULTS.col_pos,
+    head=DEFAULTS.col_head,
+    relation=DEFAULTS.col_relation,
+)
+POS_MAP = compile_pos_map(DEFAULTS.pos_map)
+SUBJECTS = frozenset(DEFAULTS.subject_labels)
+OBJECTS = frozenset(DEFAULTS.object_labels)
+BICKNELL_SLOTS = BicknellSlots(DEFAULTS.bicknell_agent_slot, DEFAULTS.bicknell_verb_slot)
+CHOW_SLOTS = ChowSlots(DEFAULTS.chow_agent_slot, DEFAULTS.chow_patient_slot)
 
 
 def conll_text(sentences: list[list[tuple[str, str, int, str]]]) -> str:
@@ -37,9 +53,22 @@ def conll_text(sentences: list[list[tuple[str, str, int, str]]]) -> str:
 
 
 def parse_text(text: str, stats: ParseStats | None = None):
-    return list(
-        parse_conll_stream(text.splitlines(), COLUMNS, DEFAULT_POS_PREFIXES, stats=stats)
-    )
+    return list(parse_conll_stream(text.splitlines(), COLUMNS, POS_MAP, stats=stats))
+
+
+def vocabulary(corpus, threshold: int) -> Vocabulary:
+    return build_vocabulary(corpus, threshold, DEFAULTS.vocab_threshold_inclusive)
+
+
+def dependency_counts(corpus, vocab: Vocabulary, subject_labels=SUBJECTS, object_labels=OBJECTS,
+                      allowlist=None, denylist=frozenset()):
+    """``extract_dependency_counts`` with the default config's labels and no relation lists."""
+    return extract_dependency_counts(corpus, vocab, subject_labels, object_labels, allowlist, denylist)
+
+
+def window_counts(corpus, vocab: Vocabulary, width: int = DEFAULTS.window_width,
+                  filtered_positions: bool = DEFAULTS.window_filtered_positions):
+    return extract_window_counts(corpus, vocab, width, filtered_positions)
 
 
 NOUNS = ["cat", "dog", "bird", "fish", "tree", "car", "road", "book", "door", "cake", "wolf", "lamp"]
@@ -76,7 +105,7 @@ def random_corpus_text(seed: int, n_sentences: int) -> str:
 def spaces_from_text(
     text: str,
     threshold: int = 1,
-    window_width: int = 2,
+    window_width: int = DEFAULTS.window_width,
 ) -> tuple[WeightedSpace, WeightedSpace]:
     """Build (dependency space, window space) the way the pipeline does.
 
@@ -84,9 +113,9 @@ def spaces_from_text(
     queries work against it directly.
     """
     corpus = parse_text(text)
-    vocab = build_vocabulary(corpus, threshold)
-    dep_counts = extract_dependency_counts(corpus, vocab)
-    win_counts = extract_window_counts(corpus, vocab, width=window_width)
+    vocab = vocabulary(corpus, threshold)
+    dep_counts = dependency_counts(corpus, vocab)
+    win_counts = window_counts(corpus, vocab, width=window_width)
     dep_weighted = weight_tensor(dep_counts)
     win_weighted = weight_tensor(win_counts)
     arg_counts = collapse_relations(dep_counts)

@@ -23,7 +23,6 @@ import pytest
 import scipy.stats
 
 from argex.cli import main as cli_main
-from argex.corpus import build_vocabulary, extract_dependency_counts, extract_window_counts
 from argex.datasets import BicknellMode, load_bicknell, load_chow
 from argex.evaluation import Outcome, run_bicknell, run_chow
 from argex.expectation import Composition, ModelVariant, VariantKind
@@ -34,14 +33,23 @@ from argex.space import (
     multiply_vectors,
     save_space,
     sum_vectors,
-    top_k_fillers,
 )
 from argex.stats import chi_square_sf, chi_square_vs_chance, rank_data, wilcoxon_rank_sum
 from argex.tensor import CooccurrenceTensor
 from argex.tokens import VERB_LINK, WINDOW
 from argex.weighting import weight_tensor
 
-from conftest import REPO_ROOT, parse_text, random_corpus_text, spaces_from_text
+from conftest import (
+    BICKNELL_SLOTS,
+    CHOW_SLOTS,
+    REPO_ROOT,
+    dependency_counts,
+    parse_text,
+    random_corpus_text,
+    spaces_from_text,
+    vocabulary,
+    window_counts,
+)
 from test_corpus import naive_dependency, naive_vocabulary, naive_window, tensor_counts
 from test_weighting import oracle_scores, thirty_triple_tensor
 
@@ -74,11 +82,11 @@ def test_criterion_1_counting_oracle_equivalence():
     with criterion(1, "counting oracle equivalence on 3 corpora", budget_s=5.0):
         for seed, n_sentences, threshold in [(101, 50, 1), (202, 240, 2), (303, 500, 2)]:
             corpus = parse_text(random_corpus_text(seed, n_sentences))
-            vocab = build_vocabulary(corpus, threshold)
+            vocab = vocabulary(corpus, threshold)
             assert vocab.entries == naive_vocabulary(corpus, threshold)
-            deps = extract_dependency_counts(corpus, vocab)
+            deps = dependency_counts(corpus, vocab)
             assert tensor_counts(deps) == naive_dependency(corpus, vocab.entries)
-            window = extract_window_counts(corpus, vocab)
+            window = window_counts(corpus, vocab)
             assert tensor_counts(window) == naive_window(corpus, vocab.entries)
 
 
@@ -144,7 +152,7 @@ def test_criterion_4_unstructured_models_tie_under_role_reversal(fixture_paths):
         for space, kind in ((deps_space, VariantKind.BOA), (window_space, VariantKind.BOW)):
             for composition in (Composition.SUM, Composition.MULT):
                 variant = ModelVariant(kind, 20, composition)
-                report = run_chow(space, variant, items)
+                report = run_chow(space, variant, items, CHOW_SLOTS)
                 assert report.n_scored == 50
                 for pair in report.pairs:
                     assert abs(pair.score_a - pair.score_b) < 1e-12
@@ -214,7 +222,8 @@ def test_criterion_5_deps_discriminates_where_bow_cannot(fixture_paths):
 
         k = 20
         deps_report = run_bicknell(
-            deps_space, ModelVariant(VariantKind.DEPS, k, Composition.SUM), items, BicknellMode.ACC2
+            deps_space, ModelVariant(VariantKind.DEPS, k, Composition.SUM), items, BicknellMode.ACC2,
+            BICKNELL_SLOTS,
         )
         assert deps_report.n_scored == 10
         for pair in deps_report.pairs:
@@ -223,14 +232,15 @@ def test_criterion_5_deps_discriminates_where_bow_cannot(fixture_paths):
         assert deps_report.accuracy == 1.0
 
         bow_report = run_bicknell(
-            window_space, ModelVariant(VariantKind.BOW, k, Composition.SUM), items, BicknellMode.ACC2
+            window_space, ModelVariant(VariantKind.BOW, k, Composition.SUM), items, BicknellMode.ACC2,
+            BICKNELL_SLOTS,
         )
         assert bow_report.n_scored == 10
         assert 0.3 <= bow_report.accuracy <= 0.7
 
         # brute force: recount, reweight, rebuild prototypes, rescore
         corpus = parse_text(text)
-        vocab = build_vocabulary(corpus, 3)
+        vocab = vocabulary(corpus, 3)
         deps_weighted = _naive_plmi(naive_dependency(corpus, vocab.entries))
         window_weighted = _naive_plmi(naive_window(corpus, vocab.entries))
         deps_pairs = {p.item_id: p for p in deps_report.pairs}
@@ -354,7 +364,7 @@ def test_criterion_7_determinism_round_trip_prefix_stability(tmp_path):
         for probe_space, target, slot in probes:
             previous: list[str] = []
             for k in (10, 20, 30, 40, 50):
-                current = top_k_fillers(probe_space.index, target, slot, k).tokens()
+                current = [filler for filler, _ in probe_space.index.ranking(target, slot)[:k]]
                 assert current[: len(previous)] == previous
                 previous = current
 

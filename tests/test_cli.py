@@ -333,6 +333,14 @@ class TestStages:
         assert str(damaged) in err
         assert "Traceback" not in err
 
+    def test_report_it_cannot_open_exits_2_naming_the_file(self, tmp_path, capsys):
+        unreadable = tmp_path / "reports" / "bad.json"
+        unreadable.mkdir(parents=True)
+        code, _, err = run_cli(capsys, "report", "-c", CHOW_CONF, "--out-dir", str(tmp_path))
+        assert code == 2
+        assert str(unreadable) in err
+        assert "Traceback" not in err
+
     def test_hyphenated_lemmas_end_to_end(self, tmp_path, capsys):
         # lemmas split on their last hyphen; read-v and read-out-n sort one way
         # as Tokens and the other as canonical strings

@@ -10,8 +10,8 @@ from argex.config import (
     SPACE_FIELDS,
     PipelineConfig,
     config_from_items,
+    _render_value,
     config_hash,
-    config_to_text,
     ingest_hash,
     load_config,
     space_hash,
@@ -38,6 +38,8 @@ class TestValidation:
             {"boa_space": "arg"},
             {"variant_kinds": ("deps", "bag")},
             {"compositions": ("sum", "avg")},
+            {"variant_kinds": ()},
+            {"compositions": ()},
             {"k_values": ()},
             {"k_values": (10, 0)},
             {"pos_map": "N:n,V"},
@@ -147,13 +149,7 @@ class TestLoadConfig:
 
 
 class TestCanonicalText:
-    def test_every_field_in_definition_order(self):
-        config = PipelineConfig()
-        lines = config_to_text(config).splitlines()
-        names = [line.split("=", 1)[0] for line in lines]
-        assert names == [f.name for f in dataclasses.fields(PipelineConfig)]
-
-    def test_round_trips_through_the_parser(self):
+    def test_hashed_renderings_round_trip_through_the_parser(self):
         config = PipelineConfig(
             corpus_paths=("a.conll", "b.conll"),
             vocab_threshold=7,
@@ -161,10 +157,8 @@ class TestCanonicalText:
             k_values=(5, 15),
             relation_denylist=("punct",),
         )
-        items = {}
-        for line in config_to_text(config).splitlines():
-            key, _, value = line.partition("=")
-            items[key] = value
+        # the hashes read each field as _render_value renders it
+        items = {f.name: _render_value(getattr(config, f.name)) for f in dataclasses.fields(PipelineConfig)}
         assert config_from_items(items) == config
 
 

@@ -2,9 +2,8 @@ import pytest
 
 from argex.conll import ColumnConfig, DependencyArc, ParseStats, parse_conll_file, parse_conll_stream
 from argex.errors import CorpusError
-from argex.tokens import DEFAULT_POS_PREFIXES
 
-from conftest import conll_text, parse_text
+from conftest import COLUMNS, POS_MAP, conll_text, parse_text
 
 
 def parse(text: str, stats: ParseStats | None = None):
@@ -25,7 +24,7 @@ class TestBasicParsing:
         assert records[0].tokens == ["dog-n", "run-v"]
         arc = records[0].arcs[0]
         assert (arc.head, arc.relation, arc.dependent) == ("run-v", "sbj", "dog-n")
-        assert (arc.head_pos, arc.dep_pos) == (1, 0)
+        assert arc.head_pos == 1
         assert stats.sentences == 2
         assert stats.rows == 3
         assert stats.arcs == 1
@@ -51,17 +50,14 @@ class TestBasicParsing:
     def test_first_sentence_id_offset(self):
         text = conll_text([[("cat", "NN", 0, "root")]])
         records = list(
-            parse_conll_stream(
-                text.splitlines(), ColumnConfig(), DEFAULT_POS_PREFIXES, first_sentence_id=7
-            )
+            parse_conll_stream(text.splitlines(), COLUMNS, POS_MAP, first_sentence_id=7)
         )
         assert records[0].sentence_id == 7
 
 
 class TestMalformedRows:
     def test_short_row_dropped_and_indices_reresolve(self):
-        # Row 2 has too few fields to be a token; row 3's head then points
-        # at the first kept row.
+        # Row 2 has too few fields to be a token; row 3's head still names row 1.
         lines = [
             "1\tdog\tdog\tNN\tNN\t_\t0\troot\t_\t_",
             "2\tbroken",
@@ -69,17 +65,57 @@ class TestMalformedRows:
             "",
         ]
         stats = ParseStats()
-        records = list(parse_conll_stream(lines, stats=stats))
+        records = list(parse_conll_stream(lines, COLUMNS, POS_MAP, stats=stats))
         assert stats.malformed_rows == 1
         assert records[0].tokens == ["dog-n", "see-v"]
         arc = records[0].arcs[0]
         assert arc.head == "dog-n"
         assert arc.dependent == "see-v"
 
+    def test_heads_after_a_short_row_name_file_rows(self):
+        # Row 2 is too short to be a token. Heads still count it: cat's head 3
+        # is see, and dog's head 3 is see too.
+        lines = [
+            "1\tdog\tdog\tNN\tNN\t_\t3\tsbj\t_\t_",
+            "2\tbroken",
+            "3\tsee\tsee\tVB\tVB\t_\t0\troot\t_\t_",
+            "4\tcat\tcat\tNN\tNN\t_\t3\tobj\t_\t_",
+            "",
+        ]
+        stats = ParseStats()
+        records = list(parse_conll_stream(lines, COLUMNS, POS_MAP, stats=stats))
+        assert records[0].tokens == ["dog-n", "see-v", "cat-n"]
+        arcs = [(arc.head, arc.relation, arc.dependent, arc.head_pos) for arc in records[0].arcs]
+        assert arcs == [("see-v", "sbj", "dog-n", 1), ("see-v", "obj", "cat-n", 1)]
+        assert (stats.malformed_rows, stats.dropped_arcs) == (1, 0)
+
+    def test_arc_headed_at_a_short_row_is_dropped(self):
+        lines = [
+            "1\tdog\tdog\tNN\tNN\t_\t3\tsbj\t_\t_",
+            "2\tbroken",
+            "3\tsee\tsee\tVB\tVB\t_\t0\troot\t_\t_",
+            "4\tcat\tcat\tNN\tNN\t_\t2\tobj\t_\t_",
+            "",
+            "1\tbroken",
+            "",
+            "1\tcat\tcat\tNN\tNN\t_\t2\tobj\t_\t_",
+            "2\tsee\tsee\tVB\tVB\t_\t0\troot\t_\t_",
+            "3\tbird\tbird\tNN\tNN\t_\t4\tnmod\t_\t_",
+            "",
+        ]
+        stats = ParseStats()
+        records = list(parse_conll_stream(lines, COLUMNS, POS_MAP, stats=stats))
+        assert [(arc.head, arc.relation, arc.dependent) for arc in records[0].arcs] == [("see-v", "sbj", "dog-n")]
+        # a sentence of short rows yields nothing, and the next one counts its rows afresh;
+        # bird's head 4 is past the last row
+        assert len(records) == 2
+        assert [(arc.head, arc.relation, arc.dependent) for arc in records[1].arcs] == [("see-v", "obj", "cat-n")]
+        assert (stats.malformed_rows, stats.dropped_arcs) == (3, 1)
+
     def test_token_kept_when_arc_fields_missing(self):
         lines = ["1\tdog\tdog\tNN\tNN\t_", ""]
         stats = ParseStats()
-        records = list(parse_conll_stream(lines, stats=stats))
+        records = list(parse_conll_stream(lines, COLUMNS, POS_MAP, stats=stats))
         assert records[0].tokens == ["dog-n"]
         assert records[0].arcs == []
         assert stats.malformed_rows == 1
@@ -88,7 +124,7 @@ class TestMalformedRows:
     def test_bad_head_drops_arc_keeps_token(self, head):
         lines = [f"1\tdog\tdog\tNN\tNN\t_\t{head}\tsbj\t_\t_", ""]
         stats = ParseStats()
-        records = list(parse_conll_stream(lines, stats=stats))
+        records = list(parse_conll_stream(lines, COLUMNS, POS_MAP, stats=stats))
         assert records[0].tokens == ["dog-n"]
         assert records[0].arcs == []
         assert stats.malformed_rows == 1
@@ -97,7 +133,7 @@ class TestMalformedRows:
     def test_unattached_head_is_not_malformed(self, head):
         lines = [f"1\tdog\tdog\tNN\tNN\t_\t{head}\tsbj\t_\t_", ""]
         stats = ParseStats()
-        records = list(parse_conll_stream(lines, stats=stats))
+        records = list(parse_conll_stream(lines, COLUMNS, POS_MAP, stats=stats))
         assert records[0].arcs == []
         assert stats.malformed_rows == 0
 
@@ -108,7 +144,7 @@ class TestMalformedRows:
             "",
         ]
         stats = ParseStats()
-        records = list(parse_conll_stream(lines, stats=stats))
+        records = list(parse_conll_stream(lines, COLUMNS, POS_MAP, stats=stats))
         assert records[0].arcs == []
         assert stats.malformed_rows == 1
 
@@ -130,10 +166,10 @@ class TestPaddedFields:
             "",
         ]
         stats = ParseStats()
-        records = list(parse_conll_stream(lines, stats=stats))
+        records = list(parse_conll_stream(lines, COLUMNS, POS_MAP, stats=stats))
         arc = records[0].arcs[0]
         assert (arc.head, arc.relation, arc.dependent) == ("see-v", "obj", "dog-n")
-        assert (arc.head_pos, arc.dep_pos) == (1, 0)
+        assert arc.head_pos == 1
         assert stats.malformed_rows == 0
 
     def test_signed_head_is_a_row_index(self):
@@ -142,7 +178,7 @@ class TestPaddedFields:
             "2\tdog\tdog\tNN\tNN\t_\t+1\tobj\t_\t_",
             "",
         ]
-        arc = list(parse_conll_stream(lines))[0].arcs[0]
+        arc = list(parse_conll_stream(lines, COLUMNS, POS_MAP))[0].arcs[0]
         assert (arc.head, arc.relation, arc.dependent, arc.head_pos) == ("see-v", "obj", "dog-n", 0)
 
     def test_padded_relation_of_only_spaces_is_malformed(self):
@@ -152,7 +188,7 @@ class TestPaddedFields:
             "",
         ]
         stats = ParseStats()
-        records = list(parse_conll_stream(lines, stats=stats))
+        records = list(parse_conll_stream(lines, COLUMNS, POS_MAP, stats=stats))
         assert records[0].arcs == []
         assert stats.malformed_rows == 1
 
@@ -166,7 +202,7 @@ class TestPaddedFields:
 
 class TestArcRecord:
     def test_field_names(self):
-        fields = ("head", "relation", "dependent", "sentence_id", "head_pos", "dep_pos")
+        fields = ("head", "relation", "dependent", "head_pos")
         assert DependencyArc._fields == fields
 
     def test_arcs_cannot_be_assigned_to(self):
@@ -180,7 +216,7 @@ class TestCustomColumns:
     def test_remapped_columns(self):
         columns = ColumnConfig(form=0, lemma=1, pos=2, head=3, relation=4)
         lines = ["dogs\tdog\tNN\t2\tsbj", "saw\tsee\tVB\t0\troot", ""]
-        records = list(parse_conll_stream(lines, columns))
+        records = list(parse_conll_stream(lines, columns, POS_MAP))
         arc = records[0].arcs[0]
         assert arc.head == "see-v"
         assert arc.dependent == "dog-n"
@@ -191,16 +227,16 @@ class TestFileParsing:
         path = tmp_path / "corpus.conll"
         path.write_text(conll_text([[("cat", "NN", 0, "root")]]), encoding="utf-8")
         stats = ParseStats()
-        records = list(parse_conll_file(str(path), stats=stats))
+        records = list(parse_conll_file(str(path), COLUMNS, POS_MAP, stats=stats))
         assert len(records) == 1
         assert stats.files == [str(path)]
 
     def test_missing_file_raises(self):
         with pytest.raises(CorpusError):
-            list(parse_conll_file("/nonexistent/corpus.conll"))
+            list(parse_conll_file("/nonexistent/corpus.conll", COLUMNS, POS_MAP))
 
     def test_invalid_utf8_raises(self, tmp_path):
         path = tmp_path / "bad.conll"
         path.write_bytes(b"1\tdog\tdog\tNN\tNN\t_\t0\troot\t_\t_\xff\xfe\n")
         with pytest.raises(CorpusError):
-            list(parse_conll_file(str(path)))
+            list(parse_conll_file(str(path), COLUMNS, POS_MAP))

@@ -10,11 +10,7 @@ from collections import Counter
 import pytest
 
 from argex.corpus import (
-    DEFAULT_OBJECT_LABELS,
-    DEFAULT_SUBJECT_LABELS,
     Vocabulary,
-    build_vocabulary,
-    extract_dependency_counts,
     extract_window_counts,
     load_vocabulary,
     save_vocabulary,
@@ -23,7 +19,17 @@ from argex.errors import ConsistencyError, CorpusError
 from argex.tensor import write_artifact
 from argex.tokens import VERB_LINK, inverse
 
-from conftest import conll_text, parse_text, random_corpus_text
+from conftest import (
+    DEFAULTS,
+    OBJECTS,
+    SUBJECTS,
+    conll_text,
+    dependency_counts,
+    parse_text,
+    random_corpus_text,
+    vocabulary,
+    window_counts,
+)
 
 
 def naive_vocabulary(corpus, threshold, inclusive=True):
@@ -37,8 +43,8 @@ def naive_vocabulary(corpus, threshold, inclusive=True):
     return {t for t, n in freq.items() if n > threshold}
 
 
-def naive_dependency(corpus, vocab_set, subject_labels=DEFAULT_SUBJECT_LABELS,
-                     object_labels=DEFAULT_OBJECT_LABELS, allowlist=None,
+def naive_dependency(corpus, vocab_set, subject_labels=SUBJECTS,
+                     object_labels=OBJECTS, allowlist=None,
                      denylist=frozenset()):
     counts = Counter()
     for sentence in corpus:
@@ -70,7 +76,8 @@ def naive_dependency(corpus, vocab_set, subject_labels=DEFAULT_SUBJECT_LABELS,
     return counts
 
 
-def naive_window(corpus, vocab_set, width=2, filtered_positions=False):
+def naive_window(corpus, vocab_set, width=DEFAULTS.window_width,
+                 filtered_positions=DEFAULTS.window_filtered_positions):
     counts = Counter()
     for sentence in corpus:
         if filtered_positions:
@@ -105,16 +112,16 @@ class TestCountingOracle:
     @pytest.mark.parametrize("seed,n_sentences,threshold", ORACLE_CORPORA)
     def test_dependency_matches_naive_recount(self, seed, n_sentences, threshold):
         corpus = parse_text(random_corpus_text(seed, n_sentences))
-        vocab = build_vocabulary(corpus, threshold)
-        tensor = extract_dependency_counts(corpus, vocab)
+        vocab = vocabulary(corpus, threshold)
+        tensor = dependency_counts(corpus, vocab)
         assert tensor_counts(tensor) == naive_dependency(corpus, vocab.entries)
 
     @pytest.mark.parametrize("seed,n_sentences,threshold", ORACLE_CORPORA)
     @pytest.mark.parametrize("width,filtered", [(1, False), (2, False), (2, True), (3, False)])
     def test_window_matches_naive_recount(self, seed, n_sentences, threshold, width, filtered):
         corpus = parse_text(random_corpus_text(seed, n_sentences))
-        vocab = build_vocabulary(corpus, threshold)
-        tensor = extract_window_counts(corpus, vocab, width=width, filtered_positions=filtered)
+        vocab = vocabulary(corpus, threshold)
+        tensor = window_counts(corpus, vocab, width=width, filtered_positions=filtered)
         assert tensor_counts(tensor) == naive_window(
             corpus, vocab.entries, width=width, filtered_positions=filtered
         )
@@ -122,24 +129,24 @@ class TestCountingOracle:
     @pytest.mark.parametrize("seed,n_sentences,threshold", ORACLE_CORPORA)
     def test_vocabulary_matches_naive_count(self, seed, n_sentences, threshold):
         corpus = parse_text(random_corpus_text(seed, n_sentences))
-        vocab = build_vocabulary(corpus, threshold)
+        vocab = vocabulary(corpus, threshold)
         assert vocab.entries == naive_vocabulary(corpus, threshold)
 
     def test_checked_in_corpora_match_oracle(self, fixture_paths):
         for key in ("bicknell_corpus", "chow_corpus"):
             corpus = parse_text(open(fixture_paths[key], encoding="utf-8").read())
-            vocab = build_vocabulary(corpus, 3)
-            deps = extract_dependency_counts(corpus, vocab)
+            vocab = vocabulary(corpus, 3)
+            deps = dependency_counts(corpus, vocab)
             assert tensor_counts(deps) == naive_dependency(corpus, vocab.entries)
-            window = extract_window_counts(corpus, vocab)
+            window = window_counts(corpus, vocab)
             assert tensor_counts(window) == naive_window(corpus, vocab.entries)
 
 
 class TestVerbLink:
     def build(self, sentences, threshold=1, **kwargs):
         corpus = parse_text(conll_text(sentences))
-        vocab = build_vocabulary(corpus, threshold)
-        return extract_dependency_counts(corpus, vocab, **kwargs), vocab
+        vocab = vocabulary(corpus, threshold)
+        return dependency_counts(corpus, vocab, **kwargs), vocab
 
     def test_two_subjects_two_objects_link_all_pairs_once(self):
         tensor, _ = self.build(
@@ -155,8 +162,8 @@ class TestVerbLink:
         )
         for subj in ("dog", "cat"):
             for obj in ("bird", "fish"):
-                assert tensor.count(f"{subj}-n", VERB_LINK, f"{obj}-n") == 1
-                assert tensor.count(f"{obj}-n", inverse(VERB_LINK), f"{subj}-n") == 1
+                assert tensor.counts.get((f"{subj}-n", VERB_LINK, f"{obj}-n"), 0) == 1
+                assert tensor.counts.get((f"{obj}-n", inverse(VERB_LINK), f"{subj}-n"), 0) == 1
 
     def test_duplicate_arc_counts_twice_but_links_once(self):
         tensor, _ = self.build(
@@ -169,8 +176,8 @@ class TestVerbLink:
                 ]
             ]
         )
-        assert tensor.count("see-v", "sbj", "dog-n") == 2
-        assert tensor.count("dog-n", VERB_LINK, "cat-n") == 1
+        assert tensor.counts.get(("see-v", "sbj", "dog-n"), 0) == 2
+        assert tensor.counts.get(("dog-n", VERB_LINK, "cat-n"), 0) == 1
 
     def test_two_verb_instances_link_independently(self):
         sentence = [
@@ -182,7 +189,7 @@ class TestVerbLink:
             ("cat", "NN", 5, "obj"),
         ]
         tensor, _ = self.build([sentence])
-        assert tensor.count("dog-n", VERB_LINK, "cat-n") == 2
+        assert tensor.counts.get(("dog-n", VERB_LINK, "cat-n"), 0) == 2
 
     def test_out_of_vocab_verb_still_links_arguments(self):
         # dog/cat appear twice, see only once: with threshold 2 the verb is
@@ -198,8 +205,8 @@ class TestVerbLink:
         ]
         tensor, vocab = self.build(sentences, threshold=2)
         assert "see-v" not in vocab
-        assert tensor.count("see-v", "sbj", "dog-n") == 0
-        assert tensor.count("dog-n", VERB_LINK, "cat-n") == 1
+        assert tensor.counts.get(("see-v", "sbj", "dog-n"), 0) == 0
+        assert tensor.counts.get(("dog-n", VERB_LINK, "cat-n"), 0) == 1
 
     def test_out_of_vocab_argument_blocks_link(self):
         sentences = [
@@ -212,7 +219,7 @@ class TestVerbLink:
         ]
         tensor, vocab = self.build(sentences, threshold=2)
         assert "cat-n" not in vocab
-        assert tensor.count("dog-n", VERB_LINK, "cat-n") == 0
+        assert tensor.counts.get(("dog-n", VERB_LINK, "cat-n"), 0) == 0
 
     def test_noun_head_never_links(self):
         tensor, _ = self.build(
@@ -233,8 +240,8 @@ class TestVerbLink:
             ("cat", "NN", 2, "obj"),
         ]
         tensor, _ = self.build([sentence], denylist=frozenset({"sbj"}))
-        assert tensor.count("see-v", "sbj", "dog-n") == 0
-        assert tensor.count("see-v", "obj", "cat-n") == 1
+        assert tensor.counts.get(("see-v", "sbj", "dog-n"), 0) == 0
+        assert tensor.counts.get(("see-v", "obj", "cat-n"), 0) == 1
         assert all(r != VERB_LINK for r in relations(tensor))
 
     def test_allowlist_keeps_only_named_relations(self):
@@ -257,7 +264,7 @@ class TestVerbLink:
             subject_labels=frozenset({"nsubj"}),
             object_labels=frozenset({"dobj"}),
         )
-        assert tensor.count("dog-n", VERB_LINK, "cat-n") == 1
+        assert tensor.counts.get(("dog-n", VERB_LINK, "cat-n"), 0) == 1
 
 
 class TestWindow:
@@ -265,47 +272,47 @@ class TestWindow:
         # dog [unmapped] cat: raw distance 2, filtered distance 1
         sentence = [("dog", "NN", 0, "root"), ("the", "DT", 0, "root"), ("cat", "NN", 0, "root")]
         corpus = parse_text(conll_text([sentence]))
-        vocab = build_vocabulary(corpus, 1)
-        raw1 = extract_window_counts(corpus, vocab, width=1)
+        vocab = vocabulary(corpus, 1)
+        raw1 = window_counts(corpus, vocab, width=1)
         assert raw1.total == 0
-        raw2 = extract_window_counts(corpus, vocab, width=2)
-        assert raw2.count("dog-n", "WINDOW", "cat-n") == 1
-        filtered1 = extract_window_counts(corpus, vocab, width=1, filtered_positions=True)
-        assert filtered1.count("dog-n", "WINDOW", "cat-n") == 1
+        raw2 = window_counts(corpus, vocab, width=2)
+        assert raw2.counts.get(("dog-n", "WINDOW", "cat-n"), 0) == 1
+        filtered1 = window_counts(corpus, vocab, width=1, filtered_positions=True)
+        assert filtered1.counts.get(("dog-n", "WINDOW", "cat-n"), 0) == 1
 
     def test_counts_are_symmetric(self):
         corpus = parse_text(random_corpus_text(7, 80))
-        vocab = build_vocabulary(corpus, 1)
-        tensor = extract_window_counts(corpus, vocab, width=2)
+        vocab = vocabulary(corpus, 1)
+        tensor = window_counts(corpus, vocab, width=2)
         for (t, r, f), c in tensor.counts.items():
             assert tensor.counts[(f, r, t)] == c
 
     def test_width_validation(self):
         with pytest.raises(ValueError):
-            extract_window_counts([], Vocabulary({}, 1), width=0)
+            extract_window_counts([], Vocabulary({}, 1, True), 0, False)
 
 
 class TestVocabulary:
     def test_threshold_boundary_inclusive_vs_exclusive(self):
         freq = {"dog-n": 3, "cat-n": 2}
-        assert "dog-n" in Vocabulary(freq, 3)
-        assert "cat-n" not in Vocabulary(freq, 3)
+        assert "dog-n" in Vocabulary(freq, 3, True)
+        assert "cat-n" not in Vocabulary(freq, 3, True)
         assert "dog-n" not in Vocabulary(freq, 3, inclusive=False)
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            Vocabulary({}, 0)
+            Vocabulary({}, 0, True)
 
     def test_save_load_round_trip(self, tmp_path):
         freq = {"dog-n": 5, "cat-n": 1}
-        vocab = Vocabulary(freq, 2)
+        vocab = Vocabulary(freq, 2, True)
         path = str(tmp_path / "vocab.tsv")
         save_vocabulary(vocab, path)
-        loaded = load_vocabulary(path, 2)
+        loaded = load_vocabulary(path, 2, True)
         assert loaded.frequency == freq
         assert loaded.entries == vocab.entries
         # the full table is stored, so a different threshold can be reapplied
-        assert "cat-n" in load_vocabulary(path, 1)
+        assert "cat-n" in load_vocabulary(path, 1, True)
 
     @pytest.mark.parametrize(
         "body, message",
@@ -319,13 +326,13 @@ class TestVocabulary:
         path = str(tmp_path / "vocab.tsv")
         write_artifact(path, body, {})
         with pytest.raises(CorpusError, match=f"vocab.tsv:2: {message}"):
-            load_vocabulary(path, 1)
+            load_vocabulary(path, 1, True)
 
     def test_tamper_detection(self, tmp_path):
-        vocab = Vocabulary({"dog-n": 5}, 1)
+        vocab = Vocabulary({"dog-n": 5}, 1, True)
         path = str(tmp_path / "vocab.tsv")
         save_vocabulary(vocab, path)
         open(path, "a").write("zebra-n\t9\n")
         with pytest.raises(ConsistencyError):
-            load_vocabulary(path, 1)
+            load_vocabulary(path, 1, True)
 

@@ -80,11 +80,6 @@ class TestBicknellCommon:
         assert bicknell_mode_of_header(ACC1_HEADER.split("\t")) is BicknellMode.ACC1
         assert bicknell_mode_of_header(ACC2_HEADER.split("\t")) is BicknellMode.ACC2
 
-    def test_mode_from_string(self):
-        assert BicknellMode.from_string("ACC1") is BicknellMode.ACC1
-        with pytest.raises(DatasetError):
-            BicknellMode.from_string("acc3")
-
     def test_wrong_column_count_names_line(self, tmp_path):
         path = write(tmp_path, f"{ACC1_HEADER}\nb1\ta-n\tv-v\tx-n\n")
         with pytest.raises(DatasetError) as exc:

@@ -13,8 +13,6 @@ from argex import evaluation
 from argex.datasets import BicknellItem, BicknellMode, ChowItem, load_bicknell, load_chow
 from argex.errors import EmptyPrototypeError
 from argex.evaluation import (
-    BicknellSlots,
-    ChowSlots,
     Outcome,
     TASK_BICKNELL_ACC1,
     TASK_BICKNELL_ACC2,
@@ -42,7 +40,7 @@ from argex.expectation import (
 from argex.space import SparseVector, add_vectors, cosine, multiply_vectors
 from argex.tokens import Token, VERB_LINK, inverse, parse_canonical
 
-from conftest import random_corpus_text, spaces_from_text
+from conftest import BICKNELL_SLOTS, CHOW_SLOTS, random_corpus_text, spaces_from_text
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +70,7 @@ class TestRunBicknell:
     def test_deps_sum_sweeps_the_engineered_items(self, bicknell_setup):
         deps_space, _, acc1, acc2 = bicknell_setup
         for items, mode in ((acc1, BicknellMode.ACC1), (acc2, BicknellMode.ACC2)):
-            report = run_bicknell(deps_space, DEPS_SUM, items, mode)
+            report = run_bicknell(deps_space, DEPS_SUM, items, mode, BICKNELL_SLOTS)
             assert report.n_items == 10
             assert report.n_scored == 10
             assert report.n_wins == 10
@@ -83,7 +81,7 @@ class TestRunBicknell:
 
     def test_bow_lands_mid_band_on_acc2(self, bicknell_setup):
         _, window_space, _, acc2 = bicknell_setup
-        report = run_bicknell(window_space, BOW_SUM, acc2, BicknellMode.ACC2)
+        report = run_bicknell(window_space, BOW_SUM, acc2, BicknellMode.ACC2, BICKNELL_SLOTS)
         assert report.n_scored == 10
         assert report.accuracy == 0.5
         # the distractor bigrams decide exactly which half the model gets
@@ -99,12 +97,12 @@ class TestRunBicknell:
             (deps_space, DEPS_SUM, acc1, BicknellMode.ACC1),
             (window_space, BOW_SUM, acc2, BicknellMode.ACC2),
         ):
-            report = run_bicknell(space, variant, items, mode)
+            report = run_bicknell(space, variant, items, mode, BICKNELL_SLOTS)
             assert report.accuracy * report.n_scored == report.n_wins
 
     def test_boa_fails_items_when_agents_head_no_arcs(self, bicknell_setup):
         deps_space, _, _, acc2 = bicknell_setup
-        report = run_bicknell(deps_space, BOA_SUM, acc2, BicknellMode.ACC2)
+        report = run_bicknell(deps_space, BOA_SUM, acc2, BicknellMode.ACC2, BICKNELL_SLOTS)
         assert report.n_failed == 10
         assert report.n_scored == 0
         assert report.accuracy is None
@@ -122,7 +120,7 @@ class TestRunBicknell:
             Token("yyy", "n"),
             Token("yyy", "n"),
         )
-        report = run_bicknell(deps_space, DEPS_SUM, list(acc2) + [ghost], BicknellMode.ACC2)
+        report = run_bicknell(deps_space, DEPS_SUM, list(acc2) + [ghost], BicknellMode.ACC2, BICKNELL_SLOTS)
         assert report.n_items == 11
         assert report.n_oov_skipped == 1
         assert report.coverage == 10 / 11
@@ -132,10 +130,10 @@ class TestRunBicknell:
 
     def test_item_order_does_not_change_results(self, bicknell_setup):
         deps_space, _, _, acc2 = bicknell_setup
-        report_fwd = run_bicknell(deps_space, DEPS_SUM, acc2, BicknellMode.ACC2)
+        report_fwd = run_bicknell(deps_space, DEPS_SUM, acc2, BicknellMode.ACC2, BICKNELL_SLOTS)
         shuffled = list(acc2)
         random.Random(5).shuffle(shuffled)
-        report_shuf = run_bicknell(deps_space, DEPS_SUM, shuffled, BicknellMode.ACC2)
+        report_shuf = run_bicknell(deps_space, DEPS_SUM, shuffled, BicknellMode.ACC2, BICKNELL_SLOTS)
         assert report_fwd.accuracy == report_shuf.accuracy
         by_id_fwd = {p.item_id: (p.score_a, p.score_b) for p in report_fwd.pairs}
         by_id_shuf = {p.item_id: (p.score_a, p.score_b) for p in report_shuf.pairs}
@@ -148,7 +146,7 @@ class TestRunBicknell:
         items.append(dataclasses.replace(acc2[3], item_id="ghost", patient_congruent=Token("zzz", "n")))
         items.append(dataclasses.replace(acc2[5], item_id="verbal", agent_congruent=acc2[0].verb))
         random.Random(11).shuffle(items)
-        report = run_bicknell(deps_space, DEPS_SUM, items, BicknellMode.ACC2)
+        report = run_bicknell(deps_space, DEPS_SUM, items, BicknellMode.ACC2, BICKNELL_SLOTS)
         reasons = dict(report.skipped)
         assert reasons["ghost"].startswith("oov: ")
         assert reasons["verbal"].startswith("empty prototype: ")
@@ -162,7 +160,7 @@ class TestRunBicknell:
 
     def test_scores_match_direct_expectation_calls(self, bicknell_setup):
         deps_space, _, _, acc2 = bicknell_setup
-        report = run_bicknell(deps_space, DEPS_SUM, acc2, BicknellMode.ACC2)
+        report = run_bicknell(deps_space, DEPS_SUM, acc2, BicknellMode.ACC2, BICKNELL_SLOTS)
         item = acc2[0]
         pair = next(p for p in report.pairs if p.item_id == item.item_id)
         slot_agent = map_slot(VariantKind.DEPS, VERB_LINK)
@@ -173,13 +171,13 @@ class TestRunBicknell:
             [SlotQuery(item.agent_congruent, slot_agent), SlotQuery(item.verb, slot_verb)],
             item.patient_congruent,
         )
-        assert pair.score_a == direct_a.score
+        assert pair.score_a == direct_a.value
 
 
 class TestRunChow:
     def test_deps_wins_every_item(self, chow_setup):
         deps_space, _, items = chow_setup
-        report = run_chow(deps_space, DEPS_SUM, items)
+        report = run_chow(deps_space, DEPS_SUM, items, CHOW_SLOTS)
         assert report.n_items == 50
         assert report.n_wins == 50
         assert report.accuracy == 1.0
@@ -188,7 +186,7 @@ class TestRunChow:
     def test_unstructured_variants_tie_every_item(self, chow_setup):
         deps_space, window_space, items = chow_setup
         for space, variant in ((deps_space, BOA_SUM), (window_space, BOW_SUM)):
-            report = run_chow(space, variant, items)
+            report = run_chow(space, variant, items, CHOW_SLOTS)
             assert report.n_ties == 50
             assert report.all_ties
             assert report.accuracy == 0.0
@@ -197,7 +195,7 @@ class TestRunChow:
 
     def test_boa_mult_ties_degenerate(self, chow_setup):
         deps_space, _, items = chow_setup
-        report = run_chow(deps_space, BOA_MULT, items)
+        report = run_chow(deps_space, BOA_MULT, items, CHOW_SLOTS)
         assert report.all_ties
         # disjoint noun rows make every MULT expectation empty
         assert report.n_degenerate == 50
@@ -205,7 +203,7 @@ class TestRunChow:
     def test_reversed_condition_swaps_slots_not_columns(self, chow_setup):
         deps_space, _, items = chow_setup
         item = items[0]
-        report = run_chow(deps_space, DEPS_SUM, [item])
+        report = run_chow(deps_space, DEPS_SUM, [item], CHOW_SLOTS)
         pair = report.pairs[0]
         slot_agent = inverse("sbj")
         slot_patient = inverse("obj")
@@ -221,12 +219,12 @@ class TestRunChow:
             [SlotQuery(item.noun1, slot_patient), SlotQuery(item.noun2, slot_agent)],
             item.verb,
         )
-        assert pair.score_a == direct_normal.score
-        assert pair.score_b == direct_reversed.score
+        assert pair.score_a == direct_normal.value
+        assert pair.score_b == direct_reversed.value
 
     def test_wilcoxon_over_condition_scores(self, chow_setup):
         deps_space, _, items = chow_setup
-        report = run_chow(deps_space, DEPS_SUM, items)
+        report = run_chow(deps_space, DEPS_SUM, items, CHOW_SLOTS)
         # normal scores are all 1.0, reversed all 0.0: W is the sum of the
         # top 50 ranks of 100
         assert report.wilcoxon.statistic == sum(range(51, 101))
@@ -236,7 +234,8 @@ class TestKSweep:
     def test_one_report_per_k(self, chow_setup):
         deps_space, _, items = chow_setup
         k_values = [10, 20, 30, 40, 50]
-        grid = evaluate_grid(deps_space, VariantKind.DEPS, items, TASK_CHOW, [Composition.SUM], k_values)
+        grid = evaluate_grid(deps_space, VariantKind.DEPS, items, TASK_CHOW, [Composition.SUM], k_values,
+                             CHOW_SLOTS)
         assert list(grid) == [(Composition.SUM, k) for k in k_values]
         reports = list(grid.values())
         assert [r.variant for r in reports] == [ModelVariant(VariantKind.DEPS, k, Composition.SUM) for k in k_values]
@@ -245,19 +244,20 @@ class TestKSweep:
 
     def test_bicknell_sweep_reports_its_mode(self, bicknell_setup):
         deps_space, _, _, acc2 = bicknell_setup
-        grid = evaluate_grid(deps_space, VariantKind.DEPS, acc2, TASK_BICKNELL_ACC2, [Composition.SUM], [10, 20])
+        grid = evaluate_grid(deps_space, VariantKind.DEPS, acc2, TASK_BICKNELL_ACC2, [Composition.SUM], [10, 20],
+                             BICKNELL_SLOTS)
         assert [r.task for r in grid.values()] == [TASK_BICKNELL_ACC2] * 2
 
     def test_empty_k_values_rejected(self, chow_setup):
         deps_space, _, items = chow_setup
         with pytest.raises(ValueError):
-            evaluate_grid(deps_space, VariantKind.DEPS, items, TASK_CHOW, [Composition.SUM], [])
+            evaluate_grid(deps_space, VariantKind.DEPS, items, TASK_CHOW, [Composition.SUM], [], CHOW_SLOTS)
 
 
 class TestSerialization:
     def test_report_json_round_trips(self, chow_setup):
         deps_space, _, items = chow_setup
-        report = run_chow(deps_space, DEPS_SUM, items)
+        report = run_chow(deps_space, DEPS_SUM, items, CHOW_SLOTS)
         text = report_to_json(report, provenance={"space_id": deps_space.space_id})
         assert text.endswith("\n")
         data = json.loads(text)
@@ -269,19 +269,19 @@ class TestSerialization:
 
     def test_json_is_deterministic(self, chow_setup):
         deps_space, _, items = chow_setup
-        report = run_chow(deps_space, DEPS_SUM, items)
+        report = run_chow(deps_space, DEPS_SUM, items, CHOW_SLOTS)
         assert report_to_json(report) == report_to_json(report)
 
     def test_report_dict_counts_are_consistent(self, bicknell_setup):
         deps_space, _, _, acc2 = bicknell_setup
-        report = run_bicknell(deps_space, DEPS_SUM, acc2, BicknellMode.ACC2)
+        report = run_bicknell(deps_space, DEPS_SUM, acc2, BicknellMode.ACC2, BICKNELL_SLOTS)
         data = report_to_dict(report)
         counts = data["counts"]
         assert counts["n_items"] == counts["n_scored"] + counts["n_oov_skipped"] + counts["n_failed"]
 
     def test_per_item_csv_shape(self, chow_setup):
         deps_space, _, items = chow_setup
-        report = run_chow(deps_space, DEPS_SUM, items)
+        report = run_chow(deps_space, DEPS_SUM, items, CHOW_SLOTS)
         lines = per_item_csv(report).strip().split("\n")
         assert lines[0] == "item_id,condition,score,degenerate"
         assert len(lines) == 1 + 2 * 50  # one row per condition
@@ -290,7 +290,8 @@ class TestSerialization:
 
     def test_per_k_csv_shape(self, chow_setup):
         deps_space, _, items = chow_setup
-        grid = evaluate_grid(deps_space, VariantKind.DEPS, items, TASK_CHOW, [Composition.SUM], [10, 20])
+        grid = evaluate_grid(deps_space, VariantKind.DEPS, items, TASK_CHOW, [Composition.SUM], [10, 20],
+                             CHOW_SLOTS)
         lines = per_k_csv(list(grid.values())).strip().split("\n")
         assert lines[0] == "k,task,kind,composition,accuracy,n_ties,n_degenerate,coverage"
         assert len(lines) == 3
@@ -302,7 +303,7 @@ class TestChowItemWithEqualNouns:
         deps_space, _, items = chow_setup
         item = items[0]
         twin = ChowItem("twin", item.verb, item.noun1, item.noun1)
-        report = run_chow(deps_space, DEPS_SUM, [twin])
+        report = run_chow(deps_space, DEPS_SUM, [twin], CHOW_SLOTS)
         pair = report.pairs[0]
         assert pair.correct is Outcome.TIE
         assert pair.score_a == pair.score_b
@@ -315,7 +316,7 @@ def _from_scratch(space, variant, task, items, index):
     report's own terms.
     """
     if task == TASK_CHOW:
-        slots = ChowSlots()
+        slots = CHOW_SLOTS
         agent = map_slot(variant.kind, slots.agent)
         patient = map_slot(variant.kind, slots.patient)
         conditions = [
@@ -325,7 +326,7 @@ def _from_scratch(space, variant, task, items, index):
             for it in items
         ]
     else:
-        slots = BicknellSlots()
+        slots = BICKNELL_SLOTS
         agent = map_slot(variant.kind, slots.agent)
         verb = map_slot(variant.kind, slots.verb)
         conditions = [
@@ -338,7 +339,7 @@ def _from_scratch(space, variant, task, items, index):
         ]
     pairs, skipped, n_failed = [], [], 0
     for item_id, required, (inputs_a, cand_a), (inputs_b, cand_b) in conditions:
-        missing = sorted({t.canonical for t in required if t.canonical not in space})
+        missing = sorted({t.canonical for t in required if t.canonical not in space.vocabulary})
         if missing:
             skipped.append((item_id, "oov: " + " ".join(missing)))
             continue
@@ -349,9 +350,9 @@ def _from_scratch(space, variant, task, items, index):
             skipped.append((item_id, f"empty prototype: {exc.query}"))
             n_failed += 1
             continue
-        outcome = (Outcome.WIN if a.score > b.score
-                   else Outcome.TIE if a.score == b.score else Outcome.LOSS)
-        pairs.append((item_id, a.score, b.score, a.degenerate, b.degenerate, outcome))
+        outcome = (Outcome.WIN if a.value > b.value
+                   else Outcome.TIE if a.value == b.value else Outcome.LOSS)
+        pairs.append((item_id, a.value, b.value, a.degenerate, b.degenerate, outcome))
     return pairs, skipped, (len(items), n_failed)
 
 
@@ -417,7 +418,8 @@ class TestEvaluateGrid:
                 items.append(BicknellItem(item_id, n[0], n[0], v, n[1], n[2]))
             else:  # shared patient
                 items.append(BicknellItem(item_id, n[0], n[1], v, n[2], n[2]))
-        grid = evaluate_grid(space, kind, items, task, compositions, k_values, index=index)
+        slots = CHOW_SLOTS if task == TASK_CHOW else BICKNELL_SLOTS
+        grid = evaluate_grid(space, kind, items, task, compositions, k_values, slots, index=index)
         assert set(grid) == {(c, k) for c in compositions for k in k_values}
         for (comp, k), report in grid.items():
             variant = ModelVariant(kind, k, comp)
@@ -530,11 +532,11 @@ class TestLeafSharing:
         monkeypatch.setattr(evaluation, "_composed_norms", reading(_composed_norms))
         monkeypatch.setattr(evaluation, "_candidate_dots", reading(_candidate_dots))
         grid = evaluate_grid(deps_space, VariantKind.DEPS, items, TASK_BICKNELL_ACC2,
-                             [Composition.SUM, Composition.MULT], [1, 2, 5, 20])
+                             [Composition.SUM, Composition.MULT], [1, 2, 5, 20], BICKNELL_SLOTS)
         assert all(r.n_failed == 0 and r.n_scored == len(items) for r in grid.values())
 
         walked = [query for query, _, _ in walks]
-        slots = BicknellSlots()
+        slots = BICKNELL_SLOTS
         distinct = {SlotQuery(t, s) for it in items
                     for t, s in ((it.agent_congruent, slots.agent),
                                  (it.agent_incongruent, slots.agent), (it.verb, slots.verb))}

@@ -1,14 +1,16 @@
 """The argex names the benchmark scripts use, checked without running them.
 
 The traced benchmark run (``perfbench/run.py --trace 1``) is not part of
-this suite, so a deleted or renamed name that ``perfbench/`` uses would
-otherwise go unnoticed until the benchmark runs. The scripts are read
-with ``ast``; none of them is imported.
+this suite, so a deleted or renamed name that ``perfbench/`` uses, or a
+dropped parameter that it passes, would otherwise go unnoticed until the
+benchmark runs. The scripts are read with ``ast``; none of them is
+imported.
 """
 
 import ast
 import glob
 import importlib
+import inspect
 import os
 
 import pytest
@@ -70,3 +72,30 @@ def test_artifact_paths_has_every_key_traced_reads():
     }
     assert keys
     assert keys <= set(artifact_paths("out")), sorted(keys - set(artifact_paths("out")))
+
+
+def test_every_call_traced_makes_to_an_argex_callable_binds_to_its_signature():
+    module = parse(os.path.join(PERFBENCH, "traced.py"))
+    imported = argex_imports(module)
+    checked = set()
+    for node in ast.walk(module):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        # a call of an imported name, or of an attribute read off one (CooccurrenceTensor.load)
+        if isinstance(func, ast.Name) and func.id in imported:
+            source, name = imported[func.id]
+            qualname, callee = f"{source}.{name}", getattr(importlib.import_module(source), name)
+        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in imported:
+            source, name = imported[func.value.id]
+            owner = getattr(importlib.import_module(source), name)
+            qualname, callee = f"{source}.{name}.{func.attr}", getattr(owner, func.attr)
+        else:
+            continue
+        try:
+            inspect.signature(callee).bind(*node.args, **{kw.arg: kw.value for kw in node.keywords})
+        except TypeError as exc:
+            pytest.fail(f"traced.py:{node.lineno}: {qualname}: {exc}")
+        checked.add(qualname)
+    assert {"argex.conll.parse_conll_file", "argex.evaluation.run_chow",
+            "argex.tensor.CooccurrenceTensor.load"} <= checked

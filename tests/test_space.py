@@ -26,7 +26,6 @@ from argex.space import (
     multiply_vectors,
     save_space,
     sum_vectors,
-    top_k_fillers,
     vector_of,
 )
 from argex.tensor import CooccurrenceTensor, read_sidecar, write_artifact, write_sidecar
@@ -272,41 +271,29 @@ class TestRanking:
         weighted = toy_weighted()
         index = build_space(weighted, []).index
         see = "see-v"
-        ranked = top_k_fillers(index, see, "sbj", 5)
-        scores = [s for _, s in ranked.fillers]
+        ranking = index.ranking(see, "sbj")
+        scores = [s for _, s in ranking]
         assert scores == sorted(scores, reverse=True)
-        assert ranked.requested == 5
-        assert ranked.available == 2
-        assert ranked.shortfall
+        assert len(ranking) == 2
 
     def test_ties_break_on_canonical(self):
         weighted = toy_weighted()
         a, b, t = "aaa-n", "bbb-n", "tie-v"
-        score = next(iter(weighted.scores.values()))
         weighted.scores[(t, "sbj", a)] = 1.25
         weighted.scores[(t, "sbj", b)] = 1.25
         index = build_space(weighted, []).index
-        ranked = top_k_fillers(index, t, "sbj", 2)
-        assert ranked.tokens() == ["aaa-n", "bbb-n"]
-        assert score  # silence the unused-variable hint
-
-    def test_k_validation(self):
-        index = build_space(toy_weighted(), []).index
-        with pytest.raises(ValueError):
-            top_k_fillers(index, "see-v", "sbj", 0)
+        assert [filler for filler, _ in index.ranking(t, "sbj")[:2]] == ["aaa-n", "bbb-n"]
 
     def test_missing_slot_is_empty(self):
         index = build_space(toy_weighted(), []).index
-        ranked = top_k_fillers(index, "zebra-n", "sbj", 3)
-        assert ranked.empty
-        assert ranked.fillers == []
+        assert index.ranking("zebra-n", "sbj") == ()
 
     def test_prefix_stability_over_k(self):
         index = build_space(toy_weighted(), []).index
         see = "see-v"
-        previous = []
+        previous = ()
         for k in (1, 2, 3, 4, 5):
-            current = top_k_fillers(index, see, "sbj", k).fillers
+            current = index.ranking(see, "sbj")[:k]
             assert current[: len(previous)] == previous
             previous = current
 
@@ -328,8 +315,8 @@ class TestSpace:
 
     def test_contains(self):
         space = toy_space()
-        assert "ant-n" in space
-        assert "zebra-n" not in space
+        assert "ant-n" in space.vocabulary
+        assert "zebra-n" not in space.vocabulary
 
     def test_row_coordinates_match_weights(self):
         space = toy_space()
@@ -621,7 +608,7 @@ class TestTokenChecksAtLoad:
         "setup",
         [
             bad_artifact(CooccurrenceTensor.load, "t.tsv", "see-v\tsbj\tdog-n\t2\nsee-v\tobj\tdog\t1\n"),
-            bad_artifact(lambda path: load_vocabulary(path, 1), "vocab.tsv", "dog-n\t3\n-n\t2\n"),
+            bad_artifact(lambda path: load_vocabulary(path, 1, True), "vocab.tsv", "dog-n\t3\n-n\t2\n"),
             bad_archive("catalog.tsv", lambda space: f"{len(space.catalog)}\tobj\tdog-x\n"),
             bad_archive("arg.tsv", lambda space: "see-v\tdog\t0.5\n"),
             bad_archive("rows.tsv", lambda space: "zebra\t0\t0.5\n"),

@@ -25,14 +25,14 @@ class TestCounting:
     def test_counts_and_marginals_accumulate(self):
         tensor = small_tensor()
         assert tensor.total == 5
-        assert tensor.count(SEE, "sbj", DOG) == 2
-        assert tensor.count(SEE, "sbj", CAT) == 0
+        assert tensor.counts.get((SEE, "sbj", DOG), 0) == 2
+        assert tensor.counts.get((SEE, "sbj", CAT), 0) == 0
         assert len(tensor) == 3
 
     def test_entries_sorted(self):
         tensor = small_tensor()
-        keys = [key for key, _ in tensor.entries()]
-        assert keys == sorted(keys)
+        keys = [tuple(line.split("\t")[:3]) for line in tensor.to_tsv().splitlines()]
+        assert keys == sorted(tensor.counts)
 
 
 class TestSerialization:

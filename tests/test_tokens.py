@@ -2,7 +2,6 @@ import pytest
 
 from argex.errors import ConfigError
 from argex.tokens import (
-    DEFAULT_POS_PREFIXES,
     Token,
     canonical_checker,
     coarse_pos,
@@ -12,6 +11,8 @@ from argex.tokens import (
     normalize,
     parse_canonical,
 )
+
+from conftest import POS_MAP
 
 
 class TestToken:
@@ -62,11 +63,11 @@ class TestInverse:
 
 class TestPosMap:
     def test_default_prefixes(self):
-        assert coarse_pos("NN", DEFAULT_POS_PREFIXES) == "n"
-        assert coarse_pos("NNS", DEFAULT_POS_PREFIXES) == "n"
-        assert coarse_pos("VBZ", DEFAULT_POS_PREFIXES) == "v"
-        assert coarse_pos("JJ", DEFAULT_POS_PREFIXES) is None
-        assert coarse_pos("", DEFAULT_POS_PREFIXES) is None
+        assert coarse_pos("NN", POS_MAP) == "n"
+        assert coarse_pos("NNS", POS_MAP) == "n"
+        assert coarse_pos("VBZ", POS_MAP) == "v"
+        assert coarse_pos("JJ", POS_MAP) is None
+        assert coarse_pos("", POS_MAP) is None
 
     def test_longest_prefix_wins(self):
         rules = compile_pos_map("N:n,NP:v")
@@ -81,14 +82,14 @@ class TestPosMap:
 
 class TestNormalize:
     def test_lowercases_lemma(self):
-        assert normalize("Waitress", "NN") == "waitress-n"
+        assert normalize("Waitress", "NN", POS_MAP) == "waitress-n"
 
     def test_unmapped_pos_is_none(self):
-        assert normalize("the", "DT") is None
+        assert normalize("the", "DT", POS_MAP) is None
 
     def test_empty_lemma_is_none(self):
-        assert normalize("", "NN") is None
-        assert normalize("two words", "NN") is None
+        assert normalize("", "NN", POS_MAP) is None
+        assert normalize("two words", "NN", POS_MAP) is None
 
     def test_custom_map(self):
         rules = compile_pos_map("NOUN:n,VERB:v")

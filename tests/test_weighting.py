@@ -227,16 +227,16 @@ class TestArgCollapse:
         tensor, dog, cat, see = self.build()
         collapsed = collapse_relations(tensor)
         assert {r for (_, r, _) in collapsed.counts} == {ARG}
-        assert collapsed.count(see, ARG, dog) == 6  # sbj 2 + nmod 4
-        assert collapsed.count(see, ARG, cat) == 3
-        assert collapsed.count(cat, ARG, dog) == 1
-        assert collapsed.count(dog, ARG, cat) == 0  # VERB link excluded
+        assert collapsed.counts.get((see, ARG, dog), 0) == 6  # sbj 2 + nmod 4
+        assert collapsed.counts.get((see, ARG, cat), 0) == 3
+        assert collapsed.counts.get((cat, ARG, dog), 0) == 1
+        assert collapsed.counts.get((dog, ARG, cat), 0) == 0  # VERB link excluded
         assert collapsed.total == 10
 
     def test_explicit_filter(self):
         tensor, dog, cat, see = self.build()
         collapsed = collapse_relations(tensor, frozenset({"sbj"}))
-        assert collapsed.count(see, ARG, dog) == 2
+        assert collapsed.counts.get((see, ARG, dog), 0) == 2
         assert collapsed.total == 2
 
     def test_collapse_of_empty_tensor_is_empty(self):
