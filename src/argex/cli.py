@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .config import (
     ALL_TASKS,
@@ -311,119 +312,110 @@ def cmd_fillers(args: argparse.Namespace) -> int:
 # -- eval and sweep ----------------------------------------------------------
 
 
-def _dataset_path(config: PipelineConfig, task: str, override: str | None) -> str:
-    if override:
-        return override
-    path = {
+def _dataset_paths(config: PipelineConfig) -> dict[str, str]:
+    """Each task's configured dataset path, empty when none is set."""
+    return {
         TASK_BICKNELL_ACC1: config.bicknell_acc1_path,
         TASK_BICKNELL_ACC2: config.bicknell_acc2_path,
         TASK_CHOW: config.chow_path,
-    }[task]
-    if not path:
-        raise ConfigError(f"no dataset path configured for {task}")
-    return path
+    }
 
 
-class _SpaceCache:
-    def __init__(self, config: PipelineConfig):
-        self.config = config
-        self._loaded: dict[str, WeightedSpace] = {}
+def _score(
+    config: PipelineConfig, datasets, kinds, compositions, k_values
+) -> list[tuple[EvalReport, dict[str, str]]]:
+    """Every cell's report and provenance, in (task, kind, composition, k) order.
 
-    def get(self, which: str) -> WeightedSpace:
-        if which not in self._loaded:
-            _note(f"loading {which} space")
-            self._loaded[which] = _load_space_checked(self.config, which)
-        return self._loaded[which]
-
-    def for_variant(self, kind: VariantKind):
-        """Returns (vector space, index override or None) for a variant."""
-        if kind is VariantKind.BOW:
-            return self.get("window"), None
-        if kind is VariantKind.BOA and self.config.boa_space == "window":
-            return self.get("window"), self.get("deps").index
-        return self.get("deps"), None
-
-
-def _evaluate(
-    config: PipelineConfig,
-    spaces: _SpaceCache,
-    task: str,
-    kind: VariantKind,
-    compositions,
-    k_values,
-    items,
-) -> dict[tuple[Composition, int], EvalReport]:
+    ``datasets`` holds (task, path, items). Writes nothing; each space
+    is loaded on its first use.
+    """
     from .evaluation import BicknellSlots, ChowSlots, evaluate_grid
 
-    space, index = spaces.for_variant(kind)
-    if task == TASK_CHOW:
-        slots = ChowSlots(agent=config.chow_agent_slot, patient=config.chow_patient_slot)
-        if kind is not VariantKind.DEPS:
-            _note(f"note: {kind.value} on role reversal is provably tied")
-    else:
-        slots = BicknellSlots(agent=config.bicknell_agent_slot, verb=config.bicknell_verb_slot)
-    return evaluate_grid(space, kind, items, task, compositions, k_values, slots, index=index)
+    spaces: dict[str, WeightedSpace] = {}
+
+    def space(which: str) -> WeightedSpace:
+        if which not in spaces:
+            _note(f"loading {which} space")
+            spaces[which] = _load_space_checked(config, which)
+        return spaces[which]
+
+    chow_slots = ChowSlots(agent=config.chow_agent_slot, patient=config.chow_patient_slot)
+    bicknell_slots = BicknellSlots(agent=config.bicknell_agent_slot, verb=config.bicknell_verb_slot)
+    stamps = {"config_hash": config_hash(config), "space_hash": space_hash(config)}
+    cells = []
+    for task, dataset, items in datasets:
+        for kind in kinds:
+            # boa_space=window: BOA ranks its fillers in the deps space and reads their window vectors
+            window_boa = kind is VariantKind.BOA and config.boa_space == "window"
+            vectors = space("window" if kind is VariantKind.BOW or window_boa else "deps")
+            provenance = {**stamps, "space_id": vectors.space_id, "dataset": dataset}
+            index = None
+            if window_boa:
+                index = space("deps").index
+                provenance["index_space_id"] = space("deps").space_id
+            if task == TASK_CHOW and kind is not VariantKind.DEPS:
+                _note(f"note: {kind.value} on role reversal is provably tied")
+            slots = chow_slots if task == TASK_CHOW else bicknell_slots
+            grid = evaluate_grid(vectors, kind, items, task, compositions, k_values, slots, index=index)
+            cells += [(grid[(comp, k)], provenance) for comp in compositions for k in k_values]
+    return cells
 
 
-def _load_items(task: str, path: str):
+def _write_reports(out_dir: str, cells, table_of: Callable[[str], str | None]) -> None:
+    """Write each cell's ``.json`` and ``.items.csv``, then its task's table if ``table_of`` names one."""
+    from .evaluation import per_item_csv, per_k_csv, report_to_json
+
+    reports_dir = artifact_paths(out_dir)["reports"]
+    os.makedirs(reports_dir, exist_ok=True)
+    for task, task_cells in itertools.groupby(cells, key=lambda cell: cell[0].task):
+        reports = []
+        for report, provenance in task_cells:
+            base = os.path.join(reports_dir, f"{task}.{report.variant.label}")
+            write_bytes_atomic(base + ".json", report_to_json(report, provenance).encode("utf-8"))
+            write_bytes_atomic(base + ".items.csv", per_item_csv(report).encode("utf-8"))
+            reports.append(report)
+        table = table_of(task)
+        if table:
+            write_bytes_atomic(os.path.join(reports_dir, table), per_k_csv(reports).encode("utf-8"))
+
+
+def _run(config: PipelineConfig, tasks: dict[str, str], kinds, compositions, k_values, table_of) -> int:
+    """Score, then write, the report of every (task, kind, composition, k) cell.
+
+    ``tasks`` maps each task to its dataset path. Every dataset is loaded
+    before the lock is taken. The lock then spans the space loads, the
+    scoring and the last write: a failed run writes no report, and all of
+    a run's reports come from one generation of spaces.
+    """
     from .datasets import BicknellMode, load_bicknell, load_chow
 
-    if task == TASK_CHOW:
-        return load_chow(path)
-    mode = BicknellMode.ACC1 if task == TASK_BICKNELL_ACC1 else BicknellMode.ACC2
-    return load_bicknell(path, mode)
-
-
-def _provenance(config: PipelineConfig, spaces: _SpaceCache, kind: VariantKind, dataset: str) -> dict[str, str]:
-    space, index = spaces.for_variant(kind)
-    prov = {
-        "config_hash": config_hash(config),
-        "space_hash": space_hash(config),
-        "space_id": space.space_id,
-        "dataset": dataset,
-    }
-    if index is not None:
-        prov["index_space_id"] = spaces.get("deps").space_id
-    return prov
-
-
-def _write_report(reports_dir: str, report: EvalReport, provenance: dict[str, str]) -> str:
-    from .evaluation import per_item_csv, report_to_json
-
-    base = os.path.join(reports_dir, f"{report.task}.{report.variant.label}")
-    write_bytes_atomic(base + ".json", report_to_json(report, provenance).encode("utf-8"))
-    write_bytes_atomic(base + ".items.csv", per_item_csv(report).encode("utf-8"))
-    return base
+    datasets = []
+    for task, path in tasks.items():
+        if not path:
+            raise ConfigError(f"no dataset path configured for {task}")
+        if task == TASK_CHOW:
+            items = load_chow(path)
+        else:
+            mode = BicknellMode.ACC1 if task == TASK_BICKNELL_ACC1 else BicknellMode.ACC2
+            items = load_bicknell(path, mode)
+        _note(f"{task}: {len(items)} items from {path}")
+        datasets.append((task, path, items))
+    with _locked(config.out_dir):
+        cells = _score(config, datasets, kinds, compositions, k_values)
+        _write_reports(config.out_dir, cells, table_of)
+    for report, _ in cells:
+        print(report.summary_line())
+    return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    from .evaluation import per_k_csv
-
     config = _config_from_args(args)
-    task = args.task
     kind = VariantKind.from_string(args.kind)
     composition = Composition.from_string(args.composition)
     k_values = _parse_k_list(args.k) if args.k else (config.k_values[0],)
-    dataset = _dataset_path(config, task, args.dataset)
-    items = _load_items(task, dataset)
-    _note(f"{len(items)} items from {dataset}")
-    spaces = _SpaceCache(config)
-    grid = _evaluate(config, spaces, task, kind, [composition], k_values, items)
-    reports = [grid[(composition, k)] for k in k_values]
-    provenance = _provenance(config, spaces, kind, dataset)
-    reports_dir = artifact_paths(config.out_dir)["reports"]
-    with _locked(config.out_dir):
-        os.makedirs(reports_dir, exist_ok=True)
-        for report in reports:
-            _write_report(reports_dir, report, provenance)
-        if len(reports) > 1:
-            sweep_path = os.path.join(
-                reports_dir, f"{task}.{kind.value}-{composition.value}.k_sweep.csv"
-            )
-            write_bytes_atomic(sweep_path, per_k_csv(reports).encode("utf-8"))
-    for report in reports:
-        print(report.summary_line())
-    return 0
+    table = f"{args.task}.{kind.value}-{composition.value}.k_sweep.csv" if len(k_values) > 1 else None
+    dataset = args.dataset or _dataset_paths(config)[args.task]
+    return _run(config, {args.task: dataset}, [kind], [composition], k_values, lambda task: table)
 
 
 def _parse_k_list(text: str) -> tuple[int, ...]:
@@ -438,53 +430,17 @@ def _parse_k_list(text: str) -> tuple[int, ...]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .evaluation import per_k_csv
-
     config = _config_from_args(args)
+    paths = _dataset_paths(config)
     if args.task:
-        tasks = [args.task]
+        tasks = {args.task: paths[args.task]}
     else:
-        tasks = [
-            task
-            for task in ALL_TASKS
-            if _dataset_path_or_none(config, task) is not None
-        ]
+        tasks = {task: path for task, path in paths.items() if path}
         if not tasks:
             raise ConfigError("no dataset paths configured; nothing to sweep")
+    kinds = [VariantKind.from_string(name) for name in config.variant_kinds]
     compositions = [Composition.from_string(name) for name in config.compositions]
-    spaces = _SpaceCache(config)
-    reports_dir = artifact_paths(config.out_dir)["reports"]
-    with _locked(config.out_dir):
-        os.makedirs(reports_dir, exist_ok=True)
-        for task in tasks:
-            dataset = _dataset_path(config, task, None)
-            items = _load_items(task, dataset)
-            _note(f"{task}: {len(items)} items from {dataset}")
-            all_reports: list[EvalReport] = []
-            for kind_name in config.variant_kinds:
-                kind = VariantKind.from_string(kind_name)
-                provenance = _provenance(config, spaces, kind, dataset)
-                grid = _evaluate(
-                    config, spaces, task, kind, compositions, config.k_values, items
-                )
-                for composition in compositions:
-                    for k in config.k_values:
-                        report = grid[(composition, k)]
-                        _write_report(reports_dir, report, provenance)
-                        print(report.summary_line())
-                        all_reports.append(report)
-            write_bytes_atomic(
-                os.path.join(reports_dir, f"{task}.sweep.csv"),
-                per_k_csv(all_reports).encode("utf-8"),
-            )
-    return 0
-
-
-def _dataset_path_or_none(config: PipelineConfig, task: str) -> str | None:
-    try:
-        return _dataset_path(config, task, None)
-    except ConfigError:
-        return None
+    return _run(config, tasks, kinds, compositions, config.k_values, lambda task: f"{task}.sweep.csv")
 
 
 # -- report ----------------------------------------------------------------

@@ -151,38 +151,24 @@ def _parse_int_list(key: str, value: str) -> tuple[int, ...]:
     return tuple(_parse_int(key, part) for part in value.split(",") if part.strip())
 
 
-_INT_FIELDS = frozenset(
-    {"col_form", "col_lemma", "col_pos", "col_head", "col_relation",
-     "vocab_threshold", "window_width"}
-)
-_BOOL_FIELDS = frozenset({"vocab_threshold_inclusive", "window_filtered_positions"})
-_STR_LIST_FIELDS = frozenset(
-    {"corpus_paths", "subject_labels", "object_labels", "relation_allowlist",
-     "relation_denylist", "arg_relations", "variant_kinds", "compositions"}
-)
-_INT_LIST_FIELDS = frozenset({"k_values"})
-
-_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(PipelineConfig))
-
-
-def _coerce(key: str, value: str):
-    if key in _INT_FIELDS:
-        return _parse_int(key, value)
-    if key in _BOOL_FIELDS:
-        return _parse_bool(key, value)
-    if key in _STR_LIST_FIELDS:
-        return _parse_str_list(key, value)
-    if key in _INT_LIST_FIELDS:
-        return _parse_int_list(key, value)
-    return value.strip()
+# each field's parser, by its annotation: PipelineConfig's fields are the one list of keys and types
+_PARSERS = {
+    "int": _parse_int,
+    "bool": _parse_bool,
+    "str": lambda key, value: value.strip(),
+    "tuple[str, ...]": _parse_str_list,
+    "tuple[int, ...]": _parse_int_list,
+}
+_FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(PipelineConfig)}
 
 
 def config_from_items(items: dict[str, str]) -> PipelineConfig:
     kwargs = {}
     for key, value in items.items():
-        if key not in _FIELD_NAMES:
+        parse = _FIELD_PARSERS.get(key)
+        if parse is None:
             raise ConfigError(f"unknown config key {key!r}")
-        kwargs[key] = _coerce(key, value)
+        kwargs[key] = parse(key, value)
     return PipelineConfig(**kwargs)
 
 
@@ -245,5 +231,5 @@ def config_hash(config: PipelineConfig) -> str:
     The output directory is excluded: where artifacts land must not
     change what is in them.
     """
-    names = tuple(name for name in _FIELD_NAMES if name != "out_dir")
+    names = tuple(name for name in _FIELD_PARSERS if name != "out_dir")
     return _hash_fields(config, names)

@@ -7,8 +7,8 @@ column, if present, is ignored and row order is authoritative.
 
 Malformed rows never abort a run: a row too short to yield a token is
 dropped, and an arc headed at it is dropped with it; a row whose head or
-relation field is unusable keeps its token but contributes no arc. Both
-cases increment the malformed counter.
+relation field is unusable, or whose head is the row itself, keeps its
+token but contributes no arc. Both cases increment the malformed counter.
 """
 
 from __future__ import annotations
@@ -88,9 +88,10 @@ def _sentence(
     short_rows: list[int],
     stats: ParseStats,
 ) -> SentenceRecord:
-    """The record of one sentence's tokens and links; a head past its last row is malformed.
+    """The record of one sentence's tokens and links.
 
-    Heads are file rows. ``short_rows`` are the rows too short to yield
+    Heads are file rows. A head past the last row, or at the dependent's
+    own row, is malformed. ``short_rows`` are the rows too short to yield
     a token, in order: a link headed at one is dropped, and the other
     heads are renumbered among the rows that yielded a token.
     """
@@ -106,7 +107,7 @@ def _sentence(
     n_rows = len(tokens)
     arcs: list[DependencyArc] = []
     for dep_pos, head_idx, relation in links:
-        if head_idx > n_rows:
+        if head_idx > n_rows or head_idx == dep_pos + 1:
             stats.malformed_rows += 1
             continue
         head_token = tokens[head_idx - 1]

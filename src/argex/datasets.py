@@ -13,6 +13,7 @@ load failures with line numbers, not as silently skewed accuracies.
 from __future__ import annotations
 
 import enum
+import functools
 import io
 from dataclasses import dataclass
 
@@ -63,6 +64,20 @@ def _read_rows(path: str) -> list[tuple[int, list[str]]]:
     return rows
 
 
+def _naming_the_file(load):
+    """Make the errors ``load(path, ...)`` raises at a line read ``PATH line N: ...``."""
+
+    @functools.wraps(load)
+    def named(path: str, *args, **kwargs):
+        try:
+            return load(path, *args, **kwargs)
+        except DatasetError as exc:
+            exc.path = path
+            raise
+
+    return named
+
+
 def _parse_token(cell: str, pos: str, line_no: int) -> Token:
     try:
         token = parse_canonical(cell)
@@ -101,6 +116,7 @@ def bicknell_mode_of_header(cells: list[str], line_no: int = 1) -> BicknellMode:
     )
 
 
+@_naming_the_file
 def load_bicknell(path: str, mode: BicknellMode | None = None) -> list[BicknellItem]:
     """Load triple pairs; the pairing mode is inferred from the header.
 
@@ -140,6 +156,7 @@ def load_bicknell(path: str, mode: BicknellMode | None = None) -> list[BicknellI
     return items
 
 
+@_naming_the_file
 def load_chow(path: str) -> list[ChowItem]:
     """Load role-reversal items: a verb and its two argument nouns."""
     rows = _read_rows(path)

@@ -11,6 +11,7 @@ coverage is reported alongside accuracy.
 from __future__ import annotations
 
 import bisect
+import csv
 import enum
 import io
 import json
@@ -522,10 +523,12 @@ def per_item_csv(report: EvalReport) -> str:
     """One row per scored condition; feeds score-distribution plots."""
     label_a, label_b = CONDITION_LABELS[report.task]
     out = io.StringIO()
-    out.write("item_id,condition,score,degenerate\n")
+    # an item id holding a comma or a quote is quoted; every other field is written as it is
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("item_id", "condition", "score", "degenerate"))
     for p in report.pairs:
-        out.write(f"{p.item_id},{label_a},{format_score(p.score_a)},{int(p.degenerate_a)}\n")
-        out.write(f"{p.item_id},{label_b},{format_score(p.score_b)},{int(p.degenerate_b)}\n")
+        writer.writerow((p.item_id, label_a, format_score(p.score_a), int(p.degenerate_a)))
+        writer.writerow((p.item_id, label_b, format_score(p.score_b), int(p.degenerate_b)))
     return out.getvalue()
 
 

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -557,6 +558,22 @@ class TestGuards:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("task, body", [
+        ("bicknell-acc2", "item_id\tagent_congruent\tagent_incongruent\tverb\tpatient\nb1\tcop-n\n"),
+        ("chow", "item_id\tverb\tnoun1\tnoun2\nc1\tarrest-v\tcop-n\tcrook\n"),
+    ], ids=["bicknell", "chow"])
+    def test_dataset_error_names_the_file_and_line(self, bicknell_out, tmp_path, capsys, task, body):
+        dataset = tmp_path / "items.tsv"
+        dataset.write_text(body, encoding="utf-8")
+        code, out, err = run_cli(
+            capsys,
+            "eval", "-c", BICKNELL_CONF, "--out-dir", bicknell_out,
+            "--task", task, "--kind", "deps", "--dataset", str(dataset),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {dataset} line 2: ")
+
     def test_bad_set_syntax(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys,
@@ -611,6 +628,63 @@ class TestGuards:
         assert code == 2
         assert "--k" in err and "argex weight" not in err and "Traceback" not in err
         assert out == ""
+
+
+def reports_snapshot(out_dir: str) -> dict[str, bytes]:
+    """Every file under ``out_dir/reports`` with its bytes."""
+    return {path.name: path.read_bytes() for path in sorted(pathlib.Path(out_dir, "reports").iterdir())}
+
+
+class TestReportRunner:
+    """``eval`` and ``sweep`` score every cell before they write any report."""
+
+    def test_sweep_with_a_broken_second_dataset_writes_nothing(self, bicknell_out, tmp_path, capsys):
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        # reports whose provenance names another acc1 path: a rewrite would change their bytes
+        acc1 = shutil.copy("data/synthetic/bicknell_acc1.tsv", str(tmp_path / "acc1.tsv"))
+        assert run_cli(capsys, "sweep", "-c", BICKNELL_CONF, "--out-dir", out,
+                       "--set", f"bicknell_acc1_path={acc1}")[0] == 0
+        before = reports_snapshot(out)
+        broken = tmp_path / "acc2.tsv"
+        broken.write_text("item_id\tagent\n", encoding="utf-8")
+        code, stdout, err = run_cli(capsys, "sweep", "-c", BICKNELL_CONF, "--out-dir", out,
+                                    "--set", f"bicknell_acc2_path={broken}")
+        assert code == 2
+        assert f"{broken} line 1: unrecognized header" in err
+        assert stdout == ""
+        assert reports_snapshot(out) == before
+        assert not os.path.exists(os.path.join(out, ".lock"))
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep",),
+        ("eval", "--task", "chow", "--kind", "deps", "--k", "10"),
+    ], ids=["sweep", "eval"])
+    def test_a_cell_that_fails_to_score_writes_nothing(self, chow_out, tmp_path, capsys, argv):
+        out = copy_artifacts(chow_out, str(tmp_path / "out"))
+        grid = ("--set", "variant_kinds=boa,deps", "--set", "k_values=10")
+        assert run_cli(capsys, "sweep", "-c", CHOW_CONF, "--out-dir", out, *grid)[0] == 0
+        before = reports_snapshot(out)
+        # boa scores under any slot; deps, the second kind, refuses a WINDOW slot
+        code, stdout, err = run_cli(capsys, argv[0], "-c", CHOW_CONF, "--out-dir", out, *argv[1:],
+                                    *grid, "--set", "chow_agent_slot=WINDOW")
+        assert code == 2
+        assert "DEPS queries need a dependency relation" in err
+        assert stdout == ""
+        assert reports_snapshot(out) == before
+        assert not os.path.exists(os.path.join(out, ".lock"))
+
+    def test_eval_of_one_cell_writes_the_bytes_the_sweep_writes(self, chow_out, tmp_path, capsys):
+        swept = copy_artifacts(chow_out, str(tmp_path / "swept"))
+        evaluated = copy_artifacts(chow_out, str(tmp_path / "evaluated"))
+        assert run_cli(capsys, "sweep", "-c", CHOW_CONF, "--out-dir", swept)[0] == 0
+        code, out, _ = run_cli(capsys, "eval", "-c", CHOW_CONF, "--out-dir", evaluated,
+                               "--task", "chow", "--kind", "deps", "--composition", "sum", "--k", "20")
+        assert (code, out.count("\n")) == (0, 1)
+        written = reports_snapshot(evaluated)
+        assert sorted(written) == ["chow.deps-sum-k20.items.csv", "chow.deps-sum-k20.json"]
+        sweep_reports = reports_snapshot(swept)
+        for name, data in written.items():
+            assert data == sweep_reports[name], name
 
 
 class TestImportSet:

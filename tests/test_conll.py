@@ -112,6 +112,25 @@ class TestMalformedRows:
         assert [(arc.head, arc.relation, arc.dependent) for arc in records[1].arcs] == [("see-v", "obj", "cat-n")]
         assert (stats.malformed_rows, stats.dropped_arcs) == (3, 1)
 
+    def test_self_headed_row_is_malformed_and_gives_no_arc(self):
+        lines = [
+            "1\tdog\tdog\tNN\tNN\t_\t1\tsbj\t_\t_",
+            "2\tsee\tsee\tVB\tVB\t_\t0\troot\t_\t_",
+            "",
+            # after a short row, dog is file row 2 and headed at itself; cat's head 3 is see
+            "1\tbroken",
+            "2\tdog\tdog\tNN\tNN\t_\t2\tsbj\t_\t_",
+            "3\tsee\tsee\tVB\tVB\t_\t0\troot\t_\t_",
+            "4\tcat\tcat\tNN\tNN\t_\t3\tobj\t_\t_",
+            "",
+        ]
+        stats = ParseStats()
+        records = list(parse_conll_stream(lines, COLUMNS, POS_MAP, stats=stats))
+        assert records[0].tokens == ["dog-n", "see-v"]
+        assert records[0].arcs == []
+        assert [(arc.head, arc.relation, arc.dependent) for arc in records[1].arcs] == [("see-v", "obj", "cat-n")]
+        assert (stats.malformed_rows, stats.dropped_arcs, stats.arcs) == (3, 0, 1)
+
     def test_token_kept_when_arc_fields_missing(self):
         lines = ["1\tdog\tdog\tNN\tNN\t_", ""]
         stats = ParseStats()

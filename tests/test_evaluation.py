@@ -1,6 +1,8 @@
 """Evaluation bookkeeping: tie policy, skipping, reports, sweeps."""
 
+import csv
 import dataclasses
+import io
 import json
 import random
 import weakref
@@ -287,6 +289,24 @@ class TestSerialization:
         assert len(lines) == 1 + 2 * 50  # one row per condition
         assert lines[1].startswith("c01,normal,")
         assert lines[2].startswith("c01,reversed,")
+
+    def test_per_item_csv_reads_back_ids_with_commas_and_quotes(self, chow_setup):
+        deps_space, _, items = chow_setup
+        odd_ids = {0: "c,1", 1: 'say "hi"', 2: '"', 3: ","}
+        renamed = [dataclasses.replace(item, item_id=odd_ids.get(i, item.item_id)) for i, item in enumerate(items)]
+
+        def csv_of(cell_items):
+            grid = evaluate_grid(deps_space, VariantKind.DEPS, cell_items, TASK_CHOW, [Composition.SUM], [20],
+                                 CHOW_SLOTS)
+            return per_item_csv(grid[(Composition.SUM, 20)])
+
+        text = csv_of(renamed)
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert {len(row) for row in rows} == {4}
+        assert [row[0] for row in rows[1::2]] == [item.item_id for item in renamed]
+        # rows of plain ids keep the bytes they had before any id was quoted
+        plain = csv_of(items).split("\n")
+        assert text.split("\n")[2 * len(odd_ids) + 1:] == plain[2 * len(odd_ids) + 1:]
 
     def test_per_k_csv_shape(self, chow_setup):
         deps_space, _, items = chow_setup
