@@ -295,11 +295,10 @@ def cmd_fillers(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
     slot = args.slot
-    which = args.space or ("window" if slot == WINDOW else "deps")
-    space = _load_space_checked(config, which)
+    space = _load_space_checked(config, "window" if slot == WINDOW else "deps")
     if target not in space.vocabulary:
         raise OutOfVocabularyError(target)
-    ranking = space.index.ranking(target, slot)
+    ranking = space.ranking(target, slot)
     if not ranking:
         print(f"{target}/{slot}: (no fillers)")
         return 0
@@ -351,8 +350,8 @@ def _score(
             provenance = {**stamps, "space_id": vectors.space_id, "dataset": dataset}
             index = None
             if window_boa:
-                index = space("deps").index
-                provenance["index_space_id"] = space("deps").space_id
+                index = space("deps")
+                provenance["index_space_id"] = index.space_id
             if task == TASK_CHOW and kind is not VariantKind.DEPS:
                 _note(f"note: {kind.value} on role reversal is provably tied")
             slots = chow_slots if task == TASK_CHOW else bicknell_slots
@@ -532,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fillers.add_argument("--target", required=True, help="target token, e.g. steal-v")
     p_fillers.add_argument("--slot", required=True, help="relation, e.g. obj, sbj_inv, ARG, WINDOW")
     p_fillers.add_argument("--k", type=int, default=20)
-    p_fillers.add_argument("--space", choices=("deps", "window"), help="force a space")
     p_fillers.set_defaults(func=cmd_fillers)
 
     p_eval = sub.add_parser("eval", help="run one task for one model variant")

@@ -112,6 +112,8 @@ class PipelineConfig:
             raise ConfigError("k_values must all be >= 1")
         refuse_repeats("k_values", self.k_values)
         compile_pos_map(self.pos_map)  # validates eagerly
+        if not self.out_dir.strip():
+            raise ConfigError("out_dir must be non-empty")
 
 
 def refuse_repeats(name: str, values) -> None:

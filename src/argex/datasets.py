@@ -23,6 +23,7 @@ from .tokens import NOUN, Token, VERB_POS, parse_canonical
 BICKNELL_ACC1_HEADER = ("item_id", "agent", "verb", "patient_congruent", "patient_incongruent")
 BICKNELL_ACC2_HEADER = ("item_id", "agent_congruent", "agent_incongruent", "verb", "patient")
 CHOW_HEADER = ("item_id", "verb", "noun1", "noun2")
+_BICKNELL_HEADERS = f"{' '.join(BICKNELL_ACC1_HEADER)} or {' '.join(BICKNELL_ACC2_HEADER)}"
 
 
 class BicknellMode(enum.Enum):
@@ -50,7 +51,8 @@ class ChowItem:
     noun2: Token
 
 
-def _read_rows(path: str) -> list[tuple[int, list[str]]]:
+def _read_rows(path: str, header: str) -> list[tuple[int, list[str]]]:
+    """(line number, cells) of each non-blank line; a file with none is refused, naming ``header``."""
     rows = []
     try:
         with io.open(path, "r", encoding="utf-8") as fh:
@@ -61,6 +63,8 @@ def _read_rows(path: str) -> list[tuple[int, list[str]]]:
                 rows.append((line_no, [cell.strip() for cell in line.split("\t")]))
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc}") from None
+    if not rows:
+        raise DatasetError(f"dataset {path} is empty; expected the header {header}")
     return rows
 
 
@@ -109,11 +113,7 @@ def bicknell_mode_of_header(cells: list[str], line_no: int = 1) -> BicknellMode:
         return BicknellMode.ACC1
     if tuple(cells) == BICKNELL_ACC2_HEADER:
         return BicknellMode.ACC2
-    raise DatasetError(
-        "unrecognized header; expected "
-        f"{' '.join(BICKNELL_ACC1_HEADER)} or {' '.join(BICKNELL_ACC2_HEADER)}",
-        line_no,
-    )
+    raise DatasetError(f"unrecognized header; expected {_BICKNELL_HEADERS}", line_no)
 
 
 @_naming_the_file
@@ -123,9 +123,7 @@ def load_bicknell(path: str, mode: BicknellMode | None = None) -> list[BicknellI
     Passing ``mode`` asserts the expected format and fails loudly on a
     mismatch instead of silently evaluating the wrong task.
     """
-    rows = _read_rows(path)
-    if not rows:
-        return []
+    rows = _read_rows(path, _BICKNELL_HEADERS)
     header_line, header = rows[0]
     inferred = bicknell_mode_of_header(header, header_line)
     if mode is not None and mode is not inferred:
@@ -159,9 +157,7 @@ def load_bicknell(path: str, mode: BicknellMode | None = None) -> list[BicknellI
 @_naming_the_file
 def load_chow(path: str) -> list[ChowItem]:
     """Load role-reversal items: a verb and its two argument nouns."""
-    rows = _read_rows(path)
-    if not rows:
-        return []
+    rows = _read_rows(path, " ".join(CHOW_HEADER))
     header_line, header = rows[0]
     if tuple(header) != CHOW_HEADER:
         raise DatasetError(f"unrecognized header; expected {' '.join(CHOW_HEADER)}", header_line)

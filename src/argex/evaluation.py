@@ -90,22 +90,39 @@ class EvalPair:
 
 @dataclass
 class EvalReport:
+    """One cell's scored pairs and skipped items, and the counts and tests derived from them."""
+
     task: str
     variant: ModelVariant
     n_items: int
-    n_scored: int
-    n_wins: int
-    n_ties: int
-    n_degenerate: int
-    n_oov_skipped: int
     n_failed: int
-    accuracy: float | None
-    coverage: float | None
-    all_ties: bool
-    chi_square: ChiSquareTest | None
-    wilcoxon: RankSumTest | None
     pairs: list[EvalPair] = field(default_factory=list)
     skipped: list[tuple[str, str]] = field(default_factory=list)
+    n_scored: int = field(init=False)
+    n_wins: int = field(init=False)
+    n_ties: int = field(init=False)
+    n_degenerate: int = field(init=False)
+    n_oov_skipped: int = field(init=False)
+    accuracy: float | None = field(init=False)
+    coverage: float | None = field(init=False)
+    all_ties: bool = field(init=False)
+    chi_square: ChiSquareTest | None = field(init=False)
+    wilcoxon: RankSumTest | None = field(init=False)
+
+    def __post_init__(self):
+        pairs = self.pairs
+        self.n_scored = n_scored = len(pairs)
+        self.n_oov_skipped = self.n_items - n_scored - self.n_failed
+        self.n_wins = sum(1 for p in pairs if p.correct is Outcome.WIN)
+        self.n_ties = sum(1 for p in pairs if p.correct is Outcome.TIE)
+        self.n_degenerate = sum(1 for p in pairs if p.degenerate_a or p.degenerate_b)
+        self.accuracy = self.n_wins / n_scored if n_scored else None
+        self.coverage = (self.n_items - self.n_oov_skipped) / self.n_items if self.n_items else None
+        self.all_ties = bool(n_scored) and self.n_ties == n_scored
+        self.chi_square = chi_square_vs_chance(self.n_wins, n_scored) if n_scored else None
+        self.wilcoxon = (
+            wilcoxon_rank_sum([p.score_a for p in pairs], [p.score_b for p in pairs]) if n_scored else None
+        )
 
     def summary_line(self) -> str:
         acc = "n/a" if self.accuracy is None else f"{self.accuracy:.3f}"
@@ -159,47 +176,6 @@ def _chow_conditions(items: Sequence[ChowItem], kind: VariantKind, slots: ChowSl
         normal = (SlotQuery(item.noun1, slot_agent), SlotQuery(item.noun2, slot_patient))
         rev = (SlotQuery(item.noun1, slot_patient), SlotQuery(item.noun2, slot_agent))
         yield (item.item_id, required, (normal, item.verb), (rev, item.verb))
-
-
-def _make_report(
-    task: str,
-    variant: ModelVariant,
-    n_items: int,
-    n_failed: int,
-    pairs: list[EvalPair],
-    skipped: list[tuple[str, str]],
-) -> EvalReport:
-    n_scored = len(pairs)
-    n_oov_skipped = n_items - n_scored - n_failed
-    n_wins = sum(1 for p in pairs if p.correct is Outcome.WIN)
-    n_ties = sum(1 for p in pairs if p.correct is Outcome.TIE)
-    n_degenerate = sum(1 for p in pairs if p.degenerate_a or p.degenerate_b)
-    accuracy = n_wins / n_scored if n_scored else None
-    coverage = (n_items - n_oov_skipped) / n_items if n_items else None
-    chi = chi_square_vs_chance(n_wins, n_scored) if n_scored else None
-    wilcoxon = (
-        wilcoxon_rank_sum([p.score_a for p in pairs], [p.score_b for p in pairs])
-        if n_scored
-        else None
-    )
-    return EvalReport(
-        task=task,
-        variant=variant,
-        n_items=n_items,
-        n_scored=n_scored,
-        n_wins=n_wins,
-        n_ties=n_ties,
-        n_degenerate=n_degenerate,
-        n_oov_skipped=n_oov_skipped,
-        n_failed=n_failed,
-        accuracy=accuracy,
-        coverage=coverage,
-        all_ties=bool(n_scored) and n_ties == n_scored,
-        chi_square=chi,
-        wilcoxon=wilcoxon,
-        pairs=pairs,
-        skipped=skipped,
-    )
 
 
 # -- scoring kernels ----------------------------------------------------
@@ -421,7 +397,7 @@ def evaluate_grid(
             else:
                 correct = Outcome.LOSS
             pairs.append(EvalPair(item_id, value_a, value_b, degenerate_a, degenerate_b, correct))
-        reports[(comp, k)] = _make_report(task, variant, len(outcomes), n_failed, pairs, list(skipped))
+        reports[(comp, k)] = EvalReport(task, variant, len(outcomes), n_failed, pairs, list(skipped))
     return reports
 
 
@@ -460,6 +436,9 @@ def run_chow(
 # -- serialization -------------------------------------------------------
 
 
+_COUNTS = ("n_items", "n_scored", "n_wins", "n_ties", "n_degenerate", "n_oov_skipped", "n_failed")
+
+
 def report_to_dict(report: EvalReport, provenance: dict[str, str] | None = None) -> dict:
     labels = CONDITION_LABELS[report.task]
     out = {
@@ -470,33 +449,12 @@ def report_to_dict(report: EvalReport, provenance: dict[str, str] | None = None)
             "composition": report.variant.composition.value,
         },
         "conditions": list(labels),
-        "counts": {
-            "n_items": report.n_items,
-            "n_scored": report.n_scored,
-            "n_wins": report.n_wins,
-            "n_ties": report.n_ties,
-            "n_degenerate": report.n_degenerate,
-            "n_oov_skipped": report.n_oov_skipped,
-            "n_failed": report.n_failed,
-        },
+        "counts": {name: getattr(report, name) for name in _COUNTS},
         "accuracy": report.accuracy,
         "coverage": report.coverage,
         "all_ties": report.all_ties,
-        "chi_square": None
-        if report.chi_square is None
-        else {
-            "statistic": report.chi_square.statistic,
-            "p_value": report.chi_square.p_value,
-            "yates_statistic": report.chi_square.yates_statistic,
-            "yates_p_value": report.chi_square.yates_p_value,
-        },
-        "wilcoxon": None
-        if report.wilcoxon is None
-        else {
-            "statistic": report.wilcoxon.statistic,
-            "p_value": report.wilcoxon.p_value,
-            "degenerate": report.wilcoxon.degenerate,
-        },
+        "chi_square": None if report.chi_square is None else report.chi_square._asdict(),
+        "wilcoxon": None if report.wilcoxon is None else report.wilcoxon._asdict(),
         "items": [
             {
                 "item_id": p.item_id,

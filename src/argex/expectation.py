@@ -92,14 +92,14 @@ def build_prototype(
 ) -> Prototype:
     """Sum the vectors of the top-k fillers of (query.input, query.slot).
 
-    ``index`` overrides the ranking source; vectors always come from
-    ``space``. The default is the space's own index.
+    ``index`` overrides the ranking source, by default ``space`` itself;
+    vectors always come from ``space``.
     """
     _check_slot(variant.kind, query.slot)
     target = query.input.canonical
     if target not in space.vocabulary:
         raise OutOfVocabularyError(query.input)
-    ranking = (index if index is not None else space.index).ranking(target, query.slot)
+    ranking = (index or space).ranking(target, query.slot)
     if not ranking:
         raise EmptyPrototypeError(str(query))
     fillers = ranking[:variant.k]
@@ -126,8 +126,7 @@ def prefix_prototypes(
     _check_slot(kind, query.slot)
     if query.input.canonical not in space.vocabulary:
         raise OutOfVocabularyError(query.input)
-    source = index if index is not None else space.index
-    ranking = source.ranking(query.input.canonical, query.slot)
+    ranking = (index or space).ranking(query.input.canonical, query.slot)
     if not ranking:
         raise EmptyPrototypeError(str(query))
     total = VectorSum()

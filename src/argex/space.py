@@ -8,10 +8,10 @@ renders them straight from the weighted scores, ``save_space`` writes
 them with a manifest, and ``load_space`` reads them back once their hash
 is verified. The archive stores scores only: every ranking is rebuilt
 from the rows for the dependency slots and from ``arg.tsv`` for the ARG
-slot. One reader gives the rows and rankings of built and loaded spaces
-alike. It checks the whole archive when it opens, which a load does at
-once and a built space on its first read, and parses a target's row and
-rankings only when the target is first used.
+slot. A space, built or loaded, reads its own rows and rankings from
+those files. It checks the whole archive on its first read, which a
+load makes at once and a built space on first use, and parses a
+target's row and rankings only when the target is first used.
 """
 
 from __future__ import annotations
@@ -218,87 +218,109 @@ def _ranked(fillers: list[tuple[str, float]]) -> tuple[tuple[str, float], ...]:
     return tuple(sorted(fillers, key=lambda pair: (-pair[1], pair[0])))
 
 
-class FillerIndex:
-    """Per (target, relation) filler rankings: score desc, then canonical filler.
-
-    Read from an archive's rows: a target's rankings are built when one
-    of them is first looked up, the dependency slots' from its row
-    through the catalog (after the row itself is read), ``ARG`` from its
-    ``arg.tsv`` lines, which hold that ranking whole.
-    """
-
-    def __init__(self, rows: _ArchiveRows):
-        self._rows = rows
-        self._unranked = set(rows) | set(rows.arg_blocks)
-        self._rankings: dict[tuple[str, str], tuple[tuple[str, float], ...]] = {}
-
-    def _rank(self, target: str) -> None:
-        if target not in self._unranked:
-            return
-        rows = self._rows
-        groups: dict[str, list[tuple[str, float]]] = {}
-        dims = rows.catalog
-        for dim_id, score in rows.get(target, EMPTY_VECTOR).items():
-            relation, filler = dims[dim_id]
-            if relation != ARG:
-                groups.setdefault(relation, []).append((filler, score))
-        blocks = rows.arg_blocks.get(target)
-        if blocks is not None:
-            text = rows.arg_text
-            groups[ARG] = [
-                (filler, float(score))
-                for start, end in blocks
-                for filler, score in _PAIR.findall(text, start, end)
-            ]
-        for relation, fillers in groups.items():
-            self._rankings[(target, relation)] = _ranked(fillers)
-        self._unranked.discard(target)
-
-    def keys(self):
-        for target in sorted(self._unranked):
-            self._rank(target)
-        return self._rankings.keys()
-
-    def ranking(self, target: str, relation: str) -> tuple[tuple[str, float], ...]:
-        self._rank(target)
-        return self._rankings.get((target, relation), ())
-
-
 class WeightedSpace:
-    """A space: the text of its archive's data files, with its catalog, vocabulary and manifest.
+    """A space: the text of its archive's data files, and its manifest.
 
     ``texts`` holds the data files in ``_DATA_FILES`` order; the
-    manifest's ``space_id`` is the sha256 of their bytes. ``rows`` and
-    ``index`` are read from ``texts`` by the archive reader, which a
-    loaded space opens at load and a built one on first use.
+    manifest's ``space_id`` is the sha256 of their bytes. All else is
+    read from ``texts``. The first read of the vocabulary, the catalog, a
+    row or a ranking checks the files whole (``_check``), which
+    ``load_space`` does at load and a built space on first use. A
+    target's row is parsed from its ``rows.tsv`` block when it is first
+    read, which is where a dimension id repeated within one row is
+    found. A target's rankings are built together when one of them is
+    first read: the dependency slots' from its row through the catalog,
+    ``ARG``'s from its ``arg.tsv`` lines, which hold that ranking whole.
+    ``directory`` only names the files in errors.
     """
 
-    def __init__(
-        self,
-        texts: Sequence[str],
-        catalog: tuple[tuple[str, str], ...],
-        vocabulary: frozenset[str],
-        manifest: dict[str, str],
-        rows: _ArchiveRows | None = None,
-    ):
+    # set by _check, which the first read of any of them runs
+    vocabulary: frozenset[str]
+    catalog: tuple[tuple[str, str], ...]  # (relation, filler) of each dimension id
+    _row_blocks: dict[str, list[tuple[int, int]]]  # each target's block offsets in rows.tsv
+    _arg_blocks: dict[str, list[tuple[int, int]]]  # and in arg.tsv
+
+    def __init__(self, texts: Sequence[str], manifest: dict[str, str], directory: str = _BUILT):
         self.texts = texts
-        self.catalog = catalog  # (relation, filler) of each dimension id
-        self.vocabulary = vocabulary
         self.manifest = manifest
-        self._rows = rows
-        self._index: FillerIndex | None = None
+        self.directory = directory
+        self._rows: dict[str, SparseVector] = {}
+        self._rankings: dict[str, dict[str, tuple[tuple[str, float], ...]]] = {}
+
+    def __getattr__(self, name: str):
+        # called only for a missing attribute: one of the above, before the check
+        if name not in WeightedSpace.__annotations__:
+            raise AttributeError(f"'WeightedSpace' object has no attribute {name!r}")
+        self._check()
+        return self.__dict__[name]
+
+    def _check(self) -> None:
+        """Check the data files whole, and index ``rows.tsv`` and ``arg.tsv`` by target block.
+
+        Every line's layout and token is checked, every dimension id, and
+        the catalog, which is parsed with the vocabulary. Nothing is kept
+        unless every check passes.
+        """
+        paths = [os.path.join(self.directory, name) for name in _DATA_FILES]
+        catalog_path, vocab_path, rows_path, arg_path = paths
+        catalog_text, vocab_text, rows_text, arg_text = self.texts
+        # every token is checked once, and most are vocabulary entries: checked first
+        check = canonical_checker()
+        vocab = vocab_text.split("\n")
+        if not vocab[-1]:
+            vocab.pop()
+        _check_column(vocab_path, vocab, check)
+        known = frozenset(vocab)
+        catalog = _read_catalog(catalog_path, catalog_text, check, known)
+        layout = "target, dimension id, score"
+        row_blocks = _target_blocks(rows_path, rows_text, _ROWS_BLOCK, layout, check, known)
+        _check_dim_ids(rows_path, rows_text, len(catalog))
+        layout = "target, filler, score"
+        arg_blocks = _target_blocks(arg_path, arg_text, _ARG_BLOCK, layout, check, known)
+        _check_column(arg_path, _MIDDLE.findall(arg_text), check, known)
+        self.vocabulary, self.catalog = known, catalog
+        self._row_blocks, self._arg_blocks = row_blocks, arg_blocks
+
+    def row(self, target: str) -> SparseVector:
+        """The row of ``target``; a target without one has the empty row."""
+        row = self._rows.get(target)
+        if row is None:
+            blocks = self._row_blocks.get(target)
+            if blocks is None:
+                return EMPTY_VECTOR
+            text = self.texts[2]
+            pairs = [(int(dim), float(score)) for dim, score in _pairs(text, blocks)]
+            try:
+                row = SparseVector.from_pairs(pairs)
+            except ValueError as exc:  # the layout allows only one fault here: a repeated id
+                path = os.path.join(self.directory, _DATA_FILES[2])
+                raise CorpusError(f"{path}:{_first_repeat(text, blocks)}: {exc}") from None
+            self._rows[target] = row
+        return row
+
+    def ranking(self, target: str, relation: str) -> tuple[tuple[str, float], ...]:
+        """The fillers of (``target``, ``relation``): score descending, then canonical filler."""
+        rankings = self._rankings.get(target)
+        if rankings is None:
+            rankings = self._rankings[target] = self._rank(target)
+        return rankings.get(relation, ())
+
+    def _rank(self, target: str) -> dict[str, tuple[tuple[str, float], ...]]:
+        groups: dict[str, list[tuple[str, float]]] = {}
+        catalog = self.catalog
+        for dim_id, score in self.row(target).items():
+            relation, filler = catalog[dim_id]
+            if relation != ARG:
+                groups.setdefault(relation, []).append((filler, score))
+        blocks = self._arg_blocks.get(target)
+        if blocks is not None:
+            groups[ARG] = [(filler, float(score)) for filler, score in _pairs(self.texts[3], blocks)]
+        return {relation: _ranked(fillers) for relation, fillers in groups.items()}
 
     @property
-    def rows(self) -> _ArchiveRows:
-        if self._rows is None:
-            self._rows = _ArchiveRows(_BUILT, self.texts)
-        return self._rows
-
-    @property
-    def index(self) -> FillerIndex:
-        if self._index is None:
-            self._index = FillerIndex(self.rows)
-        return self._index
+    def index(self) -> WeightedSpace:
+        """The space itself, which ranks its own fillers; ``perfbench/traced.py`` still reads it."""
+        return self
 
     @property
     def space_id(self) -> str:
@@ -310,7 +332,7 @@ def vector_of(space: WeightedSpace, token: str) -> SparseVector:
     """Full row of a canonical vocabulary target; rows absent from the space are empty."""
     if token not in space.vocabulary:
         raise OutOfVocabularyError(token)
-    return space.rows.get(token, EMPTY_VECTOR)
+    return space.row(token)
 
 
 def _stored(scores: Mapping[Triple, float]) -> tuple[list[Triple], list[float]]:
@@ -383,7 +405,7 @@ def build_space(
     if manifest:
         info.update(manifest)
     info["space_id"] = _space_id(text.encode("utf-8") for text in texts)
-    return WeightedSpace(texts, catalog, vocab, info)
+    return WeightedSpace(texts, info)
 
 
 # -- archive -------------------------------------------------------------
@@ -410,7 +432,7 @@ def save_space(space: WeightedSpace, directory: str) -> str:
     return space.space_id
 
 
-# The reader checks the data files with a few whole-file regex passes,
+# A space checks its data files with a few whole-file regex passes,
 # which check the layout of every line and every token, and the dimension
 # ids. Then rows.tsv and arg.tsv are indexed by target block (a target's
 # consecutive lines), and a block is parsed the first time its target's
@@ -495,84 +517,21 @@ def _check_dim_ids(path: str, text: str, n_dims: int) -> None:
         raise ConsistencyError(f"{path}:{first + 1}: dimension id {dim_ids[first]} is not in the catalog")
 
 
-class _ArchiveRows(Mapping):
-    """The rows of an archive's data files, each target parsed on first use.
+def _pairs(text: str, blocks: list[tuple[int, int]]) -> list[tuple[str, str]]:
+    """(middle field, score) of each line of ``blocks``, in order."""
+    return [pair for start, end in blocks for pair in _PAIR.findall(text, start, end)]
 
-    Construction checks the files whole: every line's layout and token,
-    every dimension id, and the catalog, which it parses with the
-    vocabulary. A target's row is parsed from its ``rows.tsv`` block
-    when the row is first read, which is where a dimension id repeated
-    within one row is found. Iteration and ``len`` read only the block
-    index. ``directory`` only names the files in errors.
-    """
 
-    def __init__(self, directory: str, texts: Sequence[str]):
-        paths = [os.path.join(directory, name) for name in _DATA_FILES]
-        catalog_path, vocab_path, rows_path, arg_path = paths
-        catalog_text, vocab_text, rows_text, arg_text = texts
-        # every token is checked once, and most are vocabulary entries: checked first
-        check = canonical_checker()
-        vocab = vocab_text.split("\n")
-        if not vocab[-1]:
-            vocab.pop()
-        _check_column(vocab_path, vocab, check)
-        self.vocabulary = known = frozenset(vocab)
-        self.catalog = _read_catalog(catalog_path, catalog_text, check, known)
-        layout = "target, dimension id, score"
-        self._row_blocks = _target_blocks(rows_path, rows_text, _ROWS_BLOCK, layout, check, known)
-        _check_dim_ids(rows_path, rows_text, len(self.catalog))
-        layout = "target, filler, score"
-        self.arg_blocks = _target_blocks(arg_path, arg_text, _ARG_BLOCK, layout, check, known)
-        _check_column(arg_path, _MIDDLE.findall(arg_text), check, known)
-        self._rows_path, self._rows_text, self.arg_text = rows_path, rows_text, arg_text
-        self._rows: dict[str, SparseVector] = {}
-
-    def get(self, target: str, default=None):
-        row = self._rows.get(target)
-        if row is None:
-            blocks = self._row_blocks.get(target)
-            if blocks is None:
-                return default
-            try:
-                row = SparseVector.from_pairs(self._pairs(blocks))
-            except ValueError as exc:  # the layout allows only one fault here: a repeated id
-                raise CorpusError(f"{self._rows_path}:{self._first_repeat(blocks)}: {exc}") from None
-            self._rows[target] = row
-        return row
-
-    def _pairs(self, blocks) -> list[tuple[int, float]]:
-        text = self._rows_text
-        return [
-            (int(dim), float(score))
-            for start, end in blocks
-            for dim, score in _PAIR.findall(text, start, end)
-        ]
-
-    def _first_repeat(self, blocks) -> int:
-        """The line of the first dimension id that repeats one of the same target."""
-        seen = set()
-        for start, end in blocks:
-            for match in _PAIR.finditer(self._rows_text, start, end):
-                dim_id = int(match.group(1))
-                if dim_id in seen:
-                    return _line_of(self._rows_text, match.start())
-                seen.add(dim_id)
-        return _line_of(self._rows_text, blocks[0][0])
-
-    def __getitem__(self, target: str) -> SparseVector:
-        row = self.get(target)
-        if row is None:
-            raise KeyError(target)
-        return row
-
-    def __contains__(self, target) -> bool:
-        return target in self._row_blocks
-
-    def __iter__(self):
-        return iter(self._row_blocks)
-
-    def __len__(self) -> int:
-        return len(self._row_blocks)
+def _first_repeat(text: str, blocks: list[tuple[int, int]]) -> int:
+    """The line of the first dimension id in ``blocks`` that repeats an earlier one there."""
+    seen = set()
+    for start, end in blocks:
+        for match in _PAIR.finditer(text, start, end):
+            dim_id = int(match.group(1))
+            if dim_id in seen:
+                return _line_of(text, match.start())
+            seen.add(dim_id)
+    return _line_of(text, blocks[0][0])
 
 
 def load_space(directory: str) -> WeightedSpace:
@@ -602,5 +561,6 @@ def load_space(directory: str) -> WeightedSpace:
         )
     texts = tuple(map(decode_utf8, paths, bodies))
     del bodies
-    rows = _ArchiveRows(directory, texts)
-    return WeightedSpace(texts, rows.catalog, rows.vocabulary, manifest, rows)
+    space = WeightedSpace(texts, manifest, directory)
+    space._check()
+    return space

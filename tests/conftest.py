@@ -17,7 +17,7 @@ from argex.corpus import (
 )
 from argex.evaluation import BicknellSlots, ChowSlots
 from argex.space import WeightedSpace, build_space
-from argex.tokens import compile_pos_map
+from argex.tokens import ARG, compile_pos_map
 from argex.weighting import collapse_relations, weight_tensor
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -123,6 +123,18 @@ def spaces_from_text(
     deps_space = build_space(dep_weighted, vocab.entries, extra_index=arg_weighted)
     window_space = build_space(win_weighted, vocab.entries)
     return deps_space, window_space
+
+
+def targets(space: WeightedSpace, data_file: int = 2) -> list[str]:
+    """The distinct first fields of a space's ``rows.tsv`` (or of ``data_file``), in file order."""
+    return list(dict.fromkeys(line.partition("\t")[0] for line in space.texts[data_file].splitlines()))
+
+
+def every_ranking(space: WeightedSpace) -> dict[tuple[str, str], tuple]:
+    """The ranking of every target of ``rows.tsv`` or ``arg.tsv`` by every catalog relation and ARG."""
+    relations = sorted({relation for relation, _ in space.catalog} | {ARG})
+    names = sorted(set(targets(space)) | set(targets(space, data_file=3)))
+    return {(target, relation): space.ranking(target, relation) for target in names for relation in relations}
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ from argex.cli import main
 from argex.tensor import read_sidecar, write_sidecar
 from argex.tokens import parse_canonical
 
-from conftest import REPO_ROOT, conll_text
+from conftest import REPO_ROOT, conll_text, targets
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -99,22 +99,22 @@ class TestStages:
         assert not os.path.exists(os.path.join(bicknell_out, "arg.weighted.tsv"))
 
     def test_weight_reads_no_row_back_and_prints_the_archive_counts(self, tmp_path, monkeypatch, capsys):
-        from argex import space as space_module
-        from argex.space import load_space
+        from argex.space import WeightedSpace, load_space
 
         out = str(tmp_path)
         assert run_cli(capsys, "ingest", "-c", BICKNELL_CONF, "--out-dir", out)[0] == 0
 
-        def no_reader(*args):
-            raise AssertionError("the archive reader was opened")
+        def no_check(self):
+            raise AssertionError("the archive was read")
 
-        monkeypatch.setattr(space_module, "_ArchiveRows", no_reader)
+        monkeypatch.setattr(WeightedSpace, "_check", no_check)
         code, stdout, _ = run_cli(capsys, "weight", "-c", BICKNELL_CONF, "--out-dir", out)
         monkeypatch.undo()
         assert code == 0
         for name, directory in (("dependency", "deps.space"), ("window", "window.space")):
             space = load_space(os.path.join(out, directory))
-            counts = f"{name} space: {len(space.rows)} targets, {len(space.catalog)} dims, id {space.space_id[:12]}"
+            n_targets, n_dims = len(targets(space)), len(space.catalog)
+            counts = f"{name} space: {n_targets} targets, {n_dims} dims, id {space.space_id[:12]}"
             assert counts in stdout
         with open(os.path.join(out, "deps.space", "arg.tsv"), encoding="utf-8") as fh:
             n_arg = len(fh.readlines())
@@ -654,6 +654,24 @@ class TestReportRunner:
         assert stdout == ""
         assert reports_snapshot(out) == before
         assert not os.path.exists(os.path.join(out, ".lock"))
+
+    @pytest.mark.parametrize("task, header", [
+        ("bicknell-acc1", "item_id agent verb patient_congruent patient_incongruent or "
+                          "item_id agent_congruent agent_incongruent verb patient"),
+        ("chow", "item_id verb noun1 noun2"),
+    ], ids=["bicknell", "chow"])
+    @pytest.mark.parametrize("body", ["", "\n \n\t\n"], ids=["no-bytes", "blank-lines"])
+    def test_an_empty_dataset_is_refused_and_writes_nothing(self, bicknell_out, tmp_path, capsys, task, header, body):
+        # a truncated or wrongly copied file must not pass as a task of no items
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        dataset = tmp_path / "items.tsv"
+        dataset.write_text(body, encoding="utf-8")
+        code, stdout, err = run_cli(capsys, "eval", "-c", BICKNELL_CONF, "--out-dir", out,
+                                    "--task", task, "--kind", "deps", "--dataset", str(dataset))
+        assert code == 2
+        assert err == f"error: dataset {dataset} is empty; expected the header {header}\n"
+        assert stdout == ""
+        assert not os.path.exists(os.path.join(out, "reports"))
 
     @pytest.mark.parametrize("argv", [
         ("sweep",),

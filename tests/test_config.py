@@ -43,6 +43,8 @@ class TestValidation:
             {"k_values": ()},
             {"k_values": (10, 0)},
             {"pos_map": "N:n,V"},
+            {"out_dir": ""},
+            {"out_dir": " \t"},
         ],
     )
     def test_bad_values_rejected(self, kwargs):

@@ -67,8 +67,12 @@ class TestBicknellAcc2:
 
 
 class TestBicknellCommon:
-    def test_empty_file_is_empty_dataset(self, tmp_path):
-        assert load_bicknell(write(tmp_path, "")) == []
+    def test_empty_file_is_refused(self, tmp_path):
+        # no header at all: a truncated or wrongly copied file, not a task of no items
+        for body in ("", "\n \n\t\n"):
+            path = write(tmp_path, body)
+            with pytest.raises(DatasetError, match=f"dataset {path} is empty; expected the header item_id agent verb"):
+                load_bicknell(path)
 
     def test_unknown_header_rejected(self, tmp_path):
         path = write(tmp_path, "id\tx\ty\tz\tw\nb1\ta-n\tv-v\tx-n\ty-n\n")
@@ -135,7 +139,11 @@ class TestChow:
         assert item.noun2 == Token("waitress", "n")
 
     def test_empty_file(self, tmp_path):
-        assert load_chow(write(tmp_path, "")) == []
+        # no header at all: a truncated or wrongly copied file, not a task of no items
+        for body in ("", "\n \n\t\n"):
+            path = write(tmp_path, body)
+            with pytest.raises(DatasetError, match=f"dataset {path} is empty; expected the header item_id verb noun1 noun2$"):
+                load_chow(path)
 
     def test_unknown_header(self, tmp_path):
         path = write(tmp_path, "verb\tnoun1\tnoun2\nserve-v\ta-n\tb-n\n")

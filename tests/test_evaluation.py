@@ -393,7 +393,7 @@ def grid_worlds(bicknell_setup, chow_setup):
         models = [
             (VariantKind.DEPS, deps_space, None),
             (VariantKind.BOA, deps_space, None),
-            (VariantKind.BOA, window_space, deps_space.index),  # boa_space=window
+            (VariantKind.BOA, window_space, deps_space),  # boa_space=window
             (VariantKind.BOW, window_space, None),
         ]
         tokens = sorted(parse_canonical(t) for t in deps_space.vocabulary)

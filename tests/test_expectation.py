@@ -91,7 +91,7 @@ class TestBuildPrototype:
         deps_space, _ = mini_spaces
         query = SlotQuery(Token("serve", "v"), "obj")
         proto = build_prototype(deps_space, DEPS, query)
-        ranked = deps_space.index.ranking(query.input.canonical, "obj")[:DEPS.k]
+        ranked = deps_space.ranking(query.input.canonical, "obj")[:DEPS.k]
         manual = sum_vectors([vector_of(deps_space, tok) for tok, _ in ranked])
         assert proto.vector == manual
         assert proto.space_id == deps_space.space_id
@@ -102,7 +102,7 @@ class TestBuildPrototype:
         variant = ModelVariant(VariantKind.DEPS, 1, Composition.SUM)
         query = SlotQuery(Token("waitress", "n"), "sbj_inv")
         proto = build_prototype(deps_space, variant, query)
-        top = deps_space.index.ranking(query.input.canonical, "sbj_inv")[0][0]
+        top = deps_space.ranking(query.input.canonical, "sbj_inv")[0][0]
         assert proto.vector == vector_of(deps_space, top)
 
     def test_oov_input_raises(self, mini_spaces):
@@ -136,7 +136,7 @@ class TestBuildPrototype:
     def test_boa_uses_arg_rankings_over_deps_vectors(self, mini_spaces):
         deps_space, _ = mini_spaces
         proto = build_prototype(deps_space, BOA, SlotQuery(Token("waitress", "n"), ARG))
-        ranked = deps_space.index.ranking("waitress-n", ARG)[:BOA.k]
+        ranked = deps_space.ranking("waitress-n", ARG)[:BOA.k]
         assert ranked
         manual = sum_vectors([vector_of(deps_space, tok) for tok, _ in ranked])
         assert proto.vector == manual
@@ -224,7 +224,7 @@ class TestSlotCollapseSymmetry:
     def test_swapped_inputs_score_identically(self, mini_spaces, kind, comp):
         deps_space, window_space = mini_spaces
         space = window_space if kind is VariantKind.BOW else deps_space
-        index = deps_space.index if kind is VariantKind.BOA else None
+        index = deps_space if kind is VariantKind.BOA else None
         variant = ModelVariant(kind, 10, comp)
         slot = map_slot(kind, inverse("sbj"))
         for x, y, w in [

@@ -99,3 +99,13 @@ def test_every_call_traced_makes_to_an_argex_callable_binds_to_its_signature():
         checked.add(qualname)
     assert {"argex.conll.parse_conll_file", "argex.evaluation.run_chow",
             "argex.tensor.CooccurrenceTensor.load"} <= checked
+
+
+def test_the_index_traced_passes_is_the_space_itself():
+    # traced.py passes ``deps.index`` as the ranking source of boa_space=window cells
+    from argex.space import build_space
+    from argex.weighting import WeightedTensor
+
+    space = build_space(WeightedTensor(scores={("see-v", "obj", "dog-n"): 1.0}), ["see-v", "dog-n"])
+    assert space.index is space
+    assert space.index.ranking("see-v", "obj") == (("dog-n", 1.0),)
