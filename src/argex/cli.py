@@ -99,7 +99,10 @@ def _locked(out_dir: str):
     A lock whose recorded process is gone (a killed run) is removed with
     a note on stderr, and the stage goes ahead.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from None
     lock = os.path.join(out_dir, ".lock")
     flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
     busy = ConfigError(
@@ -130,15 +133,16 @@ def _locked(out_dir: str):
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     overrides: dict[str, str] = {}
+    # an empty --out-dir or ARGEX_OUT_DIR is refused as an empty out_dir, not ignored
     env_out = os.environ.get("ARGEX_OUT_DIR")
-    if env_out:
+    if env_out is not None:
         overrides["out_dir"] = env_out
     for item in args.set:
         key, sep, value = item.partition("=")
         if not sep:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         overrides[key.strip()] = value.strip()
-    if args.out_dir:
+    if args.out_dir is not None:
         overrides["out_dir"] = args.out_dir
     return load_config(args.config, overrides)
 
@@ -195,6 +199,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     win = extract_window_counts(
         sentences, vocab, config.window_width, config.window_filtered_positions
     )
+    # refused before the lock, so the previous artifacts stay
+    for what, size in (("vocabulary", len(vocab)), ("dependency tensor", len(dep)), ("window tensor", len(win))):
+        if not size:
+            raise ConfigError(
+                f"the {what} would be empty at vocab_threshold={config.vocab_threshold}; nothing was written"
+            )
     stamp = ingest_hash(config)
     paths = artifact_paths(config.out_dir)
     counts = {

@@ -10,13 +10,10 @@ The task names, model variants and compositions a config selects are
 defined here, so reading a config loads no scoring code.
 """
 
-from __future__ import annotations
-
-import dataclasses
 import enum
 import hashlib
 import io
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .tokens import VERB_LINK, compile_pos_map, inverse
@@ -52,8 +49,9 @@ class Composition(enum.Enum):
             raise ConfigError(f"unknown composition {text!r}; expected sum or mult") from None
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+# Annotations are evaluated here (no ``from __future__ import annotations``):
+# each setting's type picks its parser in ``_FIELD_PARSERS`` below.
+class _Settings(NamedTuple):
     # corpus ingestion
     corpus_paths: tuple[str, ...] = ()
     col_form: int = 1
@@ -89,7 +87,26 @@ class PipelineConfig:
     # output
     out_dir: str = "out"
 
-    def __post_init__(self):
+
+class PipelineConfig(_Settings):
+    """The settings of a run: an immutable tuple, checked whenever one is made.
+
+    ``config._replace(key=value)`` makes a changed copy through
+    ``_make``, which checks it too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "PipelineConfig":
+        return cls(*iterable)
+
+    def _check(self) -> None:
         if self.vocab_threshold < 1:
             raise ConfigError("vocab_threshold must be >= 1")
         if self.window_width < 1:
@@ -153,15 +170,15 @@ def _parse_int_list(key: str, value: str) -> tuple[int, ...]:
     return tuple(_parse_int(key, part) for part in value.split(",") if part.strip())
 
 
-# each field's parser, by its annotation: PipelineConfig's fields are the one list of keys and types
+# each setting's parser, by its type: _Settings is the one list of keys and types
 _PARSERS = {
-    "int": _parse_int,
-    "bool": _parse_bool,
-    "str": lambda key, value: value.strip(),
-    "tuple[str, ...]": _parse_str_list,
-    "tuple[int, ...]": _parse_int_list,
+    int: _parse_int,
+    bool: _parse_bool,
+    str: lambda key, value: value.strip(),
+    tuple[str, ...]: _parse_str_list,
+    tuple[int, ...]: _parse_int_list,
 }
-_FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(PipelineConfig)}
+_FIELD_PARSERS = {name: _PARSERS[kind] for name, kind in _Settings.__annotations__.items()}
 
 
 def config_from_items(items: dict[str, str]) -> PipelineConfig:
@@ -189,6 +206,8 @@ def load_config(path: str, overrides: dict[str, str] | None = None) -> PipelineC
                 items[key.strip()] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None
     if overrides:
         items.update(overrides)
     return config_from_items(items)

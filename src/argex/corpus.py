@@ -136,14 +136,14 @@ def extract_window_counts(
     counts: dict[Triple, int] = {}
     get = counts.get
     entries = vocab.entries
-    offsets = range(1, width + 1)
     for sentence in corpus:
         if filtered_positions:
             positions = [t for t in sentence.tokens if t in entries]
         else:
             positions = [t if t in entries else None for t in sentence.tokens]
-        # each pair of positions at most ``width`` apart counts once each way
-        for offset in offsets:
+        # each pair of positions at most ``width`` apart counts once each way;
+        # no pair is further apart than the sentence is long
+        for offset in range(1, min(width + 1, len(positions))):
             for target, context in zip(positions, positions[offset:]):
                 if target is not None and context is not None:
                     key = (target, WINDOW, context)

@@ -25,7 +25,6 @@ import operator
 import os
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import ConsistencyError, CorpusError, OutOfVocabularyError, StaleArtifactError
@@ -52,19 +51,39 @@ _RELATION_OF_KEY = operator.itemgetter(1)
 _DIMENSION_OF_KEY = operator.itemgetter(1, 2)
 
 
-@dataclass(frozen=True)
 class SparseVector:
-    """Sorted (dimension id, positive score) pairs with a cached norm."""
+    """Sorted (dimension id, positive score) pairs with a cached norm.
 
-    ids: tuple[int, ...] = ()
-    scores: tuple[float, ...] = ()
-    norm: float = field(init=False, default=0.0)
+    Immutable; two vectors are equal, and hash alike, when their ids,
+    scores and norms are.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("ids", "scores", "norm", "__weakref__")
+
+    def __init__(self, ids: tuple[int, ...] = (), scores: tuple[float, ...] = ()):
+        _set = object.__setattr__
+        _set(self, "ids", ids)
+        _set(self, "scores", scores)
         # A plain left fold: builtin sum() of floats is compensated from
         # Python 3.12 on, which would change the last bits of the scores.
-        squares = map(operator.mul, self.scores, self.scores)
-        object.__setattr__(self, "norm", math.sqrt(functools.reduce(operator.add, squares, 0.0)))
+        squares = map(operator.mul, scores, scores)
+        _set(self, "norm", math.sqrt(functools.reduce(operator.add, squares, 0.0)))
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot set {name!r}: a SparseVector is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ids, self.scores, self.norm) == (other.ids, other.scores, other.norm)
+
+    def __hash__(self) -> int:
+        return hash((self.ids, self.scores, self.norm))
+
+    def __repr__(self) -> str:
+        return f"SparseVector(ids={self.ids!r}, scores={self.scores!r}, norm={self.norm!r})"
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "SparseVector":
@@ -272,11 +291,18 @@ class WeightedSpace:
         _check_column(vocab_path, vocab, check)
         known = frozenset(vocab)
         catalog = _read_catalog(catalog_path, catalog_text, check, known)
-        layout = "target, dimension id, score"
-        row_blocks = _target_blocks(rows_path, rows_text, _ROWS_BLOCK, layout, check, known)
-        _check_dim_ids(rows_path, rows_text, len(catalog))
-        layout = "target, filler, score"
-        arg_blocks = _target_blocks(arg_path, arg_text, _ARG_BLOCK, layout, check, known)
+        rows_block = _rows_block(len(catalog))
+        row_blocks, end = _target_blocks(rows_path, rows_text, rows_block, check, known)
+        if end != len(rows_text):
+            line = _ROWS_LINE.match(rows_text, end)
+            if line is not None:  # the layout holds, so the dimension id is past the catalog
+                raise ConsistencyError(
+                    f"{rows_path}:{_line_of(rows_text, end)}: dimension id {line.group(1)} is not in the catalog"
+                )
+            raise _malformed(rows_path, rows_text, end, "target, dimension id, score")
+        arg_blocks, end = _target_blocks(arg_path, arg_text, _ARG_BLOCK, check, known)
+        if end != len(arg_text):
+            raise _malformed(arg_path, arg_text, end, "target, filler, score")
         _check_column(arg_path, _MIDDLE.findall(arg_text), check, known)
         self.vocabulary, self.catalog = known, catalog
         self._row_blocks, self._arg_blocks = row_blocks, arg_blocks
@@ -440,11 +466,34 @@ def save_space(space: WeightedSpace, directory: str) -> str:
 _FIELD = r"[^\t\n]+"
 _SCORE = r"[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?"  # format_score of a non-negative finite float
 _CATALOG_LINES = re.compile(rf"(?:[0-9]+\t{_FIELD}\t{_FIELD}\n)*")
-_CATALOG_LINE = re.compile(rf"([0-9]+)\t({_FIELD})\t({_FIELD})\n")
-_ROWS_BLOCK = re.compile(rf"({_FIELD})\t[0-9]+\t{_SCORE}\n(?:\1\t[0-9]+\t{_SCORE}\n)*")
+_CATALOG_LINE = re.compile(rf"^([0-9]+)\t({_FIELD})\t({_FIELD})\n", re.MULTILINE)
+_ROWS_LINE = re.compile(rf"{_FIELD}\t([0-9]+)\t{_SCORE}\n")
 _ARG_BLOCK = re.compile(rf"({_FIELD})\t{_FIELD}\t{_SCORE}\n(?:\1\t{_FIELD}\t{_SCORE}\n)*")
-_MIDDLE = re.compile(rf"\t({_FIELD})\t")  # of each line: the dimension id or the filler
+_MIDDLE = re.compile(rf"\t({_FIELD})\t")  # of each line: the filler
 _PAIR = re.compile(rf"\t({_FIELD})\t({_FIELD})\n")  # of each line: (middle field, score)
+
+
+def _ids_below(n: int) -> str:
+    """A pattern for the decimal renderings of 0 to ``n - 1``, without leading zeros."""
+    if n == 0:
+        return "(?!)"
+    top = str(n - 1)
+    width = len(top)
+    # the numbers of top's width up to top: top's first i digits, then a smaller digit, then any
+    alternatives = [top]
+    for i, digit in enumerate(top):
+        low = 1 if i == 0 and width > 1 else 0
+        if int(digit) > low:
+            alternatives.append(f"{top[:i]}[{low}-{int(digit) - 1}][0-9]{{{width - i - 1}}}")
+    if width > 1:  # and the shorter numbers
+        alternatives += [f"[1-9][0-9]{{0,{width - 2}}}", "0"]
+    return f"(?:{'|'.join(alternatives)})"
+
+
+def _rows_block(n_dims: int) -> re.Pattern:
+    """A target's block of ``rows.tsv`` lines, each with a dimension id below ``n_dims``."""
+    line = rf"\t{_ids_below(n_dims)}\t{_SCORE}\n"
+    return re.compile(rf"({_FIELD}){line}(?:\1{line})*")
 
 
 def _line_of(text: str, offset: int) -> int:
@@ -467,16 +516,17 @@ def _check_column(path: str, column: list[str], check, known: frozenset[str] = f
 
 
 def _read_catalog(path: str, text: str, check, known: frozenset[str]) -> tuple[tuple[str, str], ...]:
-    if _CATALOG_LINES.fullmatch(text) is None:
-        raise _malformed(path, text, _CATALOG_LINES.match(text).end(), "dimension id, relation, filler")
     lines = _CATALOG_LINE.findall(text)
+    # each match is one whole line: the matches cover the text when there is one per line
+    if len(lines) != text.count("\n") or (text and not text.endswith("\n")):
+        raise _malformed(path, text, _CATALOG_LINES.match(text).end(), "dimension id, relation, filler")
     ids = list(map(operator.itemgetter(0), lines))
     if ids != list(map(str, range(len(ids)))):
         first = next(i for i, dim_id in enumerate(ids) if dim_id != str(i))
         raise ConsistencyError(f"{path}:{first + 1}: dimension id {ids[first]} out of sequence")
     dims = tuple(map(operator.itemgetter(1, 2), lines))
-    first_line = dict(zip(reversed(dims), range(len(dims), 0, -1)))
-    if len(first_line) != len(dims):
+    if len(set(dims)) != len(dims):
+        first_line = dict(zip(reversed(dims), range(len(dims), 0, -1)))
         line, (relation, filler) = next((i, dim) for i, dim in enumerate(dims, 1) if first_line[dim] != i)
         raise ConsistencyError(
             f"{path}:{line}: dimension ({relation}, {filler}) repeats line {first_line[relation, filler]}"
@@ -486,11 +536,13 @@ def _read_catalog(path: str, text: str, check, known: frozenset[str]) -> tuple[t
 
 
 def _target_blocks(
-    path: str, text: str, block: re.Pattern, layout: str, check, known: frozenset[str]
-) -> dict[str, list[tuple[int, int]]]:
-    """Each target's block offsets; every line must fit ``block``'s layout and every target be a token.
+    path: str, text: str, block: re.Pattern, check, known: frozenset[str]
+) -> tuple[dict[str, list[tuple[int, int]]], int]:
+    """Each target's block offsets, and the offset where the blocks stop.
 
-    A target whose lines are not consecutive has several blocks.
+    Every target is checked to be a token. The blocks stop at the first
+    line that does not fit ``block``, or at the end of ``text``. A
+    target whose lines are not consecutive has several blocks.
     """
     blocks: dict[str, list[tuple[int, int]]] = {}
     end = 0
@@ -505,16 +557,7 @@ def _target_blocks(
                 raise CorpusError(f"{path}:{_line_of(text, end)}: {exc}") from None
         blocks.setdefault(target, []).append(match.span())
         end = match.end()
-    if end != len(text):
-        raise _malformed(path, text, end, layout)
-    return blocks
-
-
-def _check_dim_ids(path: str, text: str, n_dims: int) -> None:
-    dim_ids = _MIDDLE.findall(text)
-    if dim_ids and max(map(int, set(dim_ids))) >= n_dims:
-        first = next(i for i, dim_id in enumerate(dim_ids) if int(dim_id) >= n_dims)
-        raise ConsistencyError(f"{path}:{first + 1}: dimension id {dim_ids[first]} is not in the catalog")
+    return blocks, end
 
 
 def _pairs(text: str, blocks: list[tuple[int, int]]) -> list[tuple[str, str]]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import os
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import ConsistencyError, CorpusError
@@ -41,12 +40,30 @@ def sorted_triples(triples: Iterable[Triple]) -> list[Triple]:
     return ordered
 
 
-@dataclass
 class CooccurrenceTensor:
-    counts: dict[Triple, int] = field(default_factory=dict)
-    # sha256 of the count artifact on disk these counts were loaded or
-    # derived from; empty for counts built in memory
-    source_hash: str = ""
+    """Counts by triple, and the hash of the artifact they came from.
+
+    Its attributes cannot be rebound. Two tensors are equal when their
+    counts and source hashes are; a tensor is not hashable.
+    """
+
+    __slots__ = ("counts", "source_hash")
+
+    def __init__(self, counts: dict[Triple, int] | None = None, source_hash: str = ""):
+        object.__setattr__(self, "counts", {} if counts is None else counts)
+        # sha256 of the count artifact on disk these counts were loaded or
+        # derived from; empty for counts built in memory
+        object.__setattr__(self, "source_hash", source_hash)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot set {name!r}: a CooccurrenceTensor is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.counts, self.source_hash) == (other.counts, other.source_hash)
 
     @property
     def total(self) -> int:

@@ -14,8 +14,7 @@ datasets, queries and the CLI hand in.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ConfigError
 
@@ -34,15 +33,28 @@ ARG = "ARG"
 _WHITESPACE = re.compile(r"\s")
 
 
-@dataclass(frozen=True, order=True)
-class Token:
-    """A lowercased lemma with its coarse tag (one of ``n``/``v``)."""
-
+class _LemmaPos(NamedTuple):
     lemma: str
     pos: str
 
-    def __post_init__(self):
-        _check_lemma_pos(self.lemma, self.pos)
+
+class Token(_LemmaPos):
+    """A lowercased lemma with its coarse tag (one of ``n``/``v``).
+
+    An immutable (lemma, pos) tuple, compared, hashed and ordered as
+    one, and checked whenever one is made, ``_make`` and ``_replace``
+    included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, lemma: str, pos: str):
+        _check_lemma_pos(lemma, pos)
+        return super().__new__(cls, lemma, pos)
+
+    @classmethod
+    def _make(cls, iterable) -> "Token":
+        return cls(*iterable)
 
     @property
     def canonical(self) -> str:

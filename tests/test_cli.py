@@ -635,6 +635,68 @@ def reports_snapshot(out_dir: str) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in sorted(pathlib.Path(out_dir, "reports").iterdir())}
 
 
+class TestInputBoundary:
+    """What the user hands in ends in a typed error naming it, never a traceback or a hang."""
+
+    def test_config_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys):
+        conf = tmp_path / "latin1.conf"
+        conf.write_bytes(b"vocab_threshold=3\nchow_path=caf\xe9.tsv\n")
+        code, _, err = run_cli(capsys, "ingest", "-c", str(conf), "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert f"config {conf} is not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    def test_out_dir_under_a_regular_file_exits_2_naming_it(self, tmp_path, capsys):
+        plain = tmp_path / "plain"
+        plain.write_text("not a directory\n", encoding="utf-8")
+        out = str(plain / "out")
+        code, _, err = run_cli(capsys, "ingest", "-c", BICKNELL_CONF, "--out-dir", out)
+        assert code == 2
+        assert f"cannot create output directory {out}" in err
+
+    def test_empty_out_dir_flag_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "report", "-c", BICKNELL_CONF, "--out-dir", "")
+        assert (code, out) == (2, "")
+        assert "out_dir must be non-empty" in err
+
+    def test_empty_out_dir_variable_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setenv("ARGEX_OUT_DIR", "")
+        code, out, err = run_cli(capsys, "report", "-c", BICKNELL_CONF)
+        assert (code, out) == (2, "")
+        assert "out_dir must be non-empty" in err
+
+    def test_vocab_threshold_above_every_count_keeps_the_previous_tensors(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert run_cli(capsys, "ingest", "-c", BICKNELL_CONF, "--out-dir", out)[0] == 0
+        names = ("vocab.tsv", "deps.tensor.tsv", "window.tensor.tsv")
+        names += tuple(name + ".meta" for name in names)
+        before = {name: (tmp_path / "out" / name).read_bytes() for name in names}
+        code, _, err = run_cli(
+            capsys, "ingest", "-c", BICKNELL_CONF, "--out-dir", out, "--set", "vocab_threshold=100000"
+        )
+        assert code == 2
+        assert "vocab_threshold=100000" in err
+        assert {name: (tmp_path / "out" / name).read_bytes() for name in names} == before
+        assert not os.path.exists(os.path.join(out, ".lock"))
+
+    def test_window_width_past_every_sentence_costs_no_time(self, tmp_path, capsys):
+        wide = str(tmp_path / "wide")
+        assert run_cli(
+            capsys, "ingest", "-c", BICKNELL_CONF, "--out-dir", wide, "--set", "window_width=2000"
+        )[0] == 0
+        # a child with a timeout, so that a walk over every offset fails the test instead of hanging it
+        huge = str(tmp_path / "huge")
+        src = os.path.join(REPO_ROOT, "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = [sys.executable, "-m", "argex.cli", "ingest", "-c", BICKNELL_CONF, "--out-dir", huge,
+                "--set", "window_width=100000000"]
+        result = subprocess.run(argv, cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        # the bodies only: the sidecars' ingest_hash covers the width
+        body = pathlib.Path(wide, "window.tensor.tsv").read_bytes()
+        assert body and pathlib.Path(huge, "window.tensor.tsv").read_bytes() == body
+
+
 class TestReportRunner:
     """``eval`` and ``sweep`` score every cell before they write any report."""
 
@@ -725,6 +787,20 @@ class TestImportSet:
         unused = {"argex.conll", "argex.corpus", "argex.datasets", "argex.evaluation",
                   "argex.expectation", "argex.stats"}
         assert unused.isdisjoint(modules), sorted(unused.intersection(modules))
+
+
+    def test_core_modules_import_neither_dataclasses_nor_inspect(self):
+        # a child process: pytest has imported both already
+        script = (
+            "import sys\n"
+            "import argex.cli, argex.space\n"
+            "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+        )
+        src = os.path.join(REPO_ROOT, "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run([sys.executable, "-c", script], cwd=REPO_ROOT, env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout == "False False\n"
 
 
 class TestGoldenChecker:

@@ -1,7 +1,5 @@
 """Config parsing, validation, and stage-scoped hashing."""
 
-import dataclasses
-
 import pytest
 
 from argex.cli import main
@@ -10,6 +8,7 @@ from argex.config import (
     SPACE_FIELDS,
     PipelineConfig,
     config_from_items,
+    _FIELD_PARSERS,
     _render_value,
     config_hash,
     ingest_hash,
@@ -82,6 +81,42 @@ class TestValidation:
         code = main(["ingest", "-c", str(conf), "--out-dir", str(tmp_path / "out")])
         assert code == 2
         assert "unknown config key 'log_base'" in capsys.readouterr().err
+
+
+class TestRecord:
+    def test_immutable(self):
+        config = PipelineConfig()
+        with pytest.raises(AttributeError):
+            config.vocab_threshold = 1
+        with pytest.raises(AttributeError):
+            config.extra = 1
+        assert config.vocab_threshold == 1000
+
+    def test_equal_and_hashed_by_value(self):
+        a, b = PipelineConfig(vocab_threshold=5), config_from_items({"vocab_threshold": "5"})
+        assert a == b and hash(a) == hash(b)
+        assert a != PipelineConfig()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PipelineConfig(window_width=0),
+            lambda: PipelineConfig(*(0 if name == "window_width" else value
+                                     for name, value in PipelineConfig()._asdict().items())),
+            lambda: PipelineConfig()._replace(window_width=0),
+            lambda: PipelineConfig._make(0 if name == "window_width" else value
+                                         for name, value in PipelineConfig()._asdict().items()),
+            lambda: config_from_items({"window_width": "0"}),
+        ],
+        ids=["keywords", "positional", "replace", "make", "items"],
+    )
+    def test_every_construction_path_is_checked(self, make):
+        with pytest.raises(ConfigError, match="window_width must be >= 1"):
+            make()
+
+    def test_the_keys_are_the_fields_in_order(self):
+        assert tuple(_FIELD_PARSERS) == PipelineConfig._fields
+        assert config_from_items({}) == PipelineConfig()
 
 
 class TestCoercion:
@@ -160,7 +195,7 @@ class TestCanonicalText:
             relation_denylist=("punct",),
         )
         # the hashes read each field as _render_value renders it
-        items = {f.name: _render_value(getattr(config, f.name)) for f in dataclasses.fields(PipelineConfig)}
+        items = {name: _render_value(value) for name, value in config._asdict().items()}
         assert config_from_items(items) == config
 
 
@@ -171,28 +206,28 @@ class TestHashing:
 
     def test_ingest_fields_change_every_hash(self):
         base = PipelineConfig()
-        changed = dataclasses.replace(base, vocab_threshold=7)
+        changed = base._replace(vocab_threshold=7)
         assert ingest_hash(changed) != ingest_hash(base)
         assert space_hash(changed) != space_hash(base)
         assert config_hash(changed) != config_hash(base)
 
     def test_weighting_fields_spare_the_ingest_hash(self):
         base = PipelineConfig()
-        changed = dataclasses.replace(base, boa_rank_mode="max")
+        changed = base._replace(boa_rank_mode="max")
         assert ingest_hash(changed) == ingest_hash(base)
         assert space_hash(changed) != space_hash(base)
         assert config_hash(changed) != config_hash(base)
 
     def test_eval_fields_spare_ingest_and_space_hashes(self):
         base = PipelineConfig()
-        changed = dataclasses.replace(base, k_values=(10,), chow_path="x.tsv")
+        changed = base._replace(k_values=(10,), chow_path="x.tsv")
         assert ingest_hash(changed) == ingest_hash(base)
         assert space_hash(changed) == space_hash(base)
         assert config_hash(changed) != config_hash(base)
 
     def test_out_dir_changes_no_hash(self):
         base = PipelineConfig()
-        changed = dataclasses.replace(base, out_dir="elsewhere")
+        changed = base._replace(out_dir="elsewhere")
         assert ingest_hash(changed) == ingest_hash(base)
         assert space_hash(changed) == space_hash(base)
         assert config_hash(changed) == config_hash(base)

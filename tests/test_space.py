@@ -6,6 +6,7 @@ import math
 import operator
 import os
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +83,27 @@ class TestSparseVector:
         v = SparseVector(tuple(range(11)), (1.0,) + (1e-8,) * 10)
         assert math.fsum(s * s for s in v.scores) > 1.0
         assert v.norm == 1.0
+
+    @given(sparse_vectors())
+    def test_norm_is_the_left_fold_bit_for_bit(self, v):
+        fold = math.sqrt(functools.reduce(operator.add, [s * s for s in v.scores], 0.0))
+        assert v.norm.hex() == fold.hex()
+
+    def test_equal_and_hashed_by_value(self):
+        a, b = vec((4, 0.5), (1, 2.0)), SparseVector((1, 4), (2.0, 0.5))
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a != vec((1, 2.0)) and a != vec((1, 2.0), (4, 0.25))
+        assert a != (a.ids, a.scores)
+        assert SparseVector() == EMPTY_VECTOR
+
+    def test_immutable(self):
+        v = vec((0, 3.0), (1, 4.0))
+        for name, value in (("ids", (0,)), ("scores", (1.0, 1.0)), ("norm", 1.0), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(v, name, value)
+        with pytest.raises(AttributeError):
+            del v.norm
+        assert (v.ids, v.scores, v.norm) == ((0, 1), (3.0, 4.0), 5.0)
 
     def test_dot_matches_naive(self):
         rng = random.Random(3)
@@ -388,6 +410,15 @@ class TestSpace:
         append_verified(directory, "rows.tsv", f"see-v\t{len(space.catalog)}\t1\n")
         with pytest.raises(ConsistencyError, match=f"rows.tsv:{n_rows + 1}: dimension id"):
             load_space(directory)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 9, 10, 11, 99, 100, 101, 120, 1000, 20345])
+    def test_the_id_pattern_takes_exactly_the_ids_below_the_catalog_size(self, n):
+        pattern = re.compile(space_module._ids_below(n))
+        for dim_id in [*range(min(n + 30, 1100)), n - 1, n, n + 1, 10 * n + 7]:
+            if dim_id >= 0:
+                assert (pattern.fullmatch(str(dim_id)) is not None) == (dim_id < n), dim_id
+        for text in ("00", "01", "007", "", "-1", "+1", "1 "):
+            assert pattern.fullmatch(text) is None, text
 
     @pytest.mark.parametrize(
         "name, line",

@@ -29,6 +29,19 @@ class TestCounting:
         assert tensor.counts.get((SEE, "sbj", CAT), 0) == 0
         assert len(tensor) == 3
 
+    def test_equal_by_value_and_immutable(self):
+        tensor = CooccurrenceTensor(small_tensor().counts, "abc")
+        assert tensor == CooccurrenceTensor(small_tensor().counts, source_hash="abc")
+        assert tensor != small_tensor() and tensor != CooccurrenceTensor({}, "abc")
+        with pytest.raises(AttributeError):
+            tensor.counts = {}
+        with pytest.raises(AttributeError):
+            tensor.source_hash = ""
+        with pytest.raises(TypeError):
+            hash(tensor)
+        # each empty tensor gets its own dict
+        assert CooccurrenceTensor().counts == {} and CooccurrenceTensor().counts is not CooccurrenceTensor().counts
+
     def test_entries_sorted(self):
         tensor = small_tensor()
         keys = [tuple(line.split("\t")[:3]) for line in tensor.to_tsv().splitlines()]

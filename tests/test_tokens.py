@@ -38,6 +38,37 @@ class TestToken:
         with pytest.raises(ValueError):
             Token("cat", "x")
 
+    def test_equal_hashed_and_ordered_as_the_lemma_pos_pair(self):
+        a, b = Token("cat", "n"), Token("cat", "n")
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert Token("cat", "n") != Token("cat", "v")
+        assert Token("a", "v") < Token("b", "n") and Token("a", "n") < Token("a", "v")
+        ordered = [Token("a", "n"), Token("a", "v"), Token("b", "n")]
+        assert sorted(reversed(ordered)) == ordered
+        assert str(a) == "cat-n"
+
+    def test_immutable(self):
+        token = Token("cat", "n")
+        with pytest.raises(AttributeError):
+            token.lemma = "dog"
+        with pytest.raises(AttributeError):
+            token.extra = 1
+        assert token == Token("cat", "n")
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Token(lemma="two words", pos="n"),
+            lambda: Token("cat", "n")._replace(lemma=""),
+            lambda: Token("cat", "n")._replace(pos="j"),
+            lambda: Token._make(("cat", "x")),
+        ],
+        ids=["keywords", "replace-lemma", "replace-tag", "make"],
+    )
+    def test_every_construction_is_checked(self, make):
+        with pytest.raises(ValueError):
+            make()
+
     @pytest.mark.parametrize("text", ["plain", "-n", "cat-j"])
     def test_parse_canonical_rejects_malformed(self, text):
         with pytest.raises(ValueError):
