@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Rebuild both fixtures and compare every byte with ``tests/golden/``.
 
-For each fixture config this runs ``ingest``, ``weight`` and ``sweep``
-through ``python -m argex.cli`` in a temporary directory, under the
-interpreter that runs this script, and hashes every artifact and report
-against ``tests/golden/fixture_artifacts.sha256`` and
+For each fixture config this runs ``ingest``, ``weight``, ``sweep`` and
+``report`` through ``python -m argex.cli`` in a temporary directory,
+under the interpreter that runs this script. It prints each fixture's
+accuracy table, then hashes every artifact and report against
+``tests/golden/fixture_artifacts.sha256`` and
 ``tests/golden/fixture_reports.sha256``.
 
 It needs only the standard library, so it runs on interpreters without
@@ -57,17 +58,18 @@ def digests(top: str, prefix: str) -> dict[str, str]:
 
 
 def build(name: str, conf: str, out: str) -> dict[str, str]:
-    """Run the three stages; return the digests of the artifacts and reports."""
+    """Run the four stages and print the accuracy table; return the digests of the artifacts and reports."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
-    for stage in ("ingest", "weight", "sweep"):
+    for stage in ("ingest", "weight", "sweep", "report"):
         argv = [sys.executable, "-m", "argex.cli", stage, "-c", conf, "--out-dir", out]
         result = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
         if result.returncode != 0:
             sys.stderr.write(result.stderr)
             print(f"{name}: {stage} exited {result.returncode}", file=sys.stderr)
             raise SystemExit(2)
+    sys.stdout.write(result.stdout)  # the report's table
     return digests(out, name)
 
 

@@ -47,7 +47,7 @@ from .errors import (
     StaleArtifactError,
     UndefinedModelError,
 )
-from .tensor import CooccurrenceTensor, read_sidecar, sidecar_path, write_bytes_atomic
+from .tensor import CooccurrenceTensor, make_output_dir, read_sidecar, sidecar_path, write_bytes_atomic
 from .tokens import WINDOW, compile_pos_map, parse_canonical
 
 if TYPE_CHECKING:
@@ -73,62 +73,35 @@ def artifact_paths(out_dir: str) -> dict[str, str]:
     }
 
 
-def _dead_holder(lock: str) -> int | None:
-    """The pid recorded in ``lock`` if no such process exists, else None.
-
-    An empty or unreadable lock (its writer may not have written the pid
-    yet) and a live pid, even one this process may not signal, give None.
-    """
-    try:
-        with open(lock, encoding="ascii") as fh:
-            pid = int(fh.read())
-        if pid < 1:
-            return None
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return pid
-    except (OSError, ValueError):
-        return None
-    return None
-
-
 @contextlib.contextmanager
 def _locked(out_dir: str):
-    """Single-writer guard: stages refuse to write a locked directory.
+    """Single-writer guard: a stage holds an exclusive ``flock`` on ``out_dir/.lock`` (POSIX only).
 
-    A lock whose recorded process is gone (a killed run) is removed with
-    a note on stderr, and the stage goes ahead.
+    The kernel drops the lock when its process ends, even a killed one, so a lock is never stale.
     """
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from None
+    import fcntl
+
+    make_output_dir(out_dir)
     lock = os.path.join(out_dir, ".lock")
-    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
-    busy = ConfigError(
-        f"output directory {out_dir} is locked by another stage "
-        f"(remove {lock} if that run is dead)"
-    )
-    try:
-        fd = os.open(lock, flags)
-    except FileExistsError:
-        pid = _dead_holder(lock)
-        if pid is None:
-            raise busy from None
-        _note(f"removing stale lock {lock}: process {pid} is not running")
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(lock)
+    with contextlib.ExitStack() as release:
         try:
-            fd = os.open(lock, flags)
-        except FileExistsError:
-            raise busy from None
-    try:
-        os.write(fd, f"{os.getpid()}\n".encode("ascii"))
-        os.close(fd)
-        yield
-    finally:
-        with contextlib.suppress(OSError):
-            os.unlink(lock)
+            # O_NONBLOCK: a FIFO at .lock is refused, not waited on
+            fd = os.open(lock, os.O_CREAT | os.O_WRONLY | os.O_NONBLOCK)
+            release.callback(os.close, fd)
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            # a holder unlinks the file before it lets go: a lock on an unlinked file guards nothing
+            held = os.fstat(fd).st_nlink > 0
+        except BlockingIOError:
+            held = False
+        except OSError as exc:
+            raise ConfigError(f"cannot lock {lock}: {exc}") from None
+        if not held:
+            raise ConfigError(f"output directory {out_dir} is locked by another stage")
+        try:
+            yield
+        finally:
+            with contextlib.suppress(OSError):
+                os.unlink(lock)  # before the close lets go of the lock
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
@@ -268,6 +241,7 @@ def cmd_weight(args: argparse.Namespace) -> int:
         win_weighted, vocab, manifest={"space_hash": stamp_space, "kind": "window"}
     )
     with _locked(config.out_dir):
+        make_output_dir(paths["window_space"])  # first: a file there must leave deps.space as it was
         deps_id = save_space(deps_space, paths["deps_space"])
         window_id = save_space(window_space, paths["window_space"])
     print(
@@ -375,7 +349,7 @@ def _write_reports(out_dir: str, cells, table_of: Callable[[str], str | None]) -
     from .evaluation import per_item_csv, per_k_csv, report_to_json
 
     reports_dir = artifact_paths(out_dir)["reports"]
-    os.makedirs(reports_dir, exist_ok=True)
+    make_output_dir(reports_dir)
     for task, task_cells in itertools.groupby(cells, key=lambda cell: cell[0].task):
         reports = []
         for report, provenance in task_cells:

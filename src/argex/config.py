@@ -200,6 +200,8 @@ def load_config(path: str, overrides: dict[str, str] | None = None) -> PipelineC
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
+                if "\0" in line:  # no path may hold one, and open() would raise ValueError
+                    raise ConfigError(f"{path} line {line_no}: NUL byte in {raw.rstrip()!r}")
                 key, sep, value = line.partition("=")
                 if not sep:
                     raise ConfigError(f"{path} line {line_no}: expected key=value, got {raw.rstrip()!r}")

@@ -33,6 +33,7 @@ from .tensor import (
     Triple,
     decode_utf8,
     format_score,
+    make_output_dir,
     read_bytes,
     read_sidecar,
     write_bytes_atomic,
@@ -451,7 +452,7 @@ def save_space(space: WeightedSpace, directory: str) -> str:
     so an interrupted save leaves an archive that fails verification,
     never a half-written file.
     """
-    os.makedirs(directory, exist_ok=True)
+    make_output_dir(directory)
     for name, text in zip(_DATA_FILES, space.texts):
         write_bytes_atomic(os.path.join(directory, name), text.encode("utf-8"))
     write_sidecar(os.path.join(directory, "manifest.txt"), space.manifest)

@@ -18,7 +18,7 @@ import hashlib
 import os
 from typing import Iterable
 
-from .errors import ConsistencyError, CorpusError
+from .errors import ConfigError, ConsistencyError, CorpusError
 from .tokens import Memo, canonical_checker
 
 # (target, relation, filler); target and filler are canonical ``lemma-pos``
@@ -129,6 +129,14 @@ def format_score(value: float) -> str:
 
 def sidecar_path(path: str) -> str:
     return path + ".meta"
+
+
+def make_output_dir(path: str) -> None:
+    """``os.makedirs(path, exist_ok=True)``, failing with a ``ConfigError`` that names ``path``."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from None
 
 
 def write_bytes_atomic(path: str, data: bytes) -> None:

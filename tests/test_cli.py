@@ -1,7 +1,10 @@
 """End-to-end CLI runs: stages, guards, exit codes, determinism."""
 
+import contextlib
+import fcntl
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import pathlib
@@ -18,7 +21,7 @@ from argex.cli import main
 from argex.tensor import read_sidecar, write_sidecar
 from argex.tokens import parse_canonical
 
-from conftest import REPO_ROOT, conll_text, targets
+from conftest import DATA_DIR, REPO_ROOT, conll_text, targets
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -43,6 +46,22 @@ def run_cli(capsys, *argv):
 def build_out_dir(conf: str, out_dir: str) -> None:
     assert main(["ingest", "-c", conf, "--out-dir", out_dir]) == 0
     assert main(["weight", "-c", conf, "--out-dir", out_dir]) == 0
+
+
+def hold_lock(lock: str) -> subprocess.Popen:
+    """A child that holds ``flock`` on ``lock``, with its pid written there, until it is killed."""
+    script = (
+        "import fcntl, os, sys\n"
+        "fd = os.open(sys.argv[1], os.O_CREAT | os.O_WRONLY)\n"
+        "fcntl.flock(fd, fcntl.LOCK_EX)\n"
+        "os.write(fd, b'%d\\n' % os.getpid())\n"
+        "print('held', flush=True)\n"
+        "sys.stdin.read()\n"
+    )
+    child = subprocess.Popen([sys.executable, "-c", script, lock],
+                             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    assert child.stdout.readline() == "held\n"
+    return child
 
 
 def copy_artifacts(src: str, dst: str) -> str:
@@ -498,39 +517,98 @@ class TestGuards:
     def test_locked_directory_refused_and_lock_kept(self, tmp_path, capsys):
         out = str(tmp_path)
         lock = os.path.join(out, ".lock")
-        open(lock, "w").close()
-        code, _, err = run_cli(capsys, "ingest", "-c", BICKNELL_CONF, "--out-dir", out)
-        assert code == 2
-        assert "locked" in err
-        assert os.path.exists(lock)  # not ours to remove
-        os.unlink(lock)
+        fd = os.open(lock, os.O_CREAT | os.O_WRONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)  # another open file: the stage cannot take it
+            code, _, err = run_cli(capsys, "ingest", "-c", BICKNELL_CONF, "--out-dir", out)
+            assert code == 2
+            assert "locked" in err
+            assert os.path.exists(lock)  # not ours to remove
+        finally:
+            os.close(fd)
         assert run_cli(capsys, "ingest", "-c", BICKNELL_CONF, "--out-dir", out)[0] == 0
         assert not os.path.exists(lock)
 
     def test_lock_of_a_dead_process_is_reclaimed(self, tmp_path, capsys):
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        assert child.wait() == 0  # exited and reaped: its pid names no process
         out = str(tmp_path)
         lock = os.path.join(out, ".lock")
-        with open(lock, "w") as fh:
-            fh.write(f"{child.pid}\n")
+        child = hold_lock(lock)
+        child.kill()  # SIGKILL: the kernel drops its lock, and its file stays
+        child.communicate()  # reaps it and closes its pipes
+        assert os.path.exists(lock)
         code, _, err = run_cli(capsys, "ingest", "-c", BICKNELL_CONF, "--out-dir", out)
         assert code == 0
-        assert f"removing stale lock {lock}: process {child.pid} is not running" in err
+        assert "stale" not in err
         assert not os.path.exists(lock)
         assert os.path.exists(os.path.join(out, "deps.tensor.tsv"))
 
     def test_lock_of_a_live_process_is_kept(self, tmp_path, capsys):
         out = str(tmp_path)
         lock = os.path.join(out, ".lock")
+        child = hold_lock(lock)
+        try:
+            before = os.stat(lock)
+            code, _, err = run_cli(capsys, "ingest", "-c", BICKNELL_CONF, "--out-dir", out)
+            assert code == 2
+            assert "locked" in err and "stale" not in err
+            assert os.path.samestat(os.stat(lock), before)
+            with open(lock) as fh:
+                assert fh.read() == f"{child.pid}\n"
+            with open(lock) as fh, pytest.raises(BlockingIOError):
+                fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)  # the child holds it still
+            assert not os.path.exists(os.path.join(out, "deps.tensor.tsv"))
+        finally:
+            child.kill()
+            child.communicate()  # reaps it and closes its pipes
+
+    def test_lock_on_a_file_its_holder_unlinked_is_refused(self, tmp_path, capsys, monkeypatch):
+        # the holder unlinks .lock and lets go between this stage's open and its flock
+        out = str(tmp_path)
+        lock = os.path.join(out, ".lock")
+        flock = fcntl.flock
+
+        def flock_after_unlink(fd, operation):
+            os.unlink(lock)
+            return flock(fd, operation)
+
+        monkeypatch.setattr(fcntl, "flock", flock_after_unlink)
+        code, _, err = run_cli(capsys, "ingest", "-c", BICKNELL_CONF, "--out-dir", out)
+        assert code == 2
+        assert "locked by another stage" in err
+        assert not os.path.exists(os.path.join(out, "deps.tensor.tsv"))
+
+    def test_lock_file_naming_a_live_pid_without_a_lock_does_not_block(self, tmp_path, capsys):
+        # a pid file left by a killed run, whose pid a live process now has
+        out = str(tmp_path)
+        lock = os.path.join(out, ".lock")
         with open(lock, "w") as fh:
             fh.write(f"{os.getpid()}\n")
         code, _, err = run_cli(capsys, "ingest", "-c", BICKNELL_CONF, "--out-dir", out)
+        assert (code, err.count("locked")) == (0, 0)
+        assert not os.path.exists(lock)
+        assert os.path.exists(os.path.join(out, "deps.tensor.tsv"))
+
+    def test_lock_that_is_a_directory_exits_2_naming_it(self, tmp_path, capsys):
+        out = str(tmp_path)
+        lock = os.path.join(out, ".lock")
+        os.mkdir(lock)
+        code, _, err = run_cli(capsys, "ingest", "-c", BICKNELL_CONF, "--out-dir", out)
         assert code == 2
-        assert "locked" in err and "stale" not in err
-        with open(lock) as fh:
-            assert fh.read() == f"{os.getpid()}\n"
+        assert f"cannot lock {lock}" in err
+        assert os.path.isdir(lock)
         assert not os.path.exists(os.path.join(out, "deps.tensor.tsv"))
+
+    def test_lock_that_is_a_fifo_exits_2_without_waiting(self, tmp_path):
+        out = str(tmp_path)
+        lock = os.path.join(out, ".lock")
+        os.mkfifo(lock)
+        # a child with a timeout, so that an open waiting for a reader fails the test instead of hanging it
+        src = os.path.join(REPO_ROOT, "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = [sys.executable, "-m", "argex.cli", "ingest", "-c", BICKNELL_CONF, "--out-dir", out]
+        result = subprocess.run(argv, cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 2
+        assert f"cannot lock {lock}" in result.stderr
 
     def test_empty_corpus_paths(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -646,6 +724,14 @@ class TestInputBoundary:
         assert f"config {conf} is not UTF-8 text" in err
         assert "Traceback" not in err
 
+    def test_config_with_a_nul_byte_exits_2_naming_its_line(self, tmp_path, capsys):
+        conf = tmp_path / "nul.conf"
+        conf.write_bytes(b"vocab_threshold=3\ncorpus_paths=data/synthetic/corpus\x00bicknell.conll\n")
+        code, _, err = run_cli(capsys, "ingest", "-c", str(conf), "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert f"{conf} line 2: NUL byte" in err
+        assert "Traceback" not in err
+
     def test_out_dir_under_a_regular_file_exits_2_naming_it(self, tmp_path, capsys):
         plain = tmp_path / "plain"
         plain.write_text("not a directory\n", encoding="utf-8")
@@ -653,6 +739,37 @@ class TestInputBoundary:
         code, _, err = run_cli(capsys, "ingest", "-c", BICKNELL_CONF, "--out-dir", out)
         assert code == 2
         assert f"cannot create output directory {out}" in err
+
+    @pytest.mark.parametrize("name, kept", [("deps.space", "window.space"), ("window.space", "deps.space")])
+    def test_a_file_at_a_space_directory_exits_2_naming_it(self, bicknell_out, tmp_path, capsys, name, kept):
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        shutil.rmtree(os.path.join(out, name))
+        plain = pathlib.Path(out, name)
+        plain.write_text("not a directory\n", encoding="utf-8")
+        before = {path.name: path.read_bytes() for path in pathlib.Path(out, kept).iterdir()}
+        code, _, err = run_cli(capsys, "weight", "-c", BICKNELL_CONF, "--out-dir", out)
+        assert code == 2
+        assert f"cannot create output directory {plain}" in err
+        assert "Traceback" not in err
+        # neither space is written
+        assert {path.name: path.read_bytes() for path in pathlib.Path(out, kept).iterdir()} == before
+        assert plain.read_text(encoding="utf-8") == "not a directory\n"
+        assert not os.path.exists(os.path.join(out, ".lock"))
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--task", "bicknell-acc2", "--kind", "deps"),
+        ("sweep",),
+    ])
+    def test_a_file_at_reports_exits_2_naming_it(self, bicknell_out, tmp_path, capsys, argv):
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        plain = pathlib.Path(out, "reports")
+        plain.write_text("not a directory\n", encoding="utf-8")
+        code, stdout, err = run_cli(capsys, *argv, "-c", BICKNELL_CONF, "--out-dir", out)
+        assert (code, stdout) == (2, "")
+        assert f"cannot create output directory {plain}" in err
+        assert "Traceback" not in err
+        assert plain.read_text(encoding="utf-8") == "not a directory\n"
+        assert not os.path.exists(os.path.join(out, ".lock"))
 
     def test_empty_out_dir_flag_is_refused(self, capsys):
         code, out, err = run_cli(capsys, "report", "-c", BICKNELL_CONF, "--out-dir", "")
@@ -775,7 +892,7 @@ class TestImportSet:
             "import sys\n"
             "from argex.cli import main\n"
             f"code = main({argv!r})\n"
-            "print(code, *sorted(name for name in sys.modules if name.startswith('argex.')))\n"
+            "print(code, *sorted(name for name in sys.modules if name.startswith('argex.') or name == 'fcntl'))\n"
         )
         src = os.path.join(REPO_ROOT, "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -784,8 +901,9 @@ class TestImportSet:
         code, *modules = result.stdout.split("\n")[-2].split()
         assert code == "0"
         assert "argex.space" in modules
+        # fillers takes no lock, so it needs no fcntl either
         unused = {"argex.conll", "argex.corpus", "argex.datasets", "argex.evaluation",
-                  "argex.expectation", "argex.stats"}
+                  "argex.expectation", "argex.stats", "fcntl"}
         assert unused.isdisjoint(modules), sorted(unused.intersection(modules))
 
 
@@ -892,6 +1010,69 @@ class TestDamagedArtifacts:
         # informational sidecar and manifest fields (kind, n_dims, ...) are not checked
         is_metadata = name.endswith((".meta", "manifest.txt"))
         assert code in ({0, 2, 4} if is_metadata else {2, 4})
+
+
+# fixture -> (corpus, the task eval runs, the config key of its dataset, the dataset)
+USER_INPUTS = {
+    "bicknell": ("corpus_bicknell.conll", "bicknell-acc2", "bicknell_acc2_path", "bicknell_acc2.tsv"),
+    "chow": ("corpus_chow.conll", "chow", "chow_path", "chow50.tsv"),
+}
+# what is at a path under out_dir before the stages run ("" is out_dir itself)
+OUT_DIR_SHAPES = (("", "dir"), ("", "file"), ("deps.space", "file"), ("reports", "file"), (".lock", "dir"))
+
+
+class TestUserInput:
+    """Any flipped byte or truncation of what the user writes, and odd output directories,
+    end ingest, weight and eval in a documented exit code, never an exception."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        fixture=st.sampled_from(sorted(USER_INPUTS)),
+        victim=st.sampled_from(("config", "corpus", "dataset")),
+        truncate=st.booleans(),
+        shape=st.sampled_from(OUT_DIR_SHAPES),
+        kind=st.sampled_from(("deps", "boa", "bow")),
+        data=st.data(),
+    )
+    def test_no_input_escapes_main(self, fixture, victim, truncate, shape, kind, data):
+        corpus, task, dataset_key, dataset = USER_INPUTS[fixture]
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {
+                "corpus": os.path.join(tmp, corpus),
+                "dataset": os.path.join(tmp, dataset),
+                "config": os.path.join(tmp, "pipeline.conf"),
+            }
+            shutil.copyfile(os.path.join(DATA_DIR, corpus), paths["corpus"])
+            shutil.copyfile(os.path.join(DATA_DIR, dataset), paths["dataset"])
+            with open(paths["config"], "w", encoding="utf-8") as fh:
+                fh.write(f"corpus_paths={paths['corpus']}\nvocab_threshold=3\n{dataset_key}={paths['dataset']}\n")
+            with open(paths[victim], "rb") as fh:
+                raw = bytearray(fh.read())
+            offset = data.draw(st.integers(0, len(raw) - 1), label="offset")
+            if truncate:
+                del raw[offset:]
+            else:
+                raw[offset] ^= data.draw(st.integers(1, 255), label="xor")
+            with open(paths[victim], "wb") as fh:
+                fh.write(raw)
+            out = os.path.join(tmp, "out")
+            rel, what = shape
+            if rel:
+                os.mkdir(out)
+            path = os.path.join(out, rel) if rel else out
+            if what == "dir":
+                os.mkdir(path)
+            else:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write("not a directory\n")
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                codes = [
+                    main([*stage, "-c", paths["config"], "--out-dir", out])
+                    for stage in (("ingest",), ("weight",), ("eval", "--task", task, "--kind", kind))
+                ]
+        assert set(codes) <= {0, 2, 3, 4}, codes
+        assert "Traceback" not in stderr.getvalue()
 
 
 class TestGoldenArtifacts:
