@@ -408,6 +408,8 @@ def _parse_k_list(text: str) -> tuple[int, ...]:
         raise ConfigError(f"--k expects an integer or comma list, got {text!r}") from None
     if not values:
         raise ConfigError("--k list is empty")
+    if min(values) < 1:
+        raise ConfigError(f"--k must be >= 1, got {min(values)}")
     refuse_repeats("--k", values)
     return values
 
@@ -466,7 +468,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             rows.append(row)
         except OSError as exc:
             raise CorpusError(f"cannot read report {path}: {exc}") from None
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ConsistencyError(f"report {path} is damaged: {exc!r}") from None
     if not rows:
         print(f"no reports under {reports_dir}")

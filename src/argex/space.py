@@ -9,9 +9,11 @@ them with a manifest, and ``load_space`` reads them back once their hash
 is verified. The archive stores scores only: every ranking is rebuilt
 from the rows for the dependency slots and from ``arg.tsv`` for the ARG
 slot. A space, built or loaded, reads its own rows and rankings from
-those files. It checks the whole archive on its first read, which a
-load makes at once and a built space on first use, and parses a
-target's row and rankings only when the target is first used.
+those files, in the order the writer writes them: targets increase down
+``rows.tsv`` and ``arg.tsv``, ids within a row, and (relation, filler)
+pairs down ``catalog.tsv``. It checks the whole archive on its first
+read, which a load makes at once and a built space on first use, and
+parses a target's row and rankings only when the target is first used.
 """
 
 from __future__ import annotations
@@ -246,19 +248,19 @@ class WeightedSpace:
     read from ``texts``. The first read of the vocabulary, the catalog, a
     row or a ranking checks the files whole (``_check``), which
     ``load_space`` does at load and a built space on first use. A
-    target's row is parsed from its ``rows.tsv`` block when it is first
-    read, which is where a dimension id repeated within one row is
-    found. A target's rankings are built together when one of them is
-    first read: the dependency slots' from its row through the catalog,
-    ``ARG``'s from its ``arg.tsv`` lines, which hold that ranking whole.
-    ``directory`` only names the files in errors.
+    target's row is parsed from its ``rows.tsv`` block when first read,
+    which is where ids that do not increase and scores that are not
+    positive and finite are found. Its rankings are built together when
+    one of them is first read: the dependency slots' from its row
+    through the catalog, ``ARG``'s from its ``arg.tsv`` block, which
+    holds that ranking whole. ``directory`` only names the files in errors.
     """
 
     # set by _check, which the first read of any of them runs
     vocabulary: frozenset[str]
     catalog: tuple[tuple[str, str], ...]  # (relation, filler) of each dimension id
-    _row_blocks: dict[str, list[tuple[int, int]]]  # each target's block offsets in rows.tsv
-    _arg_blocks: dict[str, list[tuple[int, int]]]  # and in arg.tsv
+    _row_blocks: dict[str, tuple[int, int]]  # each target's block offsets in rows.tsv
+    _arg_blocks: dict[str, tuple[int, int]]  # and in arg.tsv
 
     def __init__(self, texts: Sequence[str], manifest: dict[str, str], directory: str = _BUILT):
         self.texts = texts
@@ -277,9 +279,9 @@ class WeightedSpace:
     def _check(self) -> None:
         """Check the data files whole, and index ``rows.tsv`` and ``arg.tsv`` by target block.
 
-        Every line's layout and token is checked, every dimension id, and
-        the catalog, which is parsed with the vocabulary. Nothing is kept
-        unless every check passes.
+        Every line's layout and token is checked, the order of the targets
+        and of the catalog, and each row's last dimension id against the
+        catalog. Nothing is kept unless every check passes.
         """
         paths = [os.path.join(self.directory, name) for name in _DATA_FILES]
         catalog_path, vocab_path, rows_path, arg_path = paths
@@ -292,14 +294,8 @@ class WeightedSpace:
         _check_column(vocab_path, vocab, check)
         known = frozenset(vocab)
         catalog = _read_catalog(catalog_path, catalog_text, check, known)
-        rows_block = _rows_block(len(catalog))
-        row_blocks, end = _target_blocks(rows_path, rows_text, rows_block, check, known)
+        row_blocks, end = _target_blocks(rows_path, rows_text, _ROWS_BLOCK, check, known, len(catalog))
         if end != len(rows_text):
-            line = _ROWS_LINE.match(rows_text, end)
-            if line is not None:  # the layout holds, so the dimension id is past the catalog
-                raise ConsistencyError(
-                    f"{rows_path}:{_line_of(rows_text, end)}: dimension id {line.group(1)} is not in the catalog"
-                )
             raise _malformed(rows_path, rows_text, end, "target, dimension id, score")
         arg_blocks, end = _target_blocks(arg_path, arg_text, _ARG_BLOCK, check, known)
         if end != len(arg_text):
@@ -312,17 +308,16 @@ class WeightedSpace:
         """The row of ``target``; a target without one has the empty row."""
         row = self._rows.get(target)
         if row is None:
-            blocks = self._row_blocks.get(target)
-            if blocks is None:
+            span = self._row_blocks.get(target)
+            if span is None:
                 return EMPTY_VECTOR
             text = self.texts[2]
-            pairs = [(int(dim), float(score)) for dim, score in _pairs(text, blocks)]
-            try:
-                row = SparseVector.from_pairs(pairs)
-            except ValueError as exc:  # the layout allows only one fault here: a repeated id
-                path = os.path.join(self.directory, _DATA_FILES[2])
-                raise CorpusError(f"{path}:{_first_repeat(text, blocks)}: {exc}") from None
-            self._rows[target] = row
+            dims, scores = zip(*_PAIR.findall(text, *span))
+            ids, scores = tuple(map(int, dims)), tuple(map(float, scores))
+            # the merge and bisect kernels rely on increasing ids
+            if not (all(map(operator.lt, ids, ids[1:])) and 0.0 < min(scores) and max(scores) < math.inf):
+                raise _row_fault(os.path.join(self.directory, _DATA_FILES[2]), text, span[0], ids, scores)
+            row = self._rows[target] = SparseVector(ids, scores)
         return row
 
     def ranking(self, target: str, relation: str) -> tuple[tuple[str, float], ...]:
@@ -339,9 +334,9 @@ class WeightedSpace:
             relation, filler = catalog[dim_id]
             if relation != ARG:
                 groups.setdefault(relation, []).append((filler, score))
-        blocks = self._arg_blocks.get(target)
-        if blocks is not None:
-            groups[ARG] = [(filler, float(score)) for filler, score in _pairs(self.texts[3], blocks)]
+        span = self._arg_blocks.get(target)
+        if span is not None:
+            groups[ARG] = [(filler, float(score)) for filler, score in _PAIR.findall(self.texts[3], *span)]
         return {relation: _ranked(fillers) for relation, fillers in groups.items()}
 
     @property
@@ -460,41 +455,20 @@ def save_space(space: WeightedSpace, directory: str) -> str:
 
 
 # A space checks its data files with a few whole-file regex passes,
-# which check the layout of every line and every token, and the dimension
-# ids. Then rows.tsv and arg.tsv are indexed by target block (a target's
-# consecutive lines), and a block is parsed the first time its target's
-# row or a ranking of it is read.
+# which check the layout of every line and every token, the order of the
+# targets and of the catalog, and each row's last dimension id. Then
+# rows.tsv and arg.tsv are indexed by target block (a target's lines),
+# and a block is parsed when its target's row or a ranking is first read.
 _FIELD = r"[^\t\n]+"
 _SCORE = r"[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?"  # format_score of a non-negative finite float
+_ID = "(0|[1-9][0-9]*)"  # a dimension id, without leading zeros
 _CATALOG_LINES = re.compile(rf"(?:[0-9]+\t{_FIELD}\t{_FIELD}\n)*")
 _CATALOG_LINE = re.compile(rf"^([0-9]+)\t({_FIELD})\t({_FIELD})\n", re.MULTILINE)
-_ROWS_LINE = re.compile(rf"{_FIELD}\t([0-9]+)\t{_SCORE}\n")
+# a repeated group keeps its last repetition: group 3 is the id of the block's last line, if not its first
+_ROWS_BLOCK = re.compile(rf"({_FIELD})\t{_ID}\t{_SCORE}\n(?:\1\t{_ID}\t{_SCORE}\n)*")
 _ARG_BLOCK = re.compile(rf"({_FIELD})\t{_FIELD}\t{_SCORE}\n(?:\1\t{_FIELD}\t{_SCORE}\n)*")
 _MIDDLE = re.compile(rf"\t({_FIELD})\t")  # of each line: the filler
 _PAIR = re.compile(rf"\t({_FIELD})\t({_FIELD})\n")  # of each line: (middle field, score)
-
-
-def _ids_below(n: int) -> str:
-    """A pattern for the decimal renderings of 0 to ``n - 1``, without leading zeros."""
-    if n == 0:
-        return "(?!)"
-    top = str(n - 1)
-    width = len(top)
-    # the numbers of top's width up to top: top's first i digits, then a smaller digit, then any
-    alternatives = [top]
-    for i, digit in enumerate(top):
-        low = 1 if i == 0 and width > 1 else 0
-        if int(digit) > low:
-            alternatives.append(f"{top[:i]}[{low}-{int(digit) - 1}][0-9]{{{width - i - 1}}}")
-    if width > 1:  # and the shorter numbers
-        alternatives += [f"[1-9][0-9]{{0,{width - 2}}}", "0"]
-    return f"(?:{'|'.join(alternatives)})"
-
-
-def _rows_block(n_dims: int) -> re.Pattern:
-    """A target's block of ``rows.tsv`` lines, each with a dimension id below ``n_dims``."""
-    line = rf"\t{_ids_below(n_dims)}\t{_SCORE}\n"
-    return re.compile(rf"({_FIELD}){line}(?:\1{line})*")
 
 
 def _line_of(text: str, offset: int) -> int:
@@ -517,6 +491,7 @@ def _check_column(path: str, column: list[str], check, known: frozenset[str] = f
 
 
 def _read_catalog(path: str, text: str, check, known: frozenset[str]) -> tuple[tuple[str, str], ...]:
+    """The (relation, filler) pair of each dimension id; the pairs must increase down the file."""
     lines = _CATALOG_LINE.findall(text)
     # each match is one whole line: the matches cover the text when there is one per line
     if len(lines) != text.count("\n") or (text and not text.endswith("\n")):
@@ -526,56 +501,54 @@ def _read_catalog(path: str, text: str, check, known: frozenset[str]) -> tuple[t
         first = next(i for i, dim_id in enumerate(ids) if dim_id != str(i))
         raise ConsistencyError(f"{path}:{first + 1}: dimension id {ids[first]} out of sequence")
     dims = tuple(map(operator.itemgetter(1, 2), lines))
-    if len(set(dims)) != len(dims):
-        first_line = dict(zip(reversed(dims), range(len(dims), 0, -1)))
-        line, (relation, filler) = next((i, dim) for i, dim in enumerate(dims, 1) if first_line[dim] != i)
-        raise ConsistencyError(
-            f"{path}:{line}: dimension ({relation}, {filler}) repeats line {first_line[relation, filler]}"
-        )
     _check_column(path, list(map(operator.itemgetter(1), dims)), check, known)
+    if not all(map(operator.lt, dims, dims[1:])):
+        i = next(i for i in range(1, len(dims)) if dims[i - 1] >= dims[i])
+        raise ConsistencyError(f"{path}:{i + 1}: dimension {dims[i]} does not sort after {dims[i - 1]}")
     return dims
 
 
 def _target_blocks(
-    path: str, text: str, block: re.Pattern, check, known: frozenset[str]
-) -> tuple[dict[str, list[tuple[int, int]]], int]:
+    path: str, text: str, block: re.Pattern, check, known: frozenset[str], n_dims: int | None = None
+) -> tuple[dict[str, tuple[int, int]], int]:
     """Each target's block offsets, and the offset where the blocks stop.
 
-    Every target is checked to be a token. The blocks stop at the first
-    line that does not fit ``block``, or at the end of ``text``. A
-    target whose lines are not consecutive has several blocks.
+    The blocks stop at the first line that does not fit ``block``, or at
+    the end of ``text``. Every target is checked to be a token that sorts
+    after the target before it, so each target has one block. With
+    ``n_dims``, each block's last dimension id is checked to be below it.
     """
-    blocks: dict[str, list[tuple[int, int]]] = {}
+    blocks: dict[str, tuple[int, int]] = {}
+    previous = ""
     end = 0
     for match in block.finditer(text):
         if match.start() != end:
             break
-        target = match.group(1)
+        target = match[1]
         if target not in known:
             try:
                 check(target)
             except ValueError as exc:
                 raise CorpusError(f"{path}:{_line_of(text, end)}: {exc}") from None
-        blocks.setdefault(target, []).append(match.span())
-        end = match.end()
+        if target <= previous:
+            raise ConsistencyError(f"{path}:{_line_of(text, end)}: target {target} does not sort after {previous}")
+        blocks[target] = match.span()
+        previous, end = target, match.end()
+        if n_dims is not None and int(match[3] or match[2]) >= n_dims:
+            raise ConsistencyError(
+                f"{path}:{_line_of(text, end - 1)}: dimension id {match[3] or match[2]} is not in the catalog"
+            )
     return blocks, end
 
 
-def _pairs(text: str, blocks: list[tuple[int, int]]) -> list[tuple[str, str]]:
-    """(middle field, score) of each line of ``blocks``, in order."""
-    return [pair for start, end in blocks for pair in _PAIR.findall(text, start, end)]
-
-
-def _first_repeat(text: str, blocks: list[tuple[int, int]]) -> int:
-    """The line of the first dimension id in ``blocks`` that repeats an earlier one there."""
-    seen = set()
-    for start, end in blocks:
-        for match in _PAIR.finditer(text, start, end):
-            dim_id = int(match.group(1))
-            if dim_id in seen:
-                return _line_of(text, match.start())
-            seen.add(dim_id)
-    return _line_of(text, blocks[0][0])
+def _row_fault(path: str, text: str, start: int, ids: tuple[int, ...], scores: tuple[float, ...]):
+    """The error at the first line of the row block at ``start`` whose id
+    does not increase or whose score is not positive and finite."""
+    for line, (previous, dim_id, score) in enumerate(zip((-1, *ids), ids, scores), _line_of(text, start)):
+        if dim_id <= previous:
+            return ConsistencyError(f"{path}:{line}: dimension ids must increase, got {previous} then {dim_id}")
+        if not 0.0 < score < math.inf:
+            return ConsistencyError(f"{path}:{line}: score {score!r} is not positive and finite")
 
 
 def load_space(directory: str) -> WeightedSpace:
@@ -583,9 +556,9 @@ def load_space(directory: str) -> WeightedSpace:
 
     The format version is checked first, then the bytes against the
     manifest, and only then is anything parsed. Every line's layout and
-    token, and every dimension id, is checked here; a target's block is
-    parsed on first use, which is where a duplicate dimension id in one
-    row is found. Any failure names ``path:line``.
+    token, the order of the targets and of the catalog, and each row's
+    last dimension id are checked here; a row's ids and scores when its
+    target is first used. Any failure names ``path:line``.
     """
     manifest = read_sidecar(os.path.join(directory, "manifest.txt"))
     version = manifest.get("format_version")

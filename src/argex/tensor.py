@@ -140,15 +140,20 @@ def make_output_dir(path: str) -> None:
 
 
 def write_bytes_atomic(path: str, data: bytes) -> None:
-    """Write to a temporary name, then rename: ``path`` is never half-written."""
+    """Write to a temporary name, then rename, so ``path`` is never half-written.
+
+    An ``OSError`` doing either, such as a directory at ``path``, is a ``ConfigError``.
+    """
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc}") from None
         raise
 
 

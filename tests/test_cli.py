@@ -307,9 +307,10 @@ class TestStages:
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", crash_at_report)
-        with pytest.raises(OSError):
-            main([*argv, "--dataset", dataset])
+        code, _, err = run_cli(capsys, *argv, "--dataset", dataset)
         monkeypatch.undo()
+        assert code == 2
+        assert f"cannot write {path}: simulated crash" in err
         assert open(path, "rb").read() == previous
         assert not [n for n in os.listdir(os.path.dirname(path)) if n.endswith(".tmp")]
         assert run_cli(capsys, *argv, "--dataset", dataset)[0] == 0
@@ -330,8 +331,9 @@ class TestStages:
             lambda report: report.replace('"k": 10', '"k": true'),
             lambda report: report.replace('"all_ties": false', '"all_ties": "no"'),
             lambda report: "[]",
+            lambda report: "[" * 200000,
         ],
-        ids=["truncated", "accuracy-string", "k-bool", "all-ties-string", "not-an-object"],
+        ids=["truncated", "accuracy-string", "k-bool", "all-ties-string", "not-an-object", "deep-nesting"],
     )
     def test_report_on_damaged_json_exits_4_naming_the_file(self, tmp_path, capsys, edit):
         reports = tmp_path / "reports"
@@ -771,6 +773,34 @@ class TestInputBoundary:
         assert plain.read_text(encoding="utf-8") == "not a directory\n"
         assert not os.path.exists(os.path.join(out, ".lock"))
 
+    @pytest.mark.parametrize("argv, artifact", [
+        (("ingest",), "vocab.tsv"),
+        (("weight",), "deps.space/rows.tsv"),
+        (("sweep",), "reports/bicknell-acc1.deps-sum-k10.json"),
+    ])
+    def test_a_directory_at_an_artifact_file_exits_2_naming_it(self, bicknell_out, tmp_path, capsys, argv, artifact):
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        blocked = pathlib.Path(out, artifact)
+        if blocked.exists():
+            blocked.unlink()
+        blocked.mkdir(parents=True)
+        code, _, err = run_cli(capsys, *argv, "-c", BICKNELL_CONF, "--out-dir", out)
+        assert code == 2
+        assert f"cannot write {blocked}:" in err
+        assert "Traceback" not in err
+        assert blocked.is_dir()
+        assert not [path for path in pathlib.Path(out).rglob("*.tmp")]
+        assert not os.path.exists(os.path.join(out, ".lock"))
+
+    @pytest.mark.parametrize("k", ["0", "10,0"])
+    def test_eval_k_below_1_is_refused_before_any_load(self, tmp_path, capsys, k):
+        out = str(tmp_path / "empty")
+        code, _, err = run_cli(capsys, "eval", "-c", BICKNELL_CONF, "--out-dir", out,
+                               "--task", "bicknell-acc2", "--kind", "deps", "--k", k)
+        assert code == 2
+        assert "--k must be >= 1, got 0" in err
+        assert "loading" not in err
+
     def test_empty_out_dir_flag_is_refused(self, capsys):
         code, out, err = run_cli(capsys, "report", "-c", BICKNELL_CONF, "--out-dir", "")
         assert (code, out) == (2, "")
@@ -1018,7 +1048,9 @@ USER_INPUTS = {
     "chow": ("corpus_chow.conll", "chow", "chow_path", "chow50.tsv"),
 }
 # what is at a path under out_dir before the stages run ("" is out_dir itself)
-OUT_DIR_SHAPES = (("", "dir"), ("", "file"), ("deps.space", "file"), ("reports", "file"), (".lock", "dir"))
+OUT_DIR_SHAPES = (
+    ("", "dir"), ("", "file"), ("deps.space", "file"), ("reports", "file"), (".lock", "dir"), ("vocab.tsv", "dir"),
+)
 
 
 class TestUserInput:

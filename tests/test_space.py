@@ -6,15 +6,15 @@ import math
 import operator
 import os
 import random
-import re
+import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from argex import space as space_module
 from argex.corpus import load_vocabulary
-from argex.errors import ConsistencyError, CorpusError, OutOfVocabularyError
+from argex.errors import ConfigError, ConsistencyError, CorpusError, OutOfVocabularyError
 from argex.space import (
     EMPTY_VECTOR,
     SparseVector,
@@ -266,8 +266,16 @@ def toy_weighted():
 
 def append_verified(directory: str, name: str, line: str) -> None:
     """Append ``line`` to an archive file and re-record the space id, so only parsing can refuse it."""
-    with open(os.path.join(directory, name), "a", encoding="utf-8") as fh:
-        fh.write(line)
+    edit_verified(directory, name, lambda text: text + line)
+
+
+def edit_verified(directory: str, name: str, edit) -> None:
+    """Replace the text of an archive file by ``edit(text)`` and re-record the space id."""
+    path = os.path.join(directory, name)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(edit(text))
     digest = hashlib.sha256()
     for data_file in ("catalog.tsv", "vocab.tsv", "rows.tsv", "arg.tsv"):
         with open(os.path.join(directory, data_file), "rb") as fh:
@@ -411,15 +419,6 @@ class TestSpace:
         with pytest.raises(ConsistencyError, match=f"rows.tsv:{n_rows + 1}: dimension id"):
             load_space(directory)
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 9, 10, 11, 99, 100, 101, 120, 1000, 20345])
-    def test_the_id_pattern_takes_exactly_the_ids_below_the_catalog_size(self, n):
-        pattern = re.compile(space_module._ids_below(n))
-        for dim_id in [*range(min(n + 30, 1100)), n - 1, n, n + 1, 10 * n + 7]:
-            if dim_id >= 0:
-                assert (pattern.fullmatch(str(dim_id)) is not None) == (dim_id < n), dim_id
-        for text in ("00", "01", "007", "", "-1", "+1", "1 "):
-            assert pattern.fullmatch(text) is None, text
-
     @pytest.mark.parametrize(
         "name, line",
         [
@@ -454,21 +453,83 @@ class TestSpace:
         loaded = load_space(directory)
         assert loaded.row("dog-n") == space.row("dog-n")
         for read in (lambda: loaded.row("see-v"), lambda: loaded.ranking("see-v", "sbj")):
-            with pytest.raises(CorpusError, match=f"rows.tsv:{n_rows + 1}: duplicate dimension id"):
+            with pytest.raises(ConsistencyError, match=f"rows.tsv:{n_rows + 1}: dimension ids must increase"):
                 read()
 
-    def test_target_lines_apart_are_read_as_one_row(self, tmp_path):
+    def test_target_lines_apart_are_refused_at_load(self, tmp_path):
         space = toy_space()
         directory = str(tmp_path / "space")
         save_space(space, directory)
-        assert targets(space)[0] == "dog-n"  # the first block: an appended line is a second one
+        n_rows = sum(len(space.row(target)) for target in targets(space))
+        assert targets(space)[0] == "dog-n"  # the first block: an appended line would be a second one
         extra = space.catalog.index(("obj", "bird-n"))
         assert extra not in space.row("dog-n").ids
         append_verified(directory, "rows.tsv", f"dog-n\t{extra}\t2.5\n")
+        with pytest.raises(ConsistencyError, match=f"rows.tsv:{n_rows + 1}: target dog-n does not sort after see-v"):
+            load_space(directory)
+
+    def test_rows_target_out_of_order_is_refused_at_load(self, tmp_path):
+        space = toy_space()
+        directory = str(tmp_path / "space")
+        save_space(space, directory)
+        n_rows = sum(len(space.row(target)) for target in targets(space))
+        assert "cat-n" not in targets(space)
+        append_verified(directory, "rows.tsv", "cat-n\t0\t1\n")
+        with pytest.raises(ConsistencyError, match=f"rows.tsv:{n_rows + 1}: target cat-n does not sort after see-v"):
+            load_space(directory)
+
+    def test_arg_target_out_of_order_is_refused_at_load(self, tmp_path):
+        extra = WeightedTensor(scores={("see-v", ARG, "dog-n"): 0.75})
+        space = build_space(toy_weighted(), ["see-v", "eat-v", "dog-n"], extra_index=extra)
+        directory = str(tmp_path / "space")
+        save_space(space, directory)
+        append_verified(directory, "arg.tsv", "eat-v\tdog-n\t0.5\n")
+        with pytest.raises(ConsistencyError, match="arg.tsv:2: target eat-v does not sort after see-v"):
+            load_space(directory)
+
+    def test_catalog_pair_out_of_order_is_refused_at_load(self, tmp_path):
+        space = toy_space()
+        directory = str(tmp_path / "space")
+        save_space(space, directory)
+        n_dims = len(space.catalog)
+        assert ("obj", "dog-n") not in space.catalog and ("obj", "dog-n") < space.catalog[-1]
+        append_verified(directory, "catalog.tsv", f"{n_dims}\tobj\tdog-n\n")
+        fault = rf"catalog.tsv:{n_dims + 1}: dimension \('obj', 'dog-n'\) does not sort after"
+        with pytest.raises(ConsistencyError, match=fault):
+            load_space(directory)
+
+    # the ids of see-v's last two lines: swapped, and an id outside the catalog that the last line hides
+    @pytest.mark.parametrize("ids", [(2, 1), (99, 2)], ids=["swapped", "hidden-outside-the-catalog"])
+    def test_row_ids_out_of_order_are_refused_when_the_target_is_first_read(self, tmp_path, ids):
+        space = toy_space()
+        directory = str(tmp_path / "space")
+        save_space(space, directory)
+        lines = space.texts[2].splitlines(keepends=True)
+        assert [line.split("\t")[:2] for line in lines[-3:]] == [["see-v", "0"], ["see-v", "1"], ["see-v", "2"]]
+        last_two = "".join(f"see-v\t{dim_id}\t1.5\n" for dim_id in ids)
+        edit_verified(directory, "rows.tsv", lambda text: "".join(lines[:-2]) + last_two)
         loaded = load_space(directory)
-        assert dict(loaded.row("dog-n").items()) == {**dict(space.row("dog-n").items()), extra: 2.5}
-        assert loaded.ranking("dog-n", "obj") == (("bird-n", 2.5),)
-        assert loaded.ranking("dog-n", "sbj_inv") == space.ranking("dog-n", "sbj_inv")
+        assert loaded.row("dog-n") == space.row("dog-n")
+        fault = f"rows.tsv:{len(lines)}: dimension ids must increase, got {ids[0]} then {ids[1]}"
+        for read in (lambda: loaded.row("see-v"), lambda: loaded.ranking("see-v", "sbj")):
+            with pytest.raises(ConsistencyError, match=fault):
+                read()
+
+    @pytest.mark.parametrize("score", ["0", "0.0", "1e-400", "1e+400"])
+    def test_a_row_score_that_is_not_positive_and_finite_is_refused_when_the_target_is_first_read(
+        self, tmp_path, score
+    ):
+        space = toy_space()
+        directory = str(tmp_path / "space")
+        save_space(space, directory)
+        lines = space.texts[2].splitlines(keepends=True)
+        assert lines[-1].startswith("see-v\t2\t")
+        edit_verified(directory, "rows.tsv", lambda text: "".join(lines[:-1]) + f"see-v\t2\t{score}\n")
+        loaded = load_space(directory)
+        assert loaded.row("eat-v") == space.row("eat-v")
+        for read in (lambda: loaded.row("see-v"), lambda: loaded.ranking("see-v", "sbj")):
+            with pytest.raises(ConsistencyError, match=f"rows.tsv:{len(lines)}: score .* is not positive and finite"):
+                read()
 
     def test_extra_index_holds_arg_rankings_only(self):
         # arg.tsv stores the ARG slot alone; any other extra slot would not survive a save
@@ -589,7 +650,7 @@ class TestSpace:
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", crash_at)
-        with pytest.raises(OSError):
+        with pytest.raises(ConfigError, match=f"cannot write .*{failing}: simulated crash"):
             save_space(new, directory)
         monkeypatch.undo()
         assert not [name for name in os.listdir(directory) if name.endswith(".tmp")]
@@ -605,6 +666,69 @@ class TestSpace:
         assert space.manifest["format_version"] == "2"
         assert space.manifest["n_targets"] == str(len(targets(space)))
         assert space.manifest["n_dims"] == str(len(space.catalog))
+
+
+# lemmas with hyphens and non-ASCII letters, and any other string a lemma may be
+LEMMAS = st.one_of(
+    st.sampled_from(["a", "a-b-c", "x-ray", "-", "café", "straße", "ärger", "東京"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4).filter(
+        lambda lemma: not any(char.isspace() for char in lemma)
+    ),
+)
+TOKENS = st.builds("{}-{}".format, LEMMAS, st.sampled_from(["n", "v"]))
+RELATIONS = st.sampled_from(["sbj", "obj", "sbj_inv", "nmod:über", "VERB", ARG])
+# zeros, which the writer drops, subnormals and scores written with an exponent
+SCORES = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e300, allow_nan=False))
+
+
+@st.composite
+def weighted_scores(draw):
+    """(scores, ``extra_index`` scores, vocabulary) over a few tokens, so that a row can hold many ids."""
+    tokens = draw(st.lists(TOKENS, min_size=1, max_size=8, unique=True))
+    token = st.sampled_from(tokens)
+    scores = draw(st.dictionaries(st.tuples(token, RELATIONS, token), SCORES, max_size=60))
+    extra_scores = draw(st.dictionaries(st.tuples(token, st.just(ARG), token), SCORES, max_size=10))
+    return scores, extra_scores, tokens
+
+
+def _reference_rankings(scores, extra_scores):
+    """Each (target, relation)'s fillers straight from the weighted scores, score descending, then filler."""
+    groups = {}
+    for (target, relation, filler), score in [*scores.items(), *extra_scores.items()]:
+        if score > 0:
+            groups.setdefault((target, relation), []).append((filler, score))
+    return {key: tuple(sorted(fillers, key=lambda pair: (-pair[1], pair[0]))) for key, fillers in groups.items()}
+
+
+class TestWriterOrder:
+    """The reader accepts every archive the writer writes, and reads back what was weighted."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=weighted_scores())
+    # and a row whose ids run past one digit
+    @example(drawn=({("see-v", "sbj", f"f{i}-n"): 1.0 + i for i in range(12)}, {}, ["see-v"]))
+    def test_a_saved_space_loads_as_it_was_weighted(self, drawn):
+        scores, extra_scores, tokens = drawn
+        built = build_space(WeightedTensor(scores=scores), tokens, extra_index=WeightedTensor(scores=extra_scores))
+        with tempfile.TemporaryDirectory() as directory:
+            save_space(built, directory)
+            for name, text in zip(("catalog.tsv", "vocab.tsv", "rows.tsv", "arg.tsv"), built.texts):
+                with open(os.path.join(directory, name), "rb") as fh:
+                    assert fh.read() == text.encode("utf-8"), name
+            loaded = load_space(directory)
+        kept = {key: score for key, score in scores.items() if score > 0}
+        catalog = sorted({(relation, filler) for _, relation, filler in kept})
+        assert loaded.catalog == built.catalog == tuple(catalog)
+        dim_id = {dim: i for i, dim in enumerate(catalog)}
+        expected = _reference_rankings(scores, extra_scores)
+        for target in tokens:
+            row = SparseVector.from_pairs(
+                (dim_id[relation, filler], score) for (t, relation, filler), score in kept.items() if t == target
+            )
+            assert loaded.row(target) == built.row(target) == row
+            for relation in {relation for relation, _ in catalog} | {ARG}:
+                ranking = expected.get((target, relation), ())
+                assert loaded.ranking(target, relation) == built.ranking(target, relation) == ranking
 
 
 def bad_artifact(load, name: str, body: str):

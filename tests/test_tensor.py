@@ -1,6 +1,6 @@
 import pytest
 
-from argex.errors import ConsistencyError, CorpusError
+from argex.errors import ConfigError, ConsistencyError, CorpusError
 import os
 
 from argex.tensor import (
@@ -177,7 +177,7 @@ class TestArtifactIO:
             raise OSError("simulated crash before rename")
 
         monkeypatch.setattr(os, "replace", crash)
-        with pytest.raises(OSError):
+        with pytest.raises(ConfigError, match=f"cannot write {path}: simulated crash"):
             bigger.save(path)
         monkeypatch.undo()
         assert sorted(os.listdir(tmp_path)) == ["t.tsv", "t.tsv.meta"]
@@ -197,7 +197,7 @@ class TestArtifactIO:
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", replace_body_only)
-        with pytest.raises(OSError):
+        with pytest.raises(ConfigError, match=f"cannot write {path}.meta: simulated crash"):
             bigger.save(path)
         monkeypatch.undo()
         with pytest.raises(ConsistencyError):
