@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import itertools
 import os
 import sys
@@ -267,6 +268,9 @@ def _load_space_checked(config: PipelineConfig, which: str) -> WeightedSpace:
     _require_artifact(directory, "weight")
     space = load_space(directory)
     _require_stamp(directory, space.manifest.get("space_hash"), space_hash(config), "weight")
+    kind, recorded = "dependency" if which == "deps" else "window", space.manifest.get("kind")
+    if recorded != kind:
+        raise ConsistencyError(f"space archive {directory} is of kind {recorded!r}, expected {kind!r}")
     return space
 
 
@@ -555,5 +559,18 @@ def main(argv=None) -> int:
         return 4
 
 
+def entry() -> None:
+    """The process entry of ``argex`` and ``python -m argex.cli``: exit with ``main``'s code.
+
+    The heap is frozen on the way out, so the interpreter's collections
+    at shutdown skip the objects the run made, which the exit drops
+    anyway. A ``main(argv)`` called in process leaves the GC as it was.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

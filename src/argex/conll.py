@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import bisect
 import io
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CorpusError
 from .tokens import Memo, normalize
 
 
-@dataclass(frozen=True)
-class ColumnConfig:
+class ColumnConfig(NamedTuple):
     """0-based field indices into a CoNLL row."""
 
     form: int
@@ -63,14 +61,23 @@ class SentenceRecord(NamedTuple):
     arcs: list[DependencyArc]
 
 
-@dataclass
 class ParseStats:
-    sentences: int = 0
-    rows: int = 0
-    malformed_rows: int = 0
-    arcs: int = 0
-    dropped_arcs: int = 0  # arcs with an endpoint outside the noun/verb universe or on a short row
-    files: list[str] = field(default_factory=list)
+    """Counters the parser adds to as it reads, and the files it opened."""
+
+    __slots__ = ("sentences", "rows", "malformed_rows", "arcs", "dropped_arcs", "files")
+
+    def __init__(
+        self,
+        sentences: int = 0,
+        rows: int = 0,
+        malformed_rows: int = 0,
+        arcs: int = 0,
+        dropped_arcs: int = 0,  # arcs with an endpoint outside the noun/verb universe or on a short row
+        files: list[str] | None = None,
+    ):
+        self.sentences, self.rows, self.malformed_rows = sentences, rows, malformed_rows
+        self.arcs, self.dropped_arcs = arcs, dropped_arcs
+        self.files = [] if files is None else files
 
 
 def _head_index(field_: str) -> int | None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import CorpusError
@@ -23,22 +22,17 @@ if TYPE_CHECKING:  # `argex weight` reads a vocabulary without the parser
 VERB_LINK_INV = inverse(VERB_LINK)
 
 
-@dataclass
 class Vocabulary:
     """Noun/verb tokens (canonical strings) whose corpus frequency clears the threshold."""
 
-    frequency: dict[str, int]
-    threshold: int
-    inclusive: bool
-    entries: frozenset[str] = field(init=False)
+    __slots__ = ("frequency", "threshold", "inclusive", "entries")
 
-    def __post_init__(self):
-        if self.threshold < 1:
+    def __init__(self, frequency: dict[str, int], threshold: int, inclusive: bool):
+        if threshold < 1:
             raise ValueError("vocabulary threshold must be >= 1")
-        keep = (
-            (lambda n: n >= self.threshold) if self.inclusive else (lambda n: n > self.threshold)
-        )
-        self.entries = frozenset(t for t, n in self.frequency.items() if keep(n))
+        self.frequency, self.threshold, self.inclusive = frequency, threshold, inclusive
+        keep = (lambda n: n >= threshold) if inclusive else (lambda n: n > threshold)
+        self.entries: frozenset[str] = frozenset(t for t, n in frequency.items() if keep(n))
 
     def __contains__(self, token: str) -> bool:
         return token in self.entries

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import functools
 import io
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DatasetError
 from .tokens import NOUN, Token, VERB_POS, parse_canonical
@@ -31,8 +31,7 @@ class BicknellMode(enum.Enum):
     ACC2 = "acc2"  # conditions differ by agent
 
 
-@dataclass(frozen=True)
-class BicknellItem:
+class BicknellItem(NamedTuple):
     """One triple pair; the shared column is stored twice for uniformity."""
 
     item_id: str
@@ -43,8 +42,7 @@ class BicknellItem:
     patient_incongruent: Token
 
 
-@dataclass(frozen=True)
-class ChowItem:
+class ChowItem(NamedTuple):
     item_id: str
     verb: Token
     noun1: Token

@@ -17,8 +17,7 @@ import io
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .config import TASK_BICKNELL_ACC1, TASK_BICKNELL_ACC2, TASK_CHOW
 from .datasets import BicknellItem, BicknellMode, ChowItem
@@ -32,7 +31,7 @@ from .expectation import (
     prefix_prototypes,
 )
 from .space import SparseVector, WeightedSpace, vector_of
-from .stats import ChiSquareTest, RankSumTest, chi_square_vs_chance, wilcoxon_rank_sum
+from .stats import chi_square_vs_chance, wilcoxon_rank_sum
 from .tensor import format_score
 from .tokens import Token
 
@@ -46,8 +45,7 @@ CONDITION_LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class BicknellSlots:
+class BicknellSlots(NamedTuple):
     """Dependency relations the two pair-task inputs are queried through.
 
     With the config's defaults, the agent noun is queried through the
@@ -59,8 +57,7 @@ class BicknellSlots:
     verb: str
 
 
-@dataclass(frozen=True)
-class ChowSlots:
+class ChowSlots(NamedTuple):
     """Inverse relations for the role-reversal inputs.
 
     Nouns are queried for their typical predicates: with the config's
@@ -78,8 +75,7 @@ class Outcome(enum.Enum):
     TIE = "tie"
 
 
-@dataclass(frozen=True)
-class EvalPair:
+class EvalPair(NamedTuple):
     item_id: str
     score_a: float
     score_b: float
@@ -88,29 +84,27 @@ class EvalPair:
     correct: Outcome
 
 
-@dataclass
 class EvalReport:
     """One cell's scored pairs and skipped items, and the counts and tests derived from them."""
 
-    task: str
-    variant: ModelVariant
-    n_items: int
-    n_failed: int
-    pairs: list[EvalPair] = field(default_factory=list)
-    skipped: list[tuple[str, str]] = field(default_factory=list)
-    n_scored: int = field(init=False)
-    n_wins: int = field(init=False)
-    n_ties: int = field(init=False)
-    n_degenerate: int = field(init=False)
-    n_oov_skipped: int = field(init=False)
-    accuracy: float | None = field(init=False)
-    coverage: float | None = field(init=False)
-    all_ties: bool = field(init=False)
-    chi_square: ChiSquareTest | None = field(init=False)
-    wilcoxon: RankSumTest | None = field(init=False)
+    __slots__ = (
+        "task", "variant", "n_items", "n_failed", "pairs", "skipped",
+        "n_scored", "n_wins", "n_ties", "n_degenerate", "n_oov_skipped",
+        "accuracy", "coverage", "all_ties", "chi_square", "wilcoxon",
+    )
 
-    def __post_init__(self):
-        pairs = self.pairs
+    def __init__(
+        self,
+        task: str,
+        variant: ModelVariant,
+        n_items: int,
+        n_failed: int,
+        pairs: list[EvalPair] | None = None,
+        skipped: list[tuple[str, str]] | None = None,
+    ):
+        self.task, self.variant, self.n_items, self.n_failed = task, variant, n_items, n_failed
+        self.pairs = pairs = [] if pairs is None else pairs
+        self.skipped = [] if skipped is None else skipped
         self.n_scored = n_scored = len(pairs)
         self.n_oov_skipped = self.n_items - n_scored - self.n_failed
         self.n_wins = sum(1 for p in pairs if p.correct is Outcome.WIN)
@@ -276,7 +270,11 @@ def _condition_scores(space: WeightedSpace, memo: dict, condition, k_values) -> 
     """Per k, the (SUM, MULT) cosines of one (inputs, candidate) condition.
 
     ``memo`` holds the leaf snapshots by query, the composed norms by
-    input pair and the scores by condition.
+    input pair and the scores by condition. The three kinds of key are
+    tuples nested to different depths, so no two of different kinds
+    compare equal: the first field of a query (Token, slot) is a Token,
+    of an input pair (query, query) a query, and of a condition (input
+    pair, candidate) an input pair.
     """
     scores = memo.get(condition)
     if scores is None:

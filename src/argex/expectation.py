@@ -9,8 +9,7 @@ scored by cosine against the combined expectation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .config import Composition, VariantKind
 from .errors import ConfigError, EmptyPrototypeError, OutOfVocabularyError, SpaceMismatchError
@@ -28,15 +27,26 @@ from .space import (
 from .tokens import ARG, Token, WINDOW
 
 
-@dataclass(frozen=True)
-class ModelVariant:
+class _Variant(NamedTuple):
     kind: VariantKind
     k: int
     composition: Composition
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
+
+class ModelVariant(_Variant):
+    """One model: an immutable tuple whose k is checked whenever one
+    is made, ``_make`` and ``_replace`` included."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: VariantKind, k: int, composition: Composition):
+        if k < 1:
+            raise ConfigError(f"k must be >= 1, got {k}")
+        return super().__new__(cls, kind, k, composition)
+
+    @classmethod
+    def _make(cls, iterable) -> "ModelVariant":
+        return cls(*iterable)
 
     @property
     def label(self) -> str:
@@ -56,8 +66,7 @@ def map_slot(kind: VariantKind, slot: str) -> str:
     return slot
 
 
-@dataclass(frozen=True)
-class SlotQuery:
+class SlotQuery(NamedTuple):
     input: Token
     slot: str
 
@@ -65,8 +74,7 @@ class SlotQuery:
         return f"({self.input.canonical}, {self.slot})"
 
 
-@dataclass(frozen=True)
-class Prototype:
+class Prototype(NamedTuple):
     """An expectation vector and the space it was built in."""
 
     vector: SparseVector

@@ -253,7 +253,8 @@ class WeightedSpace:
     positive and finite are found. Its rankings are built together when
     one of them is first read: the dependency slots' from its row
     through the catalog, ``ARG``'s from its ``arg.tsv`` block, which
-    holds that ranking whole. ``directory`` only names the files in errors.
+    holds that ranking whole and whose scores get the row's check.
+    ``directory`` only names the files in errors.
     """
 
     # set by _check, which the first read of any of them runs
@@ -336,7 +337,13 @@ class WeightedSpace:
                 groups.setdefault(relation, []).append((filler, score))
         span = self._arg_blocks.get(target)
         if span is not None:
-            groups[ARG] = [(filler, float(score)) for filler, score in _PAIR.findall(self.texts[3], *span)]
+            text = self.texts[3]
+            fillers, scores = zip(*_PAIR.findall(text, *span))
+            scores = tuple(map(float, scores))
+            if not (0.0 < min(scores) and max(scores) < math.inf):
+                path = os.path.join(self.directory, _DATA_FILES[3])
+                raise _row_fault(path, text, span[0], tuple(range(len(scores))), scores)
+            groups[ARG] = list(zip(fillers, scores))
         return {relation: _ranked(fillers) for relation, fillers in groups.items()}
 
     @property
@@ -542,8 +549,9 @@ def _target_blocks(
 
 
 def _row_fault(path: str, text: str, start: int, ids: tuple[int, ...], scores: tuple[float, ...]):
-    """The error at the first line of the row block at ``start`` whose id
-    does not increase or whose score is not positive and finite."""
+    """The error at the first line of the block at ``start`` whose id does
+    not increase or whose score is not positive and finite; an ``arg.tsv``
+    block passes its line positions as ids."""
     for line, (previous, dim_id, score) in enumerate(zip((-1, *ids), ids, scores), _line_of(text, start)):
         if dim_id <= previous:
             return ConsistencyError(f"{path}:{line}: dimension ids must increase, got {previous} then {dim_id}")
@@ -556,9 +564,10 @@ def load_space(directory: str) -> WeightedSpace:
 
     The format version is checked first, then the bytes against the
     manifest, and only then is anything parsed. Every line's layout and
-    token, the order of the targets and of the catalog, and each row's
-    last dimension id are checked here; a row's ids and scores when its
-    target is first used. Any failure names ``path:line``.
+    token, the order of the targets and of the catalog, each row's last
+    dimension id and the manifest's counts are checked here; a row's ids
+    and scores, and its ``ARG`` scores, when its target is first used.
+    Any failure names ``path:line`` or the manifest.
     """
     manifest = read_sidecar(os.path.join(directory, "manifest.txt"))
     version = manifest.get("format_version")
@@ -580,4 +589,10 @@ def load_space(directory: str) -> WeightedSpace:
     del bodies
     space = WeightedSpace(texts, manifest, directory)
     space._check()
+    # space_id covers the data files only: the manifest's counts are read back against them
+    held = {"n_targets": len(space._row_blocks), "n_dims": len(space.catalog), "n_vocab": len(space.vocabulary)}
+    for key, count in held.items():
+        if manifest.get(key) != str(count):
+            path = os.path.join(directory, "manifest.txt")
+            raise ConsistencyError(f"{path}: {key} is {manifest.get(key)}, the archive holds {count}")
     return space

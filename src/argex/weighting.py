@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import ConsistencyError, UndefinedModelError
@@ -32,12 +31,14 @@ def lmi(observed: int, expected: float) -> float:
     return math.log(observed / expected) * observed
 
 
-@dataclass
 class WeightedTensor:
     """Positive-LMI scores per triple, plus provenance of the source counts."""
 
-    scores: dict[Triple, float] = field(default_factory=dict)
-    source_hash: str = ""
+    __slots__ = ("scores", "source_hash")
+
+    def __init__(self, scores: dict[Triple, float] | None = None, source_hash: str = ""):
+        self.scores = {} if scores is None else scores
+        self.source_hash = source_hash
 
     def __len__(self) -> int:
         return len(self.scores)

@@ -2,6 +2,7 @@
 
 import contextlib
 import fcntl
+import gc
 import hashlib
 import importlib.util
 import io
@@ -516,6 +517,41 @@ class TestGuards:
         assert os.path.join(out, "deps.space") in err
         assert "re-run `argex weight`" in err
 
+    @pytest.mark.parametrize("argv, read, kind", [
+        (FILLERS_DEPS, "deps.space", "dependency"),
+        (FILLERS_WINDOW, "window.space", "window"),
+        (("eval", "--task", "bicknell-acc1", "--kind", "deps", "--k", "10"), "deps.space", "dependency"),
+        (("eval", "--task", "bicknell-acc1", "--kind", "bow", "--k", "10"), "window.space", "window"),
+    ], ids=["fillers-deps", "fillers-window", "eval-deps", "eval-bow"])
+    def test_swapped_spaces_exit_4_naming_the_directory(self, bicknell_out, tmp_path, capsys, argv, read, kind):
+        # both archives carry the same space_hash: only the manifest's kind tells them apart
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        deps, window = os.path.join(out, "deps.space"), os.path.join(out, "window.space")
+        os.rename(deps, deps + ".swap")
+        os.rename(window, deps)
+        os.rename(deps + ".swap", window)
+        code, stdout, err = run_cli(capsys, *argv, "-c", BICKNELL_CONF, "--out-dir", out)
+        other = "window" if kind == "dependency" else "dependency"
+        assert code == 4
+        assert f"space archive {os.path.join(out, read)} is of kind {other!r}, expected {kind!r}" in err
+        assert stdout == ""
+        assert not os.path.exists(os.path.join(out, "reports"))
+
+    @pytest.mark.parametrize("key", ["n_targets", "n_dims", "n_vocab"])
+    def test_a_manifest_count_the_archive_does_not_hold_exits_4_naming_the_manifest(
+        self, bicknell_out, tmp_path, capsys, key
+    ):
+        # space_id covers the data files, not the manifest
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        manifest = os.path.join(out, "deps.space", "manifest.txt")
+        recorded = read_sidecar(manifest)
+        held = int(recorded[key])
+        write_sidecar(manifest, {**recorded, key: str(held + 1)})
+        code, stdout, err = run_cli(capsys, *FILLERS_DEPS, "-c", BICKNELL_CONF, "--out-dir", out)
+        assert code == 4
+        assert f"{manifest}: {key} is {held + 1}, the archive holds {held}" in err
+        assert stdout == ""
+
     def test_locked_directory_refused_and_lock_kept(self, tmp_path, capsys):
         out = str(tmp_path)
         lock = os.path.join(out, ".lock")
@@ -938,17 +974,101 @@ class TestImportSet:
 
 
     def test_core_modules_import_neither_dataclasses_nor_inspect(self):
-        # a child process: pytest has imported both already
+        # every argex module, in a child process: pytest has imported both already
+        modules = sorted(name[:-3] for name in os.listdir(os.path.join(REPO_ROOT, "src", "argex"))
+                         if name.endswith(".py") and name != "__init__.py")
+        assert {"cli", "conll", "corpus", "datasets", "evaluation", "expectation", "space", "weighting"} <= set(modules)
         script = (
-            "import sys\n"
-            "import argex.cli, argex.space\n"
+            "import importlib, sys\n"
+            f"for name in {modules!r}:\n"
+            "    importlib.import_module('argex.' + name)\n"
             "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
         )
-        src = os.path.join(REPO_ROOT, "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        result = subprocess.run([sys.executable, "-c", script], cwd=REPO_ROOT, env=env,
+        result = subprocess.run([sys.executable, "-c", script], cwd=REPO_ROOT, env=child_env(),
                                 capture_output=True, text=True, check=True)
         assert result.stdout == "False False\n"
+
+    def test_no_command_imports_dataclasses_or_inspect(self, tmp_path):
+        out = str(tmp_path / "out")
+        commands = [
+            ["ingest"], ["weight"], ["fillers", "--target", "arrest-v", "--slot", "obj"],
+            ["eval", "--task", "bicknell-acc1", "--kind", "boa", "--k", "10"], ["sweep"], ["report"],
+        ]
+        script = (
+            "import sys\n"
+            "from argex.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            f"    code = main(argv + ['-c', {BICKNELL_CONF!r}, '--out-dir', {out!r}])\n"
+            "    print('after', argv[0], code, 'dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], cwd=REPO_ROOT, env=child_env(),
+                                capture_output=True, text=True, check=True)
+        after = [line for line in result.stdout.splitlines() if line.startswith("after ")]
+        assert after == [f"after {argv[0]} 0 False False" for argv in commands]
+
+
+def child_env() -> dict[str, str]:
+    src = os.path.join(REPO_ROOT, "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+class TestProcessEntry:
+    """``python -m argex.cli`` and the ``argex`` script freeze the heap as they exit; ``main`` does not."""
+
+    def test_main_in_process_leaves_the_gc_as_it_was(self, bicknell_out, capsys):
+        before = (gc.isenabled(), gc.get_freeze_count())
+        for argv in (FILLERS_DEPS, ("fillers", "--target", "zzzz-n", "--slot", "obj"), ("report",)):
+            run_cli(capsys, *argv, "-c", BICKNELL_CONF, "--out-dir", bicknell_out)
+            assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    def test_the_console_script_is_the_entry(self):
+        with open(os.path.join(REPO_ROOT, "pyproject.toml"), encoding="utf-8") as fh:
+            assert 'argex = "argex.cli:entry"' in fh.read().splitlines()
+
+    @pytest.mark.parametrize("run", [
+        "import runpy; runpy.run_module('argex.cli', run_name='__main__')",
+        "from argex.cli import entry; entry()",
+    ], ids=["python-m", "console-script"])
+    def test_each_entry_freezes_the_heap_on_the_way_out(self, bicknell_out, run):
+        # atexit handlers run after the entry has returned its code
+        argv = ["argex", *FILLERS_DEPS, "-c", BICKNELL_CONF, "--out-dir", bicknell_out]
+        script = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, gc.isenabled(), file=sys.stderr))\n"
+            f"sys.argv = {argv!r}\n"
+            f"{run}\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], cwd=REPO_ROOT, env=child_env(),
+                                capture_output=True, text=True)
+        assert result.returncode == 0
+        assert result.stdout.startswith("arrest-v/obj: ")
+        assert result.stderr.endswith("frozen True True\n")
+
+    @pytest.mark.parametrize("argv, code", [
+        (("report", "-c", BICKNELL_CONF), 0),
+        (("report", "-c", "no-such.conf"), 2),
+        (("fillers", "-c", BICKNELL_CONF, "--target", "zzzz-n", "--slot", "WINDOW"), 3),
+        (("fillers", "-c", BICKNELL_CONF, "--target", "arrest-v", "--slot", "obj"), 4),
+    ], ids=["0", "2", "3", "4"])
+    def test_a_child_exits_with_the_documented_code(self, bicknell_out, tmp_path, argv, code):
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        manifest = os.path.join(out, "deps.space", "manifest.txt")
+        write_sidecar(manifest, {**read_sidecar(manifest), "kind": "window"})  # exit 4 for the deps space
+        result = subprocess.run([sys.executable, "-m", "argex.cli", *argv, "--out-dir", out], cwd=REPO_ROOT,
+                                env=child_env(), capture_output=True, text=True)
+        assert result.returncode == code, result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_a_reader_on_a_pipe_gets_the_whole_stdout(self, chow_out, tmp_path, capsys):
+        out = copy_artifacts(chow_out, str(tmp_path / "out"))
+        argv = ["sweep", "-c", CHOW_CONF, "--out-dir", out]
+        child = subprocess.Popen([sys.executable, "-m", "argex.cli", *argv], cwd=REPO_ROOT, env=child_env(),
+                                 stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        piped = b"".join(iter(lambda: child.stdout.read(7), b""))
+        assert child.wait() == 0
+        code, in_process, _ = run_cli(capsys, *argv)
+        assert code == 0 and in_process.count("\n") == 30
+        assert piped.decode("utf-8") == in_process
 
 
 class TestGoldenChecker:

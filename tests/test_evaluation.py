@@ -1,7 +1,6 @@
 """Evaluation bookkeeping: tie policy, skipping, reports, sweeps."""
 
 import csv
-import dataclasses
 import io
 import json
 import random
@@ -143,10 +142,10 @@ class TestRunBicknell:
         # items are scored grouped by leaf; the report keeps dataset order
         items = list(acc2)
         # copies that share leaves with the originals, scattered among them
-        items += [dataclasses.replace(it, item_id=f"{it.item_id}-copy") for it in acc2]
+        items += [it._replace(item_id=f"{it.item_id}-copy") for it in acc2]
         # one OOV item and one whose agent (a verb) has no VERB-link fillers
-        items.append(dataclasses.replace(acc2[3], item_id="ghost", patient_congruent=Token("zzz", "n")))
-        items.append(dataclasses.replace(acc2[5], item_id="verbal", agent_congruent=acc2[0].verb))
+        items.append(acc2[3]._replace(item_id="ghost", patient_congruent=Token("zzz", "n")))
+        items.append(acc2[5]._replace(item_id="verbal", agent_congruent=acc2[0].verb))
         random.Random(11).shuffle(items)
         report = run_bicknell(deps_space, DEPS_SUM, items, BicknellMode.ACC2, BICKNELL_SLOTS)
         reasons = dict(report.skipped)
@@ -293,7 +292,7 @@ class TestSerialization:
     def test_per_item_csv_reads_back_ids_with_commas_and_quotes(self, chow_setup):
         deps_space, _, items = chow_setup
         odd_ids = {0: "c,1", 1: 'say "hi"', 2: '"', 3: ","}
-        renamed = [dataclasses.replace(item, item_id=odd_ids.get(i, item.item_id)) for i, item in enumerate(items)]
+        renamed = [item._replace(item_id=odd_ids.get(i, item.item_id)) for i, item in enumerate(items)]
 
         def csv_of(cell_items):
             grid = evaluate_grid(deps_space, VariantKind.DEPS, cell_items, TASK_CHOW, [Composition.SUM], [20],
@@ -524,8 +523,8 @@ class TestLeafSharing:
         """One call walks each distinct leaf query once, and at every
         walk no leaf is alive that no later kernel call reads."""
         deps_space, _, _, acc2 = bicknell_setup
-        items = list(acc2) + [dataclasses.replace(it, item_id=f"{it.item_id}-copy") for it in acc2]
-        items += [dataclasses.replace(acc2[i], item_id=f"mix{i}", verb=acc2[(i + 3) % len(acc2)].verb)
+        items = list(acc2) + [it._replace(item_id=f"{it.item_id}-copy") for it in acc2]
+        items += [acc2[i]._replace(item_id=f"mix{i}", verb=acc2[(i + 3) % len(acc2)].verb)
                   for i in range(len(acc2))]
         random.Random(3).shuffle(items)
         walks = []  # per prefix_prototypes call: (query, leaves alive just before it)

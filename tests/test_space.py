@@ -531,6 +531,24 @@ class TestSpace:
             with pytest.raises(ConsistencyError, match=f"rows.tsv:{len(lines)}: score .* is not positive and finite"):
                 read()
 
+    @pytest.mark.parametrize("score", ["0", "0.0", "1e-400", "1e+400"])
+    def test_an_arg_score_that_is_not_positive_and_finite_is_refused_when_the_target_is_first_read(
+        self, tmp_path, score
+    ):
+        extra = WeightedTensor(scores={("eat-v", ARG, "cat-n"): 0.5, ("see-v", ARG, "cat-n"): 0.75,
+                                       ("see-v", ARG, "dog-n"): 0.25})
+        space = build_space(toy_weighted(), ["see-v", "eat-v", "dog-n", "cat-n"], extra_index=extra)
+        directory = str(tmp_path / "space")
+        save_space(space, directory)
+        lines = space.texts[3].splitlines(keepends=True)
+        assert lines == ["eat-v\tcat-n\t0.5\n", "see-v\tcat-n\t0.75\n", "see-v\tdog-n\t0.25\n"]
+        edit_verified(directory, "arg.tsv", lambda text: "".join(lines[:-1]) + f"see-v\tdog-n\t{score}\n")
+        loaded = load_space(directory)
+        assert loaded.ranking("eat-v", ARG) == space.ranking("eat-v", ARG)
+        for read in (lambda: loaded.ranking("see-v", ARG), lambda: loaded.ranking("see-v", "sbj")):
+            with pytest.raises(ConsistencyError, match="arg.tsv:3: score .* is not positive and finite"):
+                read()
+
     def test_extra_index_holds_arg_rankings_only(self):
         # arg.tsv stores the ARG slot alone; any other extra slot would not survive a save
         weighted = toy_weighted()
