@@ -283,6 +283,8 @@ def cmd_fillers(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
     slot = args.slot
+    if not slot.strip():
+        raise ConfigError("--slot must be non-empty")
     space = _load_space_checked(config, "window" if slot == WINDOW else "deps")
     if target not in space.vocabulary:
         raise OutOfVocabularyError(target)

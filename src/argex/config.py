@@ -129,8 +129,9 @@ class PipelineConfig(_Settings):
             raise ConfigError("k_values must all be >= 1")
         refuse_repeats("k_values", self.k_values)
         compile_pos_map(self.pos_map)  # validates eagerly
-        if not self.out_dir.strip():
-            raise ConfigError("out_dir must be non-empty")
+        for name in ("bicknell_agent_slot", "bicknell_verb_slot", "chow_agent_slot", "chow_patient_slot", "out_dir"):
+            if not getattr(self, name).strip():
+                raise ConfigError(f"{name} must be non-empty")
 
 
 def refuse_repeats(name: str, values) -> None:

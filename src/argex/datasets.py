@@ -13,7 +13,6 @@ load failures with line numbers, not as silently skewed accuracies.
 from __future__ import annotations
 
 import enum
-import functools
 import io
 from typing import NamedTuple
 
@@ -66,55 +65,43 @@ def _read_rows(path: str, header: str) -> list[tuple[int, list[str]]]:
     return rows
 
 
-def _naming_the_file(load):
-    """Make the errors ``load(path, ...)`` raises at a line read ``PATH line N: ...``."""
-
-    @functools.wraps(load)
-    def named(path: str, *args, **kwargs):
-        try:
-            return load(path, *args, **kwargs)
-        except DatasetError as exc:
-            exc.path = path
-            raise
-
-    return named
+def _fault(path: str, line_no: int, message: str) -> DatasetError:
+    return DatasetError(f"{path} line {line_no}: {message}")
 
 
-def _parse_token(cell: str, pos: str, line_no: int) -> Token:
+def _parse_token(cell: str, pos: str, path: str, line_no: int) -> Token:
     try:
         token = parse_canonical(cell)
     except ValueError as exc:
-        raise DatasetError(str(exc), line_no) from None
+        raise _fault(path, line_no, str(exc)) from None
     if token.pos != pos:
         kind = "verb" if pos == VERB_POS else "noun"
-        raise DatasetError(f"expected a {kind} token, got {cell!r}", line_no)
+        raise _fault(path, line_no, f"expected a {kind} token, got {cell!r}")
     return token
 
 
-def _check_columns(cells: list[str], expected: int, line_no: int) -> None:
+def _check_columns(cells: list[str], expected: int, path: str, line_no: int) -> None:
     if len(cells) != expected:
-        raise DatasetError(
-            f"expected {expected} tab-separated columns, got {len(cells)}", line_no
-        )
+        raise _fault(path, line_no, f"expected {expected} tab-separated columns, got {len(cells)}")
 
 
-def _check_fresh_id(item_id: str, seen: set[str], line_no: int) -> None:
+def _check_fresh_id(item_id: str, seen: set[str], path: str, line_no: int) -> None:
     if not item_id:
-        raise DatasetError("empty item_id", line_no)
+        raise _fault(path, line_no, "empty item_id")
     if item_id in seen:
-        raise DatasetError(f"duplicate item_id {item_id!r}", line_no)
+        raise _fault(path, line_no, f"duplicate item_id {item_id!r}")
     seen.add(item_id)
 
 
-def bicknell_mode_of_header(cells: list[str], line_no: int = 1) -> BicknellMode:
+def bicknell_mode_of_header(cells: list[str]) -> BicknellMode | None:
+    """The pairing mode a header names; ``None`` for a header of neither format."""
     if tuple(cells) == BICKNELL_ACC1_HEADER:
         return BicknellMode.ACC1
     if tuple(cells) == BICKNELL_ACC2_HEADER:
         return BicknellMode.ACC2
-    raise DatasetError(f"unrecognized header; expected {_BICKNELL_HEADERS}", line_no)
+    return None
 
 
-@_naming_the_file
 def load_bicknell(path: str, mode: BicknellMode | None = None) -> list[BicknellItem]:
     """Load triple pairs; the pairing mode is inferred from the header.
 
@@ -123,49 +110,48 @@ def load_bicknell(path: str, mode: BicknellMode | None = None) -> list[BicknellI
     """
     rows = _read_rows(path, _BICKNELL_HEADERS)
     header_line, header = rows[0]
-    inferred = bicknell_mode_of_header(header, header_line)
+    inferred = bicknell_mode_of_header(header)
+    if inferred is None:
+        raise _fault(path, header_line, f"unrecognized header; expected {_BICKNELL_HEADERS}")
     if mode is not None and mode is not inferred:
-        raise DatasetError(
-            f"header is {inferred.value} format but {mode.value} was requested", header_line
-        )
+        raise _fault(path, header_line, f"header is {inferred.value} format but {mode.value} was requested")
     items: list[BicknellItem] = []
     seen: set[str] = set()
     for line_no, cells in rows[1:]:
-        _check_columns(cells, 5, line_no)
-        _check_fresh_id(cells[0], seen, line_no)
+        _check_columns(cells, 5, path, line_no)
+        _check_fresh_id(cells[0], seen, path, line_no)
         if inferred is BicknellMode.ACC1:
-            agent = _parse_token(cells[1], NOUN, line_no)
-            verb = _parse_token(cells[2], VERB_POS, line_no)
-            patient_c = _parse_token(cells[3], NOUN, line_no)
-            patient_i = _parse_token(cells[4], NOUN, line_no)
+            agent = _parse_token(cells[1], NOUN, path, line_no)
+            verb = _parse_token(cells[2], VERB_POS, path, line_no)
+            patient_c = _parse_token(cells[3], NOUN, path, line_no)
+            patient_i = _parse_token(cells[4], NOUN, path, line_no)
             if patient_c == patient_i:
-                raise DatasetError("conditions are identical (same patient twice)", line_no)
+                raise _fault(path, line_no, "conditions are identical (same patient twice)")
             items.append(BicknellItem(cells[0], agent, agent, verb, patient_c, patient_i))
         else:
-            agent_c = _parse_token(cells[1], NOUN, line_no)
-            agent_i = _parse_token(cells[2], NOUN, line_no)
-            verb = _parse_token(cells[3], VERB_POS, line_no)
-            patient = _parse_token(cells[4], NOUN, line_no)
+            agent_c = _parse_token(cells[1], NOUN, path, line_no)
+            agent_i = _parse_token(cells[2], NOUN, path, line_no)
+            verb = _parse_token(cells[3], VERB_POS, path, line_no)
+            patient = _parse_token(cells[4], NOUN, path, line_no)
             if agent_c == agent_i:
-                raise DatasetError("conditions are identical (same agent twice)", line_no)
+                raise _fault(path, line_no, "conditions are identical (same agent twice)")
             items.append(BicknellItem(cells[0], agent_c, agent_i, verb, patient, patient))
     return items
 
 
-@_naming_the_file
 def load_chow(path: str) -> list[ChowItem]:
     """Load role-reversal items: a verb and its two argument nouns."""
     rows = _read_rows(path, " ".join(CHOW_HEADER))
     header_line, header = rows[0]
     if tuple(header) != CHOW_HEADER:
-        raise DatasetError(f"unrecognized header; expected {' '.join(CHOW_HEADER)}", header_line)
+        raise _fault(path, header_line, f"unrecognized header; expected {' '.join(CHOW_HEADER)}")
     items: list[ChowItem] = []
     seen: set[str] = set()
     for line_no, cells in rows[1:]:
-        _check_columns(cells, 4, line_no)
-        _check_fresh_id(cells[0], seen, line_no)
-        verb = _parse_token(cells[1], VERB_POS, line_no)
-        noun1 = _parse_token(cells[2], NOUN, line_no)
-        noun2 = _parse_token(cells[3], NOUN, line_no)
+        _check_columns(cells, 4, path, line_no)
+        _check_fresh_id(cells[0], seen, path, line_no)
+        verb = _parse_token(cells[1], VERB_POS, path, line_no)
+        noun1 = _parse_token(cells[2], NOUN, path, line_no)
+        noun2 = _parse_token(cells[3], NOUN, path, line_no)
         items.append(ChowItem(cells[0], verb, noun1, noun2))
     return items

@@ -14,23 +14,7 @@ class CorpusError(ArgexError):
 
 
 class DatasetError(ArgexError):
-    """Malformed evaluation dataset file.
-
-    An error at a line reads ``line N: ...``, or ``PATH line N: ...`` once
-    the loader that read the file has set ``path``.
-    """
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line
-        self.path: str | None = None
-
-    def __str__(self) -> str:
-        message = super().__str__()
-        if self.line is None:
-            return message
-        where = f"line {self.line}" if self.path is None else f"{self.path} line {self.line}"
-        return f"{where}: {message}"
+    """Malformed evaluation dataset file; an error at a line reads ``PATH line N: ...``."""
 
 
 class UndefinedModelError(ArgexError):

@@ -176,12 +176,13 @@ def _chow_conditions(items: Sequence[ChowItem], kind: VariantKind, slots: ChowSl
 #
 # The grid never builds a composed vector. Its norms and its dot with a
 # candidate are folded straight from the two leaf prototypes, with the
-# same floating-point operations in the same order as ``add_vectors`` or
-# ``multiply_vectors``, then ``SparseVector.norm`` and ``cosine``: each
-# coordinate gets its single add or multiply, and every sum is a left
-# fold in increasing dimension order. The only extra terms are +0.0,
-# where ``multiply_vectors`` drops a product that underflows to zero;
-# adding +0.0 to a non-negative sum changes no bit.
+# same floating-point operations in the same order as ``sum_vectors([a,
+# b])`` or ``multiply_vectors(a, b)``, then ``SparseVector.norm`` and
+# ``cosine``: each coordinate gets its single add or multiply (the sum's
+# first add, 0.0 + s, is s itself), and every sum is a left fold in
+# increasing dimension order. The only extra terms are +0.0, where
+# ``multiply_vectors`` drops a product that underflows to zero; adding
+# +0.0 to a non-negative sum changes no bit.
 
 
 def _composed_norms(a: SparseVector, b: SparseVector) -> tuple[float, float]:
@@ -314,7 +315,8 @@ def evaluate_grid(
     and the product, and for each distinct condition one walk over the
     candidate's row gives both dots. No composed vector is built. Pairs
     and skip reasons come back in dataset order, and the results equal
-    ``expectation_update`` run from scratch for every cell, bit for bit.
+    the per-cell path run from scratch, bit for bit: ``build_prototype``
+    per input, ``compose`` and ``score_filler``.
 
     ``index`` overrides the ranking source; vectors always come from
     ``space``.

@@ -18,7 +18,6 @@ from .space import (
     SparseVector,
     VectorSum,
     WeightedSpace,
-    add_vectors,
     cosine,
     multiply_vectors,
     sum_vectors,
@@ -152,19 +151,17 @@ def prefix_prototypes(
     return out
 
 
-def compose_vectors(a: SparseVector, b: SparseVector, op: Composition) -> SparseVector:
-    if op is Composition.SUM:
-        return add_vectors(a, b)
-    return multiply_vectors(a, b)
-
-
 def compose(p1: Prototype, p2: Prototype, op: Composition) -> Prototype:
     if p1.space_id != p2.space_id:
         raise SpaceMismatchError(
             f"cannot compose prototypes from different spaces "
             f"({p1.space_id[:12]}.. vs {p2.space_id[:12]}..)"
         )
-    return Prototype(vector=compose_vectors(p1.vector, p2.vector, op), space_id=p1.space_id)
+    if op is Composition.SUM:
+        vector = sum_vectors([p1.vector, p2.vector])
+    else:
+        vector = multiply_vectors(p1.vector, p2.vector)
+    return Prototype(vector=vector, space_id=p1.space_id)
 
 
 def score_filler(space: WeightedSpace, composed: Prototype, candidate: Token) -> CosineResult:
@@ -172,23 +169,3 @@ def score_filler(space: WeightedSpace, composed: Prototype, candidate: Token) ->
     if composed.space_id != space.space_id:
         raise SpaceMismatchError("prototype was built in a different space")
     return cosine(vector_of(space, candidate.canonical), composed.vector)
-
-
-def expectation_update(
-    space: WeightedSpace,
-    variant: ModelVariant,
-    inputs: Sequence[SlotQuery],
-    candidate: Token,
-    index=None,
-) -> CosineResult:
-    """Build one prototype per input, left-fold compose, score the candidate.
-
-    The from-scratch reference that the grid's scores are checked against.
-    """
-    if not inputs:
-        raise ConfigError("expectation_update needs at least one input query")
-    prototypes = [build_prototype(space, variant, q, index=index) for q in inputs]
-    combined = prototypes[0]
-    for nxt in prototypes[1:]:
-        combined = compose(combined, nxt, variant.composition)
-    return score_filler(space, combined, candidate)

@@ -88,21 +88,6 @@ class SparseVector:
     def __repr__(self) -> str:
         return f"SparseVector(ids={self.ids!r}, scores={self.scores!r}, norm={self.norm!r})"
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "SparseVector":
-        """Build from unordered pairs; zero scores are dropped as absent."""
-        kept = []
-        for dim, score in pairs:
-            if score < 0:
-                raise ValueError(f"negative score for dimension {dim}")
-            if score > 0:
-                kept.append((dim, score))
-        kept.sort()
-        ids = tuple(dim for dim, _ in kept)
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate dimension ids")
-        return cls(ids, tuple(score for _, score in kept))
-
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -178,35 +163,6 @@ def sum_vectors(vectors: Iterable[SparseVector]) -> SparseVector:
     for vector in vectors:
         total.add(vector)
     return total.snapshot()
-
-
-def add_vectors(a: SparseVector, b: SparseVector) -> SparseVector:
-    """``sum_vectors([a, b])`` by a merge of the two sorted supports."""
-    a_ids, a_scores, b_ids, b_scores = a.ids, a.scores, b.ids, b.scores
-    n_a, n_b = len(a_ids), len(b_ids)
-    ids: list[int] = []
-    scores: list[float] = []
-    i = j = 0
-    while i < n_a and j < n_b:
-        x, y = a_ids[i], b_ids[j]
-        if x == y:
-            ids.append(x)
-            scores.append(a_scores[i] + b_scores[j])
-            i += 1
-            j += 1
-        elif x < y:
-            ids.append(x)
-            scores.append(a_scores[i])
-            i += 1
-        else:
-            ids.append(y)
-            scores.append(b_scores[j])
-            j += 1
-    ids.extend(a_ids[i:])
-    scores.extend(a_scores[i:])
-    ids.extend(b_ids[j:])
-    scores.extend(b_scores[j:])
-    return SparseVector(tuple(ids), tuple(scores))
 
 
 def multiply_vectors(a: SparseVector, b: SparseVector) -> SparseVector:

@@ -13,22 +13,9 @@ import math
 import operator
 from typing import Iterable
 
-from .errors import ConsistencyError, UndefinedModelError
+from .errors import UndefinedModelError
 from .tensor import CooccurrenceTensor, Triple, format_score, sorted_triples, write_artifact
 from .tokens import ARG, VERB_LINK, is_inverse
-
-
-def lmi(observed: int, expected: float) -> float:
-    """ln(observed/expected) * observed, with the 0*ln(0) limit as 0."""
-    if observed < 0 or expected < 0:
-        raise ValueError("counts must be non-negative")
-    if observed == 0:
-        return 0.0
-    if expected == 0:
-        # Any stored triple forces positive marginals, so this cannot happen
-        # for counts drawn from a real tensor.
-        raise ConsistencyError("observed > 0 with expected == 0")
-    return math.log(observed / expected) * observed
 
 
 class WeightedTensor:
@@ -65,7 +52,8 @@ def weight_tensor(tensor: CooccurrenceTensor) -> WeightedTensor:
 
     The expected count of a triple is the count under full independence
     of its three coordinates, from the target, relation and filler
-    marginals, which are summed in one pass here. ``source_hash`` is the
+    marginals, which are summed in one pass here. Every count must be
+    positive, as a counted or loaded tensor's are. ``source_hash`` is the
     one the counts were loaded with (empty for counts built in memory).
     """
     counts = tensor.counts
@@ -85,11 +73,7 @@ def weight_tensor(tensor: CooccurrenceTensor) -> WeightedTensor:
     p_filler = {f: c / n for f, c in fillers.items()}
     observed = list(counts.values())
     expected = [n * p_target[t] * p_relation[r] * p_filler[f] for t, r, f in counts]
-    if min(observed) > 0 and min(expected) > 0:
-        # lmi() without its checks, which these minima have passed
-        values = map(operator.mul, map(math.log, map(operator.truediv, observed, expected)), observed)
-    else:
-        values = map(lmi, observed, expected)
+    values = map(operator.mul, map(math.log, map(operator.truediv, observed, expected)), observed)
     scores = {key: value for key, value in zip(counts, values) if value > 0.0}
     return WeightedTensor(scores, tensor.source_hash)
 

@@ -16,7 +16,7 @@ from argex.corpus import (
     extract_window_counts,
 )
 from argex.evaluation import BicknellSlots, ChowSlots
-from argex.space import WeightedSpace, build_space
+from argex.space import SparseVector, WeightedSpace, build_space
 from argex.tokens import ARG, compile_pos_map
 from argex.weighting import collapse_relations, weight_tensor
 
@@ -123,6 +123,12 @@ def spaces_from_text(
     deps_space = build_space(dep_weighted, vocab.entries, extra_index=arg_weighted)
     window_space = build_space(win_weighted, vocab.entries)
     return deps_space, window_space
+
+
+def vector_from_pairs(pairs) -> SparseVector:
+    """A vector from (dimension id, score) pairs in any order; zero scores are dropped as absent."""
+    kept = sorted(pair for pair in pairs if pair[1])
+    return SparseVector(tuple(dim for dim, _ in kept), tuple(score for _, score in kept))
 
 
 def targets(space: WeightedSpace, data_file: int = 2) -> list[str]:

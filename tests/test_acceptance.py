@@ -48,6 +48,7 @@ from conftest import (
     random_corpus_text,
     spaces_from_text,
     targets,
+    vector_from_pairs,
     vocabulary,
     window_counts,
 )
@@ -121,7 +122,7 @@ def test_criterion_2_plmi_against_high_precision_recount():
 
 def _random_vector(rng: random.Random) -> SparseVector:
     dims = rng.sample(range(40), rng.randint(0, 9))
-    return SparseVector.from_pairs((d, rng.uniform(1e-6, 1e6)) for d in dims)
+    return vector_from_pairs((d, rng.uniform(1e-6, 1e6)) for d in dims)
 
 
 def test_criterion_3_cosine_and_composition_algebra():

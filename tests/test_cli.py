@@ -433,6 +433,25 @@ class TestGuards:
         assert stdout == ""
         assert not os.path.exists(os.path.join(out, "reports"))
 
+    @pytest.mark.parametrize("key, task", [
+        ("bicknell_agent_slot", "bicknell-acc2"),
+        ("bicknell_verb_slot", "bicknell-acc1"),
+        ("chow_agent_slot", "chow"),
+        ("chow_patient_slot", "chow"),
+    ])
+    def test_an_empty_slot_setting_exits_2_and_writes_no_report(self, bicknell_out, chow_out, tmp_path, capsys,
+                                                                 key, task):
+        conf, built = (CHOW_CONF, chow_out) if task == "chow" else (BICKNELL_CONF, bicknell_out)
+        out = copy_artifacts(built, str(tmp_path / "out"))
+        argv = ("eval", "-c", conf, "--out-dir", out, "--task", task, "--kind", "deps", "--k", "10")
+        assert run_cli(capsys, *argv)[0] == 0
+        before = reports_snapshot(out)
+        code, stdout, err = run_cli(capsys, *argv, "--set", f"{key}=")
+        assert code == 2
+        assert f"{key} must be non-empty" in err
+        assert stdout == ""
+        assert reports_snapshot(out) == before
+
     def test_weight_before_ingest(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "weight", "-c", BICKNELL_CONF, "--out-dir", str(tmp_path)
@@ -743,6 +762,17 @@ class TestGuards:
         )
         assert code == 2
         assert "--k" in err and "argex weight" not in err and "Traceback" not in err
+        assert out == ""
+
+
+    def test_fillers_empty_slot_is_refused_before_loading(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "fillers", "-c", BICKNELL_CONF, "--out-dir", str(tmp_path),
+            "--target", "arrest-v", "--slot", "",
+        )
+        assert code == 2
+        assert "--slot must be non-empty" in err and "argex weight" not in err
         assert out == ""
 
 

@@ -44,6 +44,10 @@ class TestValidation:
             {"pos_map": "N:n,V"},
             {"out_dir": ""},
             {"out_dir": " \t"},
+            {"bicknell_agent_slot": ""},
+            {"bicknell_verb_slot": ""},
+            {"chow_agent_slot": ""},
+            {"chow_patient_slot": ""},
         ],
     )
     def test_bad_values_rejected(self, kwargs):

@@ -1,6 +1,7 @@
 """Evaluation bookkeeping: tie policy, skipping, reports, sweeps."""
 
 import csv
+import functools
 import io
 import json
 import random
@@ -34,14 +35,16 @@ from argex.expectation import (
     ModelVariant,
     SlotQuery,
     VariantKind,
-    expectation_update,
+    build_prototype,
+    compose,
     map_slot,
     prefix_prototypes,
+    score_filler,
 )
-from argex.space import SparseVector, add_vectors, cosine, multiply_vectors
+from argex.space import SparseVector, cosine, multiply_vectors, sum_vectors
 from argex.tokens import Token, VERB_LINK, inverse, parse_canonical
 
-from conftest import BICKNELL_SLOTS, CHOW_SLOTS, random_corpus_text, spaces_from_text
+from conftest import BICKNELL_SLOTS, CHOW_SLOTS, random_corpus_text, spaces_from_text, vector_from_pairs
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +68,14 @@ DEPS_SUM = ModelVariant(VariantKind.DEPS, 20, Composition.SUM)
 BOW_SUM = ModelVariant(VariantKind.BOW, 20, Composition.SUM)
 BOA_SUM = ModelVariant(VariantKind.BOA, 20, Composition.SUM)
 BOA_MULT = ModelVariant(VariantKind.BOA, 20, Composition.MULT)
+
+
+def expectation(space, variant, inputs, candidate, index=None):
+    """One condition's score the slow way: a prototype per input, folded
+    left by ``compose``, and the candidate's cosine with the result."""
+    prototypes = [build_prototype(space, variant, query, index=index) for query in inputs]
+    combined = functools.reduce(lambda p, q: compose(p, q, variant.composition), prototypes)
+    return score_filler(space, combined, candidate)
 
 
 class TestRunBicknell:
@@ -166,7 +177,7 @@ class TestRunBicknell:
         pair = next(p for p in report.pairs if p.item_id == item.item_id)
         slot_agent = map_slot(VariantKind.DEPS, VERB_LINK)
         slot_verb = map_slot(VariantKind.DEPS, "obj")
-        direct_a = expectation_update(
+        direct_a = expectation(
             deps_space,
             DEPS_SUM,
             [SlotQuery(item.agent_congruent, slot_agent), SlotQuery(item.verb, slot_verb)],
@@ -208,13 +219,13 @@ class TestRunChow:
         pair = report.pairs[0]
         slot_agent = inverse("sbj")
         slot_patient = inverse("obj")
-        direct_normal = expectation_update(
+        direct_normal = expectation(
             deps_space,
             DEPS_SUM,
             [SlotQuery(item.noun1, slot_agent), SlotQuery(item.noun2, slot_patient)],
             item.verb,
         )
-        direct_reversed = expectation_update(
+        direct_reversed = expectation(
             deps_space,
             DEPS_SUM,
             [SlotQuery(item.noun1, slot_patient), SlotQuery(item.noun2, slot_agent)],
@@ -329,7 +340,7 @@ class TestChowItemWithEqualNouns:
 
 
 def _from_scratch(space, variant, task, items, index):
-    """One grid cell the slow way: ``expectation_update`` per condition.
+    """One grid cell the slow way: ``expectation`` per condition.
 
     Returns the pairs, the skip list and (n_items, n_failed), in the
     report's own terms.
@@ -363,8 +374,8 @@ def _from_scratch(space, variant, task, items, index):
             skipped.append((item_id, "oov: " + " ".join(missing)))
             continue
         try:
-            a = expectation_update(space, variant, inputs_a, cand_a, index=index)
-            b = expectation_update(space, variant, inputs_b, cand_b, index=index)
+            a = expectation(space, variant, inputs_a, cand_a, index=index)
+            b = expectation(space, variant, inputs_b, cand_b, index=index)
         except EmptyPrototypeError as exc:
             skipped.append((item_id, f"empty prototype: {exc.query}"))
             n_failed += 1
@@ -422,7 +433,7 @@ def grid_cases(draw):
 class TestEvaluateGrid:
     @given(case=grid_cases())
     @settings(max_examples=150, deadline=None)
-    def test_grid_equals_per_cell_expectation_update(self, grid_worlds, case):
+    def test_grid_equals_the_per_cell_path(self, grid_worlds, case):
         task, world, model, picks, k_values, compositions = case
         models, nouns, verbs = grid_worlds[world]
         kind, space, index = models[model]
@@ -480,7 +491,7 @@ def kernel_operands(draw):
     c_ids = [] if c_shape == "absent" else draw(st.lists(st.integers(0, 85), unique=True, max_size=30))
 
     def vector(ids, scores):
-        return SparseVector.from_pairs(zip(ids, draw(st.lists(scores, min_size=len(ids), max_size=len(ids)))))
+        return vector_from_pairs(zip(ids, draw(st.lists(scores, min_size=len(ids), max_size=len(ids)))))
 
     c_scores = st.sampled_from([1e-200, 5e-324]) if c_shape == "zero-norm" else SCORES
     return vector(a_ids, SCORES), vector(b_ids, SCORES), vector(c_ids, c_scores)
@@ -496,7 +507,7 @@ class TestScoringKernels:
     @settings(max_examples=400, deadline=None)
     def test_kernels_equal_built_vectors_and_cosine_bit_for_bit(self, operands):
         a, b, c = operands
-        added, multiplied = add_vectors(a, b), multiply_vectors(a, b)
+        added, multiplied = sum_vectors([a, b]), multiply_vectors(a, b)
         norm_sum, norm_prod = _composed_norms(a, b)
         assert norm_sum.hex() == added.norm.hex()
         assert norm_prod.hex() == multiplied.norm.hex()

@@ -1,13 +1,19 @@
-"""Prototype building, composition folding, and slot-mapping laws."""
+"""Prototype building, composition folding, and slot-mapping laws.
+
+Scores of two composed inputs are read from ``evaluate_grid``, which is
+how every command scores them.
+"""
 
 import pytest
 
+from argex.datasets import ChowItem
 from argex.errors import (
     ConfigError,
     EmptyPrototypeError,
     OutOfVocabularyError,
     SpaceMismatchError,
 )
+from argex.evaluation import TASK_CHOW, ChowSlots, evaluate_grid
 from argex.expectation import (
     Composition,
     ModelVariant,
@@ -15,14 +21,13 @@ from argex.expectation import (
     VariantKind,
     build_prototype,
     compose,
-    expectation_update,
     map_slot,
     score_filler,
 )
 from argex.space import cosine, multiply_vectors, sum_vectors, vector_of
-from argex.tokens import ARG, Token, WINDOW, inverse
+from argex.tokens import ARG, Token, WINDOW
 
-from conftest import conll_text, spaces_from_text
+from conftest import CHOW_SLOTS, conll_text, spaces_from_text
 
 
 def mini_corpus_text() -> str:
@@ -166,49 +171,45 @@ class TestCompose:
             score_filler(window_space, p1, Token("serve", "v"))
 
 
-class TestExpectationUpdate:
+def chow_pairs(space, kind, comp, items, slots=CHOW_SLOTS, index=None):
+    """The scored pairs of ``items`` as role-reversal items, in the grid cell (comp, k=10):
+    the verb is the candidate, and the normal condition composes noun1
+    through the agent slot with noun2 through the patient slot."""
+    grid = evaluate_grid(space, kind, items, TASK_CHOW, [comp], [10], slots, index=index)
+    return grid[(comp, 10)].pairs
+
+
+class TestScoring:
     def test_single_input_equals_direct_cosine(self, mini_spaces):
         deps_space, _ = mini_spaces
-        inputs = [SlotQuery(Token("waitress", "n"), "sbj_inv")]
-        result = expectation_update(deps_space, DEPS, inputs, Token("serve", "v"))
-        proto = build_prototype(deps_space, DEPS, inputs[0])
+        proto = build_prototype(deps_space, DEPS, SlotQuery(Token("waitress", "n"), "sbj_inv"))
+        result = score_filler(deps_space, proto, Token("serve", "v"))
         assert result == cosine(vector_of(deps_space, "serve-v"), proto.vector)
 
-    def test_two_inputs_fold_left(self, mini_spaces):
+    @pytest.mark.parametrize("comp", [Composition.SUM, Composition.MULT])
+    def test_two_inputs_fold_left(self, mini_spaces, comp):
         deps_space, _ = mini_spaces
-        inputs = [
-            SlotQuery(Token("waitress", "n"), "sbj_inv"),
-            SlotQuery(Token("customer", "n"), "obj_inv"),
-        ]
-        result = expectation_update(deps_space, DEPS, inputs, Token("serve", "v"))
-        p1 = build_prototype(deps_space, DEPS, inputs[0])
-        p2 = build_prototype(deps_space, DEPS, inputs[1])
-        manual = compose(p1, p2, Composition.SUM)
-        assert result == cosine(vector_of(deps_space, "serve-v"), manual.vector)
-
-    def test_empty_inputs_rejected(self, mini_spaces):
-        deps_space, _ = mini_spaces
-        with pytest.raises(ConfigError):
-            expectation_update(deps_space, DEPS, [], Token("serve", "v"))
+        item = ChowItem("c", Token("serve", "v"), Token("waitress", "n"), Token("customer", "n"))
+        (pair,) = chow_pairs(deps_space, VariantKind.DEPS, comp, [item])
+        variant = ModelVariant(VariantKind.DEPS, 10, comp)
+        p1 = build_prototype(deps_space, variant, SlotQuery(item.noun1, CHOW_SLOTS.agent))
+        p2 = build_prototype(deps_space, variant, SlotQuery(item.noun2, CHOW_SLOTS.patient))
+        assert pair.score_a == cosine(vector_of(deps_space, "serve-v"), compose(p1, p2, comp).vector).value
 
     def test_mult_with_disjoint_prototypes_is_degenerate(self, mini_spaces):
         deps_space, _ = mini_spaces
-        variant = ModelVariant(VariantKind.DEPS, 10, Composition.MULT)
         # serve's subject prototype (waitress row) and chase's subject
         # prototype (dog row) share no dimensions
-        inputs = [
-            SlotQuery(Token("serve", "v"), "sbj"),
-            SlotQuery(Token("chase", "v"), "sbj"),
-        ]
-        result = expectation_update(deps_space, variant, inputs, Token("serve", "v"))
-        assert result.value == 0.0
-        assert result.degenerate
+        item = ChowItem("d", Token("serve", "v"), Token("serve", "v"), Token("chase", "v"))
+        (pair,) = chow_pairs(deps_space, VariantKind.DEPS, Composition.MULT, [item], ChowSlots("sbj", "sbj"))
+        assert pair.score_a == 0.0
+        assert pair.degenerate_a
 
     def test_oov_candidate_raises(self, mini_spaces):
         deps_space, _ = mini_spaces
-        inputs = [SlotQuery(Token("waitress", "n"), "sbj_inv")]
+        proto = build_prototype(deps_space, DEPS, SlotQuery(Token("waitress", "n"), "sbj_inv"))
         with pytest.raises(OutOfVocabularyError):
-            expectation_update(deps_space, DEPS, inputs, Token("zebra", "n"))
+            score_filler(deps_space, proto, Token("zebra", "n"))
 
 
 class TestSlotCollapseSymmetry:
@@ -225,32 +226,21 @@ class TestSlotCollapseSymmetry:
         deps_space, window_space = mini_spaces
         space = window_space if kind is VariantKind.BOW else deps_space
         index = deps_space if kind is VariantKind.BOA else None
-        variant = ModelVariant(kind, 10, comp)
-        slot = map_slot(kind, inverse("sbj"))
+        assert map_slot(kind, CHOW_SLOTS.agent) == map_slot(kind, CHOW_SLOTS.patient)
         for x, y, w in [
             ("waitress", "customer", "serve"),
             ("dog", "cat", "chase"),
             ("customer", "waitress", "pay"),
         ]:
-            normal = [SlotQuery(Token(x, "n"), slot), SlotQuery(Token(y, "n"), slot)]
-            swapped = [SlotQuery(Token(y, "n"), slot), SlotQuery(Token(x, "n"), slot)]
-            a = expectation_update(space, variant, normal, Token(w, "v"), index=index)
-            b = expectation_update(space, variant, swapped, Token(w, "v"), index=index)
-            assert a.value == b.value  # bit-exact, not approximate
+            verb, first, second = Token(w, "v"), Token(x, "n"), Token(y, "n")
+            items = [ChowItem("normal", verb, first, second), ChowItem("swapped", verb, second, first)]
+            normal, swapped = chow_pairs(space, kind, comp, items, index=index)
+            assert normal.score_a == swapped.score_a  # bit-exact, not approximate
 
     @pytest.mark.parametrize("comp", [Composition.SUM, Composition.MULT])
     def test_deps_distinguishes_role_assignment(self, mini_spaces, comp):
         deps_space, _ = mini_spaces
-        variant = ModelVariant(VariantKind.DEPS, 10, comp)
-        x, y, w = "waitress", "customer", "serve"
-        normal = [
-            SlotQuery(Token(x, "n"), inverse("sbj")),
-            SlotQuery(Token(y, "n"), inverse("obj")),
-        ]
-        reversed_ = [
-            SlotQuery(Token(x, "n"), inverse("obj")),
-            SlotQuery(Token(y, "n"), inverse("sbj")),
-        ]
-        a = expectation_update(deps_space, variant, normal, Token(w, "v"))
-        b = expectation_update(deps_space, variant, reversed_, Token(w, "v"))
-        assert a.value > b.value
+        # normal: waitress through sbj_inv and customer through obj_inv; reversed: the other way round
+        item = ChowItem("c", Token("serve", "v"), Token("waitress", "n"), Token("customer", "n"))
+        (pair,) = chow_pairs(deps_space, VariantKind.DEPS, comp, [item])
+        assert pair.score_a > pair.score_b

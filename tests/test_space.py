@@ -20,7 +20,6 @@ from argex.space import (
     SparseVector,
     VectorSum,
     WeightedSpace,
-    add_vectors,
     build_space,
     cosine,
     load_space,
@@ -33,11 +32,11 @@ from argex.tensor import CooccurrenceTensor, read_sidecar, write_artifact, write
 from argex.tokens import ARG
 from argex.weighting import WeightedTensor, weight_tensor
 
-from conftest import every_ranking, spaces_from_text, targets
+from conftest import every_ranking, spaces_from_text, targets, vector_from_pairs
 
 
 def vec(*pairs) -> SparseVector:
-    return SparseVector.from_pairs(pairs)
+    return vector_from_pairs(pairs)
 
 
 @st.composite
@@ -53,24 +52,10 @@ def sparse_vectors(draw, max_dim=30):
             max_size=n,
         )
     )
-    return SparseVector.from_pairs(zip(ids, scores))
+    return vector_from_pairs(zip(ids, scores))
 
 
 class TestSparseVector:
-    def test_from_pairs_sorts_and_drops_zeros(self):
-        v = vec((5, 1.0), (1, 2.0), (3, 0.0))
-        assert v.ids == (1, 5)
-        assert v.scores == (2.0, 1.0)
-        assert len(v) == 2
-
-    def test_rejects_negative_scores(self):
-        with pytest.raises(ValueError):
-            vec((0, -1.0))
-
-    def test_rejects_duplicate_ids(self):
-        with pytest.raises(ValueError):
-            vec((1, 1.0), (1, 2.0))
-
     def test_norm_cached(self):
         v = vec((0, 3.0), (1, 4.0))
         assert v.norm == 5.0
@@ -143,7 +128,7 @@ class TestCosine:
     @given(sparse_vectors(), sparse_vectors(), st.sampled_from([0.5, 2.0, 10.0, 1e-3, 37.25]))
     @settings(max_examples=300, deadline=None)
     def test_scale_invariance(self, a, b, kappa):
-        scaled = SparseVector.from_pairs((i, s * kappa) for i, s in a.items())
+        scaled = vector_from_pairs((i, s * kappa) for i, s in a.items())
         base = cosine(a, b).value
         assert abs(cosine(scaled, b).value - base) <= 1e-12
 
@@ -210,7 +195,7 @@ class TestComposition:
             for v in vs:
                 for dim, score in v.items():
                     acc[dim] = acc.get(dim, 0.0) + score
-            return SparseVector.from_pairs(acc.items())
+            return vector_from_pairs(acc.items())
 
         total = VectorSum()
         for i, v in enumerate(vectors):
@@ -218,10 +203,10 @@ class TestComposition:
             assert total.snapshot() == loop_sum(vectors[: i + 1])
         assert sum_vectors(vectors) == loop_sum(vectors)
         for a in vectors:
-            assert add_vectors(a, other) == loop_sum([a, other])
+            assert sum_vectors([a, other]) == loop_sum([a, other])
             db = dict(other.items())
             product = [(dim, score * db[dim]) for dim, score in a.items() if dim in db]
-            assert multiply_vectors(a, other) == SparseVector.from_pairs(product)
+            assert multiply_vectors(a, other) == vector_from_pairs(product)
             dot = 0.0
             for dim, score in a.items():  # increasing dimension order
                 if dim in db:
@@ -241,7 +226,7 @@ class TestComposition:
             assert cosine(a, b) == cosine(b, a)
             value = cosine(a, b).value
             assert 0.0 <= value <= 1.0
-            scaled = SparseVector.from_pairs((j, s * 7.5) for j, s in a.items())
+            scaled = vector_from_pairs((j, s * 7.5) for j, s in a.items())
             assert abs(cosine(scaled, b).value - value) <= 1e-12
             s = sum_vectors([a, b])
             assert set(s.ids) == set(a.ids) | set(b.ids)
@@ -740,7 +725,7 @@ class TestWriterOrder:
         dim_id = {dim: i for i, dim in enumerate(catalog)}
         expected = _reference_rankings(scores, extra_scores)
         for target in tokens:
-            row = SparseVector.from_pairs(
+            row = vector_from_pairs(
                 (dim_id[relation, filler], score) for (t, relation, filler), score in kept.items() if t == target
             )
             assert loaded.row(target) == built.row(target) == row

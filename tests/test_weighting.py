@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from argex.errors import ConsistencyError, UndefinedModelError
+from argex.errors import UndefinedModelError
 from argex.space import build_space
 from argex.tensor import CooccurrenceTensor, read_artifact
 from argex.tokens import ARG
@@ -22,7 +22,6 @@ from argex.weighting import (
     WeightedTensor,
     collapse_relations,
     format_score,
-    lmi,
     max_over_relations,
     weight_tensor,
 )
@@ -151,15 +150,6 @@ class TestPrimitives:
             (see, "sbj", dog): pytest.approx(2 * math.log(2 / expected_sbj), rel=1e-12),
             (see, "obj", cat): pytest.approx(3 * math.log(3 / expected_obj), rel=1e-12),
         }
-
-    def test_lmi_zero_observed(self):
-        assert lmi(0, 5.0) == 0.0
-
-    def test_lmi_rejects_inconsistent_input(self):
-        with pytest.raises(ConsistencyError):
-            lmi(3, 0.0)
-        with pytest.raises(ValueError):
-            lmi(-1, 1.0)
 
     def test_weight_tensor_rejects_empty(self):
         with pytest.raises(UndefinedModelError):
