@@ -282,8 +282,8 @@ def cmd_fillers(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from None
     if args.k < 1:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
-    slot = args.slot
-    if not slot.strip():
+    slot = args.slot.strip()
+    if not slot:
         raise ConfigError("--slot must be non-empty")
     space = _load_space_checked(config, "window" if slot == WINDOW else "deps")
     if target not in space.vocabulary:
@@ -346,8 +346,26 @@ def _score(
                 _note(f"note: {kind.value} on role reversal is provably tied")
             slots = chow_slots if task == TASK_CHOW else bicknell_slots
             grid = evaluate_grid(vectors, kind, items, task, compositions, k_values, slots, index=index)
+            if kind is VariantKind.DEPS and any(report.n_failed for report in grid.values()):
+                _refuse_slots_naming_no_relation(config, task, vectors)
             cells += [(grid[(comp, k)], provenance) for comp in compositions for k in k_values]
     return cells
+
+
+def _refuse_slots_naming_no_relation(config: PipelineConfig, task: str, space: WeightedSpace) -> None:
+    """Refuse a slot setting of ``task`` that names no relation of the dependency ``space``.
+
+    A ranking under such a slot is always empty. This reads the whole
+    catalog, so it runs only once a ranking has come back empty.
+    """
+    if task == TASK_CHOW:
+        keys = ("chow_agent_slot", "chow_patient_slot")
+    else:
+        keys = ("bicknell_agent_slot", "bicknell_verb_slot")
+    relations = {relation for relation, _ in space.catalog}
+    for key in keys:
+        if getattr(config, key) not in relations:
+            raise ConfigError(f"{key}={getattr(config, key)} names no relation of the space {space.directory}")
 
 
 def _write_reports(out_dir: str, cells, table_of: Callable[[str], str | None]) -> None:

@@ -3,17 +3,21 @@
 A space holds one row per target over (relation, filler) dimensions with
 positive association scores, plus, for each (target, relation), the
 fillers ranked by descending score. A space is its archive: the text of
-four sorted TSV data files, whose sha256 is the space id. ``build_space``
-renders them straight from the weighted scores, ``save_space`` writes
-them with a manifest, and ``load_space`` reads them back once their hash
-is verified. The archive stores scores only: every ranking is rebuilt
-from the rows for the dependency slots and from ``arg.tsv`` for the ARG
-slot. A space, built or loaded, reads its own rows and rankings from
-those files, in the order the writer writes them: targets increase down
-``rows.tsv`` and ``arg.tsv``, ids within a row, and (relation, filler)
-pairs down ``catalog.tsv``. It checks the whole archive on its first
-read, which a load makes at once and a built space on first use, and
-parses a target's row and rankings only when the target is first used.
+four sorted TSV data files, whose sha256 is the space id, and
+``blocks.tsv``, which gives the offset where each target's block of
+lines starts in ``rows.tsv`` and ``arg.tsv``. ``build_space`` renders
+them straight from the weighted scores, ``save_space`` writes them with
+a manifest, and ``load_space`` reads them back once their hashes are
+verified. The archive stores scores only: every ranking is rebuilt from
+the rows for the dependency slots and from ``arg.tsv`` for the ARG slot.
+A space, built or loaded, reads its own rows and rankings from those
+files, in the order the writer writes them: targets increase down
+``rows.tsv``, ``arg.tsv`` and ``blocks.tsv``, ids within a row, and
+(relation, filler) pairs down ``catalog.tsv``. Its first read checks
+the vocabulary and ``blocks.tsv``, which a load makes at once and a
+built space on first use. A target's blocks, and the catalog lines its
+row refers to, are parsed and checked only when the target is first
+used.
 """
 
 from __future__ import annotations
@@ -46,10 +50,11 @@ from .tokens import ARG, canonical_checker
 if TYPE_CHECKING:
     from .weighting import WeightedTensor
 
-FORMAT_VERSION = "2"
-_DATA_FILES = ("catalog.tsv", "vocab.tsv", "rows.tsv", "arg.tsv")
+FORMAT_VERSION = "3"
+# the four data files, whose sha256 is the space id, then blocks.tsv
+_FILES = ("catalog.tsv", "vocab.tsv", "rows.tsv", "arg.tsv", "blocks.tsv")
 _BUILT = "<built space>"  # names the data files of a built space in errors
-_TARGET_OF_KEY = operator.itemgetter(0)  # of a (target, relation, filler) triple
+_TARGET_OF_KEY = operator.itemgetter(0)  # of a (target, relation, filler) triple, or of a blocks.tsv line
 _RELATION_OF_KEY = operator.itemgetter(1)
 _DIMENSION_OF_KEY = operator.itemgetter(1, 2)
 
@@ -197,34 +202,38 @@ def _ranked(fillers: list[tuple[str, float]]) -> tuple[tuple[str, float], ...]:
 
 
 class WeightedSpace:
-    """A space: the text of its archive's data files, and its manifest.
+    """A space: the text of its archive's files, and its manifest.
 
-    ``texts`` holds the data files in ``_DATA_FILES`` order; the
-    manifest's ``space_id`` is the sha256 of their bytes. All else is
-    read from ``texts``. The first read of the vocabulary, the catalog, a
-    row or a ranking checks the files whole (``_check``), which
+    ``texts`` holds the files in ``_FILES`` order; the manifest's
+    ``space_id`` is the sha256 of the four data files, and its
+    ``blocks_sha256`` that of ``blocks.tsv``. All else is read from
+    ``texts``. The first read of the vocabulary, a row or a ranking
+    checks the vocabulary and ``blocks.tsv`` (``_check``), which
     ``load_space`` does at load and a built space on first use. A
     target's row is parsed from its ``rows.tsv`` block when first read,
-    which is where ids that do not increase and scores that are not
-    positive and finite are found. Its rankings are built together when
-    one of them is first read: the dependency slots' from its row
-    through the catalog, ``ARG``'s from its ``arg.tsv`` block, which
-    holds that ranking whole and whose scores get the row's check.
-    ``directory`` only names the files in errors.
+    and the block is checked then: its layout and target, ids that
+    increase, the last one inside the catalog, and scores that are
+    positive and finite. Its rankings are built together when one of
+    them is first read: the dependency slots' from its row through the
+    catalog lines it refers to, each checked when first read, and
+    ``ARG``'s from its ``arg.tsv`` block, which holds that ranking whole
+    and gets the same checks. ``directory`` only names the files in
+    errors.
     """
 
     # set by _check, which the first read of any of them runs
     vocabulary: frozenset[str]
-    catalog: tuple[tuple[str, str], ...]  # (relation, filler) of each dimension id
-    _row_blocks: dict[str, tuple[int, int]]  # each target's block offsets in rows.tsv
-    _arg_blocks: dict[str, tuple[int, int]]  # and in arg.tsv
+    _blocks: dict[str, tuple[int, int, int, int]]  # each target's (start, end) in rows.tsv, then in arg.tsv
+    _n_dims: int  # the catalog's line count
 
     def __init__(self, texts: Sequence[str], manifest: dict[str, str], directory: str = _BUILT):
         self.texts = texts
         self.manifest = manifest
         self.directory = directory
+        self._paths = [os.path.join(directory, name) for name in _FILES]  # name the files in errors
         self._rows: dict[str, SparseVector] = {}
         self._rankings: dict[str, dict[str, tuple[tuple[str, float], ...]]] = {}
+        self._pairs: dict[int, tuple[str, str]] = {}  # of the catalog lines read so far, by dimension id
 
     def __getattr__(self, name: str):
         # called only for a missing attribute: one of the above, before the check
@@ -234,46 +243,51 @@ class WeightedSpace:
         return self.__dict__[name]
 
     def _check(self) -> None:
-        """Check the data files whole, and index ``rows.tsv`` and ``arg.tsv`` by target block.
+        """Check the vocabulary and ``blocks.tsv``, and index each target's blocks.
 
-        Every line's layout and token is checked, the order of the targets
-        and of the catalog, and each row's last dimension id against the
-        catalog. Nothing is kept unless every check passes.
+        ``blocks.tsv`` must list target tokens in increasing order, and
+        the offsets where their blocks start must tile ``rows.tsv`` and
+        ``arg.tsv``. No line of the other data files is parsed. Nothing
+        is kept unless every check passes.
         """
-        paths = [os.path.join(self.directory, name) for name in _DATA_FILES]
-        catalog_path, vocab_path, rows_path, arg_path = paths
-        catalog_text, vocab_text, rows_text, arg_text = self.texts
-        # every token is checked once, and most are vocabulary entries: checked first
-        check = canonical_checker()
+        catalog_text, vocab_text, rows_text, arg_text, blocks_text = self.texts
+        # every line of the catalog ends with a newline, so its lines are its n_dims dimensions
+        if not catalog_text.endswith("\n") and catalog_text:
+            raise _malformed(self._paths[0], catalog_text, catalog_text.rfind("\n") + 1, _CATALOG_LAYOUT)
         vocab = vocab_text.split("\n")
         if not vocab[-1]:
             vocab.pop()
-        _check_column(vocab_path, vocab, check)
+        _check_column(self._paths[1], vocab)
         known = frozenset(vocab)
-        catalog = _read_catalog(catalog_path, catalog_text, check, known)
-        row_blocks, end = _target_blocks(rows_path, rows_text, _ROWS_BLOCK, check, known, len(catalog))
-        if end != len(rows_text):
-            raise _malformed(rows_path, rows_text, end, "target, dimension id, score")
-        arg_blocks, end = _target_blocks(arg_path, arg_text, _ARG_BLOCK, check, known)
-        if end != len(arg_text):
-            raise _malformed(arg_path, arg_text, end, "target, filler, score")
-        _check_column(arg_path, _MIDDLE.findall(arg_text), check, known)
-        self.vocabulary, self.catalog = known, catalog
-        self._row_blocks, self._arg_blocks = row_blocks, arg_blocks
+        path = self._paths[4]
+        layout = "target, offset, offset"
+        lines = _lines(path, blocks_text, _BLOCKS_LINE, layout, 0, len(blocks_text), ConsistencyError)
+        targets = list(map(_TARGET_OF_KEY, lines))
+        _check_column(path, targets, known, error=ConsistencyError)
+        if not all(map(operator.lt, targets, targets[1:])):
+            i = next(i for i in range(1, len(targets)) if targets[i - 1] >= targets[i])
+            raise ConsistencyError(f"{path}:{i + 1}: target {targets[i]} does not sort after {targets[i - 1]}")
+        rows = _tiling(path, _FILES[2], rows_text, list(map(int, map(_ROWS_OFFSET, lines))))
+        arg = _tiling(path, _FILES[3], arg_text, list(map(int, map(_ARG_OFFSET, lines))))
+        self._blocks = {target: (*row, *ranking) for target, row, ranking in zip(targets, rows, arg)}
+        self.vocabulary, self._n_dims = known, catalog_text.count("\n")
 
     def row(self, target: str) -> SparseVector:
         """The row of ``target``; a target without one has the empty row."""
         row = self._rows.get(target)
         if row is None:
-            span = self._row_blocks.get(target)
-            if span is None:
+            start, end, _, _ = self._blocks.get(target, _NO_BLOCKS)
+            if start == end:
                 return EMPTY_VECTOR
-            text = self.texts[2]
-            dims, scores = zip(*_PAIR.findall(text, *span))
+            path, text = self._paths[2], self.texts[2]
+            dims, scores = zip(*_read_block(path, text, start, end, target, _ROWS_LINE, _ROWS_LAYOUT))
             ids, scores = tuple(map(int, dims)), tuple(map(float, scores))
             # the merge and bisect kernels rely on increasing ids
             if not (all(map(operator.lt, ids, ids[1:])) and 0.0 < min(scores) and max(scores) < math.inf):
-                raise _row_fault(os.path.join(self.directory, _DATA_FILES[2]), text, span[0], ids, scores)
+                raise _row_fault(path, text, start, ids, scores)
+            if ids[-1] >= self._n_dims:
+                line = _line_of(text, end - 1)
+                raise ConsistencyError(f"{path}:{line}: dimension id {ids[-1]} is not in the catalog")
             row = self._rows[target] = SparseVector(ids, scores)
         return row
 
@@ -286,21 +300,59 @@ class WeightedSpace:
 
     def _rank(self, target: str) -> dict[str, tuple[tuple[str, float], ...]]:
         groups: dict[str, list[tuple[str, float]]] = {}
-        catalog = self.catalog
-        for dim_id, score in self.row(target).items():
-            relation, filler = catalog[dim_id]
+        row = self.row(target)
+        for (relation, filler), score in zip(self._dimensions(row.ids), row.scores):
             if relation != ARG:
                 groups.setdefault(relation, []).append((filler, score))
-        span = self._arg_blocks.get(target)
-        if span is not None:
-            text = self.texts[3]
-            fillers, scores = zip(*_PAIR.findall(text, *span))
+        _, _, start, end = self._blocks.get(target, _NO_BLOCKS)
+        if start != end:
+            path, text = self._paths[3], self.texts[3]
+            fillers, scores = zip(*_read_block(path, text, start, end, target, _ARG_LINE, _ARG_LAYOUT))
+            _check_column(path, fillers, self.vocabulary, lambda i: _line_of(text, start) + i)
             scores = tuple(map(float, scores))
             if not (0.0 < min(scores) and max(scores) < math.inf):
-                path = os.path.join(self.directory, _DATA_FILES[3])
-                raise _row_fault(path, text, span[0], tuple(range(len(scores))), scores)
+                raise _row_fault(path, text, start, tuple(range(len(scores))), scores)
             groups[ARG] = list(zip(fillers, scores))
         return {relation: _ranked(fillers) for relation, fillers in groups.items()}
+
+    @functools.cached_property
+    def catalog(self) -> tuple[tuple[str, str], ...]:
+        """The (relation, filler) of each dimension id, every catalog line read as a ranking reads it."""
+        return tuple(self._dimensions(range(self._n_dims)))
+
+    @functools.cached_property
+    def _catalog_lines(self) -> list[str]:
+        return self.texts[0].split("\n")
+
+    def _dimensions(self, ids: Sequence[int]) -> list[tuple[str, str]]:
+        """The (relation, filler) of each of the increasing ``ids``.
+
+        Each catalog line is checked when first read: its layout, that
+        its id is its line number, and its filler token. The pairs must
+        increase with the ids, as they do down the catalog.
+        """
+        read = self._pairs
+        new = list(itertools.filterfalse(read.__contains__, ids))
+        if new:
+            path = self._paths[0]
+            lines = list(map(self._catalog_lines.__getitem__, new))
+            matches = list(map(_CATALOG_LINE.fullmatch, lines))
+            if None in matches:
+                i = matches.index(None)
+                raise CorpusError(f"{path}:{new[i] + 1}: expected {_CATALOG_LAYOUT}, got {lines[i]!r}")
+            written, expected = list(map(_ID_FIELD, matches)), list(map(str, new))
+            if written != expected:
+                i = next(i for i in range(len(new)) if written[i] != expected[i])
+                raise ConsistencyError(f"{path}:{new[i] + 1}: dimension id {written[i]} out of sequence")
+            _check_column(path, list(map(_FILLER, matches)), self.vocabulary, lambda i: new[i] + 1)
+            read.update(zip(new, map(_PAIR_FIELDS, matches)))
+        pairs = list(map(read.__getitem__, ids))
+        if not all(map(operator.lt, pairs, pairs[1:])):
+            i = next(i for i in range(1, len(pairs)) if pairs[i - 1] >= pairs[i])
+            raise ConsistencyError(
+                f"{self._paths[0]}:{ids[i] + 1}: dimension {pairs[i]} does not sort after {pairs[i - 1]}"
+            )
+        return pairs
 
     @property
     def index(self) -> WeightedSpace:
@@ -345,12 +397,13 @@ def build_space(
 ) -> WeightedSpace:
     """Render the archive of a space from weighted counts.
 
-    The data files are rendered straight from the sorted score keys;
-    the space's rows and rankings are read back from them on first use.
-    ``extra_index`` contributes ARG rankings only (relation-collapsed
-    typicality scores); its entries never become vector dimensions.
-    Zero scores are dropped as absent; a negative, nan or infinite one
-    raises ``ValueError``.
+    The data files are rendered straight from the sorted score keys,
+    one target block at a time, and ``blocks.tsv`` records where each
+    block starts; the space's rows and rankings are read back from them
+    on first use. ``extra_index`` contributes ARG rankings only
+    (relation-collapsed typicality scores); its entries never become
+    vector dimensions. Zero scores are dropped as absent; a negative,
+    nan or infinite one raises ``ValueError``.
     """
     if extra_index is not None and set(map(_RELATION_OF_KEY, extra_index.scores)) - {ARG}:
         raise ValueError(f"extra_index may only hold {ARG} rankings")
@@ -361,12 +414,18 @@ def build_space(
     catalog = tuple(sorted(set(dim_of_key)))
     targets = list(map(_TARGET_OF_KEY, keys))
     vocab = frozenset(vocabulary)
-    # (target, dim id, score) per rows.tsv line, all rendered by one % operation
+    # (target, dim id, score) per rows.tsv line, each block rendered by one % operation
     fields: list = [None] * (3 * len(keys))
     fields[0::3] = targets
     fields[1::3] = map(dict(zip(catalog, range(len(catalog)))).__getitem__, dim_of_key)
     fields[2::3] = values
-    rows_tsv = (f"%s\t%d\t{SCORE_FORMAT}\n" * len(keys)) % tuple(fields)
+    line = f"%s\t%d\t{SCORE_FORMAT}\n"
+    row_blocks = {}
+    start = 0
+    for target in dict.fromkeys(targets):
+        end = bisect.bisect_right(targets, target, start)
+        row_blocks[target] = (line * (end - start)) % tuple(fields[3 * start:3 * end])
+        start = end
     # arg.tsv holds the ARG rankings' scores, by target then filler; a filler
     # ranked twice (a corpus relation named ARG beside the collapsed scores)
     # is written in ranking order, best first
@@ -374,29 +433,48 @@ def build_space(
     if extra_index is not None:
         arg_entries = itertools.chain(arg_entries, zip(*_stored(extra_index.scores)))
     arg = sorted([(target, filler, -score) for (target, _, filler), score in arg_entries])
+    arg_blocks = {
+        target: "".join([f"{target}\t{filler}\t{format_score(-negated)}\n" for _, filler, negated in entries])
+        for target, entries in itertools.groupby(arg, key=_TARGET_OF_KEY)
+    }
+    names = sorted(row_blocks.keys() | arg_blocks.keys())
+    rows_tsv, row_starts = _tile(names, row_blocks)
+    arg_tsv, arg_starts = _tile(names, arg_blocks)
     texts = (
         "".join([f"{dim_id}\t{relation}\t{filler}\n" for dim_id, (relation, filler) in enumerate(catalog)]),
         "".join([f"{token}\n" for token in sorted(vocab)]),
         rows_tsv,
-        "".join([f"{target}\t{filler}\t{format_score(-negated)}\n" for target, filler, negated in arg]),
+        arg_tsv,
+        "".join([f"{name}\t{row}\t{ranking}\n" for name, row, ranking in zip(names, row_starts, arg_starts)]),
     )
     info = {
         "format_version": FORMAT_VERSION,
         "source_hash": weighted.source_hash,
-        "n_targets": str(len(set(targets))),
+        "n_targets": str(len(row_blocks)),
         "n_dims": str(len(catalog)),
         "n_vocab": str(len(vocab)),
     }
     if manifest:
         info.update(manifest)
-    info["space_id"] = _space_id(text.encode("utf-8") for text in texts)
+    bodies = [text.encode("utf-8") for text in texts]
+    info["space_id"] = _sha256(bodies[:4])
+    info["blocks_sha256"] = _sha256(bodies[4:])
     return WeightedSpace(texts, info)
+
+
+def _tile(names: list[str], blocks: dict[str, str]) -> tuple[str, list[int]]:
+    """The text of ``blocks`` in ``names`` order, and the offset where each name's block starts.
+
+    A name without a block has an empty one, where the next block starts.
+    """
+    parts = [blocks.get(name, "") for name in names]
+    return "".join(parts), list(itertools.accumulate(map(len, parts), initial=0))[:-1]
 
 
 # -- archive -------------------------------------------------------------
 
 
-def _space_id(bodies: Iterable[bytes]) -> str:
+def _sha256(bodies: Iterable[bytes]) -> str:
     digest = hashlib.sha256()
     for data in bodies:
         digest.update(data)
@@ -406,102 +484,118 @@ def _space_id(bodies: Iterable[bytes]) -> str:
 def save_space(space: WeightedSpace, directory: str) -> str:
     """Write the archive; returns its space id.
 
-    Each data file is replaced atomically and the manifest goes last,
-    so an interrupted save leaves an archive that fails verification,
-    never a half-written file.
+    Each file is replaced atomically and the manifest goes last, so an
+    interrupted save leaves an archive that fails verification, never a
+    half-written file.
     """
     make_output_dir(directory)
-    for name, text in zip(_DATA_FILES, space.texts):
+    for name, text in zip(_FILES, space.texts):
         write_bytes_atomic(os.path.join(directory, name), text.encode("utf-8"))
     write_sidecar(os.path.join(directory, "manifest.txt"), space.manifest)
     return space.space_id
 
 
-# A space checks its data files with a few whole-file regex passes,
-# which check the layout of every line and every token, the order of the
-# targets and of the catalog, and each row's last dimension id. Then
-# rows.tsv and arg.tsv are indexed by target block (a target's lines),
-# and a block is parsed when its target's row or a ranking is first read.
+# A space checks the vocabulary and blocks.tsv at load: every line's
+# layout and token, the order of the targets, and that the offsets tile
+# rows.tsv and arg.tsv. A target's blocks, and the catalog lines its row
+# refers to, are checked when the target is first read.
 _FIELD = r"[^\t\n]+"
 _SCORE = r"[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?"  # format_score of a non-negative finite float
-_ID = "(0|[1-9][0-9]*)"  # a dimension id, without leading zeros
-_CATALOG_LINES = re.compile(rf"(?:[0-9]+\t{_FIELD}\t{_FIELD}\n)*")
-_CATALOG_LINE = re.compile(rf"^([0-9]+)\t({_FIELD})\t({_FIELD})\n", re.MULTILINE)
-# a repeated group keeps its last repetition: group 3 is the id of the block's last line, if not its first
-_ROWS_BLOCK = re.compile(rf"({_FIELD})\t{_ID}\t{_SCORE}\n(?:\1\t{_ID}\t{_SCORE}\n)*")
-_ARG_BLOCK = re.compile(rf"({_FIELD})\t{_FIELD}\t{_SCORE}\n(?:\1\t{_FIELD}\t{_SCORE}\n)*")
-_MIDDLE = re.compile(rf"\t({_FIELD})\t")  # of each line: the filler
-_PAIR = re.compile(rf"\t({_FIELD})\t({_FIELD})\n")  # of each line: (middle field, score)
+_ID = "(0|[1-9][0-9]*)"  # a dimension id or an offset, without leading zeros
+_CATALOG_LAYOUT = "dimension id, relation, filler"
+_ROWS_LAYOUT = "target, dimension id, score"
+_ARG_LAYOUT = "target, filler, score"
+_CATALOG_LINE = re.compile(rf"([0-9]+)\t({_FIELD})\t({_FIELD})")  # a line without its newline
+_ID_FIELD, _FILLER = operator.methodcaller("group", 1), operator.methodcaller("group", 3)  # of a catalog line
+_PAIR_FIELDS = operator.methodcaller("group", 2, 3)  # (relation, filler)
+# one whole line each: a blocks.tsv line's three fields as groups, a rows.tsv or arg.tsv line's last two
+_BLOCKS_LINE = re.compile(rf"^({_FIELD})\t{_ID}\t{_ID}\n", re.MULTILINE)
+_ROWS_LINE = re.compile(rf"^{_FIELD}\t{_ID}\t({_SCORE})\n", re.MULTILINE)
+_ARG_LINE = re.compile(rf"^{_FIELD}\t({_FIELD})\t({_SCORE})\n", re.MULTILINE)
+_ROWS_OFFSET, _ARG_OFFSET = operator.itemgetter(1), operator.itemgetter(2)  # of a blocks.tsv line
+_NO_BLOCKS = (0, 0, 0, 0)  # of a target blocks.tsv does not list
 
 
 def _line_of(text: str, offset: int) -> int:
     return text.count("\n", 0, offset) + 1
 
 
-def _malformed(path: str, text: str, offset: int, layout: str) -> CorpusError:
+def _malformed(path: str, text: str, offset: int, layout: str, error=CorpusError) -> Exception:
     line = text[offset:].partition("\n")[0]
-    return CorpusError(f"{path}:{_line_of(text, offset)}: expected {layout}, got {line!r}")
+    return error(f"{path}:{_line_of(text, offset)}: expected {layout}, got {line!r}")
 
 
-def _check_column(path: str, column: list[str], check, known: frozenset[str] = frozenset()) -> None:
-    """Check each distinct token of a one-per-line ``column`` not in ``known``; a bad one names its line."""
+def _check_column(path: str, column: Sequence[str], known: frozenset[str] = frozenset(),
+                  line_of=lambda i: i + 1, error=CorpusError) -> None:
+    """Check each distinct token of a one-per-line ``column`` not in ``known``.
+
+    A bad one is ``error`` naming its line, ``line_of`` its index.
+    """
+    if known.issuperset(column):
+        return
+    check = canonical_checker()
     for token in dict.fromkeys(column):
         if token not in known:
             try:
                 check(token)
             except ValueError as exc:
-                raise CorpusError(f"{path}:{column.index(token) + 1}: {exc}") from None
+                raise error(f"{path}:{line_of(column.index(token))}: {exc}") from None
 
 
-def _read_catalog(path: str, text: str, check, known: frozenset[str]) -> tuple[tuple[str, str], ...]:
-    """The (relation, filler) pair of each dimension id; the pairs must increase down the file."""
-    lines = _CATALOG_LINE.findall(text)
-    # each match is one whole line: the matches cover the text when there is one per line
-    if len(lines) != text.count("\n") or (text and not text.endswith("\n")):
-        raise _malformed(path, text, _CATALOG_LINES.match(text).end(), "dimension id, relation, filler")
-    ids = list(map(operator.itemgetter(0), lines))
-    if ids != list(map(str, range(len(ids)))):
-        first = next(i for i, dim_id in enumerate(ids) if dim_id != str(i))
-        raise ConsistencyError(f"{path}:{first + 1}: dimension id {ids[first]} out of sequence")
-    dims = tuple(map(operator.itemgetter(1, 2), lines))
-    _check_column(path, list(map(operator.itemgetter(1), dims)), check, known)
-    if not all(map(operator.lt, dims, dims[1:])):
-        i = next(i for i in range(1, len(dims)) if dims[i - 1] >= dims[i])
-        raise ConsistencyError(f"{path}:{i + 1}: dimension {dims[i]} does not sort after {dims[i - 1]}")
-    return dims
+def _tiling(path: str, name: str, text: str, starts: list[int]) -> list[tuple[int, int]]:
+    """Each block's (start, end) in ``text``, from the offsets in ``blocks.tsv`` (``path``) where they start.
 
-
-def _target_blocks(
-    path: str, text: str, block: re.Pattern, check, known: frozenset[str], n_dims: int | None = None
-) -> tuple[dict[str, tuple[int, int]], int]:
-    """Each target's block offsets, and the offset where the blocks stop.
-
-    The blocks stop at the first line that does not fit ``block``, or at
-    the end of ``text``. Every target is checked to be a token that sorts
-    after the target before it, so each target has one block. With
-    ``n_dims``, each block's last dimension id is checked to be below it.
+    A block ends where the next starts, and the last at the end of
+    ``text``. The blocks must cover ``text`` with no gap and no
+    overlap, each starting at a line start.
     """
-    blocks: dict[str, tuple[int, int]] = {}
-    previous = ""
-    end = 0
-    for match in block.finditer(text):
-        if match.start() != end:
-            break
-        target = match[1]
-        if target not in known:
-            try:
-                check(target)
-            except ValueError as exc:
-                raise CorpusError(f"{path}:{_line_of(text, end)}: {exc}") from None
-        if target <= previous:
-            raise ConsistencyError(f"{path}:{_line_of(text, end)}: target {target} does not sort after {previous}")
-        blocks[target] = match.span()
-        previous, end = target, match.end()
-        if n_dims is not None and int(match[3] or match[2]) >= n_dims:
-            raise ConsistencyError(
-                f"{path}:{_line_of(text, end - 1)}: dimension id {match[3] or match[2]} is not in the catalog"
-            )
-    return blocks, end
+    size = len(text)
+    previous = 0
+    for line, start in enumerate(starts, 1):
+        if start > size:
+            fault = f"is past its end, {size}"
+        elif start < previous:
+            fault = f"is before the block above it, at {previous}: the blocks overlap"
+        elif line == 1 and start:
+            fault = "leaves a gap before it: the first block starts at 0"
+        elif start and text[start - 1] != "\n":
+            fault = "is not at a line start"
+        else:
+            previous = start
+            continue
+        raise ConsistencyError(f"{path}:{line}: {name} offset {start} {fault}")
+    if text and not starts:
+        raise ConsistencyError(f"{path}: lists no target, but {name} is not empty")
+    return list(zip(starts, [*starts[1:], size]))
+
+
+def _lines(path: str, text: str, line: re.Pattern, layout: str, start: int, end: int, error=CorpusError) -> list:
+    """The groups of each line of ``text[start:end]``, which must all fit ``line``, whose layout is ``layout``."""
+    lines = line.findall(text, start, end)
+    # each match is one whole line: the matches cover the text when there is one per line
+    if len(lines) == text.count("\n", start, end) and (start == end or text[end - 1] == "\n"):
+        return lines
+    offset = start
+    while match := line.match(text, offset, end):
+        offset = match.end()
+    raise _malformed(path, text, offset, layout, error)
+
+
+def _read_block(path: str, text: str, start: int, end: int, target: str, line: re.Pattern, layout: str) -> list:
+    """The (middle field, score) of each line of ``target``'s block, ``text[start:end]``.
+
+    Every line must fit ``line``, whose layout is ``layout``, and name ``target``.
+    """
+    pairs = _lines(path, text, line, layout, start, end)
+    head = f"{target}\t"
+    # every line after the first starts after a newline
+    if not (text.startswith(head, start) and text.count("\n" + head, start, end) == len(pairs) - 1):
+        lines = text[start:end].split("\n")
+        i = next(i for i, fields in enumerate(lines) if fields.partition("\t")[0] != target)
+        other, number = lines[i].partition("\t")[0], _line_of(text, start) + i
+        _check_column(path, [other], line_of=lambda _: number)
+        raise ConsistencyError(f"{path}:{number}: target {other} in the block of {target}")
+    return pairs
 
 
 def _row_fault(path: str, text: str, start: int, ids: tuple[int, ...], scores: tuple[float, ...]):
@@ -519,36 +613,43 @@ def load_space(directory: str) -> WeightedSpace:
     """Read an archive back; its rows and rankings are parsed per target on first use.
 
     The format version is checked first, then the bytes against the
-    manifest, and only then is anything parsed. Every line's layout and
-    token, the order of the targets and of the catalog, each row's last
-    dimension id and the manifest's counts are checked here; a row's ids
-    and scores, and its ``ARG`` scores, when its target is first used.
-    Any failure names ``path:line`` or the manifest.
+    manifest, and only then is anything parsed. The vocabulary,
+    ``blocks.tsv`` and the manifest's counts are checked here; a
+    target's blocks, and the catalog lines its row refers to, when the
+    target is first read. Any failure names ``path:line`` or the
+    manifest.
     """
-    manifest = read_sidecar(os.path.join(directory, "manifest.txt"))
+    manifest_path = os.path.join(directory, "manifest.txt")
+    manifest = read_sidecar(manifest_path)
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise StaleArtifactError(
             f"space archive {directory} has format version {version}, this argex reads "
             f"version {FORMAT_VERSION}; re-run `argex weight`"
         )
-    paths = [os.path.join(directory, name) for name in _DATA_FILES]
+    paths = [os.path.join(directory, name) for name in _FILES]
     bodies = [read_bytes(path) for path in paths]
     recorded = manifest.get("space_id", "")
-    actual = _space_id(bodies)
+    actual = _sha256(bodies[:4])
     if recorded != actual:
         raise ConsistencyError(
             f"space archive {directory} failed verification: "
             f"manifest records {recorded[:12]}.., content is {actual[:12]}.."
+        )
+    recorded = manifest.get("blocks_sha256", "")
+    actual = _sha256(bodies[4:])
+    if recorded != actual:
+        raise ConsistencyError(
+            f"{manifest_path}: blocks_sha256 is {recorded[:12]}.., {paths[4]} holds {actual[:12]}.."
         )
     texts = tuple(map(decode_utf8, paths, bodies))
     del bodies
     space = WeightedSpace(texts, manifest, directory)
     space._check()
     # space_id covers the data files only: the manifest's counts are read back against them
-    held = {"n_targets": len(space._row_blocks), "n_dims": len(space.catalog), "n_vocab": len(space.vocabulary)}
+    n_targets = sum(start < end for start, end, _, _ in space._blocks.values())
+    held = {"n_targets": n_targets, "n_dims": space._n_dims, "n_vocab": len(space.vocabulary)}
     for key, count in held.items():
         if manifest.get(key) != str(count):
-            path = os.path.join(directory, "manifest.txt")
-            raise ConsistencyError(f"{path}: {key} is {manifest.get(key)}, the archive holds {count}")
+            raise ConsistencyError(f"{manifest_path}: {key} is {manifest.get(key)}, the archive holds {count}")
     return space

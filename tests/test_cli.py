@@ -81,11 +81,11 @@ READER_OF = {
         "window.tensor.tsv", "window.tensor.tsv.meta",
     )},
     **{f"deps.space/{name}": FILLERS_DEPS for name in (
-        "catalog.tsv", "vocab.tsv", "rows.tsv", "arg.tsv", "manifest.txt",
+        "catalog.tsv", "vocab.tsv", "rows.tsv", "arg.tsv", "blocks.tsv", "manifest.txt",
     )},
     # window.space/arg.tsv is empty: it has no byte to damage
     **{f"window.space/{name}": FILLERS_WINDOW for name in (
-        "catalog.tsv", "vocab.tsv", "rows.tsv", "manifest.txt",
+        "catalog.tsv", "vocab.tsv", "rows.tsv", "blocks.tsv", "manifest.txt",
     )},
 }
 
@@ -452,6 +452,37 @@ class TestGuards:
         assert stdout == ""
         assert reports_snapshot(out) == before
 
+    @pytest.mark.parametrize("key, task", [
+        ("bicknell_agent_slot", "bicknell-acc2"),
+        ("bicknell_verb_slot", "bicknell-acc1"),
+        ("chow_agent_slot", "chow"),
+        ("chow_patient_slot", "chow"),
+    ])
+    def test_a_slot_setting_naming_no_relation_exits_2_and_writes_no_report(
+        self, bicknell_out, chow_out, tmp_path, capsys, key, task
+    ):
+        conf, built = (CHOW_CONF, chow_out) if task == "chow" else (BICKNELL_CONF, bicknell_out)
+        out = copy_artifacts(built, str(tmp_path / "out"))
+        argv = ("eval", "-c", conf, "--out-dir", out, "--task", task, "--kind", "deps", "--k", "10")
+        assert run_cli(capsys, *argv)[0] == 0
+        before = reports_snapshot(out)
+        code, stdout, err = run_cli(capsys, *argv, "--set", f"{key}=obk")
+        assert code == 2
+        assert f"{key}=obk names no relation of the space {os.path.join(out, 'deps.space')}" in err
+        assert stdout == ""
+        assert reports_snapshot(out) == before
+
+    def test_an_empty_ranking_under_a_relation_of_the_space_stays_a_skipped_item(self, bicknell_out, tmp_path, capsys):
+        # no agent noun has an obj filler, but obj is a relation of the space
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        code, _, _ = run_cli(capsys, "eval", "-c", BICKNELL_CONF, "--out-dir", out, "--task", "bicknell-acc2",
+                             "--kind", "deps", "--k", "10", "--set", "bicknell_agent_slot=obj")
+        assert code == 0
+        with open(os.path.join(out, "reports", "bicknell-acc2.deps-sum-k10.json"), encoding="utf-8") as fh:
+            report = json.load(fh)
+        assert report["counts"]["n_failed"] == 10
+        assert {item["reason"].partition(":")[0] for item in report["skipped"]} == {"empty prototype"}
+
     def test_weight_before_ingest(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "weight", "-c", BICKNELL_CONF, "--out-dir", str(tmp_path)
@@ -526,15 +557,93 @@ class TestGuards:
         assert os.path.join(out, named) in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("version", ["1", "7"])
+    @pytest.mark.parametrize("version", ["1", "2", "7"])
     def test_other_archive_format_version_refused(self, bicknell_out, tmp_path, capsys, version):
         out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
         manifest = os.path.join(out, "deps.space", "manifest.txt")
-        write_sidecar(manifest, {**read_sidecar(manifest), "format_version": version})
+        recorded = {**read_sidecar(manifest), "format_version": version}
+        if version == "2":  # version 2 had no blocks.tsv
+            os.remove(os.path.join(out, "deps.space", "blocks.tsv"))
+            del recorded["blocks_sha256"]
+        write_sidecar(manifest, recorded)
         code, _, err = run_cli(capsys, *FILLERS_DEPS, "-c", BICKNELL_CONF, "--out-dir", out)
         assert code == 2
         assert os.path.join(out, "deps.space") in err
         assert "re-run `argex weight`" in err
+
+    # each case takes the blocks.tsv lines, split into [target, rows.tsv offset, arg.tsv offset], and the
+    # size of arg.tsv; it gives the edited lines and the fault, which names blocks.tsv
+    @pytest.mark.parametrize("case", [
+        lambda lines, size: ([[lines[0][0], lines[1][1], lines[0][2]], *lines[1:]],
+                             f"blocks.tsv:1: rows.tsv offset {lines[1][1]} leaves a gap before it"),
+        lambda lines, size: ([*lines[:2], [lines[2][0], "0", lines[2][2]], *lines[3:]],
+                             "blocks.tsv:3: rows.tsv offset 0 is before the block above it"),
+        lambda lines, size: ([lines[0], [lines[1][0], str(int(lines[1][1]) + 1), lines[1][2]], *lines[2:]],
+                             f"blocks.tsv:2: rows.tsv offset {int(lines[1][1]) + 1} is not at a line start"),
+        lambda lines, size: ([*lines[:-1], [*lines[-1][:2], str(size + 1)]],
+                             f"blocks.tsv:{len(lines)}: arg.tsv offset {size + 1} is past its end, {size}"),
+        lambda lines, size: ([lines[1], lines[0], *lines[2:]],
+                             f"blocks.tsv:2: target {lines[0][0]} does not sort after {lines[1][0]}"),
+        lambda lines, size: ([["airplane", *lines[0][1:]], *lines[1:]], "blocks.tsv:1: "),
+        lambda lines, size: ([lines[0][:2], *lines[1:]], "blocks.tsv:1: expected target, offset, offset"),
+        lambda lines, size: ([], "blocks.tsv: lists no target, but rows.tsv is not empty"),
+    ], ids=["gap", "overlap", "not-at-a-line-start", "past-the-end", "target-out-of-order", "bad-token",
+            "two-fields", "no-target"])
+    def test_a_fault_in_blocks_tsv_exits_4_at_load_naming_its_line(self, bicknell_out, tmp_path, capsys, case):
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        space = os.path.join(out, "deps.space")
+        with open(os.path.join(space, "blocks.tsv"), encoding="utf-8") as fh:
+            lines = [line.split("\t") for line in fh.read().splitlines()]
+        edited, fault = case(lines, os.path.getsize(os.path.join(space, "arg.tsv")))
+        body = "".join("\t".join(fields) + "\n" for fields in edited).encode("utf-8")
+        with open(os.path.join(space, "blocks.tsv"), "wb") as fh:
+            fh.write(body)
+        manifest = os.path.join(space, "manifest.txt")
+        write_sidecar(manifest, {**read_sidecar(manifest), "blocks_sha256": hashlib.sha256(body).hexdigest()})
+        code, stdout, err = run_cli(capsys, *FILLERS_DEPS, "-c", BICKNELL_CONF, "--out-dir", out)
+        assert code == 4
+        assert os.path.join(space, fault) in err
+        assert stdout == ""
+
+    def test_blocks_tsv_that_differs_from_its_recorded_hash_exits_4_naming_the_manifest(
+        self, bicknell_out, tmp_path, capsys
+    ):
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        with open(os.path.join(out, "deps.space", "blocks.tsv"), "a", encoding="utf-8") as fh:
+            fh.write("zebra-n\t0\t0\n")
+        code, stdout, err = run_cli(capsys, *FILLERS_DEPS, "-c", BICKNELL_CONF, "--out-dir", out)
+        assert code == 4
+        assert f"{os.path.join(out, 'deps.space', 'manifest.txt')}: blocks_sha256 is " in err
+        assert stdout == ""
+
+    @pytest.mark.parametrize("name, slot", [("rows.tsv", "obj"), ("arg.tsv", "ARG")])
+    def test_a_damaged_block_fails_only_its_own_target(self, bicknell_out, tmp_path, capsys, name, slot):
+        # the archive is hash-valid: load passes, and only a read of the damaged block finds the fault
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        space = os.path.join(out, "deps.space")
+        other = ("fillers", "--target", "treat-v", "--slot", slot, "-c", BICKNELL_CONF, "--out-dir", out)
+        expected = run_cli(capsys, *other)
+        assert expected[0] == 0 and expected[1].startswith(f"treat-v/{slot}: ")
+        path = os.path.join(space, name)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        line = next(i for i, text in enumerate(lines) if text.startswith("arrest-v\t"))
+        target, middle, score = lines[line].split("\t")
+        lines[line] = f"{target}\t{middle}\t{'x' * (len(score) - 1)}\n"  # the same length: no offset moves
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(lines))
+        digest = hashlib.sha256()
+        for data_file in ("catalog.tsv", "vocab.tsv", "rows.tsv", "arg.tsv"):
+            with open(os.path.join(space, data_file), "rb") as fh:
+                digest.update(fh.read())
+        manifest = os.path.join(space, "manifest.txt")
+        write_sidecar(manifest, {**read_sidecar(manifest), "space_id": digest.hexdigest()})
+        assert run_cli(capsys, *other) == expected
+        code, stdout, err = run_cli(capsys, "fillers", "--target", "arrest-v", "--slot", slot,
+                                    "-c", BICKNELL_CONF, "--out-dir", out)
+        assert code == 2
+        assert f"{path}:{line + 1}: expected target, " in err
+        assert stdout == ""
 
     @pytest.mark.parametrize("argv, read, kind", [
         (FILLERS_DEPS, "deps.space", "dependency"),
@@ -764,6 +873,14 @@ class TestGuards:
         assert "--k" in err and "argex weight" not in err and "Traceback" not in err
         assert out == ""
 
+
+    @pytest.mark.parametrize("slot", [" obj", "obj ", "\tobj"])
+    def test_fillers_slot_is_stripped_as_config_strings_are(self, bicknell_out, capsys, slot):
+        expected = run_cli(capsys, *FILLERS_DEPS, "-c", BICKNELL_CONF, "--out-dir", bicknell_out)
+        assert expected[1].startswith("arrest-v/obj: ") and "(no fillers)" not in expected[1]
+        result = run_cli(capsys, "fillers", "--target", "arrest-v", "--slot", slot,
+                         "-c", BICKNELL_CONF, "--out-dir", bicknell_out)
+        assert result == expected
 
     def test_fillers_empty_slot_is_refused_before_loading(self, tmp_path, capsys):
         code, out, err = run_cli(
@@ -1109,7 +1226,7 @@ class TestGoldenChecker:
     def test_fixtures_match_under_this_interpreter(self):
         result = subprocess.run([sys.executable, self.SCRIPT], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.endswith(" 32 artifacts, 183 reports, 0 mismatches\n")
+        assert result.stdout.endswith(" 36 artifacts, 183 reports, 0 mismatches\n")
 
     def test_each_mismatch_is_named(self):
         spec = importlib.util.spec_from_file_location("check_golden", self.SCRIPT)

@@ -249,24 +249,31 @@ def toy_weighted():
     }))
 
 
-def append_verified(directory: str, name: str, line: str) -> None:
-    """Append ``line`` to an archive file and re-record the space id, so only parsing can refuse it."""
-    edit_verified(directory, name, lambda text: text + line)
+def append_verified(directory: str, name: str, line: str, **manifest: str) -> None:
+    """Append ``line`` to an archive file and re-record the space id, so only parsing can refuse it.
+
+    ``manifest`` re-records other manifest values too, such as ``n_dims``.
+    """
+    edit_verified(directory, name, lambda text: text + line, **manifest)
 
 
-def edit_verified(directory: str, name: str, edit) -> None:
-    """Replace the text of an archive file by ``edit(text)`` and re-record the space id."""
+def edit_verified(directory: str, name: str, edit, **manifest: str) -> None:
+    """Replace the text of an archive file by ``edit(text)`` and re-record its hash in the manifest."""
     path = os.path.join(directory, name)
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(edit(text))
-    digest = hashlib.sha256()
-    for data_file in ("catalog.tsv", "vocab.tsv", "rows.tsv", "arg.tsv"):
-        with open(os.path.join(directory, data_file), "rb") as fh:
-            digest.update(fh.read())
-    manifest = os.path.join(directory, "manifest.txt")
-    write_sidecar(manifest, {**read_sidecar(manifest), "space_id": digest.hexdigest()})
+    digests = {}
+    for key, files in (("space_id", ("catalog.tsv", "vocab.tsv", "rows.tsv", "arg.tsv")),
+                       ("blocks_sha256", ("blocks.tsv",))):
+        digest = hashlib.sha256()
+        for data_file in files:
+            with open(os.path.join(directory, data_file), "rb") as fh:
+                digest.update(fh.read())
+        digests[key] = digest.hexdigest()
+    path = os.path.join(directory, "manifest.txt")
+    write_sidecar(path, {**read_sidecar(path), **digests, **manifest})
 
 
 def toy_space() -> WeightedSpace:
@@ -386,13 +393,25 @@ class TestSpace:
         ids=["junk-row", "dimension-id-out-of-sequence", "repeated-dimension"],
     )
     def test_verified_but_malformed_catalog_names_path_and_line(self, tmp_path, line, error):
+        # a catalog line no row refers to is read with the whole catalog
         space = toy_space()
         directory = str(tmp_path / "space")
         save_space(space, directory)
         n_dims = len(space.catalog)
         assert space.catalog[0] == ("obj", "bird-n")  # the pair the third line repeats
-        append_verified(directory, "catalog.tsv", line.format(n_dims=n_dims))
+        append_verified(directory, "catalog.tsv", line.format(n_dims=n_dims), n_dims=str(n_dims + 1))
+        loaded = load_space(directory)
+        assert loaded.ranking("see-v", "sbj") == space.ranking("see-v", "sbj")
         with pytest.raises(error, match=f"catalog.tsv:{n_dims + 1}:"):
+            loaded.catalog
+
+    def test_a_catalog_without_its_final_newline_is_refused_at_load(self, tmp_path):
+        space = toy_space()
+        directory = str(tmp_path / "space")
+        save_space(space, directory)
+        n_dims = len(space.catalog)
+        edit_verified(directory, "catalog.tsv", lambda text: text[:-1])
+        with pytest.raises(CorpusError, match=f"catalog.tsv:{n_dims}: expected dimension id, relation, filler"):
             load_space(directory)
 
     def test_verified_row_outside_the_catalog_names_path_and_line(self, tmp_path):
@@ -401,8 +420,11 @@ class TestSpace:
         save_space(space, directory)
         n_rows = sum(len(space.row(target)) for target in targets(space))
         append_verified(directory, "rows.tsv", f"see-v\t{len(space.catalog)}\t1\n")
-        with pytest.raises(ConsistencyError, match=f"rows.tsv:{n_rows + 1}: dimension id"):
-            load_space(directory)
+        loaded = load_space(directory)
+        assert loaded.row("dog-n") == space.row("dog-n")
+        for read in (lambda: loaded.row("see-v"), lambda: loaded.ranking("see-v", "sbj")):
+            with pytest.raises(ConsistencyError, match=f"rows.tsv:{n_rows + 1}: dimension id"):
+                read()
 
     @pytest.mark.parametrize(
         "name, line",
@@ -418,14 +440,17 @@ class TestSpace:
         ids=["two-fields", "two-fields-then-a-good-line", "word-for-id", "negative-score", "no-final-newline", "nan-score", "four-fields"],
     )
     def test_verified_but_malformed_line_names_path_and_line(self, tmp_path, name, line):
+        # the appended line ends the last target's block: the archive loads, that target does not
         space = toy_space()
         directory = str(tmp_path / "space")
         save_space(space, directory)
         with open(os.path.join(directory, name), encoding="utf-8") as fh:
             n_lines = fh.read().count("\n")
         append_verified(directory, name, line)
+        loaded = load_space(directory)
+        assert loaded.ranking("dog-n", "sbj_inv") == space.ranking("dog-n", "sbj_inv")
         with pytest.raises(CorpusError, match=f"{name}:{n_lines + 1}: expected"):
-            load_space(directory)
+            loaded.ranking("see-v", "sbj")
 
     def test_repeated_dimension_id_is_found_when_its_target_is_first_read(self, tmp_path):
         # the one check made per target block: the archive loads, the damaged target does not
@@ -441,47 +466,57 @@ class TestSpace:
             with pytest.raises(ConsistencyError, match=f"rows.tsv:{n_rows + 1}: dimension ids must increase"):
                 read()
 
-    def test_target_lines_apart_are_refused_at_load(self, tmp_path):
+    def test_target_lines_apart_are_refused_at_first_read(self, tmp_path):
         space = toy_space()
         directory = str(tmp_path / "space")
         save_space(space, directory)
         n_rows = sum(len(space.row(target)) for target in targets(space))
-        assert targets(space)[0] == "dog-n"  # the first block: an appended line would be a second one
+        assert targets(space)[0] == "dog-n"  # the first block: the appended line falls in the last one
         extra = space.catalog.index(("obj", "bird-n"))
         assert extra not in space.row("dog-n").ids
         append_verified(directory, "rows.tsv", f"dog-n\t{extra}\t2.5\n")
-        with pytest.raises(ConsistencyError, match=f"rows.tsv:{n_rows + 1}: target dog-n does not sort after see-v"):
-            load_space(directory)
+        loaded = load_space(directory)
+        assert loaded.row("dog-n") == space.row("dog-n")
+        with pytest.raises(ConsistencyError, match=f"rows.tsv:{n_rows + 1}: target dog-n in the block of see-v"):
+            loaded.row("see-v")
 
-    def test_rows_target_out_of_order_is_refused_at_load(self, tmp_path):
+    def test_rows_target_out_of_order_is_refused_at_first_read(self, tmp_path):
         space = toy_space()
         directory = str(tmp_path / "space")
         save_space(space, directory)
         n_rows = sum(len(space.row(target)) for target in targets(space))
         assert "cat-n" not in targets(space)
         append_verified(directory, "rows.tsv", "cat-n\t0\t1\n")
-        with pytest.raises(ConsistencyError, match=f"rows.tsv:{n_rows + 1}: target cat-n does not sort after see-v"):
-            load_space(directory)
+        loaded = load_space(directory)
+        assert loaded.row("cat-n") == EMPTY_VECTOR
+        with pytest.raises(ConsistencyError, match=f"rows.tsv:{n_rows + 1}: target cat-n in the block of see-v"):
+            loaded.ranking("see-v", "sbj")
 
-    def test_arg_target_out_of_order_is_refused_at_load(self, tmp_path):
+    def test_arg_target_out_of_order_is_refused_at_first_read(self, tmp_path):
         extra = WeightedTensor(scores={("see-v", ARG, "dog-n"): 0.75})
         space = build_space(toy_weighted(), ["see-v", "eat-v", "dog-n"], extra_index=extra)
         directory = str(tmp_path / "space")
         save_space(space, directory)
         append_verified(directory, "arg.tsv", "eat-v\tdog-n\t0.5\n")
-        with pytest.raises(ConsistencyError, match="arg.tsv:2: target eat-v does not sort after see-v"):
-            load_space(directory)
+        loaded = load_space(directory)
+        assert loaded.ranking("eat-v", ARG) == ()
+        with pytest.raises(ConsistencyError, match="arg.tsv:2: target eat-v in the block of see-v"):
+            loaded.ranking("see-v", ARG)
 
-    def test_catalog_pair_out_of_order_is_refused_at_load(self, tmp_path):
+    def test_catalog_pair_out_of_order_is_refused_at_first_read(self, tmp_path):
         space = toy_space()
         directory = str(tmp_path / "space")
         save_space(space, directory)
         n_dims = len(space.catalog)
         assert ("obj", "dog-n") not in space.catalog and ("obj", "dog-n") < space.catalog[-1]
-        append_verified(directory, "catalog.tsv", f"{n_dims}\tobj\tdog-n\n")
+        append_verified(directory, "catalog.tsv", f"{n_dims}\tobj\tdog-n\n", n_dims=str(n_dims + 1))
+        append_verified(directory, "rows.tsv", f"see-v\t{n_dims}\t1\n")  # see-v's row now refers to it
+        loaded = load_space(directory)
+        assert loaded.ranking("eat-v", "sbj") == space.ranking("eat-v", "sbj")
         fault = rf"catalog.tsv:{n_dims + 1}: dimension \('obj', 'dog-n'\) does not sort after"
-        with pytest.raises(ConsistencyError, match=fault):
-            load_space(directory)
+        for read in (lambda: loaded.ranking("see-v", "sbj"), lambda: loaded.catalog):
+            with pytest.raises(ConsistencyError, match=fault):
+                read()
 
     # the ids of see-v's last two lines: swapped, and an id outside the catalog that the last line hides
     @pytest.mark.parametrize("ids", [(2, 1), (99, 2)], ids=["swapped", "hidden-outside-the-catalog"])
@@ -666,7 +701,7 @@ class TestSpace:
 
     def test_manifest_records_provenance(self):
         space = toy_space()
-        assert space.manifest["format_version"] == "2"
+        assert space.manifest["format_version"] == "3"
         assert space.manifest["n_targets"] == str(len(targets(space)))
         assert space.manifest["n_dims"] == str(len(space.catalog))
 
@@ -715,10 +750,20 @@ class TestWriterOrder:
         built = build_space(WeightedTensor(scores=scores), tokens, extra_index=WeightedTensor(scores=extra_scores))
         with tempfile.TemporaryDirectory() as directory:
             save_space(built, directory)
-            for name, text in zip(("catalog.tsv", "vocab.tsv", "rows.tsv", "arg.tsv"), built.texts):
+            for name, text in zip(("catalog.tsv", "vocab.tsv", "rows.tsv", "arg.tsv", "blocks.tsv"), built.texts):
                 with open(os.path.join(directory, name), "rb") as fh:
                     assert fh.read() == text.encode("utf-8"), name
             loaded = load_space(directory)
+        # blocks.tsv lists every target of rows.tsv and arg.tsv, and each offset starts that target's lines
+        blocks = [line.split("\t") for line in loaded.texts[4].splitlines()]
+        names = [name for name, _, _ in blocks]
+        assert names == sorted(set(targets(loaded)) | set(targets(loaded, data_file=3)))
+        for column, data_file in ((1, 2), (2, 3)):
+            text = loaded.texts[data_file]
+            starts = [int(fields[column]) for fields in blocks]
+            for name, start, end in zip(names, starts, [*starts[1:], len(text)]):
+                lines = [line for line in text.splitlines(keepends=True) if line.partition("\t")[0] == name]
+                assert text[start:end] == "".join(lines)
         kept = {key: score for key, score in scores.items() if score > 0}
         catalog = sorted({(relation, filler) for _, relation, filler in kept})
         assert loaded.catalog == built.catalog == tuple(catalog)
@@ -732,6 +777,10 @@ class TestWriterOrder:
             for relation in {relation for relation, _ in catalog} | {ARG}:
                 ranking = expected.get((target, relation), ())
                 assert loaded.ranking(target, relation) == built.ranking(target, relation) == ranking
+        # every row and every ranking the loaded space holds, read back as the built space reads them
+        for target in names:
+            assert loaded.row(target) == built.row(target)
+        assert every_ranking(loaded) == every_ranking(built)
 
 
 def bad_artifact(load, name: str, body: str):
@@ -745,14 +794,17 @@ def bad_artifact(load, name: str, body: str):
     return setup
 
 
-def bad_archive(name: str, line):
-    """Set-up of a verified toy archive with ``line(space)`` appended to ``name``."""
+def bad_archive(name: str, line, **manifest):
+    """Set-up of a verified toy archive with ``line(space)`` appended to ``name``: (path, its loader).
+
+    ``manifest`` re-records manifest values, such as ``n_dims``, from the toy space.
+    """
 
     def setup(tmp_path):
         space = toy_space()
         directory = str(tmp_path / "space")
         save_space(space, directory)
-        append_verified(directory, name, line(space))
+        append_verified(directory, name, line(space), **{key: value(space) for key, value in manifest.items()})
         return os.path.join(directory, name), lambda: load_space(directory)
 
     return setup
@@ -765,16 +817,9 @@ class TestTokenChecksAtLoad:
         [
             bad_artifact(CooccurrenceTensor.load, "t.tsv", "see-v\tsbj\tdog-n\t2\nsee-v\tobj\tdog\t1\n"),
             bad_artifact(lambda path: load_vocabulary(path, 1, True), "vocab.tsv", "dog-n\t3\n-n\t2\n"),
-            bad_archive("catalog.tsv", lambda space: f"{len(space.catalog)}\tobj\tdog-x\n"),
-            bad_archive("arg.tsv", lambda space: "see-v\tdog\t0.5\n"),
-            bad_archive("rows.tsv", lambda space: "zebra\t0\t0.5\n"),
-            bad_archive("arg.tsv", lambda space: "zebra-q\tdog-n\t0.5\n"),
             bad_archive("vocab.tsv", lambda space: "zebra\n"),
         ],
-        ids=[
-            "tensor-filler", "vocab", "catalog-filler", "arg-filler",
-            "rows-target", "arg-target", "space-vocab",
-        ],
+        ids=["tensor-filler", "vocab", "space-vocab"],
     )
     def test_non_lemma_pos_token_in_a_verified_body_names_path_and_line(self, tmp_path, setup):
         path, load = setup(tmp_path)
@@ -782,3 +827,27 @@ class TestTokenChecksAtLoad:
             last_line = fh.read().count("\n")
         with pytest.raises(CorpusError, match=f"{os.path.basename(path)}:{last_line}:"):
             load()
+
+
+class TestTokenChecksAtFirstRead:
+    # a token inside a target's block, or a catalog line, is checked when a read first touches it
+    @pytest.mark.parametrize(
+        "setup, read",
+        [
+            (bad_archive("catalog.tsv", lambda space: f"{len(space.catalog)}\tobj\tdog-x\n",
+                         n_dims=lambda space: str(len(space.catalog) + 1)),
+             lambda space: space.catalog),
+            (bad_archive("arg.tsv", lambda space: "see-v\tdog\t0.5\n"), lambda space: space.ranking("see-v", ARG)),
+            (bad_archive("rows.tsv", lambda space: "zebra\t0\t0.5\n"), lambda space: space.row("see-v")),
+            (bad_archive("arg.tsv", lambda space: "zebra-q\tdog-n\t0.5\n"), lambda space: space.ranking("see-v", "sbj")),
+        ],
+        ids=["catalog-filler", "arg-filler", "rows-target", "arg-target"],
+    )
+    def test_non_lemma_pos_token_in_a_verified_body_names_path_and_line(self, tmp_path, setup, read):
+        path, load = setup(tmp_path)
+        with open(path, encoding="utf-8") as fh:
+            last_line = fh.read().count("\n")
+        loaded = load()
+        assert loaded.row("dog-n") == toy_space().row("dog-n")
+        with pytest.raises(CorpusError, match=f"{os.path.basename(path)}:{last_line}:"):
+            read(loaded)
