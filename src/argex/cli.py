@@ -49,7 +49,7 @@ from .errors import (
     UndefinedModelError,
 )
 from .tensor import CooccurrenceTensor, make_output_dir, read_sidecar, sidecar_path, write_bytes_atomic
-from .tokens import WINDOW, compile_pos_map, parse_canonical
+from .tokens import ARG, WINDOW, compile_pos_map, parse_canonical
 
 if TYPE_CHECKING:
     from .evaluation import EvalReport
@@ -290,6 +290,8 @@ def cmd_fillers(args: argparse.Namespace) -> int:
         raise OutOfVocabularyError(target)
     ranking = space.ranking(target, slot)
     if not ranking:
+        if slot not in (ARG, WINDOW):
+            _refuse_slots_naming_no_relation({"--slot": slot}, space)
         print(f"{target}/{slot}: (no fillers)")
         return 0
     if len(ranking) < args.k:
@@ -347,25 +349,24 @@ def _score(
             slots = chow_slots if task == TASK_CHOW else bicknell_slots
             grid = evaluate_grid(vectors, kind, items, task, compositions, k_values, slots, index=index)
             if kind is VariantKind.DEPS and any(report.n_failed for report in grid.values()):
-                _refuse_slots_naming_no_relation(config, task, vectors)
+                keys = (("chow_agent_slot", "chow_patient_slot") if task == TASK_CHOW
+                        else ("bicknell_agent_slot", "bicknell_verb_slot"))
+                _refuse_slots_naming_no_relation({key: getattr(config, key) for key in keys}, vectors)
             cells += [(grid[(comp, k)], provenance) for comp in compositions for k in k_values]
     return cells
 
 
-def _refuse_slots_naming_no_relation(config: PipelineConfig, task: str, space: WeightedSpace) -> None:
-    """Refuse a slot setting of ``task`` that names no relation of the dependency ``space``.
+def _refuse_slots_naming_no_relation(slots: dict[str, str], space: WeightedSpace) -> None:
+    """Refuse a slot that names no relation of the dependency ``space``.
 
+    ``slots`` maps the setting or flag that gave each slot to the slot.
     A ranking under such a slot is always empty. This reads the whole
     catalog, so it runs only once a ranking has come back empty.
     """
-    if task == TASK_CHOW:
-        keys = ("chow_agent_slot", "chow_patient_slot")
-    else:
-        keys = ("bicknell_agent_slot", "bicknell_verb_slot")
     relations = {relation for relation, _ in space.catalog}
-    for key in keys:
-        if getattr(config, key) not in relations:
-            raise ConfigError(f"{key}={getattr(config, key)} names no relation of the space {space.directory}")
+    for key, slot in slots.items():
+        if slot not in relations:
+            raise ConfigError(f"{key}={slot} names no relation of the space {space.directory}")
 
 
 def _write_reports(out_dir: str, cells, table_of: Callable[[str], str | None]) -> None:

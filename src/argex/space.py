@@ -3,21 +3,22 @@
 A space holds one row per target over (relation, filler) dimensions with
 positive association scores, plus, for each (target, relation), the
 fillers ranked by descending score. A space is its archive: the text of
-four sorted TSV data files, whose sha256 is the space id, and
-``blocks.tsv``, which gives the offset where each target's block of
-lines starts in ``rows.tsv`` and ``arg.tsv``. ``build_space`` renders
-them straight from the weighted scores, ``save_space`` writes them with
-a manifest, and ``load_space`` reads them back once their hashes are
+five sorted TSV files, whose sha256 is the space id. ``blocks.tsv``
+gives the offset where each target's block of lines starts in
+``rows.tsv`` and ``arg.tsv``, so a line there belongs to the target
+whose block it sits in, and a ``catalog.tsv`` line's dimension id is
+its line number: no line repeats either fact. ``build_space`` renders
+the files straight from the weighted scores, ``save_space`` writes them
+with a manifest, and ``load_space`` reads them back once their hash is
 verified. The archive stores scores only: every ranking is rebuilt from
 the rows for the dependency slots and from ``arg.tsv`` for the ARG slot.
 A space, built or loaded, reads its own rows and rankings from those
 files, in the order the writer writes them: targets increase down
-``rows.tsv``, ``arg.tsv`` and ``blocks.tsv``, ids within a row, and
-(relation, filler) pairs down ``catalog.tsv``. Its first read checks
-the vocabulary and ``blocks.tsv``, which a load makes at once and a
-built space on first use. A target's blocks, and the catalog lines its
-row refers to, are parsed and checked only when the target is first
-used.
+``blocks.tsv``, ids within a row, and (relation, filler) pairs down
+``catalog.tsv``. Its first read checks the vocabulary and
+``blocks.tsv``, which a load makes at once and a built space on first
+use. A target's blocks, and the catalog lines its row refers to, are
+parsed and checked only when the target is first used.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ from .tokens import ARG, canonical_checker
 if TYPE_CHECKING:
     from .weighting import WeightedTensor
 
-FORMAT_VERSION = "3"
-# the four data files, whose sha256 is the space id, then blocks.tsv
+FORMAT_VERSION = "4"
+# the archive's files, whose sha256 is the space id
 _FILES = ("catalog.tsv", "vocab.tsv", "rows.tsv", "arg.tsv", "blocks.tsv")
-_BUILT = "<built space>"  # names the data files of a built space in errors
+_BUILT = "<built space>"  # names the files of a built space in errors
 _TARGET_OF_KEY = operator.itemgetter(0)  # of a (target, relation, filler) triple, or of a blocks.tsv line
 _RELATION_OF_KEY = operator.itemgetter(1)
 _DIMENSION_OF_KEY = operator.itemgetter(1, 2)
@@ -205,20 +206,20 @@ class WeightedSpace:
     """A space: the text of its archive's files, and its manifest.
 
     ``texts`` holds the files in ``_FILES`` order; the manifest's
-    ``space_id`` is the sha256 of the four data files, and its
-    ``blocks_sha256`` that of ``blocks.tsv``. All else is read from
-    ``texts``. The first read of the vocabulary, a row or a ranking
-    checks the vocabulary and ``blocks.tsv`` (``_check``), which
-    ``load_space`` does at load and a built space on first use. A
-    target's row is parsed from its ``rows.tsv`` block when first read,
-    and the block is checked then: its layout and target, ids that
-    increase, the last one inside the catalog, and scores that are
-    positive and finite. Its rankings are built together when one of
-    them is first read: the dependency slots' from its row through the
-    catalog lines it refers to, each checked when first read, and
-    ``ARG``'s from its ``arg.tsv`` block, which holds that ranking whole
-    and gets the same checks. ``directory`` only names the files in
-    errors.
+    ``space_id`` is their sha256. All else is read from ``texts``. The
+    first read of the vocabulary, a row or a ranking checks the
+    vocabulary and ``blocks.tsv`` (``_check``), which ``load_space``
+    does at load and a built space on first use. A target's row is
+    parsed from its ``rows.tsv`` block, whose lines are its (dimension
+    id, score) pairs, when first read. The block is checked then: its
+    layout, ids that increase, the last one inside the catalog, and
+    scores that are positive and finite. Its rankings are built together
+    when one of them is first read: the dependency slots' from its row
+    through the catalog lines it refers to, the line of id i being line
+    i + 1, each checked when first read; and ``ARG``'s from its
+    ``arg.tsv`` block of (filler, score) lines, which holds that ranking
+    whole and gets the same checks. ``directory`` only names the files
+    in errors.
     """
 
     # set by _check, which the first read of any of them runs
@@ -247,7 +248,7 @@ class WeightedSpace:
 
         ``blocks.tsv`` must list target tokens in increasing order, and
         the offsets where their blocks start must tile ``rows.tsv`` and
-        ``arg.tsv``. No line of the other data files is parsed. Nothing
+        ``arg.tsv``. No line of the other files is parsed. Nothing
         is kept unless every check passes.
         """
         catalog_text, vocab_text, rows_text, arg_text, blocks_text = self.texts
@@ -280,7 +281,7 @@ class WeightedSpace:
             if start == end:
                 return EMPTY_VECTOR
             path, text = self._paths[2], self.texts[2]
-            dims, scores = zip(*_read_block(path, text, start, end, target, _ROWS_LINE, _ROWS_LAYOUT))
+            dims, scores = zip(*_lines(path, text, _ROWS_LINE, _ROWS_LAYOUT, start, end))
             ids, scores = tuple(map(int, dims)), tuple(map(float, scores))
             # the merge and bisect kernels rely on increasing ids
             if not (all(map(operator.lt, ids, ids[1:])) and 0.0 < min(scores) and max(scores) < math.inf):
@@ -307,7 +308,7 @@ class WeightedSpace:
         _, _, start, end = self._blocks.get(target, _NO_BLOCKS)
         if start != end:
             path, text = self._paths[3], self.texts[3]
-            fillers, scores = zip(*_read_block(path, text, start, end, target, _ARG_LINE, _ARG_LAYOUT))
+            fillers, scores = zip(*_lines(path, text, _ARG_LINE, _ARG_LAYOUT, start, end))
             _check_column(path, fillers, self.vocabulary, lambda i: _line_of(text, start) + i)
             scores = tuple(map(float, scores))
             if not (0.0 < min(scores) and max(scores) < math.inf):
@@ -327,9 +328,9 @@ class WeightedSpace:
     def _dimensions(self, ids: Sequence[int]) -> list[tuple[str, str]]:
         """The (relation, filler) of each of the increasing ``ids``.
 
-        Each catalog line is checked when first read: its layout, that
-        its id is its line number, and its filler token. The pairs must
-        increase with the ids, as they do down the catalog.
+        Each catalog line is checked when first read: its layout and its
+        filler token. The pairs must increase with the ids, as they do
+        down the catalog.
         """
         read = self._pairs
         new = list(itertools.filterfalse(read.__contains__, ids))
@@ -340,12 +341,8 @@ class WeightedSpace:
             if None in matches:
                 i = matches.index(None)
                 raise CorpusError(f"{path}:{new[i] + 1}: expected {_CATALOG_LAYOUT}, got {lines[i]!r}")
-            written, expected = list(map(_ID_FIELD, matches)), list(map(str, new))
-            if written != expected:
-                i = next(i for i in range(len(new)) if written[i] != expected[i])
-                raise ConsistencyError(f"{path}:{new[i] + 1}: dimension id {written[i]} out of sequence")
             _check_column(path, list(map(_FILLER, matches)), self.vocabulary, lambda i: new[i] + 1)
-            read.update(zip(new, map(_PAIR_FIELDS, matches)))
+            read.update(zip(new, map(_PAIR, matches)))
         pairs = list(map(read.__getitem__, ids))
         if not all(map(operator.lt, pairs, pairs[1:])):
             i = next(i for i in range(1, len(pairs)) if pairs[i - 1] >= pairs[i])
@@ -361,7 +358,7 @@ class WeightedSpace:
 
     @property
     def space_id(self) -> str:
-        """sha256 of the archive's data files."""
+        """sha256 of the archive's files."""
         return self.manifest["space_id"]
 
 
@@ -397,7 +394,7 @@ def build_space(
 ) -> WeightedSpace:
     """Render the archive of a space from weighted counts.
 
-    The data files are rendered straight from the sorted score keys,
+    The files are rendered straight from the sorted score keys,
     one target block at a time, and ``blocks.tsv`` records where each
     block starts; the space's rows and rankings are read back from them
     on first use. ``extra_index`` contributes ARG rankings only
@@ -414,17 +411,16 @@ def build_space(
     catalog = tuple(sorted(set(dim_of_key)))
     targets = list(map(_TARGET_OF_KEY, keys))
     vocab = frozenset(vocabulary)
-    # (target, dim id, score) per rows.tsv line, each block rendered by one % operation
-    fields: list = [None] * (3 * len(keys))
-    fields[0::3] = targets
-    fields[1::3] = map(dict(zip(catalog, range(len(catalog)))).__getitem__, dim_of_key)
-    fields[2::3] = values
-    line = f"%s\t%d\t{SCORE_FORMAT}\n"
+    # (dim id, score) per rows.tsv line, each block rendered by one % operation
+    fields: list = [None] * (2 * len(keys))
+    fields[0::2] = map(dict(zip(catalog, range(len(catalog)))).__getitem__, dim_of_key)
+    fields[1::2] = values
+    line = f"%d\t{SCORE_FORMAT}\n"
     row_blocks = {}
     start = 0
     for target in dict.fromkeys(targets):
         end = bisect.bisect_right(targets, target, start)
-        row_blocks[target] = (line * (end - start)) % tuple(fields[3 * start:3 * end])
+        row_blocks[target] = (line * (end - start)) % tuple(fields[2 * start:2 * end])
         start = end
     # arg.tsv holds the ARG rankings' scores, by target then filler; a filler
     # ranked twice (a corpus relation named ARG beside the collapsed scores)
@@ -434,14 +430,14 @@ def build_space(
         arg_entries = itertools.chain(arg_entries, zip(*_stored(extra_index.scores)))
     arg = sorted([(target, filler, -score) for (target, _, filler), score in arg_entries])
     arg_blocks = {
-        target: "".join([f"{target}\t{filler}\t{format_score(-negated)}\n" for _, filler, negated in entries])
+        target: "".join([f"{filler}\t{format_score(-negated)}\n" for _, filler, negated in entries])
         for target, entries in itertools.groupby(arg, key=_TARGET_OF_KEY)
     }
     names = sorted(row_blocks.keys() | arg_blocks.keys())
     rows_tsv, row_starts = _tile(names, row_blocks)
     arg_tsv, arg_starts = _tile(names, arg_blocks)
     texts = (
-        "".join([f"{dim_id}\t{relation}\t{filler}\n" for dim_id, (relation, filler) in enumerate(catalog)]),
+        "".join([f"{relation}\t{filler}\n" for relation, filler in catalog]),
         "".join([f"{token}\n" for token in sorted(vocab)]),
         rows_tsv,
         arg_tsv,
@@ -456,9 +452,7 @@ def build_space(
     }
     if manifest:
         info.update(manifest)
-    bodies = [text.encode("utf-8") for text in texts]
-    info["space_id"] = _sha256(bodies[:4])
-    info["blocks_sha256"] = _sha256(bodies[4:])
+    info["space_id"] = _sha256(text.encode("utf-8") for text in texts)
     return WeightedSpace(texts, info)
 
 
@@ -502,16 +496,15 @@ def save_space(space: WeightedSpace, directory: str) -> str:
 _FIELD = r"[^\t\n]+"
 _SCORE = r"[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?"  # format_score of a non-negative finite float
 _ID = "(0|[1-9][0-9]*)"  # a dimension id or an offset, without leading zeros
-_CATALOG_LAYOUT = "dimension id, relation, filler"
-_ROWS_LAYOUT = "target, dimension id, score"
-_ARG_LAYOUT = "target, filler, score"
-_CATALOG_LINE = re.compile(rf"([0-9]+)\t({_FIELD})\t({_FIELD})")  # a line without its newline
-_ID_FIELD, _FILLER = operator.methodcaller("group", 1), operator.methodcaller("group", 3)  # of a catalog line
-_PAIR_FIELDS = operator.methodcaller("group", 2, 3)  # (relation, filler)
-# one whole line each: a blocks.tsv line's three fields as groups, a rows.tsv or arg.tsv line's last two
+_CATALOG_LAYOUT = "relation, filler"  # a catalog line's dimension id is its line number
+_ROWS_LAYOUT = "dimension id, score"  # a rows.tsv or arg.tsv line's target is the block it sits in
+_ARG_LAYOUT = "filler, score"
+_CATALOG_LINE = re.compile(rf"({_FIELD})\t({_FIELD})")  # a line without its newline
+_PAIR, _FILLER = operator.methodcaller("groups"), operator.methodcaller("group", 2)  # of a catalog line
+# one whole line each, its fields as groups
 _BLOCKS_LINE = re.compile(rf"^({_FIELD})\t{_ID}\t{_ID}\n", re.MULTILINE)
-_ROWS_LINE = re.compile(rf"^{_FIELD}\t{_ID}\t({_SCORE})\n", re.MULTILINE)
-_ARG_LINE = re.compile(rf"^{_FIELD}\t({_FIELD})\t({_SCORE})\n", re.MULTILINE)
+_ROWS_LINE = re.compile(rf"^{_ID}\t({_SCORE})\n", re.MULTILINE)
+_ARG_LINE = re.compile(rf"^({_FIELD})\t({_SCORE})\n", re.MULTILINE)
 _ROWS_OFFSET, _ARG_OFFSET = operator.itemgetter(1), operator.itemgetter(2)  # of a blocks.tsv line
 _NO_BLOCKS = (0, 0, 0, 0)  # of a target blocks.tsv does not list
 
@@ -581,23 +574,6 @@ def _lines(path: str, text: str, line: re.Pattern, layout: str, start: int, end:
     raise _malformed(path, text, offset, layout, error)
 
 
-def _read_block(path: str, text: str, start: int, end: int, target: str, line: re.Pattern, layout: str) -> list:
-    """The (middle field, score) of each line of ``target``'s block, ``text[start:end]``.
-
-    Every line must fit ``line``, whose layout is ``layout``, and name ``target``.
-    """
-    pairs = _lines(path, text, line, layout, start, end)
-    head = f"{target}\t"
-    # every line after the first starts after a newline
-    if not (text.startswith(head, start) and text.count("\n" + head, start, end) == len(pairs) - 1):
-        lines = text[start:end].split("\n")
-        i = next(i for i, fields in enumerate(lines) if fields.partition("\t")[0] != target)
-        other, number = lines[i].partition("\t")[0], _line_of(text, start) + i
-        _check_column(path, [other], line_of=lambda _: number)
-        raise ConsistencyError(f"{path}:{number}: target {other} in the block of {target}")
-    return pairs
-
-
 def _row_fault(path: str, text: str, start: int, ids: tuple[int, ...], scores: tuple[float, ...]):
     """The error at the first line of the block at ``start`` whose id does
     not increase or whose score is not positive and finite; an ``arg.tsv``
@@ -612,12 +588,12 @@ def _row_fault(path: str, text: str, start: int, ids: tuple[int, ...], scores: t
 def load_space(directory: str) -> WeightedSpace:
     """Read an archive back; its rows and rankings are parsed per target on first use.
 
-    The format version is checked first, then the bytes against the
-    manifest, and only then is anything parsed. The vocabulary,
-    ``blocks.tsv`` and the manifest's counts are checked here; a
-    target's blocks, and the catalog lines its row refers to, when the
-    target is first read. Any failure names ``path:line`` or the
-    manifest.
+    The format version is checked first, then the bytes of all five
+    files against the manifest's ``space_id``, and only then is anything
+    parsed. The vocabulary, ``blocks.tsv`` and the manifest's counts are
+    checked here; a target's blocks, and the catalog lines its row
+    refers to, when the target is first read. Any failure names
+    ``path:line``, the manifest, or the archive.
     """
     manifest_path = os.path.join(directory, "manifest.txt")
     manifest = read_sidecar(manifest_path)
@@ -630,23 +606,17 @@ def load_space(directory: str) -> WeightedSpace:
     paths = [os.path.join(directory, name) for name in _FILES]
     bodies = [read_bytes(path) for path in paths]
     recorded = manifest.get("space_id", "")
-    actual = _sha256(bodies[:4])
+    actual = _sha256(bodies)
     if recorded != actual:
         raise ConsistencyError(
             f"space archive {directory} failed verification: "
             f"manifest records {recorded[:12]}.., content is {actual[:12]}.."
         )
-    recorded = manifest.get("blocks_sha256", "")
-    actual = _sha256(bodies[4:])
-    if recorded != actual:
-        raise ConsistencyError(
-            f"{manifest_path}: blocks_sha256 is {recorded[:12]}.., {paths[4]} holds {actual[:12]}.."
-        )
     texts = tuple(map(decode_utf8, paths, bodies))
     del bodies
     space = WeightedSpace(texts, manifest, directory)
     space._check()
-    # space_id covers the data files only: the manifest's counts are read back against them
+    # space_id covers the files, not the manifest: its counts are read back against them
     n_targets = sum(start < end for start, end, _, _ in space._blocks.values())
     held = {"n_targets": n_targets, "n_dims": space._n_dims, "n_vocab": len(space.vocabulary)}
     for key, count in held.items():

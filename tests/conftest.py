@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 
@@ -16,7 +17,8 @@ from argex.corpus import (
     extract_window_counts,
 )
 from argex.evaluation import BicknellSlots, ChowSlots
-from argex.space import SparseVector, WeightedSpace, build_space
+from argex.space import _FILES, SparseVector, WeightedSpace, build_space
+from argex.tensor import read_sidecar, write_sidecar
 from argex.tokens import ARG, compile_pos_map
 from argex.weighting import collapse_relations, weight_tensor
 
@@ -131,9 +133,33 @@ def vector_from_pairs(pairs) -> SparseVector:
     return SparseVector(tuple(dim for dim, _ in kept), tuple(score for _, score in kept))
 
 
+def blocks(texts, data_file: int = 2) -> dict[str, str]:
+    """Each target's block of lines in the ``rows.tsv`` (or ``arg.tsv``, ``data_file`` 3) of an archive's ``texts``.
+
+    ``texts`` holds the archive's five files in ``space._FILES`` order.
+    The blocks are cut where ``blocks.tsv`` says they start, and in its
+    order; empty ones are left out.
+    """
+    lines = [line.split("\t") for line in texts[4].splitlines()]
+    text = texts[data_file]
+    starts = [int(fields[data_file - 1]) for fields in lines]
+    cut = {fields[0]: text[start:end] for fields, start, end in zip(lines, starts, [*starts[1:], len(text)])}
+    return {target: block for target, block in cut.items() if block}
+
+
 def targets(space: WeightedSpace, data_file: int = 2) -> list[str]:
-    """The distinct first fields of a space's ``rows.tsv`` (or of ``data_file``), in file order."""
-    return list(dict.fromkeys(line.partition("\t")[0] for line in space.texts[data_file].splitlines()))
+    """The targets with lines in a space's ``rows.tsv`` (or in ``arg.tsv``, ``data_file`` 3), in file order."""
+    return list(blocks(space.texts, data_file))
+
+
+def record_space_id(directory: str, **manifest: str) -> None:
+    """Re-record a saved archive's ``space_id`` from its files, and any other ``manifest`` values given."""
+    digest = hashlib.sha256()
+    for name in _FILES:
+        with open(os.path.join(directory, name), "rb") as fh:
+            digest.update(fh.read())
+    path = os.path.join(directory, "manifest.txt")
+    write_sidecar(path, {**read_sidecar(path), "space_id": digest.hexdigest(), **manifest})
 
 
 def every_ranking(space: WeightedSpace) -> dict[tuple[str, str], tuple]:

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -19,10 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from argex.cli import main
+from argex.space import _FILES
 from argex.tensor import read_sidecar, write_sidecar
 from argex.tokens import parse_canonical
 
-from conftest import DATA_DIR, REPO_ROOT, conll_text, targets
+from conftest import DATA_DIR, REPO_ROOT, blocks, conll_text, record_space_id, targets
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -68,6 +70,37 @@ def hold_lock(lock: str) -> subprocess.Popen:
 def copy_artifacts(src: str, dst: str) -> str:
     shutil.copytree(src, dst, ignore=shutil.ignore_patterns("reports"))
     return dst
+
+
+def rewrite_as_version_3(space: str) -> None:
+    """Rewrite a saved space archive as format version 3 wrote it.
+
+    Version 3 put the target on every ``rows.tsv`` and ``arg.tsv`` line
+    and the dimension id on every ``catalog.tsv`` line, and hashed
+    ``blocks.tsv`` apart from the four files of its ``space_id``.
+    """
+    texts = []
+    for name in _FILES:
+        with open(os.path.join(space, name), encoding="utf-8") as fh:
+            texts.append(fh.read())
+    catalog = "".join(f"{dim_id}\t{line}\n" for dim_id, line in enumerate(texts[0].splitlines()))
+    names = [line.partition("\t")[0] for line in texts[4].splitlines()]
+    data, starts = [], []
+    for data_file in (2, 3):
+        block_of = blocks(texts, data_file)
+        parts = ["".join(f"{name}\t{line}" for line in block_of.get(name, "").splitlines(keepends=True))
+                 for name in names]
+        data.append("".join(parts))
+        starts.append(itertools.accumulate(map(len, parts), initial=0))
+    blocks_tsv = "".join(f"{name}\t{row}\t{arg}\n" for name, row, arg in zip(names, *starts))
+    bodies = [text.encode("utf-8") for text in (catalog, texts[1], *data, blocks_tsv)]
+    for name, body in zip(_FILES, bodies):
+        with open(os.path.join(space, name), "wb") as fh:
+            fh.write(body)
+    manifest = os.path.join(space, "manifest.txt")
+    write_sidecar(manifest, {**read_sidecar(manifest), "format_version": "3",
+                             "space_id": hashlib.sha256(b"".join(bodies[:4])).hexdigest(),
+                             "blocks_sha256": hashlib.sha256(bodies[4]).hexdigest()})
 
 
 # the stage that reads each artifact, run against the bicknell fixture
@@ -169,6 +202,27 @@ class TestStages:
         )
         assert code == 0
         assert "(no fillers)" in out
+
+    def test_fillers_empty_ranking_under_a_relation_of_the_space_prints_no_fillers(self, bicknell_out, capsys):
+        # sbj_inv is a relation of the space, but a verb never heads one
+        code, out, err = run_cli(
+            capsys,
+            "fillers", "-c", BICKNELL_CONF, "--out-dir", bicknell_out,
+            "--target", "arrest-v", "--slot", "sbj_inv",
+        )
+        assert code == 0
+        assert out == "arrest-v/sbj_inv: (no fillers)\n"
+        assert "sbj_inv" not in err
+
+    def test_fillers_slot_naming_no_relation_exits_2(self, bicknell_out, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "fillers", "-c", BICKNELL_CONF, "--out-dir", bicknell_out,
+            "--target", "arrest-v", "--slot", "obk",
+        )
+        assert code == 2
+        assert f"--slot=obk names no relation of the space {os.path.join(bicknell_out, 'deps.space')}" in err
+        assert out == ""
 
     def test_fillers_shortfall_goes_to_stderr(self, bicknell_out, capsys):
         code, out, err = run_cli(
@@ -557,10 +611,12 @@ class TestGuards:
         assert os.path.join(out, named) in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("version", ["1", "2", "7"])
+    @pytest.mark.parametrize("version", ["1", "2", "3", "7"])
     def test_other_archive_format_version_refused(self, bicknell_out, tmp_path, capsys, version):
         out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
         manifest = os.path.join(out, "deps.space", "manifest.txt")
+        if version in ("2", "3"):  # a real archive of that version
+            rewrite_as_version_3(os.path.join(out, "deps.space"))
         recorded = {**read_sidecar(manifest), "format_version": version}
         if version == "2":  # version 2 had no blocks.tsv
             os.remove(os.path.join(out, "deps.space", "blocks.tsv"))
@@ -598,26 +654,25 @@ class TestGuards:
         body = "".join("\t".join(fields) + "\n" for fields in edited).encode("utf-8")
         with open(os.path.join(space, "blocks.tsv"), "wb") as fh:
             fh.write(body)
-        manifest = os.path.join(space, "manifest.txt")
-        write_sidecar(manifest, {**read_sidecar(manifest), "blocks_sha256": hashlib.sha256(body).hexdigest()})
+        record_space_id(space)
         code, stdout, err = run_cli(capsys, *FILLERS_DEPS, "-c", BICKNELL_CONF, "--out-dir", out)
         assert code == 4
         assert os.path.join(space, fault) in err
         assert stdout == ""
 
-    def test_blocks_tsv_that_differs_from_its_recorded_hash_exits_4_naming_the_manifest(
-        self, bicknell_out, tmp_path, capsys
-    ):
+    def test_a_blocks_tsv_that_fails_the_space_id_exits_4_naming_the_archive(self, bicknell_out, tmp_path, capsys):
+        # space_id covers blocks.tsv with the other four files
         out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
         with open(os.path.join(out, "deps.space", "blocks.tsv"), "a", encoding="utf-8") as fh:
             fh.write("zebra-n\t0\t0\n")
         code, stdout, err = run_cli(capsys, *FILLERS_DEPS, "-c", BICKNELL_CONF, "--out-dir", out)
         assert code == 4
-        assert f"{os.path.join(out, 'deps.space', 'manifest.txt')}: blocks_sha256 is " in err
+        assert f"space archive {os.path.join(out, 'deps.space')} failed verification" in err
         assert stdout == ""
 
-    @pytest.mark.parametrize("name, slot", [("rows.tsv", "obj"), ("arg.tsv", "ARG")])
-    def test_a_damaged_block_fails_only_its_own_target(self, bicknell_out, tmp_path, capsys, name, slot):
+    @pytest.mark.parametrize("name, slot, layout", [("rows.tsv", "obj", "dimension id, score"),
+                                                    ("arg.tsv", "ARG", "filler, score")])
+    def test_a_damaged_block_fails_only_its_own_target(self, bicknell_out, tmp_path, capsys, name, slot, layout):
         # the archive is hash-valid: load passes, and only a read of the damaged block finds the fault
         out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
         space = os.path.join(out, "deps.space")
@@ -626,23 +681,22 @@ class TestGuards:
         assert expected[0] == 0 and expected[1].startswith(f"treat-v/{slot}: ")
         path = os.path.join(space, name)
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines(keepends=True)
-        line = next(i for i, text in enumerate(lines) if text.startswith("arrest-v\t"))
-        target, middle, score = lines[line].split("\t")
-        lines[line] = f"{target}\t{middle}\t{'x' * (len(score) - 1)}\n"  # the same length: no offset moves
+            text = fh.read()
+        with open(os.path.join(space, "blocks.tsv"), encoding="utf-8") as fh:
+            offsets = next(line.split("\t") for line in fh if line.startswith("arrest-v\t"))
+        start = int(offsets[1 if name == "rows.tsv" else 2])
+        line = text.count("\n", 0, start)  # the first line of arrest-v's block
+        lines = text.splitlines(keepends=True)
+        middle, score = lines[line].split("\t")
+        lines[line] = f"{middle}\t{'x' * (len(score) - 1)}\n"  # the same length: no offset moves
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("".join(lines))
-        digest = hashlib.sha256()
-        for data_file in ("catalog.tsv", "vocab.tsv", "rows.tsv", "arg.tsv"):
-            with open(os.path.join(space, data_file), "rb") as fh:
-                digest.update(fh.read())
-        manifest = os.path.join(space, "manifest.txt")
-        write_sidecar(manifest, {**read_sidecar(manifest), "space_id": digest.hexdigest()})
+        record_space_id(space)
         assert run_cli(capsys, *other) == expected
         code, stdout, err = run_cli(capsys, "fillers", "--target", "arrest-v", "--slot", slot,
                                     "-c", BICKNELL_CONF, "--out-dir", out)
         assert code == 2
-        assert f"{path}:{line + 1}: expected target, " in err
+        assert f"{path}:{line + 1}: expected {layout}, got " in err
         assert stdout == ""
 
     @pytest.mark.parametrize("argv, read, kind", [

@@ -1,7 +1,9 @@
-"""The checked-in fixtures are what ``scripts/make_fixtures.py`` writes."""
+"""The checked-in fixtures are what ``scripts/make_fixtures.py`` writes, and the README describes the archive written."""
 
 import importlib.util
 import os
+
+from argex import space
 
 from conftest import CONFIG_DIR, DATA_DIR, REPO_ROOT
 
@@ -19,3 +21,12 @@ def test_the_generator_reproduces_every_checked_in_fixture_byte_for_byte():
     for path, body in files.items():
         with open(path, "rb") as fh:
             assert fh.read() == body.encode("utf-8"), os.path.relpath(path, REPO_ROOT)
+
+
+def test_the_readme_names_the_space_archive_format_this_argex_writes():
+    with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = " ".join(fh.read().split())  # a phrase may wrap
+    assert f"(format version {space.FORMAT_VERSION})" in readme
+    for name, layout in (("catalog.tsv", space._CATALOG_LAYOUT), ("rows.tsv", space._ROWS_LAYOUT),
+                         ("arg.tsv", space._ARG_LAYOUT)):
+        assert f"`{name}` ({layout})" in readme, name

@@ -1,7 +1,6 @@
 """Sparse vector algebra, ranking, and space archive properties."""
 
 import functools
-import hashlib
 import math
 import operator
 import os
@@ -28,11 +27,11 @@ from argex.space import (
     sum_vectors,
     vector_of,
 )
-from argex.tensor import CooccurrenceTensor, read_sidecar, write_artifact, write_sidecar
+from argex.tensor import CooccurrenceTensor, format_score, write_artifact
 from argex.tokens import ARG
 from argex.weighting import WeightedTensor, weight_tensor
 
-from conftest import every_ranking, spaces_from_text, targets, vector_from_pairs
+from conftest import blocks, every_ranking, record_space_id, spaces_from_text, targets, vector_from_pairs
 
 
 def vec(*pairs) -> SparseVector:
@@ -264,16 +263,7 @@ def edit_verified(directory: str, name: str, edit, **manifest: str) -> None:
         text = fh.read()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(edit(text))
-    digests = {}
-    for key, files in (("space_id", ("catalog.tsv", "vocab.tsv", "rows.tsv", "arg.tsv")),
-                       ("blocks_sha256", ("blocks.tsv",))):
-        digest = hashlib.sha256()
-        for data_file in files:
-            with open(os.path.join(directory, data_file), "rb") as fh:
-                digest.update(fh.read())
-        digests[key] = digest.hexdigest()
-    path = os.path.join(directory, "manifest.txt")
-    write_sidecar(path, {**read_sidecar(path), **digests, **manifest})
+    record_space_id(directory, **manifest)
 
 
 def toy_space() -> WeightedSpace:
@@ -387,10 +377,9 @@ class TestSpace:
         "line, error",
         [
             ("junk\n", CorpusError),
-            ("0\tnsubj\tdog/n\n", ConsistencyError),
-            ("{n_dims}\tobj\tbird-n\n", ConsistencyError),
+            ("obj\tbird-n\n", ConsistencyError),
         ],
-        ids=["junk-row", "dimension-id-out-of-sequence", "repeated-dimension"],
+        ids=["junk-row", "repeated-dimension"],
     )
     def test_verified_but_malformed_catalog_names_path_and_line(self, tmp_path, line, error):
         # a catalog line no row refers to is read with the whole catalog
@@ -398,8 +387,8 @@ class TestSpace:
         directory = str(tmp_path / "space")
         save_space(space, directory)
         n_dims = len(space.catalog)
-        assert space.catalog[0] == ("obj", "bird-n")  # the pair the third line repeats
-        append_verified(directory, "catalog.tsv", line.format(n_dims=n_dims), n_dims=str(n_dims + 1))
+        assert space.catalog[0] == ("obj", "bird-n")  # the pair the repeated-dimension line repeats
+        append_verified(directory, "catalog.tsv", line, n_dims=str(n_dims + 1))
         loaded = load_space(directory)
         assert loaded.ranking("see-v", "sbj") == space.ranking("see-v", "sbj")
         with pytest.raises(error, match=f"catalog.tsv:{n_dims + 1}:"):
@@ -411,7 +400,7 @@ class TestSpace:
         save_space(space, directory)
         n_dims = len(space.catalog)
         edit_verified(directory, "catalog.tsv", lambda text: text[:-1])
-        with pytest.raises(CorpusError, match=f"catalog.tsv:{n_dims}: expected dimension id, relation, filler"):
+        with pytest.raises(CorpusError, match=f"catalog.tsv:{n_dims}: expected relation, filler"):
             load_space(directory)
 
     def test_verified_row_outside_the_catalog_names_path_and_line(self, tmp_path):
@@ -419,7 +408,8 @@ class TestSpace:
         directory = str(tmp_path / "space")
         save_space(space, directory)
         n_rows = sum(len(space.row(target)) for target in targets(space))
-        append_verified(directory, "rows.tsv", f"see-v\t{len(space.catalog)}\t1\n")
+        assert targets(space)[-1] == "see-v"  # the last block, which the appended line extends
+        append_verified(directory, "rows.tsv", f"{len(space.catalog)}\t1\n")
         loaded = load_space(directory)
         assert loaded.row("dog-n") == space.row("dog-n")
         for read in (lambda: loaded.row("see-v"), lambda: loaded.ranking("see-v", "sbj")):
@@ -429,15 +419,17 @@ class TestSpace:
     @pytest.mark.parametrize(
         "name, line",
         [
-            ("rows.tsv", "see-v\t0\n"),
-            ("rows.tsv", "see-v\t0\nzebra-n\t0\t1\n"),
-            ("rows.tsv", "see-v\tobj\t1\n"),
-            ("rows.tsv", "see-v\t0\t-1\n"),
-            ("rows.tsv", "see-v\t0\t1"),
-            ("arg.tsv", "see-v\tdog-n\tnan\n"),
-            ("arg.tsv", "see-v\tdog-n\t0.5\textra\n"),
+            ("rows.tsv", "0\n"),
+            ("rows.tsv", "0\n1\t1\n"),
+            ("rows.tsv", "obj\t1\n"),
+            ("rows.tsv", "0\t-1\n"),
+            ("rows.tsv", "0\t1"),
+            ("rows.tsv", "see-v\t0\t1\n"),
+            ("arg.tsv", "dog-n\tnan\n"),
+            ("arg.tsv", "dog-n\t0.5\textra\n"),
         ],
-        ids=["two-fields", "two-fields-then-a-good-line", "word-for-id", "negative-score", "no-final-newline", "nan-score", "four-fields"],
+        ids=["one-field", "one-field-then-a-good-line", "word-for-id", "negative-score", "no-final-newline",
+             "three-fields", "nan-score", "arg-three-fields"],
     )
     def test_verified_but_malformed_line_names_path_and_line(self, tmp_path, name, line):
         # the appended line ends the last target's block: the archive loads, that target does not
@@ -459,49 +451,12 @@ class TestSpace:
         save_space(space, directory)
         n_rows = sum(len(space.row(target)) for target in targets(space))
         assert targets(space)[-1] == "see-v"  # the last block, which the appended line extends
-        append_verified(directory, "rows.tsv", f"see-v\t{space.row('see-v').ids[0]}\t1\n")
+        append_verified(directory, "rows.tsv", f"{space.row('see-v').ids[0]}\t1\n")
         loaded = load_space(directory)
         assert loaded.row("dog-n") == space.row("dog-n")
         for read in (lambda: loaded.row("see-v"), lambda: loaded.ranking("see-v", "sbj")):
             with pytest.raises(ConsistencyError, match=f"rows.tsv:{n_rows + 1}: dimension ids must increase"):
                 read()
-
-    def test_target_lines_apart_are_refused_at_first_read(self, tmp_path):
-        space = toy_space()
-        directory = str(tmp_path / "space")
-        save_space(space, directory)
-        n_rows = sum(len(space.row(target)) for target in targets(space))
-        assert targets(space)[0] == "dog-n"  # the first block: the appended line falls in the last one
-        extra = space.catalog.index(("obj", "bird-n"))
-        assert extra not in space.row("dog-n").ids
-        append_verified(directory, "rows.tsv", f"dog-n\t{extra}\t2.5\n")
-        loaded = load_space(directory)
-        assert loaded.row("dog-n") == space.row("dog-n")
-        with pytest.raises(ConsistencyError, match=f"rows.tsv:{n_rows + 1}: target dog-n in the block of see-v"):
-            loaded.row("see-v")
-
-    def test_rows_target_out_of_order_is_refused_at_first_read(self, tmp_path):
-        space = toy_space()
-        directory = str(tmp_path / "space")
-        save_space(space, directory)
-        n_rows = sum(len(space.row(target)) for target in targets(space))
-        assert "cat-n" not in targets(space)
-        append_verified(directory, "rows.tsv", "cat-n\t0\t1\n")
-        loaded = load_space(directory)
-        assert loaded.row("cat-n") == EMPTY_VECTOR
-        with pytest.raises(ConsistencyError, match=f"rows.tsv:{n_rows + 1}: target cat-n in the block of see-v"):
-            loaded.ranking("see-v", "sbj")
-
-    def test_arg_target_out_of_order_is_refused_at_first_read(self, tmp_path):
-        extra = WeightedTensor(scores={("see-v", ARG, "dog-n"): 0.75})
-        space = build_space(toy_weighted(), ["see-v", "eat-v", "dog-n"], extra_index=extra)
-        directory = str(tmp_path / "space")
-        save_space(space, directory)
-        append_verified(directory, "arg.tsv", "eat-v\tdog-n\t0.5\n")
-        loaded = load_space(directory)
-        assert loaded.ranking("eat-v", ARG) == ()
-        with pytest.raises(ConsistencyError, match="arg.tsv:2: target eat-v in the block of see-v"):
-            loaded.ranking("see-v", ARG)
 
     def test_catalog_pair_out_of_order_is_refused_at_first_read(self, tmp_path):
         space = toy_space()
@@ -509,8 +464,9 @@ class TestSpace:
         save_space(space, directory)
         n_dims = len(space.catalog)
         assert ("obj", "dog-n") not in space.catalog and ("obj", "dog-n") < space.catalog[-1]
-        append_verified(directory, "catalog.tsv", f"{n_dims}\tobj\tdog-n\n", n_dims=str(n_dims + 1))
-        append_verified(directory, "rows.tsv", f"see-v\t{n_dims}\t1\n")  # see-v's row now refers to it
+        append_verified(directory, "catalog.tsv", "obj\tdog-n\n", n_dims=str(n_dims + 1))
+        assert targets(space)[-1] == "see-v"
+        append_verified(directory, "rows.tsv", f"{n_dims}\t1\n")  # see-v's row now refers to it
         loaded = load_space(directory)
         assert loaded.ranking("eat-v", "sbj") == space.ranking("eat-v", "sbj")
         fault = rf"catalog.tsv:{n_dims + 1}: dimension \('obj', 'dog-n'\) does not sort after"
@@ -525,8 +481,9 @@ class TestSpace:
         directory = str(tmp_path / "space")
         save_space(space, directory)
         lines = space.texts[2].splitlines(keepends=True)
-        assert [line.split("\t")[:2] for line in lines[-3:]] == [["see-v", "0"], ["see-v", "1"], ["see-v", "2"]]
-        last_two = "".join(f"see-v\t{dim_id}\t1.5\n" for dim_id in ids)
+        assert [line.split("\t")[0] for line in blocks(space.texts)["see-v"].splitlines()] == ["0", "1", "2"]
+        assert targets(space)[-1] == "see-v"
+        last_two = "".join(f"{dim_id}\t1.5\n" for dim_id in ids)
         edit_verified(directory, "rows.tsv", lambda text: "".join(lines[:-2]) + last_two)
         loaded = load_space(directory)
         assert loaded.row("dog-n") == space.row("dog-n")
@@ -543,8 +500,8 @@ class TestSpace:
         directory = str(tmp_path / "space")
         save_space(space, directory)
         lines = space.texts[2].splitlines(keepends=True)
-        assert lines[-1].startswith("see-v\t2\t")
-        edit_verified(directory, "rows.tsv", lambda text: "".join(lines[:-1]) + f"see-v\t2\t{score}\n")
+        assert blocks(space.texts)["see-v"].endswith(lines[-1]) and lines[-1].startswith("2\t")
+        edit_verified(directory, "rows.tsv", lambda text: "".join(lines[:-1]) + f"2\t{score}\n")
         loaded = load_space(directory)
         assert loaded.row("eat-v") == space.row("eat-v")
         for read in (lambda: loaded.row("see-v"), lambda: loaded.ranking("see-v", "sbj")):
@@ -561,8 +518,8 @@ class TestSpace:
         directory = str(tmp_path / "space")
         save_space(space, directory)
         lines = space.texts[3].splitlines(keepends=True)
-        assert lines == ["eat-v\tcat-n\t0.5\n", "see-v\tcat-n\t0.75\n", "see-v\tdog-n\t0.25\n"]
-        edit_verified(directory, "arg.tsv", lambda text: "".join(lines[:-1]) + f"see-v\tdog-n\t{score}\n")
+        assert blocks(space.texts, 3) == {"eat-v": "cat-n\t0.5\n", "see-v": "cat-n\t0.75\ndog-n\t0.25\n"}
+        edit_verified(directory, "arg.tsv", lambda text: "".join(lines[:-1]) + f"dog-n\t{score}\n")
         loaded = load_space(directory)
         assert loaded.ranking("eat-v", ARG) == space.ranking("eat-v", ARG)
         for read in (lambda: loaded.ranking("see-v", ARG), lambda: loaded.ranking("see-v", "sbj")):
@@ -585,7 +542,7 @@ class TestSpace:
         assert space.ranking("see-v", ARG) == ((cat, 0.75), (dog, 0.5), (dog, 0.25))
         save_space(space, str(tmp_path))
         with open(tmp_path / "arg.tsv", encoding="utf-8") as fh:
-            assert fh.read() == "see-v\tcat-n\t0.75\nsee-v\tdog-n\t0.5\nsee-v\tdog-n\t0.25\n"
+            assert fh.read() == "cat-n\t0.75\ndog-n\t0.5\ndog-n\t0.25\n"
         assert load_space(str(tmp_path)).ranking("see-v", ARG) == space.ranking("see-v", ARG)
 
     def test_building_and_saving_a_space_ranks_no_slot(self, tmp_path, monkeypatch):
@@ -629,7 +586,7 @@ class TestSpace:
         assert space.ranking(see, ARG) == ((cat, 0.75), (dog, 0.25))
         save_space(space, str(tmp_path))
         with open(tmp_path / "arg.tsv", encoding="utf-8") as fh:
-            assert fh.read() == "see-v\tcat-n\t0.75\nsee-v\tdog-n\t0.25\n"
+            assert fh.read() == "cat-n\t0.75\ndog-n\t0.25\n"
 
     def test_catalog_is_the_sorted_distinct_dimensions(self):
         weighted = toy_weighted()
@@ -701,7 +658,7 @@ class TestSpace:
 
     def test_manifest_records_provenance(self):
         space = toy_space()
-        assert space.manifest["format_version"] == "3"
+        assert space.manifest["format_version"] == "4"
         assert space.manifest["n_targets"] == str(len(targets(space)))
         assert space.manifest["n_dims"] == str(len(space.catalog))
 
@@ -754,20 +711,22 @@ class TestWriterOrder:
                 with open(os.path.join(directory, name), "rb") as fh:
                     assert fh.read() == text.encode("utf-8"), name
             loaded = load_space(directory)
-        # blocks.tsv lists every target of rows.tsv and arg.tsv, and each offset starts that target's lines
-        blocks = [line.split("\t") for line in loaded.texts[4].splitlines()]
-        names = [name for name, _, _ in blocks]
-        assert names == sorted(set(targets(loaded)) | set(targets(loaded, data_file=3)))
-        for column, data_file in ((1, 2), (2, 3)):
-            text = loaded.texts[data_file]
-            starts = [int(fields[column]) for fields in blocks]
-            for name, start, end in zip(names, starts, [*starts[1:], len(text)]):
-                lines = [line for line in text.splitlines(keepends=True) if line.partition("\t")[0] == name]
-                assert text[start:end] == "".join(lines)
         kept = {key: score for key, score in scores.items() if score > 0}
         catalog = sorted({(relation, filler) for _, relation, filler in kept})
         assert loaded.catalog == built.catalog == tuple(catalog)
         dim_id = {dim: i for i, dim in enumerate(catalog)}
+        # blocks.tsv lists every target with a line in rows.tsv or arg.tsv, and each offset starts
+        # exactly that target's lines: its row in id order, then its ARG scores by filler, best first
+        row_lines, arg_lines = {}, {}
+        for (target, relation, filler), score in sorted(kept.items()):
+            row_lines[target] = row_lines.get(target, "") + f"{dim_id[relation, filler]}\t{format_score(score)}\n"
+        arg_kept = [(target, filler, -score) for (target, relation, filler), score
+                    in [*kept.items(), *extra_scores.items()] if relation == ARG and score > 0]
+        for target, filler, negated in sorted(arg_kept):
+            arg_lines[target] = arg_lines.get(target, "") + f"{filler}\t{format_score(-negated)}\n"
+        names = [line.partition("\t")[0] for line in loaded.texts[4].splitlines()]
+        assert names == sorted(row_lines.keys() | arg_lines.keys())
+        assert blocks(loaded.texts, 2) == row_lines and blocks(loaded.texts, 3) == arg_lines
         expected = _reference_rankings(scores, extra_scores)
         for target in tokens:
             row = vector_from_pairs(
@@ -834,14 +793,13 @@ class TestTokenChecksAtFirstRead:
     @pytest.mark.parametrize(
         "setup, read",
         [
-            (bad_archive("catalog.tsv", lambda space: f"{len(space.catalog)}\tobj\tdog-x\n",
+            (bad_archive("catalog.tsv", lambda space: "obj\tdog-x\n",
                          n_dims=lambda space: str(len(space.catalog) + 1)),
              lambda space: space.catalog),
-            (bad_archive("arg.tsv", lambda space: "see-v\tdog\t0.5\n"), lambda space: space.ranking("see-v", ARG)),
-            (bad_archive("rows.tsv", lambda space: "zebra\t0\t0.5\n"), lambda space: space.row("see-v")),
-            (bad_archive("arg.tsv", lambda space: "zebra-q\tdog-n\t0.5\n"), lambda space: space.ranking("see-v", "sbj")),
+            (bad_archive("arg.tsv", lambda space: "dog\t0.5\n"), lambda space: space.ranking("see-v", ARG)),
+            (bad_archive("arg.tsv", lambda space: "zebra-q\t0.5\n"), lambda space: space.ranking("see-v", "sbj")),
         ],
-        ids=["catalog-filler", "arg-filler", "rows-target", "arg-target"],
+        ids=["catalog-filler", "arg-filler", "arg-filler-read-by-another-slot"],
     )
     def test_non_lemma_pos_token_in_a_verified_body_names_path_and_line(self, tmp_path, setup, read):
         path, load = setup(tmp_path)
