@@ -3,8 +3,17 @@
 Counts are plain integers keyed by triples of strings: the canonical
 ``lemma-pos`` target and filler and the relation label. Zero entries are
 never stored. Counters and loaders fill ``counts`` directly; weighting
-computes the marginals in one pass over them. Serialization is a sorted
-TSV plus a small sidecar, byte-deterministic for a given input.
+computes the marginals in one pass over them.
+
+A saved tensor (format version 2) stores each fact once. The file is a
+run per (target, relation), in sorted order: a header line
+``target<TAB>relation<TAB>``, then one ``filler<TAB>count`` line per
+filler, fillers sorted. A header has three tab-separated fields, the
+last one empty, and an entry has two, so the two kinds of line are
+told apart by their field count alone and a relation label may be any
+string. The sidecar records the format version, the number of entries
+and their total; all three are checked at load. The bytes are
+deterministic for a given input.
 
 ``write_artifact`` and ``read_artifact`` are the one writer and reader
 behind every body-plus-sidecar artifact: the sidecar's ``content_hash``
@@ -18,12 +27,16 @@ import hashlib
 import os
 from typing import Iterable
 
-from .errors import ConfigError, ConsistencyError, CorpusError
+from .errors import ConfigError, ConsistencyError, CorpusError, StaleArtifactError
 from .tokens import Memo, canonical_checker
 
 # (target, relation, filler); target and filler are canonical ``lemma-pos``
 # strings, so triples sort in canonical order as they are
 Triple = tuple[str, str, str]
+
+# recorded in the sidecar; load refuses a tensor of any other version as stale
+FORMAT_VERSION = "2"
+_LAYOUT = "a `target relation` header line ending in a tab, then one `filler count` line per filler"
 
 
 def sorted_triples(triples: Iterable[Triple]) -> list[Triple]:
@@ -76,38 +89,80 @@ class CooccurrenceTensor:
 
     def to_tsv(self) -> str:
         counts = self.counts
-        return "".join([f"{key[0]}\t{key[1]}\t{key[2]}\t{counts[key]}\n" for key in sorted_triples(counts)])
+        lines = []
+        target = relation = None
+        for key in sorted_triples(counts):
+            if key[1] != relation or key[0] != target:
+                target, relation, _ = key
+                lines.append(f"{target}\t{relation}\t\n")
+            lines.append(f"{key[2]}\t{counts[key]}\n")
+        return "".join(lines)
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.to_tsv().encode("utf-8")).hexdigest()
 
     def save(self, path: str, sidecar: dict[str, str] | None = None) -> str:
-        """Write the sorted TSV and its sidecar; returns the content hash."""
-        meta = {"total": str(self.total), "entries": str(len(self.counts)), **(sidecar or {})}
+        """Write the sorted runs and their sidecar; returns the content hash."""
+        meta = {
+            "total": str(self.total),
+            "entries": str(len(self.counts)),
+            **(sidecar or {}),
+            "format_version": FORMAT_VERSION,
+        }
         return write_artifact(path, self.to_tsv(), meta)
 
     @classmethod
     def load(cls, path: str) -> "CooccurrenceTensor":
-        """Read a saved tensor; a bad field, a count below 1 or a repeated triple names ``path:line``."""
+        """Read a saved tensor.
+
+        A sidecar of another format version is stale. A bad token, a count
+        below 1, a line that is neither a header nor an entry, an entry
+        before any header, or a header or filler out of strictly increasing
+        order names ``path:line``; the order checks also refuse a repeated
+        triple. Entries and total that differ from the sidecar's are
+        inconsistent.
+        """
         text, meta = read_artifact(path)
+        version = meta.get("format_version")
+        if version != FORMAT_VERSION:
+            raise StaleArtifactError(
+                f"count tensor {path} has format version {version}, this argex reads "
+                f"version {FORMAT_VERSION}; re-run `argex ingest`"
+            )
         counts: dict[Triple, int] = {}
         check = canonical_checker()
         count_of = Memo(_positive_count)
+        head = None
+        target = relation = filler = ""
         for lineno, line in enumerate(text.split("\n"), 1):
             if not line:
                 continue
             fields = line.split("\t")
             try:
-                if len(fields) != 4:
-                    raise ValueError(f"expected 4 tab-separated fields, got {len(fields)}")
-                target, relation, filler, count_field = fields
-                key = (check(target), relation, check(filler))
-                count = count_of[count_field]
-                if key in counts:
-                    raise ValueError(f"repeated triple {target} {relation} {filler}")
+                if len(fields) == 2:
+                    if head is None:
+                        raise ValueError("an entry line before any header")
+                    token = check(fields[0])
+                    if token <= filler:
+                        raise ValueError(f"filler {token} does not follow {filler} under {target} {relation}")
+                    filler = token
+                    counts[target, relation, filler] = count_of[fields[1]]
+                elif len(fields) == 3 and not fields[2]:
+                    previous, head = head, (check(fields[0]), fields[1])
+                    if previous is not None and head <= previous:
+                        raise ValueError(f"header {head[0]} {head[1]} does not follow {previous[0]} {previous[1]}")
+                    target, relation = head
+                    filler = ""
+                else:
+                    raise ValueError(
+                        f"neither a header nor an entry ({len(fields)} tab-separated fields): each run is {_LAYOUT}"
+                    )
             except ValueError as exc:
                 raise CorpusError(f"{path}:{lineno}: {exc}") from None
-            counts[key] = count
+        held = {"entries": len(counts), "total": sum(counts.values())}
+        for key, value in held.items():
+            if meta.get(key) != str(value):
+                raise ConsistencyError(f"{sidecar_path(path)}: {key} is {meta.get(key)}, the tensor holds {value}")
         return cls(counts, source_hash=meta["content_hash"])
 
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from argex.cli import main
 from argex.space import _FILES
-from argex.tensor import read_sidecar, write_sidecar
+from argex.tensor import read_sidecar, sidecar_path, write_sidecar
 from argex.tokens import parse_canonical
 
 from conftest import DATA_DIR, REPO_ROOT, blocks, conll_text, record_space_id, targets
@@ -436,8 +436,8 @@ class TestStages:
         assert run_cli(capsys, "weight", *base)[0] == 0
 
         tensor = open(os.path.join(out, "deps.tensor.tsv"), encoding="utf-8").read()
-        assert "doctor-n\tVERB\tx-ray-n\t2\n" in tensor
-        assert "x-ray-n\tVERB_inv\tdoctor-n\t2\n" in tensor
+        assert "\ndoctor-n\tVERB\t\nx-ray-n\t2\n" in tensor
+        assert "\nx-ray-n\tVERB_inv\t\ndoctor-n\t2\n" in tensor
         for probe, listing in (
             (("--target", "re-read-v", "--slot", "obj"), "re-read-v/obj: x-ray-n\n"),
             (("--target", "x-ray-n", "--slot", "obj_inv"), "x-ray-n/obj_inv: re-read-v\n"),
@@ -448,7 +448,12 @@ class TestStages:
 
         for name in ("deps.tensor.tsv", "vocab.tsv"):
             lines = open(os.path.join(out, name), encoding="utf-8").read().splitlines()
-            keys = [line.split("\t")[:-1] for line in lines]
+            keys = []
+            for fields in (line.split("\t") for line in lines):
+                if len(fields) == 3:  # a tensor run's (target, relation) header
+                    head = fields[:2]
+                else:
+                    keys.append([*head, fields[0]] if name == "deps.tensor.tsv" else fields[:1])
             assert keys == sorted(keys), name
             as_tokens = [[parse_canonical(key[0]), *key[1:]] for key in keys]
             assert as_tokens != sorted(as_tokens), name
@@ -573,20 +578,42 @@ class TestGuards:
         assert run_cli(capsys, "ingest", "-c", BICKNELL_CONF, "--out-dir", out)[0] == 0
         path = os.path.join(out, "deps.tensor.tsv")
         lines = open(path, encoding="utf-8").read().split("\n")
-        row = lines[0].split("\t")
+        row = lines[1].split("\t")  # line 1 is the first run's header, line 2 its first entry
         row[-1] = str(int(row[-1]) + 1)
-        lines[0] = "\t".join(row)
+        lines[1] = "\t".join(row)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines))
         code, _, err = run_cli(capsys, "weight", "-c", BICKNELL_CONF, "--out-dir", out)
         assert code == 4
         assert "internal consistency" in err
 
+    def test_tensor_sidecar_without_a_format_version_is_stale(self, bicknell_out, tmp_path, capsys):
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        path = os.path.join(out, "deps.tensor.tsv")
+        recorded = read_sidecar(sidecar_path(path))
+        del recorded["format_version"]
+        write_sidecar(sidecar_path(path), recorded)
+        code, _, err = run_cli(capsys, "weight", "-c", BICKNELL_CONF, "--out-dir", out)
+        assert code == 2
+        assert path in err
+        assert "re-run `argex ingest`" in err
+
+    def test_tensor_sidecar_total_the_body_does_not_hold_exits_4(self, bicknell_out, tmp_path, capsys):
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        path = os.path.join(out, "window.tensor.tsv")
+        recorded = read_sidecar(sidecar_path(path))  # its content_hash still matches the body
+        write_sidecar(sidecar_path(path), {**recorded, "total": str(int(recorded["total"]) + 1)})
+        code, _, err = run_cli(capsys, "weight", "-c", BICKNELL_CONF, "--out-dir", out)
+        assert code == 4
+        assert f"{sidecar_path(path)}: total is" in err
+
     @pytest.mark.parametrize(
         "name, damage, code, named",
         [
             ("deps.space/catalog.tsv", lambda b: b + b"junk\n", 4, "deps.space"),
-            ("deps.tensor.tsv", lambda b: b.replace(b"\n", b"x\n", 1), 4, "deps.tensor.tsv"),
+            # an x after the first entry's count, on line 2 (line 1 is a header)
+            ("deps.tensor.tsv", lambda b: b.replace(b"\n", b"x\n", 2).replace(b"x\n", b"\n", 1), 4,
+             "deps.tensor.tsv"),
             ("deps.tensor.tsv.meta", lambda b: b + b"\xff", 2, "deps.tensor.tsv.meta"),
             ("deps.space/manifest.txt", lambda b: b + b"\xff", 2, "deps.space/manifest.txt"),
         ],

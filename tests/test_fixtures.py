@@ -3,7 +3,7 @@
 import importlib.util
 import os
 
-from argex import space
+from argex import space, tensor
 
 from conftest import CONFIG_DIR, DATA_DIR, REPO_ROOT
 
@@ -30,3 +30,10 @@ def test_the_readme_names_the_space_archive_format_this_argex_writes():
     for name, layout in (("catalog.tsv", space._CATALOG_LAYOUT), ("rows.tsv", space._ROWS_LAYOUT),
                          ("arg.tsv", space._ARG_LAYOUT)):
         assert f"`{name}` ({layout})" in readme, name
+
+
+def test_the_readme_names_the_count_tensor_format_this_argex_writes():
+    with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = " ".join(fh.read().split())  # a phrase may wrap
+    assert f"count tensors (format version {tensor.FORMAT_VERSION})" in readme
+    assert f"in sorted order: {tensor._LAYOUT}, fillers sorted" in readme

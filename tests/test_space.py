@@ -27,6 +27,7 @@ from argex.space import (
     sum_vectors,
     vector_of,
 )
+from argex.tensor import FORMAT_VERSION as TENSOR_FORMAT_VERSION
 from argex.tensor import CooccurrenceTensor, format_score, write_artifact
 from argex.tokens import ARG
 from argex.weighting import WeightedTensor, weight_tensor
@@ -742,12 +743,12 @@ class TestWriterOrder:
         assert every_ranking(loaded) == every_ranking(built)
 
 
-def bad_artifact(load, name: str, body: str):
-    """Set-up of a hash-verified artifact ``name`` holding ``body``: (path, its loader)."""
+def bad_artifact(load, name: str, body: str, **meta: str):
+    """Set-up of a hash-verified artifact ``name`` holding ``body`` under sidecar ``meta``: (path, its loader)."""
 
     def setup(tmp_path):
         path = str(tmp_path / name)
-        write_artifact(path, body, {})
+        write_artifact(path, body, meta)
         return path, lambda: load(path)
 
     return setup
@@ -774,7 +775,8 @@ class TestTokenChecksAtLoad:
     @pytest.mark.parametrize(
         "setup",
         [
-            bad_artifact(CooccurrenceTensor.load, "t.tsv", "see-v\tsbj\tdog-n\t2\nsee-v\tobj\tdog\t1\n"),
+            bad_artifact(CooccurrenceTensor.load, "t.tsv", "see-v\tsbj\t\ncat-n\t2\ndog\t1\n",
+                         format_version=TENSOR_FORMAT_VERSION),
             bad_artifact(lambda path: load_vocabulary(path, 1, True), "vocab.tsv", "dog-n\t3\n-n\t2\n"),
             bad_archive("vocab.tsv", lambda space: "zebra\n"),
         ],

@@ -1,9 +1,12 @@
-import pytest
-
-from argex.errors import ConfigError, ConsistencyError, CorpusError
 import os
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from argex.errors import ConfigError, ConsistencyError, CorpusError, StaleArtifactError
 from argex.tensor import (
+    FORMAT_VERSION,
     CooccurrenceTensor,
     read_artifact,
     read_sidecar,
@@ -19,6 +22,44 @@ SEE = "see-v"
 
 def small_tensor() -> CooccurrenceTensor:
     return CooccurrenceTensor({(SEE, "sbj", DOG): 2, (SEE, "obj", CAT): 1, (DOG, "sbj_inv", SEE): 2})
+
+
+def triples_of(text: str) -> list[tuple[str, str, str]]:
+    """The (target, relation, filler) of each entry line of a saved tensor, in file order."""
+    triples = []
+    for line in text.splitlines():
+        fields = line.split("\t")
+        if len(fields) == 3:
+            head = fields[:2]
+        else:
+            triples.append((*head, fields[0]))
+    return triples
+
+
+def write_body(path: str, body: str) -> None:
+    """A hash-verified tensor file holding ``body``, under a sidecar of this format version."""
+    write_artifact(path, body, {"format_version": FORMAT_VERSION})
+
+
+# tokens and relation labels that a line's tabs and newlines cannot split
+_TEXT = st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n")
+_TOKENS = st.builds(
+    "{}-{}".format,
+    st.text(st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc")), min_size=1, max_size=6),
+    st.sampled_from(["n", "v"]),
+) | st.sampled_from([DOG, CAT, SEE, "x-ray-n", "re-read-v"])
+
+
+@st.composite
+def triples(draw):
+    target, filler = draw(_TOKENS), draw(_TOKENS)
+    relation = draw(st.one_of(
+        st.text(_TEXT, max_size=6),
+        st.integers(min_value=0, max_value=999).map(str),  # all digits, like a count
+        st.just(filler),  # the filler's own string
+        st.sampled_from(["sbj", "obj", "VERB", "WINDOW"]).map(lambda r: r + "_inv"),
+    ))
+    return target, relation, filler
 
 
 class TestCounting:
@@ -44,8 +85,14 @@ class TestCounting:
 
     def test_entries_sorted(self):
         tensor = small_tensor()
-        keys = [tuple(line.split("\t")[:3]) for line in tensor.to_tsv().splitlines()]
-        assert keys == sorted(tensor.counts)
+        assert triples_of(tensor.to_tsv()) == sorted(tensor.counts)
+
+    def test_each_target_and_relation_is_written_once_per_run(self):
+        assert small_tensor().to_tsv() == (
+            "dog-n\tsbj_inv\t\nsee-v\t2\n"
+            "see-v\tobj\t\ncat-n\t1\n"
+            "see-v\tsbj\t\ndog-n\t2\n"
+        )
 
 
 class TestSerialization:
@@ -72,6 +119,7 @@ class TestSerialization:
         meta = read_sidecar(sidecar_path(path))
         assert meta["total"] == "5"
         assert meta["entries"] == "3"
+        assert meta["format_version"] == FORMAT_VERSION
         assert meta["content_hash"] == digest
         assert meta["stage"] == "test"
 
@@ -94,23 +142,71 @@ class TestSerialization:
 
     def test_malformed_row_raises(self, tmp_path):
         path = tmp_path / "t.tsv"
-        write_artifact(str(path), "dog-n\tsbj\n", {})
+        write_body(str(path), "dog-n\tsbj\n")
         with pytest.raises(CorpusError):
             CooccurrenceTensor.load(str(path))
 
     @pytest.mark.parametrize(
         "body, line",
         [
-            ("see-v\tsbj\tdog-n\t2\nsee-v\tobj\tcat-n\tlots\n", 2),
-            ("see-v\tsbj\tdog-n\t0\n", 1),
-            ("see\tsbj\tdog-n\t1\n", 1),
-            ("dog-n\tsbj\tsee-v\t2\ndog-n\tsbj\tsee-v\t3\n", 2),  # a repeat is refused, not summed
+            ("see-v\tobj\t\ncat-n\t2\ndog-n\tlots\n", 3),
+            ("see-v\tsbj\t\ndog-n\t0\n", 2),
+            ("see\tsbj\t\ndog-n\t1\n", 1),
+            ("dog-n\tsbj\t\nsee-v\t2\nsee-v\t3\n", 3),  # a repeat is refused, not summed
+            ("dog-n\tsbj\t\nsee-v\t2\ncat-n\t3\n", 3),
+            ("dog-n\t2\nsee-v\tsbj\t\n", 1),
+            ("see-v\tobj\t\ncat-n\t1\nsee-v\tobj\t\ndog-n\t1\n", 3),
+            ("see-v\tsbj\t\ndog-n\t1\nsee-v\tobj\t\ncat-n\t1\n", 3),
+            ("see-v\tsbj\t\ndog-n\t1\ncat-n\tsbj\t\nsee-v\t1\n", 3),
+            ("see-v\tsbj\tdog-n\t1\n", 1),  # a version 1 line
+            ("see-v\tsbj\tdog-n\n", 1),  # three fields, the last one not empty
+            ("see-v\tsbj\t\ndog-n\n", 2),
+        ],
+        ids=[
+            "non-integer-count",
+            "zero-count",
+            "bad-target",
+            "repeated-filler",
+            "decreasing-filler",
+            "entry-before-any-header",
+            "repeated-header",
+            "decreasing-relation",
+            "decreasing-target",
+            "four-fields",
+            "three-fields",
+            "one-field",
         ],
     )
     def test_bad_field_in_a_verified_body_names_path_and_line(self, tmp_path, body, line):
         path = str(tmp_path / "t.tsv")
-        write_artifact(path, body, {})
+        write_body(path, body)
         with pytest.raises(CorpusError, match=f"t.tsv:{line}:"):
+            CooccurrenceTensor.load(path)
+
+    @pytest.mark.parametrize("version", [None, "1", "3"])
+    def test_another_format_version_is_stale_before_the_body_is_parsed(self, tmp_path, version):
+        path = str(tmp_path / "t.tsv")
+        meta = {} if version is None else {"format_version": version}
+        write_artifact(path, "see-v\tsbj\tdog-n\t2\n", meta)  # a version 1 line
+        with pytest.raises(StaleArtifactError, match=f"t.tsv has format version {version}.*re-run `argex ingest`"):
+            CooccurrenceTensor.load(path)
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (lambda body: body.replace("see-v\tobj\t\ncat-n\t1\n", ""), "entries is 3, the tensor holds 2"),
+            (lambda body: body.replace("dog-n\t2\n", "dog-n\t3\n"), "total is 5, the tensor holds 6"),
+        ],
+        ids=["entries", "total"],
+    )
+    def test_sidecar_counts_that_the_body_does_not_hold_are_inconsistent(self, tmp_path, damage, named):
+        path = str(tmp_path / "t.tsv")
+        small_tensor().save(path)
+        text, meta = read_artifact(path)
+        del meta["content_hash"]
+        write_artifact(path, damage(text), meta)  # re-records content_hash, so the hash check passes
+        assert read_artifact(path)[0] != text
+        with pytest.raises(ConsistencyError, match=f"t.tsv.meta: {named}"):
             CooccurrenceTensor.load(path)
 
     def test_load_records_the_verified_hash(self, tmp_path):
@@ -121,6 +217,19 @@ class TestSerialization:
     def test_missing_file_raises(self):
         with pytest.raises(CorpusError):
             CooccurrenceTensor.load("/nonexistent/t.tsv")
+
+    @given(st.dictionaries(triples(), st.integers(min_value=1, max_value=10**12), max_size=30))
+    @example({(SEE, "12", DOG): 1, (SEE, DOG, CAT): 2, (DOG, "sbj_inv", SEE): 3, (SEE, "", CAT): 4})
+    @settings(max_examples=150, deadline=None)
+    def test_any_counts_round_trip_and_resave_byte_identical(self, tmp_path_factory, counts):
+        directory = tmp_path_factory.mktemp("round_trip")
+        first, second = str(directory / "a.tsv"), str(directory / "b.tsv")
+        digest = CooccurrenceTensor(counts).save(first)
+        loaded = CooccurrenceTensor.load(first)
+        assert loaded.counts == counts and loaded.source_hash == digest
+        assert loaded.save(second) == digest
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
 
     def test_content_hash_ignores_insertion_order(self):
         a = CooccurrenceTensor({(SEE, "sbj", DOG): 1, (SEE, "obj", CAT): 1})
