@@ -3,19 +3,19 @@
 A space holds one row per target over (relation, filler) dimensions with
 positive association scores, plus, for each (target, relation), the
 fillers ranked by descending score. A space is its archive: the text of
-five sorted TSV files, whose sha256 is the space id. ``blocks.tsv``
-gives the offset where each target's block of lines starts in
-``rows.tsv`` and ``arg.tsv``, so a line there belongs to the target
-whose block it sits in, and a ``catalog.tsv`` line's dimension id is
-its line number: no line repeats either fact. ``build_space`` renders
-the files straight from the weighted scores, ``save_space`` writes them
-with a manifest, and ``load_space`` reads them back once their hash is
-verified. The archive stores scores only: every ranking is rebuilt from
-the rows for the dependency slots and from ``arg.tsv`` for the ARG slot.
-A space, built or loaded, reads its own rows and rankings from those
-files, in the order the writer writes them: targets increase down
-``blocks.tsv``, ids within a row, and (relation, filler) pairs down
-``catalog.tsv``. Its first read checks the vocabulary and
+four sorted TSV files, whose sha256 is the space id. ``blocks.tsv``
+lists every vocabulary token and gives the offset where each one's
+block of lines starts in ``rows.tsv`` and ``arg.tsv``, so a line there
+belongs to the target whose block it sits in, and a ``catalog.tsv``
+line's dimension id is its line number: no line repeats either fact.
+``build_space`` renders the files straight from the weighted scores,
+``save_space`` writes them with a manifest, and ``load_space`` reads
+them back once their hash is verified. The archive stores scores only:
+every ranking is rebuilt from the rows for the dependency slots and
+from ``arg.tsv`` for the ARG slot. A space, built or loaded, reads its
+own rows and rankings from those files, in the order the writer writes
+them: targets increase down ``blocks.tsv``, ids within a row, and
+(relation, filler) pairs down ``catalog.tsv``. Its first read checks
 ``blocks.tsv``, which a load makes at once and a built space on first
 use. A target's blocks, and the catalog lines its row refers to, are
 parsed and checked only when the target is first used.
@@ -51,9 +51,9 @@ from .tokens import ARG, canonical_checker
 if TYPE_CHECKING:
     from .weighting import WeightedTensor
 
-FORMAT_VERSION = "4"
+FORMAT_VERSION = "5"
 # the archive's files, whose sha256 is the space id
-_FILES = ("catalog.tsv", "vocab.tsv", "rows.tsv", "arg.tsv", "blocks.tsv")
+_FILES = ("catalog.tsv", "rows.tsv", "arg.tsv", "blocks.tsv")
 _BUILT = "<built space>"  # names the files of a built space in errors
 _TARGET_OF_KEY = operator.itemgetter(0)  # of a (target, relation, filler) triple, or of a blocks.tsv line
 _RELATION_OF_KEY = operator.itemgetter(1)
@@ -207,10 +207,10 @@ class WeightedSpace:
 
     ``texts`` holds the files in ``_FILES`` order; the manifest's
     ``space_id`` is their sha256. All else is read from ``texts``. The
-    first read of the vocabulary, a row or a ranking checks the
-    vocabulary and ``blocks.tsv`` (``_check``), which ``load_space``
-    does at load and a built space on first use. A target's row is
-    parsed from its ``rows.tsv`` block, whose lines are its (dimension
+    first read of the vocabulary, a row or a ranking checks
+    ``blocks.tsv``, whose targets are the vocabulary (``_check``):
+    ``load_space`` does so at load and a built space on first use. A
+    target's row is parsed from its ``rows.tsv`` block, whose lines are its (dimension
     id, score) pairs, when first read. The block is checked then: its
     layout, ids that increase, the last one inside the catalog, and
     scores that are positive and finite. Its rankings are built together
@@ -244,34 +244,28 @@ class WeightedSpace:
         return self.__dict__[name]
 
     def _check(self) -> None:
-        """Check the vocabulary and ``blocks.tsv``, and index each target's blocks.
+        """Check ``blocks.tsv``, take the vocabulary from it, and index each target's blocks.
 
         ``blocks.tsv`` must list target tokens in increasing order, and
         the offsets where their blocks start must tile ``rows.tsv`` and
         ``arg.tsv``. No line of the other files is parsed. Nothing
         is kept unless every check passes.
         """
-        catalog_text, vocab_text, rows_text, arg_text, blocks_text = self.texts
+        catalog_text, rows_text, arg_text, blocks_text = self.texts
         # every line of the catalog ends with a newline, so its lines are its n_dims dimensions
         if not catalog_text.endswith("\n") and catalog_text:
             raise _malformed(self._paths[0], catalog_text, catalog_text.rfind("\n") + 1, _CATALOG_LAYOUT)
-        vocab = vocab_text.split("\n")
-        if not vocab[-1]:
-            vocab.pop()
-        _check_column(self._paths[1], vocab)
-        known = frozenset(vocab)
-        path = self._paths[4]
-        layout = "target, offset, offset"
-        lines = _lines(path, blocks_text, _BLOCKS_LINE, layout, 0, len(blocks_text), ConsistencyError)
+        path = self._paths[3]
+        lines = _lines(path, blocks_text, _BLOCKS_LINE, _BLOCKS_LAYOUT, 0, len(blocks_text), ConsistencyError)
         targets = list(map(_TARGET_OF_KEY, lines))
-        _check_column(path, targets, known, error=ConsistencyError)
+        _check_column(path, targets, error=ConsistencyError)
         if not all(map(operator.lt, targets, targets[1:])):
             i = next(i for i in range(1, len(targets)) if targets[i - 1] >= targets[i])
             raise ConsistencyError(f"{path}:{i + 1}: target {targets[i]} does not sort after {targets[i - 1]}")
-        rows = _tiling(path, _FILES[2], rows_text, list(map(int, map(_ROWS_OFFSET, lines))))
-        arg = _tiling(path, _FILES[3], arg_text, list(map(int, map(_ARG_OFFSET, lines))))
+        rows = _tiling(path, _FILES[1], rows_text, list(map(int, map(_ROWS_OFFSET, lines))))
+        arg = _tiling(path, _FILES[2], arg_text, list(map(int, map(_ARG_OFFSET, lines))))
         self._blocks = {target: (*row, *ranking) for target, row, ranking in zip(targets, rows, arg)}
-        self.vocabulary, self._n_dims = known, catalog_text.count("\n")
+        self.vocabulary, self._n_dims = frozenset(targets), catalog_text.count("\n")
 
     def row(self, target: str) -> SparseVector:
         """The row of ``target``; a target without one has the empty row."""
@@ -280,7 +274,7 @@ class WeightedSpace:
             start, end, _, _ = self._blocks.get(target, _NO_BLOCKS)
             if start == end:
                 return EMPTY_VECTOR
-            path, text = self._paths[2], self.texts[2]
+            path, text = self._paths[1], self.texts[1]
             dims, scores = zip(*_lines(path, text, _ROWS_LINE, _ROWS_LAYOUT, start, end))
             ids, scores = tuple(map(int, dims)), tuple(map(float, scores))
             # the merge and bisect kernels rely on increasing ids
@@ -307,7 +301,7 @@ class WeightedSpace:
                 groups.setdefault(relation, []).append((filler, score))
         _, _, start, end = self._blocks.get(target, _NO_BLOCKS)
         if start != end:
-            path, text = self._paths[3], self.texts[3]
+            path, text = self._paths[2], self.texts[2]
             fillers, scores = zip(*_lines(path, text, _ARG_LINE, _ARG_LAYOUT, start, end))
             _check_column(path, fillers, self.vocabulary, lambda i: _line_of(text, start) + i)
             scores = tuple(map(float, scores))
@@ -395,9 +389,10 @@ def build_space(
     """Render the archive of a space from weighted counts.
 
     The files are rendered straight from the sorted score keys,
-    one target block at a time, and ``blocks.tsv`` records where each
-    block starts; the space's rows and rankings are read back from them
-    on first use. ``extra_index`` contributes ARG rankings only
+    one target block at a time, and ``blocks.tsv`` lists every token of
+    ``vocabulary`` and every scored target, with where each one's block
+    starts (a token without lines has empty blocks); the space's rows
+    and rankings are read back from them on first use. ``extra_index`` contributes ARG rankings only
     (relation-collapsed typicality scores); its entries never become
     vector dimensions. Zero scores are dropped as absent; a negative,
     nan or infinite one raises ``ValueError``.
@@ -410,7 +405,6 @@ def build_space(
     dim_of_key = list(map(_DIMENSION_OF_KEY, keys))
     catalog = tuple(sorted(set(dim_of_key)))
     targets = list(map(_TARGET_OF_KEY, keys))
-    vocab = frozenset(vocabulary)
     # (dim id, score) per rows.tsv line, each block rendered by one % operation
     fields: list = [None] * (2 * len(keys))
     fields[0::2] = map(dict(zip(catalog, range(len(catalog)))).__getitem__, dim_of_key)
@@ -433,12 +427,11 @@ def build_space(
         target: "".join([f"{filler}\t{format_score(-negated)}\n" for _, filler, negated in entries])
         for target, entries in itertools.groupby(arg, key=_TARGET_OF_KEY)
     }
-    names = sorted(row_blocks.keys() | arg_blocks.keys())
+    names = sorted(set(vocabulary).union(row_blocks, arg_blocks))
     rows_tsv, row_starts = _tile(names, row_blocks)
     arg_tsv, arg_starts = _tile(names, arg_blocks)
     texts = (
         "".join([f"{relation}\t{filler}\n" for relation, filler in catalog]),
-        "".join([f"{token}\n" for token in sorted(vocab)]),
         rows_tsv,
         arg_tsv,
         "".join([f"{name}\t{row}\t{ranking}\n" for name, row, ranking in zip(names, row_starts, arg_starts)]),
@@ -448,7 +441,7 @@ def build_space(
         "source_hash": weighted.source_hash,
         "n_targets": str(len(row_blocks)),
         "n_dims": str(len(catalog)),
-        "n_vocab": str(len(vocab)),
+        "n_vocab": str(len(names)),
     }
     if manifest:
         info.update(manifest)
@@ -489,14 +482,15 @@ def save_space(space: WeightedSpace, directory: str) -> str:
     return space.space_id
 
 
-# A space checks the vocabulary and blocks.tsv at load: every line's
-# layout and token, the order of the targets, and that the offsets tile
-# rows.tsv and arg.tsv. A target's blocks, and the catalog lines its row
-# refers to, are checked when the target is first read.
+# A space checks blocks.tsv at load: every line's layout and token, the
+# order of the targets, and that the offsets tile rows.tsv and arg.tsv.
+# A target's blocks, and the catalog lines its row refers to, are
+# checked when the target is first read.
 _FIELD = r"[^\t\n]+"
 _SCORE = r"[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?"  # format_score of a non-negative finite float
 _ID = "(0|[1-9][0-9]*)"  # a dimension id or an offset, without leading zeros
 _CATALOG_LAYOUT = "relation, filler"  # a catalog line's dimension id is its line number
+_BLOCKS_LAYOUT = "target, offset, offset"  # its targets are the vocabulary
 _ROWS_LAYOUT = "dimension id, score"  # a rows.tsv or arg.tsv line's target is the block it sits in
 _ARG_LAYOUT = "filler, score"
 _CATALOG_LINE = re.compile(rf"({_FIELD})\t({_FIELD})")  # a line without its newline
@@ -588,11 +582,11 @@ def _row_fault(path: str, text: str, start: int, ids: tuple[int, ...], scores: t
 def load_space(directory: str) -> WeightedSpace:
     """Read an archive back; its rows and rankings are parsed per target on first use.
 
-    The format version is checked first, then the bytes of all five
+    The format version is checked first, then the bytes of all four
     files against the manifest's ``space_id``, and only then is anything
-    parsed. The vocabulary, ``blocks.tsv`` and the manifest's counts are
-    checked here; a target's blocks, and the catalog lines its row
-    refers to, when the target is first read. Any failure names
+    parsed. ``blocks.tsv``, whose targets are the vocabulary, and the
+    manifest's counts are checked here; a target's blocks, and the
+    catalog lines its row refers to, when the target is first read. Any failure names
     ``path:line``, the manifest, or the archive.
     """
     manifest_path = os.path.join(directory, "manifest.txt")

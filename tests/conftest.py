@@ -133,22 +133,22 @@ def vector_from_pairs(pairs) -> SparseVector:
     return SparseVector(tuple(dim for dim, _ in kept), tuple(score for _, score in kept))
 
 
-def blocks(texts, data_file: int = 2) -> dict[str, str]:
-    """Each target's block of lines in the ``rows.tsv`` (or ``arg.tsv``, ``data_file`` 3) of an archive's ``texts``.
+def blocks(texts, data_file: int = 1) -> dict[str, str]:
+    """Each target's block of lines in the ``rows.tsv`` (or ``arg.tsv``, ``data_file`` 2) of an archive's ``texts``.
 
-    ``texts`` holds the archive's five files in ``space._FILES`` order.
+    ``texts`` holds the archive's four files in ``space._FILES`` order.
     The blocks are cut where ``blocks.tsv`` says they start, and in its
     order; empty ones are left out.
     """
-    lines = [line.split("\t") for line in texts[4].splitlines()]
+    lines = [line.split("\t") for line in texts[3].splitlines()]
     text = texts[data_file]
-    starts = [int(fields[data_file - 1]) for fields in lines]
+    starts = [int(fields[data_file]) for fields in lines]
     cut = {fields[0]: text[start:end] for fields, start, end in zip(lines, starts, [*starts[1:], len(text)])}
     return {target: block for target, block in cut.items() if block}
 
 
-def targets(space: WeightedSpace, data_file: int = 2) -> list[str]:
-    """The targets with lines in a space's ``rows.tsv`` (or in ``arg.tsv``, ``data_file`` 3), in file order."""
+def targets(space: WeightedSpace, data_file: int = 1) -> list[str]:
+    """The targets with lines in a space's ``rows.tsv`` (or in ``arg.tsv``, ``data_file`` 2), in file order."""
     return list(blocks(space.texts, data_file))
 
 
@@ -165,7 +165,7 @@ def record_space_id(directory: str, **manifest: str) -> None:
 def every_ranking(space: WeightedSpace) -> dict[tuple[str, str], tuple]:
     """The ranking of every target of ``rows.tsv`` or ``arg.tsv`` by every catalog relation and ARG."""
     relations = sorted({relation for relation, _ in space.catalog} | {ARG})
-    names = sorted(set(targets(space)) | set(targets(space, data_file=3)))
+    names = sorted(set(targets(space)) | set(targets(space, data_file=2)))
     return {(target, relation): space.ranking(target, relation) for target in names for relation in relations}
 
 

@@ -16,11 +16,10 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from argex.cli import main
-from argex.space import _FILES
 from argex.tensor import read_sidecar, sidecar_path, write_sidecar
 from argex.tokens import parse_canonical
 
@@ -72,29 +71,58 @@ def copy_artifacts(src: str, dst: str) -> str:
     return dst
 
 
+# the files of a version-3 or version-4 archive, in the order of their space_id
+VERSION_4_FILES = ("catalog.tsv", "vocab.tsv", "rows.tsv", "arg.tsv", "blocks.tsv")
+
+
+def rewrite_as_version_4(space: str) -> list[str]:
+    """Rewrite a saved space archive as format version 4 wrote it; returns the texts of its five files.
+
+    Version 4 kept the vocabulary in a ``vocab.tsv`` of its own, listed in
+    ``blocks.tsv`` only the targets with lines in ``rows.tsv`` or
+    ``arg.tsv``, and hashed the five files.
+    """
+    texts = []
+    for name in ("catalog.tsv", "rows.tsv", "arg.tsv", "blocks.tsv"):
+        with open(os.path.join(space, name), encoding="utf-8") as fh:
+            texts.append(fh.read())
+    catalog, rows, arg, blocks_tsv = texts
+    lines = blocks_tsv.splitlines(keepends=True)
+    vocab = "".join(line.partition("\t")[0] + "\n" for line in lines)
+    # a target whose blocks are empty starts both where the next one does, or at the ends of the files
+    ends = [line.split("\t", 1)[1] for line in lines[1:]] + [f"{len(rows)}\t{len(arg)}\n"]
+    blocks_tsv = "".join(line for line, end in zip(lines, ends) if line.split("\t", 1)[1] != end)
+    texts = [catalog, vocab, rows, arg, blocks_tsv]
+    for name, text in zip(VERSION_4_FILES, texts):
+        with open(os.path.join(space, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    manifest = os.path.join(space, "manifest.txt")
+    write_sidecar(manifest, {**read_sidecar(manifest), "format_version": "4",
+                             "space_id": hashlib.sha256("".join(texts).encode("utf-8")).hexdigest()})
+    return texts
+
+
 def rewrite_as_version_3(space: str) -> None:
     """Rewrite a saved space archive as format version 3 wrote it.
 
-    Version 3 put the target on every ``rows.tsv`` and ``arg.tsv`` line
-    and the dimension id on every ``catalog.tsv`` line, and hashed
-    ``blocks.tsv`` apart from the four files of its ``space_id``.
+    Version 3 was version 4 with the target on every ``rows.tsv`` and
+    ``arg.tsv`` line and the dimension id on every ``catalog.tsv``
+    line, and hashed ``blocks.tsv`` apart from the four files of its
+    ``space_id``.
     """
-    texts = []
-    for name in _FILES:
-        with open(os.path.join(space, name), encoding="utf-8") as fh:
-            texts.append(fh.read())
-    catalog = "".join(f"{dim_id}\t{line}\n" for dim_id, line in enumerate(texts[0].splitlines()))
-    names = [line.partition("\t")[0] for line in texts[4].splitlines()]
+    catalog, vocab, rows, arg, blocks_tsv = rewrite_as_version_4(space)
+    catalog = "".join(f"{dim_id}\t{line}\n" for dim_id, line in enumerate(catalog.splitlines()))
+    names = [line.partition("\t")[0] for line in blocks_tsv.splitlines()]
     data, starts = [], []
-    for data_file in (2, 3):
-        block_of = blocks(texts, data_file)
+    for data_file in (1, 2):
+        block_of = blocks((None, rows, arg, blocks_tsv), data_file)
         parts = ["".join(f"{name}\t{line}" for line in block_of.get(name, "").splitlines(keepends=True))
                  for name in names]
         data.append("".join(parts))
         starts.append(itertools.accumulate(map(len, parts), initial=0))
     blocks_tsv = "".join(f"{name}\t{row}\t{arg}\n" for name, row, arg in zip(names, *starts))
-    bodies = [text.encode("utf-8") for text in (catalog, texts[1], *data, blocks_tsv)]
-    for name, body in zip(_FILES, bodies):
+    bodies = [text.encode("utf-8") for text in (catalog, vocab, *data, blocks_tsv)]
+    for name, body in zip(VERSION_4_FILES, bodies):
         with open(os.path.join(space, name), "wb") as fh:
             fh.write(body)
     manifest = os.path.join(space, "manifest.txt")
@@ -114,11 +142,11 @@ READER_OF = {
         "window.tensor.tsv", "window.tensor.tsv.meta",
     )},
     **{f"deps.space/{name}": FILLERS_DEPS for name in (
-        "catalog.tsv", "vocab.tsv", "rows.tsv", "arg.tsv", "blocks.tsv", "manifest.txt",
+        "catalog.tsv", "rows.tsv", "arg.tsv", "blocks.tsv", "manifest.txt",
     )},
     # window.space/arg.tsv is empty: it has no byte to damage
     **{f"window.space/{name}": FILLERS_WINDOW for name in (
-        "catalog.tsv", "vocab.tsv", "rows.tsv", "blocks.tsv", "manifest.txt",
+        "catalog.tsv", "rows.tsv", "blocks.tsv", "manifest.txt",
     )},
 }
 
@@ -638,12 +666,14 @@ class TestGuards:
         assert os.path.join(out, named) in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("version", ["1", "2", "3", "7"])
+    @pytest.mark.parametrize("version", ["1", "2", "3", "4", "7"])
     def test_other_archive_format_version_refused(self, bicknell_out, tmp_path, capsys, version):
         out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
         manifest = os.path.join(out, "deps.space", "manifest.txt")
         if version in ("2", "3"):  # a real archive of that version
             rewrite_as_version_3(os.path.join(out, "deps.space"))
+        elif version == "4":
+            rewrite_as_version_4(os.path.join(out, "deps.space"))
         recorded = {**read_sidecar(manifest), "format_version": version}
         if version == "2":  # version 2 had no blocks.tsv
             os.remove(os.path.join(out, "deps.space", "blocks.tsv"))
@@ -688,7 +718,7 @@ class TestGuards:
         assert stdout == ""
 
     def test_a_blocks_tsv_that_fails_the_space_id_exits_4_naming_the_archive(self, bicknell_out, tmp_path, capsys):
-        # space_id covers blocks.tsv with the other four files
+        # space_id covers blocks.tsv with the other three files
         out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
         with open(os.path.join(out, "deps.space", "blocks.tsv"), "a", encoding="utf-8") as fh:
             fh.write("zebra-n\t0\t0\n")
@@ -1307,7 +1337,7 @@ class TestGoldenChecker:
     def test_fixtures_match_under_this_interpreter(self):
         result = subprocess.run([sys.executable, self.SCRIPT], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.endswith(" 36 artifacts, 183 reports, 0 mismatches\n")
+        assert result.stdout.endswith(" 32 artifacts, 183 reports, 0 mismatches\n")
 
     def test_each_mismatch_is_named(self):
         spec = importlib.util.spec_from_file_location("check_golden", self.SCRIPT)
@@ -1388,6 +1418,117 @@ class TestDamagedArtifacts:
         # informational sidecar and manifest fields (kind, n_dims, ...) are not checked
         is_metadata = name.endswith((".meta", "manifest.txt"))
         assert code in ({0, 2, 4} if is_metadata else {2, 4})
+
+
+def _line_damage(edit):
+    """A damage that edits the list of ``raw``'s lines, each with its newline."""
+
+    def damage(raw: bytes, draw) -> bytes:
+        lines = raw.splitlines(keepends=True)
+        assume(lines)
+        edit(lines, draw, st.integers(0, len(lines) - 1))
+        return b"".join(lines)
+
+    return damage
+
+
+def _flip(raw, draw):
+    i = draw(st.integers(0, len(raw) - 1))
+    return raw[:i] + bytes([raw[i] ^ draw(st.integers(1, 255))]) + raw[i + 1:]
+
+
+def _truncate(raw, draw):
+    return raw[:draw(st.integers(0, len(raw) - 1))]
+
+
+def _swap(lines, draw, index):
+    i, j = draw(index), draw(index)
+    assume(lines[i] != lines[j])
+    lines[i], lines[j] = lines[j], lines[i]
+
+
+def _fields(lines) -> list[bytes]:
+    """Every distinct field that the file of ``lines`` holds somewhere."""
+    return sorted({field for line in lines for field in line.rstrip(b"\n").split(b"\t")})
+
+
+def _insert(lines, draw, index):
+    line = b"\t".join(draw(st.lists(st.sampled_from(_fields(lines)), min_size=1, max_size=4))) + b"\n"
+    lines.insert(draw(st.integers(0, len(lines))), line)
+
+
+def _edit_digit(raw, draw):
+    digits = [i for i, byte in enumerate(raw) if byte in b"0123456789"]
+    assume(digits)
+    i = draw(st.sampled_from(digits))
+    return raw[:i] + bytes([draw(st.sampled_from([d for d in b"0123456789" if d != raw[i]]))]) + raw[i + 1:]
+
+
+def _edit_field(lines, draw, index):
+    i = draw(index)
+    fields = lines[i].rstrip(b"\n").split(b"\t")
+    fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_fields(lines)))
+    lines[i] = b"\t".join(fields) + b"\n"
+
+
+DAMAGES = {
+    "flip": _flip,
+    "truncate": _truncate,
+    "duplicate": _line_damage(lambda lines, draw, index: lines.insert(i := draw(index), lines[i])),
+    "delete": _line_damage(lambda lines, draw, index: lines.pop(draw(index))),
+    "swap": _line_damage(_swap),
+    "insert": _line_damage(_insert),
+    "digit": _edit_digit,
+    "field": _line_damage(_edit_field),
+}
+def _eval(kind: str) -> tuple[str, ...]:
+    return ("eval", "--task", "bicknell-acc2", "--kind", kind, "--k", "10")
+
+
+# each space file with the evals that read its space, and the fillers slots to probe it with
+SPACE_READERS = {
+    **{f"deps.space/{name}": ((_eval("deps"), _eval("boa")), ("obj", "sbj", "VERB", "ARG"))
+       for name in ("catalog.tsv", "rows.tsv", "arg.tsv", "blocks.tsv")},
+    # window.space/arg.tsv is empty: it has no line to damage
+    **{f"window.space/{name}": ((_eval("bow"),), ("WINDOW",)) for name in ("catalog.tsv", "rows.tsv", "blocks.tsv")},
+}
+
+
+class TestVerifiedDamage:
+    """Damage that passes the hash: a space or tensor file is damaged and its hash re-recorded, so only
+    the readers' own checks stand between the damage and a result. Each run ends in a documented exit code."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(["deps.tensor.tsv", "window.tensor.tsv", *SPACE_READERS]),
+        damage=st.sampled_from(sorted(DAMAGES)),
+        data=st.data(),
+    )
+    def test_verified_damage_never_escapes_main(self, bicknell_out, name, damage, data):
+        with open(os.path.join(bicknell_out, "deps.space", "blocks.tsv"), encoding="utf-8") as fh:
+            vocabulary = [line.partition("\t")[0] for line in fh]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = copy_artifacts(bicknell_out, os.path.join(tmp, "out"))
+            path = os.path.join(out, name)
+            with open(path, "rb") as fh:
+                raw = DAMAGES[damage](fh.read(), data.draw)
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            if name in SPACE_READERS:
+                record_space_id(os.path.dirname(path))
+                evals, slots = SPACE_READERS[name]
+                probes = data.draw(st.lists(st.tuples(st.sampled_from(vocabulary), st.sampled_from(slots)),
+                                            min_size=1, max_size=4), label="probes")
+                runs = [*evals, *(("fillers", "--target", target, "--slot", slot) for target, slot in probes)]
+            else:
+                meta = read_sidecar(sidecar_path(path))
+                write_sidecar(sidecar_path(path), {**meta, "content_hash": hashlib.sha256(raw).hexdigest()})
+                runs = [WEIGHT]
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                codes = [main([*argv, "-c", BICKNELL_CONF, "--out-dir", out]) for argv in runs]
+        assert set(codes) <= {0, 2, 3, 4}, codes
+        assert "Traceback" not in stderr.getvalue()
 
 
 # fixture -> (corpus, the task eval runs, the config key of its dataset, the dataset)

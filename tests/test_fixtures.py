@@ -28,8 +28,11 @@ def test_the_readme_names_the_space_archive_format_this_argex_writes():
         readme = " ".join(fh.read().split())  # a phrase may wrap
     assert f"(format version {space.FORMAT_VERSION})" in readme
     for name, layout in (("catalog.tsv", space._CATALOG_LAYOUT), ("rows.tsv", space._ROWS_LAYOUT),
-                         ("arg.tsv", space._ARG_LAYOUT)):
+                         ("arg.tsv", space._ARG_LAYOUT), ("blocks.tsv", space._BLOCKS_LAYOUT)):
         assert f"`{name}` ({layout})" in readme, name
+    files = ", ".join(f"`{name}`" for name in space._FILES[:-1]) + f" and `{space._FILES[-1]}`"
+    assert f"holding {len(space._FILES)} files: {files}," in readme
+    assert "`vocab.tsv` has one token per line" not in readme  # the vocabulary is blocks.tsv's targets
 
 
 def test_the_readme_names_the_count_tensor_format_this_argex_writes():

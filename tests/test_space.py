@@ -481,7 +481,7 @@ class TestSpace:
         space = toy_space()
         directory = str(tmp_path / "space")
         save_space(space, directory)
-        lines = space.texts[2].splitlines(keepends=True)
+        lines = space.texts[1].splitlines(keepends=True)
         assert [line.split("\t")[0] for line in blocks(space.texts)["see-v"].splitlines()] == ["0", "1", "2"]
         assert targets(space)[-1] == "see-v"
         last_two = "".join(f"{dim_id}\t1.5\n" for dim_id in ids)
@@ -500,7 +500,7 @@ class TestSpace:
         space = toy_space()
         directory = str(tmp_path / "space")
         save_space(space, directory)
-        lines = space.texts[2].splitlines(keepends=True)
+        lines = space.texts[1].splitlines(keepends=True)
         assert blocks(space.texts)["see-v"].endswith(lines[-1]) and lines[-1].startswith("2\t")
         edit_verified(directory, "rows.tsv", lambda text: "".join(lines[:-1]) + f"2\t{score}\n")
         loaded = load_space(directory)
@@ -518,8 +518,8 @@ class TestSpace:
         space = build_space(toy_weighted(), ["see-v", "eat-v", "dog-n", "cat-n"], extra_index=extra)
         directory = str(tmp_path / "space")
         save_space(space, directory)
-        lines = space.texts[3].splitlines(keepends=True)
-        assert blocks(space.texts, 3) == {"eat-v": "cat-n\t0.5\n", "see-v": "cat-n\t0.75\ndog-n\t0.25\n"}
+        lines = space.texts[2].splitlines(keepends=True)
+        assert blocks(space.texts, 2) == {"eat-v": "cat-n\t0.5\n", "see-v": "cat-n\t0.75\ndog-n\t0.25\n"}
         edit_verified(directory, "arg.tsv", lambda text: "".join(lines[:-1]) + f"dog-n\t{score}\n")
         loaded = load_space(directory)
         assert loaded.ranking("eat-v", ARG) == space.ranking("eat-v", ARG)
@@ -657,9 +657,26 @@ class TestSpace:
             with pytest.raises(ConsistencyError):
                 load_space(directory)
 
+    def test_a_vocabulary_token_without_lines_round_trips_with_empty_blocks(self, tmp_path):
+        space = toy_space()
+        assert "ant-n" not in targets(space) + targets(space, data_file=2)
+        directory = str(tmp_path / "space")
+        save_space(space, directory)
+        with open(os.path.join(directory, "blocks.tsv"), encoding="utf-8") as fh:
+            lines = [line.split("\t") for line in fh.read().splitlines()]
+        names = [fields[0] for fields in lines]
+        i = names.index("ant-n")
+        assert lines[i][1:] == lines[i + 1][1:]  # empty blocks: they start where the next target's do
+        loaded = load_space(directory)
+        assert "ant-n" in loaded.vocabulary
+        assert loaded.row("ant-n") == EMPTY_VECTOR
+        for relation in {relation for relation, _ in loaded.catalog} | {ARG}:
+            assert loaded.ranking("ant-n", relation) == ()
+        assert loaded.manifest["n_vocab"] == str(len(names)) == "6"
+
     def test_manifest_records_provenance(self):
         space = toy_space()
-        assert space.manifest["format_version"] == "4"
+        assert space.manifest["format_version"] == "5"
         assert space.manifest["n_targets"] == str(len(targets(space)))
         assert space.manifest["n_dims"] == str(len(space.catalog))
 
@@ -708,7 +725,7 @@ class TestWriterOrder:
         built = build_space(WeightedTensor(scores=scores), tokens, extra_index=WeightedTensor(scores=extra_scores))
         with tempfile.TemporaryDirectory() as directory:
             save_space(built, directory)
-            for name, text in zip(("catalog.tsv", "vocab.tsv", "rows.tsv", "arg.tsv", "blocks.tsv"), built.texts):
+            for name, text in zip(("catalog.tsv", "rows.tsv", "arg.tsv", "blocks.tsv"), built.texts):
                 with open(os.path.join(directory, name), "rb") as fh:
                     assert fh.read() == text.encode("utf-8"), name
             loaded = load_space(directory)
@@ -716,8 +733,9 @@ class TestWriterOrder:
         catalog = sorted({(relation, filler) for _, relation, filler in kept})
         assert loaded.catalog == built.catalog == tuple(catalog)
         dim_id = {dim: i for i, dim in enumerate(catalog)}
-        # blocks.tsv lists every target with a line in rows.tsv or arg.tsv, and each offset starts
-        # exactly that target's lines: its row in id order, then its ARG scores by filler, best first
+        # blocks.tsv lists every vocabulary token and every target with a line in rows.tsv or arg.tsv, and
+        # each offset starts exactly that target's lines: its row in id order, then its ARG scores by filler,
+        # best first
         row_lines, arg_lines = {}, {}
         for (target, relation, filler), score in sorted(kept.items()):
             row_lines[target] = row_lines.get(target, "") + f"{dim_id[relation, filler]}\t{format_score(score)}\n"
@@ -725,9 +743,11 @@ class TestWriterOrder:
                     in [*kept.items(), *extra_scores.items()] if relation == ARG and score > 0]
         for target, filler, negated in sorted(arg_kept):
             arg_lines[target] = arg_lines.get(target, "") + f"{filler}\t{format_score(-negated)}\n"
-        names = [line.partition("\t")[0] for line in loaded.texts[4].splitlines()]
-        assert names == sorted(row_lines.keys() | arg_lines.keys())
-        assert blocks(loaded.texts, 2) == row_lines and blocks(loaded.texts, 3) == arg_lines
+        names = [line.partition("\t")[0] for line in loaded.texts[3].splitlines()]
+        assert names == sorted(set(tokens) | row_lines.keys() | arg_lines.keys())
+        assert loaded.vocabulary == built.vocabulary == frozenset(names)
+        assert loaded.manifest["n_vocab"] == str(len(names))
+        assert blocks(loaded.texts, 1) == row_lines and blocks(loaded.texts, 2) == arg_lines
         expected = _reference_rankings(scores, extra_scores)
         for target in tokens:
             row = vector_from_pairs(
@@ -771,22 +791,26 @@ def bad_archive(name: str, line, **manifest):
 
 
 class TestTokenChecksAtLoad:
-    # each loader checks every distinct token string once; a bad one is an input error at its line
+    # each loader checks every distinct token string once; a bad one is an error at its line: an input
+    # error in a tensor or the vocabulary, and a fault of blocks.tsv, the space's vocabulary, in a space
     @pytest.mark.parametrize(
-        "setup",
+        "setup, error",
         [
-            bad_artifact(CooccurrenceTensor.load, "t.tsv", "see-v\tsbj\t\ncat-n\t2\ndog\t1\n",
-                         format_version=TENSOR_FORMAT_VERSION),
-            bad_artifact(lambda path: load_vocabulary(path, 1, True), "vocab.tsv", "dog-n\t3\n-n\t2\n"),
-            bad_archive("vocab.tsv", lambda space: "zebra\n"),
+            (bad_artifact(CooccurrenceTensor.load, "t.tsv", "see-v\tsbj\t\ncat-n\t2\ndog\t1\n",
+                          format_version=TENSOR_FORMAT_VERSION), CorpusError),
+            (bad_artifact(lambda path: load_vocabulary(path, 1, True), "vocab.tsv", "dog-n\t3\n-n\t2\n"),
+             CorpusError),
+            # a last target with empty blocks, which sorts after see-v, and counted in n_vocab
+            (bad_archive("blocks.tsv", lambda space: f"zebra\t{len(space.texts[1])}\t{len(space.texts[2])}\n",
+                         n_vocab=lambda space: str(len(space.vocabulary) + 1)), ConsistencyError),
         ],
         ids=["tensor-filler", "vocab", "space-vocab"],
     )
-    def test_non_lemma_pos_token_in_a_verified_body_names_path_and_line(self, tmp_path, setup):
+    def test_non_lemma_pos_token_in_a_verified_body_names_path_and_line(self, tmp_path, setup, error):
         path, load = setup(tmp_path)
         with open(path, encoding="utf-8") as fh:
             last_line = fh.read().count("\n")
-        with pytest.raises(CorpusError, match=f"{os.path.basename(path)}:{last_line}:"):
+        with pytest.raises(error, match=f"{os.path.basename(path)}:{last_line}:"):
             load()
 
 
