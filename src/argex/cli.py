@@ -189,9 +189,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         "dropped_arcs": str(stats.dropped_arcs),
     }
     with _locked(config.out_dir):
-        save_vocabulary(vocab, paths["vocab"], {"ingest_hash": stamp})
-        dep.save(paths["deps_tensor"], {"ingest_hash": stamp, **counts})
-        win.save(paths["window_tensor"], {"ingest_hash": stamp, **counts})
+        vocab_hash = save_vocabulary(vocab, paths["vocab"], {"ingest_hash": stamp})
+        dep.save(paths["deps_tensor"], {"ingest_hash": stamp, "vocab_hash": vocab_hash, **counts})
+        win.save(paths["window_tensor"], {"ingest_hash": stamp, "vocab_hash": vocab_hash, **counts})
     print(
         f"ingested {stats.sentences} sentences from {len(stats.files)} file(s): "
         f"{stats.rows} rows ({stats.malformed_rows} malformed), "
@@ -215,13 +215,17 @@ def cmd_weight(args: argparse.Namespace) -> int:
     paths = artifact_paths(config.out_dir)
     stamp_in = ingest_hash(config)
     stamp_space = space_hash(config)
+    metas = {}
     for key in ("vocab", "deps_tensor", "window_tensor"):
         _require_artifact(paths[key], "ingest")
-        meta = read_sidecar(sidecar_path(paths[key]))
+        meta = metas[key] = read_sidecar(sidecar_path(paths[key]))
         _require_stamp(paths[key], meta.get("ingest_hash"), stamp_in, "ingest")
     _note("loading tensors")
     dep = CooccurrenceTensor.load(paths["deps_tensor"])
     win = CooccurrenceTensor.load(paths["window_tensor"])
+    for key in ("deps_tensor", "window_tensor"):  # a crashed ingest can leave two runs' files side by side
+        if metas[key].get("vocab_hash") != metas["vocab"].get("content_hash"):
+            raise StaleArtifactError(f"{paths[key]} was not counted over {paths['vocab']}; re-run `argex ingest`")
     vocab = load_vocabulary(paths["vocab"], config.vocab_threshold, config.vocab_threshold_inclusive)
     _note("weighting")
     dep_weighted = weight_tensor(dep)

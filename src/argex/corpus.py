@@ -3,7 +3,9 @@
 Two count collections are produced from the same parsed stream: a
 dependency tensor over arc relations (with materialized inverse entries
 and the synthetic VERB link between co-arguments) and a surface window
-matrix under the single WINDOW pseudo-relation.
+matrix under the single WINDOW pseudo-relation, each pair both ways. A
+saved tensor stores neither the inverses nor the second ways: its loader
+adds them back.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import itertools
 from collections import Counter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .errors import CorpusError
+from .errors import ConfigError, CorpusError
 from .tensor import CooccurrenceTensor, Triple, read_artifact, write_artifact
 from .tokens import VERB_LINK, VERB_POS, WINDOW, Memo, canonical_checker, inverse
 
@@ -62,20 +64,25 @@ def extract_dependency_counts(
     """Count arcs, their inverses, and the VERB co-argument link.
 
     ``allowlist`` None keeps every relation the ``denylist`` does not
-    drop. Every in-vocabulary arc (h, r, d) contributes (h, r, d) and
-    (d, r_inv, h). Every verb instance with at least one in-vocabulary
+    drop; keeping ``WINDOW`` (the window space's relation) is a
+    ``ConfigError``. Every in-vocabulary arc (h, r, d) contributes (h, r, d)
+    and (d, r_inv, h). Every verb instance with at least one in-vocabulary
     subject and object links each distinct (subject, object) pair once
     under VERB (and its inverse), regardless of the verb's identity.
     """
     counts: dict[Triple, int] = {}
     get = counts.get
     entries = vocab.entries
-    # the inverse of each relation the lists keep; None for one they drop
-    inverse_of = Memo(
-        lambda relation: inverse(relation)
-        if (allowlist is None or relation in allowlist) and relation not in denylist
-        else None
-    )
+
+    def kept_inverse(relation: str) -> str | None:  # None for a relation the lists drop
+        if (allowlist is not None and relation not in allowlist) or relation in denylist:
+            return None
+        if relation == WINDOW:
+            raise ConfigError(f"the corpus has arcs labelled {WINDOW}, the window space's relation: "
+                              "add it to relation_denylist to drop them")
+        return inverse(relation)
+
+    inverse_of = Memo(kept_inverse)
     verb_suffix = "-" + VERB_POS  # a canonical token's tag follows its last hyphen
     for sentence in corpus:
         co_args: dict[int, tuple[set[str], set[str]]] = {}

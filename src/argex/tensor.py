@@ -5,14 +5,17 @@ Counts are plain integers keyed by triples of strings: the canonical
 never stored. Counters and loaders fill ``counts`` directly; weighting
 computes the marginals in one pass over them.
 
-A saved tensor (format version 2) stores each fact once. The file is a
-run per (target, relation), in sorted order: a header line
-``target<TAB>relation<TAB>``, then one ``filler<TAB>count`` line per
-filler, fillers sorted. A header has three tab-separated fields, the
-last one empty, and an entry has two, so the two kinds of line are
-told apart by their field count alone and a relation label may be any
-string. The sidecar records the format version, the number of entries
-and their total; all three are checked at load. The bytes are
+A saved tensor (format version 3) stores each count once: the counters
+also count each arc (h, r, d) as (d, r_inv, h) and each window pair both
+ways, and the loader adds these mirrors back (``_MIRRORS``). An entry
+under a relation ending in ``_inv`` stores what the entry it mirrors
+leaves of its count, if anything; a ``WINDOW`` pair is stored target
+first, a self pair at half its count. The file is a run per (target,
+relation), in sorted order: a header line ``target<TAB>relation<TAB>``
+(three fields, the last empty), then a ``filler<TAB>count`` line per
+filler, fillers sorted, so a relation label may be any string. The
+sidecar records the format version and the number and total of the
+entries, mirrors included, all checked at load. The bytes are
 deterministic for a given input.
 
 ``write_artifact`` and ``read_artifact`` are the one writer and reader
@@ -25,32 +28,32 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import os
-from typing import Iterable
 
 from .errors import ConfigError, ConsistencyError, CorpusError, StaleArtifactError
-from .tokens import Memo, canonical_checker
+from .tokens import INVERSE_SUFFIX, WINDOW, Memo, canonical_checker, inverse, is_inverse
 
-# (target, relation, filler); target and filler are canonical ``lemma-pos``
-# strings, so triples sort in canonical order as they are
+# (target, relation, filler); the target and filler are ``lemma-pos`` strings, which sort in canonical order
 Triple = tuple[str, str, str]
 
 # recorded in the sidecar; load refuses a tensor of any other version as stale
-FORMAT_VERSION = "2"
+FORMAT_VERSION = "3"
 _LAYOUT = "a `target relation` header line ending in a tab, then one `filler count` line per filler"
+_MIRRORS = ("the mirror of (target, relation, filler) is (filler, relation_inv, target), "
+            "and under WINDOW it is (filler, WINDOW, target)")
 
 
-def sorted_triples(triples: Iterable[Triple]) -> list[Triple]:
-    """``sorted(triples)``, with each target's triples sorted apart: fewer and cheaper comparisons."""
-    groups: dict[str, list[Triple]] = {}
-    for triple in triples:
-        group = groups.get(triple[0])
-        if group is None:
-            group = groups[triple[0]] = []
-        group.append(triple)
-    ordered: list[Triple] = []
-    for target in sorted(groups):
-        ordered += sorted(groups[target])
-    return ordered
+def _stored(counts: dict[Triple, int], key: Triple, mirrored: Memo) -> int:
+    """What ``key`` stores: its count less what the entry it mirrors stores, and so on down the chain."""
+    target, relation, filler = key
+    stored, sign = 0, 1
+    while relation is not None:
+        stored += sign * counts.get((target, relation, filler), 0)
+        target, relation, filler, sign = filler, mirrored[relation], target, -sign
+    return stored
+
+
+def _not_closed(key: Triple, count: int, problem: str) -> ValueError:
+    return ValueError(f"counts are not mirror-closed ({_MIRRORS}): ({', '.join(key)}) counts {count}, which {problem}")
 
 
 class CooccurrenceTensor:
@@ -88,14 +91,39 @@ class CooccurrenceTensor:
     # -- serialization ---------------------------------------------------
 
     def to_tsv(self) -> str:
+        """The stored counts, in runs; a ``ValueError`` names an entry if the counts are not mirror-closed."""
         counts = self.counts
+        get = counts.get
+        # the relation of the entries whose mirrors fall under a relation, if any
+        mirrored = Memo(lambda r: r[: -len(INVERSE_SUFFIX)] if is_inverse(r) and r != inverse(WINDOW) else None)
+        groups: dict[str, list[tuple[str, str, int]]] = {}  # by target: each target's runs sort apart
+        for key, count in counts.items():
+            target, relation, filler = key
+            if relation == WINDOW:
+                if get((filler, relation, target)) != count or filler == target and count % 2:
+                    raise _not_closed(key, count, "differs from its mirror's, or is odd as its own mirror")
+                if filler < target:
+                    continue
+                count //= 2 if filler == target else 1
+            else:
+                source = mirrored[relation]
+                if source is not None:
+                    source = (filler, source, target)  # the entry this one mirrors
+                    count -= get(source, 0) if mirrored[source[1]] is None else _stored(counts, source, mirrored)
+                    if count < 0:
+                        raise _not_closed(key, counts[key], "is less than the entry it mirrors stores")
+                if count and (filler, relation + INVERSE_SUFFIX, target) not in counts:
+                    raise _not_closed(key, counts[key], "has no mirror")
+            if count:
+                groups.setdefault(target, []).append((relation, filler, count))
         lines = []
-        target = relation = None
-        for key in sorted_triples(counts):
-            if key[1] != relation or key[0] != target:
-                target, relation, _ = key
-                lines.append(f"{target}\t{relation}\t\n")
-            lines.append(f"{key[2]}\t{counts[key]}\n")
+        for target in sorted(groups):
+            relation = None
+            for entry in sorted(groups[target]):
+                if entry[0] != relation:
+                    relation = entry[0]
+                    lines.append(f"{target}\t{relation}\t\n")
+                lines.append(f"{entry[1]}\t{entry[2]}\n")
         return "".join(lines)
 
     def content_hash(self) -> str:
@@ -113,14 +141,14 @@ class CooccurrenceTensor:
 
     @classmethod
     def load(cls, path: str) -> "CooccurrenceTensor":
-        """Read a saved tensor.
+        """Read a saved tensor and add each stored entry's mirror.
 
         A sidecar of another format version is stale. A bad token, a count
         below 1, a line that is neither a header nor an entry, an entry
-        before any header, or a header or filler out of strictly increasing
-        order names ``path:line``; the order checks also refuse a repeated
-        triple. Entries and total that differ from the sidecar's are
-        inconsistent.
+        before any header, a header or filler out of strictly increasing
+        order (so a repeated triple too), or a ``WINDOW`` filler before its
+        target names ``path:line``. Entries and total, mirrors added, that
+        differ from the sidecar's are inconsistent.
         """
         text, meta = read_artifact(path)
         version = meta.get("format_version")
@@ -130,10 +158,11 @@ class CooccurrenceTensor:
                 f"version {FORMAT_VERSION}; re-run `argex ingest`"
             )
         counts: dict[Triple, int] = {}
+        get = counts.get
         check = canonical_checker()
         count_of = Memo(_positive_count)
         head = None
-        target = relation = filler = ""
+        target = relation = mirror = filler = ""
         for lineno, line in enumerate(text.split("\n"), 1):
             if not line:
                 continue
@@ -145,13 +174,19 @@ class CooccurrenceTensor:
                     token = check(fields[0])
                     if token <= filler:
                         raise ValueError(f"filler {token} does not follow {filler} under {target} {relation}")
+                    if mirror == relation and token < target:  # only WINDOW is its own mirror relation
+                        raise ValueError(f"{WINDOW} filler {token} sorts before its target {target}")
                     filler = token
-                    counts[target, relation, filler] = count_of[fields[1]]
+                    count, key = count_of[fields[1]], (target, relation, filler)
+                    counts[key] = get(key, 0) + count
+                    key = (filler, mirror, target)
+                    counts[key] = get(key, 0) + count
                 elif len(fields) == 3 and not fields[2]:
                     previous, head = head, (check(fields[0]), fields[1])
                     if previous is not None and head <= previous:
                         raise ValueError(f"header {head[0]} {head[1]} does not follow {previous[0]} {previous[1]}")
                     target, relation = head
+                    mirror = relation if relation == WINDOW else relation + INVERSE_SUFFIX
                     filler = ""
                 else:
                     raise ValueError(

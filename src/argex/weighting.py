@@ -14,7 +14,7 @@ import operator
 from typing import Iterable
 
 from .errors import UndefinedModelError
-from .tensor import CooccurrenceTensor, Triple, format_score, sorted_triples, write_artifact
+from .tensor import CooccurrenceTensor, Triple, format_score, write_artifact
 from .tokens import ARG, VERB_LINK, is_inverse
 
 
@@ -33,7 +33,7 @@ class WeightedTensor:
     def to_tsv(self) -> str:
         scores = self.scores
         return "".join([
-            f"{key[0]}\t{key[1]}\t{key[2]}\t{format_score(scores[key])}\n" for key in sorted_triples(scores)
+            f"{key[0]}\t{key[1]}\t{key[2]}\t{format_score(scores[key])}\n" for key in sorted(scores)
         ])
 
     def save(self, path: str, sidecar: dict[str, str] | None = None) -> str:

@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from argex.cli import main
-from argex.tensor import read_sidecar, sidecar_path, write_sidecar
+from argex.tensor import CooccurrenceTensor, read_sidecar, sidecar_path, write_sidecar
 from argex.tokens import parse_canonical
 
 from conftest import DATA_DIR, REPO_ROOT, blocks, conll_text, record_space_id, targets
@@ -463,9 +463,12 @@ class TestStages:
         assert run_cli(capsys, "ingest", *base)[0] == 0
         assert run_cli(capsys, "weight", *base)[0] == 0
 
-        tensor = open(os.path.join(out, "deps.tensor.tsv"), encoding="utf-8").read()
-        assert "\ndoctor-n\tVERB\t\nx-ray-n\t2\n" in tensor
-        assert "\nx-ray-n\tVERB_inv\t\ndoctor-n\t2\n" in tensor
+        path = os.path.join(out, "deps.tensor.tsv")
+        tensor = open(path, encoding="utf-8").read()
+        assert tensor.startswith("doctor-n\tVERB\t\nx-ray-n\t2\n")
+        # the inverse link is a mirror: counted, not stored
+        assert "_inv" not in tensor
+        assert CooccurrenceTensor.load(path).counts[("x-ray-n", "VERB_inv", "doctor-n")] == 2
         for probe, listing in (
             (("--target", "re-read-v", "--slot", "obj"), "re-read-v/obj: x-ray-n\n"),
             (("--target", "x-ray-n", "--slot", "obj_inv"), "x-ray-n/obj_inv: re-read-v\n"),
@@ -474,17 +477,20 @@ class TestStages:
             code, printed, _ = run_cli(capsys, "fillers", *base, *probe)
             assert (code, printed) == (0, listing)
 
-        for name in ("deps.tensor.tsv", "vocab.tsv"):
+        for name in ("deps.tensor.tsv", "window.tensor.tsv", "vocab.tsv"):
             lines = open(os.path.join(out, name), encoding="utf-8").read().splitlines()
             keys = []
             for fields in (line.split("\t") for line in lines):
                 if len(fields) == 3:  # a tensor run's (target, relation) header
                     head = fields[:2]
                 else:
-                    keys.append([*head, fields[0]] if name == "deps.tensor.tsv" else fields[:1])
+                    keys.append([*head, fields[0]] if name.endswith("tensor.tsv") else fields[:1])
             assert keys == sorted(keys), name
-            as_tokens = [[parse_canonical(key[0]), *key[1:]] for key in keys]
-            assert as_tokens != sorted(as_tokens), name
+            # every field but a tensor key's relation is a token
+            as_tokens = [[field if i == 1 else parse_canonical(field) for i, field in enumerate(key)] for key in keys]
+            # the deps tensor stores no run that holds both read-out-n and read-v: their runs are mirrors
+            if name != "deps.tensor.tsv":
+                assert as_tokens != sorted(as_tokens), name
 
     def test_sweep_covers_the_configured_grid(self, chow_out, capsys):
         code, out, _ = run_cli(
@@ -588,6 +594,53 @@ class TestGuards:
         assert code == 2
         assert "different configuration" in err
         assert run_cli(capsys, "weight", "-c", BICKNELL_CONF, "--out-dir", out)[0] == 0
+
+    def test_tensors_of_another_ingest_than_the_vocabulary_are_refused(self, tmp_path, capsys, monkeypatch):
+        # ingest, halve the corpus in place, then crash the next ingest as it would replace deps.tensor.tsv:
+        # its vocabulary is then beside the first run's tensors, under the same ingest_hash
+        corpus = tmp_path / "corpus.conll"
+        text = open(os.path.join(DATA_DIR, "corpus_bicknell.conll"), encoding="utf-8").read()
+        corpus.write_text(text, encoding="utf-8")
+        out = str(tmp_path / "out")
+        base = ("-c", BICKNELL_CONF, "--out-dir", out, "--set", f"corpus_paths={corpus}")
+        assert run_cli(capsys, "ingest", *base)[0] == 0
+        sentences = text.split("\n\n")
+        corpus.write_text("\n\n".join(sentences[: len(sentences) // 2]) + "\n\n", encoding="utf-8")
+        vocab_before = (tmp_path / "out" / "vocab.tsv").read_bytes()
+        real_replace = os.replace
+
+        def crash_at_deps_tensor(src, dst):
+            if dst.endswith("deps.tensor.tsv"):
+                raise OSError("simulated crash")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", crash_at_deps_tensor)
+        assert run_cli(capsys, "ingest", *base)[0] == 2
+        monkeypatch.undo()
+        assert (tmp_path / "out" / "vocab.tsv").read_bytes() != vocab_before
+        code, _, err = run_cli(capsys, "weight", *base)
+        assert code == 2
+        assert os.path.join(out, "deps.tensor.tsv") in err and os.path.join(out, "vocab.tsv") in err
+        assert "re-run `argex ingest`" in err
+        assert not os.path.exists(os.path.join(out, "deps.space"))
+        assert run_cli(capsys, "ingest", *base)[0] == 0
+        assert run_cli(capsys, "weight", *base)[0] == 0
+
+    def test_a_corpus_relation_labelled_window_is_refused_unless_denied(self, tmp_path, capsys):
+        sentence = [("dog", "NN", 2, "sbj"), ("see", "VB", 0, "root"), ("cat", "NN", 2, "WINDOW")]
+        corpus = tmp_path / "window.conll"
+        corpus.write_text(conll_text([sentence] * 2), encoding="utf-8")
+        out = str(tmp_path / "out")
+        base = ("-c", BICKNELL_CONF, "--out-dir", out, "--set", f"corpus_paths={corpus}", "--set", "vocab_threshold=1")
+        code, _, err = run_cli(capsys, "ingest", *base)
+        assert code == 2
+        assert "labelled WINDOW" in err and "relation_denylist" in err
+        assert not os.path.exists(out) or os.listdir(out) == []
+        assert run_cli(capsys, "ingest", *base, "--set", "relation_denylist=WINDOW")[0] == 0
+        assert run_cli(capsys, "weight", *base, "--set", "relation_denylist=WINDOW")[0] == 0
+        code, printed, _ = run_cli(capsys, "fillers", *base, "--set", "relation_denylist=WINDOW",
+                                   "--target", "see-v", "--slot", "WINDOW")
+        assert (code, printed) == (0, "see-v/WINDOW: cat-n, dog-n\n")
 
     def test_stale_space_refused_at_eval(self, tmp_path, capsys):
         out = str(tmp_path)

@@ -15,7 +15,7 @@ from argex.corpus import (
     load_vocabulary,
     save_vocabulary,
 )
-from argex.errors import ConsistencyError, CorpusError
+from argex.errors import ConfigError, ConsistencyError, CorpusError
 from argex.tensor import write_artifact
 from argex.tokens import VERB_LINK, inverse
 
@@ -243,6 +243,14 @@ class TestVerbLink:
         assert tensor.counts.get(("see-v", "sbj", "dog-n"), 0) == 0
         assert tensor.counts.get(("see-v", "obj", "cat-n"), 0) == 1
         assert all(r != VERB_LINK for r in relations(tensor))
+
+    def test_a_kept_relation_labelled_window_is_a_config_error(self):
+        sentence = [("see", "VB", 0, "root"), ("cat", "NN", 1, "WINDOW")]
+        with pytest.raises(ConfigError, match="labelled WINDOW.*relation_denylist"):
+            self.build([sentence])
+        for lists in ({"denylist": frozenset({"WINDOW"})}, {"allowlist": frozenset({"obj"})}):
+            tensor, _ = self.build([sentence], **lists)
+            assert tensor.counts == {}
 
     def test_allowlist_keeps_only_named_relations(self):
         sentence = [

@@ -40,3 +40,4 @@ def test_the_readme_names_the_count_tensor_format_this_argex_writes():
         readme = " ".join(fh.read().split())  # a phrase may wrap
     assert f"count tensors (format version {tensor.FORMAT_VERSION})" in readme
     assert f"in sorted order: {tensor._LAYOUT}, fillers sorted" in readme
+    assert f"adds each stored entry's mirror back: {tensor._MIRRORS}." in readme

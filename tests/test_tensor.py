@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,13 +16,29 @@ from argex.tensor import (
     write_sidecar,
 )
 
+from conftest import dependency_counts, parse_text, random_corpus_text, vocabulary, window_counts
+
 DOG = "dog-n"
 CAT = "cat-n"
 SEE = "see-v"
 
 
+def counted(direct: dict) -> dict:
+    """The counts a counter makes of ``direct`` observations: each one once, and once more as its mirror."""
+    counts = {}
+    for (target, relation, filler), n in direct.items():
+        mirror = (filler, relation if relation == "WINDOW" else relation + "_inv", target)
+        for key in ((target, relation, filler), mirror):
+            counts[key] = counts.get(key, 0) + n
+    return counts
+
+
 def small_tensor() -> CooccurrenceTensor:
-    return CooccurrenceTensor({(SEE, "sbj", DOG): 2, (SEE, "obj", CAT): 1, (DOG, "sbj_inv", SEE): 2})
+    return CooccurrenceTensor(counted({(SEE, "sbj", DOG): 2, (SEE, "obj", CAT): 1}))
+
+
+def bigger_tensor() -> CooccurrenceTensor:
+    return CooccurrenceTensor(counted({(SEE, "sbj", DOG): 2, (SEE, "obj", CAT): 1, (SEE, "obj", DOG): 7}))
 
 
 def triples_of(text: str) -> list[tuple[str, str, str]]:
@@ -51,13 +68,16 @@ _TOKENS = st.builds(
 
 
 @st.composite
-def triples(draw):
-    target, filler = draw(_TOKENS), draw(_TOKENS)
+def observations(draw):
+    """One direct observation: its target may equal its filler, as a token beside itself in a window does."""
+    target = draw(_TOKENS)
+    filler = draw(st.just(target) | _TOKENS)
     relation = draw(st.one_of(
         st.text(_TEXT, max_size=6),
         st.integers(min_value=0, max_value=999).map(str),  # all digits, like a count
         st.just(filler),  # the filler's own string
-        st.sampled_from(["sbj", "obj", "VERB", "WINDOW"]).map(lambda r: r + "_inv"),
+        st.sampled_from(["sbj", "obj", "VERB", "ARG", "WINDOW"]),
+        st.sampled_from(["sbj", "obj", "VERB", "WINDOW", "x_inv"]).map(lambda r: r + "_inv"),
     ))
     return target, relation, filler
 
@@ -65,10 +85,11 @@ def triples(draw):
 class TestCounting:
     def test_counts_and_marginals_accumulate(self):
         tensor = small_tensor()
-        assert tensor.total == 5
+        assert tensor.total == 6
         assert tensor.counts.get((SEE, "sbj", DOG), 0) == 2
+        assert tensor.counts.get((DOG, "sbj_inv", SEE), 0) == 2
         assert tensor.counts.get((SEE, "sbj", CAT), 0) == 0
-        assert len(tensor) == 3
+        assert len(tensor) == 4
 
     def test_equal_by_value_and_immutable(self):
         tensor = CooccurrenceTensor(small_tensor().counts, "abc")
@@ -83,16 +104,57 @@ class TestCounting:
         # each empty tensor gets its own dict
         assert CooccurrenceTensor().counts == {} and CooccurrenceTensor().counts is not CooccurrenceTensor().counts
 
-    def test_entries_sorted(self):
-        tensor = small_tensor()
-        assert triples_of(tensor.to_tsv()) == sorted(tensor.counts)
+    def test_only_entries_that_mirror_none_are_written_sorted(self):
+        assert triples_of(small_tensor().to_tsv()) == [(SEE, "obj", CAT), (SEE, "sbj", DOG)]
 
     def test_each_target_and_relation_is_written_once_per_run(self):
         assert small_tensor().to_tsv() == (
-            "dog-n\tsbj_inv\t\nsee-v\t2\n"
             "see-v\tobj\t\ncat-n\t1\n"
             "see-v\tsbj\t\ndog-n\t2\n"
         )
+
+    def test_an_inverse_entry_stores_what_its_mirror_leaves(self):
+        # a corpus label ending in _inv: its arcs mirror under x_inv_inv, and meet x's mirrors under x_inv
+        tensor = CooccurrenceTensor(counted({(SEE, "x", DOG): 2, (DOG, "x_inv", SEE): 1}))
+        assert tensor.counts == {(SEE, "x", DOG): 2, (DOG, "x_inv", SEE): 3, (SEE, "x_inv_inv", DOG): 1}
+        assert tensor.to_tsv() == "dog-n\tx_inv\t\nsee-v\t1\nsee-v\tx\t\ndog-n\t2\n"
+
+    def test_a_window_pair_is_written_once_target_first_and_a_self_pair_at_half(self):
+        tensor = CooccurrenceTensor(counted({(DOG, "WINDOW", CAT): 3, (DOG, "WINDOW", DOG): 2}))
+        assert tensor.counts == {(DOG, "WINDOW", CAT): 3, (CAT, "WINDOW", DOG): 3, (DOG, "WINDOW", DOG): 4}
+        assert tensor.to_tsv() == "cat-n\tWINDOW\t\ndog-n\t3\ndog-n\tWINDOW\t\ndog-n\t2\n"
+
+    def test_a_window_inv_label_mirrors_under_window_inv_inv(self):
+        tensor = CooccurrenceTensor(counted({(DOG, "WINDOW_inv", CAT): 1}))
+        assert set(tensor.counts) == {(DOG, "WINDOW_inv", CAT), (CAT, "WINDOW_inv_inv", DOG)}
+        assert tensor.to_tsv() == "dog-n\tWINDOW_inv\t\ncat-n\t1\n"
+
+    @pytest.mark.parametrize(
+        "counts, named",
+        [
+            ({(SEE, "sbj", DOG): 2, (SEE, "obj", CAT): 1, (DOG, "sbj_inv", SEE): 2}, "(see-v, obj, cat-n)"),
+            ({(SEE, "sbj", DOG): 2, (DOG, "sbj_inv", SEE): 1}, "(dog-n, sbj_inv, see-v)"),
+            ({(DOG, "WINDOW", CAT): 1, (CAT, "WINDOW", DOG): 2}, "(dog-n, WINDOW, cat-n) counts 1"),
+            ({(DOG, "WINDOW", CAT): 1}, "(dog-n, WINDOW, cat-n)"),
+            ({(DOG, "WINDOW", DOG): 3}, "(dog-n, WINDOW, dog-n)"),
+        ],
+        ids=["mirror-missing", "remainder-below-zero", "window-counts-differ", "window-mirror-missing",
+             "window-self-pair-odd"],
+    )
+    def test_counts_that_are_not_mirror_closed_cannot_be_saved(self, tmp_path, counts, named):
+        path = str(tmp_path / "t.tsv")
+        with pytest.raises(ValueError, match=re.escape(named)):
+            CooccurrenceTensor(counts).save(path)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("seed", [11, 22])
+    def test_the_counters_counts_round_trip(self, tmp_path, seed):
+        corpus = parse_text(random_corpus_text(seed, 200))
+        vocab = vocabulary(corpus, 2)
+        for name, tensor in (("deps", dependency_counts(corpus, vocab)), ("window", window_counts(corpus, vocab))):
+            path = str(tmp_path / f"{name}.tsv")
+            tensor.save(path)
+            assert CooccurrenceTensor.load(path).counts == tensor.counts, name
 
 
 class TestSerialization:
@@ -117,8 +179,10 @@ class TestSerialization:
         path = str(tmp_path / "t.tsv")
         digest = tensor.save(path, sidecar={"stage": "test"})
         meta = read_sidecar(sidecar_path(path))
-        assert meta["total"] == "5"
-        assert meta["entries"] == "3"
+        # the figures of the full counts, mirrors included, not of the lines stored
+        assert meta["total"] == "6"
+        assert meta["entries"] == "4"
+        assert len(triples_of(open(path).read())) == 2
         assert meta["format_version"] == FORMAT_VERSION
         assert meta["content_hash"] == digest
         assert meta["stage"] == "test"
@@ -161,6 +225,7 @@ class TestSerialization:
             ("see-v\tsbj\tdog-n\t1\n", 1),  # a version 1 line
             ("see-v\tsbj\tdog-n\n", 1),  # three fields, the last one not empty
             ("see-v\tsbj\t\ndog-n\n", 2),
+            ("cat-n\tWINDOW\t\ncat-n\t1\ndog-n\t1\ndog-n\tWINDOW\t\ncat-n\t1\n", 5),
         ],
         ids=[
             "non-integer-count",
@@ -175,6 +240,7 @@ class TestSerialization:
             "four-fields",
             "three-fields",
             "one-field",
+            "window-filler-before-its-target",
         ],
     )
     def test_bad_field_in_a_verified_body_names_path_and_line(self, tmp_path, body, line):
@@ -183,7 +249,16 @@ class TestSerialization:
         with pytest.raises(CorpusError, match=f"t.tsv:{line}:"):
             CooccurrenceTensor.load(path)
 
-    @pytest.mark.parametrize("version", [None, "1", "3"])
+    def test_a_reversed_window_entry_is_refused_and_a_self_pair_is_not(self, tmp_path):
+        path = str(tmp_path / "t.tsv")
+        write_artifact(path, "dog-n\tWINDOW\t\ndog-n\t1\n", {"format_version": FORMAT_VERSION,
+                                                                   "entries": "1", "total": "2"})
+        assert CooccurrenceTensor.load(path).counts == {(DOG, "WINDOW", DOG): 2}
+        write_body(path, "dog-n\tWINDOW\t\ncat-n\t1\n")
+        with pytest.raises(CorpusError, match="t.tsv:2: WINDOW filler cat-n sorts before its target dog-n"):
+            CooccurrenceTensor.load(path)
+
+    @pytest.mark.parametrize("version", [None, "1", "2", "4"])
     def test_another_format_version_is_stale_before_the_body_is_parsed(self, tmp_path, version):
         path = str(tmp_path / "t.tsv")
         meta = {} if version is None else {"format_version": version}
@@ -191,11 +266,19 @@ class TestSerialization:
         with pytest.raises(StaleArtifactError, match=f"t.tsv has format version {version}.*re-run `argex ingest`"):
             CooccurrenceTensor.load(path)
 
+    def test_a_version_2_tensor_is_stale(self, tmp_path):
+        # version 2 stored every count, mirrors included, in the same runs
+        path = str(tmp_path / "t.tsv")
+        body = "cat-n\tobj_inv\t\nsee-v\t1\ndog-n\tsbj_inv\t\nsee-v\t2\n" + small_tensor().to_tsv()
+        write_artifact(path, body, {"format_version": "2", "entries": "4", "total": "6"})
+        with pytest.raises(StaleArtifactError, match="t.tsv has format version 2, this argex reads version 3"):
+            CooccurrenceTensor.load(path)
+
     @pytest.mark.parametrize(
         "damage, named",
         [
-            (lambda body: body.replace("see-v\tobj\t\ncat-n\t1\n", ""), "entries is 3, the tensor holds 2"),
-            (lambda body: body.replace("dog-n\t2\n", "dog-n\t3\n"), "total is 5, the tensor holds 6"),
+            (lambda body: body.replace("see-v\tobj\t\ncat-n\t1\n", ""), "entries is 4, the tensor holds 2"),
+            (lambda body: body.replace("dog-n\t2\n", "dog-n\t3\n"), "total is 6, the tensor holds 8"),
         ],
         ids=["entries", "total"],
     )
@@ -218,12 +301,14 @@ class TestSerialization:
         with pytest.raises(CorpusError):
             CooccurrenceTensor.load("/nonexistent/t.tsv")
 
-    @given(st.dictionaries(triples(), st.integers(min_value=1, max_value=10**12), max_size=30))
+    @given(st.dictionaries(observations(), st.integers(min_value=1, max_value=10**12), max_size=30))
     @example({(SEE, "12", DOG): 1, (SEE, DOG, CAT): 2, (DOG, "sbj_inv", SEE): 3, (SEE, "", CAT): 4})
+    @example({(SEE, "x", DOG): 1, (DOG, "x_inv", SEE): 2, (SEE, "x_inv_inv", DOG): 3, (DOG, "WINDOW", DOG): 4})
     @settings(max_examples=150, deadline=None)
-    def test_any_counts_round_trip_and_resave_byte_identical(self, tmp_path_factory, counts):
+    def test_any_counts_round_trip_and_resave_byte_identical(self, tmp_path_factory, direct):
         directory = tmp_path_factory.mktemp("round_trip")
         first, second = str(directory / "a.tsv"), str(directory / "b.tsv")
+        counts = counted(direct)
         digest = CooccurrenceTensor(counts).save(first)
         loaded = CooccurrenceTensor.load(first)
         assert loaded.counts == counts and loaded.source_hash == digest
@@ -232,8 +317,8 @@ class TestSerialization:
             assert a.read() == b.read()
 
     def test_content_hash_ignores_insertion_order(self):
-        a = CooccurrenceTensor({(SEE, "sbj", DOG): 1, (SEE, "obj", CAT): 1})
-        b = CooccurrenceTensor({(SEE, "obj", CAT): 1, (SEE, "sbj", DOG): 1})
+        a = CooccurrenceTensor(counted({(SEE, "sbj", DOG): 1, (SEE, "obj", CAT): 1}))
+        b = CooccurrenceTensor(counted({(SEE, "obj", CAT): 1, (SEE, "sbj", DOG): 1}))
         assert a.content_hash() == b.content_hash()
 
 
@@ -279,8 +364,7 @@ class TestArtifactIO:
         path = str(tmp_path / "t.tsv")
         tensor = small_tensor()
         digest = tensor.save(path)
-        bigger = small_tensor()
-        bigger.counts[(SEE, "obj", DOG)] = 7
+        bigger = bigger_tensor()
 
         def crash(src, dst):
             raise OSError("simulated crash before rename")
@@ -296,8 +380,7 @@ class TestArtifactIO:
     def test_crash_between_body_and_sidecar_is_detected(self, tmp_path, monkeypatch):
         path = str(tmp_path / "t.tsv")
         small_tensor().save(path)
-        bigger = small_tensor()
-        bigger.counts[(SEE, "obj", DOG)] = 7
+        bigger = bigger_tensor()
         real_replace = os.replace
 
         def replace_body_only(src, dst):

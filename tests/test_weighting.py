@@ -209,7 +209,9 @@ class TestArgCollapse:
             (dog, "VERB", cat): 1,
             (cat, "VERB_inv", dog): 1,
             (see, "nmod", dog): 4,
+            (dog, "nmod_inv", see): 4,
             (cat, "nmod", dog): 1,
+            (dog, "nmod_inv", cat): 1,
         })
         return tensor, dog, cat, see
 
