@@ -48,7 +48,7 @@ from .errors import (
     StaleArtifactError,
     UndefinedModelError,
 )
-from .tensor import CooccurrenceTensor, make_output_dir, read_sidecar, sidecar_path, write_bytes_atomic
+from .tensor import CooccurrenceTensor, full_size, make_output_dir, read_sidecar, sidecar_path, write_bytes_atomic
 from .tokens import ARG, WINDOW, compile_pos_map, parse_canonical
 
 if TYPE_CHECKING:
@@ -189,17 +189,17 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         "dropped_arcs": str(stats.dropped_arcs),
     }
     with _locked(config.out_dir):
-        vocab_hash = save_vocabulary(vocab, paths["vocab"], {"ingest_hash": stamp})
-        dep.save(paths["deps_tensor"], {"ingest_hash": stamp, "vocab_hash": vocab_hash, **counts})
-        win.save(paths["window_tensor"], {"ingest_hash": stamp, "vocab_hash": vocab_hash, **counts})
+        vocab_hash = save_vocabulary(vocab, paths["vocab"], {"ingest_hash": stamp, **counts})
+        dep.save(paths["deps_tensor"], {"ingest_hash": stamp, "vocab_hash": vocab_hash})
+        win.save(paths["window_tensor"], {"ingest_hash": stamp, "vocab_hash": vocab_hash})
     print(
         f"ingested {stats.sentences} sentences from {len(stats.files)} file(s): "
         f"{stats.rows} rows ({stats.malformed_rows} malformed), "
         f"{stats.arcs} arcs kept ({stats.dropped_arcs} dropped)"
     )
     print(f"vocabulary: {len(vocab)} tokens at threshold {config.vocab_threshold}")
-    print(f"dependency tensor: {len(dep)} entries, total {dep.total} -> {paths['deps_tensor']}")
-    print(f"window tensor: {len(win)} entries, total {win.total} -> {paths['window_tensor']}")
+    print("dependency tensor: %d entries, total %d -> %s" % (*full_size(dep.counts), paths["deps_tensor"]))
+    print("window tensor: %d entries, total %d -> %s" % (*full_size(win.counts), paths["window_tensor"]))
     return 0
 
 

@@ -1,11 +1,11 @@
 """Vocabulary filtering and raw co-occurrence counting.
 
 Two count collections are produced from the same parsed stream: a
-dependency tensor over arc relations (with materialized inverse entries
-and the synthetic VERB link between co-arguments) and a surface window
-matrix under the single WINDOW pseudo-relation, each pair both ways. A
-saved tensor stores neither the inverses nor the second ways: its loader
-adds them back.
+dependency tensor over arc relations (and the synthetic VERB link
+between co-arguments) and a surface window matrix under the single
+WINDOW pseudo-relation. Each observation is counted once, as a saved
+tensor stores it: not an arc's inverse, and a window pair lower token
+first. ``CooccurrenceTensor.load`` adds each entry's mirror back.
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import ConfigError, CorpusError
 from .tensor import CooccurrenceTensor, Triple, read_artifact, write_artifact
-from .tokens import VERB_LINK, VERB_POS, WINDOW, Memo, canonical_checker, inverse
+from .tokens import VERB_LINK, VERB_POS, WINDOW, Memo, canonical_checker
 
 if TYPE_CHECKING:  # `argex weight` reads a vocabulary without the parser
     from .conll import SentenceRecord
-
-VERB_LINK_INV = inverse(VERB_LINK)
 
 
 class Vocabulary:
@@ -61,41 +59,38 @@ def extract_dependency_counts(
     allowlist: frozenset[str] | None,
     denylist: frozenset[str],
 ) -> CooccurrenceTensor:
-    """Count arcs, their inverses, and the VERB co-argument link.
+    """Count arcs and the VERB co-argument link, each once and not its inverse.
 
     ``allowlist`` None keeps every relation the ``denylist`` does not
     drop; keeping ``WINDOW`` (the window space's relation) is a
-    ``ConfigError``. Every in-vocabulary arc (h, r, d) contributes (h, r, d)
-    and (d, r_inv, h). Every verb instance with at least one in-vocabulary
-    subject and object links each distinct (subject, object) pair once
-    under VERB (and its inverse), regardless of the verb's identity.
+    ``ConfigError``. Every in-vocabulary arc (h, r, d) counts (h, r, d).
+    Every verb instance with at least one in-vocabulary subject and
+    object links each distinct (subject, object) pair once as
+    (subject, VERB, object), regardless of the verb's identity.
     """
     counts: dict[Triple, int] = {}
     get = counts.get
     entries = vocab.entries
 
-    def kept_inverse(relation: str) -> str | None:  # None for a relation the lists drop
+    def kept(relation: str) -> bool:
         if (allowlist is not None and relation not in allowlist) or relation in denylist:
-            return None
+            return False
         if relation == WINDOW:
             raise ConfigError(f"the corpus has arcs labelled {WINDOW}, the window space's relation: "
                               "add it to relation_denylist to drop them")
-        return inverse(relation)
+        return True
 
-    inverse_of = Memo(kept_inverse)
+    is_kept = Memo(kept)
     verb_suffix = "-" + VERB_POS  # a canonical token's tag follows its last hyphen
     for sentence in corpus:
         co_args: dict[int, tuple[set[str], set[str]]] = {}
         for head, relation, dependent, head_pos in sentence.arcs:
-            relation_inv = inverse_of[relation]
-            if relation_inv is None:
+            if not is_kept[relation]:
                 continue
             if dependent not in entries:
                 continue
             if head in entries:
                 key = (head, relation, dependent)
-                counts[key] = get(key, 0) + 1
-                key = (dependent, relation_inv, head)
                 counts[key] = get(key, 0) + 1
             if head.endswith(verb_suffix):
                 if relation in subject_labels:
@@ -115,8 +110,6 @@ def extract_dependency_counts(
                 for obj in objects:
                     key = (subj, VERB_LINK, obj)
                     counts[key] = get(key, 0) + 1
-                    key = (obj, VERB_LINK_INV, subj)
-                    counts[key] = get(key, 0) + 1
     return CooccurrenceTensor(counts)
 
 
@@ -126,10 +119,11 @@ def extract_window_counts(
     width: int,
     filtered_positions: bool,
 ) -> CooccurrenceTensor:
-    """Count symmetric surface co-occurrence within ``width`` positions.
+    """Count each pair of tokens within ``width`` positions once, lower token first.
 
-    Without ``filtered_positions`` distance is measured over raw positions,
-    so out-of-vocabulary words widen gaps without contributing counts. With
+    A token beside itself counts once per occurrence. Without
+    ``filtered_positions`` distance is measured over raw positions, so
+    out-of-vocabulary words widen gaps without contributing counts. With
     it the sentence is first reduced to its in-vocabulary tokens.
     """
     if width < 1:
@@ -142,14 +136,12 @@ def extract_window_counts(
             positions = [t for t in sentence.tokens if t in entries]
         else:
             positions = [t if t in entries else None for t in sentence.tokens]
-        # each pair of positions at most ``width`` apart counts once each way;
+        # each pair of positions at most ``width`` apart counts once;
         # no pair is further apart than the sentence is long
         for offset in range(1, min(width + 1, len(positions))):
             for target, context in zip(positions, positions[offset:]):
                 if target is not None and context is not None:
-                    key = (target, WINDOW, context)
-                    counts[key] = get(key, 0) + 1
-                    key = (context, WINDOW, target)
+                    key = (target, WINDOW, context) if target <= context else (context, WINDOW, target)
                     counts[key] = get(key, 0) + 1
     return CooccurrenceTensor(counts)
 

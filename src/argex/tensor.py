@@ -5,17 +5,16 @@ Counts are plain integers keyed by triples of strings: the canonical
 never stored. Counters and loaders fill ``counts`` directly; weighting
 computes the marginals in one pass over them.
 
-A saved tensor (format version 3) stores each count once: the counters
-also count each arc (h, r, d) as (d, r_inv, h) and each window pair both
-ways, and the loader adds these mirrors back (``_MIRRORS``). An entry
-under a relation ending in ``_inv`` stores what the entry it mirrors
-leaves of its count, if anything; a ``WINDOW`` pair is stored target
-first, a self pair at half its count. The file is a run per (target,
-relation), in sorted order: a header line ``target<TAB>relation<TAB>``
-(three fields, the last empty), then a ``filler<TAB>count`` line per
-filler, fillers sorted, so a relation label may be any string. The
-sidecar records the format version and the number and total of the
-entries, mirrors included, all checked at load. The bytes are
+A counter's tensor holds exactly the entries a saved tensor (format
+version 3) stores, so ``save`` writes the counts it is given: each arc
+(h, r, d) once and not its mirror (d, r_inv, h), each window pair once,
+target first. ``load`` returns them plus their mirrors (``_MIRRORS``),
+counts that meet added. The file is a run per (target, relation), in
+sorted order: a header line ``target<TAB>relation<TAB>`` (three fields,
+the last empty), then a ``filler<TAB>count`` line per filler, fillers
+sorted, so a relation label may be any string. The sidecar records the
+format version and the number and total of the entries ``load``
+returns (``full_size``), all checked at load. The bytes are
 deterministic for a given input.
 
 ``write_artifact`` and ``read_artifact`` are the one writer and reader
@@ -30,7 +29,7 @@ import hashlib
 import os
 
 from .errors import ConfigError, ConsistencyError, CorpusError, StaleArtifactError
-from .tokens import INVERSE_SUFFIX, WINDOW, Memo, canonical_checker, inverse, is_inverse
+from .tokens import INVERSE_SUFFIX, WINDOW, Memo, canonical_checker
 
 # (target, relation, filler); the target and filler are ``lemma-pos`` strings, which sort in canonical order
 Triple = tuple[str, str, str]
@@ -42,18 +41,20 @@ _MIRRORS = ("the mirror of (target, relation, filler) is (filler, relation_inv, 
             "and under WINDOW it is (filler, WINDOW, target)")
 
 
-def _stored(counts: dict[Triple, int], key: Triple, mirrored: Memo) -> int:
-    """What ``key`` stores: its count less what the entry it mirrors stores, and so on down the chain."""
-    target, relation, filler = key
-    stored, sign = 0, 1
-    while relation is not None:
-        stored += sign * counts.get((target, relation, filler), 0)
-        target, relation, filler, sign = filler, mirrored[relation], target, -sign
-    return stored
+def _mirror_relations() -> Memo:
+    """The relation of the mirrors of each relation's entries, computed once per label."""
+    return Memo(lambda relation: relation if relation == WINDOW else relation + INVERSE_SUFFIX)
 
 
-def _not_closed(key: Triple, count: int, problem: str) -> ValueError:
-    return ValueError(f"counts are not mirror-closed ({_MIRRORS}): ({', '.join(key)}) counts {count}, which {problem}")
+def full_size(stored: dict[Triple, int]) -> tuple[int, int]:
+    """The sidecar's ``entries`` and ``total``: those of the counts ``load`` returns for ``stored`` ones.
+
+    Each stored count is also its mirror's, so the total doubles, and an
+    entry whose mirror is stored too (a ``WINDOW`` self pair is its own) meets it.
+    """
+    mirror = _mirror_relations()
+    meeting = sum((filler, mirror[relation], target) in stored for target, relation, filler in stored)
+    return 2 * len(stored) - meeting, 2 * sum(stored.values())
 
 
 class CooccurrenceTensor:
@@ -91,31 +92,10 @@ class CooccurrenceTensor:
     # -- serialization ---------------------------------------------------
 
     def to_tsv(self) -> str:
-        """The stored counts, in runs; a ``ValueError`` names an entry if the counts are not mirror-closed."""
-        counts = self.counts
-        get = counts.get
-        # the relation of the entries whose mirrors fall under a relation, if any
-        mirrored = Memo(lambda r: r[: -len(INVERSE_SUFFIX)] if is_inverse(r) and r != inverse(WINDOW) else None)
+        """The counts as they are, in sorted runs."""
         groups: dict[str, list[tuple[str, str, int]]] = {}  # by target: each target's runs sort apart
-        for key, count in counts.items():
-            target, relation, filler = key
-            if relation == WINDOW:
-                if get((filler, relation, target)) != count or filler == target and count % 2:
-                    raise _not_closed(key, count, "differs from its mirror's, or is odd as its own mirror")
-                if filler < target:
-                    continue
-                count //= 2 if filler == target else 1
-            else:
-                source = mirrored[relation]
-                if source is not None:
-                    source = (filler, source, target)  # the entry this one mirrors
-                    count -= get(source, 0) if mirrored[source[1]] is None else _stored(counts, source, mirrored)
-                    if count < 0:
-                        raise _not_closed(key, counts[key], "is less than the entry it mirrors stores")
-                if count and (filler, relation + INVERSE_SUFFIX, target) not in counts:
-                    raise _not_closed(key, counts[key], "has no mirror")
-            if count:
-                groups.setdefault(target, []).append((relation, filler, count))
+        for (target, relation, filler), count in self.counts.items():
+            groups.setdefault(target, []).append((relation, filler, count))
         lines = []
         for target in sorted(groups):
             relation = None
@@ -130,10 +110,11 @@ class CooccurrenceTensor:
         return hashlib.sha256(self.to_tsv().encode("utf-8")).hexdigest()
 
     def save(self, path: str, sidecar: dict[str, str] | None = None) -> str:
-        """Write the sorted runs and their sidecar; returns the content hash."""
+        """Write the sorted runs and their sidecar, with the ``full_size`` figures; returns the content hash."""
+        entries, total = full_size(self.counts)
         meta = {
-            "total": str(self.total),
-            "entries": str(len(self.counts)),
+            "total": str(total),
+            "entries": str(entries),
             **(sidecar or {}),
             "format_version": FORMAT_VERSION,
         }
@@ -157,12 +138,11 @@ class CooccurrenceTensor:
                 f"count tensor {path} has format version {version}, this argex reads "
                 f"version {FORMAT_VERSION}; re-run `argex ingest`"
             )
-        counts: dict[Triple, int] = {}
-        get = counts.get
+        stored: dict[Triple, int] = {}
         check = canonical_checker()
         count_of = Memo(_positive_count)
         head = None
-        target = relation = mirror = filler = ""
+        target = relation = filler = ""
         for lineno, line in enumerate(text.split("\n"), 1):
             if not line:
                 continue
@@ -174,19 +154,15 @@ class CooccurrenceTensor:
                     token = check(fields[0])
                     if token <= filler:
                         raise ValueError(f"filler {token} does not follow {filler} under {target} {relation}")
-                    if mirror == relation and token < target:  # only WINDOW is its own mirror relation
+                    if relation == WINDOW and token < target:
                         raise ValueError(f"{WINDOW} filler {token} sorts before its target {target}")
                     filler = token
-                    count, key = count_of[fields[1]], (target, relation, filler)
-                    counts[key] = get(key, 0) + count
-                    key = (filler, mirror, target)
-                    counts[key] = get(key, 0) + count
+                    stored[(target, relation, filler)] = count_of[fields[1]]
                 elif len(fields) == 3 and not fields[2]:
                     previous, head = head, (check(fields[0]), fields[1])
                     if previous is not None and head <= previous:
                         raise ValueError(f"header {head[0]} {head[1]} does not follow {previous[0]} {previous[1]}")
                     target, relation = head
-                    mirror = relation if relation == WINDOW else relation + INVERSE_SUFFIX
                     filler = ""
                 else:
                     raise ValueError(
@@ -194,10 +170,15 @@ class CooccurrenceTensor:
                     )
             except ValueError as exc:
                 raise CorpusError(f"{path}:{lineno}: {exc}") from None
-        held = {"entries": len(counts), "total": sum(counts.values())}
-        for key, value in held.items():
+        for key, value in zip(("entries", "total"), full_size(stored)):
             if meta.get(key) != str(value):
                 raise ConsistencyError(f"{sidecar_path(path)}: {key} is {meta.get(key)}, the tensor holds {value}")
+        counts = dict(stored)
+        get = counts.get
+        mirror = _mirror_relations()
+        for (target, relation, filler), count in stored.items():
+            key = (filler, mirror[relation], target)
+            counts[key] = get(key, 0) + count
         return cls(counts, source_hash=meta["content_hash"])
 
 

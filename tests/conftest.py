@@ -18,7 +18,7 @@ from argex.corpus import (
 )
 from argex.evaluation import BicknellSlots, ChowSlots
 from argex.space import _FILES, SparseVector, WeightedSpace, build_space
-from argex.tensor import read_sidecar, write_sidecar
+from argex.tensor import CooccurrenceTensor, read_sidecar, write_sidecar
 from argex.tokens import ARG, compile_pos_map
 from argex.weighting import collapse_relations, weight_tensor
 
@@ -62,15 +62,31 @@ def vocabulary(corpus, threshold: int) -> Vocabulary:
     return build_vocabulary(corpus, threshold, DEFAULTS.vocab_threshold_inclusive)
 
 
+def counted(direct: dict) -> dict:
+    """The full counts of ``direct`` observations: each one once, and once more as its mirror.
+
+    The mirror rule, restated here apart from ``argex.tensor``: (t, r, f)
+    mirrors as (f, r_inv, t), and under WINDOW as (f, WINDOW, t).
+    """
+    counts = {}
+    for (target, relation, filler), n in direct.items():
+        mirror = (filler, relation if relation == "WINDOW" else relation + "_inv", target)
+        for key in ((target, relation, filler), mirror):
+            counts[key] = counts.get(key, 0) + n
+    return counts
+
+
 def dependency_counts(corpus, vocab: Vocabulary, subject_labels=SUBJECTS, object_labels=OBJECTS,
-                      allowlist=None, denylist=frozenset()):
-    """``extract_dependency_counts`` with the default config's labels and no relation lists."""
-    return extract_dependency_counts(corpus, vocab, subject_labels, object_labels, allowlist, denylist)
+                      allowlist=None, denylist=frozenset()) -> CooccurrenceTensor:
+    """The full counts (``counted``) of ``extract_dependency_counts``, by default with the config's labels."""
+    direct = extract_dependency_counts(corpus, vocab, subject_labels, object_labels, allowlist, denylist)
+    return CooccurrenceTensor(counted(direct.counts))
 
 
 def window_counts(corpus, vocab: Vocabulary, width: int = DEFAULTS.window_width,
-                  filtered_positions: bool = DEFAULTS.window_filtered_positions):
-    return extract_window_counts(corpus, vocab, width, filtered_positions)
+                  filtered_positions: bool = DEFAULTS.window_filtered_positions) -> CooccurrenceTensor:
+    """The full counts (``counted``) of ``extract_window_counts``, by default with the config's window."""
+    return CooccurrenceTensor(counted(extract_window_counts(corpus, vocab, width, filtered_positions).counts))
 
 
 NOUNS = ["cat", "dog", "bird", "fish", "tree", "car", "road", "book", "door", "cake", "wolf", "lamp"]
