@@ -10,6 +10,7 @@ from argex.errors import ConfigError, ConsistencyError, CorpusError, StaleArtifa
 from argex.tensor import (
     FORMAT_VERSION,
     CooccurrenceTensor,
+    full_size,
     read_artifact,
     read_sidecar,
     sidecar_path,
@@ -146,6 +147,25 @@ class TestCounting:
         assert open(path).read() == "dog-n\tWINDOW_inv\t\ncat-n\t1\n"
         assert CooccurrenceTensor.load(path).counts == {(DOG, "WINDOW_inv", CAT): 1, (CAT, "WINDOW_inv_inv", DOG): 1}
 
+    @pytest.mark.parametrize(
+        "stored, expected",
+        [
+            ({(SEE, "sbj", DOG): 2, (SEE, "obj", CAT): 1}, (4, 6)),
+            ({(CAT, "WINDOW", DOG): 3}, (2, 6)),
+            ({(DOG, "WINDOW", DOG): 2}, (1, 4)),
+            ({(SEE, "x", DOG): 2, (DOG, "x_inv", SEE): 1}, (3, 6)),
+            ({(DOG, "WINDOW_inv", CAT): 1}, (2, 2)),
+        ],
+        ids=["distinct-mirrors", "window-pair", "window-self-pair", "inverse-meets-its-mirror", "window-inv-label"],
+    )
+    def test_full_size_is_the_size_of_the_counts_load_returns(self, tmp_path, stored, expected):
+        full = counted(stored)
+        assert full_size(stored) == (len(full), sum(full.values())) == expected
+        path = str(tmp_path / "t.tsv")
+        CooccurrenceTensor(stored).save(path)
+        loaded = CooccurrenceTensor.load(path)
+        assert (len(loaded), loaded.total) == expected
+
     @pytest.mark.parametrize("seed", [11, 22])
     def test_the_counters_count_each_observation_once(self, tmp_path, seed):
         tensors = counters(seed)
@@ -175,6 +195,16 @@ class TestSerialization:
         assert loaded.counts == counted(tensor.counts)
         assert loaded.total == 2 * tensor.total
         assert loaded.source_hash == digest
+
+    def test_resave_is_byte_identical(self, tmp_path):
+        tensor = small_tensor()
+        p1, p2 = str(tmp_path / "a.tsv"), str(tmp_path / "b.tsv")
+        tensor.save(p1)
+        CooccurrenceTensor(dict(reversed(tensor.counts.items()))).save(p2)
+        for path in (p1, p2):
+            assert CooccurrenceTensor.load(path).counts == counted(tensor.counts)
+        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert open(sidecar_path(p1), "rb").read() == open(sidecar_path(p2), "rb").read()
 
     def test_sidecar_contents(self, tmp_path):
         tensor = small_tensor()
