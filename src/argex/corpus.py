@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import ConfigError, CorpusError
 from .tensor import CooccurrenceTensor, Triple, read_artifact, write_artifact
-from .tokens import VERB_LINK, VERB_POS, WINDOW, Memo, canonical_checker
+from .tokens import ARG, VERB_LINK, VERB_POS, WINDOW, Memo, canonical_checker
 
 if TYPE_CHECKING:  # `argex weight` reads a vocabulary without the parser
     from .conll import SentenceRecord
@@ -62,8 +62,9 @@ def extract_dependency_counts(
     """Count arcs and the VERB co-argument link, each once and not its inverse.
 
     ``allowlist`` None keeps every relation the ``denylist`` does not
-    drop; keeping ``WINDOW`` (the window space's relation) is a
-    ``ConfigError``. Every in-vocabulary arc (h, r, d) counts (h, r, d).
+    drop; keeping ``WINDOW`` (the window space's relation), ``VERB`` or
+    ``ARG`` (relations argex makes itself) is a ``ConfigError``. Every
+    in-vocabulary arc (h, r, d) counts (h, r, d).
     Every verb instance with at least one in-vocabulary subject and
     object links each distinct (subject, object) pair once as
     (subject, VERB, object), regardless of the verb's identity.
@@ -75,8 +76,9 @@ def extract_dependency_counts(
     def kept(relation: str) -> bool:
         if (allowlist is not None and relation not in allowlist) or relation in denylist:
             return False
-        if relation == WINDOW:
-            raise ConfigError(f"the corpus has arcs labelled {WINDOW}, the window space's relation: "
+        if relation in (WINDOW, VERB_LINK, ARG):
+            made = "the window space's relation" if relation == WINDOW else "a relation argex makes itself"
+            raise ConfigError(f"the corpus has arcs labelled {relation}, {made}: "
                               "add it to relation_denylist to drop them")
         return True
 

@@ -15,10 +15,10 @@ every ranking is rebuilt from the rows for the dependency slots and
 from ``arg.tsv`` for the ARG slot. A space, built or loaded, reads its
 own rows and rankings from those files, in the order the writer writes
 them: targets increase down ``blocks.tsv``, ids within a row, and
-(relation, filler) pairs down ``catalog.tsv``. Its first read checks
-``blocks.tsv``, which a load makes at once and a built space on first
-use. A target's blocks, and the catalog lines its row refers to, are
-parsed and checked only when the target is first used.
+(relation, filler) pairs down ``catalog.tsv``. A built space takes
+its block index from its writer, a loaded one from the load checks of
+``blocks.tsv``. A target's blocks, and the catalog lines its row refers
+to, are parsed and checked only when the target is first used.
 """
 
 from __future__ import annotations
@@ -203,69 +203,35 @@ def _ranked(fillers: list[tuple[str, float]]) -> tuple[tuple[str, float], ...]:
 
 
 class WeightedSpace:
-    """A space: the text of its archive's files, and its manifest.
+    """A space: the text of its archive's files, its manifest, and its block index.
 
     ``texts`` holds the files in ``_FILES`` order; the manifest's
-    ``space_id`` is their sha256. All else is read from ``texts``. The
-    first read of the vocabulary, a row or a ranking checks
-    ``blocks.tsv``, whose targets are the vocabulary (``_check``):
-    ``load_space`` does so at load and a built space on first use. A
-    target's row is parsed from its ``rows.tsv`` block, whose lines are its (dimension
-    id, score) pairs, when first read. The block is checked then: its
-    layout, ids that increase, the last one inside the catalog, and
-    scores that are positive and finite. Its rankings are built together
-    when one of them is first read: the dependency slots' from its row
-    through the catalog lines it refers to, the line of id i being line
-    i + 1, each checked when first read; and ``ARG``'s from its
-    ``arg.tsv`` block of (filler, score) lines, which holds that ranking
-    whole and gets the same checks. ``directory`` only names the files
-    in errors.
+    ``space_id`` is their sha256. The index is ``blocks.tsv``'s targets
+    (the vocabulary), each one's (start, end) in ``rows.tsv`` and then
+    in ``arg.tsv``, and the catalog's line count: a built space takes it
+    from its writer, a loaded one from the load checks. All else is
+    read from ``texts``. A target's row is parsed from its ``rows.tsv``
+    block, whose lines are its (dimension id, score) pairs, when first
+    read, and checked then: its layout, ids that increase, the last one
+    inside the catalog, and scores that are positive and finite. Its
+    rankings are built together when one of them is first read: the
+    dependency slots' from its row through the catalog lines it refers
+    to, the line of id i being line i + 1, each checked when first read;
+    and ``ARG``'s from its ``arg.tsv`` block of (filler, score) lines,
+    which holds that ranking whole and gets the same checks.
+    ``directory`` only names the files in errors.
     """
 
-    # set by _check, which the first read of any of them runs
-    vocabulary: frozenset[str]
-    _blocks: dict[str, tuple[int, int, int, int]]  # each target's (start, end) in rows.tsv, then in arg.tsv
-    _n_dims: int  # the catalog's line count
-
-    def __init__(self, texts: Sequence[str], manifest: dict[str, str], directory: str = _BUILT):
+    def __init__(self, texts: Sequence[str], manifest: dict[str, str], vocabulary: frozenset[str],
+                 blocks: dict[str, tuple[int, int, int, int]], n_dims: int, directory: str = _BUILT):
         self.texts = texts
         self.manifest = manifest
+        self.vocabulary, self._blocks, self._n_dims = vocabulary, blocks, n_dims
         self.directory = directory
         self._paths = [os.path.join(directory, name) for name in _FILES]  # name the files in errors
         self._rows: dict[str, SparseVector] = {}
         self._rankings: dict[str, dict[str, tuple[tuple[str, float], ...]]] = {}
         self._pairs: dict[int, tuple[str, str]] = {}  # of the catalog lines read so far, by dimension id
-
-    def __getattr__(self, name: str):
-        # called only for a missing attribute: one of the above, before the check
-        if name not in WeightedSpace.__annotations__:
-            raise AttributeError(f"'WeightedSpace' object has no attribute {name!r}")
-        self._check()
-        return self.__dict__[name]
-
-    def _check(self) -> None:
-        """Check ``blocks.tsv``, take the vocabulary from it, and index each target's blocks.
-
-        ``blocks.tsv`` must list target tokens in increasing order, and
-        the offsets where their blocks start must tile ``rows.tsv`` and
-        ``arg.tsv``. No line of the other files is parsed. Nothing
-        is kept unless every check passes.
-        """
-        catalog_text, rows_text, arg_text, blocks_text = self.texts
-        # every line of the catalog ends with a newline, so its lines are its n_dims dimensions
-        if not catalog_text.endswith("\n") and catalog_text:
-            raise _malformed(self._paths[0], catalog_text, catalog_text.rfind("\n") + 1, _CATALOG_LAYOUT)
-        path = self._paths[3]
-        lines = _lines(path, blocks_text, _BLOCKS_LINE, _BLOCKS_LAYOUT, 0, len(blocks_text), ConsistencyError)
-        targets = list(map(_TARGET_OF_KEY, lines))
-        _check_column(path, targets, error=ConsistencyError)
-        if not all(map(operator.lt, targets, targets[1:])):
-            i = next(i for i in range(1, len(targets)) if targets[i - 1] >= targets[i])
-            raise ConsistencyError(f"{path}:{i + 1}: target {targets[i]} does not sort after {targets[i - 1]}")
-        rows = _tiling(path, _FILES[1], rows_text, list(map(int, map(_ROWS_OFFSET, lines))))
-        arg = _tiling(path, _FILES[2], arg_text, list(map(int, map(_ARG_OFFSET, lines))))
-        self._blocks = {target: (*row, *ranking) for target, row, ranking in zip(targets, rows, arg)}
-        self.vocabulary, self._n_dims = frozenset(targets), catalog_text.count("\n")
 
     def row(self, target: str) -> SparseVector:
         """The row of ``target``; a target without one has the empty row."""
@@ -428,13 +394,13 @@ def build_space(
         for target, entries in itertools.groupby(arg, key=_TARGET_OF_KEY)
     }
     names = sorted(set(vocabulary).union(row_blocks, arg_blocks))
-    rows_tsv, row_starts = _tile(names, row_blocks)
-    arg_tsv, arg_starts = _tile(names, arg_blocks)
+    rows_tsv, rows = _tile(names, row_blocks)
+    arg_tsv, arg = _tile(names, arg_blocks)
     texts = (
         "".join([f"{relation}\t{filler}\n" for relation, filler in catalog]),
         rows_tsv,
         arg_tsv,
-        "".join([f"{name}\t{row}\t{ranking}\n" for name, row, ranking in zip(names, row_starts, arg_starts)]),
+        "".join([f"{name}\t{row[0]}\t{ranking[0]}\n" for name, row, ranking in zip(names, rows, arg)]),
     )
     info = {
         "format_version": FORMAT_VERSION,
@@ -446,16 +412,18 @@ def build_space(
     if manifest:
         info.update(manifest)
     info["space_id"] = _sha256(text.encode("utf-8") for text in texts)
-    return WeightedSpace(texts, info)
+    blocks = {name: (*row, *ranking) for name, row, ranking in zip(names, rows, arg)}
+    return WeightedSpace(texts, info, frozenset(names), blocks, len(catalog))
 
 
-def _tile(names: list[str], blocks: dict[str, str]) -> tuple[str, list[int]]:
-    """The text of ``blocks`` in ``names`` order, and the offset where each name's block starts.
+def _tile(names: list[str], blocks: dict[str, str]) -> tuple[str, list[tuple[int, int]]]:
+    """The text of ``blocks`` in ``names`` order, and each name's block's (start, end) in it.
 
     A name without a block has an empty one, where the next block starts.
     """
     parts = [blocks.get(name, "") for name in names]
-    return "".join(parts), list(itertools.accumulate(map(len, parts), initial=0))[:-1]
+    ends = list(itertools.accumulate(map(len, parts)))
+    return "".join(parts), list(zip([0, *ends], ends))
 
 
 # -- archive -------------------------------------------------------------
@@ -556,6 +524,30 @@ def _tiling(path: str, name: str, text: str, starts: list[int]) -> list[tuple[in
     return list(zip(starts, [*starts[1:], size]))
 
 
+def _read_blocks(paths: Sequence[str], texts: Sequence[str]) -> tuple[frozenset[str], dict, int]:
+    """Check ``blocks.tsv``: the vocabulary, each target's blocks, and the catalog's line count.
+
+    ``blocks.tsv`` must list target tokens in increasing order, and the
+    offsets where their blocks start must tile ``rows.tsv`` and
+    ``arg.tsv``. No line of the other files is parsed.
+    """
+    catalog_text, rows_text, arg_text, blocks_text = texts
+    # every line of the catalog ends with a newline, so its lines are its n_dims dimensions
+    if not catalog_text.endswith("\n") and catalog_text:
+        raise _malformed(paths[0], catalog_text, catalog_text.rfind("\n") + 1, _CATALOG_LAYOUT)
+    path = paths[3]
+    lines = _lines(path, blocks_text, _BLOCKS_LINE, _BLOCKS_LAYOUT, 0, len(blocks_text), ConsistencyError)
+    targets = list(map(_TARGET_OF_KEY, lines))
+    _check_column(path, targets, error=ConsistencyError)
+    if not all(map(operator.lt, targets, targets[1:])):
+        i = next(i for i in range(1, len(targets)) if targets[i - 1] >= targets[i])
+        raise ConsistencyError(f"{path}:{i + 1}: target {targets[i]} does not sort after {targets[i - 1]}")
+    rows = _tiling(path, _FILES[1], rows_text, list(map(int, map(_ROWS_OFFSET, lines))))
+    arg = _tiling(path, _FILES[2], arg_text, list(map(int, map(_ARG_OFFSET, lines))))
+    blocks = {target: (*row, *ranking) for target, row, ranking in zip(targets, rows, arg)}
+    return frozenset(targets), blocks, catalog_text.count("\n")
+
+
 def _lines(path: str, text: str, line: re.Pattern, layout: str, start: int, end: int, error=CorpusError) -> list:
     """The groups of each line of ``text[start:end]``, which must all fit ``line``, whose layout is ``layout``."""
     lines = line.findall(text, start, end)
@@ -608,12 +600,11 @@ def load_space(directory: str) -> WeightedSpace:
         )
     texts = tuple(map(decode_utf8, paths, bodies))
     del bodies
-    space = WeightedSpace(texts, manifest, directory)
-    space._check()
+    vocabulary, blocks, n_dims = _read_blocks(paths, texts)
     # space_id covers the files, not the manifest: its counts are read back against them
-    n_targets = sum(start < end for start, end, _, _ in space._blocks.values())
-    held = {"n_targets": n_targets, "n_dims": space._n_dims, "n_vocab": len(space.vocabulary)}
+    n_targets = sum(start < end for start, end, _, _ in blocks.values())
+    held = {"n_targets": n_targets, "n_dims": n_dims, "n_vocab": len(vocabulary)}
     for key, count in held.items():
         if manifest.get(key) != str(count):
             raise ConsistencyError(f"{manifest_path}: {key} is {manifest.get(key)}, the archive holds {count}")
-    return space
+    return WeightedSpace(texts, manifest, vocabulary, blocks, n_dims, directory)

@@ -92,7 +92,7 @@ class CooccurrenceTensor:
     # -- serialization ---------------------------------------------------
 
     def to_tsv(self) -> str:
-        """The counts as they are, in sorted runs."""
+        """The counts as they are, in sorted runs; a ``WINDOW`` filler before its target raises ``ValueError``."""
         groups: dict[str, list[tuple[str, str, int]]] = {}  # by target: each target's runs sort apart
         for (target, relation, filler), count in self.counts.items():
             groups.setdefault(target, []).append((relation, filler, count))
@@ -102,6 +102,10 @@ class CooccurrenceTensor:
             for entry in sorted(groups[target]):
                 if entry[0] != relation:
                     relation = entry[0]
+                    # load refuses such an entry; a run's fillers are sorted, so its first is its least
+                    if relation == WINDOW and entry[1] < target:
+                        raise ValueError(f"{WINDOW} entry {(target, relation, entry[1])} cannot be stored: "
+                                         "its filler sorts before its target")
                     lines.append(f"{target}\t{relation}\t\n")
                 lines.append(f"{entry[1]}\t{entry[2]}\n")
         return "".join(lines)

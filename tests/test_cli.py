@@ -180,15 +180,16 @@ class TestStages:
         assert not os.path.exists(os.path.join(bicknell_out, "arg.weighted.tsv"))
 
     def test_weight_reads_no_row_back_and_prints_the_archive_counts(self, tmp_path, monkeypatch, capsys):
-        from argex.space import WeightedSpace, load_space
+        from argex import space as space_module
+        from argex.space import load_space
 
         out = str(tmp_path)
         assert run_cli(capsys, "ingest", "-c", BICKNELL_CONF, "--out-dir", out)[0] == 0
 
-        def no_check(self):
+        def no_check(paths, texts):
             raise AssertionError("the archive was read")
 
-        monkeypatch.setattr(WeightedSpace, "_check", no_check)
+        monkeypatch.setattr(space_module, "_read_blocks", no_check)
         code, stdout, _ = run_cli(capsys, "weight", "-c", BICKNELL_CONF, "--out-dir", out)
         monkeypatch.undo()
         assert code == 0
@@ -626,19 +627,20 @@ class TestGuards:
         assert run_cli(capsys, "ingest", *base)[0] == 0
         assert run_cli(capsys, "weight", *base)[0] == 0
 
-    def test_a_corpus_relation_labelled_window_is_refused_unless_denied(self, tmp_path, capsys):
-        sentence = [("dog", "NN", 2, "sbj"), ("see", "VB", 0, "root"), ("cat", "NN", 2, "WINDOW")]
-        corpus = tmp_path / "window.conll"
+    @pytest.mark.parametrize("label", ["WINDOW", "VERB", "ARG"])
+    def test_a_corpus_relation_with_a_label_argex_makes_is_refused_unless_denied(self, tmp_path, capsys, label):
+        sentence = [("dog", "NN", 2, "sbj"), ("see", "VB", 0, "root"), ("cat", "NN", 2, label)]
+        corpus = tmp_path / "labelled.conll"
         corpus.write_text(conll_text([sentence] * 2), encoding="utf-8")
         out = str(tmp_path / "out")
         base = ("-c", BICKNELL_CONF, "--out-dir", out, "--set", f"corpus_paths={corpus}", "--set", "vocab_threshold=1")
         code, _, err = run_cli(capsys, "ingest", *base)
         assert code == 2
-        assert "labelled WINDOW" in err and "relation_denylist" in err
+        assert f"labelled {label}" in err and "relation_denylist" in err
         assert not os.path.exists(out) or os.listdir(out) == []
-        assert run_cli(capsys, "ingest", *base, "--set", "relation_denylist=WINDOW")[0] == 0
-        assert run_cli(capsys, "weight", *base, "--set", "relation_denylist=WINDOW")[0] == 0
-        code, printed, _ = run_cli(capsys, "fillers", *base, "--set", "relation_denylist=WINDOW",
+        assert run_cli(capsys, "ingest", *base, "--set", f"relation_denylist={label}")[0] == 0
+        assert run_cli(capsys, "weight", *base, "--set", f"relation_denylist={label}")[0] == 0
+        code, printed, _ = run_cli(capsys, "fillers", *base, "--set", f"relation_denylist={label}",
                                    "--target", "see-v", "--slot", "WINDOW")
         assert (code, printed) == (0, "see-v/WINDOW: cat-n, dog-n\n")
 

@@ -244,11 +244,15 @@ class TestVerbLink:
         assert tensor.counts.get(("see-v", "obj", "cat-n"), 0) == 1
         assert all(r != VERB_LINK for r in relations(tensor))
 
-    def test_a_kept_relation_labelled_window_is_a_config_error(self):
-        sentence = [("see", "VB", 0, "root"), ("cat", "NN", 1, "WINDOW")]
-        with pytest.raises(ConfigError, match="labelled WINDOW.*relation_denylist"):
+    @pytest.mark.parametrize("label, owner", [("WINDOW", "the window space's relation"),
+                                              ("VERB", "a relation argex makes itself"),
+                                              ("ARG", "a relation argex makes itself")],
+                             ids=["WINDOW", "VERB", "ARG"])
+    def test_a_kept_relation_with_a_label_argex_makes_is_a_config_error(self, label, owner):
+        sentence = [("see", "VB", 0, "root"), ("cat", "NN", 1, label)]
+        with pytest.raises(ConfigError, match=f"labelled {label}, {owner}: add it to relation_denylist"):
             self.build([sentence])
-        for lists in ({"denylist": frozenset({"WINDOW"})}, {"allowlist": frozenset({"obj"})}):
+        for lists in ({"denylist": frozenset({label})}, {"allowlist": frozenset({"obj"})}):
             tensor, _ = self.build([sentence], **lists)
             assert tensor.counts == {}
 

@@ -1,7 +1,10 @@
-"""The checked-in fixtures are what ``scripts/make_fixtures.py`` writes, and the README describes the archive written."""
+"""The checked-in fixtures are what ``scripts/make_fixtures.py`` writes, and the README describes what argex is."""
 
+import ast
+import glob
 import importlib.util
 import os
+import sys
 
 from argex import space, tensor
 
@@ -41,3 +44,22 @@ def test_the_readme_names_the_count_tensor_format_this_argex_writes():
     assert f"count tensors (format version {tensor.FORMAT_VERSION})" in readme
     assert f"in sorted order: {tensor._LAYOUT}, fillers sorted" in readme
     assert f"adds each stored entry's mirror back: {tensor._MIRRORS}." in readme
+
+
+def test_the_runtime_imports_the_standard_library_only():
+    # the README promises a standard-library-only runtime; every relative import stays inside argex
+    sources = sorted(glob.glob(os.path.join(REPO_ROOT, "src", "argex", "*.py")))
+    assert len(sources) > 10
+    for path in sources:
+        with open(path, encoding="utf-8") as fh:
+            module = ast.parse(fh.read(), path)
+        for node in ast.walk(module):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                where = f"{os.path.basename(path)}:{node.lineno}: {name}"
+                assert name.split(".")[0] in {"argex", *sys.stdlib_module_names}, where

@@ -109,3 +109,23 @@ def test_the_index_traced_passes_is_the_space_itself():
     space = build_space(WeightedTensor(scores={("see-v", "obj", "dog-n"): 1.0}), ["see-v", "dog-n"])
     assert space.index is space
     assert space.index.ranking("see-v", "obj") == (("dog-n", 1.0),)
+
+
+def test_every_setting_traced_reads_is_a_field_of_the_settings():
+    # traced.py reads settings as ``config.<name>`` and names dataset paths through workload.DATASET_KEYS;
+    # a removed setting would otherwise break only a later ``--trace 1`` run
+    from argex.config import _Settings
+
+    read = {
+        node.attr
+        for node in ast.walk(parse(os.path.join(PERFBENCH, "traced.py")))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "config"
+    }
+    (dataset_keys,) = [
+        node.value
+        for node in parse(os.path.join(PERFBENCH, "workload.py")).body
+        if isinstance(node, ast.Assign) and list(map(ast.unparse, node.targets)) == ["DATASET_KEYS"]
+    ]
+    keys = set(ast.literal_eval(dataset_keys).values())
+    assert len(read) > 20 and keys
+    assert read | keys <= set(_Settings._fields), sorted((read | keys) - set(_Settings._fields))

@@ -551,11 +551,11 @@ class TestSpace:
         def no_ranking(fillers):
             raise AssertionError("a slot was ranked")
 
-        def no_check(self):
+        def no_check(paths, texts):
             raise AssertionError("the archive was read")
 
         monkeypatch.setattr(space_module, "_ranked", no_ranking)
-        monkeypatch.setattr(WeightedSpace, "_check", no_check)
+        monkeypatch.setattr(space_module, "_read_blocks", no_check)
         extra = WeightedTensor(scores={("see-v", ARG, "dog-n"): 0.75})
         space = build_space(toy_weighted(), ["see-v", "dog-n"], extra_index=extra)
         save_space(space, str(tmp_path / "saved"))
@@ -761,6 +761,16 @@ class TestWriterOrder:
         for target in names:
             assert loaded.row(target) == built.row(target)
         assert every_ranking(loaded) == every_ranking(built)
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=weighted_scores())
+    def test_a_built_space_holds_the_block_index_its_files_load_to(self, drawn):
+        # a built space is given the index its writer rendered; the load checks derive the same one
+        scores, extra_scores, tokens = drawn
+        built = build_space(WeightedTensor(scores=scores), tokens, extra_index=WeightedTensor(scores=extra_scores))
+        index = space_module._read_blocks(built._paths, built.texts)
+        assert index == (built.vocabulary, built._blocks, built._n_dims)
+        assert list(index[1]) == sorted(index[0])
 
 
 def bad_artifact(load, name: str, body: str, **meta: str):

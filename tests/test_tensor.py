@@ -290,6 +290,18 @@ class TestSerialization:
         with pytest.raises(CorpusError, match="t.tsv:2: WINDOW filler cat-n sorts before its target dog-n"):
             CooccurrenceTensor.load(path)
 
+    @pytest.mark.parametrize("counts", [{(DOG, "WINDOW", CAT): 1}, {(DOG, "WINDOW", DOG): 1, (DOG, "WINDOW", CAT): 1}],
+                             ids=["alone", "beside-a-self-pair"])
+    def test_a_reversed_window_entry_is_not_saved_and_a_self_pair_is(self, tmp_path, counts):
+        # save writes no tensor that load refuses
+        path = str(tmp_path / "t.tsv")
+        with pytest.raises(ValueError, match=r"WINDOW entry \('dog-n', 'WINDOW', 'cat-n'\) cannot be stored"):
+            CooccurrenceTensor(counts).save(path)
+        assert os.listdir(tmp_path) == []
+        CooccurrenceTensor({(DOG, "WINDOW", DOG): 1, (CAT, "WINDOW", DOG): 1}).save(path)
+        assert CooccurrenceTensor.load(path).counts == {(DOG, "WINDOW", DOG): 2, (CAT, "WINDOW", DOG): 1,
+                                                        (DOG, "WINDOW", CAT): 1}
+
     @pytest.mark.parametrize("version", [None, "1", "2", "4"])
     def test_another_format_version_is_stale_before_the_body_is_parsed(self, tmp_path, version):
         path = str(tmp_path / "t.tsv")
