@@ -3,23 +3,28 @@
 
 For each fixture config this runs ``ingest``, ``weight``, ``sweep`` and
 ``report`` through ``python -m argex.cli`` in a temporary directory,
-under the interpreter that runs this script. It prints each fixture's
-accuracy table, then hashes every artifact and report against
+under the interpreter that runs this script, or under each one that
+``--python PATH`` names (repeatable). It prints each fixture's accuracy
+table, then hashes every artifact and report against
 ``tests/golden/fixture_artifacts.sha256`` and
-``tests/golden/fixture_reports.sha256``.
+``tests/golden/fixture_reports.sha256``, and prints one
+``python X.Y.Z: N artifacts, M reports, K mismatches`` line per
+interpreter.
 
 It needs only the standard library, so it runs on interpreters without
 pytest::
 
     python3.12 scripts/check_golden.py
+    python3 scripts/check_golden.py --python python3.10 --python python3.13
 
-Exit status: 0 when every file matches, 1 when a file differs, is
-missing or is not pinned (each is named on stderr), 2 when a stage
-fails.
+Exit status: 0 when every file matches under every interpreter, 1 when
+a file differs, is missing or is not pinned (each is named on stderr),
+2 when an interpreter or a stage fails to run.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -57,13 +62,13 @@ def digests(top: str, prefix: str) -> dict[str, str]:
     return out
 
 
-def build(name: str, conf: str, out: str) -> dict[str, str]:
-    """Run the four stages and print the accuracy table; return the digests of the artifacts and reports."""
+def build(python: str, name: str, conf: str, out: str) -> dict[str, str]:
+    """Run the four stages under ``python`` and print the accuracy table; return the artifacts' and reports' digests."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
     for stage in ("ingest", "weight", "sweep", "report"):
-        argv = [sys.executable, "-m", "argex.cli", stage, "-c", conf, "--out-dir", out]
+        argv = [python, "-m", "argex.cli", stage, "-c", conf, "--out-dir", out]
         result = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
         if result.returncode != 0:
             sys.stderr.write(result.stderr)
@@ -81,13 +86,20 @@ def compare(pinned: dict[str, str], actual: dict[str, str]) -> list[str]:
     return problems
 
 
-def main() -> int:
+def check(python: str) -> bool:
+    """Build both fixtures under ``python``, name each mismatch and print the summary line; True when all match."""
+    try:
+        version = subprocess.run([python, "-c", "import sys; print(*sys.version_info[:3], sep='.')"],
+                                 capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError) as exc:
+        print(f"cannot run {python}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     artifacts, reports = {}, {}
     problems = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, conf in FIXTURES:
             out = os.path.join(tmp, name)
-            for rel, digest in build(name, conf, out).items():
+            for rel, digest in build(python, name, conf, out).items():
                 (reports if rel.startswith(f"{name}/reports/") else artifacts)[rel] = digest
             # the deps space's source_hash names the count tensor it was weighted from
             space_meta = read_meta(os.path.join(out, "deps.space", "manifest.txt"))
@@ -97,12 +109,20 @@ def main() -> int:
     reports = {rel.replace("/reports/", "/", 1): digest for rel, digest in reports.items()}
     problems += compare(read_pinned("fixture_artifacts.sha256"), artifacts)
     problems += compare(read_pinned("fixture_reports.sha256"), reports)
-    version = ".".join(map(str, sys.version_info[:3]))
     for problem in problems:
         print(problem, file=sys.stderr)
     print(f"python {version}: {len(artifacts)} artifacts, {len(reports)} reports, "
           f"{len(problems)} mismatches")
-    return 1 if problems else 0
+    return not problems
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Rebuild both fixtures and compare every byte with tests/golden/.")
+    parser.add_argument("--python", action="append", metavar="PATH",
+                        help="an interpreter to run the stages under (repeatable; default: this one)")
+    args = parser.parse_args(argv)
+    results = [check(python) for python in args.python or [sys.executable]]
+    return 0 if all(results) else 1
 
 
 if __name__ == "__main__":

@@ -1,0 +1,157 @@
+"""Artifact I/O: every file a stage writes, every artifact read back, and the output lock.
+
+Each file goes to a temporary name and is renamed into place, so none
+is ever half-written. An artifact is its bodies, then a sidecar of
+sorted ``key=value`` lines that records their sha256, written last.
+``write_artifact`` and ``read_artifact`` write and read one body with
+its sidecar ``path.meta``, whose ``content_hash`` is checked before
+anything is parsed; a space archive's manifest covers its four files.
+A stage writes only under ``locked``, which holds the output directory.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import os
+from typing import Iterable, Sequence
+
+from .errors import ConfigError, ConsistencyError, CorpusError
+
+# 17 significant digits: enough for exact float64 round-trips. A printf
+# format, so a writer can render a whole row of scores in one % operation.
+SCORE_FORMAT = "%.17g"
+
+
+def format_score(value: float) -> str:
+    return SCORE_FORMAT % value
+
+
+def sha256(bodies: Iterable[bytes]) -> str:
+    """The hex sha256 of ``bodies`` one after another."""
+    digest = hashlib.sha256()
+    for data in bodies:
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def sidecar_path(path: str) -> str:
+    return path + ".meta"
+
+
+def make_output_dir(path: str) -> None:
+    """``os.makedirs(path, exist_ok=True)``, failing with a ``ConfigError`` that names ``path``."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from None
+
+
+def write_bytes_atomic(path: str, data: bytes) -> None:
+    """Write to a temporary name, then rename, so ``path`` is never half-written.
+
+    An ``OSError`` doing either, such as a directory at ``path``, is a ``ConfigError``.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc}") from None
+        raise
+
+
+def write_sidecar(path: str, values: dict[str, str]) -> None:
+    body = "".join(f"{key}={values[key]}\n" for key in sorted(values))
+    write_bytes_atomic(path, body.encode("utf-8"))
+
+
+def write_bodies(paths: Sequence[str], bodies: Sequence[bytes], sidecar: str, meta: dict[str, str]) -> None:
+    """Write each of ``bodies`` to its path, then ``meta`` to ``sidecar``.
+
+    ``meta`` records the bodies' hash, so an interrupted write leaves
+    either the previous files or new bodies beside a sidecar that does
+    not match them, which their reader refuses.
+    """
+    for path, data in zip(paths, bodies):
+        write_bytes_atomic(path, data)
+    write_sidecar(sidecar, meta)
+
+
+def read_bytes(path: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise CorpusError(f"cannot read {path}: {exc}") from exc
+
+
+def decode_utf8(path: str, data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def read_sidecar(path: str) -> dict[str, str]:
+    values = {}
+    for line in decode_utf8(path, read_bytes(path)).split("\n"):
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise CorpusError(f"bad sidecar line in {path}: {line!r}")
+        values[key] = value
+    return values
+
+
+def write_artifact(path: str, body: str, meta: dict[str, str]) -> str:
+    """Write ``body``, then its sidecar recording ``meta`` plus its ``content_hash``; returns that hash."""
+    data = body.encode("utf-8")
+    digest = sha256([data])
+    write_bodies([path], [data], sidecar_path(path), {**meta, "content_hash": digest})
+    return digest
+
+
+def read_artifact(path: str) -> tuple[str, dict[str, str]]:
+    """The text of ``path`` and its sidecar, once the bytes match the recorded hash."""
+    data = read_bytes(path)
+    meta = read_sidecar(sidecar_path(path))
+    if sha256([data]) != meta.get("content_hash"):
+        raise ConsistencyError(f"{path} does not match the content_hash in its sidecar")
+    return decode_utf8(path, data), meta
+
+
+@contextlib.contextmanager
+def locked(out_dir: str):
+    """Single-writer guard: a stage holds an exclusive ``flock`` on ``out_dir/.lock`` (POSIX only).
+
+    The kernel drops the lock when its process ends, even a killed one, so a lock is never stale.
+    """
+    import fcntl
+
+    make_output_dir(out_dir)
+    lock = os.path.join(out_dir, ".lock")
+    with contextlib.ExitStack() as release:
+        try:
+            # O_NONBLOCK: a FIFO at .lock is refused, not waited on
+            fd = os.open(lock, os.O_CREAT | os.O_WRONLY | os.O_NONBLOCK)
+            release.callback(os.close, fd)
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            # a holder unlinks the file before it lets go: a lock on an unlinked file guards nothing
+            held = os.fstat(fd).st_nlink > 0
+        except BlockingIOError:
+            held = False
+        except OSError as exc:
+            raise ConfigError(f"cannot lock {lock}: {exc}") from None
+        if not held:
+            raise ConfigError(f"output directory {out_dir} is locked by another stage")
+        try:
+            yield
+        finally:
+            with contextlib.suppress(OSError):
+                os.unlink(lock)  # before the close lets go of the lock

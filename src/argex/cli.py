@@ -10,20 +10,22 @@ summary. Machine-readable results go to files under the output
 directory. Exit codes: 0 success, 2 input error, 3 query error,
 4 internal-consistency error.
 
-Each command imports the stage modules it uses, so a one-shot query
-loads no parsing, counting or scoring code.
+Each command imports the stage modules it uses. A one-shot ``fillers``
+loads ``config``, ``errors``, ``tokens``, ``artifacts`` and ``space``;
+``eval`` and ``sweep`` add the scoring modules. No query loads the
+parser, the counters (``corpus``, ``tensor``) or ``weighting``.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import itertools
 import os
 import sys
 from typing import TYPE_CHECKING, Callable
 
+from .artifacts import locked, make_output_dir, read_sidecar, sidecar_path, write_bytes_atomic
 from .config import (
     ALL_TASKS,
     TASK_BICKNELL_ACC1,
@@ -48,7 +50,6 @@ from .errors import (
     StaleArtifactError,
     UndefinedModelError,
 )
-from .tensor import CooccurrenceTensor, full_size, make_output_dir, read_sidecar, sidecar_path, write_bytes_atomic
 from .tokens import ARG, WINDOW, compile_pos_map, parse_canonical
 
 if TYPE_CHECKING:
@@ -72,37 +73,6 @@ def artifact_paths(out_dir: str) -> dict[str, str]:
         "window_space": os.path.join(out_dir, "window.space"),
         "reports": os.path.join(out_dir, "reports"),
     }
-
-
-@contextlib.contextmanager
-def _locked(out_dir: str):
-    """Single-writer guard: a stage holds an exclusive ``flock`` on ``out_dir/.lock`` (POSIX only).
-
-    The kernel drops the lock when its process ends, even a killed one, so a lock is never stale.
-    """
-    import fcntl
-
-    make_output_dir(out_dir)
-    lock = os.path.join(out_dir, ".lock")
-    with contextlib.ExitStack() as release:
-        try:
-            # O_NONBLOCK: a FIFO at .lock is refused, not waited on
-            fd = os.open(lock, os.O_CREAT | os.O_WRONLY | os.O_NONBLOCK)
-            release.callback(os.close, fd)
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            # a holder unlinks the file before it lets go: a lock on an unlinked file guards nothing
-            held = os.fstat(fd).st_nlink > 0
-        except BlockingIOError:
-            held = False
-        except OSError as exc:
-            raise ConfigError(f"cannot lock {lock}: {exc}") from None
-        if not held:
-            raise ConfigError(f"output directory {out_dir} is locked by another stage")
-        try:
-            yield
-        finally:
-            with contextlib.suppress(OSError):
-                os.unlink(lock)  # before the close lets go of the lock
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
@@ -146,6 +116,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         extract_window_counts,
         save_vocabulary,
     )
+    from .tensor import full_size
 
     config = _config_from_args(args)
     if not config.corpus_paths:
@@ -188,7 +159,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         "arcs": str(stats.arcs),
         "dropped_arcs": str(stats.dropped_arcs),
     }
-    with _locked(config.out_dir):
+    with locked(config.out_dir):
         vocab_hash = save_vocabulary(vocab, paths["vocab"], {"ingest_hash": stamp, **counts})
         dep.save(paths["deps_tensor"], {"ingest_hash": stamp, "vocab_hash": vocab_hash})
         win.save(paths["window_tensor"], {"ingest_hash": stamp, "vocab_hash": vocab_hash})
@@ -209,6 +180,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_weight(args: argparse.Namespace) -> int:
     from .corpus import load_vocabulary
     from .space import build_space, save_space
+    from .tensor import CooccurrenceTensor
     from .weighting import WeightedTensor, collapse_relations, max_over_relations, weight_tensor
 
     config = _config_from_args(args)
@@ -245,7 +217,7 @@ def cmd_weight(args: argparse.Namespace) -> int:
     window_space = build_space(
         win_weighted, vocab, manifest={"space_hash": stamp_space, "kind": "window"}
     )
-    with _locked(config.out_dir):
+    with locked(config.out_dir):
         make_output_dir(paths["window_space"])  # first: a file there must leave deps.space as it was
         deps_id = save_space(deps_space, paths["deps_space"])
         window_id = save_space(window_space, paths["window_space"])
@@ -412,7 +384,7 @@ def _run(config: PipelineConfig, tasks: dict[str, str], kinds, compositions, k_v
             items = load_bicknell(path, mode)
         _note(f"{task}: {len(items)} items from {path}")
         datasets.append((task, path, items))
-    with _locked(config.out_dir):
+    with locked(config.out_dir):
         cells = _score(config, datasets, kinds, compositions, k_values)
         _write_reports(config.out_dir, cells, table_of)
     for report, _ in cells:
@@ -475,7 +447,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     reports_dir = artifact_paths(config.out_dir)["reports"]
     rows = []
-    for path in sorted(glob.glob(os.path.join(reports_dir, "*.json"))):
+    for path in sorted(glob.glob(os.path.join(glob.escape(reports_dir), "*.json"))):
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)

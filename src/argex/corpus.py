@@ -14,8 +14,9 @@ import itertools
 from collections import Counter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from .artifacts import read_artifact, write_artifact
 from .errors import ConfigError, CorpusError
-from .tensor import CooccurrenceTensor, Triple, read_artifact, write_artifact
+from .tensor import CooccurrenceTensor, Triple
 from .tokens import ARG, VERB_LINK, VERB_POS, WINDOW, Memo, canonical_checker
 
 if TYPE_CHECKING:  # `argex weight` reads a vocabulary without the parser

@@ -19,6 +19,7 @@ import math
 from collections import Counter
 from typing import NamedTuple, Sequence
 
+from .artifacts import format_score
 from .config import TASK_BICKNELL_ACC1, TASK_BICKNELL_ACC2, TASK_CHOW
 from .datasets import BicknellItem, BicknellMode, ChowItem
 from .errors import EmptyPrototypeError
@@ -32,7 +33,6 @@ from .expectation import (
 )
 from .space import SparseVector, WeightedSpace, vector_of
 from .stats import chi_square_vs_chance, wilcoxon_rank_sum
-from .tensor import format_score
 from .tokens import Token
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import hashlib
 import itertools
 import math
 import operator
@@ -34,21 +33,13 @@ import re
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
+from .artifacts import (SCORE_FORMAT, decode_utf8, format_score, make_output_dir, read_bytes, read_sidecar, sha256,
+                        write_bodies)
 from .errors import ConsistencyError, CorpusError, OutOfVocabularyError, StaleArtifactError
-from .tensor import (
-    SCORE_FORMAT,
-    Triple,
-    decode_utf8,
-    format_score,
-    make_output_dir,
-    read_bytes,
-    read_sidecar,
-    write_bytes_atomic,
-    write_sidecar,
-)
 from .tokens import ARG, canonical_checker
 
 if TYPE_CHECKING:
+    from .tensor import Triple
     from .weighting import WeightedTensor
 
 FORMAT_VERSION = "5"
@@ -411,7 +402,7 @@ def build_space(
     }
     if manifest:
         info.update(manifest)
-    info["space_id"] = _sha256(text.encode("utf-8") for text in texts)
+    info["space_id"] = sha256(text.encode("utf-8") for text in texts)
     blocks = {name: (*row, *ranking) for name, row, ranking in zip(names, rows, arg)}
     return WeightedSpace(texts, info, frozenset(names), blocks, len(catalog))
 
@@ -429,24 +420,12 @@ def _tile(names: list[str], blocks: dict[str, str]) -> tuple[str, list[tuple[int
 # -- archive -------------------------------------------------------------
 
 
-def _sha256(bodies: Iterable[bytes]) -> str:
-    digest = hashlib.sha256()
-    for data in bodies:
-        digest.update(data)
-    return digest.hexdigest()
-
-
 def save_space(space: WeightedSpace, directory: str) -> str:
-    """Write the archive; returns its space id.
-
-    Each file is replaced atomically and the manifest goes last, so an
-    interrupted save leaves an archive that fails verification, never a
-    half-written file.
-    """
+    """Write the archive's files, then its manifest (``write_bodies``); returns its space id."""
     make_output_dir(directory)
-    for name, text in zip(_FILES, space.texts):
-        write_bytes_atomic(os.path.join(directory, name), text.encode("utf-8"))
-    write_sidecar(os.path.join(directory, "manifest.txt"), space.manifest)
+    paths = [os.path.join(directory, name) for name in _FILES]
+    write_bodies(paths, [text.encode("utf-8") for text in space.texts], os.path.join(directory, "manifest.txt"),
+                 space.manifest)
     return space.space_id
 
 
@@ -592,7 +571,7 @@ def load_space(directory: str) -> WeightedSpace:
     paths = [os.path.join(directory, name) for name in _FILES]
     bodies = [read_bytes(path) for path in paths]
     recorded = manifest.get("space_id", "")
-    actual = _sha256(bodies)
+    actual = sha256(bodies)
     if recorded != actual:
         raise ConsistencyError(
             f"space archive {directory} failed verification: "

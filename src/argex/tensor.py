@@ -14,21 +14,14 @@ sorted order: a header line ``target<TAB>relation<TAB>`` (three fields,
 the last empty), then a ``filler<TAB>count`` line per filler, fillers
 sorted, so a relation label may be any string. The sidecar records the
 format version and the number and total of the entries ``load``
-returns (``full_size``), all checked at load. The bytes are
-deterministic for a given input.
-
-``write_artifact`` and ``read_artifact`` are the one writer and reader
-behind every body-plus-sidecar artifact: the sidecar's ``content_hash``
-is the sha256 of the bytes on disk, checked before anything is parsed.
+returns (``full_size``), which it checks on the counts it built. The
+bytes are deterministic for a given input.
 """
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import os
-
-from .errors import ConfigError, ConsistencyError, CorpusError, StaleArtifactError
+from .artifacts import read_artifact, sha256, sidecar_path, write_artifact
+from .errors import ConsistencyError, CorpusError, StaleArtifactError
 from .tokens import INVERSE_SUFFIX, WINDOW, Memo, canonical_checker
 
 # (target, relation, filler); the target and filler are ``lemma-pos`` strings, which sort in canonical order
@@ -111,7 +104,7 @@ class CooccurrenceTensor:
         return "".join(lines)
 
     def content_hash(self) -> str:
-        return hashlib.sha256(self.to_tsv().encode("utf-8")).hexdigest()
+        return sha256([self.to_tsv().encode("utf-8")])
 
     def save(self, path: str, sidecar: dict[str, str] | None = None) -> str:
         """Write the sorted runs and their sidecar, with the ``full_size`` figures; returns the content hash."""
@@ -174,15 +167,15 @@ class CooccurrenceTensor:
                     )
             except ValueError as exc:
                 raise CorpusError(f"{path}:{lineno}: {exc}") from None
-        for key, value in zip(("entries", "total"), full_size(stored)):
-            if meta.get(key) != str(value):
-                raise ConsistencyError(f"{sidecar_path(path)}: {key} is {meta.get(key)}, the tensor holds {value}")
         counts = dict(stored)
         get = counts.get
         mirror = _mirror_relations()
         for (target, relation, filler), count in stored.items():
             key = (filler, mirror[relation], target)
             counts[key] = get(key, 0) + count
+        for key, value in zip(("entries", "total"), (len(counts), sum(counts.values()))):
+            if meta.get(key) != str(value):
+                raise ConsistencyError(f"{sidecar_path(path)}: {key} is {meta.get(key)}, the tensor holds {value}")
         return cls(counts, source_hash=meta["content_hash"])
 
 
@@ -191,98 +184,4 @@ def _positive_count(text: str) -> int:
     if count <= 0:
         raise ValueError("count increments must be positive")
     return count
-
-
-# 17 significant digits: enough for exact float64 round-trips. A printf
-# format, so a writer can render a whole row of scores in one % operation.
-SCORE_FORMAT = "%.17g"
-
-
-def format_score(value: float) -> str:
-    return SCORE_FORMAT % value
-
-
-def sidecar_path(path: str) -> str:
-    return path + ".meta"
-
-
-def make_output_dir(path: str) -> None:
-    """``os.makedirs(path, exist_ok=True)``, failing with a ``ConfigError`` that names ``path``."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {path}: {exc}") from None
-
-
-def write_bytes_atomic(path: str, data: bytes) -> None:
-    """Write to a temporary name, then rename, so ``path`` is never half-written.
-
-    An ``OSError`` doing either, such as a directory at ``path``, is a ``ConfigError``.
-    """
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException as exc:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        if isinstance(exc, OSError):
-            raise ConfigError(f"cannot write {path}: {exc}") from None
-        raise
-
-
-def write_sidecar(path: str, values: dict[str, str]) -> None:
-    body = "".join(f"{key}={values[key]}\n" for key in sorted(values))
-    write_bytes_atomic(path, body.encode("utf-8"))
-
-
-def read_bytes(path: str) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
-
-
-def decode_utf8(path: str, data: bytes) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path} is not UTF-8 text: {exc}") from None
-
-
-def read_sidecar(path: str) -> dict[str, str]:
-    values = {}
-    for line in decode_utf8(path, read_bytes(path)).split("\n"):
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise CorpusError(f"bad sidecar line in {path}: {line!r}")
-        values[key] = value
-    return values
-
-
-def write_artifact(path: str, body: str, meta: dict[str, str]) -> str:
-    """Write ``body``, then its sidecar; returns the sha256 of the bytes written.
-
-    The sidecar, written last, records ``meta`` plus that ``content_hash``.
-    An interrupted write leaves either the previous pair or a new body
-    beside the previous sidecar, which ``read_artifact`` refuses.
-    """
-    data = body.encode("utf-8")
-    digest = hashlib.sha256(data).hexdigest()
-    write_bytes_atomic(path, data)
-    write_sidecar(sidecar_path(path), {**meta, "content_hash": digest})
-    return digest
-
-
-def read_artifact(path: str) -> tuple[str, dict[str, str]]:
-    """The text of ``path`` and its sidecar, once the bytes match the recorded hash."""
-    data = read_bytes(path)
-    meta = read_sidecar(sidecar_path(path))
-    if hashlib.sha256(data).hexdigest() != meta.get("content_hash"):
-        raise ConsistencyError(f"{path} does not match the content_hash in its sidecar")
-    return decode_utf8(path, data), meta
 

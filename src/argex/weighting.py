@@ -13,8 +13,9 @@ import math
 import operator
 from typing import Iterable
 
+from .artifacts import format_score, write_artifact
 from .errors import UndefinedModelError
-from .tensor import CooccurrenceTensor, Triple, format_score, write_artifact
+from .tensor import CooccurrenceTensor, Triple
 from .tokens import ARG, VERB_LINK, is_inverse
 
 

@@ -18,7 +18,8 @@ from argex.corpus import (
 )
 from argex.evaluation import BicknellSlots, ChowSlots
 from argex.space import _FILES, SparseVector, WeightedSpace, build_space
-from argex.tensor import CooccurrenceTensor, read_sidecar, write_sidecar
+from argex.artifacts import read_sidecar, write_sidecar
+from argex.tensor import CooccurrenceTensor
 from argex.tokens import ARG, compile_pos_map
 from argex.weighting import collapse_relations, weight_tensor
 

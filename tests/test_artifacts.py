@@ -1,0 +1,98 @@
+"""One writer: only ``argex.artifacts`` renames files, creates directories, takes the lock or opens a file to write."""
+
+import ast
+import glob
+import os
+
+import pytest
+
+from conftest import REPO_ROOT
+
+# calls that put something on disk or take the output lock, by the name they resolve to
+WRITER_CALLS = {"os.replace", "os.rename", "os.makedirs", "os.mkdir", "os.open", "fcntl.flock"}
+OPENERS = {"open", "io.open", "builtins.open"}
+
+
+def imported_names(module: ast.Module) -> dict[str, str]:
+    """Each name an import in ``module`` binds, mapped to the dotted name it stands for."""
+    names = {}
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    names[alias.asname] = alias.name
+                else:
+                    names[alias.name.split(".")[0]] = alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            for alias in node.names:
+                names[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return names
+
+
+def writer_calls(source: str) -> list[tuple[int, str]]:
+    """The line and resolved name of each call in ``source`` that writes, renames, creates a directory or locks.
+
+    An ``open`` counts when its mode holds ``w``, ``a``, ``x`` or ``+``,
+    or is not a literal string.
+    """
+    module = ast.parse(source)
+    names = imported_names(module)
+    found = []
+    for node in ast.walk(module):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            name = names.get(func.id, func.id)
+        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            name = f"{names.get(func.value.id, func.value.id)}.{func.attr}"
+        else:
+            continue
+        if name in OPENERS:
+            modes = [keyword.value for keyword in node.keywords if keyword.arg == "mode"] + node.args[1:2]
+            mode = modes[0] if modes else ast.Constant("r")
+            if isinstance(mode, ast.Constant) and isinstance(mode.value, str) and not set("wax+") & set(mode.value):
+                continue
+        elif name not in WRITER_CALLS:
+            continue
+        found.append((node.lineno, name))
+    return found
+
+
+@pytest.mark.parametrize("source, name", [
+    ("open(path, 'w')", "open"),
+    ("open(path, mode='ab')", "open"),
+    ("import io\nio.open(path, 'r+', encoding='utf-8')", "io.open"),
+    ("open(path, 'x')", "open"),
+    ("open(path, mode)", "open"),
+    ("import os as o\no.makedirs(path)", "os.makedirs"),
+    ("from os import replace as swap\nswap(a, b)", "os.replace"),
+    ("import os\nos.open(path, os.O_CREAT)", "os.open"),
+    ("import fcntl\nfcntl.flock(fd, fcntl.LOCK_EX)", "fcntl.flock"),
+])
+def test_a_call_that_writes_renames_or_locks_is_found(source, name):
+    assert [found for _, found in writer_calls(source)] == [name]
+
+
+@pytest.mark.parametrize("source", [
+    "open(path)",
+    "open(path, 'rb')",
+    "import io\nio.open(path, mode='r', encoding='utf-8')",
+    "import os\nos.path.join(a, b)",
+    "import os\nos.unlink(path)",
+])
+def test_a_call_that_only_reads_is_not_found(source):
+    assert writer_calls(source) == []
+
+
+def test_only_the_artifacts_module_writes_renames_or_locks():
+    sources = sorted(glob.glob(os.path.join(REPO_ROOT, "src", "argex", "*.py")))
+    assert len(sources) > 10
+    calls = {}
+    for path in sources:
+        with open(path, encoding="utf-8") as fh:
+            for line, name in writer_calls(fh.read()):
+                calls.setdefault(os.path.basename(path), []).append(f"{line}: {name}")
+    assert set(calls) == {"artifacts.py"}, calls
+    assert {entry.partition(": ")[2] for entry in calls["artifacts.py"]} == {
+        "open", "os.replace", "os.makedirs", "os.open", "fcntl.flock"}

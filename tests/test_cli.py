@@ -19,8 +19,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from argex.artifacts import read_sidecar, sidecar_path, write_sidecar
 from argex.cli import main
-from argex.tensor import CooccurrenceTensor, read_sidecar, sidecar_path, write_sidecar
+from argex.tensor import CooccurrenceTensor
 from argex.tokens import parse_canonical
 
 from conftest import DATA_DIR, REPO_ROOT, blocks, conll_text, record_space_id, targets
@@ -438,6 +439,23 @@ class TestStages:
         assert code == 4
         assert str(damaged) in err
         assert "Traceback" not in err
+
+    def test_report_reads_an_out_dir_whose_name_is_a_glob_pattern_as_a_path(self, tmp_path, capsys):
+        # as a pattern, `out[1]` names `out1` and `o*` names `oa` too
+        report = json.dumps({
+            "task": "chow", "variant": {"kind": "deps", "k": 10, "composition": "sum"},
+            "accuracy": 1.0, "coverage": 1.0, "counts": {"n_ties": 0}, "all_ties": False,
+        })
+        for name in ("out[1]", "oa", "o*"):
+            (tmp_path / name / "reports").mkdir(parents=True)
+        for name in ("out[1]", "oa"):
+            (tmp_path / name / "reports" / "chow.deps-sum-k10.json").write_text(report, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "report", "-c", CHOW_CONF, "--out-dir", str(tmp_path / "out[1]"))
+        assert code == 0
+        assert out.split("\n")[1].split() == ["chow", "deps", "sum", "10", "1.000", "100%", "0"]
+        code, out, _ = run_cli(capsys, "report", "-c", CHOW_CONF, "--out-dir", str(tmp_path / "o*"))
+        assert code == 0
+        assert out == f"no reports under {tmp_path / 'o*' / 'reports'}\n"
 
     def test_report_it_cannot_open_exits_2_naming_the_file(self, tmp_path, capsys):
         unreadable = tmp_path / "reports" / "bad.json"
@@ -1282,9 +1300,26 @@ class TestImportSet:
         assert "argex.space" in modules
         # fillers takes no lock, so it needs no fcntl either
         unused = {"argex.conll", "argex.corpus", "argex.datasets", "argex.evaluation",
-                  "argex.expectation", "argex.stats", "fcntl"}
+                  "argex.expectation", "argex.stats", "argex.tensor", "argex.weighting", "fcntl"}
         assert unused.isdisjoint(modules), sorted(unused.intersection(modules))
 
+    @pytest.mark.parametrize("argv", [["eval", "--task", "bicknell-acc1", "--kind", "boa", "--k", "10"], ["sweep"]],
+                             ids=["eval", "sweep"])
+    def test_scoring_imports_no_parsing_counting_or_weighting_module(self, bicknell_out, tmp_path, argv):
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        script = (
+            "import sys\n"
+            "from argex.cli import main\n"
+            f"code = main({argv + ['-c', BICKNELL_CONF, '--out-dir', out]!r})\n"
+            "print(code, *sorted(name for name in sys.modules if name.startswith('argex.')))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], cwd=REPO_ROOT, env=child_env(),
+                                capture_output=True, text=True, check=True)
+        code, *modules = result.stdout.split("\n")[-2].split()
+        assert code == "0"
+        assert {"argex.artifacts", "argex.evaluation", "argex.space"} <= set(modules)
+        unused = {"argex.conll", "argex.corpus", "argex.tensor", "argex.weighting"}
+        assert unused.isdisjoint(modules), sorted(unused.intersection(modules))
 
     def test_core_modules_import_neither_dataclasses_nor_inspect(self):
         # every argex module, in a child process: pytest has imported both already
@@ -1402,6 +1437,33 @@ class TestGoldenChecker:
         actual = {"a/same": "2", "a/moved": "4", "a/new": "5"}
         assert checker.compare(pinned, actual) == [
             "missing: a/gone", "not pinned: a/new", "differs: a/moved"]
+
+    def test_each_named_interpreter_gets_its_line(self):
+        # this interpreter twice: no test may depend on which others a machine has
+        result = subprocess.run([sys.executable, self.SCRIPT, "--python", sys.executable, "--python", sys.executable],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        version = ".".join(map(str, sys.version_info[:3]))
+        lines = [line for line in result.stdout.splitlines() if line.startswith("python ")]
+        assert lines == [f"python {version}: 32 artifacts, 183 reports, 0 mismatches"] * 2
+
+    def test_a_mismatch_under_any_interpreter_exits_1(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location("check_golden", self.SCRIPT)
+        checker = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(checker)
+        checked = []
+        monkeypatch.setattr(checker, "check", lambda python: checked.append(python) or python != "bad")
+        assert checker.main(["--python", "good", "--python", "bad", "--python", "other"]) == 1
+        assert checked == ["good", "bad", "other"]
+        assert checker.main(["--python", "good"]) == 0
+        assert checker.main([]) == 0 and checked[-1] == sys.executable
+
+    def test_an_interpreter_that_cannot_run_exits_2_naming_it(self, tmp_path):
+        missing = str(tmp_path / "no-python")
+        result = subprocess.run([sys.executable, self.SCRIPT, "--python", missing], capture_output=True, text=True)
+        assert result.returncode == 2
+        assert f"cannot run {missing}:" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestEnvironment:

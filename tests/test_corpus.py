@@ -16,7 +16,7 @@ from argex.corpus import (
     save_vocabulary,
 )
 from argex.errors import ConfigError, ConsistencyError, CorpusError
-from argex.tensor import write_artifact
+from argex.artifacts import write_artifact
 from argex.tokens import VERB_LINK, inverse
 
 from conftest import (

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from argex import space as space_module
+from argex.artifacts import format_score, write_artifact
 from argex.corpus import load_vocabulary
 from argex.errors import ConfigError, ConsistencyError, CorpusError, OutOfVocabularyError
 from argex.space import (
@@ -28,7 +29,7 @@ from argex.space import (
     vector_of,
 )
 from argex.tensor import FORMAT_VERSION as TENSOR_FORMAT_VERSION
-from argex.tensor import CooccurrenceTensor, format_score, write_artifact
+from argex.tensor import CooccurrenceTensor
 from argex.tokens import ARG
 from argex.weighting import WeightedTensor, weight_tensor
 

@@ -7,16 +7,8 @@ from hypothesis import strategies as st
 
 from argex.corpus import extract_dependency_counts, extract_window_counts
 from argex.errors import ConfigError, ConsistencyError, CorpusError, StaleArtifactError
-from argex.tensor import (
-    FORMAT_VERSION,
-    CooccurrenceTensor,
-    full_size,
-    read_artifact,
-    read_sidecar,
-    sidecar_path,
-    write_artifact,
-    write_sidecar,
-)
+from argex.artifacts import read_artifact, read_sidecar, sidecar_path, write_artifact, write_sidecar
+from argex.tensor import FORMAT_VERSION, CooccurrenceTensor, full_size
 
 from conftest import DEFAULTS, OBJECTS, SUBJECTS, counted, parse_text, random_corpus_text, vocabulary
 

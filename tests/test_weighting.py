@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from argex.artifacts import read_artifact
 from argex.errors import UndefinedModelError
 from argex.space import build_space
-from argex.tensor import CooccurrenceTensor, read_artifact
+from argex.tensor import CooccurrenceTensor
 from argex.tokens import ARG
 from argex.weighting import (
     WeightedTensor,
