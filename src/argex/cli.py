@@ -12,8 +12,14 @@ directory. Exit codes: 0 success, 2 input error, 3 query error,
 
 Each command imports the stage modules it uses. A one-shot ``fillers``
 loads ``config``, ``errors``, ``tokens``, ``artifacts`` and ``space``;
-``eval`` and ``sweep`` add the scoring modules. No query loads the
-parser, the counters (``corpus``, ``tensor``) or ``weighting``.
+``eval`` and ``sweep`` add the scoring modules, and a sweep on more
+than one core ``pool``. No query loads the parser, the counters
+(``corpus``, ``tensor``) or ``weighting``.
+
+A sweep scores its (task, kind) pairs on forked workers, one per core
+this process may run on and at most one per pair, this process among
+them (``_score``); an ``eval`` is one pair and forks nothing. Nothing
+it prints or writes depends on the number of workers.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from .config import (
     space_hash,
 )
 from .errors import (
+    ArgexError,
     ConfigError,
     ConsistencyError,
     CorpusError,
@@ -159,18 +166,19 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         "arcs": str(stats.arcs),
         "dropped_arcs": str(stats.dropped_arcs),
     }
+    dep_size, win_size = full_size(dep.counts), full_size(win.counts)
     with locked(config.out_dir):
         vocab_hash = save_vocabulary(vocab, paths["vocab"], {"ingest_hash": stamp, **counts})
-        dep.save(paths["deps_tensor"], {"ingest_hash": stamp, "vocab_hash": vocab_hash})
-        win.save(paths["window_tensor"], {"ingest_hash": stamp, "vocab_hash": vocab_hash})
+        dep.save(paths["deps_tensor"], {"ingest_hash": stamp, "vocab_hash": vocab_hash}, dep_size)
+        win.save(paths["window_tensor"], {"ingest_hash": stamp, "vocab_hash": vocab_hash}, win_size)
     print(
         f"ingested {stats.sentences} sentences from {len(stats.files)} file(s): "
         f"{stats.rows} rows ({stats.malformed_rows} malformed), "
         f"{stats.arcs} arcs kept ({stats.dropped_arcs} dropped)"
     )
     print(f"vocabulary: {len(vocab)} tokens at threshold {config.vocab_threshold}")
-    print("dependency tensor: %d entries, total %d -> %s" % (*full_size(dep.counts), paths["deps_tensor"]))
-    print("window tensor: %d entries, total %d -> %s" % (*full_size(win.counts), paths["window_tensor"]))
+    print("dependency tensor: %d entries, total %d -> %s" % (*dep_size, paths["deps_tensor"]))
+    print("window tensor: %d entries, total %d -> %s" % (*win_size, paths["window_tensor"]))
     return 0
 
 
@@ -289,14 +297,22 @@ def _dataset_paths(config: PipelineConfig) -> dict[str, str]:
 
 
 def _score(
-    config: PipelineConfig, datasets, kinds, compositions, k_values
-) -> list[tuple[EvalReport, dict[str, str]]]:
-    """Every cell's report and provenance, in (task, kind, composition, k) order.
+    config: PipelineConfig, datasets, kinds, compositions, k_values, workers: int | None = None
+) -> list[tuple[EvalReport, bytes, bytes]]:
+    """Every cell's report and its ``.json`` and ``.items.csv`` bytes, in (task, kind, composition, k) order.
 
-    ``datasets`` holds (task, path, items). Writes nothing; each space
-    is loaded on its first use.
+    ``datasets`` holds (task, path, items). Writes nothing. Each
+    (task, kind) pair is one job: ``evaluate_grid`` over every
+    composition and k, then the rendering of its cells. The spaces are
+    loaded first, in the order of the jobs' first use. The jobs then run
+    on ``workers`` processes (``pool.fork_map``, most items first), by
+    default one per core and at most one per job, or one while the
+    process runs another thread. Each forked worker holds copy-on-write
+    pages of the loaded spaces. Outcomes are taken in job order, so a run
+    ends in the error that one process running the jobs in turn would
+    meet first; one worker is that process.
     """
-    from .evaluation import BicknellSlots, ChowSlots, evaluate_grid
+    from .evaluation import BicknellSlots, ChowSlots, evaluate_grid, per_item_csv, report_to_json
 
     spaces: dict[str, WeightedSpace] = {}
 
@@ -306,29 +322,60 @@ def _score(
             spaces[which] = _load_space_checked(config, which)
         return spaces[which]
 
+    stamps = {"config_hash": config_hash(config), "space_hash": space_hash(config)}
+    jobs = []
+    load_error = None
+    try:
+        for task, dataset, items in datasets:
+            for kind in kinds:
+                # boa_space=window: BOA ranks its fillers in the deps space and reads their window vectors
+                window_boa = kind is VariantKind.BOA and config.boa_space == "window"
+                vectors = space("window" if kind is VariantKind.BOW or window_boa else "deps")
+                provenance = {**stamps, "space_id": vectors.space_id, "dataset": dataset}
+                index = None
+                if window_boa:
+                    index = space("deps")
+                    provenance["index_space_id"] = index.space_id
+                if task == TASK_CHOW and kind is not VariantKind.DEPS:
+                    _note(f"note: {kind.value} on role reversal is provably tied")
+                jobs.append((task, kind, items, vectors, index, provenance))
+    except ArgexError as exc:  # raised after the jobs before its first use, as it would be in turn
+        load_error = exc
+
     chow_slots = ChowSlots(agent=config.chow_agent_slot, patient=config.chow_patient_slot)
     bicknell_slots = BicknellSlots(agent=config.bicknell_agent_slot, verb=config.bicknell_verb_slot)
-    stamps = {"config_hash": config_hash(config), "space_hash": space_hash(config)}
+
+    def run(job: int) -> list[tuple[EvalReport, bytes, bytes]]:
+        task, kind, items, vectors, index, provenance = jobs[job]
+        slots = chow_slots if task == TASK_CHOW else bicknell_slots
+        grid = evaluate_grid(vectors, kind, items, task, compositions, k_values, slots, index=index)
+        return [
+            (report, report_to_json(report, provenance).encode("utf-8"), per_item_csv(report).encode("utf-8"))
+            for report in (grid[(comp, k)] for comp in compositions for k in k_values)
+        ]
+
+    if workers is None:
+        # one per core this process may run on, at most one per job, and no fork beside another
+        # thread: a child would inherit the locks it holds, held
+        threading = sys.modules.get("threading")
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        workers = 1 if threading and threading.active_count() > 1 else min(cores, len(jobs))
+    if workers > 1:
+        from .pool import fork_map
+
+        most_items_first = sorted(range(len(jobs)), key=lambda job: -len(jobs[job][2]))
+        results = fork_map(run, most_items_first, workers)
+    else:  # each job runs as its turn comes
+        results = map(run, range(len(jobs)))
     cells = []
-    for task, dataset, items in datasets:
-        for kind in kinds:
-            # boa_space=window: BOA ranks its fillers in the deps space and reads their window vectors
-            window_boa = kind is VariantKind.BOA and config.boa_space == "window"
-            vectors = space("window" if kind is VariantKind.BOW or window_boa else "deps")
-            provenance = {**stamps, "space_id": vectors.space_id, "dataset": dataset}
-            index = None
-            if window_boa:
-                index = space("deps")
-                provenance["index_space_id"] = index.space_id
-            if task == TASK_CHOW and kind is not VariantKind.DEPS:
-                _note(f"note: {kind.value} on role reversal is provably tied")
-            slots = chow_slots if task == TASK_CHOW else bicknell_slots
-            grid = evaluate_grid(vectors, kind, items, task, compositions, k_values, slots, index=index)
-            if kind is VariantKind.DEPS and any(report.n_failed for report in grid.values()):
-                keys = (("chow_agent_slot", "chow_patient_slot") if task == TASK_CHOW
-                        else ("bicknell_agent_slot", "bicknell_verb_slot"))
-                _refuse_slots_naming_no_relation({key: getattr(config, key) for key in keys}, vectors)
-            cells += [(grid[(comp, k)], provenance) for comp in compositions for k in k_values]
+    for (task, kind, _, vectors, _, _), job_cells in zip(jobs, results):
+        if kind is VariantKind.DEPS and any(report.n_failed for report, _, _ in job_cells):
+            keys = (("chow_agent_slot", "chow_patient_slot") if task == TASK_CHOW
+                    else ("bicknell_agent_slot", "bicknell_verb_slot"))
+            _refuse_slots_naming_no_relation({key: getattr(config, key) for key in keys}, vectors)
+        cells += job_cells
+    if load_error is not None:
+        raise load_error
     return cells
 
 
@@ -347,16 +394,16 @@ def _refuse_slots_naming_no_relation(slots: dict[str, str], space: WeightedSpace
 
 def _write_reports(out_dir: str, cells, table_of: Callable[[str], str | None]) -> None:
     """Write each cell's ``.json`` and ``.items.csv``, then its task's table if ``table_of`` names one."""
-    from .evaluation import per_item_csv, per_k_csv, report_to_json
+    from .evaluation import per_k_csv
 
     reports_dir = artifact_paths(out_dir)["reports"]
     make_output_dir(reports_dir)
     for task, task_cells in itertools.groupby(cells, key=lambda cell: cell[0].task):
         reports = []
-        for report, provenance in task_cells:
+        for report, json_bytes, csv_bytes in task_cells:
             base = os.path.join(reports_dir, f"{task}.{report.variant.label}")
-            write_bytes_atomic(base + ".json", report_to_json(report, provenance).encode("utf-8"))
-            write_bytes_atomic(base + ".items.csv", per_item_csv(report).encode("utf-8"))
+            write_bytes_atomic(base + ".json", json_bytes)
+            write_bytes_atomic(base + ".items.csv", csv_bytes)
             reports.append(report)
         table = table_of(task)
         if table:
@@ -387,7 +434,7 @@ def _run(config: PipelineConfig, tasks: dict[str, str], kinds, compositions, k_v
     with locked(config.out_dir):
         cells = _score(config, datasets, kinds, compositions, k_values)
         _write_reports(config.out_dir, cells, table_of)
-    for report, _ in cells:
+    for report, _, _ in cells:
         print(report.summary_line())
     return 0
 

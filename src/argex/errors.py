@@ -36,6 +36,9 @@ class OutOfVocabularyError(ArgexError):
         super().__init__(f"out-of-vocabulary token: {token}")
         self.token = token
 
+    def __reduce__(self):  # pickled as it was made, not from its message
+        return type(self), (self.token,)
+
 
 class EmptyPrototypeError(ArgexError):
     """A slot query yielded no fillers to build a prototype from."""
@@ -43,6 +46,9 @@ class EmptyPrototypeError(ArgexError):
     def __init__(self, query):
         super().__init__(f"no fillers available for query: {query}")
         self.query = query
+
+    def __reduce__(self):
+        return type(self), (self.query,)
 
 
 class SpaceMismatchError(ArgexError):

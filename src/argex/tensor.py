@@ -106,9 +106,13 @@ class CooccurrenceTensor:
     def content_hash(self) -> str:
         return sha256([self.to_tsv().encode("utf-8")])
 
-    def save(self, path: str, sidecar: dict[str, str] | None = None) -> str:
-        """Write the sorted runs and their sidecar, with the ``full_size`` figures; returns the content hash."""
-        entries, total = full_size(self.counts)
+    def save(self, path: str, sidecar: dict[str, str] | None = None,
+             size: tuple[int, int] | None = None) -> str:
+        """Write the sorted runs and their sidecar, with the ``full_size`` figures; returns the content hash.
+
+        ``size`` is ``full_size(self.counts)`` when the caller has it already.
+        """
+        entries, total = size or full_size(self.counts)
         meta = {
             "total": str(total),
             "entries": str(entries),

@@ -2,6 +2,7 @@
 
 import contextlib
 import fcntl
+import functools
 import gc
 import hashlib
 import importlib.util
@@ -10,16 +11,20 @@ import itertools
 import json
 import os
 import pathlib
+import select
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from argex.artifacts import read_sidecar, sidecar_path, write_sidecar
+from argex import cli
 from argex.cli import main
 from argex.tensor import CooccurrenceTensor
 from argex.tokens import parse_canonical
@@ -70,6 +75,23 @@ def hold_lock(lock: str) -> subprocess.Popen:
 def copy_artifacts(src: str, dst: str) -> str:
     shutil.copytree(src, dst, ignore=shutil.ignore_patterns("reports"))
     return dst
+
+
+def damage_first_line(space: str, name: str, target: str) -> tuple[str, int]:
+    """Damage the score on the first line of ``target``'s block in ``space/name`` (``rows.tsv`` or ``arg.tsv``)
+    and re-record the space id, so only a read of that block finds the fault; returns (path, line)."""
+    path = os.path.join(space, name)
+    with open(os.path.join(space, "blocks.tsv"), encoding="utf-8") as fh:
+        offsets = next(line.split("\t") for line in fh if line.startswith(f"{target}\t"))
+    start = int(offsets[1 if name == "rows.tsv" else 2])
+    text = pathlib.Path(path).read_text(encoding="utf-8")
+    line = text.count("\n", 0, start)
+    lines = text.splitlines(keepends=True)
+    middle, score = lines[line].split("\t")
+    lines[line] = f"{middle}\t{'x' * (len(score) - 1)}\n"  # the same length: no offset moves
+    pathlib.Path(path).write_text("".join(lines), encoding="utf-8")
+    record_space_id(space)
+    return path, line + 1
 
 
 # the files of a version-3 or version-4 archive, in the order of their space_id
@@ -179,6 +201,21 @@ class TestStages:
         assert not os.path.exists(os.path.join(bicknell_out, ".lock"))
         # the ARG rankings are stored once, in deps.space/arg.tsv
         assert not os.path.exists(os.path.join(bicknell_out, "arg.weighted.tsv"))
+
+    def test_ingest_sizes_each_tensor_once_and_prints_its_sidecar_figures(self, tmp_path, monkeypatch, capsys):
+        from argex import tensor
+
+        calls = []
+        real = tensor.full_size
+        monkeypatch.setattr(tensor, "full_size", lambda stored: calls.append(len(stored)) or real(stored))
+        out = str(tmp_path)
+        code, stdout, _ = run_cli(capsys, "ingest", "-c", BICKNELL_CONF, "--out-dir", out)
+        assert code == 0
+        assert len(calls) == 2
+        for label, name in (("dependency tensor", "deps.tensor.tsv"), ("window tensor", "window.tensor.tsv")):
+            path = os.path.join(out, name)
+            meta = read_sidecar(sidecar_path(path))
+            assert f"\n{label}: {meta['entries']} entries, total {meta['total']} -> {path}\n" in stdout
 
     def test_weight_reads_no_row_back_and_prints_the_archive_counts(self, tmp_path, monkeypatch, capsys):
         from argex import space as space_module
@@ -809,24 +846,12 @@ class TestGuards:
         other = ("fillers", "--target", "treat-v", "--slot", slot, "-c", BICKNELL_CONF, "--out-dir", out)
         expected = run_cli(capsys, *other)
         assert expected[0] == 0 and expected[1].startswith(f"treat-v/{slot}: ")
-        path = os.path.join(space, name)
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        with open(os.path.join(space, "blocks.tsv"), encoding="utf-8") as fh:
-            offsets = next(line.split("\t") for line in fh if line.startswith("arrest-v\t"))
-        start = int(offsets[1 if name == "rows.tsv" else 2])
-        line = text.count("\n", 0, start)  # the first line of arrest-v's block
-        lines = text.splitlines(keepends=True)
-        middle, score = lines[line].split("\t")
-        lines[line] = f"{middle}\t{'x' * (len(score) - 1)}\n"  # the same length: no offset moves
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("".join(lines))
-        record_space_id(space)
+        path, line = damage_first_line(space, name, "arrest-v")
         assert run_cli(capsys, *other) == expected
         code, stdout, err = run_cli(capsys, "fillers", "--target", "arrest-v", "--slot", slot,
                                     "-c", BICKNELL_CONF, "--out-dir", out)
         assert code == 2
-        assert f"{path}:{line + 1}: expected {layout}, got " in err
+        assert f"{path}:{line}: expected {layout}, got " in err
         assert stdout == ""
 
     @pytest.mark.parametrize("argv, read, kind", [
@@ -1762,3 +1787,156 @@ class TestGoldenReports:
                     actual[f"{name}/{filename}"] = hashlib.sha256(fh.read()).hexdigest()
         assert sorted(actual) == sorted(pinned)
         assert {n: d for n, d in actual.items() if pinned[n] != d} == {}
+
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the workers a run forks; ``os.fork`` is otherwise the real one."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_reaped(pids: list[int]) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # neither running nor a zombie: already waited for
+            os.waitpid(pid, os.WNOHANG)
+
+
+def sweep_with_workers(capsys, workers: int, conf: str, out: str, *extra: str) -> tuple[int, str, str]:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_score", functools.partial(cli._score, workers=workers))
+        return run_cli(capsys, "sweep", "-c", conf, "--out-dir", out, *extra)
+
+
+class TestWorkers:
+    """A sweep's (task, kind) jobs run on forked workers; nothing a run shows depends on how many."""
+
+    @pytest.mark.parametrize("conf, fixture, tables", [(BICKNELL_CONF, "bicknell_out", 2), (CHOW_CONF, "chow_out", 1)],
+                             ids=["bicknell", "chow"])
+    def test_reports_stdout_and_stderr_do_not_depend_on_the_worker_count(
+            self, request, tmp_path, capsys, forked, conf, fixture, tables):
+        source = request.getfixturevalue(fixture)
+        capsys.readouterr()  # the fixture's own stages
+        frozen = gc.get_freeze_count()
+        runs = {}
+        for workers in (1, 2, 12):  # 12: more workers than jobs, so some take none
+            out = copy_artifacts(source, str(tmp_path / "out"))
+            code, stdout, stderr = sweep_with_workers(capsys, workers, conf, out)
+            assert code == 0, stderr
+            assert not os.path.exists(os.path.join(out, ".lock"))
+            runs[workers] = (stdout, stderr, reports_snapshot(out))
+            shutil.rmtree(out)
+        assert len(forked) == 1 + 11
+        assert_reaped(forked)
+        assert gc.get_freeze_count() == frozen
+        assert runs[2] == runs[1] and runs[12] == runs[1]
+        stdout, _, reports = runs[1]
+        assert stdout.count("\n") == (len(reports) - tables) // 2
+
+    def test_eval_is_one_job_and_forks_nothing(self, bicknell_out, tmp_path, capsys, monkeypatch):
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("eval forked"))
+        code, stdout, err = run_cli(capsys, "eval", "-c", BICKNELL_CONF, "--out-dir", out,
+                                    "--task", "bicknell-acc1", "--kind", "boa", "--k", "10,20")
+        assert code == 0, err
+        assert stdout.count("\n") == 2
+
+    def test_a_sweep_beside_another_thread_forks_nothing(self, chow_out, tmp_path, capsys, monkeypatch):
+        out = copy_artifacts(chow_out, str(tmp_path / "out"))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a sweep forked beside a thread"))
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            code, stdout, _ = run_cli(capsys, "sweep", "-c", CHOW_CONF, "--out-dir", out)
+        finally:
+            release.set()
+            thread.join(60)
+        assert not thread.is_alive()
+        assert code == 0 and stdout.count("\n") == 30
+
+    def test_a_one_core_sweep_forks_nothing(self, chow_out, tmp_path, capsys, monkeypatch):
+        expected = run_cli(capsys, "sweep", "-c", CHOW_CONF, "--out-dir", copy_artifacts(chow_out, str(tmp_path / "out")))
+        assert expected[0] == 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a one-core sweep forked"))
+        assert run_cli(capsys, "sweep", "-c", CHOW_CONF, "--out-dir", str(tmp_path / "out")) == expected
+
+    def test_a_damaged_block_a_later_job_reads_fails_as_with_one_worker(self, bicknell_out, tmp_path, capsys, forked):
+        # the window space is hash-valid, so it loads; only the bow jobs read arrest-v's block
+        runs = {}
+        for workers in (1, 2, 7):
+            out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+            path, line = damage_first_line(os.path.join(out, "window.space"), "rows.tsv", "arrest-v")
+            runs[workers] = sweep_with_workers(capsys, workers, BICKNELL_CONF, out)
+            assert not os.path.exists(os.path.join(out, "reports"))
+            assert not os.path.exists(os.path.join(out, ".lock"))
+            shutil.rmtree(out)
+        code, stdout, err = runs[1]
+        assert (code, stdout) == (2, "")
+        assert f"{path}:{line}: expected dimension id, score, got " in err
+        assert "Traceback" not in err
+        assert runs[2] == runs[7] == runs[1]
+        assert len(forked) == 1 + 6
+        assert_reaped(forked)
+
+    def test_a_worker_that_dies_without_a_result_is_a_typed_error(
+            self, bicknell_out, tmp_path, capsys, monkeypatch, forked):
+        from argex import evaluation
+
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        parent = os.getpid()
+        real = evaluation.evaluate_grid
+        started_r, started_w = os.pipe()
+        waited = []
+
+        def evaluate_grid(*args, **kwargs):
+            if os.getpid() != parent:
+                os.write(started_w, b"x")
+                os.kill(os.getpid(), signal.SIGKILL)
+            if not waited:  # the parent's first job waits until the worker has taken one
+                assert select.select([started_r], [], [], 60)[0], "the worker took no job"
+                waited.append(os.read(started_r, 1))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "evaluate_grid", evaluate_grid)
+        try:
+            code, stdout, err = sweep_with_workers(capsys, 2, BICKNELL_CONF, out)
+        finally:
+            os.close(started_r)
+            os.close(started_w)
+        assert (code, stdout) == (4, "")
+        assert err.endswith(f": worker process {forked[0]} was killed by signal {int(signal.SIGKILL)}\n")
+        assert "internal consistency error: no result for job " in err
+        assert "Traceback" not in err
+        assert not os.path.exists(os.path.join(out, "reports"))
+        assert not os.path.exists(os.path.join(out, ".lock"))
+        assert_reaped(forked)
+
+    @pytest.mark.parametrize("kinds, code, message", [
+        ("deps,bow", 2, "DEPS queries need a dependency relation"),
+        ("bow,deps", 4, "is of kind 'dependency', expected 'window'"),
+    ], ids=["scoring-error-first", "load-error-first"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_space_that_fails_to_load_fails_at_its_first_use(
+            self, chow_out, tmp_path, capsys, kinds, code, message, workers):
+        # the deps job refuses a WINDOW slot; the window space does not load
+        out = copy_artifacts(chow_out, str(tmp_path / "out"))
+        manifest = os.path.join(out, "window.space", "manifest.txt")
+        write_sidecar(manifest, {**read_sidecar(manifest), "kind": "dependency"})
+        result = sweep_with_workers(capsys, workers, CHOW_CONF, out, "--set", f"variant_kinds={kinds}",
+                                    "--set", "chow_agent_slot=WINDOW")
+        assert result[:2] == (code, "")
+        assert message in result[2]
+        assert not os.path.exists(os.path.join(out, "reports"))
