@@ -123,7 +123,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         extract_window_counts,
         save_vocabulary,
     )
-    from .tensor import full_size
 
     config = _config_from_args(args)
     if not config.corpus_paths:
@@ -166,19 +165,18 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         "arcs": str(stats.arcs),
         "dropped_arcs": str(stats.dropped_arcs),
     }
-    dep_size, win_size = full_size(dep.counts), full_size(win.counts)
     with locked(config.out_dir):
         vocab_hash = save_vocabulary(vocab, paths["vocab"], {"ingest_hash": stamp, **counts})
-        dep.save(paths["deps_tensor"], {"ingest_hash": stamp, "vocab_hash": vocab_hash}, dep_size)
-        win.save(paths["window_tensor"], {"ingest_hash": stamp, "vocab_hash": vocab_hash}, win_size)
+        dep.save(paths["deps_tensor"], {"ingest_hash": stamp, "vocab_hash": vocab_hash})
+        win.save(paths["window_tensor"], {"ingest_hash": stamp, "vocab_hash": vocab_hash})
     print(
-        f"ingested {stats.sentences} sentences from {len(stats.files)} file(s): "
+        f"ingested {stats.sentences} sentences from {len(config.corpus_paths)} file(s): "
         f"{stats.rows} rows ({stats.malformed_rows} malformed), "
         f"{stats.arcs} arcs kept ({stats.dropped_arcs} dropped)"
     )
     print(f"vocabulary: {len(vocab)} tokens at threshold {config.vocab_threshold}")
-    print("dependency tensor: %d entries, total %d -> %s" % (*dep_size, paths["deps_tensor"]))
-    print("window tensor: %d entries, total %d -> %s" % (*win_size, paths["window_tensor"]))
+    print(f"dependency tensor: {len(dep)} entries, total {dep.total} -> {paths['deps_tensor']}")
+    print(f"window tensor: {len(win)} entries, total {win.total} -> {paths['window_tensor']}")
     return 0
 
 
@@ -303,14 +301,15 @@ def _score(
 
     ``datasets`` holds (task, path, items). Writes nothing. Each
     (task, kind) pair is one job: ``evaluate_grid`` over every
-    composition and k, then the rendering of its cells. The spaces are
-    loaded first, in the order of the jobs' first use. The jobs then run
-    on ``workers`` processes (``pool.fork_map``, most items first), by
-    default one per core and at most one per job, or one while the
-    process runs another thread. Each forked worker holds copy-on-write
-    pages of the loaded spaces. Outcomes are taken in job order, so a run
-    ends in the error that one process running the jobs in turn would
-    meet first; one worker is that process.
+    composition and k, the check of its task's slot settings when a
+    ``deps`` cell has a failed item, then the rendering of its cells. The
+    spaces are loaded first, in the order of the jobs' first use. The
+    jobs then run on ``workers`` processes (``pool.fork_map``, most items
+    first), by default one per core and at most one per job, or one while
+    the process runs another thread. Each forked worker holds
+    copy-on-write pages of the loaded spaces. Outcomes are taken in job
+    order, so a run ends in the error that one process running the jobs
+    in turn would meet first; one worker is that process.
     """
     from .evaluation import BicknellSlots, ChowSlots, evaluate_grid, per_item_csv, report_to_json
 
@@ -327,6 +326,10 @@ def _score(
     load_error = None
     try:
         for task, dataset, items in datasets:
+            chow = task == TASK_CHOW
+            keys = ("chow_agent_slot", "chow_patient_slot") if chow else ("bicknell_agent_slot", "bicknell_verb_slot")
+            settings = {key: getattr(config, key) for key in keys}  # named when a slot names no relation
+            slots = (ChowSlots if chow else BicknellSlots)(*settings.values())
             for kind in kinds:
                 # boa_space=window: BOA ranks its fillers in the deps space and reads their window vectors
                 window_boa = kind is VariantKind.BOA and config.boa_space == "window"
@@ -336,19 +339,17 @@ def _score(
                 if window_boa:
                     index = space("deps")
                     provenance["index_space_id"] = index.space_id
-                if task == TASK_CHOW and kind is not VariantKind.DEPS:
+                if chow and kind is not VariantKind.DEPS:
                     _note(f"note: {kind.value} on role reversal is provably tied")
-                jobs.append((task, kind, items, vectors, index, provenance))
+                jobs.append((task, kind, items, slots, settings, vectors, index, provenance))
     except ArgexError as exc:  # raised after the jobs before its first use, as it would be in turn
         load_error = exc
 
-    chow_slots = ChowSlots(agent=config.chow_agent_slot, patient=config.chow_patient_slot)
-    bicknell_slots = BicknellSlots(agent=config.bicknell_agent_slot, verb=config.bicknell_verb_slot)
-
     def run(job: int) -> list[tuple[EvalReport, bytes, bytes]]:
-        task, kind, items, vectors, index, provenance = jobs[job]
-        slots = chow_slots if task == TASK_CHOW else bicknell_slots
+        task, kind, items, slots, settings, vectors, index, provenance = jobs[job]
         grid = evaluate_grid(vectors, kind, items, task, compositions, k_values, slots, index=index)
+        if kind is VariantKind.DEPS and any(report.n_failed for report in grid.values()):
+            _refuse_slots_naming_no_relation(settings, vectors)
         return [
             (report, report_to_json(report, provenance).encode("utf-8"), per_item_csv(report).encode("utf-8"))
             for report in (grid[(comp, k)] for comp in compositions for k in k_values)
@@ -367,13 +368,7 @@ def _score(
         results = fork_map(run, most_items_first, workers)
     else:  # each job runs as its turn comes
         results = map(run, range(len(jobs)))
-    cells = []
-    for (task, kind, _, vectors, _, _), job_cells in zip(jobs, results):
-        if kind is VariantKind.DEPS and any(report.n_failed for report, _, _ in job_cells):
-            keys = (("chow_agent_slot", "chow_patient_slot") if task == TASK_CHOW
-                    else ("bicknell_agent_slot", "bicknell_verb_slot"))
-            _refuse_slots_naming_no_relation({key: getattr(config, key) for key in keys}, vectors)
-        cells += job_cells
+    cells = [cell for job_cells in results for cell in job_cells]
     if load_error is not None:
         raise load_error
     return cells

@@ -62,9 +62,9 @@ class SentenceRecord(NamedTuple):
 
 
 class ParseStats:
-    """Counters the parser adds to as it reads, and the files it opened."""
+    """Counters the parser adds to as it reads."""
 
-    __slots__ = ("sentences", "rows", "malformed_rows", "arcs", "dropped_arcs", "files")
+    __slots__ = ("sentences", "rows", "malformed_rows", "arcs", "dropped_arcs")
 
     def __init__(
         self,
@@ -73,11 +73,9 @@ class ParseStats:
         malformed_rows: int = 0,
         arcs: int = 0,
         dropped_arcs: int = 0,  # arcs with an endpoint outside the noun/verb universe or on a short row
-        files: list[str] | None = None,
     ):
         self.sentences, self.rows, self.malformed_rows = sentences, rows, malformed_rows
         self.arcs, self.dropped_arcs = arcs, dropped_arcs
-        self.files = [] if files is None else files
 
 
 def _head_index(field_: str) -> int | None:
@@ -212,7 +210,5 @@ def parse_conll_file(
         handle = io.open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise CorpusError(f"cannot open corpus file {path}: {exc}") from exc
-    if stats is not None:
-        stats.files.append(path)
     with handle:
         yield from parse_conll_stream(handle, columns, pos_map, stats, first_sentence_id)

@@ -6,16 +6,16 @@ never stored. Counters and loaders fill ``counts`` directly; weighting
 computes the marginals in one pass over them.
 
 A counter's tensor holds exactly the entries a saved tensor (format
-version 3) stores, so ``save`` writes the counts it is given: each arc
+version 4) stores, so ``save`` writes the counts it is given: each arc
 (h, r, d) once and not its mirror (d, r_inv, h), each window pair once,
 target first. ``load`` returns them plus their mirrors (``_MIRRORS``),
 counts that meet added. The file is a run per (target, relation), in
 sorted order: a header line ``target<TAB>relation<TAB>`` (three fields,
 the last empty), then a ``filler<TAB>count`` line per filler, fillers
 sorted, so a relation label may be any string. The sidecar records the
-format version and the number and total of the entries ``load``
-returns (``full_size``), which it checks on the counts it built. The
-bytes are deterministic for a given input.
+format version and the number and the sum of the ``filler count``
+lines, which ``load`` checks on the entries it parsed before it adds
+any mirror. The bytes are deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .tokens import INVERSE_SUFFIX, WINDOW, Memo, canonical_checker
 Triple = tuple[str, str, str]
 
 # recorded in the sidecar; load refuses a tensor of any other version as stale
-FORMAT_VERSION = "3"
+FORMAT_VERSION = "4"
 _LAYOUT = "a `target relation` header line ending in a tab, then one `filler count` line per filler"
 _MIRRORS = ("the mirror of (target, relation, filler) is (filler, relation_inv, target), "
             "and under WINDOW it is (filler, WINDOW, target)")
@@ -37,17 +37,6 @@ _MIRRORS = ("the mirror of (target, relation, filler) is (filler, relation_inv, 
 def _mirror_relations() -> Memo:
     """The relation of the mirrors of each relation's entries, computed once per label."""
     return Memo(lambda relation: relation if relation == WINDOW else relation + INVERSE_SUFFIX)
-
-
-def full_size(stored: dict[Triple, int]) -> tuple[int, int]:
-    """The sidecar's ``entries`` and ``total``: those of the counts ``load`` returns for ``stored`` ones.
-
-    Each stored count is also its mirror's, so the total doubles, and an
-    entry whose mirror is stored too (a ``WINDOW`` self pair is its own) meets it.
-    """
-    mirror = _mirror_relations()
-    meeting = sum((filler, mirror[relation], target) in stored for target, relation, filler in stored)
-    return 2 * len(stored) - meeting, 2 * sum(stored.values())
 
 
 class CooccurrenceTensor:
@@ -106,16 +95,11 @@ class CooccurrenceTensor:
     def content_hash(self) -> str:
         return sha256([self.to_tsv().encode("utf-8")])
 
-    def save(self, path: str, sidecar: dict[str, str] | None = None,
-             size: tuple[int, int] | None = None) -> str:
-        """Write the sorted runs and their sidecar, with the ``full_size`` figures; returns the content hash.
-
-        ``size`` is ``full_size(self.counts)`` when the caller has it already.
-        """
-        entries, total = size or full_size(self.counts)
+    def save(self, path: str, sidecar: dict[str, str] | None = None) -> str:
+        """Write the sorted runs and their sidecar, with the number and sum of the counts; returns the content hash."""
         meta = {
-            "total": str(total),
-            "entries": str(entries),
+            "total": str(self.total),
+            "entries": str(len(self)),
             **(sidecar or {}),
             "format_version": FORMAT_VERSION,
         }
@@ -129,8 +113,8 @@ class CooccurrenceTensor:
         below 1, a line that is neither a header nor an entry, an entry
         before any header, a header or filler out of strictly increasing
         order (so a repeated triple too), or a ``WINDOW`` filler before its
-        target names ``path:line``. Entries and total, mirrors added, that
-        differ from the sidecar's are inconsistent.
+        target names ``path:line``. A number or sum of the stored counts
+        that differs from the sidecar's is inconsistent.
         """
         text, meta = read_artifact(path)
         version = meta.get("format_version")
@@ -171,15 +155,15 @@ class CooccurrenceTensor:
                     )
             except ValueError as exc:
                 raise CorpusError(f"{path}:{lineno}: {exc}") from None
+        for key, value in zip(("entries", "total"), (len(stored), sum(stored.values()))):
+            if meta.get(key) != str(value):
+                raise ConsistencyError(f"{sidecar_path(path)}: {key} is {meta.get(key)}, the tensor holds {value}")
         counts = dict(stored)
         get = counts.get
         mirror = _mirror_relations()
         for (target, relation, filler), count in stored.items():
             key = (filler, mirror[relation], target)
             counts[key] = get(key, 0) + count
-        for key, value in zip(("entries", "total"), (len(counts), sum(counts.values()))):
-            if meta.get(key) != str(value):
-                raise ConsistencyError(f"{sidecar_path(path)}: {key} is {meta.get(key)}, the tensor holds {value}")
         return cls(counts, source_hash=meta["content_hash"])
 
 

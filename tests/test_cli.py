@@ -202,19 +202,16 @@ class TestStages:
         # the ARG rankings are stored once, in deps.space/arg.tsv
         assert not os.path.exists(os.path.join(bicknell_out, "arg.weighted.tsv"))
 
-    def test_ingest_sizes_each_tensor_once_and_prints_its_sidecar_figures(self, tmp_path, monkeypatch, capsys):
-        from argex import tensor
-
-        calls = []
-        real = tensor.full_size
-        monkeypatch.setattr(tensor, "full_size", lambda stored: calls.append(len(stored)) or real(stored))
+    def test_ingest_prints_each_tensor_sidecar_figures_the_number_and_sum_of_its_lines(self, tmp_path, capsys):
         out = str(tmp_path)
         code, stdout, _ = run_cli(capsys, "ingest", "-c", BICKNELL_CONF, "--out-dir", out)
         assert code == 0
-        assert len(calls) == 2
         for label, name in (("dependency tensor", "deps.tensor.tsv"), ("window tensor", "window.tensor.tsv")):
             path = os.path.join(out, name)
             meta = read_sidecar(sidecar_path(path))
+            with open(path, encoding="utf-8") as fh:
+                counts = [int(line.split("\t")[1]) for line in fh if line.count("\t") == 1]
+            assert (meta["format_version"], meta["entries"], meta["total"]) == ("4", str(len(counts)), str(sum(counts)))
             assert f"\n{label}: {meta['entries']} entries, total {meta['total']} -> {path}\n" in stdout
 
     def test_weight_reads_no_row_back_and_prints_the_archive_counts(self, tmp_path, monkeypatch, capsys):
@@ -725,25 +722,39 @@ class TestGuards:
         assert code == 4
         assert "internal consistency" in err
 
-    def test_tensor_sidecar_without_a_format_version_is_stale(self, bicknell_out, tmp_path, capsys):
+    @pytest.mark.parametrize("version", [None, "3"])
+    def test_tensor_sidecar_of_another_format_version_is_stale(self, bicknell_out, tmp_path, capsys, version):
         out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
         path = os.path.join(out, "deps.tensor.tsv")
         recorded = read_sidecar(sidecar_path(path))
         del recorded["format_version"]
+        if version:  # format 3 stored these runs, but its sidecar sized the counts load returns, mirrors included
+            loaded = CooccurrenceTensor.load(path)
+            recorded.update(format_version=version, entries=str(len(loaded)), total=str(loaded.total))
         write_sidecar(sidecar_path(path), recorded)
         code, _, err = run_cli(capsys, "weight", "-c", BICKNELL_CONF, "--out-dir", out)
         assert code == 2
         assert path in err
         assert "re-run `argex ingest`" in err
 
-    def test_tensor_sidecar_total_the_body_does_not_hold_exits_4(self, bicknell_out, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "figures, named",
+        [
+            (lambda recorded, loaded: {"total": str(int(recorded["total"]) + 1)}, "total"),
+            # the figures a format-3 sidecar held: those of the counts load returns, mirrors included
+            (lambda recorded, loaded: {"entries": str(len(loaded)), "total": str(loaded.total)}, "entries"),
+        ],
+        ids=["total-plus-one", "mirrored"],
+    )
+    def test_tensor_sidecar_figures_the_body_does_not_hold_exit_4(self, bicknell_out, tmp_path, capsys, figures, named):
         out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
         path = os.path.join(out, "window.tensor.tsv")
         recorded = read_sidecar(sidecar_path(path))  # its content_hash still matches the body
-        write_sidecar(sidecar_path(path), {**recorded, "total": str(int(recorded["total"]) + 1)})
+        write_sidecar(sidecar_path(path), {**recorded, **figures(recorded, CooccurrenceTensor.load(path))})
         code, _, err = run_cli(capsys, "weight", "-c", BICKNELL_CONF, "--out-dir", out)
         assert code == 4
-        assert f"{sidecar_path(path)}: total is" in err
+        assert f"{sidecar_path(path)}: {named} is" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "name, damage, code, named",

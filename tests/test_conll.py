@@ -248,7 +248,7 @@ class TestFileParsing:
         stats = ParseStats()
         records = list(parse_conll_file(str(path), COLUMNS, POS_MAP, stats=stats))
         assert len(records) == 1
-        assert stats.files == [str(path)]
+        assert (stats.sentences, stats.rows) == (1, 1)
 
     def test_missing_file_raises(self):
         with pytest.raises(CorpusError):

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from argex.conll import ColumnConfig, ParseStats
+from argex.conll import ColumnConfig
 from argex.datasets import BicknellItem, BicknellMode, ChowItem, load_bicknell, load_chow
 from argex.errors import ConfigError
 from argex.evaluation import (
@@ -78,7 +78,6 @@ class TestFrozenRecords:
 
 class TestMutableRecords:
     def test_each_record_gets_its_own_containers(self):
-        assert ParseStats().files == [] and ParseStats().files is not ParseStats().files
         assert WeightedTensor().scores == {} and WeightedTensor().scores is not WeightedTensor().scores
         first, second = EvalReport("chow", VARIANT, 0, 0), EvalReport("chow", VARIANT, 0, 0)
         assert (first.pairs, first.skipped) == ([], []) and first.pairs is not second.pairs
