@@ -28,6 +28,7 @@ import argparse
 import gc
 import itertools
 import os
+import signal
 import sys
 from typing import TYPE_CHECKING, Callable
 
@@ -601,10 +602,12 @@ def main(argv=None) -> int:
 def entry() -> None:
     """The process entry of ``argex`` and ``python -m argex.cli``: exit with ``main``'s code.
 
-    The heap is frozen on the way out, so the interpreter's collections
-    at shutdown skip the objects the run made, which the exit drops
-    anyway. A ``main(argv)`` called in process leaves the GC as it was.
+    A closed stdout ends the process by ``SIGPIPE``, not a traceback. The
+    heap is frozen on the way out, so the interpreter's collections at
+    shutdown skip the objects the run made, which the exit drops anyway.
+    A ``main(argv)`` called in process leaves the GC and SIGPIPE as they were.
     """
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     try:
         sys.exit(main())
     finally:

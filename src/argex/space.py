@@ -8,6 +8,8 @@ lists every vocabulary token and gives the offset where each one's
 block of lines starts in ``rows.tsv`` and ``arg.tsv``, so a line there
 belongs to the target whose block it sits in, and a ``catalog.tsv``
 line's dimension id is its line number: no line repeats either fact.
+Every filler in ``catalog.tsv`` and ``arg.tsv`` is a target there
+too, as a prototype sums its fillers' own rows.
 ``build_space`` renders the files straight from the weighted scores,
 ``save_space`` writes them with a manifest, and ``load_space`` reads
 them back once their hash is verified. The archive stores scores only:
@@ -36,7 +38,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 from .artifacts import (SCORE_FORMAT, decode_utf8, format_score, make_output_dir, read_bytes, read_sidecar, sha256,
                         write_bodies)
 from .errors import ConsistencyError, CorpusError, OutOfVocabularyError, StaleArtifactError
-from .tokens import ARG, canonical_checker
+from .tokens import ARG, TOKEN
 
 if TYPE_CHECKING:
     from .tensor import Triple
@@ -209,7 +211,8 @@ class WeightedSpace:
     dependency slots' from its row through the catalog lines it refers
     to, the line of id i being line i + 1, each checked when first read;
     and ``ARG``'s from its ``arg.tsv`` block of (filler, score) lines,
-    which holds that ranking whole and gets the same checks.
+    which holds that ranking whole and gets the same checks. A filler
+    that is not in ``vocabulary`` is an input error at its line.
     ``directory`` only names the files in errors.
     """
 
@@ -260,7 +263,8 @@ class WeightedSpace:
         if start != end:
             path, text = self._paths[2], self.texts[2]
             fillers, scores = zip(*_lines(path, text, _ARG_LINE, _ARG_LAYOUT, start, end))
-            _check_column(path, fillers, self.vocabulary, lambda i: _line_of(text, start) + i)
+            if not self.vocabulary.issuperset(fillers):
+                raise _stranger(path, itertools.count(_line_of(text, start)), fillers, self.vocabulary)
             scores = tuple(map(float, scores))
             if not (0.0 < min(scores) and max(scores) < math.inf):
                 raise _row_fault(path, text, start, tuple(range(len(scores))), scores)
@@ -279,9 +283,9 @@ class WeightedSpace:
     def _dimensions(self, ids: Sequence[int]) -> list[tuple[str, str]]:
         """The (relation, filler) of each of the increasing ``ids``.
 
-        Each catalog line is checked when first read: its layout and its
-        filler token. The pairs must increase with the ids, as they do
-        down the catalog.
+        Each catalog line is checked when first read: its layout, and that
+        its filler is a target. The pairs must increase with the ids, as
+        they do down the catalog.
         """
         read = self._pairs
         new = list(itertools.filterfalse(read.__contains__, ids))
@@ -292,7 +296,8 @@ class WeightedSpace:
             if None in matches:
                 i = matches.index(None)
                 raise CorpusError(f"{path}:{new[i] + 1}: expected {_CATALOG_LAYOUT}, got {lines[i]!r}")
-            _check_column(path, list(map(_FILLER, matches)), self.vocabulary, lambda i: new[i] + 1)
+            if not self.vocabulary.issuperset(map(_FILLER, matches)):
+                raise _stranger(path, [i + 1 for i in new], map(_FILLER, matches), self.vocabulary)
             read.update(zip(new, map(_PAIR, matches)))
         pairs = list(map(read.__getitem__, ids))
         if not all(map(operator.lt, pairs, pairs[1:])):
@@ -347,7 +352,7 @@ def build_space(
 
     The files are rendered straight from the sorted score keys,
     one target block at a time, and ``blocks.tsv`` lists every token of
-    ``vocabulary`` and every scored target, with where each one's block
+    ``vocabulary``, every scored target and every filler, with where each one's block
     starts (a token without lines has empty blocks); the space's rows
     and rankings are read back from them on first use. ``extra_index`` contributes ARG rankings only
     (relation-collapsed typicality scores); its entries never become
@@ -384,7 +389,8 @@ def build_space(
         target: "".join([f"{filler}\t{format_score(-negated)}\n" for _, filler, negated in entries])
         for target, entries in itertools.groupby(arg, key=_TARGET_OF_KEY)
     }
-    names = sorted(set(vocabulary).union(row_blocks, arg_blocks))
+    # every filler is a target too: a prototype sums its fillers' own rows
+    names = sorted(set(vocabulary).union(row_blocks, arg_blocks, [f for _, f in catalog], [f for _, f, _ in arg]))
     rows_tsv, rows = _tile(names, row_blocks)
     arg_tsv, arg = _tile(names, arg_blocks)
     texts = (
@@ -429,21 +435,21 @@ def save_space(space: WeightedSpace, directory: str) -> str:
     return space.space_id
 
 
-# A space checks blocks.tsv at load: every line's layout and token, the
-# order of the targets, and that the offsets tile rows.tsv and arg.tsv.
-# A target's blocks, and the catalog lines its row refers to, are
-# checked when the target is first read.
+# A space checks blocks.tsv at load: every line's layout, whose target is a
+# lemma-pos token, the order of the targets, and that the offsets tile
+# rows.tsv and arg.tsv. A target's blocks, and the catalog lines its row
+# refers to, are checked when the target is first read, each filler against the targets.
 _FIELD = r"[^\t\n]+"
 _SCORE = r"[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?"  # format_score of a non-negative finite float
 _ID = "(0|[1-9][0-9]*)"  # a dimension id or an offset, without leading zeros
 _CATALOG_LAYOUT = "relation, filler"  # a catalog line's dimension id is its line number
-_BLOCKS_LAYOUT = "target, offset, offset"  # its targets are the vocabulary
+_BLOCKS_LAYOUT = "target, offset, offset"  # its targets, each lemma-pos, are the vocabulary
 _ROWS_LAYOUT = "dimension id, score"  # a rows.tsv or arg.tsv line's target is the block it sits in
 _ARG_LAYOUT = "filler, score"
 _CATALOG_LINE = re.compile(rf"({_FIELD})\t({_FIELD})")  # a line without its newline
 _PAIR, _FILLER = operator.methodcaller("groups"), operator.methodcaller("group", 2)  # of a catalog line
 # one whole line each, its fields as groups
-_BLOCKS_LINE = re.compile(rf"^({_FIELD})\t{_ID}\t{_ID}\n", re.MULTILINE)
+_BLOCKS_LINE = re.compile(rf"^({TOKEN})\t{_ID}\t{_ID}\n", re.MULTILINE)
 _ROWS_LINE = re.compile(rf"^{_ID}\t({_SCORE})\n", re.MULTILINE)
 _ARG_LINE = re.compile(rf"^({_FIELD})\t({_SCORE})\n", re.MULTILINE)
 _ROWS_OFFSET, _ARG_OFFSET = operator.itemgetter(1), operator.itemgetter(2)  # of a blocks.tsv line
@@ -459,21 +465,10 @@ def _malformed(path: str, text: str, offset: int, layout: str, error=CorpusError
     return error(f"{path}:{_line_of(text, offset)}: expected {layout}, got {line!r}")
 
 
-def _check_column(path: str, column: Sequence[str], known: frozenset[str] = frozenset(),
-                  line_of=lambda i: i + 1, error=CorpusError) -> None:
-    """Check each distinct token of a one-per-line ``column`` not in ``known``.
-
-    A bad one is ``error`` naming its line, ``line_of`` its index.
-    """
-    if known.issuperset(column):
-        return
-    check = canonical_checker()
-    for token in dict.fromkeys(column):
-        if token not in known:
-            try:
-                check(token)
-            except ValueError as exc:
-                raise error(f"{path}:{line_of(column.index(token))}: {exc}") from None
+def _stranger(path: str, lines: Iterable[int], fillers: Iterable[str], vocabulary: frozenset[str]) -> CorpusError:
+    """The error at the first of ``fillers``, each on its line of ``lines``, that is not in ``vocabulary``."""
+    line, filler = next((line, filler) for line, filler in zip(lines, fillers) if filler not in vocabulary)
+    return CorpusError(f"{path}:{line}: filler {filler} is not a target of blocks.tsv")
 
 
 def _tiling(path: str, name: str, text: str, starts: list[int]) -> list[tuple[int, int]]:
@@ -506,7 +501,7 @@ def _tiling(path: str, name: str, text: str, starts: list[int]) -> list[tuple[in
 def _read_blocks(paths: Sequence[str], texts: Sequence[str]) -> tuple[frozenset[str], dict, int]:
     """Check ``blocks.tsv``: the vocabulary, each target's blocks, and the catalog's line count.
 
-    ``blocks.tsv`` must list target tokens in increasing order, and the
+    ``blocks.tsv`` must list ``lemma-pos`` targets in increasing order, and the
     offsets where their blocks start must tile ``rows.tsv`` and
     ``arg.tsv``. No line of the other files is parsed.
     """
@@ -517,7 +512,6 @@ def _read_blocks(paths: Sequence[str], texts: Sequence[str]) -> tuple[frozenset[
     path = paths[3]
     lines = _lines(path, blocks_text, _BLOCKS_LINE, _BLOCKS_LAYOUT, 0, len(blocks_text), ConsistencyError)
     targets = list(map(_TARGET_OF_KEY, lines))
-    _check_column(path, targets, error=ConsistencyError)
     if not all(map(operator.lt, targets, targets[1:])):
         i = next(i for i in range(1, len(targets)) if targets[i - 1] >= targets[i])
         raise ConsistencyError(f"{path}:{i + 1}: target {targets[i]} does not sort after {targets[i - 1]}")
@@ -555,8 +549,8 @@ def load_space(directory: str) -> WeightedSpace:
 
     The format version is checked first, then the bytes of all four
     files against the manifest's ``space_id``, and only then is anything
-    parsed. ``blocks.tsv``, whose targets are the vocabulary, and the
-    manifest's counts are checked here; a target's blocks, and the
+    parsed. ``blocks.tsv``, whose lemma-pos targets are the vocabulary,
+    and the manifest's counts are checked here; a target's blocks, and the
     catalog lines its row refers to, when the target is first read. Any failure names
     ``path:line``, the manifest, or the archive.
     """

@@ -31,6 +31,8 @@ ARG = "ARG"
 
 # matches exactly the characters for which str.isspace() is true
 _WHITESPACE = re.compile(r"\s")
+# canonical_checker's rule as a pattern: a whole string fits it when the checker accepts it
+TOKEN = rf"\S+-[{NOUN}{VERB_POS}]"
 
 
 class _LemmaPos(NamedTuple):

@@ -11,6 +11,7 @@ import itertools
 import json
 import os
 import pathlib
+import re
 import select
 import shutil
 import signal
@@ -865,6 +866,34 @@ class TestGuards:
         assert f"{path}:{line}: expected {layout}, got " in err
         assert stdout == ""
 
+    # the first catalog.tsv line is pilot-n's VERB filler; the first arg.tsv line is arrest-v's first ARG filler
+    @pytest.mark.parametrize("name, old, new, fillers", [
+        ("catalog.tsv", "airplane-n", "aaa-n", ("--target", "pilot-n", "--slot", "VERB")),
+        ("arg.tsv", "burglar-n", "aaaaaaa-n", ("--target", "arrest-v", "--slot", "ARG")),
+    ], ids=["catalog", "arg"])
+    def test_a_filler_that_is_not_a_target_exits_2_naming_its_line_and_writes_no_report(
+            self, bicknell_out, tmp_path, capsys, name, old, new, fillers):
+        # a prototype sums its fillers' rows, so every filler must be a target of blocks.tsv; the damaged
+        # filler is lemma-pos and the archive hash-valid, so only a read of that line finds the fault
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        sweep = ("sweep", "-c", BICKNELL_CONF, "--out-dir", out)
+        assert run_cli(capsys, *sweep)[0] == 0
+        before = reports_snapshot(out)
+        space = os.path.join(out, "deps.space")
+        path = os.path.join(space, name)
+        first, rest = pathlib.Path(path).read_text(encoding="utf-8").split("\n", 1)
+        assert old in first.split("\t")
+        pathlib.Path(path).write_text(f"{first.replace(old, new)}\n{rest}", encoding="utf-8")
+        record_space_id(space)
+        with open(os.path.join(space, "blocks.tsv"), encoding="utf-8") as fh:
+            assert f"\n{new}\t" not in "\n" + fh.read()
+        for argv in (("fillers", *fillers, "-c", BICKNELL_CONF, "--out-dir", out), sweep):
+            code, stdout, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert f"error: {path}:1: filler {new} is not a target of blocks.tsv\n" in err
+            assert stdout == ""
+        assert reports_snapshot(out) == before
+
     @pytest.mark.parametrize("argv, read, kind", [
         (FILLERS_DEPS, "deps.space", "dependency"),
         (FILLERS_WINDOW, "window.space", "window"),
@@ -1397,13 +1426,40 @@ def child_env() -> dict[str, str]:
 
 
 class TestProcessEntry:
-    """``python -m argex.cli`` and the ``argex`` script freeze the heap as they exit; ``main`` does not."""
+    """``python -m argex.cli`` and the ``argex`` script freeze the heap as they exit, and die of ``SIGPIPE`` on a
+    closed stdout; ``main`` does neither."""
 
     def test_main_in_process_leaves_the_gc_as_it_was(self, bicknell_out, capsys):
         before = (gc.isenabled(), gc.get_freeze_count())
         for argv in (FILLERS_DEPS, ("fillers", "--target", "zzzz-n", "--slot", "obj"), ("report",)):
             run_cli(capsys, *argv, "-c", BICKNELL_CONF, "--out-dir", bicknell_out)
             assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    def test_main_in_process_leaves_sigpipe_as_it_was(self, bicknell_out, capsys):
+        before = signal.getsignal(signal.SIGPIPE)
+        for argv in (FILLERS_DEPS, ("report",)):
+            run_cli(capsys, *argv, "-c", BICKNELL_CONF, "--out-dir", bicknell_out)
+            assert signal.getsignal(signal.SIGPIPE) == before
+
+    def test_a_closed_stdout_ends_a_stage_by_sigpipe_without_a_traceback(self, chow_out, tmp_path, capsys):
+        # nothing reads stdout: the sweep writes every report, lets go of its lock, then dies of SIGPIPE as it
+        # prints its summary; report dies as it prints its table
+        out = copy_artifacts(chow_out, str(tmp_path / "out"))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            for stage in ("sweep", "report"):
+                result = subprocess.run([sys.executable, "-m", "argex.cli", stage, "-c", CHOW_CONF, "--out-dir", out],
+                                        cwd=REPO_ROOT, env=child_env(), stdout=write_end, stderr=subprocess.PIPE,
+                                        text=True)
+                assert result.returncode == -signal.SIGPIPE, result.stderr
+                assert "Traceback" not in result.stderr and "BrokenPipeError" not in result.stderr
+                assert not os.path.exists(os.path.join(out, ".lock"))
+        finally:
+            os.close(write_end)
+        expected = copy_artifacts(chow_out, str(tmp_path / "expected"))
+        assert run_cli(capsys, "sweep", "-c", CHOW_CONF, "--out-dir", expected)[0] == 0
+        assert reports_snapshot(out) == reports_snapshot(expected)
 
     def test_the_console_script_is_the_entry(self):
         with open(os.path.join(REPO_ROOT, "pyproject.toml"), encoding="utf-8") as fh:
@@ -1493,6 +1549,42 @@ class TestGoldenChecker:
         assert checked == ["good", "bad", "other"]
         assert checker.main(["--python", "good"]) == 0
         assert checker.main([]) == 0 and checked[-1] == sys.executable
+
+    def test_a_workload_gets_one_tree_line_per_named_interpreter(self):
+        # this interpreter twice, on the fewest sentences that give every task its items
+        result = subprocess.run([sys.executable, self.SCRIPT, "--workload", "300",
+                                 "--python", sys.executable, "--python", sys.executable],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        version = re.escape(".".join(map(str, sys.version_info[:3])))
+        lines = result.stdout.splitlines()
+        assert len(lines) == 2 and lines[0] == lines[1]
+        assert re.fullmatch(rf"python {version}: 300 sentences, [1-9][0-9]* files, tree [0-9a-f]{{64}}", lines[0])
+
+    def test_a_workload_tree_that_differs_exits_1_naming_each_file(self, monkeypatch, capsys):
+        spec = importlib.util.spec_from_file_location("check_golden", self.SCRIPT)
+        checker = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(checker)
+
+        def run_stages(python, name, conf, out, stages, cwd):
+            # each "interpreter" writes the file its name gives, and one shared file
+            assert stages == ("ingest", "weight", "sweep") and os.path.isfile(os.path.join(cwd, conf))
+            os.makedirs(os.path.join(cwd, out))
+            for rel, body in ((python, ""), ("shared", "same")):
+                pathlib.Path(cwd, out, rel).write_text(body, encoding="utf-8")
+
+        monkeypatch.setattr(checker, "version_of", lambda python: python)
+        monkeypatch.setattr(checker, "run_stages", run_stages)
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the checker puts perfbench/ on it
+        assert checker.main(["--workload", "300", "--python", "a", "--python", "a"]) == 0
+        assert checker.main(["--workload", "300", "--python", "a", "--python", "b"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["python b against python a: missing: out/a",
+                                    "python b against python a: not pinned: out/b"]
+        with pytest.raises(SystemExit) as too_small:
+            checker.main(["--workload", "100"])
+        assert too_small.value.code == 2
+        assert "cannot generate a workload of 100 sentences: " in capsys.readouterr().err
 
     def test_an_interpreter_that_cannot_run_exits_2_naming_it(self, tmp_path):
         missing = str(tmp_path / "no-python")

@@ -734,9 +734,9 @@ class TestWriterOrder:
         catalog = sorted({(relation, filler) for _, relation, filler in kept})
         assert loaded.catalog == built.catalog == tuple(catalog)
         dim_id = {dim: i for i, dim in enumerate(catalog)}
-        # blocks.tsv lists every vocabulary token and every target with a line in rows.tsv or arg.tsv, and
-        # each offset starts exactly that target's lines: its row in id order, then its ARG scores by filler,
-        # best first
+        # blocks.tsv lists every vocabulary token, every target with a line in rows.tsv or arg.tsv and every
+        # filler of catalog.tsv and arg.tsv, and each offset starts exactly that target's lines: its row in id
+        # order, then its ARG scores by filler, best first
         row_lines, arg_lines = {}, {}
         for (target, relation, filler), score in sorted(kept.items()):
             row_lines[target] = row_lines.get(target, "") + f"{dim_id[relation, filler]}\t{format_score(score)}\n"
@@ -745,7 +745,8 @@ class TestWriterOrder:
         for target, filler, negated in sorted(arg_kept):
             arg_lines[target] = arg_lines.get(target, "") + f"{filler}\t{format_score(-negated)}\n"
         names = [line.partition("\t")[0] for line in loaded.texts[3].splitlines()]
-        assert names == sorted(set(tokens) | row_lines.keys() | arg_lines.keys())
+        fillers = {filler for _, filler in catalog} | {filler for _, filler, _ in arg_kept}
+        assert names == sorted(set(tokens) | row_lines.keys() | arg_lines.keys() | fillers)
         assert loaded.vocabulary == built.vocabulary == frozenset(names)
         assert loaded.manifest["n_vocab"] == str(len(names))
         assert blocks(loaded.texts, 1) == row_lines and blocks(loaded.texts, 2) == arg_lines
@@ -845,4 +846,28 @@ class TestTokenChecksAtFirstRead:
         loaded = load()
         assert loaded.row("dog-n") == toy_space().row("dog-n")
         with pytest.raises(CorpusError, match=f"{os.path.basename(path)}:{last_line}:"):
+            read(loaded)
+
+    # every filler is a target of blocks.tsv, as a prototype sums its fillers' rows: a lemma-pos filler that
+    # blocks.tsv does not list is an input error at its line, as a filler that is not lemma-pos is
+    @pytest.mark.parametrize(
+        "setup, read",
+        [
+            (bad_archive("catalog.tsv", lambda space: "obj\tzebra-n\n",
+                         n_dims=lambda space: str(len(space.catalog) + 1)),
+             lambda space: space.catalog),
+            (bad_archive("arg.tsv", lambda space: "zebra-n\t0.5\n"), lambda space: space.ranking("see-v", ARG)),
+            (bad_archive("arg.tsv", lambda space: "zebra-n\t0.5\n"), lambda space: space.ranking("see-v", "sbj")),
+        ],
+        ids=["catalog-filler", "arg-filler", "arg-filler-read-by-another-slot"],
+    )
+    def test_a_filler_that_is_not_a_target_names_path_and_line(self, tmp_path, setup, read):
+        path, load = setup(tmp_path)
+        with open(path, encoding="utf-8") as fh:
+            last_line = fh.read().count("\n")
+        loaded = load()
+        assert "zebra-n" not in loaded.vocabulary
+        assert loaded.row("dog-n") == toy_space().row("dog-n")
+        with pytest.raises(CorpusError, match=f"{os.path.basename(path)}:{last_line}: filler zebra-n is not a "
+                                              "target of blocks.tsv$"):
             read(loaded)

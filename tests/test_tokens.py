@@ -1,7 +1,12 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from argex.errors import ConfigError
 from argex.tokens import (
+    TOKEN,
     Token,
     canonical_checker,
     coarse_pos,
@@ -83,6 +88,24 @@ class TestToken:
         again = "".join(["mother-in-law", "-n"])
         assert again is not first and check(again) is first
         assert parse_canonical(first).canonical == first
+
+    # strings near the boundary of the rule: hyphens, tags, other letters and whitespace of each kind
+    NEAR_TOKENS = st.text(st.sampled_from("-----nnnvvvxa \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000"), max_size=8)
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.text() | NEAR_TOKENS)
+    def test_the_token_pattern_is_the_checkers_rule(self, text):
+        # blocks.tsv's line pattern checks the vocabulary with TOKEN, the tensor and vocabulary loaders with
+        # canonical_checker: the two accept the same strings, which parse_canonical parses
+        def accepts(check) -> bool:
+            try:
+                check(text)
+            except ValueError:
+                return False
+            return True
+
+        fits = re.fullmatch(TOKEN, text) is not None
+        assert fits == accepts(canonical_checker()) == accepts(parse_canonical)
 
 
 class TestInverse:
