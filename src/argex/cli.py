@@ -12,19 +12,23 @@ directory. Exit codes: 0 success, 2 input error, 3 query error,
 
 Each command imports the stage modules it uses. A one-shot ``fillers``
 loads ``config``, ``errors``, ``tokens``, ``artifacts`` and ``space``;
-``eval`` and ``sweep`` add the scoring modules, and a sweep on more
-than one core ``pool``. No query loads the parser, the counters
-(``corpus``, ``tensor``) or ``weighting``.
+``eval`` and ``sweep`` add the scoring modules, and a sweep of more
+than one (task, kind) pair ``pool``. No query loads the parser, the
+counters (``corpus``, ``tensor``) or ``weighting``.
 
-A sweep scores its (task, kind) pairs on forked workers, one per core
-this process may run on and at most one per pair, this process among
-them (``_score``); an ``eval`` is one pair and forks nothing. Nothing
-it prints or writes depends on the number of workers.
+Two commands fork, by one rule (``pool.map_jobs``): one worker per core
+this process may run on, at most one per job, this process among them,
+and none beside another thread. A sweep scores its (task, kind) pairs
+on them (``_score``); an ``eval`` is one pair and forks nothing.
+``weight`` builds its dependency and its window space as two jobs, and
+saves both itself. Nothing either prints or writes depends on the
+number of workers. ``ingest`` and ``weight`` run with cyclic GC off.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import itertools
 import os
@@ -61,6 +65,7 @@ from .errors import (
 from .tokens import ARG, WINDOW, compile_pos_map, parse_canonical
 
 if TYPE_CHECKING:
+    from .corpus import Vocabulary
     from .evaluation import EvalReport
     from .space import WeightedSpace
 
@@ -113,9 +118,31 @@ def _require_stamp(meta_source: str, recorded: str | None, expected: str, produc
         )
 
 
+def _without_cyclic_gc(command: Callable[..., int]) -> Callable[..., int]:
+    """``command`` with cyclic GC off while it runs, then as it was.
+
+    A set-up stage makes hundreds of thousands of tuples, dicts and
+    strings and keeps them to its end, none of them in a cycle, so the
+    collections that its allocations set off would scan them and free
+    nothing.
+    """
+    @functools.wraps(command)
+    def run(*args, **kwargs) -> int:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return command(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return run
+
+
 # -- ingest ----------------------------------------------------------------
 
 
+@_without_cyclic_gc
 def cmd_ingest(args: argparse.Namespace) -> int:
     from .conll import ColumnConfig, ParseStats, SentenceRecord, parse_conll_file
     from .corpus import (
@@ -184,46 +211,35 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 # -- weight ----------------------------------------------------------------
 
 
-def cmd_weight(args: argparse.Namespace) -> int:
+@_without_cyclic_gc
+def cmd_weight(args: argparse.Namespace, workers: int | None = None) -> int:
+    """Weight both tensors and build their spaces, each space one job (``pool.map_jobs``), then save both.
+
+    The sidecars, their ``vocab_hash`` link and ``vocab.tsv`` are checked
+    first. The jobs then load their own tensor, so an error comes back in
+    job order, dependency space first, as one process meets it. Every
+    write happens here, under the lock.
+    """
     from .corpus import load_vocabulary
-    from .space import build_space, save_space
-    from .tensor import CooccurrenceTensor
-    from .weighting import WeightedTensor, collapse_relations, max_over_relations, weight_tensor
+    from .pool import map_jobs
+    from .space import save_space
 
     config = _config_from_args(args)
     paths = artifact_paths(config.out_dir)
     stamp_in = ingest_hash(config)
-    stamp_space = space_hash(config)
     metas = {}
     for key in ("vocab", "deps_tensor", "window_tensor"):
         _require_artifact(paths[key], "ingest")
         meta = metas[key] = read_sidecar(sidecar_path(paths[key]))
         _require_stamp(paths[key], meta.get("ingest_hash"), stamp_in, "ingest")
-    _note("loading tensors")
-    dep = CooccurrenceTensor.load(paths["deps_tensor"])
-    win = CooccurrenceTensor.load(paths["window_tensor"])
     for key in ("deps_tensor", "window_tensor"):  # a crashed ingest can leave two runs' files side by side
         if metas[key].get("vocab_hash") != metas["vocab"].get("content_hash"):
             raise StaleArtifactError(f"{paths[key]} was not counted over {paths['vocab']}; re-run `argex ingest`")
     vocab = load_vocabulary(paths["vocab"], config.vocab_threshold, config.vocab_threshold_inclusive)
-    _note("weighting")
-    dep_weighted = weight_tensor(dep)
-    win_weighted = weight_tensor(win)
-    arg_filter = frozenset(config.arg_relations) if config.arg_relations else None
-    if config.boa_rank_mode == "collapsed":
-        arg_counts = collapse_relations(dep, arg_filter)
-        arg_weighted = weight_tensor(arg_counts) if arg_counts.total > 0 else WeightedTensor()
-    else:
-        arg_weighted = max_over_relations(dep_weighted, arg_filter)
-    deps_space = build_space(
-        dep_weighted,
-        vocab,
-        extra_index=arg_weighted,
-        manifest={"space_hash": stamp_space, "kind": "dependency"},
-    )
-    window_space = build_space(
-        win_weighted, vocab, manifest={"space_hash": stamp_space, "kind": "window"}
-    )
+    _note("loading and weighting tensors")
+    # job 0, the dependency space, is the longer: it goes first
+    built = map_jobs(functools.partial(_weighted_space, config, paths, vocab), (0, 1), workers)
+    (deps_space, n_arg), (window_space, _) = built
     with locked(config.out_dir):
         make_output_dir(paths["window_space"])  # first: a file there must leave deps.space as it was
         deps_id = save_space(deps_space, paths["deps_space"])
@@ -236,8 +252,35 @@ def cmd_weight(args: argparse.Namespace) -> int:
         f"window space: {window_space.manifest['n_targets']} targets, "
         f"{window_space.manifest['n_dims']} dims, id {window_id[:12]} -> {paths['window_space']}"
     )
-    print(f"argument rankings ({config.boa_rank_mode}): {len(arg_weighted)} entries -> {paths['deps_space']}")
+    print(f"argument rankings ({config.boa_rank_mode}): {n_arg} entries -> {paths['deps_space']}")
     return 0
+
+
+def _weighted_space(
+    config: PipelineConfig, paths: dict[str, str], vocab: Vocabulary, job: int
+) -> tuple[WeightedSpace, int]:
+    """Job 0: the dependency space and its number of ARG entries. Job 1: the window space and 0.
+
+    Each loads its tensor, whose tokens must be in ``vocab``, weights it
+    by PLMI and builds the space; the dependency job builds the ARG
+    rankings too. It writes nothing.
+    """
+    from .space import build_space
+    from .tensor import CooccurrenceTensor
+    from .weighting import WeightedTensor, collapse_relations, max_over_relations, weight_tensor
+
+    counts = CooccurrenceTensor.load(paths[("deps_tensor", "window_tensor")[job]], vocab.entries)
+    weighted = weight_tensor(counts)
+    manifest = {"space_hash": space_hash(config), "kind": ("dependency", "window")[job]}
+    if job == 1:
+        return build_space(weighted, vocab, manifest=manifest), 0
+    arg_filter = frozenset(config.arg_relations) if config.arg_relations else None
+    if config.boa_rank_mode == "collapsed":
+        arg_counts = collapse_relations(counts, arg_filter)
+        arg_weighted = weight_tensor(arg_counts) if arg_counts.total > 0 else WeightedTensor()
+    else:
+        arg_weighted = max_over_relations(weighted, arg_filter)
+    return build_space(weighted, vocab, extra_index=arg_weighted, manifest=manifest), len(arg_weighted)
 
 
 # -- fillers ---------------------------------------------------------------
@@ -305,7 +348,7 @@ def _score(
     composition and k, the check of its task's slot settings when a
     ``deps`` cell has a failed item, then the rendering of its cells. The
     spaces are loaded first, in the order of the jobs' first use. The
-    jobs then run on ``workers`` processes (``pool.fork_map``, most items
+    jobs then run on ``workers`` processes (``pool.map_jobs``, most items
     first), by default one per core and at most one per job, or one while
     the process runs another thread. Each forked worker holds
     copy-on-write pages of the loaded spaces. Outcomes are taken in job
@@ -356,18 +399,12 @@ def _score(
             for report in (grid[(comp, k)] for comp in compositions for k in k_values)
         ]
 
-    if workers is None:
-        # one per core this process may run on, at most one per job, and no fork beside another
-        # thread: a child would inherit the locks it holds, held
-        threading = sys.modules.get("threading")
-        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        workers = 1 if threading and threading.active_count() > 1 else min(cores, len(jobs))
-    if workers > 1:
-        from .pool import fork_map
+    if len(jobs) > 1:
+        from .pool import map_jobs
 
         most_items_first = sorted(range(len(jobs)), key=lambda job: -len(jobs[job][2]))
-        results = fork_map(run, most_items_first, workers)
-    else:  # each job runs as its turn comes
+        results = map_jobs(run, most_items_first, workers)
+    else:  # an eval's one job runs here, with no pool to import
         results = map(run, range(len(jobs)))
     cells = [cell for job_cells in results for cell in job_cells]
     if load_error is not None:

@@ -2,7 +2,9 @@
 
 ``fork_map(run, order, workers)`` yields ``run(i)`` for every job ``i``,
 in index order, and raises what a job raised at that job's turn, as if
-the jobs ran one after another in this process.
+the jobs ran one after another in this process. ``map_jobs`` picks the
+number of workers by one rule for every command, and runs the jobs in
+turn when one worker is all there is.
 
 The caller is one worker and forks the others after freezing the heap,
 so no collection in a child touches (and copies) the pages it
@@ -30,6 +32,22 @@ from typing import Callable, Iterator, Sequence, TypeVar
 from .errors import ConsistencyError
 
 T = TypeVar("T")
+
+
+def map_jobs(run: Callable[[int], T], order: Sequence[int], workers: int | None = None) -> Iterator[T]:
+    """``run(i)`` for each job ``i``, in index order, on ``workers`` processes; each job in turn on one.
+
+    ``workers`` defaults to one per core this process may run on, at most
+    one per job, and to one while the process runs another thread: a
+    forked child would inherit the locks that thread holds, held.
+    """
+    if workers is None:
+        threading = sys.modules.get("threading")
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        workers = 1 if threading and threading.active_count() > 1 else min(cores, len(order))
+    if workers > 1:
+        return fork_map(run, order, workers)
+    return map(run, range(len(order)))  # each job runs as its turn comes
 
 
 def fork_map(run: Callable[[int], T], order: Sequence[int], workers: int) -> Iterator[T]:

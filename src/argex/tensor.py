@@ -106,10 +106,11 @@ class CooccurrenceTensor:
         return write_artifact(path, self.to_tsv(), meta)
 
     @classmethod
-    def load(cls, path: str) -> "CooccurrenceTensor":
+    def load(cls, path: str, vocabulary: frozenset[str] | None = None) -> "CooccurrenceTensor":
         """Read a saved tensor and add each stored entry's mirror.
 
-        A sidecar of another format version is stale. A bad token, a count
+        A sidecar of another format version is stale. A bad token, a
+        target or filler outside ``vocabulary`` when one is given, a count
         below 1, a line that is neither a header nor an entry, an entry
         before any header, a header or filler out of strictly increasing
         order (so a repeated triple too), or a ``WINDOW`` filler before its
@@ -124,7 +125,7 @@ class CooccurrenceTensor:
                 f"version {FORMAT_VERSION}; re-run `argex ingest`"
             )
         stored: dict[Triple, int] = {}
-        check = canonical_checker()
+        check = canonical_checker(vocabulary)
         count_of = Memo(_positive_count)
         head = None
         target = relation = filler = ""

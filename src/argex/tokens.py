@@ -107,15 +107,24 @@ def _checked(text: str) -> str:
     return text
 
 
-def canonical_checker() -> Callable[[str], str]:
+def canonical_checker(within: frozenset[str] | None = None) -> Callable[[str], str]:
     """A check for token strings read from an artifact.
 
     The returned function raises ``ValueError`` unless its argument is a
-    ``lemma-pos`` rendering that ``parse_canonical`` accepts. Each
-    distinct string is checked once; later calls return the first copy
-    seen, so a loaded artifact holds one string per token.
+    ``lemma-pos`` rendering that ``parse_canonical`` accepts and, when
+    ``within`` is given, one of its tokens. Each distinct string is
+    checked once; later calls return the first copy seen, so a loaded
+    artifact holds one string per token.
     """
-    return Memo(_checked).__getitem__
+    if within is None:
+        return Memo(_checked).__getitem__
+
+    def known(text: str) -> str:
+        if _checked(text) not in within:
+            raise ValueError(f"{text} is not a token of the vocabulary")
+        return text
+
+    return Memo(known).__getitem__
 
 
 def inverse(relation: str) -> str:

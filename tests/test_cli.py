@@ -24,7 +24,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from argex.artifacts import read_sidecar, sidecar_path, write_sidecar
+from argex.artifacts import read_sidecar, sha256, sidecar_path, write_sidecar
 from argex import cli
 from argex.cli import main
 from argex.tensor import CooccurrenceTensor
@@ -866,6 +866,19 @@ class TestGuards:
         assert f"{path}:{line}: expected {layout}, got " in err
         assert stdout == ""
 
+    @pytest.mark.parametrize("name", ["deps.tensor.tsv", "window.tensor.tsv"], ids=["deps", "window"])
+    def test_a_tensor_token_outside_the_vocabulary_exits_2_naming_its_line_and_writes_no_space(
+            self, bicknell_out, tmp_path, capsys, name):
+        # the tensor is hash-valid and in order, and zzzz-n is lemma-pos: only the vocabulary refuses it
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        before = spaces_snapshot(out)
+        path, line = rename_last_filler(os.path.join(out, name), "thief-n", "zzzz-n")
+        code, stdout, err = run_cli(capsys, "weight", "-c", BICKNELL_CONF, "--out-dir", out)
+        assert (code, stdout) == (2, "")
+        assert err.endswith(f"error: {path}:{line}: zzzz-n is not a token of the vocabulary\n")
+        assert spaces_snapshot(out) == before
+        assert not os.path.exists(os.path.join(out, ".lock"))
+
     # the first catalog.tsv line is pilot-n's VERB filler; the first arg.tsv line is arrest-v's first ARG filler
     @pytest.mark.parametrize("name, old, new, fillers", [
         ("catalog.tsv", "airplane-n", "aaa-n", ("--target", "pilot-n", "--slot", "VERB")),
@@ -1145,6 +1158,26 @@ class TestGuards:
 def reports_snapshot(out_dir: str) -> dict[str, bytes]:
     """Every file under ``out_dir/reports`` with its bytes."""
     return {path.name: path.read_bytes() for path in sorted(pathlib.Path(out_dir, "reports").iterdir())}
+
+
+def spaces_snapshot(out_dir: str) -> dict[str, bytes]:
+    """Every file of ``out_dir``'s two space archives with its bytes."""
+    return {f"{space}/{path.name}": path.read_bytes()
+            for space in ("deps.space", "window.space") for path in sorted(pathlib.Path(out_dir, space).iterdir())}
+
+
+def rename_last_filler(path: str, old: str, new: str) -> tuple[str, int]:
+    """Rename the filler ``old`` of the first run it ends in a count tensor to ``new``, which must sort after it,
+    and re-record the content hash; returns (path, line)."""
+    lines = pathlib.Path(path).read_text(encoding="utf-8").split("\n")
+    # a run ends where the next header starts: three fields, the last empty
+    line = next(i for i, (text, after) in enumerate(zip(lines, lines[1:])) if text.startswith(f"{old}\t")
+                and (not after or after.endswith("\t")))
+    lines[line] = lines[line].replace(old, new)
+    body = "\n".join(lines).encode("utf-8")
+    pathlib.Path(path).write_bytes(body)
+    write_sidecar(sidecar_path(path), {**read_sidecar(sidecar_path(path)), "content_hash": sha256([body])})
+    return path, line + 1
 
 
 class TestInputBoundary:
@@ -1434,6 +1467,28 @@ class TestProcessEntry:
         for argv in (FILLERS_DEPS, ("fillers", "--target", "zzzz-n", "--slot", "obj"), ("report",)):
             run_cli(capsys, *argv, "-c", BICKNELL_CONF, "--out-dir", bicknell_out)
             assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_ingest_and_weight_run_without_cyclic_gc_and_leave_it_as_it_was(
+            self, tmp_path, capsys, monkeypatch, enabled):
+        from argex import corpus, weighting
+
+        seen = []
+        for module, name in ((corpus, "build_vocabulary"), (weighting, "weight_tensor")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, real=real: seen.append(gc.isenabled()) or real(*args))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            out = str(tmp_path / "out")
+            for stage, code in (("ingest", 0), ("weight", 0), ("ingest", 2)):  # the last one's corpus is missing
+                extra = ("--set", "corpus_paths=no-such.conll") if code else ()
+                assert run_cli(capsys, stage, "-c", BICKNELL_CONF, "--out-dir", out, *extra)[0] == code
+                assert gc.isenabled() is enabled
+            # both stages ran with it off; a weight worker's calls are not seen here
+            assert seen and not any(seen)
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_main_in_process_leaves_sigpipe_as_it_was(self, bicknell_out, capsys):
         before = signal.getsignal(signal.SIGPIPE)
@@ -2043,3 +2098,89 @@ class TestWorkers:
         assert result[:2] == (code, "")
         assert message in result[2]
         assert not os.path.exists(os.path.join(out, "reports"))
+
+
+def weight_with_workers(capsys, workers: int, out: str) -> tuple[int, str, str]:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "cmd_weight", functools.partial(cli.cmd_weight, workers=workers))
+        return run_cli(capsys, "weight", "-c", BICKNELL_CONF, "--out-dir", out)
+
+
+class TestWeightWorkers:
+    """``weight`` builds its two spaces as two jobs; nothing it shows depends on the number of workers."""
+
+    def test_archives_stdout_and_exit_code_do_not_depend_on_the_worker_count(
+            self, bicknell_out, tmp_path, capsys, forked):
+        frozen = gc.get_freeze_count()
+        runs = {}
+        for workers in (1, 2, 7):  # 7: more workers than jobs, so some take none
+            out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+            shutil.rmtree(os.path.join(out, "deps.space"))
+            shutil.rmtree(os.path.join(out, "window.space"))
+            code, stdout, stderr = weight_with_workers(capsys, workers, out)
+            assert not os.path.exists(os.path.join(out, ".lock"))
+            runs[workers] = (code, stdout, stderr, spaces_snapshot(out))
+            shutil.rmtree(out)
+        assert runs[1][0] == 0, runs[1][2]
+        assert runs[2] == runs[1] and runs[7] == runs[1]
+        assert runs[1][3] == spaces_snapshot(bicknell_out)
+        assert len(forked) == 1 + 6
+        assert_reaped(forked)
+        assert gc.get_freeze_count() == frozen
+
+    def test_a_damaged_deps_and_window_tensor_fail_with_the_deps_error(self, bicknell_out, tmp_path, capsys, forked):
+        runs = {}
+        for workers in (1, 2, 7):
+            out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+            before = spaces_snapshot(out)
+            deps, line = rename_last_filler(os.path.join(out, "deps.tensor.tsv"), "thief-n", "zzzz-n")
+            rename_last_filler(os.path.join(out, "window.tensor.tsv"), "thief-n", "zzzz-n")
+            runs[workers] = weight_with_workers(capsys, workers, out)
+            assert spaces_snapshot(out) == before
+            assert not os.path.exists(os.path.join(out, ".lock"))
+            shutil.rmtree(out)
+        code, stdout, err = runs[1]
+        assert (code, stdout) == (2, "")
+        assert err.endswith(f"error: {deps}:{line}: zzzz-n is not a token of the vocabulary\n")
+        assert "window.tensor.tsv" not in err
+        assert runs[2] == runs[7] == runs[1]
+        assert_reaped(forked)
+
+    @pytest.mark.parametrize("workers", [2, 7])
+    def test_a_worker_killed_mid_job_is_a_typed_error_and_the_previous_spaces_still_load(
+            self, bicknell_out, tmp_path, capsys, monkeypatch, forked, workers):
+        from argex import weighting
+        from argex.space import load_space
+
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        before = spaces_snapshot(out)
+        parent = os.getpid()
+        real = weighting.weight_tensor
+        started_r, started_w = os.pipe()
+        waited = []
+
+        def weight_tensor(tensor):
+            if os.getpid() != parent:
+                os.write(started_w, b"x")
+                os.kill(os.getpid(), signal.SIGKILL)
+            if not waited:  # the process's job waits until a worker has taken the other
+                assert select.select([started_r], [], [], 60)[0], "no worker took a job"
+                waited.append(os.read(started_r, 1))
+            return real(tensor)
+
+        monkeypatch.setattr(weighting, "weight_tensor", weight_tensor)
+        try:
+            code, stdout, err = weight_with_workers(capsys, workers, out)
+        finally:
+            os.close(started_r)
+            os.close(started_w)
+        assert (code, stdout) == (4, "")
+        assert "internal consistency error: no result for job " in err
+        assert f"was killed by signal {int(signal.SIGKILL)}\n" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(os.path.join(out, ".lock"))
+        assert spaces_snapshot(out) == before
+        for space in ("deps.space", "window.space"):
+            assert load_space(os.path.join(out, space)).space_id == read_sidecar(
+                os.path.join(out, space, "manifest.txt"))["space_id"]
+        assert_reaped(forked)

@@ -7,12 +7,13 @@ import select
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
 from argex.errors import ConfigError, ConsistencyError, EmptyPrototypeError, OutOfVocabularyError
-from argex.pool import fork_map
+from argex.pool import fork_map, map_jobs
 
 from conftest import REPO_ROOT
 
@@ -106,6 +107,59 @@ def test_a_worker_that_sends_no_result_is_a_consistency_error(how, message):
     finally:
         os.close(ready[0])
         os.close(ready[1])
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of workers each call forks; ``os.fork`` is otherwise the real one."""
+    made = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return made
+
+
+@pytest.mark.parametrize("cores, jobs, forked", [(1, 5, 0), (4, 1, 0), (4, 2, 1), (4, 9, 3), (2, 2, 1)])
+def test_map_jobs_forks_one_worker_per_further_core_and_at_most_one_per_job(monkeypatch, forks, cores, jobs, forked):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    assert list(map_jobs(square, range(jobs)[::-1])) == [i * i for i in range(jobs)]
+    assert len(forks) == forked
+
+
+def test_map_jobs_forks_nothing_beside_another_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a thread"))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        assert list(map_jobs(square, [1, 0])) == [0, 1]
+    finally:
+        release.set()
+        thread.join(60)
+
+
+def test_map_jobs_on_one_worker_runs_each_job_at_its_turn(monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("one worker forked"))
+    ran = []
+
+    def job(index):
+        ran.append(index)
+        if index == 1:
+            raise ConfigError("job 1 failed")
+        return index
+
+    results = map_jobs(job, [2, 1, 0], 1)
+    assert next(results) == 0 and ran == [0]
+    with pytest.raises(ConfigError, match="^job 1 failed$"):
+        next(results)
+    assert ran == [0, 1]  # the job after the one that raised never ran
 
 
 def test_errors_made_from_a_value_pickle_as_they_were_made():

@@ -275,6 +275,21 @@ class TestSerialization:
         with pytest.raises(CorpusError, match=f"t.tsv:{line}:"):
             CooccurrenceTensor.load(path)
 
+    @pytest.mark.parametrize("vocabulary, line", [
+        ({"see-v", "dog-n", "cat-n"}, None),
+        ({"see-v", "cat-n"}, 3),  # a filler
+        ({"dog-n", "cat-n"}, 1),  # a target
+    ], ids=["every-token", "filler-outside", "target-outside"])
+    def test_a_token_outside_the_vocabulary_names_path_and_line(self, tmp_path, vocabulary, line):
+        path = str(tmp_path / "t.tsv")
+        CooccurrenceTensor({("see-v", "obj", "cat-n"): 2, ("see-v", "obj", "dog-n"): 1}).save(path)
+        assert len(CooccurrenceTensor.load(path)) == 4  # without a vocabulary, any lemma-pos token loads
+        if line is None:
+            assert CooccurrenceTensor.load(path, frozenset(vocabulary)) == CooccurrenceTensor.load(path)
+        else:
+            with pytest.raises(CorpusError, match=f"t.tsv:{line}: [a-z]+-[nv] is not a token of the vocabulary$"):
+                CooccurrenceTensor.load(path, frozenset(vocabulary))
+
     def test_a_reversed_window_entry_is_refused_and_a_self_pair_is_not(self, tmp_path):
         path = str(tmp_path / "t.tsv")
         write_artifact(path, "dog-n\tWINDOW\t\ndog-n\t1\n", {"format_version": FORMAT_VERSION,

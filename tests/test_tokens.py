@@ -89,6 +89,15 @@ class TestToken:
         assert again is not first and check(again) is first
         assert parse_canonical(first).canonical == first
 
+    def test_a_checker_within_a_vocabulary_refuses_every_other_token(self):
+        check = canonical_checker(frozenset({"dog-n", "see-v"}))
+        assert check("dog-n") == "dog-n"
+        with pytest.raises(ValueError, match="^cat-n is not a token of the vocabulary$"):
+            check("cat-n")
+        with pytest.raises(ValueError, match="not a lemma-pos rendering"):  # the lemma-pos rule comes first
+            check("dog")
+        assert canonical_checker()("cat-n") == "cat-n"
+
     # strings near the boundary of the rule: hyphens, tags, other letters and whitespace of each kind
     NEAR_TOKENS = st.text(st.sampled_from("-----nnnvvvxa \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000"), max_size=8)
 
