@@ -22,7 +22,13 @@ and none beside another thread. A sweep scores its (task, kind) pairs
 on them (``_score``); an ``eval`` is one pair and forks nothing.
 ``weight`` builds its dependency and its window space as two jobs, and
 saves both itself. Nothing either prints or writes depends on the
-number of workers. ``ingest`` and ``weight`` run with cyclic GC off.
+number of workers.
+
+The process runs with cyclic GC off, by one rule for every command:
+``entry`` disables the collector before ``main`` and freezes the heap
+on the way out. A forked worker inherits the disabled collector. No
+stage and no pool touches the collector, so ``main(argv)`` called in
+process leaves it as it was.
 """
 
 from __future__ import annotations
@@ -118,31 +124,9 @@ def _require_stamp(meta_source: str, recorded: str | None, expected: str, produc
         )
 
 
-def _without_cyclic_gc(command: Callable[..., int]) -> Callable[..., int]:
-    """``command`` with cyclic GC off while it runs, then as it was.
-
-    A set-up stage makes hundreds of thousands of tuples, dicts and
-    strings and keeps them to its end, none of them in a cycle, so the
-    collections that its allocations set off would scan them and free
-    nothing.
-    """
-    @functools.wraps(command)
-    def run(*args, **kwargs) -> int:
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return command(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-
-    return run
-
-
 # -- ingest ----------------------------------------------------------------
 
 
-@_without_cyclic_gc
 def cmd_ingest(args: argparse.Namespace) -> int:
     from .conll import ColumnConfig, ParseStats, SentenceRecord, parse_conll_file
     from .corpus import (
@@ -211,14 +195,16 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 # -- weight ----------------------------------------------------------------
 
 
-@_without_cyclic_gc
 def cmd_weight(args: argparse.Namespace, workers: int | None = None) -> int:
     """Weight both tensors and build their spaces, each space one job (``pool.map_jobs``), then save both.
 
-    The sidecars, their ``vocab_hash`` link and ``vocab.tsv`` are checked
-    first. The jobs then load their own tensor, so an error comes back in
-    job order, dependency space first, as one process meets it. Every
-    write happens here, under the lock.
+    A missing input is refused before the lock, so it creates no
+    directory. The lock is then held from the first sidecar read through
+    the last save, so a concurrent ``ingest`` cannot replace an input
+    mid-read. The sidecars, their ``vocab_hash`` link and ``vocab.tsv``
+    are checked first. The jobs then load their own tensor, so an error
+    comes back in job order, dependency space first, as one process meets
+    it. Every write happens here.
     """
     from .corpus import load_vocabulary
     from .pool import map_jobs
@@ -227,20 +213,22 @@ def cmd_weight(args: argparse.Namespace, workers: int | None = None) -> int:
     config = _config_from_args(args)
     paths = artifact_paths(config.out_dir)
     stamp_in = ingest_hash(config)
-    metas = {}
-    for key in ("vocab", "deps_tensor", "window_tensor"):
+    keys = ("vocab", "deps_tensor", "window_tensor")
+    for key in keys:
         _require_artifact(paths[key], "ingest")
-        meta = metas[key] = read_sidecar(sidecar_path(paths[key]))
-        _require_stamp(paths[key], meta.get("ingest_hash"), stamp_in, "ingest")
-    for key in ("deps_tensor", "window_tensor"):  # a crashed ingest can leave two runs' files side by side
-        if metas[key].get("vocab_hash") != metas["vocab"].get("content_hash"):
-            raise StaleArtifactError(f"{paths[key]} was not counted over {paths['vocab']}; re-run `argex ingest`")
-    vocab = load_vocabulary(paths["vocab"], config.vocab_threshold, config.vocab_threshold_inclusive)
-    _note("loading and weighting tensors")
-    # job 0, the dependency space, is the longer: it goes first
-    built = map_jobs(functools.partial(_weighted_space, config, paths, vocab), (0, 1), workers)
-    (deps_space, n_arg), (window_space, _) = built
     with locked(config.out_dir):
+        metas = {}
+        for key in keys:
+            meta = metas[key] = read_sidecar(sidecar_path(paths[key]))
+            _require_stamp(paths[key], meta.get("ingest_hash"), stamp_in, "ingest")
+        for key in ("deps_tensor", "window_tensor"):  # a crashed ingest can leave two runs' files side by side
+            if metas[key].get("vocab_hash") != metas["vocab"].get("content_hash"):
+                raise StaleArtifactError(f"{paths[key]} was not counted over {paths['vocab']}; re-run `argex ingest`")
+        vocab = load_vocabulary(paths["vocab"], config.vocab_threshold, config.vocab_threshold_inclusive)
+        _note("loading and weighting tensors")
+        # job 0, the dependency space, is the longer: it goes first
+        built = map_jobs(functools.partial(_weighted_space, config, paths, vocab), (0, 1), workers)
+        (deps_space, n_arg), (window_space, _) = built
         make_output_dir(paths["window_space"])  # first: a file there must leave deps.space as it was
         deps_id = save_space(deps_space, paths["deps_space"])
         window_id = save_space(window_space, paths["window_space"])
@@ -639,12 +627,19 @@ def main(argv=None) -> int:
 def entry() -> None:
     """The process entry of ``argex`` and ``python -m argex.cli``: exit with ``main``'s code.
 
-    A closed stdout ends the process by ``SIGPIPE``, not a traceback. The
-    heap is frozen on the way out, so the interpreter's collections at
-    shutdown skip the objects the run made, which the exit drops anyway.
-    A ``main(argv)`` called in process leaves the GC and SIGPIPE as they were.
+    Cyclic GC is off for the whole run, whatever the command: a stage
+    keeps what it makes to its end, so a collection frees almost nothing,
+    and a forked worker inherits the collector off, so it writes none of
+    the pages it shares with the process to collect them. The cycles a
+    run leaves are bounded by its report count (the closures of
+    ``json.dumps(indent=2)``), not by the corpus. The heap is frozen on
+    the way out, because the interpreter collects at shutdown even with
+    the collector off. A closed stdout ends the process by ``SIGPIPE``,
+    not a traceback. A ``main(argv)`` called in process leaves the GC and
+    SIGPIPE as they were.
     """
     signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    gc.disable()
     try:
         sys.exit(main())
     finally:

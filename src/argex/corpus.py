@@ -35,9 +35,6 @@ class Vocabulary:
         keep = (lambda n: n >= threshold) if inclusive else (lambda n: n > threshold)
         self.entries: frozenset[str] = frozenset(t for t, n in frequency.items() if keep(n))
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.entries
-
     def __iter__(self) -> Iterator[str]:
         return iter(self.entries)
 

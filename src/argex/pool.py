@@ -6,9 +6,10 @@ the jobs ran one after another in this process. ``map_jobs`` picks the
 number of workers by one rule for every command, and runs the jobs in
 turn when one worker is all there is.
 
-The caller is one worker and forks the others after freezing the heap,
-so no collection in a child touches (and copies) the pages it
-inherited. Job indices wait in a pipe, one byte each, in ``order``;
+The caller is one worker and forks the others. This module leaves the
+collector alone: a child inherits the caller's, which ``argex.cli.entry``
+turns off, so no collection in a child touches (and copies) the pages
+it inherited. Job indices wait in a pipe, one byte each, in ``order``;
 every worker reads one byte at a time until the pipe is empty. A child
 keeps each job's result or exception, then sends them all, pickled,
 down a pipe of its own and ends with ``os._exit``: it runs none of the
@@ -22,7 +23,6 @@ turn.
 from __future__ import annotations
 
 import contextlib
-import gc
 import os
 import pickle
 import signal
@@ -104,7 +104,10 @@ def _read_to_end(fd: int) -> bytes:
 
 
 def _forked(run: Callable[[int], object], order: Sequence[int], workers: int) -> tuple[dict, list[str]]:
-    """Every job's (raised, value) that came back, and how each child that sent none ended."""
+    """Every job's (raised, value) that came back, and how each child that sent none ended.
+
+    The children fork with the collector as the caller has it.
+    """
     indices = bytes(order)
     queue, jobs = os.pipe()
     try:
@@ -115,8 +118,6 @@ def _forked(run: Callable[[int], object], order: Sequence[int], workers: int) ->
     children: dict[int, int] = {}  # pid -> the read end of its results pipe
     outcomes: dict = {}
     lost = []
-    frozen = gc.get_freeze_count()
-    gc.freeze()
     sys.stdout.flush()
     sys.stderr.flush()
     try:
@@ -154,6 +155,4 @@ def _forked(run: Callable[[int], object], order: Sequence[int], workers: int) ->
             with contextlib.suppress(OSError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-        if not frozen:
-            gc.unfreeze()
     return outcomes, lost

@@ -56,8 +56,8 @@ _DIMENSION_OF_KEY = operator.itemgetter(1, 2)
 class SparseVector:
     """Sorted (dimension id, positive score) pairs with a cached norm.
 
-    Immutable; two vectors are equal, and hash alike, when their ids,
-    scores and norms are.
+    Immutable; two vectors are equal when their ids, scores and norms
+    are.
     """
 
     __slots__ = ("ids", "scores", "norm", "__weakref__")
@@ -80,18 +80,6 @@ class SparseVector:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.ids, self.scores, self.norm) == (other.ids, other.scores, other.norm)
-
-    def __hash__(self) -> int:
-        return hash((self.ids, self.scores, self.norm))
-
-    def __repr__(self) -> str:
-        return f"SparseVector(ids={self.ids!r}, scores={self.scores!r}, norm={self.norm!r})"
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def items(self):
-        return zip(self.ids, self.scores)
 
     def dot(self, other: "SparseVector") -> float:
         """Inner product, accumulated in increasing dimension order.

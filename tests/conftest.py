@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import os
 import random
@@ -184,6 +185,32 @@ def every_ranking(space: WeightedSpace) -> dict[tuple[str, str], tuple]:
     relations = sorted({relation for relation, _ in space.catalog} | {ARG})
     names = sorted(set(targets(space)) | set(targets(space, data_file=2)))
     return {(target, relation): space.ranking(target, relation) for target in names for relation in relations}
+
+
+def imported_names(module: ast.Module) -> dict[str, str]:
+    """Each name an import in ``module`` binds, mapped to the dotted name it stands for."""
+    names = {}
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    names[alias.asname] = alias.name
+                else:
+                    names[alias.name.split(".")[0]] = alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            for alias in node.names:
+                names[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return names
+
+
+def called_name(call: ast.Call, names: dict[str, str]) -> str | None:
+    """The dotted name ``call`` resolves to through ``names``, or None when it calls no plain or module name."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return names.get(func.id, func.id)
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return f"{names.get(func.value.id, func.value.id)}.{func.attr}"
+    return None
 
 
 @pytest.fixture(scope="session")

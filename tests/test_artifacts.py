@@ -6,27 +6,11 @@ import os
 
 import pytest
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, called_name, imported_names
 
 # calls that put something on disk or take the output lock, by the name they resolve to
 WRITER_CALLS = {"os.replace", "os.rename", "os.makedirs", "os.mkdir", "os.open", "fcntl.flock"}
 OPENERS = {"open", "io.open", "builtins.open"}
-
-
-def imported_names(module: ast.Module) -> dict[str, str]:
-    """Each name an import in ``module`` binds, mapped to the dotted name it stands for."""
-    names = {}
-    for node in ast.walk(module):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    names[alias.asname] = alias.name
-                else:
-                    names[alias.name.split(".")[0]] = alias.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            for alias in node.names:
-                names[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-    return names
 
 
 def writer_calls(source: str) -> list[tuple[int, str]]:
@@ -41,13 +25,7 @@ def writer_calls(source: str) -> list[tuple[int, str]]:
     for node in ast.walk(module):
         if not isinstance(node, ast.Call):
             continue
-        func = node.func
-        if isinstance(func, ast.Name):
-            name = names.get(func.id, func.id)
-        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            name = f"{names.get(func.value.id, func.value.id)}.{func.attr}"
-        else:
-            continue
+        name = called_name(node, names)
         if name in OPENERS:
             modes = [keyword.value for keyword in node.keywords if keyword.arg == "mode"] + node.args[1:2]
             mode = modes[0] if modes else ast.Constant("r")

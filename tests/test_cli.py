@@ -1459,34 +1459,20 @@ def child_env() -> dict[str, str]:
 
 
 class TestProcessEntry:
-    """``python -m argex.cli`` and the ``argex`` script freeze the heap as they exit, and die of ``SIGPIPE`` on a
-    closed stdout; ``main`` does neither."""
+    """``python -m argex.cli`` and the ``argex`` script run with cyclic GC off, freeze the heap as they exit, and die
+    of ``SIGPIPE`` on a closed stdout; ``main`` does none of these."""
 
-    def test_main_in_process_leaves_the_gc_as_it_was(self, bicknell_out, capsys):
-        before = (gc.isenabled(), gc.get_freeze_count())
-        for argv in (FILLERS_DEPS, ("fillers", "--target", "zzzz-n", "--slot", "obj"), ("report",)):
-            run_cli(capsys, *argv, "-c", BICKNELL_CONF, "--out-dir", bicknell_out)
-            assert (gc.isenabled(), gc.get_freeze_count()) == before
-
-    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-    def test_ingest_and_weight_run_without_cyclic_gc_and_leave_it_as_it_was(
-            self, tmp_path, capsys, monkeypatch, enabled):
-        from argex import corpus, weighting
-
-        seen = []
-        for module, name in ((corpus, "build_vocabulary"), (weighting, "weight_tensor")):
-            real = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *args, real=real: seen.append(gc.isenabled()) or real(*args))
+    def test_main_in_process_leaves_the_gc_as_it_was(self, bicknell_out, tmp_path, capsys):
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
         was = gc.isenabled()
-        (gc.enable if enabled else gc.disable)()
         try:
-            out = str(tmp_path / "out")
-            for stage, code in (("ingest", 0), ("weight", 0), ("ingest", 2)):  # the last one's corpus is missing
-                extra = ("--set", "corpus_paths=no-such.conll") if code else ()
-                assert run_cli(capsys, stage, "-c", BICKNELL_CONF, "--out-dir", out, *extra)[0] == code
-                assert gc.isenabled() is enabled
-            # both stages ran with it off; a weight worker's calls are not seen here
-            assert seen and not any(seen)
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                before = (enabled, gc.get_freeze_count())
+                for argv in (("ingest",), ("weight",), FILLERS_DEPS, ("fillers", "--target", "zzzz-n", "--slot", "obj"),
+                             ("sweep",), ("report",)):
+                    run_cli(capsys, *argv, "-c", BICKNELL_CONF, "--out-dir", out)
+                    assert (gc.isenabled(), gc.get_freeze_count()) == before, argv
         finally:
             (gc.enable if was else gc.disable)()
 
@@ -1525,19 +1511,23 @@ class TestProcessEntry:
         "from argex.cli import entry; entry()",
     ], ids=["python-m", "console-script"])
     def test_each_entry_freezes_the_heap_on_the_way_out(self, bicknell_out, run):
-        # atexit handlers run after the entry has returned its code
+        # main runs with cyclic GC off while it loads the space; atexit handlers run after the entry has returned
         argv = ["argex", *FILLERS_DEPS, "-c", BICKNELL_CONF, "--out-dir", bicknell_out]
         script = (
             "import atexit, gc, sys\n"
+            "from argex import space\n"
+            "real = space.load_space\n"
+            "space.load_space = lambda *args: print('running', gc.isenabled(), file=sys.stderr) or real(*args)\n"
             "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, gc.isenabled(), file=sys.stderr))\n"
             f"sys.argv = {argv!r}\n"
             f"{run}\n"
         )
         result = subprocess.run([sys.executable, "-c", script], cwd=REPO_ROOT, env=child_env(),
                                 capture_output=True, text=True)
-        assert result.returncode == 0
+        assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("arrest-v/obj: ")
-        assert result.stderr.endswith("frozen True True\n")
+        assert result.stderr.startswith("running False\n")
+        assert result.stderr.endswith("frozen True False\n")
 
     @pytest.mark.parametrize("argv, code", [
         (("report", "-c", BICKNELL_CONF), 0),
@@ -1985,7 +1975,7 @@ class TestWorkers:
             self, request, tmp_path, capsys, forked, conf, fixture, tables):
         source = request.getfixturevalue(fixture)
         capsys.readouterr()  # the fixture's own stages
-        frozen = gc.get_freeze_count()
+        collector = (gc.isenabled(), gc.get_freeze_count())
         runs = {}
         for workers in (1, 2, 12):  # 12: more workers than jobs, so some take none
             out = copy_artifacts(source, str(tmp_path / "out"))
@@ -1996,7 +1986,7 @@ class TestWorkers:
             shutil.rmtree(out)
         assert len(forked) == 1 + 11
         assert_reaped(forked)
-        assert gc.get_freeze_count() == frozen
+        assert (gc.isenabled(), gc.get_freeze_count()) == collector
         assert runs[2] == runs[1] and runs[12] == runs[1]
         stdout, _, reports = runs[1]
         assert stdout.count("\n") == (len(reports) - tables) // 2
@@ -2111,7 +2101,7 @@ class TestWeightWorkers:
 
     def test_archives_stdout_and_exit_code_do_not_depend_on_the_worker_count(
             self, bicknell_out, tmp_path, capsys, forked):
-        frozen = gc.get_freeze_count()
+        collector = (gc.isenabled(), gc.get_freeze_count())
         runs = {}
         for workers in (1, 2, 7):  # 7: more workers than jobs, so some take none
             out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
@@ -2126,7 +2116,22 @@ class TestWeightWorkers:
         assert runs[1][3] == spaces_snapshot(bicknell_out)
         assert len(forked) == 1 + 6
         assert_reaped(forked)
-        assert gc.get_freeze_count() == frozen
+        assert (gc.isenabled(), gc.get_freeze_count()) == collector
+
+    def test_weight_takes_the_lock_before_it_reads_its_inputs(self, bicknell_out, tmp_path, capsys, monkeypatch):
+        from argex.artifacts import locked
+
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        before = spaces_snapshot(out)
+        read = []
+        monkeypatch.setattr(cli, "read_sidecar", lambda *args: read.append(args))
+        monkeypatch.setattr(CooccurrenceTensor, "load", lambda *args: read.append(args))
+        with locked(out):
+            code, stdout, err = weight_with_workers(capsys, 1, out)
+        assert (code, stdout) == (2, "")
+        assert f"output directory {out} is locked by another stage" in err
+        assert read == []
+        assert spaces_snapshot(out) == before
 
     def test_a_damaged_deps_and_window_tensor_fail_with_the_deps_error(self, bicknell_out, tmp_path, capsys, forked):
         runs = {}

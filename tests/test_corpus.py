@@ -204,7 +204,7 @@ class TestVerbLink:
             [("dog", "NN", 0, "root"), ("cat", "NN", 0, "root")],
         ]
         tensor, vocab = self.build(sentences, threshold=2)
-        assert "see-v" not in vocab
+        assert "see-v" not in vocab.entries
         assert tensor.counts.get(("see-v", "sbj", "dog-n"), 0) == 0
         assert tensor.counts.get(("dog-n", VERB_LINK, "cat-n"), 0) == 1
 
@@ -218,7 +218,7 @@ class TestVerbLink:
             [("dog", "NN", 0, "root"), ("see", "VB", 0, "root")],
         ]
         tensor, vocab = self.build(sentences, threshold=2)
-        assert "cat-n" not in vocab
+        assert "cat-n" not in vocab.entries
         assert tensor.counts.get(("dog-n", VERB_LINK, "cat-n"), 0) == 0
 
     def test_noun_head_never_links(self):

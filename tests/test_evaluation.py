@@ -523,7 +523,7 @@ class TestScoringKernels:
         assert multiply_vectors(a, b) == SparseVector()  # 1e-400 underflows to 0
         assert _composed_norms(a, b)[1] == 0.0
         c = SparseVector((1,), (1e-200,))
-        assert c.norm == 0.0 and len(c) == 1
+        assert c.norm == 0.0 and len(c.ids) == 1
         assert _cosine(0.0, c.norm, 1.0) == (0.0, True)
 
 

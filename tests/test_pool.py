@@ -31,9 +31,9 @@ def wait_for(fd: int) -> bytes:
 @pytest.mark.parametrize("workers", [1, 2, 3, 9])
 def test_results_come_back_in_job_order(workers):
     order = [4, 0, 3, 1, 2]  # the order the workers take them
-    frozen = gc.get_freeze_count()
+    collector = (gc.isenabled(), gc.get_freeze_count())
     assert list(fork_map(square, order, workers)) == [0, 1, 4, 9, 16]
-    assert gc.get_freeze_count() == frozen
+    assert (gc.isenabled(), gc.get_freeze_count()) == collector
 
 
 def test_the_workers_share_the_jobs():

@@ -72,8 +72,10 @@ class TestFrozenRecords:
     @pytest.mark.parametrize("record", FROZEN, ids=lambda record: type(record).__name__)
     def test_equal_and_hashed_by_value(self, record):
         copy = type(record)(*record)
-        assert copy == record and hash(copy) == hash(record) and copy is not record
+        assert copy == record and copy is not record
         assert record._replace(**{record._fields[0]: None}) != record
+        if not isinstance(record, Prototype):  # its vector compares by value and is never hashed
+            assert hash(copy) == hash(record)
 
 
 class TestMutableRecords:
