@@ -2,10 +2,10 @@
 
 Each file goes to a temporary name and is renamed into place, so none
 is ever half-written. An artifact is its bodies, then a sidecar of
-sorted ``key=value`` lines that records their sha256, written last.
-``write_artifact`` and ``read_artifact`` write and read one body with
-its sidecar ``path.meta``, whose ``content_hash`` is checked before
-anything is parsed; a space archive's manifest covers its four files.
+sorted ``key=value`` lines, written last, that records their format
+version and sha256 (``content_hash``): ``path.meta`` beside one body, a
+space archive's manifest beside its four. ``read_artifact``, the one
+verified read, checks both before any loader parses a line.
 A stage writes only under ``locked``, which holds the output directory.
 """
 
@@ -16,7 +16,7 @@ import hashlib
 import os
 from typing import Iterable, Sequence
 
-from .errors import ConfigError, ConsistencyError, CorpusError
+from .errors import ConfigError, ConsistencyError, CorpusError, StaleArtifactError
 
 # 17 significant digits: enough for exact float64 round-trips. A printf
 # format, so a writer can render a whole row of scores in one % operation.
@@ -99,12 +99,12 @@ def decode_utf8(path: str, data: bytes) -> str:
 
 def read_sidecar(path: str) -> dict[str, str]:
     values = {}
-    for line in decode_utf8(path, read_bytes(path)).split("\n"):
+    for lineno, line in enumerate(decode_utf8(path, read_bytes(path)).split("\n"), 1):
         if not line:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise CorpusError(f"bad sidecar line in {path}: {line!r}")
+            raise CorpusError(f"{path}:{lineno}: expected key=value, got {line!r}")
         values[key] = value
     return values
 
@@ -117,13 +117,19 @@ def write_artifact(path: str, body: str, meta: dict[str, str]) -> str:
     return digest
 
 
-def read_artifact(path: str) -> tuple[str, dict[str, str]]:
-    """The text of ``path`` and its sidecar, once the bytes match the recorded hash."""
-    data = read_bytes(path)
-    meta = read_sidecar(sidecar_path(path))
-    if sha256([data]) != meta.get("content_hash"):
-        raise ConsistencyError(f"{path} does not match the content_hash in its sidecar")
-    return decode_utf8(path, data), meta
+def read_artifact(paths: Sequence[str], sidecar: str, version: str, stage: str) -> tuple[tuple[str, ...], dict]:
+    """The text of ``paths`` and their ``sidecar``: any format version but ``version`` is stale (re-run ``argex
+    stage``), then bodies whose sha256 is not its ``content_hash`` are inconsistent; only then are they decoded."""
+    name = paths[0] if len(paths) == 1 else os.path.dirname(sidecar)
+    meta = read_sidecar(sidecar)
+    recorded = meta.get("format_version")
+    if recorded != version:
+        held = "records no format version" if recorded is None else f"has format version {recorded}"
+        raise StaleArtifactError(f"{name} {held}, this argex reads version {version}; re-run `argex {stage}`")
+    bodies = [read_bytes(path) for path in paths]
+    if sha256(bodies) != meta.get("content_hash"):
+        raise ConsistencyError(f"{name} does not match the content_hash in {sidecar}")
+    return tuple(map(decode_utf8, paths, bodies)), meta
 
 
 @contextlib.contextmanager

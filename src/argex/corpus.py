@@ -14,13 +14,15 @@ import itertools
 from collections import Counter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .artifacts import read_artifact, write_artifact
+from .artifacts import read_artifact, sidecar_path, write_artifact
 from .errors import ConfigError, CorpusError
 from .tensor import CooccurrenceTensor, Triple
 from .tokens import ARG, VERB_LINK, VERB_POS, WINDOW, Memo, canonical_checker
 
 if TYPE_CHECKING:  # `argex weight` reads a vocabulary without the parser
     from .conll import SentenceRecord
+
+FORMAT_VERSION = "1"  # of vocab.tsv, recorded in its sidecar
 
 
 class Vocabulary:
@@ -154,17 +156,18 @@ def save_vocabulary(vocab: Vocabulary, path: str, sidecar: dict[str, str] | None
         "inclusive": "true" if vocab.inclusive else "false",
         "entries": str(len(vocab)),
         **(sidecar or {}),
+        "format_version": FORMAT_VERSION,
     }
     return write_artifact(path, body, meta)
 
 
 def load_vocabulary(path: str, threshold: int, inclusive: bool) -> Vocabulary:
-    """Read a frequency table back and reapply the threshold.
+    """Read a frequency table back, once ``read_artifact`` has verified it, and reapply the threshold.
 
     ``save_vocabulary`` writes each token once with a count of at least
     1; a count below 1 or a repeated token names ``path:line``.
     """
-    text, _ = read_artifact(path)
+    (text,), _ = read_artifact([path], sidecar_path(path), FORMAT_VERSION, "ingest")
     frequency: dict[str, int] = {}
     check = canonical_checker()
     for lineno, line in enumerate(text.split("\n"), 1):

@@ -3,7 +3,8 @@
 A space holds one row per target over (relation, filler) dimensions with
 positive association scores, plus, for each (target, relation), the
 fillers ranked by descending score. A space is its archive: the text of
-four sorted TSV files, whose sha256 is the space id. ``blocks.tsv``
+four sorted TSV files, whose sha256 is the space id, the manifest's
+``content_hash``. ``blocks.tsv``
 lists every vocabulary token and gives the offset where each one's
 block of lines starts in ``rows.tsv`` and ``arg.tsv``, so a line there
 belongs to the target whose block it sits in, and a ``catalog.tsv``
@@ -12,7 +13,7 @@ Every filler in ``catalog.tsv`` and ``arg.tsv`` is a target there
 too, as a prototype sums its fillers' own rows.
 ``build_space`` renders the files straight from the weighted scores,
 ``save_space`` writes them with a manifest, and ``load_space`` reads
-them back once their hash is verified. The archive stores scores only:
+them back once ``read_artifact`` verifies them. The archive stores scores only:
 every ranking is rebuilt from the rows for the dependency slots and
 from ``arg.tsv`` for the ARG slot. A space, built or loaded, reads its
 own rows and rankings from those files, in the order the writer writes
@@ -35,16 +36,15 @@ import re
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .artifacts import (SCORE_FORMAT, decode_utf8, format_score, make_output_dir, read_bytes, read_sidecar, sha256,
-                        write_bodies)
-from .errors import ConsistencyError, CorpusError, OutOfVocabularyError, StaleArtifactError
+from .artifacts import SCORE_FORMAT, format_score, make_output_dir, read_artifact, sha256, write_bodies
+from .errors import ConsistencyError, CorpusError, OutOfVocabularyError
 from .tokens import ARG, TOKEN
 
 if TYPE_CHECKING:
     from .tensor import Triple
     from .weighting import WeightedTensor
 
-FORMAT_VERSION = "5"
+FORMAT_VERSION = "6"
 # the archive's files, whose sha256 is the space id
 _FILES = ("catalog.tsv", "rows.tsv", "arg.tsv", "blocks.tsv")
 _BUILT = "<built space>"  # names the files of a built space in errors
@@ -187,7 +187,7 @@ class WeightedSpace:
     """A space: the text of its archive's files, its manifest, and its block index.
 
     ``texts`` holds the files in ``_FILES`` order; the manifest's
-    ``space_id`` is their sha256. The index is ``blocks.tsv``'s targets
+    ``content_hash`` is their sha256. The index is ``blocks.tsv``'s targets
     (the vocabulary), each one's (start, end) in ``rows.tsv`` and then
     in ``arg.tsv``, and the catalog's line count: a built space takes it
     from its writer, a loaded one from the load checks. All else is
@@ -302,8 +302,8 @@ class WeightedSpace:
 
     @property
     def space_id(self) -> str:
-        """sha256 of the archive's files."""
-        return self.manifest["space_id"]
+        """sha256 of the archive's files, the manifest's ``content_hash``."""
+        return self.manifest["content_hash"]
 
 
 def vector_of(space: WeightedSpace, token: str) -> SparseVector:
@@ -396,7 +396,7 @@ def build_space(
     }
     if manifest:
         info.update(manifest)
-    info["space_id"] = sha256(text.encode("utf-8") for text in texts)
+    info["content_hash"] = sha256(text.encode("utf-8") for text in texts)
     blocks = {name: (*row, *ranking) for name, row, ranking in zip(names, rows, arg)}
     return WeightedSpace(texts, info, frozenset(names), blocks, len(catalog))
 
@@ -535,34 +535,18 @@ def _row_fault(path: str, text: str, start: int, ids: tuple[int, ...], scores: t
 def load_space(directory: str) -> WeightedSpace:
     """Read an archive back; its rows and rankings are parsed per target on first use.
 
-    The format version is checked first, then the bytes of all four
-    files against the manifest's ``space_id``, and only then is anything
-    parsed. ``blocks.tsv``, whose lemma-pos targets are the vocabulary,
-    and the manifest's counts are checked here; a target's blocks, and the
-    catalog lines its row refers to, when the target is first read. Any failure names
-    ``path:line``, the manifest, or the archive.
+    ``read_artifact`` checks the format version first, then the bytes of
+    all four files against the manifest's ``content_hash``, before
+    anything is parsed. ``blocks.tsv``, whose lemma-pos targets are the
+    vocabulary, and the manifest's counts are checked here; a target's
+    blocks, and the catalog lines its row refers to, when the target is
+    first read. Any failure names ``path:line``, the manifest, or the archive.
     """
     manifest_path = os.path.join(directory, "manifest.txt")
-    manifest = read_sidecar(manifest_path)
-    version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
-        raise StaleArtifactError(
-            f"space archive {directory} has format version {version}, this argex reads "
-            f"version {FORMAT_VERSION}; re-run `argex weight`"
-        )
     paths = [os.path.join(directory, name) for name in _FILES]
-    bodies = [read_bytes(path) for path in paths]
-    recorded = manifest.get("space_id", "")
-    actual = sha256(bodies)
-    if recorded != actual:
-        raise ConsistencyError(
-            f"space archive {directory} failed verification: "
-            f"manifest records {recorded[:12]}.., content is {actual[:12]}.."
-        )
-    texts = tuple(map(decode_utf8, paths, bodies))
-    del bodies
+    texts, manifest = read_artifact(paths, manifest_path, FORMAT_VERSION, "weight")
     vocabulary, blocks, n_dims = _read_blocks(paths, texts)
-    # space_id covers the files, not the manifest: its counts are read back against them
+    # content_hash covers the files, not the manifest: its counts are read back against them
     n_targets = sum(start < end for start, end, _, _ in blocks.values())
     held = {"n_targets": n_targets, "n_dims": n_dims, "n_vocab": len(vocabulary)}
     for key, count in held.items():

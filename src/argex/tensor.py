@@ -21,7 +21,7 @@ any mirror. The bytes are deterministic for a given input.
 from __future__ import annotations
 
 from .artifacts import read_artifact, sha256, sidecar_path, write_artifact
-from .errors import ConsistencyError, CorpusError, StaleArtifactError
+from .errors import ConsistencyError, CorpusError
 from .tokens import INVERSE_SUFFIX, WINDOW, Memo, canonical_checker
 
 # (target, relation, filler); the target and filler are ``lemma-pos`` strings, which sort in canonical order
@@ -109,7 +109,7 @@ class CooccurrenceTensor:
     def load(cls, path: str, vocabulary: frozenset[str] | None = None) -> "CooccurrenceTensor":
         """Read a saved tensor and add each stored entry's mirror.
 
-        A sidecar of another format version is stale. A bad token, a
+        ``read_artifact`` verifies the file first. A bad token, a
         target or filler outside ``vocabulary`` when one is given, a count
         below 1, a line that is neither a header nor an entry, an entry
         before any header, a header or filler out of strictly increasing
@@ -117,13 +117,7 @@ class CooccurrenceTensor:
         target names ``path:line``. A number or sum of the stored counts
         that differs from the sidecar's is inconsistent.
         """
-        text, meta = read_artifact(path)
-        version = meta.get("format_version")
-        if version != FORMAT_VERSION:
-            raise StaleArtifactError(
-                f"count tensor {path} has format version {version}, this argex reads "
-                f"version {FORMAT_VERSION}; re-run `argex ingest`"
-            )
+        (text,), meta = read_artifact([path], sidecar_path(path), FORMAT_VERSION, "ingest")
         stored: dict[Triple, int] = {}
         check = canonical_checker(vocabulary)
         count_of = Memo(_positive_count)

@@ -171,13 +171,13 @@ def targets(space: WeightedSpace, data_file: int = 1) -> list[str]:
 
 
 def record_space_id(directory: str, **manifest: str) -> None:
-    """Re-record a saved archive's ``space_id`` from its files, and any other ``manifest`` values given."""
+    """Re-record a saved archive's space id (its ``content_hash``) from its files, and any other ``manifest`` values."""
     digest = hashlib.sha256()
     for name in _FILES:
         with open(os.path.join(directory, name), "rb") as fh:
             digest.update(fh.read())
     path = os.path.join(directory, "manifest.txt")
-    write_sidecar(path, {**read_sidecar(path), "space_id": digest.hexdigest(), **manifest})
+    write_sidecar(path, {**read_sidecar(path), "content_hash": digest.hexdigest(), **manifest})
 
 
 def every_ranking(space: WeightedSpace) -> dict[tuple[str, str], tuple]:

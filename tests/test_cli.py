@@ -95,7 +95,7 @@ def damage_first_line(space: str, name: str, target: str) -> tuple[str, int]:
     return path, line + 1
 
 
-# the files of a version-3 or version-4 archive, in the order of their space_id
+# the files of a version-3 or version-4 archive, in the order of the hash their manifest records as space_id
 VERSION_4_FILES = ("catalog.tsv", "vocab.tsv", "rows.tsv", "arg.tsv", "blocks.tsv")
 
 
@@ -121,7 +121,9 @@ def rewrite_as_version_4(space: str) -> list[str]:
         with open(os.path.join(space, name), "w", encoding="utf-8") as fh:
             fh.write(text)
     manifest = os.path.join(space, "manifest.txt")
-    write_sidecar(manifest, {**read_sidecar(manifest), "format_version": "4",
+    recorded = read_sidecar(manifest)
+    del recorded["content_hash"]  # versions 3 to 5 recorded the hash as space_id
+    write_sidecar(manifest, {**recorded, "format_version": "4",
                              "space_id": hashlib.sha256("".join(texts).encode("utf-8")).hexdigest()})
     return texts
 
@@ -738,6 +740,30 @@ class TestGuards:
         assert path in err
         assert "re-run `argex ingest`" in err
 
+    def test_a_stale_and_damaged_tensor_is_stale(self, bicknell_out, tmp_path, capsys):
+        # the format version is checked before the bytes, so the message names the stage to re-run
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        path = os.path.join(out, "deps.tensor.tsv")
+        write_sidecar(sidecar_path(path), {**read_sidecar(sidecar_path(path)), "format_version": "3"})
+        with open(path, "ab") as fh:
+            fh.write(b"x")
+        code, _, err = run_cli(capsys, "weight", "-c", BICKNELL_CONF, "--out-dir", out)
+        assert code == 2
+        assert f"{path} has format version 3, this argex reads version 4; re-run `argex ingest`" in err
+
+    def test_a_vocabulary_sidecar_without_a_format_version_is_stale(self, bicknell_out, tmp_path, capsys):
+        # as every vocab.tsv.meta written before vocabulary format 1 is
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        path = os.path.join(out, "vocab.tsv")
+        recorded = read_sidecar(sidecar_path(path))
+        del recorded["format_version"]
+        write_sidecar(sidecar_path(path), recorded)
+        before = spaces_snapshot(out)
+        code, stdout, err = run_cli(capsys, "weight", "-c", BICKNELL_CONF, "--out-dir", out)
+        assert (code, stdout) == (2, "")
+        assert f"{path} records no format version, this argex reads version 1; re-run `argex ingest`" in err
+        assert spaces_snapshot(out) == before
+
     @pytest.mark.parametrize(
         "figures, named",
         [
@@ -788,7 +814,7 @@ class TestGuards:
         assert os.path.join(out, named) in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("version", ["1", "2", "3", "4", "7"])
+    @pytest.mark.parametrize("version", ["1", "2", "3", "4", "5", "7"])
     def test_other_archive_format_version_refused(self, bicknell_out, tmp_path, capsys, version):
         out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
         manifest = os.path.join(out, "deps.space", "manifest.txt")
@@ -796,6 +822,10 @@ class TestGuards:
             rewrite_as_version_3(os.path.join(out, "deps.space"))
         elif version == "4":
             rewrite_as_version_4(os.path.join(out, "deps.space"))
+        elif version == "5":  # version 5 stored the same files, and recorded their hash as space_id
+            recorded = read_sidecar(manifest)
+            recorded["space_id"] = recorded.pop("content_hash")
+            write_sidecar(manifest, recorded)
         recorded = {**read_sidecar(manifest), "format_version": version}
         if version == "2":  # version 2 had no blocks.tsv
             os.remove(os.path.join(out, "deps.space", "blocks.tsv"))
@@ -840,13 +870,14 @@ class TestGuards:
         assert stdout == ""
 
     def test_a_blocks_tsv_that_fails_the_space_id_exits_4_naming_the_archive(self, bicknell_out, tmp_path, capsys):
-        # space_id covers blocks.tsv with the other three files
+        # the space id, the manifest's content_hash, covers blocks.tsv with the other three files
         out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
-        with open(os.path.join(out, "deps.space", "blocks.tsv"), "a", encoding="utf-8") as fh:
+        space = os.path.join(out, "deps.space")
+        with open(os.path.join(space, "blocks.tsv"), "a", encoding="utf-8") as fh:
             fh.write("zebra-n\t0\t0\n")
         code, stdout, err = run_cli(capsys, *FILLERS_DEPS, "-c", BICKNELL_CONF, "--out-dir", out)
         assert code == 4
-        assert f"space archive {os.path.join(out, 'deps.space')} failed verification" in err
+        assert f"{space} does not match the content_hash in {os.path.join(space, 'manifest.txt')}" in err
         assert stdout == ""
 
     @pytest.mark.parametrize("name, slot, layout", [("rows.tsv", "obj", "dimension id, score"),
@@ -2187,5 +2218,5 @@ class TestWeightWorkers:
         assert spaces_snapshot(out) == before
         for space in ("deps.space", "window.space"):
             assert load_space(os.path.join(out, space)).space_id == read_sidecar(
-                os.path.join(out, space, "manifest.txt"))["space_id"]
+                os.path.join(out, space, "manifest.txt"))["content_hash"]
         assert_reaped(forked)

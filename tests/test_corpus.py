@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 from argex.corpus import (
+    FORMAT_VERSION,
     Vocabulary,
     extract_window_counts,
     load_vocabulary,
@@ -336,7 +337,7 @@ class TestVocabulary:
     )
     def test_bad_count_or_repeated_token_names_its_line(self, tmp_path, body, message):
         path = str(tmp_path / "vocab.tsv")
-        write_artifact(path, body, {})
+        write_artifact(path, body, {"format_version": FORMAT_VERSION})
         with pytest.raises(CorpusError, match=f"vocab.tsv:2: {message}"):
             load_vocabulary(path, 1, True)
 

@@ -6,7 +6,7 @@ import importlib.util
 import os
 import sys
 
-from argex import space, tensor
+from argex import corpus, space, tensor
 
 from conftest import CONFIG_DIR, DATA_DIR, REPO_ROOT
 
@@ -36,6 +36,12 @@ def test_the_readme_names_the_space_archive_format_this_argex_writes():
     files = ", ".join(f"`{name}`" for name in space._FILES[:-1]) + f" and `{space._FILES[-1]}`"
     assert f"holding {len(space._FILES)} files: {files}," in readme
     assert "`vocab.tsv` has one token per line" not in readme  # the vocabulary is blocks.tsv's targets
+
+
+def test_the_readme_names_the_vocabulary_format_this_argex_writes():
+    with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = " ".join(fh.read().split())  # a phrase may wrap
+    assert f"`vocab.tsv`: full frequency table (format version {corpus.FORMAT_VERSION})" in readme
 
 
 def test_the_readme_names_the_count_tensor_format_this_argex_writes():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from argex import space as space_module
 from argex.artifacts import format_score, write_artifact
+from argex.corpus import FORMAT_VERSION as VOCAB_FORMAT_VERSION
 from argex.corpus import load_vocabulary
 from argex.errors import ConfigError, ConsistencyError, CorpusError, OutOfVocabularyError
 from argex.space import (
@@ -677,7 +678,8 @@ class TestSpace:
 
     def test_manifest_records_provenance(self):
         space = toy_space()
-        assert space.manifest["format_version"] == "5"
+        assert space.manifest["format_version"] == "6"
+        assert space.manifest["content_hash"] == space.space_id
         assert space.manifest["n_targets"] == str(len(targets(space)))
         assert space.manifest["n_dims"] == str(len(space.catalog))
 
@@ -810,7 +812,8 @@ class TestTokenChecksAtLoad:
         [
             (bad_artifact(CooccurrenceTensor.load, "t.tsv", "see-v\tsbj\t\ncat-n\t2\ndog\t1\n",
                           format_version=TENSOR_FORMAT_VERSION), CorpusError),
-            (bad_artifact(lambda path: load_vocabulary(path, 1, True), "vocab.tsv", "dog-n\t3\n-n\t2\n"),
+            (bad_artifact(lambda path: load_vocabulary(path, 1, True), "vocab.tsv", "dog-n\t3\n-n\t2\n",
+                          format_version=VOCAB_FORMAT_VERSION),
              CorpusError),
             # a last target with empty blocks, which sorts after see-v, and counted in n_vocab
             (bad_archive("blocks.tsv", lambda space: f"zebra\t{len(space.texts[1])}\t{len(space.texts[2])}\n",

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from argex.corpus import extract_dependency_counts, extract_window_counts
 from argex.errors import ConfigError, ConsistencyError, CorpusError, StaleArtifactError
-from argex.artifacts import read_artifact, read_sidecar, sidecar_path, write_artifact, write_sidecar
+from argex.artifacts import (read_artifact, read_sidecar, sha256, sidecar_path, write_artifact, write_bodies,
+                             write_sidecar)
 from argex import tensor as tensor_module
 from argex.tensor import FORMAT_VERSION, CooccurrenceTensor
 
@@ -316,7 +318,9 @@ class TestSerialization:
         path = str(tmp_path / "t.tsv")
         meta = {} if version is None else {"format_version": version}
         write_artifact(path, "see-v\tsbj\tdog-n\t2\n", meta)  # a version 1 line
-        with pytest.raises(StaleArtifactError, match=f"t.tsv has format version {version}.*re-run `argex ingest`"):
+        held = "records no format version" if version is None else f"has format version {version}"
+        stale = f"t.tsv {held}, this argex reads version 4; re-run `argex ingest`$"
+        with pytest.raises(StaleArtifactError, match=stale):
             CooccurrenceTensor.load(path)
 
     def test_a_version_2_tensor_is_stale(self, tmp_path):
@@ -342,10 +346,10 @@ class TestSerialization:
         monkeypatch.setattr(tensor_module, "_mirror_relations", no_mirrors)
         path = str(tmp_path / "t.tsv")
         small_tensor().save(path)
-        text, meta = read_artifact(path)
+        (text,), meta = read_artifact([path], sidecar_path(path), FORMAT_VERSION, "ingest")
         del meta["content_hash"]
         write_artifact(path, damage(text), meta)  # re-records content_hash, so the hash check passes
-        assert read_artifact(path)[0] != text
+        assert read_artifact([path], sidecar_path(path), FORMAT_VERSION, "ingest")[0] != (text,)
         with pytest.raises(ConsistencyError, match=f"t.tsv.meta: {named}"):
             CooccurrenceTensor.load(path)
 
@@ -406,23 +410,51 @@ class TestSidecarIO:
         with pytest.raises(CorpusError, match="x.meta"):
             read_sidecar(path)
 
+    def test_a_line_without_an_equals_sign_names_its_line(self, tmp_path):
+        path = tmp_path / "x.meta"
+        path.write_bytes(b"a=1\n\nno sign\nb=2\n")
+        with pytest.raises(CorpusError, match=re.escape(f"{path}:3: expected key=value, got 'no sign'")):
+            read_sidecar(str(path))
+
 
 class TestArtifactIO:
     def test_hash_is_of_the_bytes_written(self, tmp_path):
         import hashlib
 
         path = str(tmp_path / "a.tsv")
-        digest = write_artifact(path, "x\ty\n", {"stage": "test"})
+        digest = write_artifact(path, "x\ty\n", {"stage": "test", "format_version": "1"})
         assert hashlib.sha256(open(path, "rb").read()).hexdigest() == digest
-        assert read_artifact(path) == ("x\ty\n", {"stage": "test", "content_hash": digest})
+        assert read_artifact([path], sidecar_path(path), "1", "test") == (
+            ("x\ty\n",), {"stage": "test", "format_version": "1", "content_hash": digest})
 
     def test_body_and_sidecar_mix_is_refused(self, tmp_path):
         old, new = str(tmp_path / "old.tsv"), str(tmp_path / "a.tsv")
-        write_artifact(old, "old\n", {})
-        write_artifact(new, "new\n", {})
+        write_artifact(old, "old\n", {"format_version": "1"})
+        write_artifact(new, "new\n", {"format_version": "1"})
         os.replace(sidecar_path(old), sidecar_path(new))
-        with pytest.raises(ConsistencyError, match="a.tsv"):
-            read_artifact(new)
+        with pytest.raises(ConsistencyError, match="a.tsv does not match the content_hash in .*a.tsv.meta"):
+            read_artifact([new], sidecar_path(new), "1", "test")
+
+    @pytest.mark.parametrize("meta, held", [({"format_version": "0"}, "has format version 0"),
+                                            ({}, "records no format version")])
+    def test_another_format_version_is_stale_before_the_bytes_are_checked(self, tmp_path, meta, held):
+        path = str(tmp_path / "a.tsv")
+        write_artifact(path, "x\n", meta)
+        with open(path, "ab") as fh:
+            fh.write(b"\xff")  # neither the hash nor UTF-8 any more
+        with pytest.raises(StaleArtifactError, match=f"a.tsv {held}, this argex reads version 1; re-run `argex s`$"):
+            read_artifact([path], sidecar_path(path), "1", "s")
+
+    def test_an_artifact_of_several_bodies_is_named_by_their_directory(self, tmp_path):
+        paths = [str(tmp_path / "a.tsv"), str(tmp_path / "b.tsv")]
+        sidecar = str(tmp_path / "manifest.txt")
+        bodies = [b"a\n", b"b\n"]
+        write_bodies(paths, bodies, sidecar, {"format_version": "1", "content_hash": sha256(bodies)})
+        assert read_artifact(paths, sidecar, "1", "s") == (("a\n", "b\n"), read_sidecar(sidecar))
+        write_bodies(paths, bodies, sidecar, {"format_version": "1", "content_hash": sha256(bodies[:1])})
+        with pytest.raises(ConsistencyError,
+                           match=re.escape(f"{tmp_path} does not match the content_hash in {sidecar}")):
+            read_artifact(paths, sidecar, "1", "s")
 
     def test_interrupted_write_keeps_the_previous_artifact(self, tmp_path, monkeypatch):
         path = str(tmp_path / "t.tsv")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from argex.artifacts import read_artifact
+from argex.artifacts import read_sidecar, sidecar_path
 from argex.errors import UndefinedModelError
 from argex.space import build_space
 from argex.tensor import CooccurrenceTensor
@@ -188,7 +188,9 @@ class TestSave:
         weighted = weight_tensor(CooccurrenceTensor(thirty_triple_tensor().counts, source_hash="abc"))
         path = str(tmp_path / "w.tsv")
         digest = weighted.save(path, {"rank_mode": "collapsed"})
-        text, meta = read_artifact(path)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        meta = read_sidecar(sidecar_path(path))
         rows = [line.split("\t") for line in text.splitlines()]
         assert [((t, r, f), float(score)) for t, r, f, score in rows] == sorted(weighted.scores.items())
         assert meta == {
