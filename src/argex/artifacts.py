@@ -4,8 +4,8 @@ Each file goes to a temporary name and is renamed into place, so none
 is ever half-written. An artifact is its bodies, then a sidecar of
 sorted ``key=value`` lines, written last, that records their format
 version and sha256 (``content_hash``): ``path.meta`` beside one body, a
-space archive's manifest beside its four. ``read_artifact``, the one
-verified read, checks both before any loader parses a line.
+space archive's manifest beside its four. ``read_artifact``, the one verified read, checks
+presence, format, stamps, then bytes, before any loader parses a line.
 A stage writes only under ``locked``, which holds the output directory.
 """
 
@@ -18,6 +18,8 @@ from typing import Iterable, Sequence
 
 from .errors import ConfigError, ConsistencyError, CorpusError, StaleArtifactError
 
+# what a reader expects of a sidecar: key -> (the value, what that value was taken from)
+Stamps = dict[str, tuple[str, str]]
 # 17 significant digits: enough for exact float64 round-trips. A printf
 # format, so a writer can render a whole row of scores in one % operation.
 SCORE_FORMAT = "%.17g"
@@ -105,6 +107,8 @@ def read_sidecar(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise CorpusError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        if key in values:
+            raise CorpusError(f"{path}:{lineno}: repeated key {key!r}")
         values[key] = value
     return values
 
@@ -117,15 +121,29 @@ def write_artifact(path: str, body: str, meta: dict[str, str]) -> str:
     return digest
 
 
-def read_artifact(paths: Sequence[str], sidecar: str, version: str, stage: str) -> tuple[tuple[str, ...], dict]:
-    """The text of ``paths`` and their ``sidecar``: any format version but ``version`` is stale (re-run ``argex
-    stage``), then bodies whose sha256 is not its ``content_hash`` are inconsistent; only then are they decoded."""
+def read_artifact(paths: Sequence[str], sidecar: str, version: str, stage: str,
+                  stamps: Stamps | None = None) -> tuple[tuple[str, ...], dict]:
+    """The text of ``paths`` and their ``sidecar``, checked in one order.
+
+    A missing ``sidecar`` names ``argex stage`` to run. Any format
+    version but ``version``, then any ``stamps`` key the sidecar holds
+    another value for, is stale (re-run ``argex stage``), before a byte
+    of ``paths`` is read. Then bodies whose sha256 is not the
+    ``content_hash`` are inconsistent. Only then are they decoded.
+    """
     name = paths[0] if len(paths) == 1 else os.path.dirname(sidecar)
+    if not os.path.exists(sidecar):
+        raise CorpusError(f"{sidecar} not found; run `argex {stage}` first")
     meta = read_sidecar(sidecar)
     recorded = meta.get("format_version")
     if recorded != version:
         held = "records no format version" if recorded is None else f"has format version {recorded}"
         raise StaleArtifactError(f"{name} {held}, this argex reads version {version}; re-run `argex {stage}`")
+    for key, (expected, against) in (stamps or {}).items():
+        if meta.get(key) != expected:
+            held = f"recorded {key} {str(meta.get(key))[:12]}.., expected {expected[:12]}.."
+            raise StaleArtifactError(f"{name} was produced under a different {against} ({held}); "
+                                     f"re-run `argex {stage}`")
     bodies = [read_bytes(path) for path in paths]
     if sha256(bodies) != meta.get("content_hash"):
         raise ConsistencyError(f"{name} does not match the content_hash in {sidecar}")
@@ -136,11 +154,14 @@ def read_artifact(paths: Sequence[str], sidecar: str, version: str, stage: str) 
 def locked(out_dir: str):
     """Single-writer guard: a stage holds an exclusive ``flock`` on ``out_dir/.lock`` (POSIX only).
 
-    The kernel drops the lock when its process ends, even a killed one, so a lock is never stale.
+    Only ``argex ingest`` makes ``out_dir``. The kernel drops the lock when its process ends, even a killed one,
+    so a lock is never stale.
     """
     import fcntl
 
-    make_output_dir(out_dir)
+    if not os.path.isdir(out_dir):
+        held = "is not a directory" if os.path.exists(out_dir) else "not found; run `argex ingest` first"
+        raise ConfigError(f"output directory {out_dir} {held}")
     lock = os.path.join(out_dir, ".lock")
     with contextlib.ExitStack() as release:
         try:

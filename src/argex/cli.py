@@ -42,7 +42,7 @@ import signal
 import sys
 from typing import TYPE_CHECKING, Callable
 
-from .artifacts import locked, make_output_dir, read_sidecar, sidecar_path, write_bytes_atomic
+from .artifacts import Stamps, locked, make_output_dir, write_bytes_atomic
 from .config import (
     ALL_TASKS,
     TASK_BICKNELL_ACC1,
@@ -110,20 +110,6 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     return load_config(args.config, overrides)
 
 
-def _require_artifact(path: str, producer: str) -> None:
-    if not os.path.exists(path):
-        raise CorpusError(f"{path} not found; run `argex {producer}` first")
-
-
-def _require_stamp(meta_source: str, recorded: str | None, expected: str, producer: str) -> None:
-    if recorded != expected:
-        raise StaleArtifactError(
-            f"{meta_source} was produced under a different configuration "
-            f"(recorded {str(recorded)[:12]}.., current config needs {expected[:12]}..); "
-            f"re-run `argex {producer}`"
-        )
-
-
 # -- ingest ----------------------------------------------------------------
 
 
@@ -177,6 +163,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         "arcs": str(stats.arcs),
         "dropped_arcs": str(stats.dropped_arcs),
     }
+    make_output_dir(config.out_dir)  # the one stage that makes it
     with locked(config.out_dir):
         vocab_hash = save_vocabulary(vocab, paths["vocab"], {"ingest_hash": stamp, **counts})
         dep.save(paths["deps_tensor"], {"ingest_hash": stamp, "vocab_hash": vocab_hash})
@@ -198,13 +185,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_weight(args: argparse.Namespace, workers: int | None = None) -> int:
     """Weight both tensors and build their spaces, each space one job (``pool.map_jobs``), then save both.
 
-    A missing input is refused before the lock, so it creates no
-    directory. The lock is then held from the first sidecar read through
-    the last save, so a concurrent ``ingest`` cannot replace an input
-    mid-read. The sidecars, their ``vocab_hash`` link and ``vocab.tsv``
-    are checked first. The jobs then load their own tensor, so an error
+    The lock is held from the first read through the last save, so a
+    concurrent ``ingest`` cannot replace an input mid-read. ``vocab.tsv``
+    is loaded first, then each job loads its own tensor, so an error
     comes back in job order, dependency space first, as one process meets
-    it. Every write happens here.
+    it. Each load checks its artifact's ``ingest_hash``, and a tensor's
+    ``vocab_hash`` against the loaded vocabulary. Every write happens here.
     """
     from .corpus import load_vocabulary
     from .pool import map_jobs
@@ -212,22 +198,14 @@ def cmd_weight(args: argparse.Namespace, workers: int | None = None) -> int:
 
     config = _config_from_args(args)
     paths = artifact_paths(config.out_dir)
-    stamp_in = ingest_hash(config)
-    keys = ("vocab", "deps_tensor", "window_tensor")
-    for key in keys:
-        _require_artifact(paths[key], "ingest")
     with locked(config.out_dir):
-        metas = {}
-        for key in keys:
-            meta = metas[key] = read_sidecar(sidecar_path(paths[key]))
-            _require_stamp(paths[key], meta.get("ingest_hash"), stamp_in, "ingest")
-        for key in ("deps_tensor", "window_tensor"):  # a crashed ingest can leave two runs' files side by side
-            if metas[key].get("vocab_hash") != metas["vocab"].get("content_hash"):
-                raise StaleArtifactError(f"{paths[key]} was not counted over {paths['vocab']}; re-run `argex ingest`")
-        vocab = load_vocabulary(paths["vocab"], config.vocab_threshold, config.vocab_threshold_inclusive)
+        stamps = {"ingest_hash": (ingest_hash(config), "configuration")}
+        vocab = load_vocabulary(paths["vocab"], config.vocab_threshold, config.vocab_threshold_inclusive, stamps)
         _note("loading and weighting tensors")
+        # a crashed ingest can leave two runs' files side by side
+        stamps["vocab_hash"] = (vocab.source_hash, f"vocabulary than {paths['vocab']}")
         # job 0, the dependency space, is the longer: it goes first
-        built = map_jobs(functools.partial(_weighted_space, config, paths, vocab), (0, 1), workers)
+        built = map_jobs(functools.partial(_weighted_space, config, paths, vocab, stamps), (0, 1), workers)
         (deps_space, n_arg), (window_space, _) = built
         make_output_dir(paths["window_space"])  # first: a file there must leave deps.space as it was
         deps_id = save_space(deps_space, paths["deps_space"])
@@ -245,19 +223,19 @@ def cmd_weight(args: argparse.Namespace, workers: int | None = None) -> int:
 
 
 def _weighted_space(
-    config: PipelineConfig, paths: dict[str, str], vocab: Vocabulary, job: int
+    config: PipelineConfig, paths: dict[str, str], vocab: Vocabulary, stamps: Stamps, job: int
 ) -> tuple[WeightedSpace, int]:
     """Job 0: the dependency space and its number of ARG entries. Job 1: the window space and 0.
 
-    Each loads its tensor, whose tokens must be in ``vocab``, weights it
-    by PLMI and builds the space; the dependency job builds the ARG
-    rankings too. It writes nothing.
+    Each loads its tensor, which must match ``stamps`` (so be counted over
+    ``vocab``) and hold only ``vocab``'s tokens, weights it by PLMI and
+    builds the space; the dependency job builds the ARG rankings too. It writes nothing.
     """
     from .space import build_space
     from .tensor import CooccurrenceTensor
     from .weighting import WeightedTensor, collapse_relations, max_over_relations, weight_tensor
 
-    counts = CooccurrenceTensor.load(paths[("deps_tensor", "window_tensor")[job]], vocab.entries)
+    counts = CooccurrenceTensor.load(paths[("deps_tensor", "window_tensor")[job]], vocab.entries, stamps)
     weighted = weight_tensor(counts)
     manifest = {"space_hash": space_hash(config), "kind": ("dependency", "window")[job]}
     if job == 1:
@@ -275,13 +253,11 @@ def _weighted_space(
 
 
 def _load_space_checked(config: PipelineConfig, which: str) -> WeightedSpace:
+    """The ``deps`` or ``window`` space, loaded under the current ``space_hash``; another ``kind`` is exit 4."""
     from .space import load_space
 
-    paths = artifact_paths(config.out_dir)
-    directory = paths[f"{which}_space"]
-    _require_artifact(directory, "weight")
-    space = load_space(directory)
-    _require_stamp(directory, space.manifest.get("space_hash"), space_hash(config), "weight")
+    directory = artifact_paths(config.out_dir)[f"{which}_space"]
+    space = load_space(directory, {"space_hash": (space_hash(config), "configuration")})
     kind, recorded = "dependency" if which == "deps" else "window", space.manifest.get("kind")
     if recorded != kind:
         raise ConsistencyError(f"space archive {directory} is of kind {recorded!r}, expected {kind!r}")

@@ -14,7 +14,7 @@ import itertools
 from collections import Counter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .artifacts import read_artifact, sidecar_path, write_artifact
+from .artifacts import Stamps, read_artifact, sidecar_path, write_artifact
 from .errors import ConfigError, CorpusError
 from .tensor import CooccurrenceTensor, Triple
 from .tokens import ARG, VERB_LINK, VERB_POS, WINDOW, Memo, canonical_checker
@@ -28,12 +28,13 @@ FORMAT_VERSION = "1"  # of vocab.tsv, recorded in its sidecar
 class Vocabulary:
     """Noun/verb tokens (canonical strings) whose corpus frequency clears the threshold."""
 
-    __slots__ = ("frequency", "threshold", "inclusive", "entries")
+    __slots__ = ("frequency", "threshold", "inclusive", "entries", "source_hash")
 
-    def __init__(self, frequency: dict[str, int], threshold: int, inclusive: bool):
+    def __init__(self, frequency: dict[str, int], threshold: int, inclusive: bool, source_hash: str = ""):
         if threshold < 1:
             raise ValueError("vocabulary threshold must be >= 1")
         self.frequency, self.threshold, self.inclusive = frequency, threshold, inclusive
+        self.source_hash = source_hash  # the content_hash of the vocab.tsv it was loaded from; empty if built
         keep = (lambda n: n >= threshold) if inclusive else (lambda n: n > threshold)
         self.entries: frozenset[str] = frozenset(t for t, n in frequency.items() if keep(n))
 
@@ -161,13 +162,13 @@ def save_vocabulary(vocab: Vocabulary, path: str, sidecar: dict[str, str] | None
     return write_artifact(path, body, meta)
 
 
-def load_vocabulary(path: str, threshold: int, inclusive: bool) -> Vocabulary:
-    """Read a frequency table back, once ``read_artifact`` has verified it, and reapply the threshold.
+def load_vocabulary(path: str, threshold: int, inclusive: bool, stamps: Stamps | None = None) -> Vocabulary:
+    """Read a frequency table back, once ``read_artifact`` has checked it and ``stamps``, and reapply the threshold.
 
     ``save_vocabulary`` writes each token once with a count of at least
     1; a count below 1 or a repeated token names ``path:line``.
     """
-    (text,), _ = read_artifact([path], sidecar_path(path), FORMAT_VERSION, "ingest")
+    (text,), meta = read_artifact([path], sidecar_path(path), FORMAT_VERSION, "ingest", stamps)
     frequency: dict[str, int] = {}
     check = canonical_checker()
     for lineno, line in enumerate(text.split("\n"), 1):
@@ -185,5 +186,5 @@ def load_vocabulary(path: str, threshold: int, inclusive: bool) -> Vocabulary:
         except ValueError as exc:
             raise CorpusError(f"{path}:{lineno}: {exc}") from None
         frequency[token] = n
-    return Vocabulary(frequency, threshold, inclusive)
+    return Vocabulary(frequency, threshold, inclusive, meta["content_hash"])
 

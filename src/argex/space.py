@@ -36,7 +36,7 @@ import re
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .artifacts import SCORE_FORMAT, format_score, make_output_dir, read_artifact, sha256, write_bodies
+from .artifacts import SCORE_FORMAT, Stamps, format_score, make_output_dir, read_artifact, sha256, write_bodies
 from .errors import ConsistencyError, CorpusError, OutOfVocabularyError
 from .tokens import ARG, TOKEN
 
@@ -532,19 +532,19 @@ def _row_fault(path: str, text: str, start: int, ids: tuple[int, ...], scores: t
             return ConsistencyError(f"{path}:{line}: score {score!r} is not positive and finite")
 
 
-def load_space(directory: str) -> WeightedSpace:
+def load_space(directory: str, stamps: Stamps | None = None) -> WeightedSpace:
     """Read an archive back; its rows and rankings are parsed per target on first use.
 
-    ``read_artifact`` checks the format version first, then the bytes of
-    all four files against the manifest's ``content_hash``, before
-    anything is parsed. ``blocks.tsv``, whose lemma-pos targets are the
+    ``read_artifact`` checks that the manifest is there, its format version
+    and ``stamps``, then the bytes of all four files against its
+    ``content_hash``, before anything is parsed. ``blocks.tsv``, whose lemma-pos targets are the
     vocabulary, and the manifest's counts are checked here; a target's
     blocks, and the catalog lines its row refers to, when the target is
     first read. Any failure names ``path:line``, the manifest, or the archive.
     """
     manifest_path = os.path.join(directory, "manifest.txt")
     paths = [os.path.join(directory, name) for name in _FILES]
-    texts, manifest = read_artifact(paths, manifest_path, FORMAT_VERSION, "weight")
+    texts, manifest = read_artifact(paths, manifest_path, FORMAT_VERSION, "weight", stamps)
     vocabulary, blocks, n_dims = _read_blocks(paths, texts)
     # content_hash covers the files, not the manifest: its counts are read back against them
     n_targets = sum(start < end for start, end, _, _ in blocks.values())

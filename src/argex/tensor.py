@@ -20,7 +20,7 @@ any mirror. The bytes are deterministic for a given input.
 
 from __future__ import annotations
 
-from .artifacts import read_artifact, sha256, sidecar_path, write_artifact
+from .artifacts import Stamps, read_artifact, sha256, sidecar_path, write_artifact
 from .errors import ConsistencyError, CorpusError
 from .tokens import INVERSE_SUFFIX, WINDOW, Memo, canonical_checker
 
@@ -106,10 +106,11 @@ class CooccurrenceTensor:
         return write_artifact(path, self.to_tsv(), meta)
 
     @classmethod
-    def load(cls, path: str, vocabulary: frozenset[str] | None = None) -> "CooccurrenceTensor":
+    def load(cls, path: str, vocabulary: frozenset[str] | None = None, stamps: Stamps | None = None
+             ) -> "CooccurrenceTensor":
         """Read a saved tensor and add each stored entry's mirror.
 
-        ``read_artifact`` verifies the file first. A bad token, a
+        ``read_artifact`` verifies the file and its ``stamps`` first. A bad token, a
         target or filler outside ``vocabulary`` when one is given, a count
         below 1, a line that is neither a header nor an entry, an entry
         before any header, a header or filler out of strictly increasing
@@ -117,7 +118,7 @@ class CooccurrenceTensor:
         target names ``path:line``. A number or sum of the stored counts
         that differs from the sidecar's is inconsistent.
         """
-        (text,), meta = read_artifact([path], sidecar_path(path), FORMAT_VERSION, "ingest")
+        (text,), meta = read_artifact([path], sidecar_path(path), FORMAT_VERSION, "ingest", stamps)
         stored: dict[Triple, int] = {}
         check = canonical_checker(vocabulary)
         count_of = Memo(_positive_count)

@@ -711,6 +711,22 @@ class TestGuards:
         assert code == 2
         assert "re-run `argex weight`" in err
 
+    @pytest.mark.parametrize("argv", [FILLERS_DEPS, ("eval", "--task", "bicknell-acc2", "--kind", "deps"), ("sweep",)],
+                             ids=["fillers", "eval", "sweep"])
+    def test_a_space_stale_by_config_and_damaged_is_stale(self, bicknell_out, tmp_path, capsys, argv):
+        # the stamps are checked before the bytes, so the message names the stage to re-run
+        out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
+        rows = pathlib.Path(out, "deps.space", "rows.tsv")
+        raw = bytearray(rows.read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        rows.write_bytes(raw)
+        code, stdout, err = run_cli(capsys, *argv, "-c", BICKNELL_CONF, "--out-dir", out,
+                                    "--set", "boa_rank_mode=max")
+        assert (code, stdout) == (2, "")
+        assert f"error: {os.path.join(out, 'deps.space')} was produced under a different configuration" in err
+        assert err.endswith("re-run `argex weight`\n")
+        assert not os.path.exists(os.path.join(out, "reports"))
+
     def test_tampered_tensor_exits_4(self, tmp_path, capsys):
         out = str(tmp_path)
         assert run_cli(capsys, "ingest", "-c", BICKNELL_CONF, "--out-dir", out)[0] == 0
@@ -1237,6 +1253,26 @@ class TestInputBoundary:
         code, _, err = run_cli(capsys, "ingest", "-c", BICKNELL_CONF, "--out-dir", out)
         assert code == 2
         assert f"cannot create output directory {out}" in err
+
+    @pytest.mark.parametrize("argv", [WEIGHT, ("eval", "--task", "bicknell-acc2", "--kind", "deps"), ("sweep",)],
+                             ids=["weight", "eval", "sweep"])
+    def test_a_stage_after_ingest_on_a_missing_out_dir_exits_2_and_creates_nothing(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, *argv, "-c", BICKNELL_CONF, "--out-dir", str(out))
+        assert (code, stdout) == (2, "")
+        assert f"error: output directory {out} not found; run `argex ingest` first\n" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [WEIGHT, ("eval", "--task", "bicknell-acc2", "--kind", "deps"), ("sweep",)],
+                             ids=["weight", "eval", "sweep"])
+    def test_a_stage_after_ingest_on_an_out_dir_that_is_a_file_exits_2_naming_it(self, tmp_path, capsys, argv):
+        plain = tmp_path / "plain"
+        plain.write_text("not a directory\n", encoding="utf-8")
+        code, stdout, err = run_cli(capsys, *argv, "-c", BICKNELL_CONF, "--out-dir", str(plain))
+        assert (code, stdout) == (2, "")
+        assert f"error: output directory {plain} is not a directory\n" in err
+        assert plain.read_text(encoding="utf-8") == "not a directory\n"
+        assert list(tmp_path.iterdir()) == [plain]
 
     @pytest.mark.parametrize("name, kept", [("deps.space", "window.space"), ("window.space", "deps.space")])
     def test_a_file_at_a_space_directory_exits_2_naming_it(self, bicknell_out, tmp_path, capsys, name, kept):
@@ -2150,12 +2186,13 @@ class TestWeightWorkers:
         assert (gc.isenabled(), gc.get_freeze_count()) == collector
 
     def test_weight_takes_the_lock_before_it_reads_its_inputs(self, bicknell_out, tmp_path, capsys, monkeypatch):
+        from argex import artifacts
         from argex.artifacts import locked
 
         out = copy_artifacts(bicknell_out, str(tmp_path / "out"))
         before = spaces_snapshot(out)
         read = []
-        monkeypatch.setattr(cli, "read_sidecar", lambda *args: read.append(args))
+        monkeypatch.setattr(artifacts, "read_sidecar", lambda *args: read.append(args))
         monkeypatch.setattr(CooccurrenceTensor, "load", lambda *args: read.append(args))
         with locked(out):
             code, stdout, err = weight_with_workers(capsys, 1, out)

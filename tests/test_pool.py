@@ -37,22 +37,21 @@ def test_results_come_back_in_job_order(workers):
 
 
 def test_the_workers_share_the_jobs():
-    # each job waits until both processes hold one, so neither can take both
+    # a two-way hand-shake: each job says it has started, then waits until the other has, so no job ends
+    # before both processes hold one, and neither process can take both
     parent = os.getpid()
-    ready = os.pipe()
+    started = [os.pipe(), os.pipe()]
 
     def job(index):
-        if os.getpid() != parent:
-            os.write(ready[1], b"x")
-        else:
-            wait_for(ready[0])
+        os.write(started[index][1], b"x")
+        wait_for(started[1 - index][0])
         return os.getpid()
 
     try:
         pids = list(fork_map(job, [0, 1], 2))
     finally:
-        os.close(ready[0])
-        os.close(ready[1])
+        for fd in (fd for pipe in started for fd in pipe):
+            os.close(fd)
     assert parent in pids and len(set(pids)) == 2
 
 

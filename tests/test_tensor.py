@@ -416,6 +416,13 @@ class TestSidecarIO:
         with pytest.raises(CorpusError, match=re.escape(f"{path}:3: expected key=value, got 'no sign'")):
             read_sidecar(str(path))
 
+    def test_a_repeated_key_names_its_line(self, tmp_path):
+        # a stamp is judged by the one line that holds it, not by whichever of two comes last
+        path = tmp_path / "manifest.txt"
+        path.write_bytes(b"format_version=6\nspace_hash=aaa\nspace_hash=bbb\n")
+        with pytest.raises(CorpusError, match=re.escape(f"{path}:3: repeated key 'space_hash'")):
+            read_sidecar(str(path))
+
 
 class TestArtifactIO:
     def test_hash_is_of_the_bytes_written(self, tmp_path):
@@ -443,6 +450,36 @@ class TestArtifactIO:
         with open(path, "ab") as fh:
             fh.write(b"\xff")  # neither the hash nor UTF-8 any more
         with pytest.raises(StaleArtifactError, match=f"a.tsv {held}, this argex reads version 1; re-run `argex s`$"):
+            read_artifact([path], sidecar_path(path), "1", "s")
+
+    @pytest.mark.parametrize("recorded, held", [({"ingest_hash": "old"}, "old"), ({}, "None")])
+    def test_a_stamp_is_stale_before_any_byte_of_the_body_is_read(self, tmp_path, monkeypatch, recorded, held):
+        from argex import artifacts
+
+        path = str(tmp_path / "a.tsv")
+        write_artifact(path, "x\n", {"format_version": "1", **recorded})
+        with open(path, "ab") as fh:
+            fh.write(b"\xff")  # neither the hash nor UTF-8 any more
+        read = []
+        real = artifacts.read_bytes
+        monkeypatch.setattr(artifacts, "read_bytes", lambda name: read.append(name) or real(name))
+        stale = (f"a.tsv was produced under a different configuration (recorded ingest_hash {held}.., expected "
+                 "new..); re-run `argex s`")
+        with pytest.raises(StaleArtifactError, match=re.escape(stale) + "$"):
+            read_artifact([path], sidecar_path(path), "1", "s", {"ingest_hash": ("new", "configuration")})
+        assert read == [sidecar_path(path)]
+
+    def test_the_expected_stamps_pass(self, tmp_path):
+        path = str(tmp_path / "a.tsv")
+        write_artifact(path, "x\n", {"format_version": "1", "ingest_hash": "abc", "vocab_hash": "def"})
+        stamps = {"ingest_hash": ("abc", "configuration"), "vocab_hash": ("def", "vocabulary")}
+        assert read_artifact([path], sidecar_path(path), "1", "s", stamps)[0] == ("x\n",)
+
+    def test_a_missing_sidecar_names_itself_and_the_stage(self, tmp_path):
+        path = str(tmp_path / "a.tsv")
+        write_artifact(path, "x\n", {"format_version": "1"})
+        os.remove(sidecar_path(path))
+        with pytest.raises(CorpusError, match=re.escape(f"{sidecar_path(path)} not found; run `argex s` first")):
             read_artifact([path], sidecar_path(path), "1", "s")
 
     def test_an_artifact_of_several_bodies_is_named_by_their_directory(self, tmp_path):
